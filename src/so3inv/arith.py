@@ -1,10 +1,11 @@
 """Modular arithmetic at an odd prime level.
 
 The whole package works at a fixed odd prime K (the shifted level).
-This module provides the prime wrapper, canonical residues, modular
-inverses in the normalizations the invariant formulas need (plain,
-even-representative, centered), Legendre symbols, and reduction of
-rationals with K-coprime denominator.
+This module provides the prime wrapper and the one primality routine,
+canonical residues, modular inverses in the normalizations the
+invariant formulas need (plain, even-representative, centered),
+Legendre symbols, and reduction of rationals with K-coprime
+denominator.
 """
 
 from __future__ import annotations
@@ -31,6 +32,16 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def odd_primes(lo: int, hi: int) -> tuple:
+    """The odd primes in [lo, hi], ascending."""
+    return tuple(n for n in range(max(lo, 3) | 1, hi + 1, 2) if _is_prime(n))
+
+
+def sign(v) -> int:
+    """-1, 0 or +1, the sign of v."""
+    return (v > 0) - (v < 0)
 
 
 class PrimeK:

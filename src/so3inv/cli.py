@@ -37,7 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
-from .arith import as_prime
+from .arith import as_prime, odd_primes
 from .cyclotomic import diamond, eval_complex, gauss_sum, to_xpoly, x_order
 from .errors import So3InvError
 from .nt import SeifertData
@@ -103,8 +103,7 @@ def parse_primes(text: str):
             lo, hi = int(lo), int(hi)
         except ValueError:
             raise UsageError(f"--primes: bad range {text!r}") from None
-        ks = [k for k in range(max(lo, 3), hi + 1)
-              if k % 2 and all(k % d for d in range(3, int(k ** 0.5) + 1, 2))]
+        ks = odd_primes(lo, hi)
     else:
         try:
             ks = [int(s) for s in text.split(",")]

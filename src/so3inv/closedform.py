@@ -19,9 +19,9 @@ collapse mirror pairs, which is wrong).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
-from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue
+from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
 from .cyclotomic import CycInt, diamond, qpow, sine_quotient
 from .errors import (
     BadNormalization,
@@ -34,8 +34,9 @@ from .errors import (
     So3InvError,
 )
 from .nt import SeifertData, dedekind_sum
-from .series import LambdaSeries, RatSeries, q_power, s_div, s_exp, sinh_ratio, vee
-from .surgery import ExtendedPhase, _chain_data, _sign
+from .series import (LambdaSeries, RatSeries, half_log_t, q_power, s_div,
+                     s_exp, sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
+from .surgery import ExtendedPhase, _chain_data
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
     reorients the geometric numerator.
     """
     kap = kappa_of(K)
-    s = _sign(S.H * S.P)
+    s = sign(S.H * S.P)
     t2, t4 = inv_int(2, K), inv_int(4, K)
     pstar = inv_int(S.P, K)
     sv = sum(rat_residue(3 * dedekind_sum(q, p), K).value
@@ -212,7 +213,7 @@ def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
     ph.times_sqrt_q(s)
     ph.times_q(-t2 * s)
     ph.times_sign(legendre(abs(S.P), K))
-    ph.times_sign(_sign(S.P))
+    ph.times_sign(sign(S.P))
     ph.times_q(t4 * pstar * S.H - sv)
     ph.times_magnitude(2, 1)
     ph.times_sign(legendre(pstar * S.H, K))
@@ -235,9 +236,9 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     _seifert_preconditions(S, K)
     pref = _seifert_phase(S, K).reduce()
     # the reducibility and diamond assertions pin the assembly down
-    r = (Fraction(S.H, 4 * S.P) - Fraction(3, 4) * _sign(S.H * S.P)
+    r = (Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P)
          - 3 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
-    bare = pref * (legendre(abs(S.H), K) * _sign(S.H))
+    bare = pref * (legendre(abs(S.H), K) * sign(S.H))
     if diamond(bare) != vee(q_power(r, (K - 1) // 2), K):
         raise DiamondMismatch(
             f"assembled prefactor disagrees with q^({r}) mod K = {K}")
@@ -260,13 +261,13 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     exp(theta*t)/sinh(t) with the Dedekind/framing exponent theta and
     is re-expanded at t = (1/2) log(1+x).
     """
-    n = len(S.fractions)
     cap = n_max
     ucap = 2 * cap + 2
     fib = RatSeries.const(1, ucap)
     for (p, q) in S.fractions:
-        fib = fib * _sinh_quotient_series(Fraction(1, p), ucap)
-    fib = fib * _sinh_series(ucap) ** 2  # net sinh power N - (N-2) = 2
+        fib = fib * sinh_quotient_u(Fraction(1, p), ucap)
+    # net sinh power N - (N-2) = 2
+    fib = fib * (RatSeries.x(ucap) * sinh_over_t(ucap)) ** 2
     dbl = 1
     mom = [Fraction(0)] * (cap + 2)
     ratio = Fraction(S.P, S.H)
@@ -274,13 +275,11 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
         dbl *= 2 * m - 1  # (2m-1)!!
         mom[m] = fib.coeff(2 * m) * dbl * ratio ** m
     mom_over_t = RatSeries(mom[1:cap + 2], cap)
-    sinh_over_t = RatSeries(
-        [Fraction(1, factorial(m + 1)) if m % 2 == 0 else 0
-         for m in range(cap + 1)], cap)
-    theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * _sign(S.H * S.P)
+    theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sign(S.H * S.P)
              - 6 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
-    tser = s_div(mom_over_t, sinh_over_t) * s_exp(RatSeries.x(cap) * theta)
-    ser = tser.compose(_half_log(cap)) * S.H
+    tser = (s_div(mom_over_t, sinh_over_t(cap))
+            * s_exp(RatSeries.x(cap) * theta))
+    ser = tser.compose(half_log_t(cap)) * S.H
     if ser.coeff(0) != 1:
         raise BadNormalization(
             f"lambda_0 = {ser.coeff(0)} for X{tuple(S.fractions)}")
@@ -289,20 +288,3 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
                         tuple(ser.coeff(i) for i in range(n_max + 1)),
                         "closed-form")
 
-
-def _sinh_series(cap: int) -> RatSeries:
-    return RatSeries([Fraction(1, factorial(m)) if m % 2 else 0
-                      for m in range(cap + 1)], cap)
-
-
-def _sinh_quotient_series(a: Fraction, cap: int) -> RatSeries:
-    """sinh(a*u)/sinh(u) in u, for rational a."""
-    from .series import sinh_quotient_u
-
-    return sinh_quotient_u(a, cap)
-
-
-def _half_log(cap: int) -> RatSeries:
-    from .series import half_log_t
-
-    return half_log_t(cap)

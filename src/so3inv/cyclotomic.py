@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arith import as_prime, legendre
+from .arith import as_prime
 from .errors import (
     IntegralityFailure,
     MixedModulus,
@@ -258,7 +258,8 @@ def invert_unit(a: CycInt) -> CycInt:
     return prod * nrm.coeffs[0]
 
 
-def _divide_by_int(a: CycInt, n: int) -> CycInt:
+def divide_exact(a: CycInt, n: int) -> CycInt:
+    """a / n for an integer n that divides every coefficient of a."""
     if any(c % n for c in a.coeffs):
         raise IntegralityFailure(f"coefficients not divisible by {n}")
     return CycInt([c // n for c in a.coeffs], a.K)
@@ -272,7 +273,7 @@ def unit_u(K: int) -> CycInt:
     """
     g1 = gauss_sum(1, K)
     xq = qpow(1, K) - 1
-    u = _divide_by_int(xq ** ((K - 1) // 2) * gauss_sum(-1, K), K)
+    u = divide_exact(xq ** ((K - 1) // 2) * gauss_sum(-1, K), K)
     if u * g1 != xq ** ((K - 1) // 2):
         raise IntegralityFailure("unit normalization check failed")
     return u

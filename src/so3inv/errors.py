@@ -46,10 +46,6 @@ class FactorialNotInvertible(So3InvError):
     """A factorial in a denominator is divisible by the prime."""
 
 
-class ImaginaryResidue(So3InvError):
-    """An imaginary part survived a cancellation that should be exact."""
-
-
 class BadNormalization(So3InvError):
     """A series whose leading coefficient must equal one does not."""
 
@@ -116,7 +112,3 @@ class InsufficientTerms(So3InvError):
 
 class InsufficientModulus(So3InvError):
     """Combined CRT modulus too small to pin down a rational coefficient."""
-
-
-class InconsistentResidues(So3InvError):
-    """Residues at different primes do not agree on a common rational."""

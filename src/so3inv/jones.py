@@ -3,22 +3,20 @@
 Colors are odd integers.  All tables satisfy the symmetries needed by
 the surgery sums: oddness under negation, periodicity with period 2K,
 multiplicativity over split components, and value 1 on the empty
-link.  Built-in tables cover the unknot and split unlinks; external
-tables can be loaded from JSON.  expansion_check verifies the
-structural bounds on the color expansion of a table around t = 0.
+link.  Built-in tables cover the unknot and split unlinks.
+expansion_check verifies the structural bounds on the color expansion
+of a table around t = 0.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
 from .cyclotomic import CycInt, eval_complex, invert_unit, sine_quotient
 from .errors import BoundViolation, EvenColor, So3InvError
-from .series import RatSeries, s_div
-from .series import sinh_quotient_u
+from .series import RatSeries, s_div, sinh_quotient_u
 
 
 def _norm_color(alpha: int, K: int):
@@ -132,40 +130,6 @@ register_table(unknot_table())
 register_table(unlink_table())
 
 
-def load_json_table(path: str) -> JonesTable:
-    """Load a tabulated evaluation from JSON and register it.
-
-    Format: {"id": ..., "arity": N, "K": K,
-             "values": {"a1,a2,...": [c0, c1, ...], ...}}
-    with colors already reduced to odd representatives in (0, K] and
-    coefficient vectors on the power basis of length K-1.  The
-    symmetries extend the table to all odd colors.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    K_table = int(data["K"])
-    values = {key: [int(c) for c in vec]
-              for key, vec in data["values"].items()}
-
-    def exact(colors, K):
-        if K != K_table:
-            raise So3InvError(
-                f"table {data['id']} is tabulated at K={K_table}, not {K}")
-        sign = 1
-        reps = []
-        for a in colors:
-            s, r = _norm_color(a, K)
-            sign *= s
-            reps.append(r)
-        key = ",".join(str(r) for r in reps)
-        if key not in values:
-            raise So3InvError(f"colors {key} not tabulated in {data['id']}")
-        return CycInt(values[key], K) * sign
-
-    table = JonesTable(str(data["id"]), int(data["arity"]), exact)
-    return register_table(table)
-
-
 def jones_seifert(beta: int, alphas: Sequence[int], K: int) -> CycInt:
     """Exact evaluation of a star link: [beta*a_j] over [beta]^(N-1).
 
@@ -180,11 +144,6 @@ def jones_seifert(beta: int, alphas: Sequence[int], K: int) -> CycInt:
     if n <= 1:
         return num
     return num * invert_unit(jones_unknot(beta, K)) ** (n - 1)
-
-
-def jones_seifert_numeric(beta: int, alphas: Sequence[int], K: int,
-                          precision: int = 50) -> complex:
-    return eval_complex(jones_seifert(beta, alphas, K), precision)
 
 
 def seifert_beta_table(alphas: Sequence[int]) -> JonesTable:

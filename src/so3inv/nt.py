@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence, Tuple
 
-from .arith import Residue, rat_residue
+from .arith import sign
 from .errors import (
     HZero,
     IntegralityFailure,
@@ -95,11 +95,6 @@ def cf_expand(p: int, q: int) -> list:
     return ms
 
 
-def chain_matrix(ms: Sequence[int]) -> SL2:
-    """Product T^(m1)S T^(m2)S ... T^(mlast)S."""
-    return Chain(ms).matrix
-
-
 def _sawtooth(x: Fraction) -> Fraction:
     if x.denominator == 1:
         return Fraction(0)
@@ -115,11 +110,6 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     for i in range(1, p):
         total += _sawtooth(Fraction(i, p)) * _sawtooth(Fraction(q * i, p))
     return total
-
-
-def dedekind_vee(q: int, p: int, K: int) -> Residue:
-    """The Dedekind sum reduced mod K."""
-    return rat_residue(dedekind_sum(q, p), K)
 
 
 def rademacher_phi(u: SL2) -> int:
@@ -144,28 +134,8 @@ def phi_chain_check(p: int, q: int) -> bool:
     rhs = sum(ch.ms)
     for t in range(2, len(ch.ms) + 1):
         tail = ch.tails[t]
-        rhs -= 3 * _sign(tail.p * tail.q)
+        rhs -= 3 * sign(tail.p * tail.q)
     return lhs == rhs
-
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def signature_correction(ms: Sequence[int]) -> int:
-    """Signature of the tridiagonal linking matrix of a chain.
-
-    diag(m1..mn) with unit off-diagonals; computed from the signs of
-    successive continuant ratios, which are the leading minors.
-    """
-    d_prev, d = 1, 1
-    sig = 0
-    for m in ms:
-        d_prev, d = d, m * d - d_prev
-        if d == 0 and m is not ms[-1]:
-            raise IntegralityFailure("degenerate leading minor in chain")
-        sig += _sign(d * d_prev)
-    return sig
 
 
 class SeifertData:

@@ -7,30 +7,31 @@ mod-K reduction of the universal rational series sum(lambda_n x^n).
 coefficient; `reconstruct_lambda` runs it backwards, recovering the
 exact rational lambda_n from their residues at many primes.
 
-Reconstruction never trusts a single modulus: the supplied primes are a
-seed, further primes are consumed until two consecutive prefixes yield
-the same fraction, and the accepted value is re-verified against two
-held-out primes.  Candidate fractions are drawn from a balanced
-extended-Euclid pass plus a sweep over denominators whose prime factors
-are <= 2n or divide |H1| (the denominators of lambda_n admit no other
-primes), ranked by |numerator| * denominator.
+Reconstruction never trusts a single modulus.  The supplied primes are
+a seed; further primes are folded into the CRT modulus M until Wang's
+balanced extended-Euclid recovery (Wang, Guy & Davenport 1982) yields
+the same fraction a/d from two consecutive prefixes, with
+2 * 16 * |a| * d <= M as a safety margin.  The fraction must then
+agree with the residues at the next two primes, which are held out of
+M.  A held-out disagreement is not fatal: both held-out primes join M
+and the search goes on.  Every accepted value also passes the
+denominator bounds of `check_bounds`.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, isqrt
 from typing import Callable, Optional, Sequence, Tuple
 
-from .arith import as_prime, inv_int, legendre
+from .arith import as_prime, inv_int, legendre, odd_primes
 from .cyclotomic import CycInt, diamond
 from .errors import (
     BoundViolation,
     H1DivisibleByK,
-    InconsistentResidues,
     InsufficientModulus,
     InsufficientTerms,
     So3InvError,
@@ -151,30 +152,9 @@ class ReconstructionResult:
         return self.values[n]
 
 
-def _next_prime(n: int) -> int:
-    n += 1 + (n % 2)
-    while True:
-        if all(n % p for p in range(3, isqrt(n) + 1, 2)):
-            return n
-        n += 2
-
-
 def _crt(r1: int, m1: int, r2: int, m2: int):
     t = ((r2 - r1) * inv_int(m1 % m2, m2)) % m2
     return (r1 + m1 * t) % (m1 * m2), m1 * m2
-
-
-def _smooth_denominators(ps, cap: int, count: int):
-    heap, seen = [1], {1}
-    while heap and count > 0:
-        d = heapq.heappop(heap)
-        count -= 1
-        yield d
-        for p in ps:
-            m = d * p
-            if m <= cap and m not in seen:
-                seen.add(m)
-                heapq.heappush(heap, m)
 
 
 def _wang(r: int, M: int) -> Optional[Fraction]:
@@ -193,37 +173,19 @@ def _wang(r: int, M: int) -> Optional[Fraction]:
 _SAFETY = 16  # a candidate must fit 2*SAFETY times into the modulus
 
 
-def _best_fraction(r: int, M: int, n: int, h1: int) -> Optional[Fraction]:
-    """Most exceptional fraction = r (mod M), or None if all look like noise."""
+def _best_fraction(r: int, M: int) -> Optional[Fraction]:
+    """Wang's fraction = r (mod M), or None if it may be noise."""
     if M < 15:
         return None
-    ps = {p for p in range(2, max(2, 2 * n) + 1)
-          if all(p % d for d in range(2, isqrt(p) + 1))}
-    m = h1
-    for p in range(2, isqrt(h1) + 1):
-        while m % p == 0:
-            ps.add(p)
-            m //= p
-    if m > 1:
-        ps.add(m)
-    best = None
-    for d in _smooth_denominators(sorted(ps), M // 2, 20000):
-        a = r * d % M
-        if 2 * a > M:
-            a -= M
-        if (a == 0 and d > 1) or gcd(a, d) != 1:
-            continue
-        key = (abs(a) * d, d)
-        if best is None or key < best[0]:
-            best = (key, Fraction(a, d))
     w = _wang(r, M)
-    if w is not None:
-        key = (abs(w.numerator) * w.denominator, w.denominator)
-        if best is None or key < best[0]:
-            best = (key, w)
-    if best is None or 2 * _SAFETY * best[0][0] > M:
+    if w is None or 2 * _SAFETY * abs(w.numerator) * w.denominator > M:
         return None
-    return best[1]
+    return w
+
+
+def _agrees(value: Fraction, residue: int, K: int) -> bool:
+    d = value.denominator
+    return d % K != 0 and value.numerator * inv_int(d, K) % K == residue
 
 
 def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
@@ -234,7 +196,9 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
     coefficient filters the stream accordingly; primes dividing |H1|
     (or failing another precondition of the exact evaluation) are
     skipped with a warning.  Acceptance requires the same fraction from
-    two consecutive prefixes plus agreement at two held-out primes.
+    two consecutive prefixes plus agreement at the next two primes,
+    held out of the CRT; when either disagrees, both join the modulus
+    and the search goes on.
     """
     h1 = h1_order(m)
     label = manifold_label(m)
@@ -243,6 +207,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
         raise So3InvError("need at least one seed prime")
     if len(seeds) != len(primes):
         raise So3InvError(f"primes must be pairwise distinct: {primes}")
+    candidates = seeds + list(odd_primes(seeds[-1] + 1, prime_ceiling))
 
     coeff_cache = {}
     skipped = []
@@ -257,42 +222,31 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
                 skipped.append(K)
         return coeff_cache[K]
 
-    def usable_stream(n):
-        K = 0
-        for s in seeds:
-            K = s
-            if (K - 1) // 2 >= n and residues(K) is not None:
-                yield K
-        while K < prime_ceiling:
-            K = _next_prime(K)
-            if (K - 1) // 2 >= n and residues(K) is not None:
-                yield K
-
     values, moduli, used_all = [], [], set()
     for n in range(n_max + 1):
-        r, M = 0, 1
-        prev, accepted, used = None, None, []
-        stream = usable_stream(n)
-        for K in stream:
-            r, M = _crt(r, M, residues(K)[n], K)
-            used.append(K)
-            cand = _best_fraction(r, M, n, h1)
-            if cand is not None and cand == prev:
+        stream = (K for K in candidates
+                  if (K - 1) // 2 >= n and residues(K) is not None)
+        r, M, used = 0, 1, []
+        prev, accepted = None, None
+        batch = list(islice(stream, 1))
+        while batch:
+            for K in batch:
+                r, M = _crt(r, M, residues(K)[n], K)
+                used.append(K)
+            cand = _best_fraction(r, M)
+            if cand is None or cand != prev:
+                prev, batch = cand, list(islice(stream, 1))
+                continue
+            batch = list(islice(stream, 2))  # held out
+            if len(batch) == 2 and all(_agrees(cand, residues(K)[n], K)
+                                       for K in batch):
                 accepted = cand
                 break
-            prev = cand
         if accepted is None:
             raise InsufficientModulus(
-                f"lambda_{n} of {label}: no stable fraction from "
-                f"{len(used)} primes up to {prime_ceiling} (modulus {M})")
-        for K in (K for K, _ in zip(stream, range(2))):  # held-out check
-            if accepted.denominator % K == 0:
-                continue
-            lift = (accepted.numerator
-                    * inv_int(accepted.denominator, K)) % K
-            if lift != residues(K)[n]:
-                raise InconsistentResidues(
-                    f"lambda_{n} of {label} = {accepted} fails mod {K}")
+                f"lambda_{n} of {label}: no fraction both stable and "
+                f"confirmed by two held-out primes, from {len(used)} "
+                f"primes up to {prime_ceiling} (modulus {M})")
         check_bounds(label, n, h1, accepted)
         values.append(accepted)
         moduli.append(M)

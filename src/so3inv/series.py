@@ -23,7 +23,6 @@ from .errors import (
     BadNormalization,
     DenominatorDivisibleByK,
     FactorialNotInvertible,
-    ImaginaryResidue,
     InsufficientTerms,
     MixedModulus,
     NonUnitDivisor,
@@ -157,14 +156,6 @@ class RatSeries:
         return result
 
 
-def s_add(a: RatSeries, b: RatSeries) -> RatSeries:
-    return a + b
-
-
-def s_mul(a: RatSeries, b: RatSeries) -> RatSeries:
-    return a * b
-
-
 def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
     """Series quotient; divisor must have nonzero constant term."""
     if isinstance(b, (int, Fraction)):
@@ -229,19 +220,20 @@ def half_log_t(cap: int = DEFAULT_CAP) -> RatSeries:
     return log1p(cap) * Fraction(1, 2)
 
 
+def sinh_over_t(cap: int = DEFAULT_CAP) -> RatSeries:
+    """sinh(t)/t as a series in t."""
+    return RatSeries([Fraction(1, factorial(n + 1)) if n % 2 == 0 else 0
+                      for n in range(cap + 1)], cap)
+
+
 def sinh_quotient_u(a, cap: int) -> RatSeries:
     """sinh(a*u)/sinh(u) as a series in u."""
     a = _frac(a)
     if a == 0:
         return RatSeries.zero(cap)
-    num = [Fraction(0)] * (cap + 1)
-    den = [Fraction(0)] * (cap + 1)
-    for m in range(0, cap // 2 + 1):
-        f = Fraction(1, factorial(2 * m + 1))
-        if 2 * m <= cap:
-            num[2 * m] = a ** (2 * m + 1) * f
-            den[2 * m] = f
-    return s_div(RatSeries(num, cap), RatSeries(den, cap))
+    den = sinh_over_t(cap)
+    num = [a ** (n + 1) * c for n, c in enumerate(den.coeffs)]
+    return s_div(RatSeries(num, cap), den)
 
 
 def sinh_ratio(a, cap: int = DEFAULT_CAP) -> RatSeries:
@@ -421,58 +413,15 @@ def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
     return x_over_log_pow(m, K) * scalar
 
 
-class _SplitSeries:
-    """A series with separate real and imaginary rational parts.
-
-    Used only while assembling lambda series from exponential data,
-    where the two factors contributing a factor of -i each are divided
-    against one another; the imaginary channel exists to witness that
-    the cancellation is exact.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RatSeries, im: RatSeries):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, other: "_SplitSeries") -> "_SplitSeries":
-        return _SplitSeries(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    def divide(self, other: "_SplitSeries") -> "_SplitSeries":
-        norm = other.re * other.re + other.im * other.im
-        num = self * _SplitSeries(other.re, -other.im)
-        return _SplitSeries(s_div(num.re, norm), s_div(num.im, norm))
-
-    def assert_real(self) -> RatSeries:
-        if any(c != 0 for c in self.im.coeffs):
-            raise ImaginaryResidue(
-                "imaginary residue survived; malformed exponential data")
-        return self.re
-
-
 def lambda_from_S(S: Sequence, cap: int = DEFAULT_CAP) -> RatSeries:
     """Convert exponential coefficients S_1..S_N into a lambda series.
 
     S lists the coefficients of T^n (n starting at 1) in the exponent,
     where T = (1/2)log(1+x).  The result is
-    [T/sinh(T)] * exp(sum S_n T^n) re-expanded in x.  The T/sinh(T)
-    factor is assembled from the two odd half-period factors, each
-    carrying -i; their quotient is checked to be exactly real.
+    [T/sinh(T)] * exp(sum S_n T^n) re-expanded in x.
     """
-    t_cap = cap
-    zero = RatSeries.zero(t_cap)
-    # numerator is -i*T, denominator -i*sinh(T); both vanish at T=0,
-    # so each is written with one power of T already divided out
-    num = _SplitSeries(zero, -RatSeries.const(1, t_cap))
-    sinh_over_t = RatSeries(
-        [Fraction(1, factorial(n + 1)) if n % 2 == 0 else 0
-         for n in range(t_cap + 1)], t_cap)
-    den = _SplitSeries(zero, -sinh_over_t)
-    t_over_sinh = num.divide(den).assert_real()
-
-    expo = RatSeries([0] + [_frac(v) for v in S], t_cap)
+    t_over_sinh = s_div(RatSeries.const(1, cap), sinh_over_t(cap))
+    expo = RatSeries([0] + [_frac(v) for v in S], cap)
     lam_t = t_over_sinh * s_exp(expo)
     return lam_t.compose(half_log_t(cap)).truncate(cap)
 
@@ -492,7 +441,4 @@ def S_from_lambda(lam: RatSeries, cap: int = DEFAULT_CAP) -> RatSeries:
         [0] + [Fraction(2 ** n, factorial(n)) for n in range(1, t_cap + 1)],
         t_cap)
     lam_t = RatSeries(lam.coeffs, t_cap).compose(x_of_t)
-    sinh_over_t = RatSeries(
-        [Fraction(1, factorial(n + 1)) if n % 2 == 0 else 0
-         for n in range(t_cap + 1)], t_cap)
-    return s_log(lam_t * sinh_over_t)
+    return s_log(lam_t * sinh_over_t(t_cap))

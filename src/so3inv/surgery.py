@@ -30,12 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath
 
-from .arith import as_prime, even_inv, inv_int, kappa_of, legendre
-from .cyclotomic import CycInt, odd_window, qpow, unit_u, x_order
+from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
+from .cyclotomic import (CycInt, divide_exact, odd_window, qpow, unit_u,
+                         x_order)
 from .errors import (
     ChainDegenerate,
     DivisibilityFailure,
@@ -89,10 +90,6 @@ class P1Surgery:
 ManifoldSpec = Lens | SeifertData | P1Surgery
 
 
-def _sign(n) -> int:
-    return (n > 0) - (n < 0)
-
-
 def _dps(K: int, precision) -> int:
     return int(precision) if precision else 50 + 2 * K
 
@@ -112,7 +109,7 @@ def _lens_presentation(p: int, q: int):
         qq = abs(pp)
     if qq < 0:
         pp, qq = -pp, -qq
-    return (pp, qq), _sign(pp)
+    return (pp, qq), sign(pp)
 
 
 def _chain_data(p: int, q: int, K=None):
@@ -195,7 +192,7 @@ def _z_star(S: SeifertData, K: int):
     central color: O(N * K^2) instead of O(K^(N+1))."""
     fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in S.fractions]
     n = len(fibers)
-    sig = -_sign(S.H * S.P) + sum(_sign(p * q) for (p, q) in fibers)
+    sig = -sign(S.H * S.P) + sum(sign(p * q) for (p, q) in fibers)
     central_mat, central_phi = _chain_data(0, 1)
     data = []
     phis = [central_phi]
@@ -233,7 +230,7 @@ def _numeric_presentation(M, K):
     if isinstance(M, P1Surgery):
         table = get_table(M.jones)
         surg = [(p, 1) for p in M.framings]
-        sig = sum(_sign(p) for p in M.framings)
+        sig = sum(sign(p) for p in M.framings)
         dps = mpmath.mp.dps
 
         def jones(al):
@@ -267,20 +264,13 @@ def _zprime_data(surg, K):
         mat, phi = _chain_data(p, q, K)
         data.append((p, q, inv_int(q, K), mat.s))
         phis.append(phi)
-    pref = mpmath.mpc(legendre(abs(_prod(q for (p, q) in surg)), K))
+    pref = mpmath.mpc(legendre(abs(prod(q for (p, q) in surg)), K))
     for (p, q) in surg:
-        pref *= _sign(q)
+        pref *= sign(q)
     pref *= mpmath.mpf(K) ** (mpmath.mpf(-len(surg)) / 2)
     kap = kappa_of(K)
-    sig_weight = sum(_sign(p * q) for (p, q) in surg)
+    sig_weight = sum(sign(p * q) for (p, q) in surg)
     return data, pref, t4, kap, sig_weight, phis
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
 
 
 def _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K):
@@ -318,7 +308,7 @@ def _zprime_star(S: SeifertData, K: int):
     """Odd-color star sum factorized per fiber at fixed central color."""
     fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in S.fractions]
     n = len(fibers)
-    sig = -_sign(S.H * S.P) + sum(_sign(p * q) for (p, q) in fibers)
+    sig = -sign(S.H * S.P) + sum(sign(p * q) for (p, q) in fibers)
     surg = [(0, 1)] + fibers
     data, pref, t4, kap, sig_weight, phis = _zprime_data(surg, K)
     pref = _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K)
@@ -414,24 +404,18 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
     w = S
     for _ in range(need):
         try:
-            w = _divide_exact(w * z, nrm)
+            w = divide_exact(w * z, nrm)
         except IntegralityFailure as exc:
             raise DivisibilityFailure(str(exc)) from exc
     kap = kappa_of(K)
-    tot = sum(_sign(p) - 1 for p in ps)
+    tot = sum(sign(p) - 1 for p in ps)
     num = (kap - 1) * tot
     if num % 4:
         raise NonIntegralAssembly("phase exponent is not an integer")
     phase = -1 if (num // 4) % 2 else 1
-    sgn = _prod(_sign(p) for p in ps)
-    e2 = t4 * sum(3 * _sign(p) - p - pst for p, pst in zip(ps, pstars))
+    sgn = prod(sign(p) for p in ps)
+    e2 = t4 * sum(3 * sign(p) - p - pst for p, pst in zip(ps, pstars))
     return (w * unit_u(K) ** n) * qpow(e2, K) * (phase * sgn)
-
-
-def _divide_exact(a: CycInt, nrm: int) -> CycInt:
-    if any(c % nrm for c in a.coeffs):
-        raise IntegralityFailure(f"coefficients not divisible by {nrm}")
-    return CycInt([c // nrm for c in a.coeffs], a.K)
 
 
 # ---------------------------------------------------------------------------

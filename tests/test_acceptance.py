@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-from so3inv.arith import inv_int, legendre
+from so3inv.arith import inv_int, legendre, odd_primes
 from so3inv.cyclotomic import (CycInt, diamond, eval_complex, gauss_sum,
                                odd_gauss_moment, odd_window, qpow, unit_u,
                                x_order)
@@ -27,14 +27,6 @@ from so3inv.ohtsuki import (closed_lambda_series, diamond_side,
 from so3inv.series import gauss_moment_diamond
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
                             zprime_numeric)
-
-
-def _primes(lo: int, hi: int) -> tuple:
-    out = []
-    for n in range(max(lo, 2), hi + 1):
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
-            out.append(n)
-    return tuple(out)
 
 
 SEIFERT_SAMPLE = (
@@ -72,13 +64,13 @@ def criterion(num: int, name: str, budget: float):
 def test_criterion_1_quadratic_sum_exactness():
     with criterion(1, "quadratic sum squares to +-K at x-order (K-1)/2",
                    10) as box:
-        for K in _primes(3, 101):
+        for K in odd_primes(3, 101):
             g = gauss_sum(1, K)
             sq = g * g
             assert sq.coeffs[0] == (-1) ** ((K - 1) // 2) * K
             assert not any(sq.coeffs[1:])
             assert x_order(g) == (K - 1) // 2
-        box["detail"] = f"{len(_primes(3, 101))} primes"
+        box["detail"] = f"{len(odd_primes(3, 101))} primes"
 
 
 def _square_completes(c: int, n: int, K: int) -> bool:
@@ -164,7 +156,7 @@ def test_criterion_5_closed_forms_match_oracle():
     with criterion(5, "closed forms vs the numeric surgery oracle",
                    300) as box:
         lens_n = seif_n = skipped = 0
-        for K in _primes(5, 23):
+        for K in odd_primes(5, 23):
             for p, q in _lens_family(12):
                 if abs(p) % K == 0:
                     continue
@@ -176,7 +168,7 @@ def test_criterion_5_closed_forms_match_oracle():
                     continue
                 assert abs(val - num) < 1e-9, (p, q, K)
                 lens_n += 1
-        for K in _primes(7, 19):
+        for K in odd_primes(7, 19):
             for S in SEIFERT_SAMPLE:
                 try:
                     val = eval_complex(seifert_zprime(S, K))
@@ -194,7 +186,7 @@ def test_criterion_6_flagship_identity():
     with criterion(6, "residue identity between both invariant images",
                    300) as box:
         lens_n = seif_n = skipped = 0
-        lens_primes = _primes(5, 31)
+        lens_primes = odd_primes(5, 31)
         for p, q in _lens_family(12):
             lam = lens_lambda_series(p, q, (lens_primes[-1] - 1) // 2)
             for K in lens_primes:
@@ -204,7 +196,7 @@ def test_criterion_6_flagship_identity():
                 assert diamond_side(Lens(p, q), K) == vee_side(lam, K), \
                     (p, q, K)
                 lens_n += 1
-        seif_primes = _primes(7, 23)
+        seif_primes = odd_primes(7, 23)
         for S in SEIFERT_SAMPLE:
             lam = closed_lambda_series(S, (seif_primes[-1] - 1) // 2)
             for K in seif_primes:

@@ -10,8 +10,10 @@ from so3inv.arith import (
     kappa_of,
     legendre,
     mod_inv,
+    odd_primes,
     rat_check,
     rat_residue,
+    sign,
 )
 from so3inv.errors import (
     DenominatorDivisibleByK,
@@ -29,6 +31,34 @@ def test_primek_accepts_odd_primes():
         pk = PrimeK(p)
         assert pk.K == p
         assert pk.k == p - 2
+
+
+# the prime ranges the acceptance criteria iterate over, with their primes
+ACCEPTANCE_RANGES = {
+    (3, 101): (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+               61, 67, 71, 73, 79, 83, 89, 97, 101),
+    (5, 23): (5, 7, 11, 13, 17, 19, 23),
+    (7, 19): (7, 11, 13, 17, 19),
+    (5, 31): (5, 7, 11, 13, 17, 19, 23, 29, 31),
+    (7, 23): (7, 11, 13, 17, 19, 23),
+}
+
+
+def test_odd_primes_acceptance_ranges():
+    for (lo, hi), want in ACCEPTANCE_RANGES.items():
+        assert odd_primes(lo, hi) == want
+
+
+def test_odd_primes_edges():
+    assert odd_primes(-10, 2) == ()
+    assert odd_primes(0, 3) == (3,)
+    assert odd_primes(8, 10) == ()
+    assert odd_primes(9, 11) == (11,)
+    assert odd_primes(3, 102) == tuple(PRIMES_TO_101)
+
+
+def test_sign():
+    assert [sign(v) for v in (-7, 0, 3, Fraction(-1, 2))] == [-1, 0, 1, -1]
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 15, 1, 0, -7, 21])

@@ -178,3 +178,14 @@ def test_lambda_s3_trivial(capsys):
     assert code == 0
     assert [l.split("\t")[2] for l in out.splitlines()[1:]] == \
         ["1", "0", "0", "0"]
+
+
+def test_lambda_reconstruct_l12_5(capsys):
+    code, out, _ = run(capsys, "lambda", "--lens", "12,5", "--nmax", "6",
+                       "--reconstruct", "--primes", "7..23")
+    assert code == 0
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    closed = {r[1]: r[2] for r in rows if r[3] == "closed-form"}
+    rec = {r[1]: r[2] for r in rows if r[3] == "reconstruction"}
+    assert rec == closed
+    assert closed["6"] == "-10189003/429981696"

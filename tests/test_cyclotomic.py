@@ -4,7 +4,7 @@ from math import factorial, isclose, pi, sin, sqrt
 
 import pytest
 
-from so3inv.arith import inv_int, legendre, rat_residue
+from so3inv.arith import inv_int, legendre, odd_primes, rat_residue
 from so3inv.cyclotomic import (
     CycInt,
     XPoly,
@@ -218,8 +218,7 @@ def test_dual_square_form():
 
 
 def test_power_sum_vanishing():
-    for K in [p for p in range(3, 102)
-              if all(p % d for d in range(2, p))]:
+    for K in odd_primes(3, 101):
         for m in range(1, (K - 1) // 2):
             assert sum(a ** (2 * m) for a in range(K)) % K == 0
 
@@ -336,6 +335,7 @@ def test_moment_extraction_by_interpolation():
 
 
 def test_divide_by_int_guard():
-    from so3inv.cyclotomic import _divide_by_int
+    from so3inv.cyclotomic import divide_exact
+    assert divide_exact(CycInt([10, 5], 5), 5) == CycInt([2, 1], 5)
     with pytest.raises(IntegralityFailure):
-        _divide_by_int(CycInt([3, 5], 5), 5)
+        divide_exact(CycInt([3, 5], 5), 5)

@@ -1,4 +1,3 @@
-import json
 from math import isclose, pi, sin
 
 import pytest
@@ -10,9 +9,7 @@ from so3inv.jones import (
     expansion_check,
     get_table,
     jones_seifert,
-    jones_seifert_numeric,
     jones_unknot,
-    load_json_table,
     seifert_beta_table,
     sin_quotient_series,
     unknot_table,
@@ -96,7 +93,7 @@ def test_jones_seifert_numeric_form():
     K = 7
     for b in (1, 3, 5):
         for alphas in ((1, 3), (3, 5, 3), (1, 1, 5)):
-            z = jones_seifert_numeric(b, alphas, K, 40)
+            z = eval_complex(jones_seifert(b, alphas, K), 40)
             want = 1.0
             for a in alphas:
                 want *= sin(pi * b * a / K)
@@ -141,19 +138,3 @@ def test_expansion_check_flags_violation():
         * colors[0])  # extra odd power of the color
     with pytest.raises(BoundViolation):
         expansion_check(bad, 4)
-
-
-def test_json_table_roundtrip(tmp_path):
-    K = 5
-    values = {}
-    for a in (1, 3, 5):
-        values[str(a)] = list(jones_unknot(a, K).coeffs)
-    path = tmp_path / "tbl.json"
-    path.write_text(json.dumps(
-        {"id": "tab-unknot-5", "arity": 1, "K": 5, "values": values}))
-    t = load_json_table(str(path))
-    for a in (-9, -3, -1, 1, 3, 5, 7, 11):
-        assert t.exact((a,), 5) == jones_unknot(a, 5)
-    with pytest.raises(So3InvError):
-        t.exact((1,), 7)
-    assert get_table("tab-unknot-5") is t

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from so3inv.arith import rat_residue
 from so3inv.errors import (
     DenominatorDivisibleByK,
     HZero,
@@ -16,13 +17,10 @@ from so3inv.nt import (
     Chain,
     SeifertData,
     cf_expand,
-    chain_matrix,
     dedekind_sum,
-    dedekind_vee,
     h1_order,
     phi_chain_check,
     rademacher_phi,
-    signature_correction,
     t_power_s,
 )
 
@@ -51,8 +49,8 @@ def test_cf_expand_negative_q_normalizes():
 
 
 def test_chain_matrix_examples():
-    assert chain_matrix([2, 2]) == SL2(3, -2, 2, -1)
-    assert chain_matrix([5]) == t_power_s(5)
+    assert Chain([2, 2]).matrix == SL2(3, -2, 2, -1)
+    assert Chain([5]).matrix == t_power_s(5)
 
 
 def test_chain_first_column_is_fraction():
@@ -60,10 +58,10 @@ def test_chain_first_column_is_fraction():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            u = chain_matrix(cf_expand(p, q))
+            u = Chain(cf_expand(p, q)).matrix
             assert (u.p, u.q) == (p, q)
             # and the negative numerator variant
-            un = chain_matrix(cf_expand(-p, q))
+            un = Chain(cf_expand(-p, q)).matrix
             assert (un.p, un.q) == (-p, q)
 
 
@@ -106,9 +104,9 @@ def test_dedekind_reciprocity():
 
 
 def test_dedekind_vee():
-    assert dedekind_vee(1, 3, 5).value == 2  # 1/18 -> 2 mod 5
+    assert rat_residue(dedekind_sum(1, 3), 5).value == 2  # 1/18 -> 2 mod 5
     with pytest.raises(DenominatorDivisibleByK):
-        dedekind_vee(1, 3, 3)
+        rat_residue(dedekind_sum(1, 3), 3)
 
 
 def test_rademacher_phi_elementary():
@@ -130,7 +128,7 @@ def test_rademacher_phi_s_composition():
         q = rng.randint(1, 20)
         if p == 0 or gcd(p, q) != 1:
             continue
-        u = chain_matrix(cf_expand(p, q))
+        u = Chain(cf_expand(p, q)).matrix
         su = s_mat @ u
         if su.q == 0:
             continue
@@ -145,39 +143,6 @@ def test_phi_chain_check_sweep():
             if gcd(p, q) == 1:
                 assert phi_chain_check(p, q)
                 assert phi_chain_check(-p, q)
-
-
-def test_signature_correction_matches_ldl():
-    # brute diagonalization of the tridiagonal linking matrix
-    def brute(ms):
-        n = len(ms)
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for i, m in enumerate(ms):
-            a[i][i] = Fraction(m)
-            if i + 1 < n:
-                a[i][i + 1] = a[i + 1][i] = Fraction(1)
-        sig = 0
-        for k in range(n):
-            piv = a[k][k]
-            assert piv != 0
-            sig += 1 if piv > 0 else -1
-            for i in range(k + 1, n):
-                f = a[i][k] / piv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-                    a[k] = a[k]
-        return sig
-
-    import random
-    rng = random.Random(9)
-    cases = [[2, 2], [4, 2], [3], [-5], [2, 3, 2], [-2, -2, -2]]
-    for p in range(2, 12):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                cases.append(cf_expand(p, q))
-                cases.append(cf_expand(-p, q))
-    for ms in cases:
-        assert signature_correction(ms) == brute(ms)
 
 
 def test_seifert_data():

@@ -2,9 +2,11 @@
 
 import warnings
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from so3inv.arith import odd_primes
 from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (BoundViolation, InsufficientModulus,
                            InsufficientTerms, So3InvError)
@@ -110,3 +112,44 @@ def test_denominator_bound_checks():
     check_bounds("x", 1, 3, Fraction(1, 6))
     with pytest.raises(BoundViolation):
         check_bounds("x", 1, 1, Fraction(1, 3))  # 3 > 2n with h1 = 1
+
+
+# ---------------------------------------------------------------------------
+# reconstruction against the closed forms; in eight of the 92 lens spaces,
+# L(9,1) among them, a held-out prime refutes the first stable candidate
+
+
+def _lens_family(pmax):
+    for ap in range(1, pmax + 1):
+        for q in range(1, max(ap, 2)):
+            if gcd(ap, q) == 1:
+                yield Lens(ap, q)
+                yield Lens(-ap, q)
+
+
+def test_reconstruction_lens_family_matches_closed_form():
+    seeds = odd_primes(7, 23)
+    family = list(_lens_family(12))
+    assert len(family) == 92
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m in family:
+            rec = reconstruct_lambda(m, seeds, 6)
+            assert rec.values == closed_lambda_series(m, 6).values, m
+
+
+def test_reconstruction_survives_held_out_refutation():
+    # lambda_6 of L(9,1) = 41990/4782969 is 0 mod 13, 17 and 19, so the
+    # first stable candidate is 0, and the held-out prime 23 refutes it
+    rec = reconstruct_lambda(Lens(9, 1), [7, 11, 13, 17, 19], 6)
+    assert rec[6] == Fraction(41990, 4782969)
+    assert rec.values == closed_lambda_series(Lens(9, 1), 6).values
+    assert 23 in rec.primes_used
+
+
+def test_reconstruction_seifert_x_2_4_5():
+    S = SeifertData([(2, 1), (4, 1), (5, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = reconstruct_lambda(S, [7, 11, 13, 17, 19, 23], 4)
+    assert rec.values == closed_lambda_series(S, 4).values
