@@ -4,7 +4,8 @@ Three subcommands:
 
   invariant   exact Z' of one or more manifolds at given primes
   verify      identity sweeps (diamond side vs vee side) and the
-              Gauss-sum self-tests; exit 0 iff everything passes
+              Gauss-sum self-tests; exit 0 iff everything passes and
+              every manifold has at least one equal row
   lambda      closed-form and/or CRT-reconstructed series tables
 
 Manifolds are given inline (--lens P,Q; --seifert P/Q,P/Q,...;
@@ -21,10 +22,12 @@ Output is TSV (default) or JSON with fixed columns:
 Rows are sorted by (manifold, K, n) no matter how many workers run, so
 identical configs produce byte-identical reports (add --timings for a
 wall-clock column, which naturally breaks that).  Worker count comes
-from --workers, else the SO3INV_WORKERS environment variable, else 1.
+from --workers, else the SO3INV_WORKERS environment variable, else 1,
+and is clamped to the CPU count and to the number of tasks.
 
 Exit codes: 0 all good, 2 usage or manifold-spec error, 3 computation
-failure (identity mismatch, failed reconstruction, precondition error).
+failure (identity mismatch, a manifold that verify verified at no
+prime, failed reconstruction, precondition error).
 """
 
 from __future__ import annotations
@@ -161,12 +164,22 @@ def gather_manifolds(args) -> list:
 def _workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
-    return max(1, int(os.environ.get("SO3INV_WORKERS", "1")))
+    raw = os.environ.get("SO3INV_WORKERS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise UsageError(f"SO3INV_WORKERS: not an integer: {raw!r}") from None
+
+
+def pool_size(requested: int, n_tasks: int, cpus) -> int:
+    """Worker processes to start: never more than CPUs or tasks."""
+    return max(1, min(requested, cpus or 1, n_tasks))
 
 
 def _pool(fn, tasks, workers):
     tasks = sorted(tasks, key=lambda t: (manifold_label(t[0]), t[1:]))
-    if workers <= 1 or len(tasks) <= 1:
+    workers = pool_size(workers, len(tasks), os.cpu_count())
+    if workers == 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks))
@@ -242,15 +255,17 @@ def _gauss_task(task):
 
 
 def _identity_task(task):
-    m, K = task
-    rep = verify_identity(m, [K])[0]
-    if rep.verdict == "equal":
-        detail = ""
-    elif rep.verdict == "unequal":
-        detail = f"first_mismatch=x^{rep.first_mismatch}"
-    else:
-        detail = rep.error
-    return ("identity", rep.manifold, K, rep.verdict, detail)
+    m, primes = task
+    rows = []
+    for rep in verify_identity(m, primes):
+        if rep.verdict == "equal":
+            detail = ""
+        elif rep.verdict == "unequal":
+            detail = f"first_mismatch=x^{rep.first_mismatch}"
+        else:
+            detail = rep.error
+        rows.append(("identity", rep.manifold, rep.K, rep.verdict, detail))
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -262,9 +277,14 @@ def cmd_verify(args) -> int:
         rows.extend(_pool(_gauss_task, [(None, K) for K in args.primes],
                           _workers(args)))
     if manifolds:
-        tasks = [(m, K) for m in manifolds for K in args.primes]
-        rows.extend(_pool(_identity_task, tasks, _workers(args)))
+        tasks = [(m, args.primes) for m in manifolds]
+        per_manifold = _pool(_identity_task, tasks, _workers(args))
+        rows.extend(sorted((r for rs in per_manifold for r in rs),
+                           key=lambda r: (r[1], r[2])))
     failed = [r for r in rows if r[3] in ("FAIL", "unequal")]
+    verified = {r[1] for r in rows if r[3] == "equal"}
+    unverified = sorted({r[1] for r in rows
+                         if r[0] == "identity" and r[1] not in verified})
     if args.timings:
         rows = [r + (f"{time.time():.0f}",) for r in rows]
         _emit(rows, ("kind", "manifold", "K", "verdict", "detail", "stamp"),
@@ -273,8 +293,10 @@ def cmd_verify(args) -> int:
         _emit(rows, ("kind", "manifold", "K", "verdict", "detail"), args)
     if failed:
         print(f"{len(failed)} of {len(rows)} checks failed", file=sys.stderr)
-        return 3
-    return 0
+    for label in unverified:
+        print(f"nothing verified for {label}: no prime gave an equal row",
+              file=sys.stderr)
+    return 3 if failed or unverified else 0
 
 
 def cmd_lambda(args) -> int:

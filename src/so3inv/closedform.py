@@ -34,7 +34,7 @@ from .errors import (
     So3InvError,
 )
 from .nt import SeifertData, dedekind_sum
-from .series import (LambdaSeries, RatSeries, half_log_t, q_power, s_div,
+from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
                      s_exp, sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
 from .surgery import ExtendedPhase, _chain_data
 
@@ -279,7 +279,7 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
              - 6 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
     tser = (s_div(mom_over_t, sinh_over_t(cap))
             * s_exp(RatSeries.x(cap) * theta))
-    ser = tser.compose(half_log_t(cap)) * S.H
+    ser = at_half_log(tser) * S.H
     if ser.coeff(0) != 1:
         raise BadNormalization(
             f"lambda_0 = {ser.coeff(0)} for X{tuple(S.fractions)}")

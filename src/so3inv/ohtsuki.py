@@ -113,15 +113,24 @@ def verify_identity(m, primes: Sequence[int],
     """One IdentityReport per prime; per-prime failures are recorded.
 
     lambda_source(M, n_max) supplies the series; the default is the
-    closed form for the family at hand.
+    closed form for the family at hand.  It is called once, at the
+    largest n_max = (K-1)/2 over the primes, and each prime reads its
+    prefix; a failure to build it skips every prime.
     """
     source = lambda_source or closed_lambda_series
     label = manifold_label(m)
+    n_max = max(((K - 1) // 2 for K in primes), default=0)
+    try:
+        lam, why = source(m, n_max), None
+    except So3InvError as e:
+        lam, why = None, e
     reports = []
     for K in primes:
         try:
             lhs = diamond_side(m, K)
-            rhs = vee_side(source(m, (K - 1) // 2), K)
+            if why is not None:
+                raise why
+            rhs = vee_side(lam, K)
         except So3InvError as e:
             reports.append(IdentityReport(
                 label, K, None, None, "skipped",

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from .arith import Residue, as_prime, inv_int, legendre, rat_residue
@@ -220,6 +221,38 @@ def half_log_t(cap: int = DEFAULT_CAP) -> RatSeries:
     return log1p(cap) * Fraction(1, 2)
 
 
+@lru_cache(maxsize=32)
+def _half_log_powers(cap: int) -> tuple:
+    """Rows n = 0..cap of the coefficients of T^k, T = (1/2)log(1+x).
+
+    [x^n] T^k = k! s(n,k) / (n! 2^k) with s the signed Stirling numbers
+    of the first kind, so row n is (w(n,0..n), n! 2^n) with the integers
+    w(n,k) = k! s(n,k) 2^(n-k), built by w(n+1,k) = k w(n,k-1) - 2n w(n,k).
+    """
+    rows = [((1,), 1)]
+    for n in range(cap):
+        w, den = rows[-1]
+        nxt = [0] + [k * c for k, c in enumerate(w, 1)]
+        for k, c in enumerate(w):
+            nxt[k] -= 2 * n * c
+        rows.append((tuple(nxt), den * 2 * (n + 1)))
+    return tuple(rows)
+
+
+def at_half_log(s: RatSeries) -> RatSeries:
+    """s(T) re-expanded in x, where T = (1/2)log(1+x); same cap as s.
+
+    Equal to s.compose(half_log_t(s.cap)), but one triangular
+    matrix-vector product against the cached powers of T, over the
+    common denominator of the coefficients of s.
+    """
+    den = lcm(*(c.denominator for c in s.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in s.coeffs]
+    return RatSeries(
+        [Fraction(sum(a * b for a, b in zip(nums, w)), den * d)
+         for w, d in _half_log_powers(s.cap)], s.cap)
+
+
 def sinh_over_t(cap: int = DEFAULT_CAP) -> RatSeries:
     """sinh(t)/t as a series in t."""
     return RatSeries([Fraction(1, factorial(n + 1)) if n % 2 == 0 else 0
@@ -241,7 +274,7 @@ def sinh_ratio(a, cap: int = DEFAULT_CAP) -> RatSeries:
 
     Constant term is a; identically 1 at a=1 and 0 at a=0.
     """
-    return sinh_quotient_u(a, cap).compose(half_log_t(cap))
+    return at_half_log(sinh_quotient_u(a, cap))
 
 
 class TruncPoly:
@@ -423,7 +456,7 @@ def lambda_from_S(S: Sequence, cap: int = DEFAULT_CAP) -> RatSeries:
     t_over_sinh = s_div(RatSeries.const(1, cap), sinh_over_t(cap))
     expo = RatSeries([0] + [_frac(v) for v in S], cap)
     lam_t = t_over_sinh * s_exp(expo)
-    return lam_t.compose(half_log_t(cap)).truncate(cap)
+    return at_half_log(lam_t)
 
 
 def S_from_lambda(lam: RatSeries, cap: int = DEFAULT_CAP) -> RatSeries:

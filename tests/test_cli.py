@@ -5,7 +5,7 @@ import json
 import pytest
 
 from so3inv.cli import (UsageError, main, parse_p1, parse_primes,
-                        parse_seifert)
+                        parse_seifert, pool_size)
 
 
 def run(capsys, *argv):
@@ -142,11 +142,47 @@ def test_verify_lens_family(capsys):
 
 
 def test_verify_deterministic_across_workers(capsys):
-    _, seq, _ = run(capsys, "verify", "--family", "lens", "--pmax", "3",
-                    "--primes", "5,7", "--workers", "1")
-    _, par, _ = run(capsys, "verify", "--family", "lens", "--pmax", "3",
-                    "--primes", "5,7", "--workers", "2")
+    argv = ("verify", "--family", "lens", "--pmax", "4", "--primes", "5..13")
+    code, seq, _ = run(capsys, *argv, "--workers", "1")
+    _, par, _ = run(capsys, *argv, "--workers", "2")
+    assert code == 0
     assert seq == par
+    rows = [l.split("\t") for l in seq.splitlines()[1:]]
+    assert len(rows) == 12 * 4
+    keys = [(r[1], int(r[2])) for r in rows]
+    assert keys == sorted(keys)
+
+
+def test_verify_nothing_verified_fails(capsys):
+    code, out, err = run(capsys, "verify", "--p1", "unlink:-2,5",
+                         "--primes", "7..13")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert [r[3] for r in rows] == ["skipped"] * 3
+    assert code == 3
+    assert "S[unlink;-2,5]" in err
+
+
+def test_verify_one_unverified_manifold_fails_the_run(capsys):
+    code, _, err = run(capsys, "verify", "--lens", "5,2", "--lens", "3,1",
+                       "--primes", "5")
+    assert code == 3
+    assert "L(5,2)" in err and "L(3,1)" not in err
+
+
+def test_bad_workers_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SO3INV_WORKERS", "abc")
+    code, _, err = run(capsys, "verify", "--lens", "5,2", "--primes", "7")
+    assert code == 2
+    assert "SO3INV_WORKERS" in err
+
+
+def test_pool_size_clamp():
+    assert pool_size(8, 3, 16) == 3
+    assert pool_size(8, 100, 2) == 2
+    assert pool_size(2, 100, 16) == 2
+    assert pool_size(4, 0, 4) == 1
+    assert pool_size(0, 10, 4) == 1
+    assert pool_size(4, 10, None) == 1
 
 
 # ---------------------------------------------------------------------------

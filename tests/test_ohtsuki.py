@@ -58,6 +58,40 @@ def test_verify_identity_seifert_sample():
     assert all(r.first_mismatch is None for r in reports)
 
 
+def test_verify_identity_builds_series_once():
+    primes = [5, 7, 11, 13]
+    calls = []
+
+    def counting(m, n_max):
+        calls.append(n_max)
+        return closed_lambda_series(m, n_max)
+
+    reports = verify_identity(Lens(7, 3), primes, counting)
+    assert calls == [6]
+    assert reports == [verify_identity(Lens(7, 3), [K])[0] for K in primes]
+
+
+def test_verify_identity_series_failure_skips_every_prime():
+    def broken(m, n_max):
+        raise So3InvError("no series")
+
+    reports = verify_identity(Lens(7, 3), [5, 7, 11, 13], broken)
+    assert [r.verdict for r in reports] == ["skipped"] * 4
+    assert [r.K for r in reports] == [5, 7, 11, 13]
+    assert "H1DivisibleByK" in reports[1].error
+    assert all(r.error == "So3InvError: no series"
+               for r in reports if r.K != 7)
+
+
+@pytest.mark.parametrize("m", [Lens(7, 3), Lens(-12, 5), Lens(1, 1),
+                               POINCARE, SeifertData([(3, 1), (4, 1), (5, 1)]),
+                               SeifertData([(2, 1), (4, 1), (5, 2)])])
+def test_closed_lambda_series_prefix(m):
+    big = closed_lambda_series(m, 12).values
+    for n in (0, 1, 4, 11):
+        assert big[:n + 1] == closed_lambda_series(m, n).values
+
+
 def test_verify_identity_flags_wrong_series():
     wrong = LambdaSeries("wrong", 3, (Fraction(1), Fraction(1), Fraction(1),
                                       Fraction(1)), "closed-form")

@@ -19,6 +19,7 @@ from so3inv.series import (
     TruncPoly,
     LambdaSeries,
     S_from_lambda,
+    at_half_log,
     binom_vee,
     gauss_moment_diamond,
     half_log_t,
@@ -93,6 +94,24 @@ def test_log1p_and_q_power():
 
 def test_exp_of_log_is_q_power():
     assert s_exp(log1p(10)) == 1 + RatSeries.x(10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=25).flatmap(
+    lambda cap: st.lists(st.fractions(min_value=-50, max_value=50,
+                                      max_denominator=1000),
+                         max_size=cap + 1).map(lambda cs: RatSeries(cs, cap))))
+def test_at_half_log_matches_horner_compose(s):
+    out = at_half_log(s)
+    assert out.cap == s.cap
+    assert out.coeffs == s.compose(half_log_t(s.cap)).coeffs
+
+
+def test_at_half_log_small_caps():
+    assert at_half_log(RatSeries([3], 0)) == RatSeries([3], 0)
+    # T = x/2 - x^2/4 + x^3/6 - ...
+    assert at_half_log(RatSeries.x(3)).coeffs == (
+        0, Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6))
 
 
 def test_sinh_ratio_edges():
