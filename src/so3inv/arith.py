@@ -70,8 +70,20 @@ class PrimeK:
         return f"PrimeK({self.K})"
 
 
+_VALIDATED: dict = {}
+
+
 def as_prime(K) -> PrimeK:
-    """Coerce an int or PrimeK to PrimeK."""
+    """Coerce an int or PrimeK to PrimeK; each plain int is validated once.
+
+    Only exact ints are cached: 5.0 and True hash like ints but must
+    still be rejected by PrimeK.
+    """
+    if type(K) is int:
+        p = _VALIDATED.get(K)
+        if p is None:
+            p = _VALIDATED[K] = PrimeK(K)
+        return p
     return K if isinstance(K, PrimeK) else PrimeK(K)
 
 

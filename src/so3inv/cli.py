@@ -223,11 +223,12 @@ def _emit(rows, columns, args):
 def _invariant_task(task):
     m, K, precision = task
     zp = closed_zprime(m, K)
+    xp = to_xpoly(zp)
     num = eval_complex(zp, precision)
     return (manifold_label(m), K,
             ",".join(str(c) for c in zp.coeffs),
-            _poly_str(to_xpoly(zp).coeffs, "x"),
-            ",".join(str(c) for c in diamond(zp).coeffs),
+            _poly_str(xp.coeffs, "x"),
+            ",".join(str(c) for c in diamond(xp).coeffs),
             f"{num.real:.12e}{num.imag:+.12e}j")
 
 

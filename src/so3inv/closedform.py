@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
-from .cyclotomic import CycInt, diamond, qpow, sine_quotient
+from .cyclotomic import CycInt, diamond, from_counts, qpow, sine_quotient
 from .errors import (
     BadNormalization,
     DiamondMismatch,
@@ -33,10 +33,10 @@ from .errors import (
     PDivisibleByK,
     So3InvError,
 )
-from .nt import SeifertData, dedekind_sum
+from .nt import Chain, SeifertData, cf_expand, dedekind_sum
 from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
                      s_exp, sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
-from .surgery import ExtendedPhase, _chain_data
+from .surgery import ExtendedPhase
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,7 @@ def _seifert_preconditions(S: SeifertData, K: int):
     for (p, q) in S.fractions:
         if p % K == 0:
             raise PDivisibleByK(f"fiber order {p} is divisible by K = {K}")
-        pp, qq = (p, q) if q > 0 else (-p, -q)
-        _chain_data(pp, qq, K)  # ChainDegenerate on bad intermediates
+        Chain(cf_expand(p, q)).check_level(K)
 
 
 def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
@@ -242,14 +241,18 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     if diamond(bare) != vee(q_power(r, (K - 1) // 2), K):
         raise DiamondMismatch(
             f"assembled prefactor disagrees with q^({r}) mod K = {K}")
-    t4 = inv_int(4, K)
+    t2, t4 = inv_int(2, K), inv_int(4, K)
     hstar = inv_int(S.H, K)
     phs = S.P * hstar
-    tot = CycInt.zero(K)
+    # sum_n c * q^e * sine_quotient(m), as exponent counts: the sine
+    # quotient is sum_{i<m} q^(2*(1-m+2i))
+    full = [0] * K
     for n, c in seifert_cn([inv_int(p, K) for (p, q) in S.fractions]).items():
-        tot = tot + (qpow(t4 * phs * (n * n + 1), K)
-                     * sine_quotient((phs * n) % K, K)) * c
-    return pref * tot
+        e = t4 * phs * (n * n + 1)
+        m = (phs * n) % K
+        for i in range(m):
+            full[(e + t2 * (1 - m + 2 * i)) % K] += c
+    return pref * from_counts(full, K)
 
 
 def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:

@@ -1,7 +1,9 @@
 """Exact arithmetic in Z[q] for q a primitive K-th root of unity.
 
 Elements are stored on the power basis {1, q, ..., q^(K-2)} with the
-relation 1 + q + ... + q^(K-1) = 0 folding the top power down.  The
+relation 1 + q + ... + q^(K-1) = 0 folding the top power down.  Sums
+of many q-power terms are accumulated as K exponent counts (slot e for
+q^e, so multiplying by q^f is an index shift) and folded once.  The
 parallel XPoly view rewrites the same element as an integer polynomial
 in x = q - 1; powers of x filtered mod K (the x-adic order and the
 diamond truncation) are what connect exact invariants to their
@@ -14,6 +16,7 @@ q^0-type terms; dropping it breaks the completed-square identity.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Sequence
 
 from .arith import as_prime
@@ -56,49 +59,52 @@ class CycInt:
                 raise MixedModulus(f"primes differ: {self.K} vs {other.K}")
             return other
         if isinstance(other, int):
-            return CycInt([other], self.K)
+            return _raw((int(other),) + (0,) * (self.K - 2), self.K)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CycInt([a + b for a, b in zip(self.coeffs, o.coeffs)], self.K)
+        return _raw(tuple(map(add, self.coeffs, o.coeffs)), self.K)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt([-c for c in self.coeffs], self.K)
+        return _raw(tuple(map(neg, self.coeffs)), self.K)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return _raw(tuple(map(sub, self.coeffs, o.coeffs)), self.K)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _raw(tuple([c * other for c in self.coeffs]), self.K)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         K = self.K
-        full = [0] * K
+        terms = [(j, b) for j, b in enumerate(o.coeffs) if b]
+        full = [0] * (2 * K - 3)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        full[(i + j) % K] += a * b
-        top = full[K - 1]
-        return CycInt([full[i] - top for i in range(K - 1)], K)
+                for j, b in terms:
+                    full[i + j] += a * b
+        for e in range(K, 2 * K - 3):  # q^e = q^(e-K)
+            full[e - K] += full[e]
+        return _fold(full, K)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycInt":
         if n < 0:
             return invert_unit(self) ** (-n)
-        result = CycInt.one(self.K)
+        result = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -122,25 +128,56 @@ class CycInt:
 
     def galois(self, j: int) -> "CycInt":
         """Apply the automorphism q -> q^j (j coprime to K)."""
-        out = CycInt.zero(self.K)
+        K = self.K
+        full = [0] * K
         for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + qpow(i * j, self.K) * c
-        return out
+            full[i * j % K] += c
+        return _fold(full, K)
 
     def conj(self) -> "CycInt":
         """Complex conjugation, q -> q^(-1)."""
         return self.galois(self.K - 1)
 
 
+def _raw(coeffs: tuple, K: int) -> CycInt:
+    """Trusted constructor for the ring operations.
+
+    K was validated when the operands were built and coeffs is already
+    a (K-1)-tuple of ints, so neither is checked or converted again.
+    """
+    a = object.__new__(CycInt)
+    a.K = K
+    a.coeffs = coeffs
+    return a
+
+
+def _fold(full, K: int) -> CycInt:
+    """sum_e full[e] * q^e over e < K, with q^(K-1) folded down once."""
+    top = full[K - 1]
+    return _raw(tuple([c - top for c in full[:K - 1]]), K)
+
+
+def from_counts(counts: Sequence[int], K: int) -> CycInt:
+    """The element sum_e counts[e] * q^e, from K exponent counts.
+
+    Closed-form sums accumulate into one such integer list by index
+    arithmetic (q^e * q^f is slot (e + f) mod K) and build one CycInt.
+    """
+    as_prime(K)
+    if len(counts) != K:
+        raise MixedModulus(f"{len(counts)} exponent counts for K = {K}")
+    return _fold(counts, K)
+
+
 def qpow(n: int, K: int) -> CycInt:
     """q^n as a basis element (top power folded down)."""
+    as_prime(K)
     n %= K
     if n == K - 1:
-        return CycInt([-1] * (K - 1), K)
+        return _raw((-1,) * (K - 1), K)
     coeffs = [0] * (K - 1)
     coeffs[n] = 1
-    return CycInt(coeffs, K)
+    return _raw(tuple(coeffs), K)
 
 
 class XPoly:
@@ -171,14 +208,12 @@ def to_xpoly(a: CycInt) -> XPoly:
     """Rewrite on the x-basis via q^i = (1+x)^i."""
     K = a.K
     out = [0] * (K - 1)
-    row = [1] + [0] * (K - 2)  # (1+x)^i, starting at i=0
-    for i, c in enumerate(a.coeffs):
+    row = [1]  # the binomial row of (1+x)^i, degree i <= K-2
+    for c in a.coeffs:
         if c:
-            for d in range(K - 1):
-                out[d] += c * row[d]
-        # Pascal step: multiply by (1+x), truncation is exact because
-        # (1+x)^i has degree i <= K-2 within this loop
-        row = [row[d] + (row[d - 1] if d else 0) for d in range(K - 1)]
+            for d, r in enumerate(row):
+                out[d] += c * r
+        row = [1, *map(add, row, row[1:]), 1]  # Pascal step
     return XPoly(out, K)
 
 
@@ -204,32 +239,32 @@ def x_order(a: CycInt) -> int:
     return n
 
 
-def diamond(a: CycInt) -> TruncPoly:
-    """The mod-K series shadow: x-coefficients up to degree (K-1)/2."""
-    xp = to_xpoly(a)
+def diamond(a) -> TruncPoly:
+    """The mod-K series shadow: x-coefficients up to degree (K-1)/2.
+
+    `a` is a CycInt or its already computed XPoly expansion.
+    """
+    xp = a if isinstance(a, XPoly) else to_xpoly(a)
     d = (a.K - 1) // 2
     return TruncPoly([xp.coeffs[n] % a.K for n in range(d + 1)], a.K)
 
 
 def gauss_sum(c: int, K: int) -> CycInt:
     """Sum of q^(c*a^2) over the K odd classes a mod 2K."""
-    out = [0] * (K - 1)
-    top = 0
+    as_prime(K)
+    full = [0] * K
     for a in odd_window(K):
-        e = (c * a * a) % K
-        if e == K - 1:
-            top += 1
-        else:
-            out[e] += 1
-    return CycInt([out[i] - top for i in range(K - 1)], K)
+        full[c * a * a % K] += 1
+    return _fold(full, K)
 
 
 def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
     """Sum of a^(2m) * q^(p*a^2) over the odd class window."""
-    acc = CycInt.zero(K)
+    as_prime(K)
+    full = [0] * K
     for a in odd_window(K):
-        acc = acc + qpow(p * a * a, K) * (a ** (2 * m))
-    return acc
+        full[p * a * a % K] += a ** (2 * m)
+    return _fold(full, K)
 
 
 def norm(a: CycInt) -> int:
@@ -262,21 +297,27 @@ def divide_exact(a: CycInt, n: int) -> CycInt:
     """a / n for an integer n that divides every coefficient of a."""
     if any(c % n for c in a.coeffs):
         raise IntegralityFailure(f"coefficients not divisible by {n}")
-    return CycInt([c // n for c in a.coeffs], a.K)
+    return _raw(tuple([c // n for c in a.coeffs]), a.K)
+
+
+_UNITS: dict = {}
 
 
 def unit_u(K: int) -> CycInt:
-    """The unit u with u * gauss_sum(1) = x^((K-1)/2).
+    """The unit u with u * gauss_sum(1) = x^((K-1)/2), built once per K.
 
     Since gauss_sum(1) * conj(gauss_sum(1)) = K, the quotient is
     x^((K-1)/2) * gauss_sum(-1) / K, and the division must be exact.
     """
-    g1 = gauss_sum(1, K)
-    xq = qpow(1, K) - 1
-    u = divide_exact(xq ** ((K - 1) // 2) * gauss_sum(-1, K), K)
-    if u * g1 != xq ** ((K - 1) // 2):
-        raise IntegralityFailure("unit normalization check failed")
-    return u
+    K = as_prime(K).K
+    if K not in _UNITS:
+        g1 = gauss_sum(1, K)
+        xq = qpow(1, K) - 1
+        u = divide_exact(xq ** ((K - 1) // 2) * gauss_sum(-1, K), K)
+        if u * g1 != xq ** ((K - 1) // 2):
+            raise IntegralityFailure("unit normalization check failed")
+        _UNITS[K] = u
+    return _UNITS[K]
 
 
 def sine_quotient(c: int, K: int) -> CycInt:
@@ -285,12 +326,13 @@ def sine_quotient(c: int, K: int) -> CycInt:
     Here 2* is the inverse of 2 mod K and c is reduced to [0, K).  The
     geometric form sum_{i<c} q^(2*(1-c+2i)) makes the division exact.
     """
+    as_prime(K)
     t2 = (K + 1) // 2
     c %= K
-    acc = CycInt.zero(K)
+    full = [0] * K
     for i in range(c):
-        acc = acc + qpow(t2 * (1 - c + 2 * i), K)
-    return acc
+        full[t2 * (1 - c + 2 * i) % K] += 1
+    return _fold(full, K)
 
 
 def eval_complex(a: CycInt, precision: int = 50):

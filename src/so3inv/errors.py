@@ -106,6 +106,10 @@ class HZero(So3InvError):
     """Euler-number-like invariant vanishes; manifold is not a RHS."""
 
 
+class NoClosedForm(So3InvError):
+    """The presentation has no closed form for the requested quantity."""
+
+
 class InsufficientTerms(So3InvError):
     """A truncated series is too short for the requested comparison."""
 

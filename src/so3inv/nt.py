@@ -15,6 +15,7 @@ from typing import Sequence, Tuple
 
 from .arith import sign
 from .errors import (
+    ChainDegenerate,
     HZero,
     IntegralityFailure,
     NonIntegerPhi,
@@ -75,6 +76,19 @@ class Chain:
             check = check @ t_power_s(m)
         if check != self.matrix:
             raise IntegralityFailure("chain product re-verification failed")
+
+    def check_level(self, K: int) -> None:
+        """Raise ChainDegenerate if a tail's lower-left entry is 0 mod K.
+
+        The closed form of the chain matrix element degenerates at such
+        a level.
+        """
+        for t in range(1, len(self.ms) + 1):
+            if self.tails[t].q % K == 0:
+                p, q = self.matrix.p, self.matrix.q
+                raise ChainDegenerate(
+                    f"chain for ({p},{q}) has an intermediate denominator "
+                    f"divisible by {K}")
 
 
 def cf_expand(p: int, q: int) -> list:

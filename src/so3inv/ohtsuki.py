@@ -34,6 +34,7 @@ from .errors import (
     H1DivisibleByK,
     InsufficientModulus,
     InsufficientTerms,
+    NoClosedForm,
     So3InvError,
 )
 from .nt import SeifertData, h1_order
@@ -65,7 +66,7 @@ def closed_zprime(m, K) -> CycInt:
         return seifert_zprime(m, K)
     if isinstance(m, P1Surgery):
         return exact_p1(m, K)
-    raise So3InvError(f"no exact evaluation for {m!r}")
+    raise NoClosedForm(f"no exact evaluation for {m!r}")
 
 
 def closed_lambda_series(m, n_max: int) -> LambdaSeries:
@@ -75,7 +76,7 @@ def closed_lambda_series(m, n_max: int) -> LambdaSeries:
         return lens_lambda_series(m.p, m.q, n_max)
     if isinstance(m, SeifertData):
         return seifert_lambda_series(m, n_max)
-    raise So3InvError(f"no closed-form series for {m!r}")
+    raise NoClosedForm(f"no closed-form series for {m!r}")
 
 
 def diamond_side(m, K) -> TruncPoly:

@@ -30,15 +30,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, prod
 
 import mpmath
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
-from .cyclotomic import (CycInt, divide_exact, odd_window, qpow, unit_u,
-                         x_order)
+from .cyclotomic import (CycInt, divide_exact, from_counts, odd_window, qpow,
+                         unit_u, x_order)
 from .errors import (
-    ChainDegenerate,
     DivisibilityFailure,
     IntegralityFailure,
     NonIntegralAssembly,
@@ -113,19 +113,11 @@ def _lens_presentation(p: int, q: int):
 
 
 def _chain_data(p: int, q: int, K=None):
-    """Chain for (p, q) with its phase and lower-right entry.
-
-    With K given, every tail partial product must keep its lower-left
-    entry away from 0 mod K; the closed matrix-element form degenerates
-    otherwise.
-    """
+    """Chain matrix for (p, q) with its phase; with K given, a chain
+    that degenerates at level K raises ChainDegenerate."""
     ch = Chain(cf_expand(p, q))
     if K is not None:
-        for t in range(1, len(ch.ms) + 1):
-            if ch.tails[t].q % K == 0:
-                raise ChainDegenerate(
-                    f"chain for ({p},{q}) has an intermediate denominator "
-                    f"divisible by {K}")
+        ch.check_level(K)
     return ch.matrix, rademacher_phi(ch.matrix)
 
 
@@ -357,6 +349,7 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
 # the exact integer-framing route
 
 
+@cache
 def _x_inverse_parts(K: int):
     """(z, n) with (q - 1) * z = n, n the rational norm (= K)."""
     x = qpow(1, K) - CycInt.one(K)
@@ -387,14 +380,17 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
     table = get_table(M.jones)
     t4 = inv_int(4, K)
     pstars = [even_inv(p, K) for p in ps]
-    S = CycInt.zero(K)
+    # sum of jv * q^e, as exponent counts: q^e rotates jv by e slots
+    full = [0] * K
     for al in itertools.product(odd_window(K), repeat=n):
         shifted = tuple(a + pst for a, pst in zip(al, pstars))
         jv = table.exact(shifted, K)
         if not any(jv.coeffs):
             continue
         e = t4 * sum(p * a * a for p, a in zip(ps, al))
-        S = S + jv * qpow(e, K)
+        for i, c in enumerate(jv.coeffs):
+            full[(i + e) % K] += c
+    S = from_counts(full, K)
     need = n * (K - 1) // 2
     if x_order(S) < min(K - 1, need):
         raise DivisibilityFailure(

@@ -162,6 +162,16 @@ def test_verify_nothing_verified_fails(capsys):
     assert "S[unlink;-2,5]" in err
 
 
+def test_verify_skip_names_no_closed_form(capsys):
+    code, out, _ = run(capsys, "verify", "--p1", "unlink:-2,5",
+                       "--primes", "7..13")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert code == 3 and len(rows) == 3
+    for r in rows:
+        assert r[3] == "skipped"
+        assert r[4].startswith("NoClosedForm: no closed-form series for ")
+
+
 def test_verify_one_unverified_manifold_fails_the_run(capsys):
     code, _, err = run(capsys, "verify", "--lens", "5,2", "--lens", "3,1",
                        "--primes", "5")

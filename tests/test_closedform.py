@@ -5,13 +5,14 @@ from math import gcd
 
 import pytest
 
-from so3inv.closedform import (CnTable, lens_lambda_series, lens_zprime,
-                               seifert_cn, seifert_lambda_series,
+from so3inv.arith import inv_int, odd_primes
+from so3inv.closedform import (CnTable, _seifert_phase, lens_lambda_series,
+                               lens_zprime, seifert_cn, seifert_lambda_series,
                                seifert_zprime)
 from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
 from so3inv.errors import (ChainDegenerate, H1DivisibleByK, NotCoprime,
                            NotRHS, PDivisibleByK)
-from so3inv.nt import SeifertData
+from so3inv.nt import Chain, SeifertData, cf_expand
 from so3inv.surgery import Lens, zprime_numeric
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
@@ -124,6 +125,53 @@ def test_seifert_preconditions():
         seifert_zprime(SeifertData([(3, 1), (4, 1), (5, 1)]), 5)
     with pytest.raises(H1DivisibleByK):
         seifert_zprime(SeifertData([(2, 1), (3, 1)]), 5)  # |H1| = 5
+
+
+def _ref_qsum(terms, K):
+    """sum of c * q^e over (e, c), one public CycInt per term."""
+    acc = CycInt.zero(K)
+    for e, c in terms:
+        e %= K
+        term = CycInt([-1] * (K - 1) if e == K - 1 else [0] * e + [1], K)
+        acc = acc + term * c
+    return acc
+
+
+def _ref_seifert_zprime(S, K):
+    """The C_n sum as q^e * sine_quotient(m) * c, term by term."""
+    t2, t4 = inv_int(2, K), inv_int(4, K)
+    phs = S.P * inv_int(S.H, K)
+    tot = CycInt.zero(K)
+    for n, c in seifert_cn([inv_int(p, K) for (p, q) in S.fractions]).items():
+        m = (phs * n) % K
+        sq = _ref_qsum([(t2 * (1 - m + 2 * i), 1) for i in range(m)], K)
+        tot = tot + _ref_qsum([(t4 * phs * (n * n + 1), 1)], K) * sq * c
+    return _seifert_phase(S, K).reduce() * tot
+
+
+def test_seifert_accumulation_matches_term_by_term_sum():
+    checked = 0
+    for s in SEIFERT_SAMPLE + [SeifertData([(2, 1), (3, 1), (7, 1)]),
+                               SeifertData([(2, 1), (4, 1), (5, 2)])]:
+        for K in odd_primes(3, 61):
+            try:
+                got = seifert_zprime(s, K)
+            except (PDivisibleByK, H1DivisibleByK, ChainDegenerate):
+                continue
+            assert got == _ref_seifert_zprime(s, K)
+            checked += 1
+    assert checked > 90
+
+
+def test_seifert_chain_degeneracy_is_checked():
+    # the chain [-1, 2, 4] of -11/7 has a tail denominator 7; the
+    # fiber is normalized to q > 0 before its chain is built
+    for fiber in ((-11, 7), (11, -7)):
+        with pytest.raises(ChainDegenerate) as got:
+            seifert_zprime(SeifertData([fiber, (2, 1), (3, 1)]), 7)
+        assert str(got.value) == ("chain for (-11,7) has an intermediate "
+                                  "denominator divisible by 7")
+    assert seifert_zprime(SeifertData([(-11, 7), (2, 1), (3, 1)]), 17)
 
 
 def test_single_fiber_degenerates_to_lens():

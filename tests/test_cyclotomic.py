@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
-from math import factorial, isclose, pi, sin, sqrt
+from math import comb, factorial, isclose, pi, sin, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from so3inv.arith import inv_int, legendre, odd_primes, rat_residue
+from so3inv.arith import as_prime, inv_int, legendre, odd_primes, rat_residue
 from so3inv.cyclotomic import (
     CycInt,
     XPoly,
     diamond,
     eval_complex,
+    from_counts,
     from_xpoly,
     gauss_sum,
     invert_unit,
@@ -22,7 +25,8 @@ from so3inv.cyclotomic import (
     unit_u,
     x_order,
 )
-from so3inv.errors import IntegralityFailure, MixedModulus, NotAUnit
+from so3inv.errors import (IntegralityFailure, MixedModulus, NotAnOddPrime,
+                           NotAUnit)
 from so3inv.series import TruncPoly, q_power, vee
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
@@ -339,3 +343,137 @@ def test_divide_by_int_guard():
     assert divide_exact(CycInt([10, 5], 5), 5) == CycInt([2, 1], 5)
     with pytest.raises(IntegralityFailure):
         divide_exact(CycInt([3, 5], 5), 5)
+
+
+# ---------------------------------------------------------------------------
+# the exponent-count kernel against one-CycInt-per-term references
+
+PRIMES_TO_61 = odd_primes(3, 61)
+
+
+def _ref_qpow(n: int, K: int) -> CycInt:
+    """q^n built through the public constructor."""
+    n %= K
+    if n == K - 1:
+        return CycInt([-1] * (K - 1), K)
+    return CycInt([0] * n + [1], K)
+
+
+def _ref_sum(terms, K: int) -> CycInt:
+    """sum of c * q^e over (e, c): one CycInt per term, added one by one."""
+    acc = CycInt.zero(K)
+    for e, c in terms:
+        acc = acc + _ref_qpow(e, K) * c
+    return acc
+
+
+def _ref_mul(a: CycInt, b: CycInt) -> list:
+    """Schoolbook product with the reduction mod K inside the loop."""
+    K = a.K
+    full = [0] * K
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            full[(i + j) % K] += x * y
+    return [full[i] - full[K - 1] for i in range(K - 1)]
+
+
+_elements = st.sampled_from(PRIMES_TO_61).flatmap(
+    lambda K: st.lists(st.integers(-10 ** 20, 10 ** 20),
+                       min_size=K - 1, max_size=K - 1).map(
+        lambda cs: CycInt(cs, K)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements, st.data())
+def test_ring_ops_match_coefficient_reference(a, data):
+    K = a.K
+    cs = data.draw(st.lists(st.integers(-99, 99), min_size=K - 1,
+                            max_size=K - 1))
+    b = CycInt(cs, K)
+    n = data.draw(st.integers(-10 ** 30, 10 ** 30))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, cs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, cs))
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    assert (a * b).coeffs == tuple(_ref_mul(a, b))
+    assert (a * n).coeffs == (n * a).coeffs == tuple(x * n for x in a.coeffs)
+    assert (a * n).coeffs == tuple(_ref_mul(a, CycInt([n], K)))
+    assert a + n == a + CycInt([n], K) and a - n == a - CycInt([n], K)
+
+
+def test_qpow_matches_public_constructor():
+    for K in PRIMES_TO_61:
+        for n in range(-K - 2, 2 * K + 2):
+            assert qpow(n, K) == _ref_qpow(n, K)
+
+
+def test_sine_quotient_matches_qpow_sum():
+    for K in PRIMES_TO_61:
+        t2 = (K + 1) // 2
+        for c in range(-3, K + 3):
+            cr = c % K
+            want = _ref_sum([(t2 * (1 - cr + 2 * i), 1) for i in range(cr)], K)
+            assert sine_quotient(c, K) == want
+
+
+def test_galois_matches_qpow_sum():
+    rng = random.Random(29)
+    for K in PRIMES_TO_61:
+        a = CycInt([rng.randint(-10 ** 12, 10 ** 12) for _ in range(K - 1)], K)
+        for j in range(K + 2):
+            want = _ref_sum([(i * j, c) for i, c in enumerate(a.coeffs)], K)
+            assert a.galois(j) == want
+        assert a.conj() == a.galois(-1)
+
+
+def test_odd_gauss_moment_matches_qpow_sum():
+    for K in PRIMES_TO_61:
+        for p in (0, 1, 2, K - 1, K + 3, -5):
+            for m in range(4):
+                want = _ref_sum([(p * a * a, a ** (2 * m))
+                                 for a in odd_window(K)], K)
+                assert odd_gauss_moment(p, m, K) == want
+
+
+def test_from_counts_is_the_qpow_sum():
+    rng = random.Random(31)
+    for K in PRIMES_TO_61:
+        counts = [rng.randint(-99, 99) for _ in range(K)]
+        assert from_counts(counts, K) == _ref_sum(enumerate(counts), K)
+    with pytest.raises(MixedModulus):
+        from_counts([1, 2, 3, 4], 5)
+
+
+def test_to_xpoly_matches_binomial_expansion():
+    rng = random.Random(41)
+    for K in PRIMES_TO_61:
+        a = CycInt([rng.randint(-10 ** 9, 10 ** 9) for _ in range(K - 1)], K)
+        want = [sum(c * comb(i, d) for i, c in enumerate(a.coeffs))
+                for d in range(K - 1)]
+        assert to_xpoly(a) == XPoly(want, K)
+
+
+def test_unit_u_is_built_once_per_prime():
+    assert unit_u(13) is unit_u(13)
+    assert unit_u(11).K == 11
+
+
+def test_diamond_reads_a_ready_expansion():
+    rng = random.Random(37)
+    for K in (5, 13, 61):
+        a = CycInt([rng.randint(-99, 99) for _ in range(K - 1)], K)
+        assert diamond(to_xpoly(a)) == diamond(a)
+
+
+def test_cached_prime_check_still_rejects_non_primes():
+    as_prime(5)
+    CycInt([1], 7)
+    for bad in (9, 1, 2, 15, -7, 5.0, True):
+        with pytest.raises(NotAnOddPrime):
+            CycInt([1], bad)
+    with pytest.raises(NotAnOddPrime):
+        CycInt([1], 9)  # again, after the first rejection
+    for make in (lambda: qpow(1, 9), lambda: sine_quotient(2, 9),
+                 lambda: gauss_sum(1, 9), lambda: odd_gauss_moment(1, 1, 9),
+                 lambda: unit_u(9), lambda: from_counts([0] * 9, 9)):
+        with pytest.raises(NotAnOddPrime):
+            make()
