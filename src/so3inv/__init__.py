@@ -3,7 +3,7 @@
 Subpackages are layered: arith (residues at an odd prime), series
 (truncated rational power series), cyclotomic (the ring Z[q] at a
 prime root of unity and its x-adic shadow), nt (continued fractions,
-Dedekind sums, matrix phases), jones (colored link polynomials),
+Dedekind sums, matrix phases, the three manifold presentations), jones (colored link polynomials),
 surgery (numeric and exact surgery-formula evaluators), closedform
 (residue formulas for lens and Seifert spaces and their lambda
 series), ohtsuki (the diamond/vee identity and rational

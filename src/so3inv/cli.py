@@ -20,8 +20,7 @@ Output is TSV (default) or JSON with fixed columns:
   lambda:    manifold n value provenance modulus bounds
 
 Rows are sorted by (manifold, K, n) no matter how many workers run, so
-identical configs produce byte-identical reports (add --timings for a
-wall-clock column, which naturally breaks that).  Worker count comes
+identical configs produce byte-identical reports.  Worker count comes
 from --workers, else the SO3INV_WORKERS environment variable, else 1,
 and is clamped to the CPU count and to the number of tasks.
 
@@ -36,18 +35,15 @@ import argparse
 import json
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 from .arith import as_prime, odd_primes
 from .cyclotomic import diamond, eval_complex, gauss_sum, to_xpoly, x_order
 from .errors import So3InvError
-from .nt import SeifertData
+from .nt import Lens, P1Surgery, SeifertData
 from .ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
                       h1_order, manifold_label, reconstruct_lambda,
                       verify_identity)
-from .surgery import Lens, P1Surgery
 
 
 class UsageError(Exception):
@@ -113,7 +109,7 @@ def parse_primes(text: str):
         except ValueError:
             raise UsageError(f"--primes: bad list {text!r}") from None
     try:
-        ks = [as_prime(k).K for k in ks]
+        ks = [as_prime(k) for k in ks]
     except So3InvError as e:
         raise UsageError(f"--primes: {e}") from None
     if not ks:
@@ -181,6 +177,8 @@ def _pool(fn, tasks, workers):
     workers = pool_size(workers, len(tasks), os.cpu_count())
     if workers == 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks))
 
@@ -286,12 +284,7 @@ def cmd_verify(args) -> int:
     verified = {r[1] for r in rows if r[3] == "equal"}
     unverified = sorted({r[1] for r in rows
                          if r[0] == "identity" and r[1] not in verified})
-    if args.timings:
-        rows = [r + (f"{time.time():.0f}",) for r in rows]
-        _emit(rows, ("kind", "manifold", "K", "verdict", "detail", "stamp"),
-              args)
-    else:
-        _emit(rows, ("kind", "manifold", "K", "verdict", "detail"), args)
+    _emit(rows, ("kind", "manifold", "K", "verdict", "detail"), args)
     if failed:
         print(f"{len(failed)} of {len(rows)} checks failed", file=sys.stderr)
     for label in unverified:
@@ -383,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--gauss", action="store_true",
                      help="run the Gauss-sum identities per prime")
     ver.add_argument("--primes", default="5..31", metavar="LIST|LO..HI")
-    ver.add_argument("--timings", action="store_true",
-                     help="append a timestamp column (breaks byte-identity)")
     _add_output_flags(ver)
     ver.set_defaults(func=cmd_verify)
 

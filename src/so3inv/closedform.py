@@ -10,6 +10,11 @@ Z[q]; its diamond image must match the vee of an explicit q-power)
 guard the assembly.  Everything here is cross-checked against the
 brute-force oracles in `surgery` by the test suite.
 
+ExtendedPhase is that bookkeeping device: products of eighth roots of
+unity, half-integer powers of q, powers of sqrt(K) and rational
+magnitudes accumulate exactly and must collapse into +-q^n at the end
+(PhaseNotReducible otherwise).
+
 Orientation convention: L(p, q) with p < 0 denotes the mirror of
 L(-p, -q); closed forms are stated for p > 0, so inputs are normalized
 first (the literal absolute-denominator Dedekind sums would otherwise
@@ -31,12 +36,12 @@ from .errors import (
     NotCoprime,
     NotRHS,
     PDivisibleByK,
+    PhaseNotReducible,
     So3InvError,
 )
 from .nt import Chain, SeifertData, cf_expand, dedekind_sum
 from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
                      s_exp, sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
-from .surgery import ExtendedPhase
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +59,7 @@ def _lens_normal(p: int, q: int):
 
 def lens_zprime(p: int, q: int, K) -> CycInt:
     """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1."""
-    Kp = as_prime(K)
-    K = Kp.K
+    K = as_prime(K)
     if p == 0:
         raise NotRHS("L(0, q) is not a rational homology sphere")
     if gcd(p, q) != 1:
@@ -64,7 +68,7 @@ def lens_zprime(p: int, q: int, K) -> CycInt:
     if p % K == 0:
         raise PDivisibleByK(f"|H1| = {p} is divisible by K = {K}")
     pstar = inv_int(p, K)
-    sv = rat_residue(3 * dedekind_sum(q, p), K).value
+    sv = rat_residue(3 * dedekind_sum(q, p), K)
     return sine_quotient(pstar, K) * qpow(sv, K) * legendre(p, K)
 
 
@@ -94,38 +98,6 @@ def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
 # the multiplicity table
 
 
-class CnTable:
-    """Integer multiplicities C_n of an antisymmetrized fiber product.
-
-    Satisfies, as an exact Laurent identity,
-        prod_j (z^-a_j - z^a_j)
-            = (z^-1 - z)^(N-1) * sum_n C_n (z^-n - z^n),
-    re-verified by multiplication after construction.  The support is
-    a finite set of positive integers.
-    """
-
-    __slots__ = ("exponents", "entries")
-
-    def __init__(self, exponents, entries):
-        self.exponents = tuple(exponents)
-        self.entries = dict(entries)
-
-    @property
-    def support(self):
-        return sorted(self.entries)
-
-    def items(self):
-        return self.entries.items()
-
-    def __eq__(self, other):
-        return (isinstance(other, CnTable)
-                and self.exponents == other.exponents
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"CnTable({self.exponents}, {self.entries})"
-
-
 def _laurent_mul(f: dict, g: dict) -> dict:
     out = {}
     for e1, c1 in f.items():
@@ -147,8 +119,15 @@ def _div_z_step(f: dict) -> dict:
     return g
 
 
-def seifert_cn(avals) -> CnTable:
-    """Multiplicity table for positive exponents a_1..a_N."""
+def seifert_cn(avals) -> dict:
+    """Multiplicities {n: C_n} of an antisymmetrized fiber product.
+
+    For positive exponents a_1..a_N the C_n are the integers, on a
+    finite set of positive n, with the exact Laurent identity
+        prod_j (z^-a_j - z^a_j)
+            = (z^-1 - z)^(N-1) * sum_n C_n (z^-n - z^n),
+    re-verified by multiplication after construction.
+    """
     avals = tuple(int(a) for a in avals)
     if not avals or any(a < 1 for a in avals):
         raise So3InvError(f"exponents must be positive integers: {avals}")
@@ -168,7 +147,98 @@ def seifert_cn(avals) -> CnTable:
         back = _laurent_mul(back, {-1: 1, 1: -1})
     if back != f:
         raise IntegralityFailure("multiplicity table failed re-verification")
-    return CnTable(avals, entries)
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# symbolic prefactor bookkeeping
+
+
+class ExtendedPhase:
+    """sign * mag * K^(khalf/2) * e^(i pi a/4) * e^(i pi b2/(2K)).
+
+    a lives mod 8 and b2 mod 4K (b2 counts quarter-steps of q, so both
+    half-integer q-powers and single e^(i pi/(2K)) steps stay exact).
+    reduce() collapses the product into +-q^n once the magnitude parts
+    have cancelled; anything that is not a root of unity of the right
+    kind raises PhaseNotReducible.
+    """
+
+    __slots__ = ("K", "a", "b2", "sign", "mag", "khalf")
+
+    def __init__(self, K: int):
+        self.K = as_prime(K)
+        self.a = 0
+        self.b2 = 0
+        self.sign = 1
+        self.mag = Fraction(1)
+        self.khalf = 0
+
+    def times_eighth(self, j: int) -> "ExtendedPhase":
+        """Multiply by e^(i pi j/4)."""
+        self.a = (self.a + j) % 8
+        return self
+
+    def times_i(self) -> "ExtendedPhase":
+        return self.times_eighth(2)
+
+    def times_quarter_q(self, c: int) -> "ExtendedPhase":
+        """Multiply by e^(i pi c/(2K))."""
+        self.b2 = (self.b2 + c) % (4 * self.K)
+        return self
+
+    def times_sqrt_q(self, c: int) -> "ExtendedPhase":
+        """Multiply by q^(c/2)."""
+        return self.times_quarter_q(2 * c)
+
+    def times_q(self, c: int) -> "ExtendedPhase":
+        """Multiply by q^c."""
+        return self.times_quarter_q(4 * c)
+
+    def times_sign(self, s: int) -> "ExtendedPhase":
+        if s not in (1, -1):
+            raise PhaseNotReducible(f"sign factor must be +-1, got {s}")
+        self.sign *= s
+        return self
+
+    def times_magnitude(self, frac, khalf: int = 0) -> "ExtendedPhase":
+        """Multiply by frac * K^(khalf/2), both tracked exactly."""
+        frac = Fraction(frac)
+        if frac <= 0:
+            raise PhaseNotReducible("magnitudes must stay positive; route "
+                                    "signs through times_sign")
+        self.mag *= frac
+        self.khalf += khalf
+        return self
+
+    def reduce(self) -> CycInt:
+        """Collapse into +-q^n in Z[q]; PhaseNotReducible otherwise."""
+        if self.mag != 1 or self.khalf != 0:
+            raise PhaseNotReducible(
+                f"magnitude {self.mag} * K^({self.khalf}/2) left over")
+        K = self.K
+        n = (self.a * K + 2 * self.b2) % (8 * K)
+        if n % 8 == 0:
+            return qpow(n // 8, K) * self.sign
+        if n % 4 == 0:
+            bp = (n // 4) % (2 * K)  # odd here: absorb e^(i pi) into q
+            return qpow(((bp + K) // 2) % K, K) * (-self.sign)
+        raise PhaseNotReducible(
+            f"a genuine eighth root remains (a={self.a}, b2={self.b2})")
+
+    def eval_complex(self, precision: int = 50):
+        import mpmath
+
+        with mpmath.workdps(precision):
+            val = mpmath.mpc(self.sign) * self.mag.numerator / self.mag.denominator
+            val *= mpmath.mpf(self.K) ** (mpmath.mpf(self.khalf) / 2)
+            val *= mpmath.expjpi(mpmath.mpf(self.a) / 4)
+            val *= mpmath.expjpi(mpmath.mpf(self.b2) / (2 * self.K))
+            return complex(val)
+
+    def __repr__(self):
+        return (f"ExtendedPhase(K={self.K}, sign={self.sign}, mag={self.mag},"
+                f" khalf={self.khalf}, a={self.a}, b2={self.b2})")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +271,7 @@ def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
     s = sign(S.H * S.P)
     t2, t4 = inv_int(2, K), inv_int(4, K)
     pstar = inv_int(S.P, K)
-    sv = sum(rat_residue(3 * dedekind_sum(q, p), K).value
+    sv = sum(rat_residue(3 * dedekind_sum(q, p), K)
              for (p, q) in S.fractions)
     ph = ExtendedPhase(K)
     ph.times_i()
@@ -230,8 +300,7 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     (DiamondMismatch otherwise); both failures would falsify the
     assembly rather than the input.
     """
-    Kp = as_prime(K)
-    K = Kp.K
+    K = as_prime(K)
     _seifert_preconditions(S, K)
     pref = _seifert_phase(S, K).reduce()
     # the reducibility and diamond assertions pin the assembly down

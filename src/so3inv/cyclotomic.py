@@ -267,16 +267,6 @@ def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
     return _fold(full, K)
 
 
-def norm(a: CycInt) -> int:
-    """Field norm: product of all Galois conjugates, a rational integer."""
-    prod = CycInt.one(a.K)
-    for j in range(1, a.K):
-        prod = prod * a.galois(j)
-    if any(c for c in prod.coeffs[1:]):
-        raise IntegralityFailure(f"norm not rational: {prod!r}")
-    return prod.coeffs[0]
-
-
 def invert_unit(a: CycInt) -> CycInt:
     """Inverse of a unit of Z[q].
 
@@ -300,6 +290,25 @@ def divide_exact(a: CycInt, n: int) -> CycInt:
     return _raw(tuple([c // n for c in a.coeffs]), a.K)
 
 
+def divide_by_x(a: CycInt) -> CycInt:
+    """a / (q - 1), exactly; IntegralityFailure unless q - 1 divides a.
+
+    q - 1 divides a exactly when K divides a(1), the coefficient sum.
+    Then a - t * Phi_K with t = a(1)/K is the same element and vanishes
+    at q = 1, so synthetic division by q - 1 is exact over Z, in O(K).
+    """
+    K = a.K
+    t, r = divmod(sum(a.coeffs), K)
+    if r:
+        raise IntegralityFailure(
+            f"q - 1 does not divide: coefficient sum is {r} mod {K}")
+    d = [0] * (K - 1)
+    d[K - 2] = -t  # the q^(K-1) coefficient of a - t * Phi_K
+    for i in range(K - 2, 0, -1):
+        d[i - 1] = a.coeffs[i] - t + d[i]
+    return _raw(tuple(d), K)
+
+
 _UNITS: dict = {}
 
 
@@ -309,7 +318,7 @@ def unit_u(K: int) -> CycInt:
     Since gauss_sum(1) * conj(gauss_sum(1)) = K, the quotient is
     x^((K-1)/2) * gauss_sum(-1) / K, and the division must be exact.
     """
-    K = as_prime(K).K
+    K = as_prime(K)
     if K not in _UNITS:
         g1 = gauss_sum(1, K)
         xq = qpow(1, K) - 1

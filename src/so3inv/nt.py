@@ -3,7 +3,9 @@
 Surgery presentations are resolved into chains of elementary SL2
 matrices T^m S.  The ceiling continued-fraction expansion drives the
 resolution; Dedekind sums and the Rademacher matrix phase carry the
-framing anomalies; SeifertData validates star-shaped presentations.
+framing anomalies.  The three manifold presentations live here too:
+Lens, SeifertData (star-shaped) and P1Surgery (integer framings on a
+registered link table), each validated on construction.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     NotRHS,
     ZeroLowerLeft,
 )
+from .jones import get_table
 
 
 @dataclass(frozen=True)
@@ -191,23 +194,50 @@ class SeifertData:
         return hash(self.fractions)
 
 
-def h1_order(m) -> int:
-    """Order of the first homology of a surgery presentation.
+@dataclass(frozen=True)
+class Lens:
+    """The lens space L(p, q) with gcd(p, q) = 1 and p != 0."""
 
-    Accepts anything lens-like (fields p, q), star-like (SeifertData
-    or a wrapper with .fractions), or a framed-link spec with integer
-    framings (field framings).
-    """
-    if hasattr(m, "fractions"):
-        data = m if isinstance(m, SeifertData) else SeifertData(m.fractions)
-        return abs(data.H)
-    if hasattr(m, "framings"):
-        order = prod(m.framings)
-        if order == 0:
-            raise NotRHS(f"zero framing in {m!r}")
-        return abs(order)
-    if hasattr(m, "p") and hasattr(m, "q"):
-        if m.p == 0:
-            raise NotRHS("lens space with p = 0 is not a RHS")
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if self.p == 0:
+            raise NotRHS("L(0, q) is not a rational homology sphere")
+        if gcd(self.p, self.q) != 1:
+            raise NotCoprime(f"L({self.p},{self.q}) needs coprime p, q")
+
+
+@dataclass(frozen=True)
+class P1Surgery:
+    """Integer (p_j, 1)-framed surgery on a link with a registered table."""
+
+    jones: str
+    framings: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "framings",
+                           tuple(int(p) for p in self.framings))
+        if any(p == 0 for p in self.framings):
+            raise NotRHS("zero framing breaks the rational homology sphere "
+                         "condition for split links")
+        table = get_table(self.jones)
+        if table.arity is not None and table.arity != len(self.framings):
+            raise NotRHS(
+                f"table {self.jones!r} expects {table.arity} components, "
+                f"got {len(self.framings)} framings")
+
+
+# the three manifold presentations
+ManifoldSpec = Lens | SeifertData | P1Surgery
+
+
+def h1_order(m: ManifoldSpec) -> int:
+    """Order of the first homology of a manifold presentation."""
+    if isinstance(m, Lens):
         return abs(m.p)
+    if isinstance(m, SeifertData):
+        return abs(m.H)
+    if isinstance(m, P1Surgery):
+        return abs(prod(m.framings))
     raise NotRHS(f"unrecognized manifold spec {m!r}")

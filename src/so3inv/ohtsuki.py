@@ -37,9 +37,8 @@ from .errors import (
     NoClosedForm,
     So3InvError,
 )
-from .nt import SeifertData, h1_order
+from .nt import Lens, P1Surgery, SeifertData, h1_order
 from .series import LambdaSeries, RatSeries, TruncPoly, vee
-from .surgery import Lens, P1Surgery, exact_p1
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +64,8 @@ def closed_zprime(m, K) -> CycInt:
     if isinstance(m, SeifertData):
         return seifert_zprime(m, K)
     if isinstance(m, P1Surgery):
+        from .surgery import exact_p1
+
         return exact_p1(m, K)
     raise NoClosedForm(f"no exact evaluation for {m!r}")
 
@@ -81,7 +82,7 @@ def closed_lambda_series(m, n_max: int) -> LambdaSeries:
 
 def diamond_side(m, K) -> TruncPoly:
     """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly."""
-    K = as_prime(K).K
+    K = as_prime(K)
     h1 = h1_order(m)
     if h1 % K == 0:
         raise H1DivisibleByK(f"|H1| = {h1} is divisible by K = {K}")
@@ -90,7 +91,7 @@ def diamond_side(m, K) -> TruncPoly:
 
 def vee_side(lam: LambdaSeries, K) -> TruncPoly:
     """Mod-K reduction of the series, truncated at degree (K-1)/2."""
-    K = as_prime(K).K
+    K = as_prime(K)
     d = (K - 1) // 2
     if lam.n_max < d:
         raise InsufficientTerms(
@@ -212,7 +213,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
     """
     h1 = h1_order(m)
     label = manifold_label(m)
-    seeds = sorted({as_prime(K).K for K in primes})
+    seeds = sorted({as_prime(K) for K in primes})
     if not seeds:
         raise So3InvError("need at least one seed prime")
     if len(seeds) != len(primes):

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .arith import Residue, as_prime, inv_int, legendre, rat_residue
+from .arith import as_prime, inv_int, legendre, rat_residue
 from .errors import (
     BadNormalization,
     DenominatorDivisibleByK,
@@ -295,8 +295,8 @@ class TruncPoly:
             if other.K != self.K:
                 raise MixedModulus(f"primes differ: {self.K} vs {other.K}")
             return other
-        if isinstance(other, (int, Residue)):
-            return TruncPoly([int(other)], self.K)
+        if isinstance(other, int):
+            return TruncPoly([other], self.K)
         return NotImplemented
 
     def __add__(self, other):
@@ -387,33 +387,8 @@ def vee(s: RatSeries, K: int) -> TruncPoly:
         if c.denominator % K == 0:
             raise DenominatorDivisibleByK(
                 f"coefficient of x^{n} = {c} has denominator divisible by {K}")
-        out.append(rat_residue(c, K).value)
+        out.append(rat_residue(c, K))
     return TruncPoly(out, K)
-
-
-def log_vee(K: int) -> TruncPoly:
-    """The x-adic logarithm series reduced mod K."""
-    return vee(log1p((K - 1) // 2), K)
-
-
-def binom_vee(m: int, K: int) -> Callable[[int], Residue]:
-    """Evaluator mod K of the binomial polynomial y(y-1)...(y-m+1)/m!.
-
-    Raises FactorialNotInvertible when m! is divisible by K.
-    """
-    as_prime(K)
-    if m >= K:
-        raise FactorialNotInvertible(f"{m}! is divisible by {K}")
-    f_inv = inv_int(factorial(m) % K, K) if m else 1
-
-    def evaluate(y) -> Residue:
-        acc = 1
-        yv = int(y)
-        for i in range(m):
-            acc = acc * (yv - i) % K
-        return Residue(acc * f_inv, K)
-
-    return evaluate
 
 
 def x_over_log_pow(m: int, K: int) -> TruncPoly:

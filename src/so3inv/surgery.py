@@ -18,25 +18,18 @@ double-precision scheme, so the 1e-9 cross-check tolerances hold with
 a large margin even near K = 100.  Evaluations are pure functions of
 (manifold, K); callers that want parallelism batch independent
 (manifold, K) tasks across processes (see the command-line driver).
-
-ExtendedPhase is the symbolic bookkeeping device used by the closed
-forms: products of eighth roots of unity, half-integer powers of q,
-powers of sqrt(K) and rational magnitudes accumulate exactly and must
-collapse into +-q^n at the end (PhaseNotReducible otherwise).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd, prod
+from math import prod
 
 import mpmath
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
-from .cyclotomic import (CycInt, divide_exact, from_counts, odd_window, qpow,
+from .cyclotomic import (CycInt, divide_by_x, from_counts, odd_window, qpow,
                          unit_u, x_order)
 from .errors import (
     DivisibilityFailure,
@@ -45,49 +38,10 @@ from .errors import (
     NotAnOddPrime,
     NotCoprime,
     NotRHS,
-    PhaseNotReducible,
 )
 from .jones import get_table
-from .nt import Chain, SeifertData, cf_expand, rademacher_phi
-
-
-@dataclass(frozen=True)
-class Lens:
-    """The lens space L(p, q) with gcd(p, q) = 1 and p != 0."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p == 0:
-            raise NotRHS("L(0, q) is not a rational homology sphere")
-        if gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"L({self.p},{self.q}) needs coprime p, q")
-
-
-@dataclass(frozen=True)
-class P1Surgery:
-    """Integer (p_j, 1)-framed surgery on a link with a registered table."""
-
-    jones: str
-    framings: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "framings",
-                           tuple(int(p) for p in self.framings))
-        if any(p == 0 for p in self.framings):
-            raise NotRHS("zero framing breaks the rational homology sphere "
-                         "condition for split links")
-        table = get_table(self.jones)
-        if table.arity is not None and table.arity != len(self.framings):
-            raise NotRHS(
-                f"table {self.jones!r} expects {table.arity} components, "
-                f"got {len(self.framings)} framings")
-
-
-# A manifold spec is one of the three presentation types; SeifertData
-# comes from the number-theory layer.
-ManifoldSpec = Lens | SeifertData | P1Surgery
+from .nt import (Chain, Lens, ManifoldSpec, P1Surgery, SeifertData, cf_expand,
+                 rademacher_phi)
 
 
 def _dps(K: int, precision) -> int:
@@ -95,7 +49,7 @@ def _dps(K: int, precision) -> int:
 
 
 def _odd_k(K) -> int:
-    K = int(getattr(K, "K", K))
+    K = int(K)
     if K < 3 or K % 2 == 0:
         raise NotAnOddPrime(f"need odd K >= 3, got {K}")
     return K
@@ -234,8 +188,7 @@ def _numeric_presentation(M, K):
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z'(M) at odd prime K by direct summation over odd colors."""
-    Kp = as_prime(K)
-    K = Kp.K
+    K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
         if isinstance(M, SeifertData):
             # the closed matrix-element identity i*sign(q) =
@@ -349,19 +302,6 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
 # the exact integer-framing route
 
 
-@cache
-def _x_inverse_parts(K: int):
-    """(z, n) with (q - 1) * z = n, n the rational norm (= K)."""
-    x = qpow(1, K) - CycInt.one(K)
-    z = CycInt.one(K)
-    for j in range(2, K):
-        z = z * x.galois(j)
-    n = x * z
-    if any(n.coeffs[1:]):
-        raise IntegralityFailure("conjugate product of x not rational")
-    return z, n.coeffs[0]
-
-
 def exact_p1(M: P1Surgery, K) -> CycInt:
     """Exact Z' for an integer-framed presentation, inside Z[q].
 
@@ -369,8 +309,7 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
     divided out by exact division (DivisibilityFailure if violated),
     and the result is assembled with the unit u and a +-1 phase.
     """
-    Kp = as_prime(K)
-    K = Kp.K
+    K = as_prime(K)
     ps = M.framings
     n = len(ps)
     if n == 0:
@@ -396,13 +335,12 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
         raise DivisibilityFailure(
             f"x-adic order of the color sum is {x_order(S)}, "
             f"needs at least {min(K - 1, need)}")
-    z, nrm = _x_inverse_parts(K)
     w = S
-    for _ in range(need):
-        try:
-            w = divide_exact(w * z, nrm)
-        except IntegralityFailure as exc:
-            raise DivisibilityFailure(str(exc)) from exc
+    try:
+        for _ in range(need):
+            w = divide_by_x(w)
+    except IntegralityFailure as exc:
+        raise DivisibilityFailure(str(exc)) from exc
     kap = kappa_of(K)
     tot = sum(sign(p) - 1 for p in ps)
     num = (kap - 1) * tot
@@ -412,99 +350,3 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
     sgn = prod(sign(p) for p in ps)
     e2 = t4 * sum(3 * sign(p) - p - pst for p, pst in zip(ps, pstars))
     return (w * unit_u(K) ** n) * qpow(e2, K) * (phase * sgn)
-
-
-# ---------------------------------------------------------------------------
-# symbolic prefactor bookkeeping
-
-
-class ExtendedPhase:
-    """sign * mag * K^(khalf/2) * e^(i pi a/4) * e^(i pi b2/(2K)).
-
-    a lives mod 8 and b2 mod 4K (b2 counts quarter-steps of q, so both
-    half-integer q-powers and single e^(i pi/(2K)) steps stay exact).
-    reduce() collapses the product into +-q^n once the magnitude parts
-    have cancelled; anything that is not a root of unity of the right
-    kind raises PhaseNotReducible.
-    """
-
-    __slots__ = ("K", "a", "b2", "sign", "mag", "khalf")
-
-    def __init__(self, K: int):
-        self.K = as_prime(K).K
-        self.a = 0
-        self.b2 = 0
-        self.sign = 1
-        self.mag = Fraction(1)
-        self.khalf = 0
-
-    def times_eighth(self, j: int) -> "ExtendedPhase":
-        """Multiply by e^(i pi j/4)."""
-        self.a = (self.a + j) % 8
-        return self
-
-    def times_i(self) -> "ExtendedPhase":
-        return self.times_eighth(2)
-
-    def times_quarter_q(self, c: int) -> "ExtendedPhase":
-        """Multiply by e^(i pi c/(2K))."""
-        self.b2 = (self.b2 + c) % (4 * self.K)
-        return self
-
-    def times_sqrt_q(self, c: int) -> "ExtendedPhase":
-        """Multiply by q^(c/2)."""
-        return self.times_quarter_q(2 * c)
-
-    def times_q(self, c: int) -> "ExtendedPhase":
-        """Multiply by q^c."""
-        return self.times_quarter_q(4 * c)
-
-    def times_sign(self, s: int) -> "ExtendedPhase":
-        if s not in (1, -1):
-            raise PhaseNotReducible(f"sign factor must be +-1, got {s}")
-        self.sign *= s
-        return self
-
-    def times_magnitude(self, frac, khalf: int = 0) -> "ExtendedPhase":
-        """Multiply by frac * K^(khalf/2), both tracked exactly."""
-        frac = Fraction(frac)
-        if frac <= 0:
-            raise PhaseNotReducible("magnitudes must stay positive; route "
-                                    "signs through times_sign")
-        self.mag *= frac
-        self.khalf += khalf
-        return self
-
-    @property
-    def b(self):
-        """The e^(i pi/K) exponent when it is well defined."""
-        if self.b2 % 2:
-            raise PhaseNotReducible("phase sits at a quarter step of q")
-        return (self.b2 // 2) % (2 * self.K)
-
-    def reduce(self) -> CycInt:
-        """Collapse into +-q^n in Z[q]; PhaseNotReducible otherwise."""
-        if self.mag != 1 or self.khalf != 0:
-            raise PhaseNotReducible(
-                f"magnitude {self.mag} * K^({self.khalf}/2) left over")
-        K = self.K
-        n = (self.a * K + 2 * self.b2) % (8 * K)
-        if n % 8 == 0:
-            return qpow(n // 8, K) * self.sign
-        if n % 4 == 0:
-            bp = (n // 4) % (2 * K)  # odd here: absorb e^(i pi) into q
-            return qpow(((bp + K) // 2) % K, K) * (-self.sign)
-        raise PhaseNotReducible(
-            f"a genuine eighth root remains (a={self.a}, b2={self.b2})")
-
-    def eval_complex(self, precision: int = 50):
-        with mpmath.workdps(precision):
-            val = mpmath.mpc(self.sign) * self.mag.numerator / self.mag.denominator
-            val *= mpmath.mpf(self.K) ** (mpmath.mpf(self.khalf) / 2)
-            val *= mpmath.expjpi(mpmath.mpf(self.a) / 4)
-            val *= mpmath.expjpi(mpmath.mpf(self.b2) / (2 * self.K))
-            return complex(val)
-
-    def __repr__(self):
-        return (f"ExtendedPhase(K={self.K}, sign={self.sign}, mag={self.mag},"
-                f" khalf={self.khalf}, a={self.a}, b2={self.b2})")

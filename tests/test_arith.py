@@ -3,24 +3,16 @@ from fractions import Fraction
 import pytest
 
 from so3inv.arith import (
-    PrimeK,
-    Residue,
+    as_prime,
     even_inv,
     inv_int,
     kappa_of,
     legendre,
-    mod_inv,
     odd_primes,
-    rat_check,
     rat_residue,
     sign,
 )
-from so3inv.errors import (
-    DenominatorDivisibleByK,
-    MixedModulus,
-    NotAnOddPrime,
-    ZeroInverse,
-)
+from so3inv.errors import DenominatorDivisibleByK, NotAnOddPrime, ZeroInverse
 
 PRIMES_TO_101 = [p for p in range(3, 102)
                  if all(p % d for d in range(2, p)) and p > 2]
@@ -28,9 +20,9 @@ PRIMES_TO_101 = [p for p in range(3, 102)
 
 def test_primek_accepts_odd_primes():
     for p in PRIMES_TO_101:
-        pk = PrimeK(p)
-        assert pk.K == p
-        assert pk.k == p - 2
+        assert as_prime(p) == p
+        assert type(as_prime(p)) is int
+        assert as_prime(p) == p  # now from the cache
 
 
 # the prime ranges the acceptance criteria iterate over, with their primes
@@ -61,10 +53,13 @@ def test_sign():
     assert [sign(v) for v in (-7, 0, 3, Fraction(-1, 2))] == [-1, 0, 1, -1]
 
 
-@pytest.mark.parametrize("bad", [2, 4, 9, 15, 1, 0, -7, 21])
+@pytest.mark.parametrize("bad", [2, 4, 9, 15, 1, 0, -7, 21, 5.0, True])
 def test_primek_rejects_non_odd_primes(bad):
+    as_prime(5)  # 5.0 == 5 is cached and must still be rejected
     with pytest.raises(NotAnOddPrime):
-        PrimeK(bad)
+        as_prime(bad)
+    with pytest.raises(NotAnOddPrime):  # a failed check is not cached
+        as_prime(bad)
 
 
 def test_kappa_values():
@@ -85,38 +80,17 @@ def test_quarter_inverse_centered_identity():
     for K in PRIMES_TO_101:
         kap = kappa_of(K)
         assert (1 - kap * K) % 4 == 0
-        centered = Residue(inv_int(4, K), K).centered()
+        v = inv_int(4, K)
+        centered = v - K if 2 * v > K else v
         assert centered == (1 - kap * K) // 4
 
 
-def test_residue_canonical_range():
-    r = Residue(-3, 7)
-    assert r.value == 4
-    assert int(Residue(7, 7)) == 0
-
-
-def test_residue_ring_ops():
-    a = Residue(3, 7)
-    b = Residue(5, 7)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a + 4).value == 0
-    assert (2 * a).value == 6
-    assert (a ** 3).value == 27 % 7
-    assert (a ** -1) == b
-
-
-def test_residue_mixed_modulus_raises():
-    with pytest.raises(MixedModulus):
-        Residue(1, 5) + Residue(1, 7)
-
-
 def test_mod_inv_and_zero():
-    r = Residue(3, 11)
-    assert (mod_inv(r) * r).value == 1
+    for a in (3, -3, 14):
+        assert inv_int(a, 11) * a % 11 == 1
+        assert 0 <= inv_int(a, 11) < 11
     with pytest.raises(ZeroInverse):
-        mod_inv(Residue(0, 11))
+        inv_int(0, 11)
     with pytest.raises(ZeroInverse):
         inv_int(22, 11)
 
@@ -154,16 +128,18 @@ def test_legendre_multiplicative():
 
 
 def test_rat_check_basic():
-    assert rat_check(1, 2, 5) == Residue(3, 5)
-    assert rat_check(-3, 4, 7) == Residue(1, 7)
-    assert rat_check(0, 3, 5) == Residue(0, 5)
+    assert rat_residue(Fraction(1, 2), 5) == 3
+    assert rat_residue(Fraction(-3, 4), 7) == 1
+    assert rat_residue(Fraction(0, 3), 5) == 0
+    assert rat_residue(-9, 7) == 5
+    assert type(rat_residue(Fraction(1, 2), 5)) is int
     # a K in the numerator may cancel one in the denominator
-    assert rat_check(10, 15, 5) == rat_check(2, 3, 5)
+    assert rat_residue(Fraction(10, 15), 5) == rat_residue(Fraction(2, 3), 5)
 
 
 def test_rat_check_denominator_divisible():
     with pytest.raises(DenominatorDivisibleByK):
-        rat_check(1, 10, 5)
+        rat_residue(Fraction(1, 10), 5)
     with pytest.raises(DenominatorDivisibleByK):
         rat_residue(Fraction(3, 14), 7)
 
@@ -176,5 +152,7 @@ def test_rat_check_is_ring_hom():
             f1, f2 = Fraction(n1, d1), Fraction(n2, d2)
             s = f1 + f2
             p = f1 * f2
-            assert rat_residue(s, K) == rat_residue(f1, K) + rat_residue(f2, K)
-            assert rat_residue(p, K) == rat_residue(f1, K) * rat_residue(f2, K)
+            r1, r2 = rat_residue(f1, K), rat_residue(f2, K)
+            assert rat_residue(s, K) == (r1 + r2) % K
+            assert rat_residue(p, K) == r1 * r2 % K
+            assert 0 <= rat_residue(s, K) < K

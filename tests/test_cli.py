@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +239,31 @@ def test_lambda_reconstruct_l12_5(capsys):
     rec = {r[1]: r[2] for r in rows if r[3] == "reconstruction"}
     assert rec == closed
     assert closed["6"] == "-10189003/429981696"
+
+
+def test_verify_has_no_timings_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--lens", "5,2", "--primes", "7", "--timings"])
+
+
+def test_exact_commands_never_import_mpmath():
+    # mpmath serves only the numeric column and the surgery oracle
+    script = """
+import contextlib, io, sys
+import so3inv.cli
+assert "mpmath" not in sys.modules, "import"
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (so3inv.cli.main(["verify", "--family", "lens", "--pmax", "3",
+                              "--primes", "5..13", "--workers", "1"]),
+             so3inv.cli.main(["lambda", "--seifert", "2/1,3/1,5/-4",
+                              "--nmax", "3", "--reconstruct",
+                              "--workers", "1"]))
+assert codes == (0, 0), codes
+assert "mpmath" not in sys.modules, "run"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SO3INV_WORKERS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

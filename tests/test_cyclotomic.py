@@ -11,12 +11,13 @@ from so3inv.cyclotomic import (
     CycInt,
     XPoly,
     diamond,
+    divide_by_x,
+    divide_exact,
     eval_complex,
     from_counts,
     from_xpoly,
     gauss_sum,
     invert_unit,
-    norm,
     odd_gauss_moment,
     odd_window,
     qpow,
@@ -136,10 +137,33 @@ def test_invert_unit_random_cyclotomic_units():
             assert w * u == CycInt.one(K)
 
 
-def test_norm_of_x():
-    # the norm of q - 1 is the prime itself (up to sign convention)
-    for K in (5, 7, 11):
-        assert abs(norm(qpow(1, K) - 1)) == K
+def _norm_cofactor_divide(a):
+    """a / (q - 1) by the norm cofactor: (q - 1) * z = K with z the
+    product of the conjugates q^j - 1, j = 2..K-1."""
+    K = a.K
+    z = CycInt.one(K)
+    for j in range(2, K):
+        z = z * (qpow(j, K) - 1)
+    assert (qpow(1, K) - 1) * z == CycInt([K], K)
+    return divide_exact(a * z, K)
+
+
+def test_divide_by_x_matches_norm_cofactor_path():
+    rng = random.Random(61)
+    for K in odd_primes(3, 61):
+        xq = qpow(1, K) - 1
+        for _ in range(3):
+            b = CycInt([rng.randint(-50, 50) for _ in range(K - 1)], K)
+            a = b * xq
+            assert divide_by_x(a) == b == _norm_cofactor_divide(a)
+            # a non-multiple of q - 1 raises on both paths
+            for bad in (a + 1, a + qpow(rng.randrange(K), K) * (K + 2)):
+                with pytest.raises(IntegralityFailure):
+                    divide_by_x(bad)
+                with pytest.raises(IntegralityFailure):
+                    _norm_cofactor_divide(bad)
+        assert divide_by_x(CycInt.zero(K)) == CycInt.zero(K)
+        assert divide_by_x(CycInt([K], K)) * xq == CycInt([K], K)
 
 
 def test_unit_u_examples():
@@ -316,7 +340,7 @@ def test_moment_extraction_by_interpolation():
             for j in range(d + 1):
                 fj = [0] * (d + 1)
                 for m in range(j, d + 1):
-                    fj[m] = rat_residue(binom_rows[m][j], K).value
+                    fj[m] = rat_residue(binom_rows[m][j], K)
                 # deconvolve: D_j determined up to degree d - j
                 dj = [0] * (d + 1)
                 for deg in range(d - j + 1):
@@ -339,7 +363,6 @@ def test_moment_extraction_by_interpolation():
 
 
 def test_divide_by_int_guard():
-    from so3inv.cyclotomic import divide_exact
     assert divide_exact(CycInt([10, 5], 5), 5) == CycInt([2, 1], 5)
     with pytest.raises(IntegralityFailure):
         divide_exact(CycInt([3, 5], 5), 5)

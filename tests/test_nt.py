@@ -15,6 +15,8 @@ from so3inv.errors import (
 from so3inv.nt import (
     SL2,
     Chain,
+    Lens,
+    P1Surgery,
     SeifertData,
     cf_expand,
     dedekind_sum,
@@ -104,7 +106,7 @@ def test_dedekind_reciprocity():
 
 
 def test_dedekind_vee():
-    assert rat_residue(dedekind_sum(1, 3), 5).value == 2  # 1/18 -> 2 mod 5
+    assert rat_residue(dedekind_sum(1, 3), 5) == 2  # 1/18 -> 2 mod 5
     with pytest.raises(DenominatorDivisibleByK):
         rat_residue(dedekind_sum(1, 3), 3)
 
@@ -162,22 +164,15 @@ def test_seifert_data():
 
 
 def test_h1_order():
-    class LensLike:
-        def __init__(self, p, q):
-            self.p, self.q = p, q
-
-    class FramedLike:
-        def __init__(self, framings):
-            self.framings = framings
-
-    assert h1_order(LensLike(7, 2)) == 7
-    assert h1_order(LensLike(-7, 2)) == 7
+    assert h1_order(Lens(7, 2)) == 7
+    assert h1_order(Lens(-7, 2)) == 7
     assert h1_order(SeifertData([(2, 1), (3, 1), (5, -4)])) == 1
     assert h1_order(SeifertData([(2, 1), (3, 1), (5, 1)])) == 31
-    assert h1_order(FramedLike((2, 3))) == 6
+    assert h1_order(P1Surgery("unlink", (2, 3))) == 6
+    assert h1_order(P1Surgery("unlink", (-2, 5))) == 10
     with pytest.raises(NotRHS):
-        h1_order(LensLike(0, 1))
+        h1_order(Lens(0, 1))
     with pytest.raises(NotRHS):
-        h1_order(FramedLike((2, 0)))
+        h1_order(P1Surgery("unlink", (2, 0)))
     with pytest.raises(NotRHS):
         h1_order(object())

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import so3inv.nt
 from so3inv.arith import inv_int
+from so3inv.closedform import ExtendedPhase
 from so3inv.cyclotomic import CycInt, eval_complex, qpow
 from so3inv.errors import (ChainDegenerate, DivisibilityFailure, NotCoprime,
                            NotRHS, PhaseNotReducible)
 from so3inv.nt import SeifertData
-from so3inv.surgery import (ExtendedPhase, Lens, P1Surgery, exact_p1,
-                            kirby_melvin_check, z_numeric, zprime_numeric)
+from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
+                            z_numeric, zprime_numeric)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -62,6 +64,10 @@ def test_kirby_melvin_factorization():
     assert kirby_melvin_check(Lens(5, 2), 11)
     assert kirby_melvin_check(Lens(1, 1), 5)
     assert kirby_melvin_check(POINCARE, 7)
+
+
+def test_presentations_are_the_nt_types():
+    assert Lens is so3inv.nt.Lens and P1Surgery is so3inv.nt.P1Surgery
 
 
 def test_not_rhs_rejected():
