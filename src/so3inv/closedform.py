@@ -24,7 +24,6 @@ collapse mirror pairs, which is wrong).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
 from .cyclotomic import CycInt, diamond, from_counts, qpow, sine_quotient
@@ -33,13 +32,12 @@ from .errors import (
     DiamondMismatch,
     H1DivisibleByK,
     IntegralityFailure,
-    NotCoprime,
-    NotRHS,
     PDivisibleByK,
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import Chain, SeifertData, cf_expand, dedekind_sum
+from .nt import (Chain, Lens, SeifertData, cf_expand, dedekind_sum,
+                 manifold_label)
 from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
                      s_exp, sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
 
@@ -60,10 +58,7 @@ def _lens_normal(p: int, q: int):
 def lens_zprime(p: int, q: int, K) -> CycInt:
     """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1."""
     K = as_prime(K)
-    if p == 0:
-        raise NotRHS("L(0, q) is not a rational homology sphere")
-    if gcd(p, q) != 1:
-        raise NotCoprime(f"L({p},{q}) needs coprime p, q")
+    Lens(p, q)  # validates p != 0 and gcd(p, q) = 1
     p, q = _lens_normal(p, q)
     if p % K == 0:
         raise PDivisibleByK(f"|H1| = {p} is divisible by K = {K}")
@@ -78,11 +73,7 @@ def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
     The series is sign(p) * |p| * q^(3 s(q,p)) * sinh_ratio(1/p) in the
     variable x; the leading coefficient is checked, not forced.
     """
-    if p == 0:
-        raise NotRHS("L(0, q) is not a rational homology sphere")
-    if gcd(p, q) != 1:
-        raise NotCoprime(f"L({p},{q}) needs coprime p, q")
-    label = f"L({p},{q})"
+    label = manifold_label(Lens(p, q))
     p, q = _lens_normal(p, q)
     cap = n_max
     ser = q_power(3 * dedekind_sum(q, p), cap) * sinh_ratio(Fraction(1, p), cap)
@@ -226,16 +217,6 @@ class ExtendedPhase:
         raise PhaseNotReducible(
             f"a genuine eighth root remains (a={self.a}, b2={self.b2})")
 
-    def eval_complex(self, precision: int = 50):
-        import mpmath
-
-        with mpmath.workdps(precision):
-            val = mpmath.mpc(self.sign) * self.mag.numerator / self.mag.denominator
-            val *= mpmath.mpf(self.K) ** (mpmath.mpf(self.khalf) / 2)
-            val *= mpmath.expjpi(mpmath.mpf(self.a) / 4)
-            val *= mpmath.expjpi(mpmath.mpf(self.b2) / (2 * self.K))
-            return complex(val)
-
     def __repr__(self):
         return (f"ExtendedPhase(K={self.K}, sign={self.sign}, mag={self.mag},"
                 f" khalf={self.khalf}, a={self.a}, b2={self.b2})")
@@ -352,10 +333,9 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     tser = (s_div(mom_over_t, sinh_over_t(cap))
             * s_exp(RatSeries.x(cap) * theta))
     ser = at_half_log(tser) * S.H
+    label = manifold_label(S)
     if ser.coeff(0) != 1:
-        raise BadNormalization(
-            f"lambda_0 = {ser.coeff(0)} for X{tuple(S.fractions)}")
-    label = "X(" + ",".join(f"{p}/{q}" for (p, q) in S.fractions) + ")"
+        raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")
     return LambdaSeries(label, n_max,
                         tuple(ser.coeff(i) for i in range(n_max + 1)),
                         "closed-form")

@@ -134,10 +134,6 @@ class CycInt:
             full[i * j % K] += c
         return _fold(full, K)
 
-    def conj(self) -> "CycInt":
-        """Complex conjugation, q -> q^(-1)."""
-        return self.galois(self.K - 1)
-
 
 def _raw(coeffs: tuple, K: int) -> CycInt:
     """Trusted constructor for the ring operations.
@@ -215,19 +211,6 @@ def to_xpoly(a: CycInt) -> XPoly:
                 out[d] += c * r
         row = [1, *map(add, row, row[1:]), 1]  # Pascal step
     return XPoly(out, K)
-
-
-def from_xpoly(p: XPoly) -> CycInt:
-    """Inverse bijection: substitute x = q - 1."""
-    K = p.K
-    out = CycInt.zero(K)
-    base = CycInt.one(K)
-    xq = qpow(1, K) - 1
-    for c in p.coeffs:
-        if c:
-            out = out + base * c
-        base = base * xq
-    return out
 
 
 def x_order(a: CycInt) -> int:
@@ -315,7 +298,7 @@ _UNITS: dict = {}
 def unit_u(K: int) -> CycInt:
     """The unit u with u * gauss_sum(1) = x^((K-1)/2), built once per K.
 
-    Since gauss_sum(1) * conj(gauss_sum(1)) = K, the quotient is
+    Since gauss_sum(1) * gauss_sum(1).galois(-1) = K, the quotient is
     x^((K-1)/2) * gauss_sum(-1) / K, and the division must be exact.
     """
     K = as_prime(K)

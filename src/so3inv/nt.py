@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence, Tuple
 
-from .arith import sign
 from .errors import (
     ChainDegenerate,
     HZero,
@@ -140,21 +139,6 @@ def rademacher_phi(u: SL2) -> int:
     return int(val)
 
 
-def phi_chain_check(p: int, q: int) -> bool:
-    """Phase of a resolved chain vs the sum of its elementary phases.
-
-    Each elementary factor contributes its exponent; every junction
-    contributes -3 times the sign of the tail's framing ratio.
-    """
-    ch = Chain(cf_expand(p, q))
-    lhs = rademacher_phi(ch.matrix)
-    rhs = sum(ch.ms)
-    for t in range(2, len(ch.ms) + 1):
-        tail = ch.tails[t]
-        rhs -= 3 * sign(tail.p * tail.q)
-    return lhs == rhs
-
-
 class SeifertData:
     """A star-shaped presentation: exceptional fibers p_j / q_j.
 
@@ -230,6 +214,17 @@ class P1Surgery:
 
 # the three manifold presentations
 ManifoldSpec = Lens | SeifertData | P1Surgery
+
+
+def manifold_label(m: ManifoldSpec) -> str:
+    """Row key of a presentation: L(p,q), X(p/q,...) or S[table;f,...]."""
+    if isinstance(m, Lens):
+        return f"L({m.p},{m.q})"
+    if isinstance(m, SeifertData):
+        return "X(" + ",".join(f"{p}/{q}" for (p, q) in m.fractions) + ")"
+    if isinstance(m, P1Surgery):
+        return f"S[{m.jones};" + ",".join(str(f) for f in m.framings) + "]"
+    return repr(m)
 
 
 def h1_order(m: ManifoldSpec) -> int:

@@ -37,22 +37,12 @@ from .errors import (
     NoClosedForm,
     So3InvError,
 )
-from .nt import Lens, P1Surgery, SeifertData, h1_order
+from .nt import Lens, P1Surgery, SeifertData, h1_order, manifold_label
 from .series import LambdaSeries, RatSeries, TruncPoly, vee
 
 
 # ---------------------------------------------------------------------------
 # the two sides of the identity
-
-
-def manifold_label(m) -> str:
-    if isinstance(m, Lens):
-        return f"L({m.p},{m.q})"
-    if isinstance(m, SeifertData):
-        return "X(" + ",".join(f"{p}/{q}" for (p, q) in m.fractions) + ")"
-    if isinstance(m, P1Surgery):
-        return f"S[{m.jones};" + ",".join(str(f) for f in m.framings) + "]"
-    return repr(m)
 
 
 def closed_zprime(m, K) -> CycInt:
@@ -267,9 +257,12 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
 
 
 def check_bounds(label: str, n: int, h1: int, value: Fraction):
-    """Denominator structure of the recovered coefficients, n <= 6."""
-    if n > 6:
-        return
+    """Denominator bounds on lambda_n, for every n.
+
+    lambda_n * |H1|^n times 2^(4n) n! (2n)! (9n)! must be an integer,
+    and every prime dividing the denominator of lambda_n * |H1|^n must
+    be at most 2n; BoundViolation otherwise.
+    """
     big = 2 ** (4 * n) * factorial(n) * factorial(2 * n) * factorial(9 * n)
     if (value * big * h1 ** n).denominator != 1:
         raise BoundViolation(

@@ -7,8 +7,7 @@ well-defined polynomial trace (see cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
 produce: (1+x)^r for rational r, sinh-quotients in the variable
-T = (1/2)log(1+x), Gaussian-moment images, and the conversion between
-a lambda series and the exponential coefficients of its logarithm.
+T = (1/2)log(1+x) and Gaussian-moment images.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ from typing import Sequence
 
 from .arith import as_prime, inv_int, legendre, rat_residue
 from .errors import (
-    BadNormalization,
     DenominatorDivisibleByK,
     FactorialNotInvertible,
     InsufficientTerms,
-    MixedModulus,
     NonUnitDivisor,
     NonzeroConstantInExp,
 )
@@ -69,9 +66,6 @@ class RatSeries:
             raise InsufficientTerms(
                 f"series capped at degree {self.cap}, asked for {n}")
         return self.coeffs[n]
-
-    def truncate(self, cap: int) -> "RatSeries":
-        return RatSeries(self.coeffs, min(cap, self.cap))
 
     def _coerce(self, other):
         if isinstance(other, RatSeries):
@@ -187,26 +181,6 @@ def s_exp(a: RatSeries) -> RatSeries:
     return out
 
 
-def s_log(a: RatSeries) -> RatSeries:
-    """log of a series with constant term 1."""
-    if a.coeffs[0] != 1:
-        raise BadNormalization("log needs constant term 1")
-    h = a - 1
-    cap = a.cap
-    out = RatSeries.zero(cap)
-    term = RatSeries.const(-1, cap)
-    for n in range(1, cap + 1):
-        term = term * (-h)
-        out = out + term * Fraction(1, n)
-    return out
-
-
-def log1p(cap: int = DEFAULT_CAP) -> RatSeries:
-    """log(1+x) as a truncated series."""
-    return RatSeries(
-        [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, cap + 1)], cap)
-
-
 def q_power(r, cap: int = DEFAULT_CAP) -> RatSeries:
     """(1+x)^r for rational r, via the binomial series."""
     r = _frac(r)
@@ -214,11 +188,6 @@ def q_power(r, cap: int = DEFAULT_CAP) -> RatSeries:
     for n in range(1, cap + 1):
         cs.append(cs[-1] * (r - (n - 1)) / n)
     return RatSeries(cs, cap)
-
-
-def half_log_t(cap: int = DEFAULT_CAP) -> RatSeries:
-    """T(x) = (1/2) log(1+x), the substitution variable."""
-    return log1p(cap) * Fraction(1, 2)
 
 
 @lru_cache(maxsize=32)
@@ -242,7 +211,8 @@ def _half_log_powers(cap: int) -> tuple:
 def at_half_log(s: RatSeries) -> RatSeries:
     """s(T) re-expanded in x, where T = (1/2)log(1+x); same cap as s.
 
-    Equal to s.compose(half_log_t(s.cap)), but one triangular
+    Equal to the Horner composition s.compose(T) with T written out as
+    sum_{n>=1} (-1)^(n+1) x^n / (2n), but computed as one triangular
     matrix-vector product against the cached powers of T, over the
     common denominator of the coefficients of s.
     """
@@ -290,65 +260,10 @@ class TruncPoly:
         self.K = K
         self.coeffs = tuple(cs)
 
-    def _coerce(self, other):
-        if isinstance(other, TruncPoly):
-            if other.K != self.K:
-                raise MixedModulus(f"primes differ: {self.K} vs {other.K}")
-            return other
-        if isinstance(other, int):
-            return TruncPoly([other], self.K)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return TruncPoly(
-            [a + b for a, b in zip(self.coeffs, o.coeffs)], self.K)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncPoly([-c for c in self.coeffs], self.K)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        d = len(self.coeffs)
-        out = [0] * d
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(d - i):
-                    out[i + j] += a * o.coeffs[j]
-        return TruncPoly(out, self.K)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncPoly":
-        result = TruncPoly([1], self.K)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.coeffs == o.coeffs
+        if not isinstance(other, TruncPoly):
+            return NotImplemented
+        return self.K == other.K and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.K, self.coeffs))
@@ -418,35 +333,4 @@ def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
     scalar *= pow(inv_int(2, K), 2 * m, K)
     scalar = scalar * (factorial(2 * m) % K) % K
     scalar = scalar * inv_int(factorial(m) % K, K) % K
-    return x_over_log_pow(m, K) * scalar
-
-
-def lambda_from_S(S: Sequence, cap: int = DEFAULT_CAP) -> RatSeries:
-    """Convert exponential coefficients S_1..S_N into a lambda series.
-
-    S lists the coefficients of T^n (n starting at 1) in the exponent,
-    where T = (1/2)log(1+x).  The result is
-    [T/sinh(T)] * exp(sum S_n T^n) re-expanded in x.
-    """
-    t_over_sinh = s_div(RatSeries.const(1, cap), sinh_over_t(cap))
-    expo = RatSeries([0] + [_frac(v) for v in S], cap)
-    lam_t = t_over_sinh * s_exp(expo)
-    return at_half_log(lam_t)
-
-
-def S_from_lambda(lam: RatSeries, cap: int = DEFAULT_CAP) -> RatSeries:
-    """Invert lambda_from_S: recover the exponent coefficients.
-
-    Substitutes x = e^{2t} - 1, multiplies by sinh(t)/t and takes the
-    series logarithm; coefficient of t^n is S_n.  The input must have
-    constant term 1.
-    """
-    if lam.coeffs[0] != 1:
-        raise BadNormalization(
-            f"lambda_0 = {lam.coeffs[0]}, expected exactly 1")
-    t_cap = min(cap, lam.cap)
-    x_of_t = RatSeries(
-        [0] + [Fraction(2 ** n, factorial(n)) for n in range(1, t_cap + 1)],
-        t_cap)
-    lam_t = RatSeries(lam.coeffs, t_cap).compose(x_of_t)
-    return s_log(lam_t * sinh_over_t(t_cap))
+    return TruncPoly([c * scalar for c in x_over_log_pow(m, K).coeffs], K)

@@ -15,7 +15,6 @@ from so3inv.cyclotomic import (
     divide_exact,
     eval_complex,
     from_counts,
-    from_xpoly,
     gauss_sum,
     invert_unit,
     odd_gauss_moment,
@@ -59,11 +58,16 @@ def test_pascal_bijection_examples():
 
 
 def test_pascal_bijection_roundtrip():
+    # substitute x = q - 1 back into the x-expansion, in Z[q]
     rng = random.Random(11)
     for K in SMALL_PRIMES:
+        xq = qpow(1, K) - 1
         for _ in range(10):
             a = CycInt([rng.randint(-9, 9) for _ in range(K - 1)], K)
-            assert from_xpoly(to_xpoly(a)) == a
+            back = CycInt.zero(K)
+            for n, c in enumerate(to_xpoly(a).coeffs):
+                back = back + xq ** n * c
+            assert back == a
 
 
 def test_x_order_examples():
@@ -110,8 +114,13 @@ def test_diamond_is_ring_hom():
         for _ in range(4):
             a = CycInt([rng.randint(-20, 20) for _ in range(K - 1)], K)
             b = CycInt([rng.randint(-20, 20) for _ in range(K - 1)], K)
-            assert diamond(a + b) == diamond(a) + diamond(b)
-            assert diamond(a * b) == diamond(a) * diamond(b)
+            da, db = diamond(a).coeffs, diamond(b).coeffs
+            d = len(da)
+            add = [x + y for x, y in zip(da, db)]
+            conv = [sum(da[i] * db[n - i] for i in range(n + 1))
+                    for n in range(d)]  # truncated at degree (K-1)/2
+            assert diamond(a + b) == TruncPoly(add, K)
+            assert diamond(a * b) == TruncPoly(conv, K)
 
 
 def test_diamond_of_constant():
@@ -445,7 +454,6 @@ def test_galois_matches_qpow_sum():
         for j in range(K + 2):
             want = _ref_sum([(i * j, c) for i, c in enumerate(a.coeffs)], K)
             assert a.galois(j) == want
-        assert a.conj() == a.galois(-1)
 
 
 def test_odd_gauss_moment_matches_qpow_sum():

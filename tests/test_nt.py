@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from so3inv.arith import rat_residue
+from so3inv.arith import rat_residue, sign
 from so3inv.errors import (
     DenominatorDivisibleByK,
     HZero,
@@ -21,7 +21,6 @@ from so3inv.nt import (
     cf_expand,
     dedekind_sum,
     h1_order,
-    phi_chain_check,
     rademacher_phi,
     t_power_s,
 )
@@ -140,11 +139,18 @@ def test_rademacher_phi_s_composition():
 
 
 def test_phi_chain_check_sweep():
+    # the phase of a resolved chain is the sum of its exponents, minus
+    # 3 times the sign of each tail's framing ratio at every junction
     for p in range(2, 31):
         for q in range(1, p):
-            if gcd(p, q) == 1:
-                assert phi_chain_check(p, q)
-                assert phi_chain_check(-p, q)
+            if gcd(p, q) != 1:
+                continue
+            for pp in (p, -p):
+                ch = Chain(cf_expand(pp, q))
+                want = sum(ch.ms) - 3 * sum(
+                    sign(ch.tails[t].p * ch.tails[t].q)
+                    for t in range(2, len(ch.ms) + 1))
+                assert rademacher_phi(ch.matrix) == want
 
 
 def test_seifert_data():

@@ -10,7 +10,7 @@ from so3inv.arith import odd_primes
 from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (BoundViolation, InsufficientModulus,
                            InsufficientTerms, So3InvError)
-from so3inv.nt import SeifertData
+from so3inv.nt import SeifertData, h1_order
 from so3inv.ohtsuki import (check_bounds, closed_lambda_series, diamond_side,
                             reconstruct_lambda, vee_side, verify_identity)
 from so3inv.series import LambdaSeries, TruncPoly
@@ -146,6 +146,20 @@ def test_denominator_bound_checks():
     check_bounds("x", 1, 3, Fraction(1, 6))
     with pytest.raises(BoundViolation):
         check_bounds("x", 1, 1, Fraction(1, 3))  # 3 > 2n with h1 = 1
+    with pytest.raises(BoundViolation):
+        check_bounds("x", 7, 1, Fraction(1, 17))  # 17 > 2n = 14
+
+
+def test_closed_forms_pass_bounds_through_n20():
+    family = list(_lens_family(12)) + [POINCARE] + [SeifertData(f) for f in (
+        [(3, 1), (4, 1), (5, 1)], [(-2, 1), (3, 1), (5, 1)],
+        [(2, 1), (4, 1), (5, 2)], [(2, 1), (3, 1), (5, 1)],
+        [(2, -1), (3, 2), (5, 1)], [(3, 2), (4, 3), (5, 4)])]
+    assert len(family) == 99
+    for m in family:
+        lam = closed_lambda_series(m, 20)
+        for n in range(21):
+            check_bounds(lam.manifold, n, h1_order(m), lam[n])
 
 
 # ---------------------------------------------------------------------------

@@ -155,11 +155,3 @@ def test_phase_irreducible_leftovers():
     ph2.times_magnitude(Fraction(1, 2), 0)
     with pytest.raises(PhaseNotReducible):
         ph2.reduce()
-
-
-def test_phase_numeric_embedding():
-    ph = ExtendedPhase(5)
-    ph.times_i()
-    ph.times_magnitude(Fraction(3), 1)
-    z = ph.eval_complex()
-    assert abs(z - 3j * 5 ** 0.5) < 1e-12
