@@ -230,7 +230,14 @@ def _invariant_task(task):
             f"{num.real:.12e}{num.imag:+.12e}j")
 
 
+# the numeric column prints 13 significant digits; two more guard them
+MIN_PRECISION = 15
+
+
 def cmd_invariant(args) -> int:
+    if args.precision < MIN_PRECISION:
+        raise UsageError(f"--precision: need at least {MIN_PRECISION} "
+                         f"digits, got {args.precision}")
     manifolds = gather_manifolds(args)
     if not manifolds:
         raise UsageError("no manifolds given")
@@ -363,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--k", required=True, metavar="PRIMES",
                      help="prime or prime list/range, e.g. 7 or 5..13")
     inv.add_argument("--precision", type=int, default=50,
-                     help="decimal digits for the numeric column")
+                     help="working decimal digits for the numeric column "
+                          f"(at least {MIN_PRECISION}; 13 are printed)")
     _add_output_flags(inv)
     inv.set_defaults(func=cmd_invariant)
 

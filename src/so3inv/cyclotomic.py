@@ -327,10 +327,27 @@ def sine_quotient(c: int, K: int) -> CycInt:
     return _fold(full, K)
 
 
+_Q_POWERS: dict = {}
+
+
+def _q_powers(K: int) -> tuple:
+    """(q ** i for i in range(K - 1)), q = exp(2*pi*i/K), at mpmath's
+    working precision; built once per (K, mpmath.mp.prec)."""
+    import mpmath
+
+    key = (K, mpmath.mp.prec)
+    powers = _Q_POWERS.get(key)
+    if powers is None:
+        q = mpmath.e ** (2j * mpmath.pi / K)
+        powers = _Q_POWERS[key] = tuple(q ** i for i in range(K - 1))
+    return powers
+
+
 def eval_complex(a: CycInt, precision: int = 50):
     """Embed into C with q = exp(2*pi*i/K), at `precision` digits."""
     import mpmath
 
     with mpmath.workdps(precision):
-        q = mpmath.e ** (2j * mpmath.pi / a.K)
-        return complex(sum(c * q ** i for i, c in enumerate(a.coeffs) if c))
+        powers = _q_powers(a.K)
+        return complex(sum(c * powers[i]
+                           for i, c in enumerate(a.coeffs) if c))

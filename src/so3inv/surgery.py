@@ -15,7 +15,11 @@ The numeric paths run through mpmath at a working precision that grows
 with K (50 + 2K digits unless overridden); at that precision plain
 summation is already far more accurate than any compensated
 double-precision scheme, so the 1e-9 cross-check tolerances hold with
-a large margin even near K = 100.  Evaluations are pure functions of
+a large margin even near K = 100.  The sums read every root of unity,
+sine and color factor from tables built once per (order, mpmath.mp.prec)
+with the same mpmath call a term would make, so values are bit-identical
+to per-term evaluation; the tables grow only with the levels and
+precisions a process uses.  Evaluations are pure functions of
 (manifold, K); callers that want parallelism batch independent
 (manifold, K) tasks across processes (see the command-line driver).
 """
@@ -75,9 +79,42 @@ def _chain_data(p: int, q: int, K=None):
     return ch.matrix, rademacher_phi(ch.matrix)
 
 
-def _qc(K: int, e: int):
-    """q^e at the root of unity, e an integer."""
-    return mpmath.expjpi(mpmath.mpf(2 * (e % K)) / K)
+# Tables of the few transcendental values the sums read, keyed by
+# (level, mpmath.mp.prec) so that a table never serves another precision.
+_ROOTS: dict = {}
+_SINES: dict = {}
+_COLORS: dict = {}
+
+
+def _unit_roots(n: int) -> tuple:
+    """(exp(2*pi*i*e/n) for e in range(n)) at the working precision."""
+    key = (n, mpmath.mp.prec)
+    roots = _ROOTS.get(key)
+    if roots is None:
+        roots = _ROOTS[key] = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / n)
+                                    for e in range(n))
+    return roots
+
+
+def _sines(K: int) -> tuple:
+    """(sin(pi*y/K) for y in range(2K)) at the working precision."""
+    key = (K, mpmath.mp.prec)
+    sines = _SINES.get(key)
+    if sines is None:
+        sines = _SINES[key] = tuple(mpmath.sinpi(mpmath.mpf(y) / K)
+                                    for y in range(2 * K))
+    return sines
+
+
+def _color_factors(K: int) -> tuple:
+    """((q^-e - q^e) * i/2 for e in range(K)) at the working precision."""
+    key = (K, mpmath.mp.prec)
+    colors = _COLORS.get(key)
+    if colors is None:
+        r = _unit_roots(K)
+        colors = _COLORS[key] = tuple(0.5j * (r[(-e) % K] - r[e])
+                                      for e in range(K))
+    return colors
 
 
 def _chain_element(p: int, q: int, s: int, phi: int, K: int,
@@ -86,12 +123,15 @@ def _chain_element(p: int, q: int, s: int, phi: int, K: int,
     pref = (mpmath.mpc(0, 1) / mpmath.sqrt(2 * K * q)
             * mpmath.expjpi(mpmath.mpf(-phi) / 4))
     den = 2 * K * q
+    # exp(i*pi*m/den) is root m of order 2*den: mpf(2m)/(2den) rounds
+    # to the same mpf as mpf(m)/den
+    roots = _unit_roots(2 * den)
     tot = mpmath.mpc(0)
     for n in range(q):
         for mu in (1, -1):
             w = 2 * K * n + mu * beta
             num = p * alpha * alpha - 2 * alpha * w + s * w * w
-            tot += mu * mpmath.expjpi(mpmath.mpf(num % (2 * den)) / den)
+            tot += mu * roots[num % (2 * den)]
     return pref * tot
 
 
@@ -147,18 +187,18 @@ def _z_star(S: SeifertData, K: int):
         data.append((p, q, mat.s, phi))
         phis.append(phi)
     pref = _full_level_prefactor(phis, sig, K)
-    sin1 = mpmath.sinpi(mpmath.mpf(1) / K)
+    sines = _sines(K)
     tot = mpmath.mpc(0)
     for beta in range(1, K):
         inner = mpmath.mpc(1)
         for (p, q, s, phi) in data:
             acc = mpmath.mpc(0)
             for a in range(1, K):
-                acc += (mpmath.sinpi(mpmath.mpf(beta * a % (2 * K)) / K)
+                acc += (sines[beta * a % (2 * K)]
                         * _chain_element(p, q, s, phi, K, a, 1))
             inner *= acc
         central = _chain_element(0, 1, central_mat.s, central_phi, K, beta, 1)
-        denom = mpmath.sinpi(mpmath.mpf(beta) / K) ** (n - 1) * sin1
+        denom = sines[beta] ** (n - 1) * sines[1]
         tot += central * inner / denom
     return pref * tot
 
@@ -167,10 +207,10 @@ def _numeric_presentation(M, K):
     """(surgery coefficients, numeric link evaluation, signature)."""
     if isinstance(M, Lens):
         (pp, qq), sig = _lens_presentation(M.p, M.q)
+        sines = _sines(K)
 
         def jones(al):
-            return (mpmath.sinpi(mpmath.mpf(al[0] % (2 * K)) / K)
-                    / mpmath.sinpi(mpmath.mpf(1) / K))
+            return sines[al[0] % (2 * K)] / sines[1]
 
         return [(pp, qq)], jones, sig
     if isinstance(M, P1Surgery):
@@ -221,13 +261,9 @@ def _zprime_data(surg, K):
 def _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K):
     pref *= mpmath.expjpi(mpmath.mpf(-kap * sig) / 4)
     pref *= mpmath.expjpi(mpmath.mpf(-3 * (K - 2) * sig) / (4 * K))
-    pref *= _qc(K, -t4 * sum(phis))
+    pref *= _unit_roots(K)[-t4 * sum(phis) % K]
     pref *= (-1) ** (sig_weight % 2)
     return pref
-
-
-def _color_factor(qstar, a, t2, K):
-    return 0.5j * (_qc(K, -t2 * qstar * a) - _qc(K, t2 * qstar * a))
 
 
 def _zprime_generic(surg, jones, sig, K):
@@ -236,15 +272,16 @@ def _zprime_generic(surg, jones, sig, K):
     data, pref, t4, kap, sig_weight, phis = _zprime_data(surg, K)
     pref = _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K)
     t2 = inv_int(2, K)
+    roots, colors = _unit_roots(K), _color_factors(K)
     tot = mpmath.mpc(0)
     for al in itertools.product(odd_window(K), repeat=len(surg)):
         term = jones(al)
         if term == 0:
             continue
         e = sum(qs * (p * a * a + s) for (p, q, qs, s), a in zip(data, al))
-        term *= _qc(K, t4 * e)
+        term *= roots[t4 * e % K]
         for (p, q, qs, s), a in zip(data, al):
-            term *= _color_factor(qs, a, t2, K)
+            term *= colors[t2 * qs * a % K]
         tot += term
     return pref * tot
 
@@ -258,7 +295,7 @@ def _zprime_star(S: SeifertData, K: int):
     data, pref, t4, kap, sig_weight, phis = _zprime_data(surg, K)
     pref = _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K)
     t2 = inv_int(2, K)
-    sin1 = mpmath.sinpi(mpmath.mpf(1) / K)
+    roots, sines, colors = _unit_roots(K), _sines(K), _color_factors(K)
     window = [a for a in odd_window(K) if a != K]
     inner_cache = []
     for (p, q, qs, s) in data[1:]:
@@ -266,17 +303,17 @@ def _zprime_star(S: SeifertData, K: int):
         for beta in window:
             acc = mpmath.mpc(0)
             for a in odd_window(K):
-                sv = mpmath.sinpi(mpmath.mpf(beta * a % (2 * K)) / K)
+                sv = sines[beta * a % (2 * K)]
                 if sv == 0:
                     continue
-                acc += (sv * _qc(K, t4 * qs * (p * a * a + s))
-                        * _color_factor(qs, a, t2, K))
+                acc += (sv * roots[t4 * qs * (p * a * a + s) % K]
+                        * colors[t2 * qs * a % K])
             col[beta] = acc
         inner_cache.append(col)
     tot = mpmath.mpc(0)
     for beta in window:
-        term = _color_factor(1, beta, t2, K)  # central (0,1): q* = 1, s = 0
-        term /= mpmath.sinpi(mpmath.mpf(beta % (2 * K)) / K) ** (n - 1) * sin1
+        term = colors[t2 * beta % K]  # central (0,1): q* = 1, s = 0
+        term /= sines[beta % (2 * K)] ** (n - 1) * sines[1]
         for col in inner_cache:
             term *= col[beta]
         tot += term

@@ -96,6 +96,23 @@ def test_invariant_bad_lens_spec(capsys):
     assert code == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize("precision", ["0", "-5", "10"])
+def test_invariant_low_precision_is_usage_error(capsys, precision):
+    # each of these used to exit 0 with wrong digits in the numeric column
+    code, out, err = run(capsys, "invariant", "--lens", "3,1", "--k", "7",
+                         f"--precision={precision}")
+    assert code == 2 and "usage error" in err and "--precision" in err
+    assert out == ""
+
+
+def test_invariant_minimum_precision_prints_true_digits(capsys):
+    code, out, _ = run(capsys, "invariant", "--lens", "3,1", "--k", "7",
+                       "--precision", "15")
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[5] == (
+        "-1.123489801859e+00+1.408811651299e+00j")
+
+
 def test_invariant_computation_error(capsys):
     code, _, err = run(capsys, "invariant", "--lens", "0,1", "--k", "5")
     assert code == 3 and "computation failed" in err

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import so3inv.nt
+from so3inv import cyclotomic, surgery
 from so3inv.arith import inv_int
-from so3inv.closedform import ExtendedPhase
+from so3inv.closedform import ExtendedPhase, seifert_zprime
 from so3inv.cyclotomic import CycInt, eval_complex, qpow
 from so3inv.errors import (ChainDegenerate, DivisibilityFailure, NotCoprime,
                            NotRHS, PhaseNotReducible)
@@ -57,6 +59,50 @@ def test_seifert_star_matches_chain_presentation():
     star = zprime_numeric(SeifertData([(5, 2)]), 7)
     chain = zprime_numeric(Lens(2, 5), 7)
     assert abs(star - chain) < 1e-12
+
+
+def test_seifert_star_full_invariant_matches_chain_presentation():
+    # the same check for z_numeric's star sum, X(p/q) against L(q, p);
+    # kirby_melvin_check alone would also pass if z_numeric were 0 at
+    # both levels (and it is 0 for L(2, q): tau_3 vanishes there)
+    for p, q in ((5, 3), (7, 3), (4, 3)):
+        for K in (5, 7, 9):
+            star = z_numeric(SeifertData([(p, q)]), K)
+            chain = z_numeric(Lens(q, p), K)
+            assert abs(star - chain) < 1e-12 and abs(chain) > 1
+
+
+def test_seifert_oracle_at_k101():
+    got = eval_complex(seifert_zprime(POINCARE, 101))
+    assert abs(got - zprime_numeric(POINCARE, 101)) < 1e-9
+
+
+@pytest.mark.parametrize("order", [(20, 60), (60, 20)])
+def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
+    # every table entry is the very mpmath call it replaces, at the
+    # precision in force: a table shared across precisions fails here
+    for name in ("_ROOTS", "_SINES", "_COLORS"):
+        monkeypatch.setattr(surgery, name, {})
+    monkeypatch.setattr(cyclotomic, "_Q_POWERS", {})
+    for dps in order:
+        with mpmath.workdps(dps):
+            for K in (5, 7, 13, 101):
+                roots = surgery._unit_roots(K)
+                direct = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / K)
+                               for e in range(K))
+                assert roots == direct
+                assert surgery._color_factors(K) == tuple(
+                    0.5j * (direct[(-e) % K] - direct[e]) for e in range(K))
+                assert surgery._sines(K) == tuple(
+                    mpmath.sinpi(mpmath.mpf(y) / K) for y in range(2 * K))
+                q = mpmath.e ** (2j * mpmath.pi / K)
+                assert cyclotomic._q_powers(K) == tuple(
+                    q ** i for i in range(K - 1))
+                # the chain elements read roots of order 2 * den
+                den = 2 * K * 3
+                assert surgery._unit_roots(2 * den) == tuple(
+                    mpmath.expjpi(mpmath.mpf(m) / den)
+                    for m in range(2 * den))
 
 
 def test_kirby_melvin_factorization():
