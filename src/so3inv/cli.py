@@ -304,18 +304,17 @@ def cmd_lambda(args) -> int:
     manifolds = gather_manifolds(args)
     if not manifolds:
         raise UsageError("no manifolds given")
+    if args.nmax < 0:
+        raise UsageError(f"--nmax: need at least 0, got {args.nmax}")
     rows = []
     status = 0
     for m in sorted(manifolds, key=manifold_label):
         h1 = h1_order(m)
-        series = []
-        if not args.reconstruct or not isinstance(m, P1Surgery):
-            series.append(closed_lambda_series(m, args.nmax))
+        series = [closed_lambda_series(m, args.nmax)]
         if args.reconstruct:
             rec = reconstruct_lambda(m, args.primes, args.nmax)
             series.append(rec)
-            if len(series) == 2 and any(
-                    series[0][n] != rec[n] for n in range(args.nmax + 1)):
+            if any(series[0][n] != rec[n] for n in range(args.nmax + 1)):
                 print(f"cross-path mismatch for {manifold_label(m)}",
                       file=sys.stderr)
                 status = 3

@@ -3,7 +3,10 @@
 Colors are odd integers.  All tables satisfy the symmetries needed by
 the surgery sums: oddness under negation, periodicity with period 2K,
 multiplicativity over split components, and value 1 on the empty
-link.  Built-in tables cover the unknot and split unlinks.
+link.  The registered tables, the unknot and split unlinks, are split
+links of unknots: integer surgery on one is a connected sum, which the
+exact route of `surgery.exact_p1` computes one component at a time,
+and the numeric oracle evaluates them from its own sine table.
 expansion_check verifies the structural bounds on the color expansion
 of a table around t = 0.
 """
@@ -14,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
-from .cyclotomic import CycInt, eval_complex, invert_unit, sine_quotient
+from .cyclotomic import CycInt, invert_unit, sine_quotient
 from .errors import BoundViolation, EvenColor, So3InvError
 from .series import RatSeries, s_div, sinh_quotient_u
 
@@ -75,10 +78,6 @@ class JonesTable:
         if not colors:
             return CycInt.one(K)
         return self._exact(tuple(colors), K)
-
-    def numeric(self, colors: Sequence[int], K: int,
-                precision: int = 50) -> complex:
-        return eval_complex(self.exact(colors, K), precision)
 
     def t_series(self, colors: Sequence[int], cap: int) -> RatSeries:
         self._check_arity(colors)

@@ -61,12 +61,22 @@ def closed_zprime(m, K) -> CycInt:
 
 
 def closed_lambda_series(m, n_max: int) -> LambdaSeries:
+    """The closed-form series; a P1 surgery on a split link is the
+    connected sum of the L(-p_j, 1), and the series is multiplicative
+    under connected sum (Kirby-Melvin, Invent. Math. 105 (1991))."""
     from .closedform import lens_lambda_series, seifert_lambda_series
 
     if isinstance(m, Lens):
         return lens_lambda_series(m.p, m.q, n_max)
     if isinstance(m, SeifertData):
         return seifert_lambda_series(m, n_max)
+    if isinstance(m, P1Surgery):
+        acc = RatSeries.const(1, n_max)
+        for p in m.framings:
+            acc = acc * RatSeries(lens_lambda_series(-p, 1, n_max).values,
+                                  n_max)
+        return LambdaSeries(manifold_label(m), n_max, acc.coeffs,
+                            "closed-form")
     raise NoClosedForm(f"no closed-form series for {m!r}")
 
 

@@ -6,10 +6,13 @@ summation over colors 1..K-1 per surgery component, with the chain
 matrix elements in closed form; it accepts any odd K >= 3 so that the
 level-one right factor of kirby_melvin_check can be computed.
 zprime_numeric evaluates the odd-color invariant Z'(M) the same way,
-summing over the odd color window; exact_p1 re-derives Z' for
-integer-framed presentations entirely inside Z[q], dividing out the
-guaranteed power of x = q - 1 step by step and failing loudly if the
-divisibility is violated.
+summing over the odd color window, jointly over all components; the
+Jones values of integer-framed (P1) surgeries come from the same sine
+table as the lens ones, not from the Z[q] code.  exact_p1 re-derives
+Z' for a P1 surgery entirely inside Z[q], one component at a time
+(every registered table is a split link, so the surgery is a connected
+sum), dividing out the guaranteed power of x = q - 1 step by step and
+failing loudly if the divisibility is violated.
 
 The numeric paths run through mpmath at a working precision that grows
 with K (50 + 2K digits unless overridden); at that precision plain
@@ -60,14 +63,14 @@ def _odd_k(K) -> int:
 
 
 def _lens_presentation(p: int, q: int):
-    """Surgery coefficient and linking-matrix signature for L(p, q)."""
+    """Surgery coefficients and linking-matrix signature for L(p, q)."""
     pp, qq = -p, q
     if qq == 0:
         # only L(+-1, 0); re-present with the homeomorphic slope q + p
         qq = abs(pp)
     if qq < 0:
         pp, qq = -pp, -qq
-    return (pp, qq), sign(pp)
+    return [(pp, qq)], sign(pp)
 
 
 def _chain_data(p: int, q: int, K=None):
@@ -135,9 +138,14 @@ def _chain_element(p: int, q: int, s: int, phi: int, K: int,
     return pref * tot
 
 
-def _full_level_prefactor(phis, sig, K):
-    e = Fraction(K - 2, K) * (sum(phis) - 3 * sig)
-    return mpmath.expjpi(mpmath.mpf(e.numerator) / (4 * e.denominator))
+def _z_prelude(surg, sig, K):
+    """Per-component (p, q, s, phi) and the full-level prefactor."""
+    data = []
+    for (p, q) in surg:
+        mat, phi = _chain_data(p, q)
+        data.append((p, q, mat.s, phi))
+    e = Fraction(K - 2, K) * (sum(d[3] for d in data) - 3 * sig)
+    return data, mpmath.expjpi(mpmath.mpf(e.numerator) / (4 * e.denominator))
 
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
@@ -155,13 +163,7 @@ def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
 def _z_generic(surg, jones, sig, K):
     if not surg:
         return mpmath.mpc(1)
-    data = []
-    phis = []
-    for (p, q) in surg:
-        mat, phi = _chain_data(p, q)
-        data.append((p, q, mat.s, phi))
-        phis.append(phi)
-    pref = _full_level_prefactor(phis, sig, K)
+    data, pref = _z_prelude(surg, sig, K)
     tot = mpmath.mpc(0)
     for al in itertools.product(range(1, K), repeat=len(surg)):
         term = jones(al)
@@ -173,20 +175,20 @@ def _z_generic(surg, jones, sig, K):
     return pref * tot
 
 
+def _star_prelude(S: SeifertData):
+    """The central (0, 1) vertex then the fibers with q made positive,
+    and the star's signature."""
+    fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in S.fractions]
+    sig = -sign(S.H * S.P) + sum(sign(p * q) for (p, q) in fibers)
+    return [(0, 1)] + fibers, sig
+
+
 def _z_star(S: SeifertData, K: int):
     """Star presentation of z_numeric, factorized per fiber at fixed
     central color: O(N * K^2) instead of O(K^(N+1))."""
-    fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in S.fractions]
-    n = len(fibers)
-    sig = -sign(S.H * S.P) + sum(sign(p * q) for (p, q) in fibers)
-    central_mat, central_phi = _chain_data(0, 1)
-    data = []
-    phis = [central_phi]
-    for (p, q) in fibers:
-        mat, phi = _chain_data(p, q)
-        data.append((p, q, mat.s, phi))
-        phis.append(phi)
-    pref = _full_level_prefactor(phis, sig, K)
+    data, pref = _z_prelude(*_star_prelude(S), K)
+    central, data = data[0], data[1:]
+    n = len(data)
     sines = _sines(K)
     tot = mpmath.mpc(0)
     for beta in range(1, K):
@@ -197,33 +199,30 @@ def _z_star(S: SeifertData, K: int):
                 acc += (sines[beta * a % (2 * K)]
                         * _chain_element(p, q, s, phi, K, a, 1))
             inner *= acc
-        central = _chain_element(0, 1, central_mat.s, central_phi, K, beta, 1)
         denom = sines[beta] ** (n - 1) * sines[1]
-        tot += central * inner / denom
+        tot += _chain_element(*central, K, beta, 1) * inner / denom
     return pref * tot
 
 
 def _numeric_presentation(M, K):
-    """(surgery coefficients, numeric link evaluation, signature)."""
+    """(surgery coefficients, numeric link evaluation, signature).
+
+    The links, the unknot and the registered split unlinks, evaluate to
+    [a_1]...[a_N] = prod sin(pi*a_j/K) / sin(pi/K), from the sine table.
+    """
     if isinstance(M, Lens):
-        (pp, qq), sig = _lens_presentation(M.p, M.q)
-        sines = _sines(K)
-
-        def jones(al):
-            return sines[al[0] % (2 * K)] / sines[1]
-
-        return [(pp, qq)], jones, sig
-    if isinstance(M, P1Surgery):
-        table = get_table(M.jones)
+        surg, sig = _lens_presentation(M.p, M.q)
+    elif isinstance(M, P1Surgery):
         surg = [(p, 1) for p in M.framings]
         sig = sum(sign(p) for p in M.framings)
-        dps = mpmath.mp.dps
+    else:
+        raise NotRHS(f"unsupported manifold spec {M!r}")
+    sines = _sines(K)
 
-        def jones(al):
-            return table.numeric(al, K, precision=dps)
+    def jones(al):
+        return prod(sines[a % (2 * K)] for a in al) / sines[1] ** len(al)
 
-        return surg, jones, sig
-    raise NotRHS(f"unsupported manifold spec {M!r}")
+    return surg, jones, sig
 
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
@@ -241,7 +240,8 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
         return complex(val)
 
 
-def _zprime_data(surg, K):
+def _zprime_prelude(surg, sig, K):
+    """Per-component (p, q, q*, s), the odd-color prefactor, and 4*."""
     t4 = inv_int(4, K)
     data = []
     phis = []
@@ -253,24 +253,17 @@ def _zprime_data(surg, K):
     for (p, q) in surg:
         pref *= sign(q)
     pref *= mpmath.mpf(K) ** (mpmath.mpf(-len(surg)) / 2)
-    kap = kappa_of(K)
-    sig_weight = sum(sign(p * q) for (p, q) in surg)
-    return data, pref, t4, kap, sig_weight, phis
-
-
-def _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K):
-    pref *= mpmath.expjpi(mpmath.mpf(-kap * sig) / 4)
+    pref *= mpmath.expjpi(mpmath.mpf(-kappa_of(K) * sig) / 4)
     pref *= mpmath.expjpi(mpmath.mpf(-3 * (K - 2) * sig) / (4 * K))
     pref *= _unit_roots(K)[-t4 * sum(phis) % K]
-    pref *= (-1) ** (sig_weight % 2)
-    return pref
+    pref *= (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
+    return data, pref, t4
 
 
 def _zprime_generic(surg, jones, sig, K):
     if not surg:
         return mpmath.mpc(1)
-    data, pref, t4, kap, sig_weight, phis = _zprime_data(surg, K)
-    pref = _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K)
+    data, pref, t4 = _zprime_prelude(surg, sig, K)
     t2 = inv_int(2, K)
     roots, colors = _unit_roots(K), _color_factors(K)
     tot = mpmath.mpc(0)
@@ -288,12 +281,9 @@ def _zprime_generic(surg, jones, sig, K):
 
 def _zprime_star(S: SeifertData, K: int):
     """Odd-color star sum factorized per fiber at fixed central color."""
-    fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in S.fractions]
-    n = len(fibers)
-    sig = -sign(S.H * S.P) + sum(sign(p * q) for (p, q) in fibers)
-    surg = [(0, 1)] + fibers
-    data, pref, t4, kap, sig_weight, phis = _zprime_data(surg, K)
-    pref = _zprime_prefactor(pref, phis, sig, t4, kap, sig_weight, K)
+    surg, sig = _star_prelude(S)
+    n = len(surg) - 1
+    data, pref, t4 = _zprime_prelude(surg, sig, K)
     t2 = inv_int(2, K)
     roots, sines, colors = _unit_roots(K), _sines(K), _color_factors(K)
     window = [a for a in odd_window(K) if a != K]
@@ -342,48 +332,48 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
 def exact_p1(M: P1Surgery, K) -> CycInt:
     """Exact Z' for an integer-framed presentation, inside Z[q].
 
-    The color sum S carries a guaranteed factor x^(N(K-1)/2); it is
-    divided out by exact division (DivisibilityFailure if violated),
-    and the result is assembled with the unit u and a +-1 phase.
+    Every registered table is a split link, so the surgery is a
+    connected sum and Z' is the product of one factor per component
+    (`_p1_factor`); the empty surgery gives 1.
     """
     K = as_prime(K)
-    ps = M.framings
-    n = len(ps)
-    if n == 0:
-        return CycInt.one(K)
-    if any(p % K == 0 for p in ps):
+    if any(p % K == 0 for p in M.framings):
         raise NotCoprime(f"framing divisible by {K}")
     table = get_table(M.jones)
+    return prod((_p1_factor(table, p, K) for p in M.framings),
+                start=CycInt.one(K))
+
+
+def _p1_factor(table, p: int, K: int) -> CycInt:
+    """One component of exact_p1: its odd-color sum S.
+
+    S carries a guaranteed factor x^((K-1)/2); it is divided out by
+    exact division (DivisibilityFailure if violated), and the result is
+    assembled with the unit u, a +-1 phase, sign(p) and a power of q.
+    """
     t4 = inv_int(4, K)
-    pstars = [even_inv(p, K) for p in ps]
+    pst = even_inv(p, K)
     # sum of jv * q^e, as exponent counts: q^e rotates jv by e slots
     full = [0] * K
-    for al in itertools.product(odd_window(K), repeat=n):
-        shifted = tuple(a + pst for a, pst in zip(al, pstars))
-        jv = table.exact(shifted, K)
-        if not any(jv.coeffs):
-            continue
-        e = t4 * sum(p * a * a for p, a in zip(ps, al))
-        for i, c in enumerate(jv.coeffs):
+    for a in odd_window(K):
+        e = t4 * p * a * a
+        for i, c in enumerate(table.exact((a + pst,), K).coeffs):
             full[(i + e) % K] += c
     S = from_counts(full, K)
-    need = n * (K - 1) // 2
-    if x_order(S) < min(K - 1, need):
+    need = (K - 1) // 2
+    if x_order(S) < need:
         raise DivisibilityFailure(
             f"x-adic order of the color sum is {x_order(S)}, "
-            f"needs at least {min(K - 1, need)}")
+            f"needs at least {need}")
     w = S
     try:
         for _ in range(need):
             w = divide_by_x(w)
     except IntegralityFailure as exc:
         raise DivisibilityFailure(str(exc)) from exc
-    kap = kappa_of(K)
-    tot = sum(sign(p) - 1 for p in ps)
-    num = (kap - 1) * tot
+    num = (kappa_of(K) - 1) * (sign(p) - 1)
     if num % 4:
         raise NonIntegralAssembly("phase exponent is not an integer")
     phase = -1 if (num // 4) % 2 else 1
-    sgn = prod(sign(p) for p in ps)
-    e2 = t4 * sum(3 * sign(p) - p - pst for p, pst in zip(ps, pstars))
-    return (w * unit_u(K) ** n) * qpow(e2, K) * (phase * sgn)
+    e2 = t4 * (3 * sign(p) - p - pst)
+    return w * unit_u(K) * qpow(e2, K) * (phase * sign(p))

@@ -175,22 +175,29 @@ def test_verify_deterministic_across_workers(capsys):
 
 
 def test_verify_nothing_verified_fails(capsys):
+    # every row is skipped: |H1| = 15 is divisible by both primes
+    code, out, err = run(capsys, "verify", "--lens", "15,2",
+                         "--primes", "3,5")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert [r[3] for r in rows] == ["skipped"] * 2
+    assert code == 3
+    assert "L(15,2)" in err
+
+
+def test_verify_skip_detail_names_error_class(capsys):
+    code, out, _ = run(capsys, "verify", "--lens", "7,3", "--primes", "5,7")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert code == 0 and [r[3] for r in rows] == ["equal", "skipped"]
+    assert rows[1][4].startswith("H1DivisibleByK: ")
+
+
+def test_verify_p1_checks_every_prime(capsys):
     code, out, err = run(capsys, "verify", "--p1", "unlink:-2,5",
                          "--primes", "7..13")
     rows = [l.split("\t") for l in out.splitlines()[1:]]
-    assert [r[3] for r in rows] == ["skipped"] * 3
-    assert code == 3
-    assert "S[unlink;-2,5]" in err
-
-
-def test_verify_skip_names_no_closed_form(capsys):
-    code, out, _ = run(capsys, "verify", "--p1", "unlink:-2,5",
-                       "--primes", "7..13")
-    rows = [l.split("\t") for l in out.splitlines()[1:]]
-    assert code == 3 and len(rows) == 3
-    for r in rows:
-        assert r[3] == "skipped"
-        assert r[4].startswith("NoClosedForm: no closed-form series for ")
+    assert code == 0 and err == ""
+    assert [(r[1], r[2], r[3]) for r in rows] == [
+        ("S[unlink;-2,5]", K, "equal") for K in ("7", "11", "13")]
 
 
 def test_verify_one_unverified_manifold_fails_the_run(capsys):
@@ -238,6 +245,22 @@ def test_lambda_reconstruct_agrees_with_closed_form(capsys):
     assert rec == closed
     assert all(r[4] for r in rows if r[3] == "reconstruction")
     assert all(r[5] == "ok" for r in rows)
+
+
+def test_lambda_p1_prints_closed_form_and_reconstruction(capsys):
+    code, out, _ = run(capsys, "lambda", "--p1", "unlink:-2,5", "--nmax", "3",
+                       "--reconstruct")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert code == 0
+    assert [r[3] for r in rows] == ["closed-form"] * 4 + ["reconstruction"] * 4
+    assert [r[2] for r in rows[:4]] == [r[2] for r in rows[4:]]
+
+
+@pytest.mark.parametrize("nmax", ["-1", "-7"])
+def test_lambda_negative_nmax_is_usage_error(capsys, nmax):
+    code, out, err = run(capsys, "lambda", "--lens", "5,2", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert "--nmax" in err
 
 
 def test_lambda_s3_trivial(capsys):

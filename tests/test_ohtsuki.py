@@ -9,10 +9,11 @@ import pytest
 from so3inv.arith import odd_primes
 from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (BoundViolation, InsufficientModulus,
-                           InsufficientTerms, So3InvError)
-from so3inv.nt import SeifertData, h1_order
-from so3inv.ohtsuki import (check_bounds, closed_lambda_series, diamond_side,
-                            reconstruct_lambda, vee_side, verify_identity)
+                           InsufficientTerms, NoClosedForm, So3InvError)
+from so3inv.nt import P1Surgery, SeifertData, h1_order, manifold_label
+from so3inv.ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
+                            diamond_side, reconstruct_lambda, vee_side,
+                            verify_identity)
 from so3inv.series import LambdaSeries, TruncPoly
 from so3inv.surgery import Lens
 
@@ -201,3 +202,27 @@ def test_reconstruction_seifert_x_2_4_5():
         warnings.simplefilter("ignore")
         rec = reconstruct_lambda(S, [7, 11, 13, 17, 19, 23], 4)
     assert rec.values == closed_lambda_series(S, 4).values
+
+
+@pytest.mark.parametrize("m", [
+    P1Surgery("unknot", (p,)) for p in (3, -3, 5, -2)] + [
+    P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3), (-3, 4))])
+def test_p1_closed_series_matches_reconstruction(m):
+    # split-link surgery is a connected sum of the L(-p_j, 1), and the
+    # series is the product of theirs; exact_p1 at each prime agrees
+    lam = closed_lambda_series(m, 8)
+    assert lam.provenance == "closed-form"
+    assert lam.manifold == manifold_label(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = reconstruct_lambda(m, odd_primes(7, 23), 8)
+    assert rec.values == lam.values
+
+
+@pytest.mark.parametrize("spec", ["L(5,2)", (5, 2), None])
+def test_closed_forms_reject_unsupported_spec(spec):
+    with pytest.raises(NoClosedForm):
+        closed_lambda_series(spec, 4)
+    with pytest.raises(NoClosedForm):
+        closed_zprime(spec, 7)
+

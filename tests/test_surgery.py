@@ -1,17 +1,21 @@
 """Oracle behavior: numeric surgery sums, exact integer-framing path."""
 
+import itertools
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
 
 import so3inv.nt
 from so3inv import cyclotomic, surgery
-from so3inv.arith import inv_int
+from so3inv.arith import even_inv, inv_int, kappa_of, odd_primes, sign
 from so3inv.closedform import ExtendedPhase, seifert_zprime
-from so3inv.cyclotomic import CycInt, eval_complex, qpow
+from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
+                               from_counts, odd_window, qpow, unit_u)
 from so3inv.errors import (ChainDegenerate, DivisibilityFailure, NotCoprime,
                            NotRHS, PhaseNotReducible)
+from so3inv.jones import JonesTable, get_table
 from so3inv.nt import SeifertData
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
                             z_numeric, zprime_numeric)
@@ -163,6 +167,77 @@ def test_exact_p1_two_components():
 def test_exact_p1_rejects_framing_divisible_by_k():
     with pytest.raises(NotCoprime):
         exact_p1(P1Surgery("unknot", (7,)), 7)
+    with pytest.raises(NotCoprime):
+        exact_p1(P1Surgery("unlink", (-2, 5)), 5)
+
+
+def test_exact_p1_rejects_indivisible_color_sum(monkeypatch):
+    # a link value at one color only leaves a lone q^e as the color
+    # sum, which x = q - 1 does not divide
+    def one_color(colors, K):
+        return CycInt.one(K) if colors[0] % (2 * K) == 1 else CycInt.zero(K)
+
+    fake = JonesTable("one-color", None, one_color)
+    monkeypatch.setattr(surgery, "get_table", lambda table_id: fake)
+    with pytest.raises(DivisibilityFailure):
+        exact_p1(P1Surgery("unknot", (3,)), 7)
+
+
+def _joint_color_sum(M, K):
+    """Z' of a P1 surgery from its joint K^N odd-color sum, in Z[q].
+
+    A color tuple's link value is the product of its one-color values
+    (the tables are split links).  The sum runs in Z[q]/(q^K - 1) by
+    Kronecker substitution: c_e >= 0 stand for the integer sum c_e * X^e
+    with X = 2^64, and q^K = 1 makes a product the integer product mod
+    X^K - 1, exact while every c_e stays below X (here below 2^30).  A
+    value is lifted to c_e >= 0 by adding a multiple of
+    1 + q + ... + q^(K-1), which is 0 in Z[q].
+    """
+    ps, X = M.framings, 1 << 64
+    t4 = inv_int(4, K)
+    pstars = [even_inv(p, K) for p in ps]
+
+    def packed(color):
+        cs = get_table(M.jones).exact((color,), K).coeffs + (0,)
+        return sum((c - min(cs)) * X ** e for e, c in enumerate(cs))
+
+    links = [{a: packed(a + pst) for a in odd_window(K)} for pst in pstars]
+    q_to = [X ** e for e in range(K)]
+    acc = 0
+    for al in itertools.product(odd_window(K), repeat=len(ps)):
+        e = t4 * sum(p * a * a for p, a in zip(ps, al)) % K
+        acc += prod(link[a] for link, a in zip(links, al)) * q_to[e]
+    acc %= X ** K - 1
+    w = from_counts([acc >> (64 * e) & (X - 1) for e in range(K)], K)
+    for _ in range(len(ps) * (K - 1) // 2):
+        w = divide_by_x(w)
+    negatives = sum(p < 0 for p in ps)
+    phase = (-1) ** ((1 - kappa_of(K)) * negatives // 2)
+    e2 = t4 * sum(3 * sign(p) - p - pst for p, pst in zip(ps, pstars))
+    return (w * unit_u(K) ** len(ps) * qpow(e2, K)
+            * (phase * (-1) ** negatives))
+
+
+def test_exact_p1_matches_joint_color_sum():
+    # exact_p1 sums the colors of one component at a time; the joint
+    # sum over all K^N color tuples must give the same element
+    for framings, top in (((-2, 5), 61), ((2, -3, 4), 29)):
+        m = P1Surgery("unlink", framings)
+        for K in odd_primes(3, top):
+            if all(p % K for p in framings):
+                assert exact_p1(m, K) == _joint_color_sum(m, K), K
+
+
+def test_kirby_melvin_covers_p1_surgeries():
+    # the oracle's P1 link values are defined at even colors too, so
+    # z_numeric (colors 1..K-1) evaluates P1 surgeries
+    cases = [P1Surgery("unknot", (p,)) for p in (2, 3, -3)]
+    cases += [P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3))]
+    for m in cases:
+        for K in (5, 7, 11, 13):
+            if all(p % K for p in m.framings):
+                assert kirby_melvin_check(m, K), (m, K)
 
 
 # ---------------------------------------------------------------------------
