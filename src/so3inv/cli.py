@@ -24,9 +24,10 @@ identical configs produce byte-identical reports.  Worker count comes
 from --workers, else the SO3INV_WORKERS environment variable, else 1,
 and is clamped to the CPU count and to the number of tasks.
 
-Exit codes: 0 all good, 2 usage or manifold-spec error, 3 computation
-failure (identity mismatch, a manifold that verify verified at no
-prime, failed reconstruction, precondition error).
+Exit codes: 0 all good, 2 usage error or invalid manifold spec, 3
+computation failure (identity mismatch, a manifold that verify verified
+at no prime, failed reconstruction, precondition error; invariant still
+prints every row it can compute and names each failed pair on stderr).
 """
 
 from __future__ import annotations
@@ -128,19 +129,22 @@ def _from_schema(obj) -> object:
         if kind == "p1":
             return P1Surgery(str(obj["jones"]),
                              tuple(int(f) for f in obj["framings"]))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, So3InvError) as e:
         raise UsageError(f"bad manifold object {obj!r}: {e}") from None
     raise UsageError(f"unknown manifold type {obj!r}")
 
 
 def gather_manifolds(args) -> list:
+    """The manifolds named by the flags; an invalid one is a UsageError."""
     out = []
-    for text in args.lens or ():
-        out.append(parse_lens(text))
-    for text in args.seifert or ():
-        out.append(parse_seifert(text))
-    for text in args.p1 or ():
-        out.append(parse_p1(text))
+    for flag, parse in (("lens", parse_lens), ("seifert", parse_seifert),
+                        ("p1", parse_p1)):
+        for text in getattr(args, flag) or ():
+            try:
+                out.append(parse(text))
+            except So3InvError as e:
+                raise UsageError(f"--{flag} {text}: {type(e).__name__}: "
+                                 f"{e}") from None
     if args.manifolds:
         try:
             with open(args.manifolds) as fh:
@@ -219,15 +223,20 @@ def _emit(rows, columns, args):
 
 
 def _invariant_task(task):
+    """(row, None), or (None, why) when this (manifold, K) pair fails."""
     m, K, precision = task
-    zp = closed_zprime(m, K)
+    try:
+        zp = closed_zprime(m, K)
+    except So3InvError as e:
+        return None, (f"computation failed for {manifold_label(m)} at "
+                      f"K = {K}: {type(e).__name__}: {e}")
     xp = to_xpoly(zp)
     num = eval_complex(zp, precision)
     return (manifold_label(m), K,
             ",".join(str(c) for c in zp.coeffs),
             _poly_str(xp.coeffs, "x"),
             ",".join(str(c) for c in diamond(xp).coeffs),
-            f"{num.real:.12e}{num.imag:+.12e}j")
+            f"{num.real:.12e}{num.imag:+.12e}j"), None
 
 
 # the numeric column prints 13 significant digits; two more guard them
@@ -242,10 +251,13 @@ def cmd_invariant(args) -> int:
     if not manifolds:
         raise UsageError("no manifolds given")
     tasks = [(m, K, args.precision) for m in manifolds for K in args.k]
-    rows = _pool(_invariant_task, tasks, _workers(args))
-    _emit(rows, ("manifold", "K", "coeffs", "xpoly", "diamond", "numeric"),
-          args)
-    return 0
+    results = _pool(_invariant_task, tasks, _workers(args))
+    _emit([row for row, _ in results if row],
+          ("manifold", "K", "coeffs", "xpoly", "diamond", "numeric"), args)
+    failures = [why for _, why in results if why]
+    for why in failures:
+        print(why, file=sys.stderr)
+    return 3 if failures else 0
 
 
 def _gauss_task(task):
@@ -319,8 +331,6 @@ def cmd_lambda(args) -> int:
                       file=sys.stderr)
                 status = 3
         for s in series:
-            prov = getattr(s, "provenance", "reconstruction")
-            moduli = getattr(s, "moduli", None)
             for n in range(args.nmax + 1):
                 try:
                     check_bounds(manifold_label(m), n, h1, s[n])
@@ -328,8 +338,8 @@ def cmd_lambda(args) -> int:
                 except So3InvError as e:
                     bounds = f"violated: {e}"
                     status = 3
-                rows.append((manifold_label(m), n, str(s[n]), prov,
-                             moduli[n] if moduli else "", bounds))
+                rows.append((manifold_label(m), n, str(s[n]), s.provenance,
+                             s.moduli[n] if s.moduli else "", bounds))
     _emit(rows, ("manifold", "n", "value", "provenance", "modulus", "bounds"),
           args)
     return status

@@ -39,7 +39,7 @@ from .errors import (
 from .nt import (Chain, Lens, SeifertData, cf_expand, dedekind_sum,
                  manifold_label)
 from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
-                     s_exp, sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
+                     sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +310,10 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
 
     The fiber prefactor prod_j sinh(u/p_j) / sinh(u)^(N-2) is expanded
     exactly in u; each u^(2m) is integrated against the Gaussian by the
-    (2m-1)!! moment rule, contributing (P/H)^m t^m; the result rides on
-    exp(theta*t)/sinh(t) with the Dedekind/framing exponent theta and
-    is re-expanded at t = (1/2) log(1+x).
+    (2m-1)!! moment rule, contributing (P/H)^m t^m; the result over
+    sinh(t) is re-expanded at t = (1/2) log(1+x) and multiplied by
+    (1+x)^(theta/2), the image of exp(theta*t) with the
+    Dedekind/framing exponent theta, as in the lens series.
     """
     cap = n_max
     ucap = 2 * cap + 2
@@ -330,9 +331,8 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     mom_over_t = RatSeries(mom[1:cap + 2], cap)
     theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sign(S.H * S.P)
              - 6 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
-    tser = (s_div(mom_over_t, sinh_over_t(cap))
-            * s_exp(RatSeries.x(cap) * theta))
-    ser = at_half_log(tser) * S.H
+    ser = (at_half_log(s_div(mom_over_t, sinh_over_t(cap)))
+           * q_power(theta / 2, cap) * S.H)
     label = manifold_label(S)
     if ser.coeff(0) != 1:
         raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")

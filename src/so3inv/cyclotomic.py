@@ -103,7 +103,7 @@ class CycInt:
 
     def __pow__(self, n: int) -> "CycInt":
         if n < 0:
-            return invert_unit(self) ** (-n)
+            raise NotAUnit(f"CycInt ** {n}: inverses are not computed")
         result = self._coerce(1)
         base = self
         while n:
@@ -248,22 +248,6 @@ def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
     for a in odd_window(K):
         full[p * a * a % K] += a ** (2 * m)
     return _fold(full, K)
-
-
-def invert_unit(a: CycInt) -> CycInt:
-    """Inverse of a unit of Z[q].
-
-    The product of the proper conjugates divided by the norm; an
-    element is a unit exactly when the norm is +-1, so anything else
-    raises NotAUnit.
-    """
-    prod = CycInt.one(a.K)
-    for j in range(2, a.K):
-        prod = prod * a.galois(j)
-    nrm = prod * a
-    if any(c for c in nrm.coeffs[1:]) or nrm.coeffs[0] not in (1, -1):
-        raise NotAUnit(f"norm is not a unit: {a!r}")
-    return prod * nrm.coeffs[0]
 
 
 def divide_exact(a: CycInt, n: int) -> CycInt:

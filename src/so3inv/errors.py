@@ -39,7 +39,7 @@ class NonUnitDivisor(So3InvError):
 
 
 class NonzeroConstantInExp(So3InvError):
-    """Series exponential requires a vanishing constant term."""
+    """Series composition requires an inner constant term of zero."""
 
 
 class FactorialNotInvertible(So3InvError):

@@ -8,7 +8,8 @@ links of unknots: integer surgery on one is a connected sum, which the
 exact route of `surgery.exact_p1` computes one component at a time,
 and the numeric oracle evaluates them from its own sine table.
 expansion_check verifies the structural bounds on the color expansion
-of a table around t = 0.
+of a table around t = 0; the Seifert star-link table is known only
+through that expansion.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
-from .cyclotomic import CycInt, invert_unit, sine_quotient
+from .cyclotomic import CycInt, sine_quotient
 from .errors import BoundViolation, EvenColor, So3InvError
 from .series import RatSeries, s_div, sinh_quotient_u
 
@@ -54,14 +55,14 @@ def sin_quotient_series(c, cap: int) -> RatSeries:
 class JonesTable:
     """A colored evaluation with the split-link symmetries.
 
-    exact_fn(colors, K) -> CycInt does the real work; t_series_fn
-    (optional) gives the exact expansion of the evaluation around
-    t = 0 as a RatSeries for structural checks.  arity None means any
-    number of components.
+    exact_fn(colors, K) -> CycInt (optional) gives the evaluation in
+    Z[q]; t_series_fn (optional) gives its exact expansion around t = 0
+    as a RatSeries for structural checks.  arity None means any number
+    of components.
     """
 
     def __init__(self, table_id: str, arity: Optional[int],
-                 exact_fn: Callable, t_series_fn: Callable = None):
+                 exact_fn: Callable = None, t_series_fn: Callable = None):
         self.id = table_id
         self.arity = arity
         self._exact = exact_fn
@@ -75,6 +76,8 @@ class JonesTable:
 
     def exact(self, colors: Sequence[int], K: int) -> CycInt:
         self._check_arity(colors)
+        if self._exact is None:
+            raise So3InvError(f"table {self.id} has no exact evaluation")
         if not colors:
             return CycInt.one(K)
         return self._exact(tuple(colors), K)
@@ -129,30 +132,11 @@ register_table(unknot_table())
 register_table(unlink_table())
 
 
-def jones_seifert(beta: int, alphas: Sequence[int], K: int) -> CycInt:
-    """Exact evaluation of a star link: [beta*a_j] over [beta]^(N-1).
-
-    Degenerations: one fiber gives the unknot at color beta*a, all
-    a_j = 1 gives the unknot at beta, beta = 1 splits into a product
-    of unknots.
-    """
-    n = len(alphas)
-    num = CycInt.one(K)
-    for a in alphas:
-        num = num * jones_unknot(beta * a, K)
-    if n <= 1:
-        return num
-    return num * invert_unit(jones_unknot(beta, K)) ** (n - 1)
-
-
 def seifert_beta_table(alphas: Sequence[int]) -> JonesTable:
-    """The one-variable fiber evaluation prod [b*a_j] / [b]^(N-1)."""
+    """The one-variable fiber evaluation prod [b*a_j] / [b]^(N-1), as a
+    series only."""
     alphas = tuple(alphas)
     n = len(alphas)
-
-    def exact(colors, K):
-        (beta,) = colors
-        return jones_seifert(beta, alphas, K)
 
     def t_series(colors, cap):
         (beta,) = colors
@@ -164,7 +148,7 @@ def seifert_beta_table(alphas: Sequence[int]) -> JonesTable:
         return acc
 
     inner = ",".join(str(a) for a in alphas)
-    return JonesTable(f"seifert-fiber({inner})", 1, exact, t_series)
+    return JonesTable(f"seifert-fiber({inner})", 1, t_series_fn=t_series)
 
 
 def _interp_coeffs(values, nodes):
@@ -187,8 +171,7 @@ def _interp_coeffs(values, nodes):
     return vec
 
 
-def expansion_check(table: JonesTable, n_max: int,
-                    colors_hint: Sequence[int] = None) -> dict:
+def expansion_check(table: JonesTable, n_max: int) -> dict:
     """Verify the structural bounds of the color expansion.
 
     Writing the evaluation divided by the product of its colors as
@@ -198,9 +181,7 @@ def expansion_check(table: JonesTable, n_max: int,
     the squared color) must not exceed n - m.  Returns the nonzero
     coefficients as {(n, m_vec): Fraction}; raises BoundViolation.
     """
-    nvars = table.arity
-    if nvars is None:
-        nvars = len(colors_hint) if colors_hint else 0
+    nvars = table.arity or 0
     if nvars == 0:
         series = table.t_series((), n_max)
         if series != RatSeries.const(1, n_max):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, isqrt
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from .arith import as_prime, inv_int, legendre, odd_primes
 from .cyclotomic import CycInt, diamond
@@ -150,19 +150,6 @@ def verify_identity(m, primes: Sequence[int],
 # rational reconstruction
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    manifold: str
-    n_max: int
-    values: Tuple[Fraction, ...]
-    moduli: Tuple[int, ...]  # per-n product of primes at acceptance
-    primes_used: Tuple[int, ...]
-    skipped: Tuple[int, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-
 def _crt(r1: int, m1: int, r2: int, m2: int):
     t = ((r2 - r1) * inv_int(m1 % m2, m2)) % m2
     return (r1 + m1 * t) % (m1 * m2), m1 * m2
@@ -200,7 +187,7 @@ def _agrees(value: Fraction, residue: int, K: int) -> bool:
 
 
 def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
-                       prime_ceiling: int = 2000) -> ReconstructionResult:
+                       prime_ceiling: int = 2000) -> LambdaSeries:
     """Recover lambda_0..lambda_n_max from residues at many primes.
 
     The prime at K pins lambda_n mod K only for n <= (K-1)/2, so each
@@ -209,7 +196,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
     skipped with a warning.  Acceptance requires the same fraction from
     two consecutive prefixes plus agreement at the next two primes,
     held out of the CRT; when either disagrees, both join the modulus
-    and the search goes on.
+    and the search goes on.  The result is a LambdaSeries with
+    provenance "reconstruction" and its moduli, primes used and skips.
     """
     h1 = h1_order(m)
     label = manifold_label(m)
@@ -262,8 +250,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
         values.append(accepted)
         moduli.append(M)
         used_all.update(used)
-    return ReconstructionResult(label, n_max, tuple(values), tuple(moduli),
-                                tuple(sorted(used_all)), tuple(skipped))
+    return LambdaSeries(label, n_max, tuple(values), "reconstruction",
+                        tuple(moduli), tuple(sorted(used_all)), tuple(skipped))
 
 
 def check_bounds(label: str, n: int, h1: int, value: Fraction):

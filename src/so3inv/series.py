@@ -7,7 +7,8 @@ well-defined polynomial trace (see cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
 produce: (1+x)^r for rational r, sinh-quotients in the variable
-T = (1/2)log(1+x) and Gaussian-moment images.
+T = (1/2)log(1+x) and Gaussian-moment images, one route each: e^(cT)
+is (1+x)^(c/2) at T = (1/2)log(1+x), so `q_power` gives it directly.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .errors import (
     NonzeroConstantInExp,
 )
 
-DEFAULT_CAP = 12
-
 
 def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
@@ -43,22 +42,18 @@ class RatSeries:
 
     __slots__ = ("coeffs", "cap")
 
-    def __init__(self, coeffs: Sequence, cap: int = DEFAULT_CAP):
+    def __init__(self, coeffs: Sequence, cap: int):
         cs = [_frac(c) for c in coeffs[:cap + 1]]
         cs.extend([Fraction(0)] * (cap + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.cap = cap
 
     @staticmethod
-    def zero(cap: int = DEFAULT_CAP) -> "RatSeries":
-        return RatSeries([], cap)
-
-    @staticmethod
-    def const(v, cap: int = DEFAULT_CAP) -> "RatSeries":
+    def const(v, cap: int) -> "RatSeries":
         return RatSeries([v], cap)
 
     @staticmethod
-    def x(cap: int = DEFAULT_CAP) -> "RatSeries":
+    def x(cap: int) -> "RatSeries":
         return RatSeries([0, 1], cap)
 
     def coeff(self, n: int) -> Fraction:
@@ -168,20 +163,7 @@ def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
     return RatSeries(out, cap)
 
 
-def s_exp(a: RatSeries) -> RatSeries:
-    """exp of a series with zero constant term."""
-    if a.coeffs[0] != 0:
-        raise NonzeroConstantInExp("exp needs zero constant term")
-    cap = a.cap
-    out = RatSeries.const(1, cap)
-    term = RatSeries.const(1, cap)
-    for n in range(1, cap + 1):
-        term = term * a * Fraction(1, n)
-        out = out + term
-    return out
-
-
-def q_power(r, cap: int = DEFAULT_CAP) -> RatSeries:
+def q_power(r, cap: int) -> RatSeries:
     """(1+x)^r for rational r, via the binomial series."""
     r = _frac(r)
     cs = [Fraction(1)]
@@ -223,7 +205,7 @@ def at_half_log(s: RatSeries) -> RatSeries:
          for w, d in _half_log_powers(s.cap)], s.cap)
 
 
-def sinh_over_t(cap: int = DEFAULT_CAP) -> RatSeries:
+def sinh_over_t(cap: int) -> RatSeries:
     """sinh(t)/t as a series in t."""
     return RatSeries([Fraction(1, factorial(n + 1)) if n % 2 == 0 else 0
                       for n in range(cap + 1)], cap)
@@ -232,14 +214,12 @@ def sinh_over_t(cap: int = DEFAULT_CAP) -> RatSeries:
 def sinh_quotient_u(a, cap: int) -> RatSeries:
     """sinh(a*u)/sinh(u) as a series in u."""
     a = _frac(a)
-    if a == 0:
-        return RatSeries.zero(cap)
     den = sinh_over_t(cap)
     num = [a ** (n + 1) * c for n, c in enumerate(den.coeffs)]
     return s_div(RatSeries(num, cap), den)
 
 
-def sinh_ratio(a, cap: int = DEFAULT_CAP) -> RatSeries:
+def sinh_ratio(a, cap: int) -> RatSeries:
     """sinh(a*T)/sinh(T) at T = (1/2)log(1+x), as a series in x.
 
     Constant term is a; identically 1 at a=1 and 0 at a=0.
@@ -274,12 +254,18 @@ class TruncPoly:
 
 @dataclass(frozen=True)
 class LambdaSeries:
-    """An Ohtsuki-type series: lambda_0 .. lambda_{n_max} for a manifold."""
+    """An Ohtsuki-type series: lambda_0 .. lambda_{n_max} for a manifold.
+
+    Reconstruction also records the per-n CRT modulus, the primes used
+    and the primes skipped; a closed form leaves them empty."""
 
     manifold: str
     n_max: int
     values: tuple
     provenance: str  # "closed-form" or "reconstruction"
+    moduli: tuple = ()
+    primes_used: tuple = ()
+    skipped: tuple = ()
 
     def __post_init__(self):
         if len(self.values) != self.n_max + 1:

@@ -114,8 +114,39 @@ def test_invariant_minimum_precision_prints_true_digits(capsys):
 
 
 def test_invariant_computation_error(capsys):
-    code, _, err = run(capsys, "invariant", "--lens", "0,1", "--k", "5")
+    code, _, err = run(capsys, "invariant", "--lens", "3,1", "--k", "3")
     assert code == 3 and "computation failed" in err
+
+
+def test_invariant_prints_every_computable_row(capsys):
+    # L(3,1) at K = 3 fails a precondition; the other three pairs used
+    # to be dropped with it
+    argv = ("invariant", "--lens", "5,2", "--lens", "3,1", "--k", "3,7")
+    code, seq, err = run(capsys, *argv, "--workers", "1")
+    assert code == 3
+    keys = [tuple(l.split("\t")[:2]) for l in seq.splitlines()[1:]]
+    assert keys == [("L(3,1)", "7"), ("L(5,2)", "3"), ("L(5,2)", "7")]
+    assert err.splitlines() == [
+        "computation failed for L(3,1) at K = 3: PDivisibleByK: "
+        "|H1| = 3 is divisible by K = 3"]
+    code, par, _ = run(capsys, *argv, "--workers", "2")
+    assert code == 3 and par == seq
+
+
+@pytest.mark.parametrize("spec", [
+    ("--lens", "4,2"), ("--lens", "0,1"), ("--seifert", "2/0"),
+    ("--seifert", "2/1,2/-1"), ("--p1", "figure8:3"), ("--p1", "unknot:0"),
+    ("--manifolds", [{"type": "lens", "p": 4, "q": 2}])])
+def test_invalid_manifold_spec_is_usage_error(capsys, tmp_path, spec):
+    flag, value = spec
+    if flag == "--manifolds":
+        path = tmp_path / "manifolds.json"
+        path.write_text(json.dumps(value))
+        value = str(path)
+    for argv in (("invariant", "--k", "7"), ("verify", "--primes", "7"),
+                 ("lambda", "--nmax", "2")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2 and err.startswith("usage error") and out == ""
 
 
 def test_manifolds_file_and_out(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Closed forms against the numeric oracle and their series anchors."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -12,7 +12,9 @@ from so3inv.closedform import (_seifert_phase, lens_lambda_series,
 from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
 from so3inv.errors import (ChainDegenerate, H1DivisibleByK, NotCoprime,
                            NotRHS, PDivisibleByK)
-from so3inv.nt import Chain, SeifertData, cf_expand
+from so3inv.nt import Chain, SeifertData, cf_expand, dedekind_sum
+from so3inv.series import (RatSeries, at_half_log, s_div, sinh_over_t,
+                           sinh_quotient_u)
 from so3inv.surgery import Lens, zprime_numeric
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
@@ -215,3 +217,39 @@ def test_series_leading_term_always_one():
         assert lens_lambda_series(p, q, 2)[0] == 1
     for s in SEIFERT_SAMPLE:
         assert seifert_lambda_series(s, 2)[0] == 1
+
+
+def _seifert_series_through_exp(S, n_max):
+    """The Seifert series by the route that expands exp(theta*t).
+
+    The same fiber prefactor and Gaussian moments as the closed form,
+    but the t-series is multiplied by sum theta^n t^n / n! before the
+    whole product is re-expanded at t = (1/2)log(1+x).
+    """
+    cap, ucap = n_max, 2 * n_max + 2
+    fib = RatSeries.const(1, ucap)
+    for (p, q) in S.fractions:
+        fib = fib * sinh_quotient_u(Fraction(1, p), ucap)
+    fib = fib * (RatSeries.x(ucap) * sinh_over_t(ucap)) ** 2
+    ratio = Fraction(S.P, S.H)
+    mom = [fib.coeffs[2 * m] * ratio ** m
+           * (factorial(2 * m) // (2 ** m * factorial(m)))  # (2m-1)!!
+           for m in range(1, cap + 2)]
+    sgn = 1 if S.H * S.P > 0 else -1
+    theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sgn
+             - 6 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
+    exp_theta = RatSeries([theta ** n / factorial(n)
+                           for n in range(cap + 1)], cap)
+    tser = s_div(RatSeries(mom, cap), sinh_over_t(cap)) * exp_theta
+    return (at_half_log(tser) * S.H).coeffs
+
+
+@pytest.mark.parametrize("fractions", [
+    [(7, 3)], [(2, 1), (3, 1)], [(2, 1), (3, 1), (5, -4)],
+    [(3, 1), (4, 1), (5, 1)], [(-2, 1), (3, 2), (5, 1)],
+    [(2, 1), (4, 1), (5, 2), (3, 1)]])
+def test_seifert_series_matches_exp_route(fractions):
+    S = SeifertData(fractions)
+    for n_max in (0, 1, 6, 30):
+        assert (seifert_lambda_series(S, n_max).values
+                == _seifert_series_through_exp(S, n_max))

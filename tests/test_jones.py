@@ -8,7 +8,6 @@ from so3inv.jones import (
     JonesTable,
     expansion_check,
     get_table,
-    jones_seifert,
     jones_unknot,
     seifert_beta_table,
     sin_quotient_series,
@@ -71,35 +70,10 @@ def test_registry():
         get_table("figure-eight")
 
 
-def test_jones_seifert_degenerations():
-    for K in (5, 7, 11):
-        odd = [a for a in range(1, K, 2)]
-        for b in odd:
-            if b % K == 0:
-                continue
-            # one fiber: unknot at the product color
-            for a in odd:
-                assert jones_seifert(b, (a,), K) == jones_unknot(a * b, K)
-            # all colors 1: unknot at beta
-            assert jones_seifert(b, (1, 1, 1), K) == jones_unknot(b, K)
-        # beta = 1: product of unknots
-        for a1 in odd:
-            for a2 in odd:
-                assert (jones_seifert(1, (a1, a2), K)
-                        == jones_unknot(a1, K) * jones_unknot(a2, K))
-
-
-def test_jones_seifert_numeric_form():
-    K = 7
-    for b in (1, 3, 5):
-        for alphas in ((1, 3), (3, 5, 3), (1, 1, 5)):
-            z = eval_complex(jones_seifert(b, alphas, K), 40)
-            want = 1.0
-            for a in alphas:
-                want *= sin(pi * b * a / K)
-            want /= sin(pi * b / K) ** (len(alphas) - 1) * sin(pi / K)
-            assert isclose(z.real, want, rel_tol=1e-10, abs_tol=1e-10)
-            assert abs(z.imag) < 1e-10
+def test_series_only_table_has_no_exact_evaluation():
+    table = seifert_beta_table((2, 3, 5))
+    with pytest.raises(So3InvError, match="no exact evaluation"):
+        table.exact((3,), 7)
 
 
 def test_sin_quotient_series_matches_values():
