@@ -39,7 +39,7 @@ from .errors import (
 from .nt import (Chain, Lens, SeifertData, cf_expand, dedekind_sum,
                  manifold_label)
 from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
-                     sinh_over_t, sinh_quotient_u, sinh_ratio, vee)
+                     sinh_over_t, sinh_quotient_u, vee)
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +70,20 @@ def lens_zprime(p: int, q: int, K) -> CycInt:
 def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
     """Trivial-connection series of L(p, q), normalized so lambda_0 = 1.
 
-    The series is sign(p) * |p| * q^(3 s(q,p)) * sinh_ratio(1/p) in the
-    variable x; the leading coefficient is checked, not forced.
+    The series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
+    As e^T = (1+x)^(1/2), that is p * [(1+x)^(r+) - (1+x)^(r-)] / x with
+    r+- = 3 s(q,p) + (1 +- 1/p)/2, so lambda_n = p * [C(r+, n+1) -
+    C(r-, n+1)]; the leading coefficient is checked, not forced.
     """
     label = manifold_label(Lens(p, q))
     p, q = _lens_normal(p, q)
-    cap = n_max
-    ser = q_power(3 * dedekind_sum(q, p), cap) * sinh_ratio(Fraction(1, p), cap)
-    ser = ser * p
-    if ser.coeff(0) != 1:
-        raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")
-    return LambdaSeries(label, n_max,
-                        tuple(ser.coeff(n) for n in range(n_max + 1)),
-                        "closed-form")
+    r = 3 * dedekind_sum(q, p) + Fraction(1, 2)
+    hi = q_power(r + Fraction(1, 2 * p), n_max + 1).coeffs
+    lo = q_power(r - Fraction(1, 2 * p), n_max + 1).coeffs
+    values = tuple(p * (a - b) for a, b in zip(hi[1:], lo[1:]))
+    if values[0] != 1:
+        raise BadNormalization(f"lambda_0 = {values[0]} for {label}")
+    return LambdaSeries(label, n_max, values, "closed-form")
 
 
 # ---------------------------------------------------------------------------

@@ -111,20 +111,22 @@ def cf_expand(p: int, q: int) -> list:
     return ms
 
 
-def _sawtooth(x: Fraction) -> Fraction:
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
 def dedekind_sum(q: int, p: int) -> Fraction:
-    """The classical sum s(q, p) of sawtooth products, with s(q,-p)=s(q,p)."""
+    """The classical sum s(q, p) of sawtooth products, with s(q,-p)=s(q,p).
+
+    O(log p) exact steps: s(q, p) = s(q mod p, p), and the reciprocity
+    law s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4 for coprime h, k >= 1
+    (Rademacher & Grosswald, Dedekind Sums, 1972) runs Euclid's algorithm.
+    """
     p = abs(p)
     if p == 0 or gcd(q, p) != 1:
         raise NotCoprime(f"dedekind sum needs coprime q, p; got ({q}, {p})")
-    total = Fraction(0)
-    for i in range(1, p):
-        total += _sawtooth(Fraction(i, p)) * _sawtooth(Fraction(q * i, p))
+    total, sgn = Fraction(0), 1
+    h, k = q % p, p
+    while h:
+        total += sgn * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        sgn = -sgn
+        h, k = k % h, h
     return total
 
 

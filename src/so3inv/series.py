@@ -6,8 +6,8 @@ TruncPoly is its shadow mod an odd prime K, truncated at degree
 well-defined polynomial trace (see cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
-produce: (1+x)^r for rational r, sinh-quotients in the variable
-T = (1/2)log(1+x) and Gaussian-moment images, one route each: e^(cT)
+produce: (1+x)^r for rational r, sinh-quotients in u for re-expansion
+at T = (1/2)log(1+x), and Gaussian-moment images, one route each: e^(cT)
 is (1+x)^(c/2) at T = (1/2)log(1+x), so `q_power` gives it directly.
 """
 
@@ -217,14 +217,6 @@ def sinh_quotient_u(a, cap: int) -> RatSeries:
     den = sinh_over_t(cap)
     num = [a ** (n + 1) * c for n, c in enumerate(den.coeffs)]
     return s_div(RatSeries(num, cap), den)
-
-
-def sinh_ratio(a, cap: int) -> RatSeries:
-    """sinh(a*T)/sinh(T) at T = (1/2)log(1+x), as a series in x.
-
-    Constant term is a; identically 1 at a=1 and 0 at a=0.
-    """
-    return at_half_log(sinh_quotient_u(a, cap))
 
 
 class TruncPoly:

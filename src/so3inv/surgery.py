@@ -14,17 +14,18 @@ Z' for a P1 surgery entirely inside Z[q], one component at a time
 sum), dividing out the guaranteed power of x = q - 1 step by step and
 failing loudly if the divisibility is violated.
 
-The numeric paths run through mpmath at a working precision that grows
-with K (50 + 2K digits unless overridden); at that precision plain
-summation is already far more accurate than any compensated
-double-precision scheme, so the 1e-9 cross-check tolerances hold with
-a large margin even near K = 100.  The sums read every root of unity,
-sine and color factor from tables built once per (order, mpmath.mp.prec)
-with the same mpmath call a term would make, so values are bit-identical
-to per-term evaluation; the tables grow only with the levels and
-precisions a process uses.  Evaluations are pure functions of
-(manifold, K); callers that want parallelism batch independent
-(manifold, K) tasks across processes (see the command-line driver).
+The numeric paths import mpmath when they run (exact_p1 never loads it)
+and work at a precision that grows with K (50 + 2K digits unless
+overridden); at that precision plain summation is already far more
+accurate than any compensated double-precision scheme, so the 1e-9
+cross-check tolerances hold with a large margin even near K = 100.  The
+sums read every root of unity, sine and color factor from tables built
+once per (order, mpmath.mp.prec) with the same mpmath call a term would
+make, so values are bit-identical to per-term evaluation; the tables
+grow only with the levels and precisions a process uses.  Evaluations
+are pure functions of (manifold, K); callers that want parallelism batch
+independent (manifold, K) tasks across processes (see the command-line
+driver).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import prod
-
-import mpmath
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
 from .cyclotomic import (CycInt, divide_by_x, from_counts, odd_window, qpow,
@@ -91,6 +90,7 @@ _COLORS: dict = {}
 
 def _unit_roots(n: int) -> tuple:
     """(exp(2*pi*i*e/n) for e in range(n)) at the working precision."""
+    import mpmath
     key = (n, mpmath.mp.prec)
     roots = _ROOTS.get(key)
     if roots is None:
@@ -101,6 +101,7 @@ def _unit_roots(n: int) -> tuple:
 
 def _sines(K: int) -> tuple:
     """(sin(pi*y/K) for y in range(2K)) at the working precision."""
+    import mpmath
     key = (K, mpmath.mp.prec)
     sines = _SINES.get(key)
     if sines is None:
@@ -111,6 +112,7 @@ def _sines(K: int) -> tuple:
 
 def _color_factors(K: int) -> tuple:
     """((q^-e - q^e) * i/2 for e in range(K)) at the working precision."""
+    import mpmath
     key = (K, mpmath.mp.prec)
     colors = _COLORS.get(key)
     if colors is None:
@@ -123,6 +125,7 @@ def _color_factors(K: int) -> tuple:
 def _chain_element(p: int, q: int, s: int, phi: int, K: int,
                    alpha: int, beta: int):
     """Closed form of the chain matrix element, q >= 1, color pair (alpha, beta)."""
+    import mpmath
     pref = (mpmath.mpc(0, 1) / mpmath.sqrt(2 * K * q)
             * mpmath.expjpi(mpmath.mpf(-phi) / 4))
     den = 2 * K * q
@@ -140,6 +143,7 @@ def _chain_element(p: int, q: int, s: int, phi: int, K: int,
 
 def _z_prelude(surg, sig, K):
     """Per-component (p, q, s, phi) and the full-level prefactor."""
+    import mpmath
     data = []
     for (p, q) in surg:
         mat, phi = _chain_data(p, q)
@@ -150,6 +154,7 @@ def _z_prelude(surg, sig, K):
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z(M)/Z(S^3) at level k = K - 2 by direct color summation, K odd."""
+    import mpmath
     K = _odd_k(K)
     with mpmath.workdps(_dps(K, precision)):
         if isinstance(M, SeifertData):
@@ -161,6 +166,7 @@ def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
 
 
 def _z_generic(surg, jones, sig, K):
+    import mpmath
     if not surg:
         return mpmath.mpc(1)
     data, pref = _z_prelude(surg, sig, K)
@@ -186,6 +192,7 @@ def _star_prelude(S: SeifertData):
 def _z_star(S: SeifertData, K: int):
     """Star presentation of z_numeric, factorized per fiber at fixed
     central color: O(N * K^2) instead of O(K^(N+1))."""
+    import mpmath
     data, pref = _z_prelude(*_star_prelude(S), K)
     central, data = data[0], data[1:]
     n = len(data)
@@ -227,6 +234,7 @@ def _numeric_presentation(M, K):
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z'(M) at odd prime K by direct summation over odd colors."""
+    import mpmath
     K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
         if isinstance(M, SeifertData):
@@ -242,6 +250,7 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
 
 def _zprime_prelude(surg, sig, K):
     """Per-component (p, q, q*, s), the odd-color prefactor, and 4*."""
+    import mpmath
     t4 = inv_int(4, K)
     data = []
     phis = []
@@ -261,6 +270,7 @@ def _zprime_prelude(surg, sig, K):
 
 
 def _zprime_generic(surg, jones, sig, K):
+    import mpmath
     if not surg:
         return mpmath.mpc(1)
     data, pref, t4 = _zprime_prelude(surg, sig, K)
@@ -281,6 +291,7 @@ def _zprime_generic(surg, jones, sig, K):
 
 def _zprime_star(S: SeifertData, K: int):
     """Odd-color star sum factorized per fiber at fixed central color."""
+    import mpmath
     surg, sig = _star_prelude(S)
     n = len(surg) - 1
     data, pref, t4 = _zprime_prelude(surg, sig, K)

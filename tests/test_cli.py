@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,20 @@ def test_verify_has_no_timings_flag(capsys):
         main(["verify", "--lens", "5,2", "--primes", "7", "--timings"])
 
 
+def test_lambda_large_lens_reconstructs_quickly(capsys):
+    # an O(p) Dedekind sum would spend about a minute on s(2, 1000003)
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "lambda", "--lens", "1000003,2", "--nmax",
+                       "2", "--reconstruct", "--workers", "1")
+    assert time.perf_counter() - t0 < 20
+    assert code == 0
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    closed = {r[1]: r[2] for r in rows if r[3] == "closed-form"}
+    rec = {r[1]: r[2] for r in rows if r[3] == "reconstruction"}
+    assert set(closed) == {"0", "1", "2"}
+    assert rec == closed
+
+
 def test_exact_commands_never_import_mpmath():
     # mpmath serves only the numeric column and the surgery oracle
     script = """
@@ -328,8 +343,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                               "--primes", "5..13", "--workers", "1"]),
              so3inv.cli.main(["lambda", "--seifert", "2/1,3/1,5/-4",
                               "--nmax", "3", "--reconstruct",
-                              "--workers", "1"]))
-assert codes == (0, 0), codes
+                              "--workers", "1"]),
+             so3inv.cli.main(["verify", "--p1", "unlink:-2,5"]),
+             so3inv.cli.main(["lambda", "--p1", "unknot:3",
+                              "--reconstruct"]))
+assert codes == (0, 0, 0, 0), codes
 assert "mpmath" not in sys.modules, "run"
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

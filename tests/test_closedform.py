@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3inv.arith import inv_int, odd_primes
 from so3inv.closedform import (_seifert_phase, lens_lambda_series,
@@ -13,8 +15,8 @@ from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
 from so3inv.errors import (ChainDegenerate, H1DivisibleByK, NotCoprime,
                            NotRHS, PDivisibleByK)
 from so3inv.nt import Chain, SeifertData, cf_expand, dedekind_sum
-from so3inv.series import (RatSeries, at_half_log, s_div, sinh_over_t,
-                           sinh_quotient_u)
+from so3inv.series import (RatSeries, at_half_log, q_power, s_div,
+                           sinh_over_t, sinh_quotient_u)
 from so3inv.surgery import Lens, zprime_numeric
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
@@ -217,6 +219,38 @@ def test_series_leading_term_always_one():
         assert lens_lambda_series(p, q, 2)[0] == 1
     for s in SEIFERT_SAMPLE:
         assert seifert_lambda_series(s, 2)[0] == 1
+
+
+def _lens_series_through_half_log(p, q, cap):
+    """The lens series by the sinh-quotient route: p * (1+x)^(3 s(q,p))
+    * sinh(u/p)/sinh(u) re-expanded at u = (1/2)log(1+x), for the
+    orientation with p > 0."""
+    if p < 0:
+        p, q = -p, -q
+    ratio = at_half_log(sinh_quotient_u(Fraction(1, p), cap))
+    return (q_power(3 * dedekind_sum(q, p), cap) * ratio * p).coeffs
+
+
+def test_lens_series_matches_half_log_route():
+    family = [(sp * ap, q) for ap in range(1, 13)
+              for q in range(1, max(ap, 2)) if gcd(ap, q) == 1
+              for sp in (1, -1)]
+    assert len(family) == 92
+    for p, q in family:
+        assert (lens_lambda_series(p, q, 30).values
+                == _lens_series_through_half_log(p, q, 30)), (p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=500).flatmap(
+    lambda ap: st.tuples(st.sampled_from((ap, -ap)),
+                         st.integers(min_value=-2 * ap, max_value=2 * ap)
+                         .filter(lambda q: gcd(ap, q) == 1),
+                         st.integers(min_value=0, max_value=25))))
+def test_lens_series_matches_half_log_route_random(pqc):
+    p, q, cap = pqc
+    assert (lens_lambda_series(p, q, cap).values
+            == _lens_series_through_half_log(p, q, cap))
 
 
 def _seifert_series_through_exp(S, n_max):

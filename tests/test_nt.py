@@ -104,6 +104,23 @@ def test_dedekind_reciprocity():
             assert lhs == rhs
 
 
+def _sawtooth_2p(j, p):
+    """2p ((j/p)): the sawtooth of j/p over the denominator 2p."""
+    return 2 * (j % p) - p if j % p else 0
+
+
+def test_dedekind_matches_sawtooth_definition():
+    # s(q, p) = sum_{i=1}^{p-1} ((i/p)) ((q i/p)), written out over 4p^2
+    for p in range(1, 81):
+        for q in range(-p, 2 * p + 1):
+            if gcd(q, p) != 1:
+                continue
+            direct = Fraction(sum(_sawtooth_2p(i, p) * _sawtooth_2p(q * i, p)
+                                  for i in range(1, p)), 4 * p * p)
+            assert dedekind_sum(q, p) == direct, (q, p)
+            assert dedekind_sum(q, -p) == direct, (q, -p)
+
+
 def test_dedekind_vee():
     assert rat_residue(dedekind_sum(1, 3), 5) == 2  # 1/18 -> 2 mod 5
     with pytest.raises(DenominatorDivisibleByK):
