@@ -18,12 +18,14 @@ magnitudes accumulate exactly and must collapse into +-q^n at the end
 Orientation convention: L(p, q) with p < 0 denotes the mirror of
 L(-p, -q); closed forms are stated for p > 0, so inputs are normalized
 first (the literal absolute-denominator Dedekind sums would otherwise
-collapse mirror pairs, which is wrong).
+collapse mirror pairs, which is wrong).  A Seifert fiber p_j/q_j with
+p_j < 0 is oriented the same way: its Dedekind sum is s(-q_j, -p_j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
 from .cyclotomic import CycInt, diamond, from_counts, qpow, sine_quotient
@@ -38,8 +40,8 @@ from .errors import (
 )
 from .nt import (Chain, Lens, SeifertData, cf_expand, dedekind_sum,
                  manifold_label)
-from .series import (LambdaSeries, RatSeries, at_half_log, q_power, s_div,
-                     sinh_over_t, sinh_quotient_u, vee)
+from .series import (LambdaSeries, RatSeries, at_half_log, exp_sum_series,
+                     q_power, vee)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,11 @@ def _seifert_preconditions(S: SeifertData, K: int):
         Chain(cf_expand(p, q)).check_level(K)
 
 
+def _fiber_dedekind(S: SeifertData) -> Fraction:
+    """sum_j s(q_j, p_j) over the fibers oriented to p_j > 0."""
+    return sum(dedekind_sum(sign(p) * q, abs(p)) for (p, q) in S.fractions)
+
+
 def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
     """The scalar prefactor, assembled factor by factor.
 
@@ -253,8 +260,7 @@ def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
     s = sign(S.H * S.P)
     t2, t4 = inv_int(2, K), inv_int(4, K)
     pstar = inv_int(S.P, K)
-    sv = sum(rat_residue(3 * dedekind_sum(q, p), K)
-             for (p, q) in S.fractions)
+    sv = rat_residue(3 * _fiber_dedekind(S), K)
     ph = ExtendedPhase(K)
     ph.times_i()
     ph.times_magnitude(Fraction(1, 2), -1)
@@ -287,7 +293,7 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     pref = _seifert_phase(S, K).reduce()
     # the reducibility and diamond assertions pin the assembly down
     r = (Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P)
-         - 3 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
+         - 3 * _fiber_dedekind(S))
     bare = pref * (legendre(abs(S.H), K) * sign(S.H))
     if diamond(bare) != vee(q_power(r, (K - 1) // 2), K):
         raise DiamondMismatch(
@@ -309,35 +315,36 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
 def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     """Trivial-connection series of a star-shaped RHS, lambda_0 = 1.
 
-    The fiber prefactor prod_j sinh(u/p_j) / sinh(u)^(N-2) is expanded
-    exactly in u; each u^(2m) is integrated against the Gaussian by the
-    (2m-1)!! moment rule, contributing (P/H)^m t^m; the result over
-    sinh(t) is re-expanded at t = (1/2) log(1+x) and multiplied by
-    (1+x)^(theta/2), the image of exp(theta*t) with the
-    Dedekind/framing exponent theta, as in the lens series.
+    The fiber prefactor prod_j sinh(u/p_j) / sinh(u)^(N-2), at u = L*w
+    with L = lcm |p_j|, is the exponential-sum quotient of prod_j
+    (e^(wL/p_j) - e^(-wL/p_j)) by 4 (e^(Lw) - e^(-Lw))^(N-2).  Each u^(2m)
+    is integrated against the Gaussian by the (2m-1)!! moment rule,
+    contributing (P/H)^m t^m; the result over sinh(t) at t = T =
+    (1/2) log(1+x) is multiplied by exp(theta*T), theta the Dedekind/
+    framing exponent.  As e^T = (1+x)^(1/2), 1/sinh(T) = 2(1+x)^(1/2)/x.
     """
     cap = n_max
-    ucap = 2 * cap + 2
-    fib = RatSeries.const(1, ucap)
-    for (p, q) in S.fractions:
-        fib = fib * sinh_quotient_u(Fraction(1, p), ucap)
-    # net sinh power N - (N-2) = 2
-    fib = fib * (RatSeries.x(ucap) * sinh_over_t(ucap)) ** 2
+    n = len(S.fractions)
+    L = lcm(*(abs(p) for p, _ in S.fractions))
+    num = {0: 1}  # for N = 1, sinh(u)^(2-N) = sinh(u) joins the numerator
+    for m in [L // p for p, _ in S.fractions] + [L] * (n == 1):
+        num = _laurent_mul(num, {m: 1, -m: -1})
+    den = ({(n - 2 - 2 * i) * L: (-1) ** i * comb(n - 2, i)
+            for i in range(n - 1)} if n > 2 else None)
+    fib = exp_sum_series(num, 2 * cap + 2, den)
     dbl = 1
     mom = [Fraction(0)] * (cap + 2)
-    ratio = Fraction(S.P, S.H)
+    ratio = Fraction(S.P, S.H * L * L)  # P/H per u^2, u^2 = L^2 w^2
     for m in range(1, cap + 2):
         dbl *= 2 * m - 1  # (2m-1)!!
         mom[m] = fib.coeff(2 * m) * dbl * ratio ** m
-    mom_over_t = RatSeries(mom[1:cap + 2], cap)
     theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sign(S.H * S.P)
-             - 6 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
-    ser = (at_half_log(s_div(mom_over_t, sinh_over_t(cap)))
-           * q_power(theta / 2, cap) * S.H)
+             - 6 * _fiber_dedekind(S))
+    over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
+    ser = over_x * q_power((theta + 1) / 2, cap) * Fraction(S.H, 2)
     label = manifold_label(S)
     if ser.coeff(0) != 1:
         raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")
     return LambdaSeries(label, n_max,
                         tuple(ser.coeff(i) for i in range(n_max + 1)),
                         "closed-form")
-

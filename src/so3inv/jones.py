@@ -18,9 +18,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
+from .arith import sign
 from .cyclotomic import CycInt, sine_quotient
 from .errors import BoundViolation, EvenColor, So3InvError
-from .series import RatSeries, s_div, sinh_quotient_u
+from .series import RatSeries, exp_sum_series, s_div
 
 
 def _norm_color(alpha: int, K: int):
@@ -39,17 +40,19 @@ def jones_unknot(alpha: int, K: int) -> CycInt:
     Odd under negation, 2K-periodic, [1] = 1, [K] = 0; embeds to
     sin(pi*alpha/K)/sin(pi/K) under the root-of-unity evaluation.
     """
-    sign, r = _norm_color(alpha, K)
+    sgn, r = _norm_color(alpha, K)
     if r == K:
         return CycInt.zero(K)
-    return sine_quotient(r, K) * sign
+    return sine_quotient(r, K) * sgn
 
 
-def sin_quotient_series(c, cap: int) -> RatSeries:
-    """sin(c*t)/sin(t) as an exact series in t."""
-    base = sinh_quotient_u(c, cap)
-    return RatSeries([v * (-1) ** (n // 2) if n % 2 == 0 else 0
-                      for n, v in enumerate(base.coeffs)], cap)
+def sin_quotient_series(c: int, cap: int) -> RatSeries:
+    """sin(c*t)/sin(t) for an integer c, as an exact series in t: the sum
+    sign(c) sum_{j<|c|} e^((|c|-1-2j)w), an even function, at w = it."""
+    base = exp_sum_series({k: sign(c) for k in range(1 - abs(c), abs(c), 2)},
+                          cap)
+    return RatSeries([v * (-1) ** (n // 2) for n, v in enumerate(base.coeffs)],
+                     cap)
 
 
 class JonesTable:

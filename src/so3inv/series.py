@@ -6,8 +6,9 @@ TruncPoly is its shadow mod an odd prime K, truncated at degree
 well-defined polynomial trace (see cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
-produce: (1+x)^r for rational r, sinh-quotients in u for re-expansion
-at T = (1/2)log(1+x), and Gaussian-moment images, one route each: e^(cT)
+produce: (1+x)^r for rational r, finite exponential sums sum_k c_k e^(kw)
+and their quotients (sinh quotients in u) for re-expansion at
+T = (1/2)log(1+x), and Gaussian-moment images, one route each: e^(cT)
 is (1+x)^(c/2) at T = (1/2)log(1+x), so `q_power` gives it directly.
 """
 
@@ -52,10 +53,6 @@ class RatSeries:
     def const(v, cap: int) -> "RatSeries":
         return RatSeries([v], cap)
 
-    @staticmethod
-    def x(cap: int) -> "RatSeries":
-        return RatSeries([0, 1], cap)
-
     def coeff(self, n: int) -> Fraction:
         if n > self.cap:
             raise InsufficientTerms(
@@ -78,18 +75,6 @@ class RatSeries:
             [self.coeffs[n] + o.coeffs[n] for n in range(cap + 1)], cap)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return RatSeries([-c for c in self.coeffs], self.cap)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -205,18 +190,21 @@ def at_half_log(s: RatSeries) -> RatSeries:
          for w, d in _half_log_powers(s.cap)], s.cap)
 
 
-def sinh_over_t(cap: int) -> RatSeries:
-    """sinh(t)/t as a series in t."""
-    return RatSeries([Fraction(1, factorial(n + 1)) if n % 2 == 0 else 0
-                      for n in range(cap + 1)], cap)
+def exp_sum_series(num: dict, cap: int, den: dict = None) -> RatSeries:
+    """sum_k c_k e^(kw), num = {k: c_k} with integer k, as a series in w:
+    [w^n] = sum_k c_k k^n / n!.  Given den, the quotient num / den, the
+    zero of den at w = 0 divided out of both before one s_div."""
+    top = cap + 1 + len(den or ())  # a nonzero den has d < len(den)
 
-
-def sinh_quotient_u(a, cap: int) -> RatSeries:
-    """sinh(a*u)/sinh(u) as a series in u."""
-    a = _frac(a)
-    den = sinh_over_t(cap)
-    num = [a ** (n + 1) * c for n, c in enumerate(den.coeffs)]
-    return s_div(RatSeries(num, cap), den)
+    def expand(terms):
+        return [Fraction(sum(c * k ** n for k, c in terms.items()),
+                         factorial(n)) for n in range(top)]
+    a, b = expand(num), expand(den or {0: 1})
+    d = next((n for n, v in enumerate(b) if v), 0)
+    if any(a[:d]):
+        raise NonUnitDivisor(f"numerator does not vanish to order {d}")
+    a, b = RatSeries(a[d:], cap), RatSeries(b[d:], cap)
+    return a if den is None else s_div(a, b)
 
 
 class TruncPoly:

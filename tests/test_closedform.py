@@ -13,10 +13,9 @@ from so3inv.closedform import (_seifert_phase, lens_lambda_series,
                                seifert_zprime)
 from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
 from so3inv.errors import (ChainDegenerate, H1DivisibleByK, NotCoprime,
-                           NotRHS, PDivisibleByK)
+                           NotRHS, PDivisibleByK, So3InvError)
 from so3inv.nt import Chain, SeifertData, cf_expand, dedekind_sum
-from so3inv.series import (RatSeries, at_half_log, q_power, s_div,
-                           sinh_over_t, sinh_quotient_u)
+from so3inv.series import RatSeries, at_half_log, q_power, s_div
 from so3inv.surgery import Lens, zprime_numeric
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
@@ -26,6 +25,8 @@ SEIFERT_SAMPLE = [
     SeifertData([(-2, 1), (3, 1), (5, 1)]),
     SeifertData([(2, 1), (3, -1), (7, 2)]),
     SeifertData([(3, 2), (4, 3), (5, 4)]),
+    SeifertData([(2, 1), (3, 1), (-5, 4)]),
+    SeifertData([(-3, 2), (4, 1), (5, -2)]),
 ]
 
 
@@ -221,13 +222,24 @@ def test_series_leading_term_always_one():
         assert seifert_lambda_series(s, 2)[0] == 1
 
 
+def _sinh_over_t(a, cap):
+    """sinh(a*t)/t as a series in t."""
+    return RatSeries([Fraction(a) ** (n + 1) / factorial(n + 1)
+                      if n % 2 == 0 else 0 for n in range(cap + 1)], cap)
+
+
+def _sinh_quotient_u(a, cap):
+    """sinh(a*u)/sinh(u) as a series in u, by one series division."""
+    return s_div(_sinh_over_t(a, cap), _sinh_over_t(1, cap))
+
+
 def _lens_series_through_half_log(p, q, cap):
     """The lens series by the sinh-quotient route: p * (1+x)^(3 s(q,p))
     * sinh(u/p)/sinh(u) re-expanded at u = (1/2)log(1+x), for the
     orientation with p > 0."""
     if p < 0:
         p, q = -p, -q
-    ratio = at_half_log(sinh_quotient_u(Fraction(1, p), cap))
+    ratio = at_half_log(_sinh_quotient_u(Fraction(1, p), cap))
     return (q_power(3 * dedekind_sum(q, p), cap) * ratio * p).coeffs
 
 
@@ -253,6 +265,28 @@ def test_lens_series_matches_half_log_route_random(pqc):
             == _lens_series_through_half_log(p, q, cap))
 
 
+def _seifert_moments_over_t(S, cap):
+    """sum_m t^(m-1) * [u^(2m)] prod_j sinh(u/p_j) / sinh(u)^(N-2)
+    * (2m-1)!! (P/H)^m, through one sinh quotient per fiber."""
+    ucap = 2 * cap + 2
+    fib = RatSeries.const(1, ucap)
+    for (p, q) in S.fractions:
+        fib = fib * _sinh_quotient_u(Fraction(1, p), ucap)
+    fib = fib * (RatSeries([0, 1], ucap) * _sinh_over_t(1, ucap)) ** 2
+    ratio = Fraction(S.P, S.H)
+    return RatSeries([fib.coeffs[2 * m] * ratio ** m
+                      * (factorial(2 * m) // (2 ** m * factorial(m)))
+                      for m in range(1, cap + 2)], cap)
+
+
+def _seifert_theta(S):
+    """The Dedekind/framing exponent, fibers oriented to p_j > 0."""
+    sgn = 1 if S.H * S.P > 0 else -1
+    return (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sgn
+            - 6 * sum(dedekind_sum(q if p > 0 else -q, abs(p))
+                      for (p, q) in S.fractions))
+
+
 def _seifert_series_through_exp(S, n_max):
     """The Seifert series by the route that expands exp(theta*t).
 
@@ -260,22 +294,22 @@ def _seifert_series_through_exp(S, n_max):
     but the t-series is multiplied by sum theta^n t^n / n! before the
     whole product is re-expanded at t = (1/2)log(1+x).
     """
-    cap, ucap = n_max, 2 * n_max + 2
-    fib = RatSeries.const(1, ucap)
-    for (p, q) in S.fractions:
-        fib = fib * sinh_quotient_u(Fraction(1, p), ucap)
-    fib = fib * (RatSeries.x(ucap) * sinh_over_t(ucap)) ** 2
-    ratio = Fraction(S.P, S.H)
-    mom = [fib.coeffs[2 * m] * ratio ** m
-           * (factorial(2 * m) // (2 ** m * factorial(m)))  # (2m-1)!!
-           for m in range(1, cap + 2)]
-    sgn = 1 if S.H * S.P > 0 else -1
-    theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sgn
-             - 6 * sum(dedekind_sum(q, p) for (p, q) in S.fractions))
+    cap = n_max
+    theta = _seifert_theta(S)
     exp_theta = RatSeries([theta ** n / factorial(n)
                            for n in range(cap + 1)], cap)
-    tser = s_div(RatSeries(mom, cap), sinh_over_t(cap)) * exp_theta
+    tser = s_div(_seifert_moments_over_t(S, cap),
+                 _sinh_over_t(1, cap)) * exp_theta
     return (at_half_log(tser) * S.H).coeffs
+
+
+def _seifert_series_through_sinh_division(S, n_max):
+    """The Seifert series with the moments divided by sinh(t)/t as a
+    series, re-expanded at t = (1/2)log(1+x), times (1+x)^(theta/2)."""
+    cap = n_max
+    tser = s_div(_seifert_moments_over_t(S, cap), _sinh_over_t(1, cap))
+    return (at_half_log(tser) * q_power(_seifert_theta(S) / 2, cap)
+            * S.H).coeffs
 
 
 @pytest.mark.parametrize("fractions", [
@@ -287,3 +321,77 @@ def test_seifert_series_matches_exp_route(fractions):
     for n_max in (0, 1, 6, 30):
         assert (seifert_lambda_series(S, n_max).values
                 == _seifert_series_through_exp(S, n_max))
+
+
+_FIBER = st.tuples(st.integers(min_value=1, max_value=9),
+                   st.integers(min_value=-9, max_value=9),
+                   st.sampled_from((1, -1))).filter(
+    lambda f: gcd(f[0], f[1]) == 1).map(lambda f: (f[2] * f[0], f[1]))
+
+
+def _seifert_or_none(fractions):
+    try:
+        return SeifertData(fractions)
+    except So3InvError:  # H = 0
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_FIBER, min_size=1, max_size=4).map(_seifert_or_none)
+       .filter(lambda S: S is not None),
+       st.integers(min_value=0, max_value=30))
+def test_seifert_series_matches_sinh_division_route(S, n_max):
+    assert (seifert_lambda_series(S, n_max).values
+            == _seifert_series_through_sinh_division(S, n_max))
+
+
+def test_poincare_series_matches_sinh_division_route_at_105():
+    assert (seifert_lambda_series(POINCARE, 105).values
+            == _seifert_series_through_sinh_division(POINCARE, 105))
+
+
+def _flipped(S, j):
+    fr = list(S.fractions)
+    p, q = fr[j]
+    fr[j] = (-p, -q)
+    return SeifertData(fr)
+
+
+@pytest.mark.parametrize("S", SEIFERT_SAMPLE + [
+    SeifertData([(2, 1), (3, 1), (7, 2), (-5, 3)])])
+def test_flipping_a_fiber_keeps_lambda_and_zprime(S):
+    lam = seifert_lambda_series(S, 10).values
+    checked = 0
+    for j in range(len(S.fractions)):
+        T = _flipped(S, j)
+        assert seifert_lambda_series(T, 10).values == lam
+        for K in odd_primes(3, 31):
+            try:
+                want, got = seifert_zprime(S, K), seifert_zprime(T, K)
+            except So3InvError:
+                continue
+            assert got == want, (T, K)
+            checked += 1
+    assert checked
+
+
+# two-fiber Seifert spaces that are lens spaces
+_TWO_FIBER_LENS = [
+    ([(2, 1), (3, 1)], (5, 4)), ([(3, 1), (5, 2)], (11, 5)),
+    ([(3, 2), (7, 3)], (23, 7)), ([(4, 1), (5, 3)], (17, 11))]
+
+
+@pytest.mark.parametrize("fractions, lens", _TWO_FIBER_LENS)
+def test_two_fiber_seifert_is_lens(fractions, lens):
+    S = SeifertData(fractions)
+    assert (seifert_lambda_series(S, 20).values
+            == lens_lambda_series(*lens, 20).values)
+    checked = 0
+    for K in odd_primes(3, 61):
+        try:
+            want, got = lens_zprime(*lens, K), seifert_zprime(S, K)
+        except So3InvError:
+            continue
+        assert got == want, K
+        checked += 1
+    assert checked >= 14

@@ -1,4 +1,5 @@
-from math import isclose, pi, sin
+from fractions import Fraction
+from math import factorial, isclose, pi, sin
 
 import pytest
 
@@ -14,6 +15,7 @@ from so3inv.jones import (
     unknot_table,
     unlink_table,
 )
+from so3inv.series import RatSeries, s_div
 
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -87,6 +89,22 @@ def test_sin_quotient_series_matches_values():
         x = 0.1
         num = sum(float(v) * x ** n for n, v in enumerate(got.coeffs))
         assert isclose(num, sin(c * x) / sin(x), rel_tol=1e-5)
+
+
+def _sin_quotient_by_division(c, cap):
+    """sin(c*t)/sin(t) as the series quotient of sin(c*t)/t by sin(t)/t."""
+    def sin_over_t(a):
+        return RatSeries([Fraction((-1) ** (n // 2) * a ** (n + 1),
+                                   factorial(n + 1))
+                          if n % 2 == 0 else 0 for n in range(cap + 1)], cap)
+    return s_div(sin_over_t(c), sin_over_t(1))
+
+
+def test_sin_quotient_series_matches_division():
+    for c in range(-8, 30):
+        for cap in (0, 1, 7, 20):
+            assert (sin_quotient_series(c, cap)
+                    == _sin_quotient_by_division(c, cap)), (c, cap)
 
 
 def test_expansion_check_unknot():

@@ -17,10 +17,10 @@ from so3inv.series import (
     TruncPoly,
     LambdaSeries,
     at_half_log,
+    exp_sum_series,
     gauss_moment_diamond,
     q_power,
     s_div,
-    sinh_quotient_u,
     vee,
     x_over_log_pow,
 )
@@ -32,6 +32,10 @@ def _log1p(cap):
         [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, cap + 1)], cap)
 
 
+def _x(cap):
+    return RatSeries([0, 1], cap)
+
+
 def test_min_cap_mixing():
     a = RatSeries([1, 1], cap=10)
     b = RatSeries([1, 2, 3], cap=4)
@@ -40,7 +44,7 @@ def test_min_cap_mixing():
 
 
 def test_mul_and_pow():
-    x = RatSeries.x(6)
+    x = _x(6)
     s = (1 + x) ** 3
     assert [int(c) for c in s.coeffs[:4]] == [1, 3, 3, 1]
     assert s.coeffs[4] == 0
@@ -54,18 +58,18 @@ def test_s_div_inverts():
 
 def test_s_div_nonunit():
     with pytest.raises(NonUnitDivisor):
-        s_div(RatSeries.const(1, 4), RatSeries.x(4))
+        s_div(RatSeries.const(1, 4), _x(4))
 
 
 def test_compose_requires_zero_constant():
     with pytest.raises(NonzeroConstantInExp):
-        RatSeries.x(4).compose(RatSeries.const(1, 4))
+        _x(4).compose(RatSeries.const(1, 4))
 
 
 def test_log1p_and_q_power():
     half = q_power(Fraction(1, 2), 8)
-    assert half * half == 1 + RatSeries.x(8)
-    assert q_power(3, 8) == (1 + RatSeries.x(8)) ** 3
+    assert half * half == 1 + _x(8)
+    assert q_power(3, 8) == (1 + _x(8)) ** 3
     # exponent addition
     a, b = Fraction(2, 3), Fraction(-1, 4)
     assert q_power(a, 8) * q_power(b, 8) == q_power(a + b, 8)
@@ -94,14 +98,22 @@ def test_at_half_log_of_exp_is_q_power(c, cap):
 def test_at_half_log_small_caps():
     assert at_half_log(RatSeries([3], 0)) == RatSeries([3], 0)
     # T = x/2 - x^2/4 + x^3/6 - ...
-    assert at_half_log(RatSeries.x(3)).coeffs == (
+    assert at_half_log(_x(3)).coeffs == (
         0, Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6))
+
+
+def _sinh_quotient_u(a, cap):
+    """sinh(a*u)/sinh(u) as a series in u, by one series division."""
+    def sinh_over_u(b):
+        return RatSeries([Fraction(b) ** (n + 1) / factorial(n + 1)
+                          if n % 2 == 0 else 0 for n in range(cap + 1)], cap)
+    return s_div(sinh_over_u(a), sinh_over_u(1))
 
 
 def _sinh_ratio(a, cap):
     """sinh(a*T)/sinh(T) at T = (1/2)log(1+x): the u-series
     sinh(a*u)/sinh(u) re-expanded at u = T."""
-    return at_half_log(sinh_quotient_u(a, cap))
+    return at_half_log(_sinh_quotient_u(a, cap))
 
 
 def test_sinh_ratio_edges():
@@ -114,7 +126,7 @@ def test_sinh_ratio_edges():
 def test_sinh_ratio_integer_is_chebyshev_like():
     # sinh(3T)/sinh(T) = 4cosh^2(T) - 1 = 2cosh(2T) + 1, and
     # cosh(2T) = (q + 1/q)/2 with q = 1+x.
-    q = 1 + RatSeries.x(10)
+    q = 1 + _x(10)
     expect = q + s_div(RatSeries.const(1, 10), q) + 1
     assert _sinh_ratio(3, 10) == expect
 
@@ -126,6 +138,27 @@ def test_half_lens_ratio_regression():
     assert s.coeffs[1] == 0
     assert s.coeffs[2] == Fraction(-1, 32)
     assert s.coeffs[3] == Fraction(1, 32)
+
+
+def test_exp_sum_series_single_exponential():
+    for c in (-3, 0, 1, 5):
+        assert exp_sum_series({c: 1}, 12) == RatSeries(
+            [Fraction(c ** n, factorial(n)) for n in range(13)], 12)
+    assert exp_sum_series({}, 5) == RatSeries([], 5)
+
+
+def test_exp_sum_series_quotient_divides_out_the_zero():
+    # sinh(3w)/sinh(w) = e^(2w) + 1 + e^(-2w)
+    assert (exp_sum_series({3: 1, -3: -1}, 20, {1: 1, -1: -1})
+            == exp_sum_series({2: 1, 0: 1, -2: 1}, 20))
+    # (2 sinh(w))^3 / (2 sinh(w))^2, a zero of order 2 divided out
+    cube = {3: 1, 1: -3, -1: 3, -3: -1}
+    assert (exp_sum_series(cube, 15, {2: 1, 0: -2, -2: 1})
+            == exp_sum_series({1: 1, -1: -1}, 15))
+    with pytest.raises(NonUnitDivisor):
+        exp_sum_series({0: 1}, 4, {1: 1, -1: -1})
+    with pytest.raises(NonUnitDivisor):
+        exp_sum_series({0: 1}, 4, {2: 0})
 
 
 def test_truncpoly_basics():
