@@ -326,6 +326,9 @@ def cmd_lambda(args) -> int:
         if args.reconstruct:
             rec = reconstruct_lambda(m, args.primes, args.nmax)
             series.append(rec)
+            for K, why in rec.skipped:
+                print(f"{rec.manifold}: reconstruction skipped K = {K}: "
+                      f"{why}", file=sys.stderr)
             if any(series[0][n] != rec[n] for n in range(args.nmax + 1)):
                 print(f"cross-path mismatch for {manifold_label(m)}",
                       file=sys.stderr)

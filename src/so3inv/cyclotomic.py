@@ -9,6 +9,10 @@ in x = q - 1; powers of x filtered mod K (the x-adic order and the
 diamond truncation) are what connect exact invariants to their
 rational series images.
 
+The module also owns the one table of floating-point values in the
+package, `unit_roots`: the roots of unity (mpmath, imported on first
+use) behind `eval_complex` and the numeric surgery oracle.
+
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes
 q^0-type terms; dropping it breaks the completed-square identity.
@@ -311,27 +315,41 @@ def sine_quotient(c: int, K: int) -> CycInt:
     return _fold(full, K)
 
 
-_Q_POWERS: dict = {}
+_ROOTS: dict = {}
 
 
-def _q_powers(K: int) -> tuple:
-    """(q ** i for i in range(K - 1)), q = exp(2*pi*i/K), at mpmath's
-    working precision; built once per (K, mpmath.mp.prec)."""
+def unit_roots(n: int) -> tuple:
+    """(exp(2*pi*i*e/n) for e in range(n)) at mpmath's working precision.
+
+    The one table of transcendental values: eval_complex and the
+    surgery oracle read their roots of unity, sines (Im of roots of
+    order 2K) and color factors (Im of roots of order K) from it.  It
+    is built by expjpi once per (n, mpmath.mp.prec), so a table never
+    serves another precision.
+    """
     import mpmath
 
-    key = (K, mpmath.mp.prec)
-    powers = _Q_POWERS.get(key)
-    if powers is None:
-        q = mpmath.e ** (2j * mpmath.pi / K)
-        powers = _Q_POWERS[key] = tuple(q ** i for i in range(K - 1))
-    return powers
+    key = (n, mpmath.mp.prec)
+    roots = _ROOTS.get(key)
+    if roots is None:
+        roots = _ROOTS[key] = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / n)
+                                    for e in range(n))
+    return roots
 
 
-def eval_complex(a: CycInt, precision: int = 50):
-    """Embed into C with q = exp(2*pi*i/K), at `precision` digits."""
+def eval_complex(a: CycInt, precision: int = 50) -> complex:
+    """Embed into C with q = exp(2*pi*i/K), at `precision` digits.
+
+    A component no larger than K * sum|c_i| * 10^(1 - precision), the
+    rounding error the K - 1 products and sums can carry, is returned
+    as 0.0: it is noise, not a digit of the value.
+    """
     import mpmath
 
     with mpmath.workdps(precision):
-        powers = _q_powers(a.K)
-        return complex(sum(c * powers[i]
-                           for i, c in enumerate(a.coeffs) if c))
+        roots = unit_roots(a.K)
+        z = sum(c * roots[i] for i, c in enumerate(a.coeffs) if c)
+        noise = (a.K * sum(map(abs, a.coeffs))
+                 * mpmath.mpf(10) ** (1 - precision))
+        return complex(*(float(v) if abs(v) > noise else 0.0
+                         for v in (z.real, z.imag)))

@@ -6,7 +6,7 @@ multiplicativity over split components, and value 1 on the empty
 link.  The registered tables, the unknot and split unlinks, are split
 links of unknots: integer surgery on one is a connected sum, which the
 exact route of `surgery.exact_p1` computes one component at a time,
-and the numeric oracle evaluates them from its own sine table.
+and the numeric oracle evaluates them from sines in `cyclotomic.unit_roots`.
 expansion_check verifies the structural bounds on the color expansion
 of a table around t = 0; the Seifert star-link table is known only
 through that expansion.

@@ -20,7 +20,6 @@ denominator bounds of `check_bounds`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -193,11 +192,12 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
     The prime at K pins lambda_n mod K only for n <= (K-1)/2, so each
     coefficient filters the stream accordingly; primes dividing |H1|
     (or failing another precondition of the exact evaluation) are
-    skipped with a warning.  Acceptance requires the same fraction from
-    two consecutive prefixes plus agreement at the next two primes,
-    held out of the CRT; when either disagrees, both join the modulus
-    and the search goes on.  The result is a LambdaSeries with
-    provenance "reconstruction" and its moduli, primes used and skips.
+    skipped and recorded as (K, error class name) pairs.  Acceptance
+    requires the same fraction from two consecutive prefixes plus
+    agreement at the next two primes, held out of the CRT; when either
+    disagrees, both join the modulus and the search goes on.  The
+    result is a LambdaSeries with provenance "reconstruction" and its
+    moduli, primes used and skips.
     """
     h1 = h1_order(m)
     label = manifold_label(m)
@@ -216,9 +216,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
             try:
                 coeff_cache[K] = diamond_side(m, K).coeffs
             except So3InvError as e:
-                warnings.warn(f"{label}: skipping K = {K}: {e}")
                 coeff_cache[K] = None
-                skipped.append(K)
+                skipped.append((K, type(e).__name__))
         return coeff_cache[K]
 
     values, moduli, used_all = [], [], set()

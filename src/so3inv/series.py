@@ -237,7 +237,8 @@ class LambdaSeries:
     """An Ohtsuki-type series: lambda_0 .. lambda_{n_max} for a manifold.
 
     Reconstruction also records the per-n CRT modulus, the primes used
-    and the primes skipped; a closed form leaves them empty."""
+    and the primes skipped, as (K, error class name) pairs; a closed
+    form leaves them empty."""
 
     manifold: str
     n_max: int

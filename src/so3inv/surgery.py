@@ -7,25 +7,25 @@ matrix elements in closed form; it accepts any odd K >= 3 so that the
 level-one right factor of kirby_melvin_check can be computed.
 zprime_numeric evaluates the odd-color invariant Z'(M) the same way,
 summing over the odd color window, jointly over all components; the
-Jones values of integer-framed (P1) surgeries come from the same sine
-table as the lens ones, not from the Z[q] code.  exact_p1 re-derives
-Z' for a P1 surgery entirely inside Z[q], one component at a time
-(every registered table is a split link, so the surgery is a connected
-sum), dividing out the guaranteed power of x = q - 1 step by step and
-failing loudly if the divisibility is violated.
+Jones values of integer-framed (P1) surgeries come from the same sines
+as the lens ones, not from the Z[q] code.  exact_p1 re-derives Z' for a
+P1 surgery entirely inside Z[q], one component at a time (every
+registered table is a split link, so the surgery is a connected sum),
+dividing out the guaranteed power of x = q - 1 step by step and failing
+loudly if the divisibility is violated.
 
 The numeric paths import mpmath when they run (exact_p1 never loads it)
 and work at a precision that grows with K (50 + 2K digits unless
 overridden); at that precision plain summation is already far more
 accurate than any compensated double-precision scheme, so the 1e-9
 cross-check tolerances hold with a large margin even near K = 100.  The
-sums read every root of unity, sine and color factor from tables built
-once per (order, mpmath.mp.prec) with the same mpmath call a term would
-make, so values are bit-identical to per-term evaluation; the tables
-grow only with the levels and precisions a process uses.  Evaluations
-are pure functions of (manifold, K); callers that want parallelism batch
-independent (manifold, K) tasks across processes (see the command-line
-driver).
+sums read every transcendental value from the one roots-of-unity table,
+cyclotomic.unit_roots: the phases as roots of order K, the chain
+elements as roots of order 2 * den, sin(pi*y/K) as the imaginary part
+of a root of order 2K, and the color factor (q^-e - q^e) * i/2 as
+Im q^e.  Evaluations are pure functions of (manifold, K); callers that
+want parallelism batch independent (manifold, K) tasks across processes
+(see the command-line front end).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import prod
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
 from .cyclotomic import (CycInt, divide_by_x, from_counts, odd_window, qpow,
-                         unit_u, x_order)
+                         unit_roots, unit_u, x_order)
 from .errors import (
     DivisibilityFailure,
     IntegralityFailure,
@@ -81,47 +81,6 @@ def _chain_data(p: int, q: int, K=None):
     return ch.matrix, rademacher_phi(ch.matrix)
 
 
-# Tables of the few transcendental values the sums read, keyed by
-# (level, mpmath.mp.prec) so that a table never serves another precision.
-_ROOTS: dict = {}
-_SINES: dict = {}
-_COLORS: dict = {}
-
-
-def _unit_roots(n: int) -> tuple:
-    """(exp(2*pi*i*e/n) for e in range(n)) at the working precision."""
-    import mpmath
-    key = (n, mpmath.mp.prec)
-    roots = _ROOTS.get(key)
-    if roots is None:
-        roots = _ROOTS[key] = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / n)
-                                    for e in range(n))
-    return roots
-
-
-def _sines(K: int) -> tuple:
-    """(sin(pi*y/K) for y in range(2K)) at the working precision."""
-    import mpmath
-    key = (K, mpmath.mp.prec)
-    sines = _SINES.get(key)
-    if sines is None:
-        sines = _SINES[key] = tuple(mpmath.sinpi(mpmath.mpf(y) / K)
-                                    for y in range(2 * K))
-    return sines
-
-
-def _color_factors(K: int) -> tuple:
-    """((q^-e - q^e) * i/2 for e in range(K)) at the working precision."""
-    import mpmath
-    key = (K, mpmath.mp.prec)
-    colors = _COLORS.get(key)
-    if colors is None:
-        r = _unit_roots(K)
-        colors = _COLORS[key] = tuple(0.5j * (r[(-e) % K] - r[e])
-                                      for e in range(K))
-    return colors
-
-
 def _chain_element(p: int, q: int, s: int, phi: int, K: int,
                    alpha: int, beta: int):
     """Closed form of the chain matrix element, q >= 1, color pair (alpha, beta)."""
@@ -131,7 +90,7 @@ def _chain_element(p: int, q: int, s: int, phi: int, K: int,
     den = 2 * K * q
     # exp(i*pi*m/den) is root m of order 2*den: mpf(2m)/(2den) rounds
     # to the same mpf as mpf(m)/den
-    roots = _unit_roots(2 * den)
+    roots = unit_roots(2 * den)
     tot = mpmath.mpc(0)
     for n in range(q):
         for mu in (1, -1):
@@ -196,7 +155,7 @@ def _z_star(S: SeifertData, K: int):
     data, pref = _z_prelude(*_star_prelude(S), K)
     central, data = data[0], data[1:]
     n = len(data)
-    sines = _sines(K)
+    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
     tot = mpmath.mpc(0)
     for beta in range(1, K):
         inner = mpmath.mpc(1)
@@ -215,7 +174,7 @@ def _numeric_presentation(M, K):
     """(surgery coefficients, numeric link evaluation, signature).
 
     The links, the unknot and the registered split unlinks, evaluate to
-    [a_1]...[a_N] = prod sin(pi*a_j/K) / sin(pi/K), from the sine table.
+    [a_1]...[a_N] = prod sin(pi*a_j/K) / sin(pi/K), from the roots table.
     """
     if isinstance(M, Lens):
         surg, sig = _lens_presentation(M.p, M.q)
@@ -224,7 +183,7 @@ def _numeric_presentation(M, K):
         sig = sum(sign(p) for p in M.framings)
     else:
         raise NotRHS(f"unsupported manifold spec {M!r}")
-    sines = _sines(K)
+    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
 
     def jones(al):
         return prod(sines[a % (2 * K)] for a in al) / sines[1] ** len(al)
@@ -264,7 +223,7 @@ def _zprime_prelude(surg, sig, K):
     pref *= mpmath.mpf(K) ** (mpmath.mpf(-len(surg)) / 2)
     pref *= mpmath.expjpi(mpmath.mpf(-kappa_of(K) * sig) / 4)
     pref *= mpmath.expjpi(mpmath.mpf(-3 * (K - 2) * sig) / (4 * K))
-    pref *= _unit_roots(K)[-t4 * sum(phis) % K]
+    pref *= unit_roots(K)[-t4 * sum(phis) % K]
     pref *= (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
     return data, pref, t4
 
@@ -275,7 +234,8 @@ def _zprime_generic(surg, jones, sig, K):
         return mpmath.mpc(1)
     data, pref, t4 = _zprime_prelude(surg, sig, K)
     t2 = inv_int(2, K)
-    roots, colors = _unit_roots(K), _color_factors(K)
+    roots = unit_roots(K)
+    colors = [r.imag for r in roots]  # (q^-e - q^e) * i/2
     tot = mpmath.mpc(0)
     for al in itertools.product(odd_window(K), repeat=len(surg)):
         term = jones(al)
@@ -296,7 +256,9 @@ def _zprime_star(S: SeifertData, K: int):
     n = len(surg) - 1
     data, pref, t4 = _zprime_prelude(surg, sig, K)
     t2 = inv_int(2, K)
-    roots, sines, colors = _unit_roots(K), _sines(K), _color_factors(K)
+    roots = unit_roots(K)
+    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
+    colors = [r.imag for r in roots]  # (q^-e - q^e) * i/2
     window = [a for a in odd_window(K) if a != K]
     inner_cache = []
     for (p, q, qs, s) in data[1:]:

@@ -114,6 +114,15 @@ def test_invariant_minimum_precision_prints_true_digits(capsys):
         "-1.123489801859e+00+1.408811651299e+00j")
 
 
+def test_invariant_numeric_prints_no_rounding_noise(capsys):
+    # L(-5,2) is real at K = 7; its imaginary part used to print the
+    # rounding noise 6.681911775230e-51 as if it were a digit
+    code, out, _ = run(capsys, "invariant", "--lens=-5,2", "--k", "7")
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[5] == (
+        "-2.246979603717e+00+0.000000000000e+00j")
+
+
 def test_invariant_computation_error(capsys):
     code, _, err = run(capsys, "invariant", "--lens", "3,1", "--k", "3")
     assert code == 3 and "computation failed" in err
@@ -277,6 +286,17 @@ def test_lambda_reconstruct_agrees_with_closed_form(capsys):
     assert rec == closed
     assert all(r[4] for r in rows if r[3] == "reconstruction")
     assert all(r[5] == "ok" for r in rows)
+
+
+def test_lambda_reconstruct_names_skipped_primes_on_stderr(capsys):
+    # |H1| = 11: one plain line per skipped prime, not a Python warning
+    code, out, err = run(capsys, "lambda", "--seifert", "2/1,-3/1,5/1",
+                         "--nmax", "2", "--reconstruct", "--primes", "7..23")
+    assert code == 0
+    assert err.splitlines() == [
+        "X(2/1,-3/1,5/1): reconstruction skipped K = 11: H1DivisibleByK"]
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert [r[2] for r in rows] == ["1", "-3/2", "1967/968"] * 2
 
 
 def test_lambda_p1_prints_closed_form_and_reconstruction(capsys):

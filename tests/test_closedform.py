@@ -197,6 +197,16 @@ def test_lens_series_anchor():
     assert lam.provenance == "closed-form"
 
 
+def test_lens_lambda1_is_casson_walker():
+    # lambda_1 of L(p, q) is 3 s(q, p), a multiple of the Casson-Walker
+    # invariant, for every coprime q in -p..2p (811 lens spaces)
+    cases = [(p, q) for p in range(1, 30) for q in range(-p, 2 * p + 1)
+             if gcd(p, q) == 1]
+    assert len(cases) == 811
+    for p, q in cases:
+        assert lens_lambda_series(p, q, 1)[1] == 3 * dedekind_sum(q, p), (p, q)
+
+
 def test_s3_series_is_trivial():
     lam = lens_lambda_series(1, 0, 6)
     assert lam[0] == 1

@@ -10,7 +10,7 @@ import pytest
 import so3inv.nt
 from so3inv import cyclotomic, surgery
 from so3inv.arith import even_inv, inv_int, kappa_of, odd_primes, sign
-from so3inv.closedform import ExtendedPhase, seifert_zprime
+from so3inv.closedform import ExtendedPhase, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
                                from_counts, odd_window, qpow, unit_u)
 from so3inv.errors import (ChainDegenerate, DivisibilityFailure, NotCoprime,
@@ -85,28 +85,35 @@ def test_seifert_oracle_at_k101():
 def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
     # every table entry is the very mpmath call it replaces, at the
     # precision in force: a table shared across precisions fails here
-    for name in ("_ROOTS", "_SINES", "_COLORS"):
-        monkeypatch.setattr(surgery, name, {})
-    monkeypatch.setattr(cyclotomic, "_Q_POWERS", {})
+    monkeypatch.setattr(cyclotomic, "_ROOTS", {})
     for dps in order:
         with mpmath.workdps(dps):
             for K in (5, 7, 13, 101):
-                roots = surgery._unit_roots(K)
-                direct = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / K)
-                               for e in range(K))
-                assert roots == direct
-                assert surgery._color_factors(K) == tuple(
-                    0.5j * (direct[(-e) % K] - direct[e]) for e in range(K))
-                assert surgery._sines(K) == tuple(
-                    mpmath.sinpi(mpmath.mpf(y) / K) for y in range(2 * K))
-                q = mpmath.e ** (2j * mpmath.pi / K)
-                assert cyclotomic._q_powers(K) == tuple(
-                    q ** i for i in range(K - 1))
+                assert cyclotomic.unit_roots(K) == tuple(
+                    mpmath.expjpi(mpmath.mpf(2 * e) / K) for e in range(K))
+                # the oracle's sines are Im of the roots of order 2K
+                assert [r.imag for r in cyclotomic.unit_roots(2 * K)] == [
+                    mpmath.sinpi(mpmath.mpf(y) / K) for y in range(2 * K)]
                 # the chain elements read roots of order 2 * den
                 den = 2 * K * 3
-                assert surgery._unit_roots(2 * den) == tuple(
+                assert cyclotomic.unit_roots(2 * den) == tuple(
                     mpmath.expjpi(mpmath.mpf(m) / den)
                     for m in range(2 * den))
+        for a in (lens_zprime(-5, 2, 7), lens_zprime(3, 1, 7),
+                  seifert_zprime(POINCARE, 13),
+                  seifert_zprime(POINCARE, 101)):
+            K = a.K
+            got = eval_complex(a, dps)
+            with mpmath.workdps(dps):
+                q = mpmath.e ** (2j * mpmath.pi / K)
+                want = sum(c * q ** i for i, c in enumerate(a.coeffs))
+                bound = (K * sum(map(abs, a.coeffs))
+                         * mpmath.mpf(10) ** (1 - dps))
+                for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                    # the bound, plus the rounding to a double
+                    assert abs(g - w) <= bound + abs(w) * 2 ** -52
+    # L(-5,2) is real: its imaginary part is rounding noise, printed as 0
+    assert eval_complex(lens_zprime(-5, 2, 7)).imag == 0.0
 
 
 def test_kirby_melvin_factorization():
