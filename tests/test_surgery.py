@@ -57,12 +57,37 @@ def test_chain_degenerate_raises():
         zprime_numeric(Lens(5, 7), 7)
 
 
+# two-fiber stars and the lens spaces they are: X(p1/q1, p2/q2) is
+# L(p1*q2 + p2*q1, .), so the stray -1 of the star meets an
+# independent chain presentation with more than one fiber
+TWO_FIBER_LENS = [([(2, 1), (3, 1)], (5, 4)), ([(3, 1), (5, 2)], (11, 5)),
+                  ([(3, 2), (7, 3)], (23, 7)), ([(4, 1), (5, 3)], (17, 11))]
+
+
+def _two_fiber_cells(invariant):
+    """(star, chain) values on TWO_FIBER_LENS at K in {7, 11, 13, 19},
+    leaving out the cells whose chain degenerates at level K."""
+    cells = []
+    for fractions, lens in TWO_FIBER_LENS:
+        for K in (7, 11, 13, 19):
+            try:
+                cells.append((invariant(SeifertData(fractions), K),
+                              invariant(Lens(*lens), K)))
+            except ChainDegenerate:
+                continue
+    return cells
+
+
 def test_seifert_star_matches_chain_presentation():
     # the factorized star sum against independent chain surgeries on
     # the same manifold: X(5/2) is L(2,5) ~ L(2,1)
     star = zprime_numeric(SeifertData([(5, 2)]), 7)
     chain = zprime_numeric(Lens(2, 5), 7)
     assert abs(star - chain) < 1e-12
+    cells = _two_fiber_cells(zprime_numeric)
+    assert len(cells) == 14
+    for star, chain in cells:
+        assert abs(star - chain) < 1e-9
 
 
 def test_seifert_star_full_invariant_matches_chain_presentation():
@@ -74,6 +99,10 @@ def test_seifert_star_full_invariant_matches_chain_presentation():
             star = z_numeric(SeifertData([(p, q)]), K)
             chain = z_numeric(Lens(q, p), K)
             assert abs(star - chain) < 1e-12 and abs(chain) > 1
+    cells = _two_fiber_cells(z_numeric)
+    assert len(cells) == 16
+    for star, chain in cells:
+        assert abs(star - chain) < 1e-9
 
 
 def test_seifert_oracle_at_k101():
@@ -152,6 +181,12 @@ def test_exact_p1_matches_numeric_oracle():
             m = P1Surgery("unknot", (p,))
             exact = eval_complex(exact_p1(m, K))
             assert abs(exact - zprime_numeric(m, K)) < 1e-12
+    for framings in ((-2, 5), (2, -3, 4)):
+        m = P1Surgery("unlink", framings)
+        for K in odd_primes(3, 31):
+            if all(p % K for p in framings):
+                exact = eval_complex(exact_p1(m, K))
+                assert abs(exact - zprime_numeric(m, K)) < 1e-9, (m, K)
 
 
 def test_exact_p1_is_mirror_lens():
@@ -236,11 +271,58 @@ def test_exact_p1_matches_joint_color_sum():
                 assert exact_p1(m, K) == _joint_color_sum(m, K), K
 
 
+def _joint_numeric(M, K, full):
+    """z_numeric (full) or zprime_numeric of a P1 surgery from the joint
+    sum over all color tuples, colors 1..K-1 or the odd window.
+
+    The link value of a tuple is prod sin(pi*a_j/K) / sin(pi/K)^N; the
+    per-component factors and the prefactor are the oracle's own, and
+    every transcendental value is a direct mpmath call.
+    """
+    surg = [(p, 1) for p in M.framings]
+    sig = sum(sign(p) for p in M.framings)
+    n = len(surg)
+    with mpmath.workdps(50 + 2 * K):
+        def sine(y):
+            return mpmath.sinpi(mpmath.mpf(y) / K)
+
+        if full:
+            data, pref = surgery._z_prelude(surg, sig, K)
+            factors = [{a: surgery._chain_element(*d, K, a, 1)
+                        for a in range(1, K)} for d in data]
+            colors = range(1, K)
+        else:
+            data, pref, t4 = surgery._zprime_prelude(surg, sig, K)
+            t2 = inv_int(2, K)
+            factors = [{a: mpmath.expjpi(mpmath.mpf(2 * t4 * qs
+                                                     * (p * a * a + s)) / K)
+                        * sine(2 * t2 * qs * a)
+                        for a in odd_window(K)} for (p, q, qs, s) in data]
+            colors = odd_window(K)
+        tot = mpmath.mpc(0)
+        for al in itertools.product(colors, repeat=n):
+            term = prod(sine(a) for a in al) / sine(1) ** n
+            tot += term * prod(f[a] for f, a in zip(factors, al))
+        return complex(pref * tot)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["zprime", "z"])
+def test_numeric_oracle_matches_joint_color_sum(full):
+    # the oracle sums one component at a time; the joint sum over all
+    # K^N color tuples, written out here, must give the same value
+    oracle = z_numeric if full else zprime_numeric
+    for m in (P1Surgery("unknot", (3,)), P1Surgery("unlink", (-2, 5)),
+              P1Surgery("unlink", (2, -3, 4))):
+        for K in (5, 7, 11, 13):
+            want = _joint_numeric(m, K, full)
+            assert abs(oracle(m, K) - want) < 1e-12, (m, K)
+
+
 def test_kirby_melvin_covers_p1_surgeries():
     # the oracle's P1 link values are defined at even colors too, so
     # z_numeric (colors 1..K-1) evaluates P1 surgeries
     cases = [P1Surgery("unknot", (p,)) for p in (2, 3, -3)]
-    cases += [P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3))]
+    cases += [P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3), (2, -3, 4))]
     for m in cases:
         for K in (5, 7, 11, 13):
             if all(p % K for p in m.framings):
