@@ -238,11 +238,7 @@ def diamond(a) -> TruncPoly:
 
 def gauss_sum(c: int, K: int) -> CycInt:
     """Sum of q^(c*a^2) over the K odd classes a mod 2K."""
-    as_prime(K)
-    full = [0] * K
-    for a in odd_window(K):
-        full[c * a * a % K] += 1
-    return _fold(full, K)
+    return odd_gauss_moment(c, 0, K)
 
 
 def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:

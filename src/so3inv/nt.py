@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence, Tuple
 
+from .arith import sign
 from .errors import (
     ChainDegenerate,
     HZero,
@@ -134,8 +135,7 @@ def rademacher_phi(u: SL2) -> int:
     """Integer phase of an SL2 matrix with nonzero lower-left entry."""
     if u.q == 0:
         raise ZeroLowerLeft(f"phase undefined for {u}")
-    sgn = 1 if u.q > 0 else -1
-    val = Fraction(u.p + u.s, u.q) - 12 * sgn * dedekind_sum(u.p, abs(u.q))
+    val = Fraction(u.p + u.s, u.q) - 12 * sign(u.q) * dedekind_sum(u.p, u.q)
     if val.denominator != 1:
         raise NonIntegerPhi(f"phase of {u} is {val}")
     return int(val)

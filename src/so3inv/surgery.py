@@ -6,13 +6,16 @@ summation over colors 1..K-1 per surgery component, with the chain
 matrix elements in closed form; it accepts any odd K >= 3 so that the
 level-one right factor of kirby_melvin_check can be computed.
 zprime_numeric evaluates the odd-color invariant Z'(M) the same way,
-summing over the odd color window, jointly over all components; the
-Jones values of integer-framed (P1) surgeries come from the same sines
-as the lens ones, not from the Z[q] code.  exact_p1 re-derives Z' for a
-P1 surgery entirely inside Z[q], one component at a time (every
-registered table is a split link, so the surgery is a connected sum),
-dividing out the guaranteed power of x = q - 1 step by step and failing
-loudly if the divisibility is violated.
+summing over the odd color window.  Both build one list of color
+weights per component and share one color sum (_color_sum): a split
+link (the unknot for a lens space, a registered unlink for a P1
+surgery) is one sum per component, its link value a product of sines
+from the same table, not from the Z[q] code; a Seifert star is summed
+fiber by fiber at each color of the central vertex.  exact_p1
+re-derives Z' for a P1 surgery entirely inside Z[q], one component at
+a time (every registered table is a split link, so the surgery is a
+connected sum), dividing out the guaranteed power of x = q - 1 step by
+step and failing loudly if the divisibility is violated.
 
 The numeric paths import mpmath when they run (exact_p1 never loads it)
 and work at a precision that grows with K (50 + 2K digits unless
@@ -30,7 +33,6 @@ want parallelism batch independent (manifold, K) tasks across processes
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import prod
 
@@ -111,84 +113,64 @@ def _z_prelude(surg, sig, K):
     return data, mpmath.expjpi(mpmath.mpf(e.numerator) / (4 * e.denominator))
 
 
+def _presentation(M):
+    """(surgery coefficients, signature, is_star) of a manifold.
+
+    A lens space or a P1 surgery is surgery on a split link: the unknot
+    or a registered split unlink.  A Seifert space is the star: the
+    central (0, 1) vertex, then the fibers with q made positive.
+    """
+    if isinstance(M, Lens):
+        return (*_lens_presentation(M.p, M.q), False)
+    if isinstance(M, P1Surgery):
+        return ([(p, 1) for p in M.framings],
+                sum(sign(p) for p in M.framings), False)
+    if isinstance(M, SeifertData):
+        fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in M.fractions]
+        sig = -sign(M.H * M.P) + sum(sign(p * q) for (p, q) in fibers)
+        return [(0, 1)] + fibers, sig, True
+    raise NotRHS(f"unsupported manifold spec {M!r}")
+
+
+def _color_sum(weights, star: bool, K: int):
+    """The surgery sum over colors, one component at a time.
+
+    weights holds one list of (color a, weight) pairs per component.
+    With S_j(b) = sum_a sin(pi*b*a/K) * w_j[a], a split link, whose
+    link value is prod sin(pi*a_j/K) / sin(pi/K)^N, sums to
+    prod_j (S_j(1) / sin(pi/K)).  A star is summed one fiber at a time
+    at each color b of the central vertex 0: sum_b w_0[b] *
+    prod_j S_j(b) / (sin(pi*b/K)^(N-1) * sin(pi/K)) over the N fibers,
+    skipping the b with sin(pi*b/K) = 0.
+    """
+    import mpmath
+    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
+
+    def fold(w, b):
+        return sum((sines[b * a % (2 * K)] * x for a, x in w), mpmath.mpc(0))
+
+    if not star:
+        return prod((fold(w, 1) / sines[1] for w in weights),
+                    start=mpmath.mpc(1))
+    central, fibers = weights[0], weights[1:]
+    tot = mpmath.mpc(0)
+    for b, x in central:
+        if b % K:
+            denom = sines[b % (2 * K)] ** (len(fibers) - 1) * sines[1]
+            tot += x * prod(fold(w, b) for w in fibers) / denom
+    return tot
+
+
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z(M)/Z(S^3) at level k = K - 2 by direct color summation, K odd."""
     import mpmath
     K = _odd_k(K)
     with mpmath.workdps(_dps(K, precision)):
-        if isinstance(M, SeifertData):
-            val = _z_star(M, K)
-        else:
-            surg, jones, sig = _numeric_presentation(M, K)
-            val = _z_generic(surg, jones, sig, K)
-        return complex(val)
-
-
-def _z_generic(surg, jones, sig, K):
-    import mpmath
-    if not surg:
-        return mpmath.mpc(1)
-    data, pref = _z_prelude(surg, sig, K)
-    tot = mpmath.mpc(0)
-    for al in itertools.product(range(1, K), repeat=len(surg)):
-        term = jones(al)
-        if term == 0:
-            continue
-        for (p, q, s, phi), a in zip(data, al):
-            term *= _chain_element(p, q, s, phi, K, a, 1)
-        tot += term
-    return pref * tot
-
-
-def _star_prelude(S: SeifertData):
-    """The central (0, 1) vertex then the fibers with q made positive,
-    and the star's signature."""
-    fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in S.fractions]
-    sig = -sign(S.H * S.P) + sum(sign(p * q) for (p, q) in fibers)
-    return [(0, 1)] + fibers, sig
-
-
-def _z_star(S: SeifertData, K: int):
-    """Star presentation of z_numeric, factorized per fiber at fixed
-    central color: O(N * K^2) instead of O(K^(N+1))."""
-    import mpmath
-    data, pref = _z_prelude(*_star_prelude(S), K)
-    central, data = data[0], data[1:]
-    n = len(data)
-    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
-    tot = mpmath.mpc(0)
-    for beta in range(1, K):
-        inner = mpmath.mpc(1)
-        for (p, q, s, phi) in data:
-            acc = mpmath.mpc(0)
-            for a in range(1, K):
-                acc += (sines[beta * a % (2 * K)]
-                        * _chain_element(p, q, s, phi, K, a, 1))
-            inner *= acc
-        denom = sines[beta] ** (n - 1) * sines[1]
-        tot += _chain_element(*central, K, beta, 1) * inner / denom
-    return pref * tot
-
-
-def _numeric_presentation(M, K):
-    """(surgery coefficients, numeric link evaluation, signature).
-
-    The links, the unknot and the registered split unlinks, evaluate to
-    [a_1]...[a_N] = prod sin(pi*a_j/K) / sin(pi/K), from the roots table.
-    """
-    if isinstance(M, Lens):
-        surg, sig = _lens_presentation(M.p, M.q)
-    elif isinstance(M, P1Surgery):
-        surg = [(p, 1) for p in M.framings]
-        sig = sum(sign(p) for p in M.framings)
-    else:
-        raise NotRHS(f"unsupported manifold spec {M!r}")
-    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
-
-    def jones(al):
-        return prod(sines[a % (2 * K)] for a in al) / sines[1] ** len(al)
-
-    return surg, jones, sig
+        surg, sig, star = _presentation(M)
+        data, pref = _z_prelude(surg, sig, K)
+        weights = [[(a, _chain_element(p, q, s, phi, K, a, 1))
+                    for a in range(1, K)] for (p, q, s, phi) in data]
+        return complex(pref * _color_sum(weights, star, K))
 
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
@@ -196,14 +178,20 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     import mpmath
     K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
-        if isinstance(M, SeifertData):
+        surg, sig, star = _presentation(M)
+        data, pref, t4 = _zprime_prelude(surg, sig, K)
+        t2 = inv_int(2, K)
+        roots = unit_roots(K)
+        # roots[e].imag is the color factor (q^-e - q^e) * i/2
+        weights = [[(a, roots[t4 * qs * (p * a * a + s) % K]
+                     * roots[t2 * qs * a % K].imag) for a in odd_window(K)]
+                   for (p, q, qs, s) in data]
+        val = pref * _color_sum(weights, star, K)
+        if star:
             # the closed matrix-element identity i*sign(q) =
             # e^(i*pi*sign(p/q)/2)*sign(p) degenerates at the p = 0
             # central vertex, leaving a universal stray -1
-            val = -_zprime_star(M, K)
-        else:
-            surg, jones, sig = _numeric_presentation(M, K)
-            val = _zprime_generic(surg, jones, sig, K)
+            val = -val
         return complex(val)
 
 
@@ -226,61 +214,6 @@ def _zprime_prelude(surg, sig, K):
     pref *= unit_roots(K)[-t4 * sum(phis) % K]
     pref *= (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
     return data, pref, t4
-
-
-def _zprime_generic(surg, jones, sig, K):
-    import mpmath
-    if not surg:
-        return mpmath.mpc(1)
-    data, pref, t4 = _zprime_prelude(surg, sig, K)
-    t2 = inv_int(2, K)
-    roots = unit_roots(K)
-    colors = [r.imag for r in roots]  # (q^-e - q^e) * i/2
-    tot = mpmath.mpc(0)
-    for al in itertools.product(odd_window(K), repeat=len(surg)):
-        term = jones(al)
-        if term == 0:
-            continue
-        e = sum(qs * (p * a * a + s) for (p, q, qs, s), a in zip(data, al))
-        term *= roots[t4 * e % K]
-        for (p, q, qs, s), a in zip(data, al):
-            term *= colors[t2 * qs * a % K]
-        tot += term
-    return pref * tot
-
-
-def _zprime_star(S: SeifertData, K: int):
-    """Odd-color star sum factorized per fiber at fixed central color."""
-    import mpmath
-    surg, sig = _star_prelude(S)
-    n = len(surg) - 1
-    data, pref, t4 = _zprime_prelude(surg, sig, K)
-    t2 = inv_int(2, K)
-    roots = unit_roots(K)
-    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
-    colors = [r.imag for r in roots]  # (q^-e - q^e) * i/2
-    window = [a for a in odd_window(K) if a != K]
-    inner_cache = []
-    for (p, q, qs, s) in data[1:]:
-        col = {}
-        for beta in window:
-            acc = mpmath.mpc(0)
-            for a in odd_window(K):
-                sv = sines[beta * a % (2 * K)]
-                if sv == 0:
-                    continue
-                acc += (sv * roots[t4 * qs * (p * a * a + s) % K]
-                        * colors[t2 * qs * a % K])
-            col[beta] = acc
-        inner_cache.append(col)
-    tot = mpmath.mpc(0)
-    for beta in window:
-        term = colors[t2 * beta % K]  # central (0,1): q* = 1, s = 0
-        term /= sines[beta % (2 * K)] ** (n - 1) * sines[1]
-        for col in inner_cache:
-            term *= col[beta]
-        tot += term
-    return pref * tot
 
 
 def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,

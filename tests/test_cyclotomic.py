@@ -99,10 +99,15 @@ def test_gauss_sum_square():
 
 
 def test_odd_gauss_moment_examples():
-    # m = 0 recovers the quadratic sum
+    # m = 0 recovers the quadratic sum, written out here since
+    # gauss_sum is odd_gauss_moment at m = 0
     for K in (5, 7):
         for p in range(K):
-            assert odd_gauss_moment(p, 0, K) == gauss_sum(p, K)
+            counts = [0] * K
+            for a in odd_window(K):
+                counts[p * a * a % K] += 1
+            assert odd_gauss_moment(p, 0, K) == from_counts(counts, K)
+            assert gauss_sum(p, K) == from_counts(counts, K)
     # boundary class contributes 3^2 * q^0 at K=3
     assert odd_gauss_moment(1, 1, 3) == CycInt([9, 2], 3)
 

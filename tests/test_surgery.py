@@ -27,6 +27,9 @@ def test_s3_presentations_give_one():
     for K in (5, 7, 11):
         for m in (Lens(1, 0), Lens(1, 1), Lens(-1, 1)):
             assert abs(zprime_numeric(m, K) - 1) < 1e-12
+        # the empty surgery is S^3 for both invariants
+        empty = P1Surgery("unlink", ())
+        assert zprime_numeric(empty, K) == z_numeric(empty, K) == 1
 
 
 def test_lens_regression_value():
