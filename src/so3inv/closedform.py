@@ -38,8 +38,7 @@ from .errors import (
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import (Chain, Lens, SeifertData, cf_expand, dedekind_sum,
-                 manifold_label)
+from .nt import Lens, SeifertData, dedekind_sum, manifold_label
 from .series import (LambdaSeries, RatSeries, at_half_log, exp_sum_series,
                      q_power, vee)
 
@@ -232,12 +231,9 @@ class ExtendedPhase:
 def _seifert_preconditions(S: SeifertData, K: int):
     if S.H % K == 0:
         raise H1DivisibleByK(f"|H1| = {abs(S.H)} is divisible by K = {K}")
-    if S.P % K == 0:
-        raise PDivisibleByK(f"fiber product {S.P} is divisible by K = {K}")
-    for (p, q) in S.fractions:
+    for p, _ in S.fractions:
         if p % K == 0:
             raise PDivisibleByK(f"fiber order {p} is divisible by K = {K}")
-        Chain(cf_expand(p, q)).check_level(K)
 
 
 def _fiber_dedekind(S: SeifertData) -> Fraction:

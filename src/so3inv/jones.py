@@ -1,21 +1,22 @@
 """Colored link evaluations at odd primes, exact and as series.
 
-Colors are odd integers.  All tables satisfy the symmetries needed by
-the surgery sums: oddness under negation, periodicity with period 2K,
-multiplicativity over split components, and value 1 on the empty
-link.  The registered tables, the unknot and split unlinks, are split
-links of unknots: integer surgery on one is a connected sum, which the
-exact route of `surgery.exact_p1` computes one component at a time,
-and the numeric oracle evaluates them from sines in `cyclotomic.unit_roots`.
+Colors are odd integers.  The link tables, the unknot and split
+unlinks, are split links of unknots: the value at colors (a_1..a_N) is
+the product of the quantized integers [a_j], so it is odd under
+negating a color, 2K-periodic, multiplicative over components and 1 on
+the empty link.  Integer surgery on such a link is a connected sum,
+which `surgery.exact_p1` computes one component at a time; the numeric
+oracle evaluates the same values from sines in `cyclotomic.unit_roots`.
 expansion_check verifies the structural bounds on the color expansion
-of a table around t = 0; the Seifert star-link table is known only
-through that expansion.
+around t = 0 of a one-color evaluation given as a series, such as the
+unknot's sin_quotient_series or the Seifert fiber evaluation
+seifert_beta_series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .arith import sign
@@ -56,102 +57,44 @@ def sin_quotient_series(c: int, cap: int) -> RatSeries:
 
 
 class JonesTable:
-    """A colored evaluation with the split-link symmetries.
+    """A split link of unknots: its value at colors (a_j) is prod [a_j].
 
-    exact_fn(colors, K) -> CycInt (optional) gives the evaluation in
-    Z[q]; t_series_fn (optional) gives its exact expansion around t = 0
-    as a RatSeries for structural checks.  arity None means any number
-    of components.
+    arity None means any number of components.
     """
 
-    def __init__(self, table_id: str, arity: Optional[int],
-                 exact_fn: Callable = None, t_series_fn: Callable = None):
+    def __init__(self, table_id: str, arity: Optional[int]):
         self.id = table_id
         self.arity = arity
-        self._exact = exact_fn
-        self._t_series = t_series_fn
 
-    def _check_arity(self, colors):
+    def exact(self, colors: Sequence[int], K: int) -> CycInt:
         if self.arity is not None and len(colors) != self.arity:
             raise So3InvError(
                 f"table {self.id} expects {self.arity} colors, "
                 f"got {len(colors)}")
-
-    def exact(self, colors: Sequence[int], K: int) -> CycInt:
-        self._check_arity(colors)
-        if self._exact is None:
-            raise So3InvError(f"table {self.id} has no exact evaluation")
-        if not colors:
-            return CycInt.one(K)
-        return self._exact(tuple(colors), K)
-
-    def t_series(self, colors: Sequence[int], cap: int) -> RatSeries:
-        self._check_arity(colors)
-        if self._t_series is None:
-            raise So3InvError(f"table {self.id} has no series expansion")
-        if not colors:
-            return RatSeries.const(1, cap)
-        return self._t_series(tuple(colors), cap)
+        if len(colors) == 1:
+            return jones_unknot(colors[0], K)
+        return prod((jones_unknot(a, K) for a in colors), start=CycInt.one(K))
 
 
-def unknot_table() -> JonesTable:
-    return JonesTable(
-        "unknot", 1,
-        lambda colors, K: jones_unknot(colors[0], K),
-        lambda colors, cap: sin_quotient_series(colors[0], cap))
-
-
-def unlink_table() -> JonesTable:
-    def exact(colors, K):
-        acc = CycInt.one(K)
-        for a in colors:
-            acc = acc * jones_unknot(a, K)
-        return acc
-
-    def t_series(colors, cap):
-        acc = RatSeries.const(1, cap)
-        for a in colors:
-            acc = acc * sin_quotient_series(a, cap)
-        return acc
-
-    return JonesTable("unlink", None, exact, t_series)
-
-
-_REGISTRY = {}
-
-
-def register_table(table: JonesTable) -> JonesTable:
-    _REGISTRY[table.id] = table
-    return table
+_TABLES = {t.id: t for t in (JonesTable("unknot", 1),
+                             JonesTable("unlink", None))}
 
 
 def get_table(table_id: str) -> JonesTable:
-    if table_id not in _REGISTRY:
+    if table_id not in _TABLES:
         raise So3InvError(f"unknown link table {table_id!r}")
-    return _REGISTRY[table_id]
+    return _TABLES[table_id]
 
 
-register_table(unknot_table())
-register_table(unlink_table())
-
-
-def seifert_beta_table(alphas: Sequence[int]) -> JonesTable:
-    """The one-variable fiber evaluation prod [b*a_j] / [b]^(N-1), as a
-    series only."""
-    alphas = tuple(alphas)
-    n = len(alphas)
-
-    def t_series(colors, cap):
-        (beta,) = colors
-        acc = RatSeries.const(1, cap)
-        for a in alphas:
-            acc = acc * sin_quotient_series(beta * a, cap)
-        if n >= 2:
-            return s_div(acc, sin_quotient_series(beta, cap) ** (n - 1))
-        return acc
-
-    inner = ",".join(str(a) for a in alphas)
-    return JonesTable(f"seifert-fiber({inner})", 1, t_series_fn=t_series)
+def seifert_beta_series(alphas: Sequence[int], beta: int,
+                        cap: int) -> RatSeries:
+    """The fiber evaluation prod_j [beta*a_j] / [beta]^(N-1) as a series
+    in t, each [c] read as sin(c*t)/sin(t)."""
+    acc = prod((sin_quotient_series(beta * a, cap) for a in alphas),
+               start=RatSeries.const(1, cap))
+    if len(alphas) >= 2:
+        return s_div(acc, sin_quotient_series(beta, cap) ** (len(alphas) - 1))
+    return acc
 
 
 def _interp_coeffs(values, nodes):
@@ -174,64 +117,33 @@ def _interp_coeffs(values, nodes):
     return vec
 
 
-def expansion_check(table: JonesTable, n_max: int) -> dict:
-    """Verify the structural bounds of the color expansion.
+def expansion_check(series: Callable[[int, int], RatSeries], n_max: int,
+                    name: str) -> dict:
+    """Verify the structural bounds of a one-color expansion.
 
-    Writing the evaluation divided by the product of its colors as
-    sum over n of t^n times a polynomial in the colors, the
-    polynomial must be even in each color; its total degree 2m must
-    satisfy m <= (3/4) n; and each per-color degree (as a power of
-    the squared color) must not exceed n - m.  Returns the nonzero
-    coefficients as {(n, m_vec): Fraction}; raises BoundViolation.
+    Writing series(c, n_max) / c as the sum over n of t^n times a
+    polynomial in the color c, the polynomial must be even in c and
+    each of its terms c^(2m) must satisfy m <= (3/4) n and m <= n - m.
+    Returns the nonzero coefficients as {(n, m): Fraction}; raises
+    BoundViolation naming `name`.
     """
-    nvars = table.arity or 0
-    if nvars == 0:
-        series = table.t_series((), n_max)
-        if series != RatSeries.const(1, n_max):
-            raise BoundViolation("empty link must evaluate to 1")
-        return {(0, ()): Fraction(1)}
-
-    deg = n_max + 2  # points per variable
-    nodes = list(range(1, deg + 1))
-    grid = {}
-    for combo in iproduct(nodes, repeat=nvars):
-        s = table.t_series(combo, n_max)
-        denom = 1
-        for v in combo:
-            denom *= v
-        grid[combo] = [c / denom for c in s.coeffs]
-
-    # interpolate one variable at a time
-    coeff_tables = {}
+    nodes = list(range(1, n_max + 3))
+    rows = [[x / c for x in series(c, n_max).coeffs] for c in nodes]
+    coeffs = {}
     for n in range(n_max + 1):
-        layer = {combo: grid[combo][n] for combo in grid}
-        for var in range(nvars):
-            new_layer = {}
-            done_keys = {k[:var] + k[var + 1:] for k in layer}
-            for rest in done_keys:
-                vals = []
-                for node in nodes:
-                    key = rest[:var] + (node,) + rest[var:]
-                    vals.append(layer[key])
-                cs = _interp_coeffs(vals, nodes)
-                for power, c in enumerate(cs):
-                    new_layer[rest[:var] + (("deg", power),) + rest[var:]] \
-                        = c
-            layer = new_layer
-        for key, c in layer.items():
-            if c == 0:
+        for power, x in enumerate(_interp_coeffs([r[n] for r in rows],
+                                                 nodes)):
+            if x == 0:
                 continue
-            powers = tuple(k[1] for k in key)
-            if any(p % 2 for p in powers):
+            if power % 2:
                 raise BoundViolation(
-                    f"odd color power {powers} at order {n} in {table.id}")
-            mvec = tuple(p // 2 for p in powers)
-            m = sum(mvec)
+                    f"odd color power {power} at order {n} in {name}")
+            m = power // 2
             if 4 * m > 3 * n:
                 raise BoundViolation(
-                    f"total degree {m} exceeds (3/4)*{n} in {table.id}")
-            if any(mj > n - m for mj in mvec):
+                    f"color degree {m} exceeds (3/4)*{n} in {name}")
+            if m > n - m:
                 raise BoundViolation(
-                    f"per-color degree {mvec} exceeds {n - m} in {table.id}")
-            coeff_tables[(n, mvec)] = c
-    return coeff_tables
+                    f"color degree {m} exceeds {n - m} in {name}")
+            coeffs[(n, m)] = x
+    return coeffs

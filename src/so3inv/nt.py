@@ -5,7 +5,7 @@ matrices T^m S.  The ceiling continued-fraction expansion drives the
 resolution; Dedekind sums and the Rademacher matrix phase carry the
 framing anomalies.  The three manifold presentations live here too:
 Lens, SeifertData (star-shaped) and P1Surgery (integer framings on a
-registered link table), each validated on construction.
+known link table), each validated on construction.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class Lens:
 
 @dataclass(frozen=True)
 class P1Surgery:
-    """Integer (p_j, 1)-framed surgery on a link with a registered table."""
+    """Integer (p_j, 1)-framed surgery on a link with a known table."""
 
     jones: str
     framings: tuple

@@ -8,12 +8,12 @@ level-one right factor of kirby_melvin_check can be computed.
 zprime_numeric evaluates the odd-color invariant Z'(M) the same way,
 summing over the odd color window.  Both build one list of color
 weights per component and share one color sum (_color_sum): a split
-link (the unknot for a lens space, a registered unlink for a P1
+link (the unknot for a lens space, an unlink table for a P1
 surgery) is one sum per component, its link value a product of sines
 from the same table, not from the Z[q] code; a Seifert star is summed
 fiber by fiber at each color of the central vertex.  exact_p1
 re-derives Z' for a P1 surgery entirely inside Z[q], one component at
-a time (every registered table is a split link, so the surgery is a
+a time (every link table is a split link, so the surgery is a
 connected sum), dividing out the guaranteed power of x = q - 1 step by
 step and failing loudly if the divisibility is violated.
 
@@ -38,7 +38,7 @@ from math import prod
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
 from .cyclotomic import (CycInt, divide_by_x, from_counts, odd_window, qpow,
-                         unit_roots, unit_u, x_order)
+                         unit_roots, unit_u)
 from .errors import (
     DivisibilityFailure,
     IntegralityFailure,
@@ -117,7 +117,7 @@ def _presentation(M):
     """(surgery coefficients, signature, is_star) of a manifold.
 
     A lens space or a P1 surgery is surgery on a split link: the unknot
-    or a registered split unlink.  A Seifert space is the star: the
+    or a split unlink.  A Seifert space is the star: the
     central (0, 1) vertex, then the fibers with q made positive.
     """
     if isinstance(M, Lens):
@@ -238,7 +238,7 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
 def exact_p1(M: P1Surgery, K) -> CycInt:
     """Exact Z' for an integer-framed presentation, inside Z[q].
 
-    Every registered table is a split link, so the surgery is a
+    Every link table is a split link, so the surgery is a
     connected sum and Z' is the product of one factor per component
     (`_p1_factor`); the empty surgery gives 1.
     """
@@ -265,15 +265,9 @@ def _p1_factor(table, p: int, K: int) -> CycInt:
         e = t4 * p * a * a
         for i, c in enumerate(table.exact((a + pst,), K).coeffs):
             full[(i + e) % K] += c
-    S = from_counts(full, K)
-    need = (K - 1) // 2
-    if x_order(S) < need:
-        raise DivisibilityFailure(
-            f"x-adic order of the color sum is {x_order(S)}, "
-            f"needs at least {need}")
-    w = S
+    w = from_counts(full, K)
     try:
-        for _ in range(need):
+        for _ in range((K - 1) // 2):
             w = divide_by_x(w)
     except IntegralityFailure as exc:
         raise DivisibilityFailure(str(exc)) from exc

@@ -20,7 +20,8 @@ from so3inv.cyclotomic import (CycInt, diamond, eval_complex, gauss_sum,
 from so3inv.errors import (ChainDegenerate, H1DivisibleByK, PDivisibleByK,
                            So3InvError)
 from so3inv.closedform import lens_lambda_series, lens_zprime, seifert_zprime
-from so3inv.jones import expansion_check, get_table, seifert_beta_table
+from so3inv.jones import (expansion_check, seifert_beta_series,
+                          sin_quotient_series)
 from so3inv.nt import SeifertData
 from so3inv.ohtsuki import (closed_lambda_series, diamond_side,
                             reconstruct_lambda, vee_side)
@@ -247,8 +248,10 @@ def test_criterion_8_level_one_factorization():
 
 def test_criterion_9_expansion_degree_bounds():
     with criterion(9, "degree bounds of the framing expansion", 60) as box:
-        unknot = expansion_check(get_table("unknot"), 8)
-        star = expansion_check(seifert_beta_table((2, 3, 5)), 6)
+        unknot = expansion_check(sin_quotient_series, 8, "unknot")
+        star = expansion_check(
+            lambda c, cap: seifert_beta_series((2, 3, 5), c, cap), 6,
+            "fibers 2,3,5")
         assert len(unknot) == 15
         assert len(star) == 10
         box["detail"] = (f"{len(unknot)} + {len(star)} verified"

@@ -162,22 +162,22 @@ def test_seifert_accumulation_matches_term_by_term_sum():
         for K in odd_primes(3, 61):
             try:
                 got = seifert_zprime(s, K)
-            except (PDivisibleByK, H1DivisibleByK, ChainDegenerate):
+            except (PDivisibleByK, H1DivisibleByK):
                 continue
             assert got == _ref_seifert_zprime(s, K)
             checked += 1
     assert checked > 90
 
 
-def test_seifert_chain_degeneracy_is_checked():
-    # the chain [-1, 2, 4] of -11/7 has a tail denominator 7; the
-    # fiber is normalized to q > 0 before its chain is built
+def test_seifert_zprime_ignores_chain_degeneracy():
+    # the chain [-1, 2, 4] of -11/7 has a tail denominator 7, which only
+    # the oracle's chain elements care about; q_j -> q_j + k_j p_j with
+    # sum k_j = 0 re-presents the same manifold with a sound chain
+    shifted = SeifertData([(-11, 29), (2, 3), (3, 4)])
+    want = seifert_zprime(shifted, 7)
     for fiber in ((-11, 7), (11, -7)):
-        with pytest.raises(ChainDegenerate) as got:
-            seifert_zprime(SeifertData([fiber, (2, 1), (3, 1)]), 7)
-        assert str(got.value) == ("chain for (-11,7) has an intermediate "
-                                  "denominator divisible by 7")
-    assert seifert_zprime(SeifertData([(-11, 7), (2, 1), (3, 1)]), 17)
+        assert seifert_zprime(SeifertData([fiber, (2, 1), (3, 1)]), 7) == want
+    assert abs(eval_complex(want) - zprime_numeric(shifted, 7)) < 1e-9
 
 
 def test_single_fiber_degenerates_to_lens():
@@ -353,6 +353,20 @@ def _seifert_or_none(fractions):
 def test_seifert_series_matches_sinh_division_route(S, n_max):
     assert (seifert_lambda_series(S, n_max).values
             == _seifert_series_through_sinh_division(S, n_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FIBER, min_size=3, max_size=3).map(_seifert_or_none)
+       .filter(lambda S: S is not None),
+       st.sampled_from(odd_primes(3, 23)),
+       st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=-2, max_value=2))
+def test_seifert_zprime_is_a_manifold_invariant(S, K, k1, k2):
+    if S.H % K == 0 or any(p % K == 0 for p, _ in S.fractions):
+        return
+    shifted = SeifertData([(p, q + k * p) for (p, q), k
+                           in zip(S.fractions, (k1, k2, -k1 - k2))])
+    assert seifert_zprime(shifted, K) == seifert_zprime(S, K)
 
 
 def test_poincare_series_matches_sinh_division_route_at_105():

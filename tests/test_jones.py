@@ -6,14 +6,11 @@ import pytest
 from so3inv.cyclotomic import CycInt, eval_complex, qpow
 from so3inv.errors import BoundViolation, EvenColor, So3InvError
 from so3inv.jones import (
-    JonesTable,
     expansion_check,
     get_table,
     jones_unknot,
-    seifert_beta_table,
+    seifert_beta_series,
     sin_quotient_series,
-    unknot_table,
-    unlink_table,
 )
 from so3inv.series import RatSeries, s_div
 
@@ -50,7 +47,7 @@ def test_unknot_numeric_embedding():
 
 
 def test_unlink_multiplicativity_and_empty():
-    t = unlink_table()
+    t = get_table("unlink")
     assert t.exact((), 5) == CycInt.one(5)
     for K in (5, 7):
         for a in (1, 3, -3):
@@ -62,7 +59,7 @@ def test_unlink_multiplicativity_and_empty():
 
 def test_table_arity_enforced():
     with pytest.raises(So3InvError):
-        unknot_table().exact((1, 3), 5)
+        get_table("unknot").exact((1, 3), 5)
 
 
 def test_registry():
@@ -70,12 +67,6 @@ def test_registry():
     assert get_table("unlink").id == "unlink"
     with pytest.raises(So3InvError):
         get_table("figure-eight")
-
-
-def test_series_only_table_has_no_exact_evaluation():
-    table = seifert_beta_table((2, 3, 5))
-    with pytest.raises(So3InvError, match="no exact evaluation"):
-        table.exact((3,), 7)
 
 
 def test_sin_quotient_series_matches_values():
@@ -108,25 +99,31 @@ def test_sin_quotient_series_matches_division():
 
 
 def test_expansion_check_unknot():
-    coeffs = expansion_check(unknot_table(), 8)
-    assert coeffs[(0, (0,))] == 1
-    for (n, mvec), c in coeffs.items():
+    coeffs = expansion_check(sin_quotient_series, 8, "unknot")
+    assert coeffs[(0, 0)] == 1
+    for (n, m), c in coeffs.items():
         assert n % 2 == 0  # even series in t
 
 
+def _fibers(alphas):
+    return lambda c, cap: seifert_beta_series(alphas, c, cap)
+
+
 def test_expansion_check_seifert_three_fibers():
-    table = seifert_beta_table((2, 3, 5))
-    coeffs = expansion_check(table, 6)
-    assert coeffs[(0, (0,))] == 30  # product of the fiber colors
-    table2 = seifert_beta_table((1, 1, 3))
-    expansion_check(table2, 6)
+    coeffs = expansion_check(_fibers((2, 3, 5)), 6, "fibers 2,3,5")
+    assert coeffs[(0, 0)] == 30  # product of the fiber colors
+    expansion_check(_fibers((1, 1, 3)), 6, "fibers 1,1,3")
 
 
 def test_expansion_check_flags_violation():
-    bad = JonesTable(
-        "bad", 1,
-        lambda colors, K: CycInt.one(K),
-        lambda colors, cap: sin_quotient_series(colors[0], cap)
-        * colors[0])  # extra odd power of the color
-    with pytest.raises(BoundViolation):
-        expansion_check(bad, 4)
+    # one term breaking each bound in turn: an odd power c^1 at t^0,
+    # c^2 at t^0 (m = 1 > (3/4) * 0), c^6 at t^4 (m = 3 > 4 - 3)
+    for n, power, msg in ((0, 1, "odd color power"),
+                          (0, 2, r"exceeds \(3/4\)\*0"),
+                          (4, 6, "exceeds 1 ")):
+        def bad(c, cap):
+            extra = RatSeries([0] * n + [c ** (power + 1)], cap)
+            return sin_quotient_series(c, cap) + extra
+
+        with pytest.raises(BoundViolation, match=msg):
+            expansion_check(bad, 6, "bad")

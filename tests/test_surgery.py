@@ -219,11 +219,10 @@ def test_exact_p1_rejects_framing_divisible_by_k():
 def test_exact_p1_rejects_indivisible_color_sum(monkeypatch):
     # a link value at one color only leaves a lone q^e as the color
     # sum, which x = q - 1 does not divide
-    def one_color(colors, K):
+    def one_color(self, colors, K):
         return CycInt.one(K) if colors[0] % (2 * K) == 1 else CycInt.zero(K)
 
-    fake = JonesTable("one-color", None, one_color)
-    monkeypatch.setattr(surgery, "get_table", lambda table_id: fake)
+    monkeypatch.setattr(JonesTable, "exact", one_color)
     with pytest.raises(DivisibilityFailure):
         exact_p1(P1Surgery("unknot", (3,)), 7)
 
