@@ -358,7 +358,7 @@ def _add_manifold_flags(sp):
     sp.add_argument("--seifert", action="append", metavar="P/Q,P/Q,...",
                     help="star-shaped manifold by fiber fractions")
     sp.add_argument("--p1", action="append", metavar="TABLE:F1,F2,...",
-                    help="integer-framed surgery on a registered link table")
+                    help="integer-framed surgery; TABLE is unknot or unlink")
     sp.add_argument("--manifolds", metavar="FILE",
                     help="JSON file with a list of manifold objects")
 

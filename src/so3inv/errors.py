@@ -75,7 +75,8 @@ class BoundViolation(So3InvError):
 
 
 class ChainDegenerate(So3InvError):
-    """A continued-fraction denominator is divisible by the prime."""
+    """A surgery denominator is divisible by the prime and no
+    re-presentation of the manifold avoids it."""
 
 
 class DivisibilityFailure(So3InvError):

@@ -1,11 +1,10 @@
-"""Continued fractions, Dedekind sums, and framing bookkeeping.
+"""Dedekind sums, the Rademacher phase, and the manifold presentations.
 
-Surgery presentations are resolved into chains of elementary SL2
-matrices T^m S.  The ceiling continued-fraction expansion drives the
-resolution; Dedekind sums and the Rademacher matrix phase carry the
-framing anomalies.  The three manifold presentations live here too:
-Lens, SeifertData (star-shaped) and P1Surgery (integer framings on a
-known link table), each validated on construction.
+A surgery slope p/q is completed to any SL2 matrix with first column
+(p, q); Dedekind sums and the Rademacher matrix phase carry its framing
+anomaly.  The three manifold presentations live here too: Lens,
+SeifertData (star-shaped) and P1Surgery (integer framings on a known
+link table), each validated on construction.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Sequence, Tuple
 
 from .arith import sign
 from .errors import (
-    ChainDegenerate,
     HZero,
     IntegralityFailure,
     NonIntegerPhi,
@@ -26,90 +24,6 @@ from .errors import (
     ZeroLowerLeft,
 )
 from .jones import get_table
-
-
-@dataclass(frozen=True)
-class SL2:
-    """An integer matrix [[p, r], [q, s]] of determinant one."""
-
-    p: int
-    r: int
-    q: int
-    s: int
-
-    def __post_init__(self):
-        if self.p * self.s - self.q * self.r != 1:
-            raise IntegralityFailure(
-                f"determinant of {self} is not 1")
-
-    def __matmul__(self, other: "SL2") -> "SL2":
-        return SL2(self.p * other.p + self.r * other.q,
-                   self.p * other.r + self.r * other.s,
-                   self.q * other.p + self.s * other.q,
-                   self.q * other.r + self.s * other.s)
-
-
-def t_power_s(m: int) -> SL2:
-    """The elementary factor T^m S = [[m, -1], [1, 0]]."""
-    return SL2(m, -1, 1, 0)
-
-
-class Chain:
-    """A product of elementary factors with its tail partial products.
-
-    tails[t] = T^(m_t) S * ... * T^(m_last) S, 1-indexed, so tails[1]
-    is the full matrix; the final product is re-verified against a
-    direct multiplication.
-    """
-
-    __slots__ = ("ms", "tails", "matrix")
-
-    def __init__(self, ms: Sequence[int]):
-        self.ms = tuple(int(m) for m in ms)
-        tails = {}
-        acc = None
-        for t in range(len(self.ms), 0, -1):
-            f = t_power_s(self.ms[t - 1])
-            acc = f if acc is None else f @ acc
-            tails[t] = acc
-        self.tails = tails
-        self.matrix = acc
-        check = t_power_s(self.ms[0])
-        for m in self.ms[1:]:
-            check = check @ t_power_s(m)
-        if check != self.matrix:
-            raise IntegralityFailure("chain product re-verification failed")
-
-    def check_level(self, K: int) -> None:
-        """Raise ChainDegenerate if a tail's lower-left entry is 0 mod K.
-
-        The closed form of the chain matrix element degenerates at such
-        a level.
-        """
-        for t in range(1, len(self.ms) + 1):
-            if self.tails[t].q % K == 0:
-                p, q = self.matrix.p, self.matrix.q
-                raise ChainDegenerate(
-                    f"chain for ({p},{q}) has an intermediate denominator "
-                    f"divisible by {K}")
-
-
-def cf_expand(p: int, q: int) -> list:
-    """Ceiling continued fraction of p/q: p/q = m1 - 1/(m2 - ...).
-
-    The chain matrix built from the result has first column (p, q).
-    """
-    if q < 0:
-        p, q = -p, -q
-    if q == 0 or gcd(p, q) != 1:
-        raise NotCoprime(f"need coprime p, q with q != 0, got ({p}, {q})")
-    ms = []
-    while q != 1:
-        m = -((-p) // q)  # ceiling division
-        ms.append(m)
-        p, q = q, m * q - p
-    ms.append(p)
-    return ms
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
@@ -131,13 +45,21 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     return total
 
 
-def rademacher_phi(u: SL2) -> int:
-    """Integer phase of an SL2 matrix with nonzero lower-left entry."""
-    if u.q == 0:
-        raise ZeroLowerLeft(f"phase undefined for {u}")
-    val = Fraction(u.p + u.s, u.q) - 12 * sign(u.q) * dedekind_sum(u.p, u.q)
+def rademacher_phi(p: int, q: int, s: int) -> int:
+    """Integer phase of an SL2 matrix [[p, r], [q, s]] with q != 0.
+
+    Phi = (p + s)/q - 12 sign(q) s(p, q) reads only these three
+    entries; r exists (the determinant is one) iff p*s = 1 (mod q).
+    """
+    if q == 0:
+        raise ZeroLowerLeft(f"phase undefined for lower-left entry 0, p = {p}")
+    if (p * s - 1) % q:
+        raise IntegralityFailure(
+            f"no SL2 matrix has first column ({p}, {q}) and "
+            f"lower-right entry {s}")
+    val = Fraction(p + s, q) - 12 * sign(q) * dedekind_sum(p, q)
     if val.denominator != 1:
-        raise NonIntegerPhi(f"phase of {u} is {val}")
+        raise NonIntegerPhi(f"phase of ({p}, {q}, {s}) is {val}")
     return int(val)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, isqrt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import as_prime, inv_int, legendre, odd_primes
 from .cyclotomic import CycInt, diamond
@@ -109,20 +109,17 @@ class IdentityReport:
     error: Optional[str] = None
 
 
-def verify_identity(m, primes: Sequence[int],
-                    lambda_source: Optional[Callable] = None):
+def verify_identity(m, primes: Sequence[int]):
     """One IdentityReport per prime; per-prime failures are recorded.
 
-    lambda_source(M, n_max) supplies the series; the default is the
-    closed form for the family at hand.  It is called once, at the
-    largest n_max = (K-1)/2 over the primes, and each prime reads its
-    prefix; a failure to build it skips every prime.
+    The closed-form series is built once, at the largest
+    n_max = (K-1)/2 over the primes, and each prime reads its prefix;
+    a failure to build it skips every prime.
     """
-    source = lambda_source or closed_lambda_series
     label = manifold_label(m)
     n_max = max(((K - 1) // 2 for K in primes), default=0)
     try:
-        lam, why = source(m, n_max), None
+        lam, why = closed_lambda_series(m, n_max), None
     except So3InvError as e:
         lam, why = None, e
     reports = []

@@ -1,21 +1,25 @@
 """Brute-force numeric oracles for surgery presentations, plus the
 all-exact route for integer framings.
 
-z_numeric evaluates the normalized invariant Z(M)/Z(S^3) by direct
-summation over colors 1..K-1 per surgery component, with the chain
-matrix elements in closed form; it accepts any odd K >= 3 so that the
-level-one right factor of kirby_melvin_check can be computed.
-zprime_numeric evaluates the odd-color invariant Z'(M) the same way,
-summing over the odd color window.  Both build one list of color
-weights per component and share one color sum (_color_sum): a split
-link (the unknot for a lens space, an unlink table for a P1
-surgery) is one sum per component, its link value a product of sines
-from the same table, not from the Z[q] code; a Seifert star is summed
-fiber by fiber at each color of the central vertex.  exact_p1
-re-derives Z' for a P1 surgery entirely inside Z[q], one component at
-a time (every link table is a split link, so the surgery is a
-connected sum), dividing out the guaranteed power of x = q - 1 step by
-step and failing loudly if the divisibility is violated.
+z_numeric evaluates the normalized invariant Z(M)/Z(S^3) at an odd
+prime K by direct summation over colors 1..K-1 per surgery component.
+Each slope p/q is completed to one SL2 matrix [[p, r], [q, s]] with
+s = p^-1 mod q, and its matrix element is read in closed form (Jeffrey,
+Comm. Math. Phys. 147 (1992)); any completion gives the same value,
+since the Rademacher phase absorbs the choice.  zprime_numeric
+evaluates the odd-color invariant Z'(M) the same way, summing over the
+odd color window; its weights need q^-1 mod K, so it first re-presents
+the manifold with no surgery denominator divisible by K.  Both build
+one list of color weights per component and share one color sum
+(_color_sum): a split link (the unknot for a lens space, an unlink
+table for a P1 surgery) is one sum per component, its link value a
+product of sines from the same table, not from the Z[q] code; a
+Seifert star is summed fiber by fiber at each color of the central
+vertex.  exact_p1 re-derives Z' for a P1 surgery entirely inside Z[q],
+one component at a time (every link table is a split link, so the
+surgery is a connected sum), dividing out the guaranteed power of
+x = q - 1 step by step and failing loudly if the divisibility is
+violated.
 
 The numeric paths import mpmath when they run (exact_p1 never loads it)
 and work at a precision that grows with K (50 + 2K digits unless
@@ -23,7 +27,7 @@ overridden); at that precision plain summation is already far more
 accurate than any compensated double-precision scheme, so the 1e-9
 cross-check tolerances hold with a large margin even near K = 100.  The
 sums read every transcendental value from the one roots-of-unity table,
-cyclotomic.unit_roots: the phases as roots of order K, the chain
+cyclotomic.unit_roots: the phases as roots of order K, the matrix
 elements as roots of order 2 * den, sin(pi*y/K) as the imaginary part
 of a root of order 2K, and the color factor (q^-e - q^e) * i/2 as
 Im q^e.  Evaluations are pure functions of (manifold, K); callers that
@@ -40,27 +44,19 @@ from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
 from .cyclotomic import (CycInt, divide_by_x, from_counts, odd_window, qpow,
                          unit_roots, unit_u)
 from .errors import (
+    ChainDegenerate,
     DivisibilityFailure,
     IntegralityFailure,
     NonIntegralAssembly,
-    NotAnOddPrime,
     NotCoprime,
     NotRHS,
 )
 from .jones import get_table
-from .nt import (Chain, Lens, ManifoldSpec, P1Surgery, SeifertData, cf_expand,
-                 rademacher_phi)
+from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
 def _dps(K: int, precision) -> int:
     return int(precision) if precision else 50 + 2 * K
-
-
-def _odd_k(K) -> int:
-    K = int(K)
-    if K < 3 or K % 2 == 0:
-        raise NotAnOddPrime(f"need odd K >= 3, got {K}")
-    return K
 
 
 def _lens_presentation(p: int, q: int):
@@ -74,18 +70,16 @@ def _lens_presentation(p: int, q: int):
     return [(pp, qq)], sign(pp)
 
 
-def _chain_data(p: int, q: int, K=None):
-    """Chain matrix for (p, q) with its phase; with K given, a chain
-    that degenerates at level K raises ChainDegenerate."""
-    ch = Chain(cf_expand(p, q))
-    if K is not None:
-        ch.check_level(K)
-    return ch.matrix, rademacher_phi(ch.matrix)
+def _chain_data(p: int, q: int):
+    """Lower-right entry s = p^-1 mod q of an SL2 completion of the
+    slope p/q, q >= 1, and its phase (s = 0 and T^p S for q = 1)."""
+    s = pow(p, -1, q) if q else 0  # rademacher_phi rejects q = 0
+    return s, rademacher_phi(p, q, s)
 
 
 def _chain_element(p: int, q: int, s: int, phi: int, K: int,
                    alpha: int, beta: int):
-    """Closed form of the chain matrix element, q >= 1, color pair (alpha, beta)."""
+    """Closed form of the matrix element, q >= 1, color pair (alpha, beta)."""
     import mpmath
     pref = (mpmath.mpc(0, 1) / mpmath.sqrt(2 * K * q)
             * mpmath.expjpi(mpmath.mpf(-phi) / 4))
@@ -105,12 +99,31 @@ def _chain_element(p: int, q: int, s: int, phi: int, K: int,
 def _z_prelude(surg, sig, K):
     """Per-component (p, q, s, phi) and the full-level prefactor."""
     import mpmath
-    data = []
-    for (p, q) in surg:
-        mat, phi = _chain_data(p, q)
-        data.append((p, q, mat.s, phi))
+    data = [(p, q, *_chain_data(p, q)) for (p, q) in surg]
     e = Fraction(K - 2, K) * (sum(d[3] for d in data) - 3 * sig)
     return data, mpmath.expjpi(mpmath.mpf(e.numerator) / (4 * e.denominator))
+
+
+def _coprime_denominators(M, K: int):
+    """The same manifold with, where one exists, no surgery denominator
+    divisible by K: L(p, q) = L(p, q + |p|), and a Seifert fiber pair
+    takes q_i + k p_i and q_j - k p_j, which keeps every fiber reduced
+    and sum q/p fixed."""
+    if isinstance(M, Lens) and M.q % K == 0:
+        return Lens(M.p, M.q + abs(M.p))
+    if not isinstance(M, SeifertData) or len(M.fractions) < 2:
+        return M
+    fr = list(M.fractions)
+    for i, (p, q) in enumerate(fr):
+        if q % K:
+            continue
+        # p is a unit mod K, so only k = 0 fails fiber i, and at most
+        # one more k mod K fails its partner j
+        j = (i + 1) % len(fr)
+        pj, qj = fr[j]
+        k = next(k for k in range(1, K) if (qj - k * pj) % K)
+        fr[i], fr[j] = (p, q + k * p), (pj, qj - k * pj)
+    return SeifertData(fr)
 
 
 def _presentation(M):
@@ -162,9 +175,9 @@ def _color_sum(weights, star: bool, K: int):
 
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
-    """Z(M)/Z(S^3) at level k = K - 2 by direct color summation, K odd."""
+    """Z(M)/Z(S^3) at level k = K - 2 by direct color summation."""
     import mpmath
-    K = _odd_k(K)
+    K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
         surg, sig, star = _presentation(M)
         data, pref = _z_prelude(surg, sig, K)
@@ -178,7 +191,7 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     import mpmath
     K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
-        surg, sig, star = _presentation(M)
+        surg, sig, star = _presentation(_coprime_denominators(M, K))
         data, pref, t4 = _zprime_prelude(surg, sig, K)
         t2 = inv_int(2, K)
         roots = unit_roots(K)
@@ -196,14 +209,20 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
 
 
 def _zprime_prelude(surg, sig, K):
-    """Per-component (p, q, q*, s), the odd-color prefactor, and 4*."""
+    """Per-component (p, q, q*, s), the odd-color prefactor, and 4*.
+
+    Only q* = q^-1 mod K can fail: ChainDegenerate when K divides q.
+    """
     import mpmath
     t4 = inv_int(4, K)
     data = []
     phis = []
     for (p, q) in surg:
-        mat, phi = _chain_data(p, q, K)
-        data.append((p, q, inv_int(q, K), mat.s))
+        if q % K == 0:
+            raise ChainDegenerate(
+                f"surgery denominator {q} is divisible by K = {K}")
+        s, phi = _chain_data(p, q)
+        data.append((p, q, inv_int(q, K), s))
         phis.append(phi)
     pref = mpmath.mpc(legendre(abs(prod(q for (p, q) in surg)), K))
     for (p, q) in surg:
@@ -223,7 +242,7 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
     The right factor is the level-one invariant Z(M;1)/Z(S^3;1),
     computed numerically at K = 3 and conjugated iff K = 1 mod 4.
     """
-    K = _odd_k(K)
+    K = as_prime(K)
     z = z_numeric(M, K, precision)
     zp = zprime_numeric(M, K, precision)
     b = z_numeric(M, 3, precision)

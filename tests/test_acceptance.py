@@ -17,8 +17,7 @@ from so3inv.arith import inv_int, legendre, odd_primes
 from so3inv.cyclotomic import (CycInt, diamond, eval_complex, gauss_sum,
                                odd_gauss_moment, odd_window, qpow, unit_u,
                                x_order)
-from so3inv.errors import (ChainDegenerate, H1DivisibleByK, PDivisibleByK,
-                           So3InvError)
+from so3inv.errors import H1DivisibleByK, PDivisibleByK, So3InvError
 from so3inv.closedform import lens_lambda_series, lens_zprime, seifert_zprime
 from so3inv.jones import (expansion_check, seifert_beta_series,
                           sin_quotient_series)
@@ -162,11 +161,7 @@ def test_criterion_5_closed_forms_match_oracle():
                 if abs(p) % K == 0:
                     continue
                 val = eval_complex(lens_zprime(p, q, K))
-                try:
-                    num = zprime_numeric(Lens(p, q), K)
-                except ChainDegenerate:
-                    skipped += 1  # the presentation, not the manifold, is bad
-                    continue
+                num = zprime_numeric(Lens(p, q), K)
                 assert abs(val - num) < 1e-9, (p, q, K)
                 lens_n += 1
         for K in odd_primes(7, 19):
@@ -180,7 +175,7 @@ def test_criterion_5_closed_forms_match_oracle():
                 assert abs(val - num) < 1e-9, (S.fractions, K)
                 seif_n += 1
         box["detail"] = (f"{lens_n} lens + {seif_n} star cases"
-                         f" at 1e-9, {skipped} degenerate skips")
+                         f" at 1e-9, {skipped} closed-form skips")
 
 
 def test_criterion_6_flagship_identity():
@@ -231,19 +226,15 @@ def test_criterion_7_lambda_values_and_reconstruction():
 def test_criterion_8_level_one_factorization():
     with criterion(8, "full invariant factors through the odd-color one",
                    60) as box:
-        checked = skipped = 0
+        checked = 0
         for K in (5, 7, 11, 13):
             for p, q in _lens_family(8):
                 if abs(p) % K == 0:
                     continue
-                try:
-                    ok = kirby_melvin_check(Lens(p, q), K, 1e-9, precision=30)
-                except ChainDegenerate:
-                    skipped += 1
-                    continue
-                assert ok, (p, q, K)
+                assert kirby_melvin_check(Lens(p, q), K, 1e-9,
+                                          precision=30), (p, q, K)
                 checked += 1
-        box["detail"] = f"{checked} numeric cases, {skipped} skips"
+        box["detail"] = f"{checked} numeric cases"
 
 
 def test_criterion_9_expansion_degree_bounds():

@@ -12,9 +12,9 @@ from so3inv.closedform import (_seifert_phase, lens_lambda_series,
                                lens_zprime, seifert_cn, seifert_lambda_series,
                                seifert_zprime)
 from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
-from so3inv.errors import (ChainDegenerate, H1DivisibleByK, NotCoprime,
-                           NotRHS, PDivisibleByK, So3InvError)
-from so3inv.nt import Chain, SeifertData, cf_expand, dedekind_sum
+from so3inv.errors import (H1DivisibleByK, NotCoprime, NotRHS,
+                           PDivisibleByK, So3InvError)
+from so3inv.nt import SeifertData, dedekind_sum
 from so3inv.series import RatSeries, at_half_log, q_power, s_div
 from so3inv.surgery import Lens, zprime_numeric
 
@@ -82,10 +82,7 @@ def test_lens_matches_oracle_small_grid():
             for q in range(1, max(abs(p), 2)):
                 if gcd(p, q) != 1:
                     continue
-                try:
-                    oracle = zprime_numeric(Lens(p, q), K)
-                except ChainDegenerate:
-                    continue  # the presentation, not the manifold, is bad
+                oracle = zprime_numeric(Lens(p, q), K)
                 got = eval_complex(lens_zprime(p, q, K))
                 assert abs(got - oracle) < 1e-9
                 checked += 1
@@ -170,9 +167,9 @@ def test_seifert_accumulation_matches_term_by_term_sum():
 
 
 def test_seifert_zprime_ignores_chain_degeneracy():
-    # the chain [-1, 2, 4] of -11/7 has a tail denominator 7, which only
-    # the oracle's chain elements care about; q_j -> q_j + k_j p_j with
-    # sum k_j = 0 re-presents the same manifold with a sound chain
+    # the fiber -11/7 has denominator 7 = K, which only the oracle's
+    # odd-color weights care about; q_j -> q_j + k_j p_j with sum k_j = 0
+    # re-presents the same manifold without it
     shifted = SeifertData([(-11, 29), (2, 3), (3, 4)])
     want = seifert_zprime(shifted, 7)
     for fiber in ((-11, 7), (11, -7)):

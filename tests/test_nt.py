@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from so3inv import surgery
 from so3inv.arith import rat_residue, sign
 from so3inv.errors import (
     DenominatorDivisibleByK,
@@ -13,63 +14,63 @@ from so3inv.errors import (
     ZeroLowerLeft,
 )
 from so3inv.nt import (
-    SL2,
-    Chain,
     Lens,
     P1Surgery,
     SeifertData,
-    cf_expand,
     dedekind_sum,
     h1_order,
     rademacher_phi,
-    t_power_s,
 )
 
 
 def test_sl2_validation():
-    SL2(1, 0, 0, 1)
-    SL2(3, -2, 2, -1)
-    with pytest.raises(IntegralityFailure):
-        SL2(2, 0, 0, 1)
-
-
-def test_cf_expand_examples():
-    assert cf_expand(7, 1) == [7]
-    assert cf_expand(-4, 1) == [-4]
-    assert cf_expand(3, 2) == [2, 2]
-    assert cf_expand(1, 1) == [1]
-    assert cf_expand(7, 2) == [4, 2]
-    with pytest.raises(NotCoprime):
-        cf_expand(4, 2)
-    with pytest.raises(NotCoprime):
-        cf_expand(3, 0)
-
-
-def test_cf_expand_negative_q_normalizes():
-    assert cf_expand(3, -2) == cf_expand(-3, 2)
+    # the phase reads [[p, r], [q, s]] and checks that an integer r
+    # makes the determinant one: p*s = 1 (mod q)
+    assert rademacher_phi(3, 2, -1) == rademacher_phi(3, 2, 1) - 1
+    assert rademacher_phi(-7, -3, 2) == rademacher_phi(7, 3, -2)
+    for bad in ((2, 3, 1), (3, 2, 0), (4, 6, 1)):
+        with pytest.raises(IntegralityFailure):
+            rademacher_phi(*bad)
 
 
 def test_chain_matrix_examples():
-    assert Chain([2, 2]).matrix == SL2(3, -2, 2, -1)
-    assert Chain([5]).matrix == t_power_s(5)
+    # the oracle completes p/q with s = p^-1 mod q; at q = 1 that is
+    # T^p S = [[p, -1], [1, 0]], the matrix of the one-step chain
+    assert surgery._chain_data(5, 1) == (0, 5)
+    assert surgery._chain_data(-4, 1) == (0, -4)
+    assert surgery._chain_data(0, 1) == (0, 0)
+    # 3/2: [[3, 1], [2, 1]], where the chain [2, 2] gives [[3, -2], [2, -1]]
+    assert surgery._chain_data(3, 2) == (1, rademacher_phi(3, 2, -1) + 1)
 
 
 def test_chain_first_column_is_fraction():
+    # the completion is an SL2 matrix with first column (p, q)
     for p in range(2, 31):
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            u = Chain(cf_expand(p, q)).matrix
-            assert (u.p, u.q) == (p, q)
-            # and the negative numerator variant
-            un = Chain(cf_expand(-p, q)).matrix
-            assert (un.p, un.q) == (-p, q)
+            for pp in (p, -p):
+                s, phi = surgery._chain_data(pp, q)
+                assert 0 <= s < q and (pp * s - 1) % q == 0
+                assert phi == rademacher_phi(pp, q, s)
 
 
-def test_chain_partials():
-    ch = Chain([4, 2])
-    assert ch.tails[1] == ch.matrix
-    assert ch.tails[2] == t_power_s(2)
+def _ceiling_chain(p, q):
+    """The chain of p/q, q >= 1: the ceiling continued fraction
+    p/q = m1 - 1/(m2 - ...) and the tails T^(m_t) S ... T^(m_last) S
+    of its product, tails[0] the full matrix, each as (p, r, q, s)."""
+    ms = []
+    while q != 1:
+        m = -((-p) // q)  # ceiling division
+        ms.append(m)
+        p, q = q, m * q - p
+    ms.append(p)
+    tails, acc = [], (1, 0, 0, 1)
+    for m in reversed(ms):
+        a, b, c, d = acc  # T^m S @ acc, with T^m S = [[m, -1], [1, 0]]
+        acc = (m * a - c, m * b - d, a, b)
+        tails.append(acc)
+    return ms, tails[::-1]
 
 
 def test_dedekind_values():
@@ -128,30 +129,28 @@ def test_dedekind_vee():
 
 
 def test_rademacher_phi_elementary():
+    # T^m S = [[m, -1], [1, 0]]; S itself is m = 0
     for m in range(-6, 7):
-        assert rademacher_phi(t_power_s(m)) == m
-    assert rademacher_phi(SL2(0, -1, 1, 0)) == 0
+        assert rademacher_phi(m, 1, 0) == m
     with pytest.raises(ZeroLowerLeft):
-        rademacher_phi(SL2(1, 0, 0, 1))
+        rademacher_phi(1, 0, 1)
 
 
 def test_rademacher_phi_s_composition():
     # composing with the inversion shifts the phase by -3 sign(p/q)
     import random
     rng = random.Random(42)
-    s_mat = SL2(0, -1, 1, 0)
     count = 0
     while count < 50:
         p = rng.randint(-20, 20)
         q = rng.randint(1, 20)
         if p == 0 or gcd(p, q) != 1:
             continue
-        u = Chain(cf_expand(p, q)).matrix
-        su = s_mat @ u
-        if su.q == 0:
-            continue
-        sgn = 1 if (u.p > 0) == (u.q > 0) else -1
-        assert rademacher_phi(su) == rademacher_phi(u) - 3 * sgn
+        s = pow(p, -1, q)
+        r = (p * s - 1) // q
+        # S [[p, r], [q, s]] = [[-q, -s], [p, r]]
+        assert rademacher_phi(-q, p, r) == (rademacher_phi(p, q, s)
+                                            - 3 * sign(p))
         count += 1
 
 
@@ -163,11 +162,25 @@ def test_phi_chain_check_sweep():
             if gcd(p, q) != 1:
                 continue
             for pp in (p, -p):
-                ch = Chain(cf_expand(pp, q))
-                want = sum(ch.ms) - 3 * sum(
-                    sign(ch.tails[t].p * ch.tails[t].q)
-                    for t in range(2, len(ch.ms) + 1))
-                assert rademacher_phi(ch.matrix) == want
+                ms, tails = _ceiling_chain(pp, q)
+                want = sum(ms) - 3 * sum(sign(t[0] * t[2]) for t in tails[1:])
+                u = tails[0]
+                assert (u[0], u[2]) == (pp, q)
+                assert rademacher_phi(u[0], u[2], u[3]) == want
+
+
+def test_phi_of_any_completion():
+    # two SL2 matrices with first column (p, q) differ by T^k on the
+    # right: s moves by k*q and the phase by exactly k
+    for p in range(-30, 31):
+        for q in range(1, 31):
+            if gcd(p, q) != 1:
+                continue
+            s_c = _ceiling_chain(p, q)[1][0][3]
+            s = pow(p, -1, q)
+            assert (s_c - s) % q == 0
+            assert (rademacher_phi(p, q, s_c) - rademacher_phi(p, q, s)
+                    == (s_c - s) // q)
 
 
 def test_seifert_data():

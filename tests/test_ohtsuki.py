@@ -9,6 +9,7 @@ from so3inv.arith import odd_primes
 from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (BoundViolation, InsufficientModulus,
                            InsufficientTerms, NoClosedForm, So3InvError)
+from so3inv import ohtsuki
 from so3inv.nt import P1Surgery, SeifertData, h1_order, manifold_label
 from so3inv.ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
                             diamond_side, reconstruct_lambda, vee_side,
@@ -58,7 +59,7 @@ def test_verify_identity_seifert_sample():
     assert all(r.first_mismatch is None for r in reports)
 
 
-def test_verify_identity_builds_series_once():
+def test_verify_identity_builds_series_once(monkeypatch):
     primes = [5, 7, 11, 13]
     calls = []
 
@@ -66,16 +67,18 @@ def test_verify_identity_builds_series_once():
         calls.append(n_max)
         return closed_lambda_series(m, n_max)
 
-    reports = verify_identity(Lens(7, 3), primes, counting)
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", counting)
+    reports = verify_identity(Lens(7, 3), primes)
     assert calls == [6]
     assert reports == [verify_identity(Lens(7, 3), [K])[0] for K in primes]
 
 
-def test_verify_identity_series_failure_skips_every_prime():
+def test_verify_identity_series_failure_skips_every_prime(monkeypatch):
     def broken(m, n_max):
         raise So3InvError("no series")
 
-    reports = verify_identity(Lens(7, 3), [5, 7, 11, 13], broken)
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", broken)
+    reports = verify_identity(Lens(7, 3), [5, 7, 11, 13])
     assert [r.verdict for r in reports] == ["skipped"] * 4
     assert [r.K for r in reports] == [5, 7, 11, 13]
     assert "H1DivisibleByK" in reports[1].error
@@ -92,10 +95,11 @@ def test_closed_lambda_series_prefix(m):
         assert big[:n + 1] == closed_lambda_series(m, n).values
 
 
-def test_verify_identity_flags_wrong_series():
+def test_verify_identity_flags_wrong_series(monkeypatch):
     wrong = LambdaSeries("wrong", 3, (Fraction(1), Fraction(1), Fraction(1),
                                       Fraction(1)), "closed-form")
-    reports = verify_identity(Lens(2, 1), [7], lambda m, n: wrong)
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", lambda m, n: wrong)
+    reports = verify_identity(Lens(2, 1), [7])
     assert reports[0].verdict == "unequal"
     assert reports[0].first_mismatch == 1
 

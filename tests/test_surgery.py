@@ -13,10 +13,12 @@ from so3inv.arith import even_inv, inv_int, kappa_of, odd_primes, sign
 from so3inv.closedform import ExtendedPhase, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
                                from_counts, odd_window, qpow, unit_u)
-from so3inv.errors import (ChainDegenerate, DivisibilityFailure, NotCoprime,
-                           NotRHS, PhaseNotReducible)
+from so3inv.errors import (ChainDegenerate, DivisibilityFailure,
+                           NotAnOddPrime, NotCoprime, NotRHS,
+                           PhaseNotReducible, ZeroLowerLeft)
 from so3inv.jones import JonesTable, get_table
 from so3inv.nt import SeifertData
+from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
                             z_numeric, zprime_numeric)
 
@@ -56,29 +58,39 @@ def test_full_invariant_homeomorphism_invariance():
 
 
 def test_chain_degenerate_raises():
-    with pytest.raises(ChainDegenerate):
-        zprime_numeric(Lens(5, 7), 7)
+    # the odd-color weight needs q^-1 mod K; a single fiber with K | q
+    # has no partner to shift against
+    with pytest.raises(ChainDegenerate, match="denominator 7"):
+        zprime_numeric(SeifertData([(5, 7)]), 7)
+
+
+def test_denominator_divisible_by_k_is_re_presented():
+    # 7/5 and -11/7 have denominator 7 = K; L(5, 7) = L(5, 12) and the
+    # fiber shift q_i + k p_i, q_j - k p_j present the same manifolds
+    # without one
+    for m in (Lens(5, 7), SeifertData([(-11, 7), (2, 1), (3, 1)])):
+        want = eval_complex(closed_zprime(m, 7))
+        assert abs(zprime_numeric(m, 7) - want) < 1e-9, m
+    # a 1/0 fiber is shifted too; the full invariant, which is never
+    # re-presented, names its zero lower-left entry
+    fiber_1_0 = SeifertData([(1, 0), (2, 1), (3, 1)])
+    want = eval_complex(closed_zprime(fiber_1_0, 7))
+    assert abs(zprime_numeric(fiber_1_0, 7) - want) < 1e-9
+    with pytest.raises(ZeroLowerLeft):
+        z_numeric(fiber_1_0, 7)
 
 
 # two-fiber stars and the lens spaces they are: X(p1/q1, p2/q2) is
 # L(p1*q2 + p2*q1, .), so the stray -1 of the star meets an
-# independent chain presentation with more than one fiber
+# independent lens presentation with more than one fiber
 TWO_FIBER_LENS = [([(2, 1), (3, 1)], (5, 4)), ([(3, 1), (5, 2)], (11, 5)),
                   ([(3, 2), (7, 3)], (23, 7)), ([(4, 1), (5, 3)], (17, 11))]
 
 
 def _two_fiber_cells(invariant):
-    """(star, chain) values on TWO_FIBER_LENS at K in {7, 11, 13, 19},
-    leaving out the cells whose chain degenerates at level K."""
-    cells = []
-    for fractions, lens in TWO_FIBER_LENS:
-        for K in (7, 11, 13, 19):
-            try:
-                cells.append((invariant(SeifertData(fractions), K),
-                              invariant(Lens(*lens), K)))
-            except ChainDegenerate:
-                continue
-    return cells
+    """(star, lens) values on TWO_FIBER_LENS at K in {7, 11, 13, 19}."""
+    return [(invariant(SeifertData(fractions), K), invariant(Lens(*lens), K))
+            for fractions, lens in TWO_FIBER_LENS for K in (7, 11, 13, 19)]
 
 
 def test_seifert_star_matches_chain_presentation():
@@ -88,7 +100,7 @@ def test_seifert_star_matches_chain_presentation():
     chain = zprime_numeric(Lens(2, 5), 7)
     assert abs(star - chain) < 1e-12
     cells = _two_fiber_cells(zprime_numeric)
-    assert len(cells) == 14
+    assert len(cells) == 16
     for star, chain in cells:
         assert abs(star - chain) < 1e-9
 
@@ -98,7 +110,7 @@ def test_seifert_star_full_invariant_matches_chain_presentation():
     # kirby_melvin_check alone would also pass if z_numeric were 0 at
     # both levels (and it is 0 for L(2, q): tau_3 vanishes there)
     for p, q in ((5, 3), (7, 3), (4, 3)):
-        for K in (5, 7, 9):
+        for K in (5, 7, 11):
             star = z_numeric(SeifertData([(p, q)]), K)
             chain = z_numeric(Lens(q, p), K)
             assert abs(star - chain) < 1e-12 and abs(chain) > 1
@@ -153,6 +165,12 @@ def test_kirby_melvin_factorization():
     assert kirby_melvin_check(Lens(5, 2), 11)
     assert kirby_melvin_check(Lens(1, 1), 5)
     assert kirby_melvin_check(POINCARE, 7)
+    # the oracle runs at odd primes only, like the exact side
+    for K in (9, 15):
+        with pytest.raises(NotAnOddPrime):
+            z_numeric(Lens(3, 1), K)
+        with pytest.raises(NotAnOddPrime):
+            kirby_melvin_check(Lens(3, 1), K)
 
 
 def test_presentations_are_the_nt_types():
