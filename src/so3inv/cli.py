@@ -20,9 +20,9 @@ Output is TSV (default) or JSON with fixed columns:
   lambda:    manifold n value provenance modulus bounds
 
 Rows are sorted by (manifold, K, n) no matter how many workers run, so
-identical configs produce byte-identical reports.  Worker count comes
-from --workers, else the SO3INV_WORKERS environment variable, else 1,
-and is clamped to the CPU count and to the number of tasks.
+identical configs produce byte-identical reports.  The worker count,
+--workers (default 1), is clamped to the CPU count and to the number
+of tasks.
 
 Exit codes: 0 all good, 2 usage error or invalid manifold spec, 3
 computation failure (identity mismatch, a manifold that verify verified
@@ -161,16 +161,6 @@ def gather_manifolds(args) -> list:
     return out
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    raw = os.environ.get("SO3INV_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"SO3INV_WORKERS: not an integer: {raw!r}") from None
-
-
 def pool_size(requested: int, n_tasks: int, cpus) -> int:
     """Worker processes to start: never more than CPUs or tasks."""
     return max(1, min(requested, cpus or 1, n_tasks))
@@ -251,7 +241,7 @@ def cmd_invariant(args) -> int:
     if not manifolds:
         raise UsageError("no manifolds given")
     tasks = [(m, K, args.precision) for m in manifolds for K in args.k]
-    results = _pool(_invariant_task, tasks, _workers(args))
+    results = _pool(_invariant_task, tasks, args.workers)
     _emit([row for row, _ in results if row],
           ("manifold", "K", "coeffs", "xpoly", "diamond", "numeric"), args)
     failures = [why for _, why in results if why]
@@ -293,10 +283,10 @@ def cmd_verify(args) -> int:
     rows = []
     if args.gauss:
         rows.extend(_pool(_gauss_task, [(None, K) for K in args.primes],
-                          _workers(args)))
+                          args.workers))
     if manifolds:
         tasks = [(m, args.primes) for m in manifolds]
-        per_manifold = _pool(_identity_task, tasks, _workers(args))
+        per_manifold = _pool(_identity_task, tasks, args.workers)
         rows.extend(sorted((r for rs in per_manifold for r in rs),
                            key=lambda r: (r[1], r[2])))
     failed = [r for r in rows if r[3] in ("FAIL", "unequal")]
@@ -366,8 +356,8 @@ def _add_manifold_flags(sp):
 def _add_output_flags(sp):
     sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
     sp.add_argument("--out", metavar="PATH", help="write report to a file")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="process count (default: SO3INV_WORKERS or 1)")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="process count (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

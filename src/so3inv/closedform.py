@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
-from .cyclotomic import CycInt, diamond, from_counts, qpow, sine_quotient
+from .cyclotomic import CycInt, diamond, from_runs, qpow
 from .errors import (
     BadNormalization,
     DiamondMismatch,
@@ -65,7 +65,9 @@ def lens_zprime(p: int, q: int, K) -> CycInt:
         raise PDivisibleByK(f"|H1| = {p} is divisible by K = {K}")
     pstar = inv_int(p, K)
     sv = rat_residue(3 * dedekind_sum(q, p), K)
-    return sine_quotient(pstar, K) * qpow(sv, K) * legendre(p, K)
+    # q^sv * sine_quotient(p*): one run of p* powers of q
+    return from_runs([(sv + inv_int(2, K) * (1 - pstar), pstar,
+                       legendre(p, K))], K)
 
 
 def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
@@ -297,15 +299,12 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     t2, t4 = inv_int(2, K), inv_int(4, K)
     hstar = inv_int(S.H, K)
     phs = S.P * hstar
-    # sum_n c * q^e * sine_quotient(m), as exponent counts: the sine
-    # quotient is sum_{i<m} q^(2*(1-m+2i))
-    full = [0] * K
+    # sum_n c * q^e * sine_quotient(m), one run of m powers of q per C_n
+    runs = []
     for n, c in seifert_cn([inv_int(p, K) for (p, q) in S.fractions]).items():
-        e = t4 * phs * (n * n + 1)
         m = (phs * n) % K
-        for i in range(m):
-            full[(e + t2 * (1 - m + 2 * i)) % K] += c
-    return pref * from_counts(full, K)
+        runs.append((t4 * phs * (n * n + 1) + t2 * (1 - m), m, c))
+    return pref * from_runs(runs, K)
 
 
 def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:

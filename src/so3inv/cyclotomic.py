@@ -2,8 +2,9 @@
 
 Elements are stored on the power basis {1, q, ..., q^(K-2)} with the
 relation 1 + q + ... + q^(K-1) = 0 folding the top power down.  Sums
-of many q-power terms are accumulated as K exponent counts (slot e for
-q^e, so multiplying by q^f is an index shift) and folded once.  The
+of q-power terms are given as runs w * (q^s + ... + q^(s+m-1)) and
+accumulated once by `from_runs`; a quantized integer [c] is one run,
+since its terms step the exponent by 2* and 2 * 2* = 1 mod K.  The
 parallel XPoly view rewrites the same element as an integer polynomial
 in x = q - 1; powers of x filtered mod K (the x-adic order and the
 diamond truncation) are what connect exact invariants to their
@@ -20,6 +21,7 @@ q^0-type terms; dropping it breaks the completed-square identity.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, neg, sub
 from typing import Sequence
 
@@ -132,11 +134,8 @@ class CycInt:
 
     def galois(self, j: int) -> "CycInt":
         """Apply the automorphism q -> q^j (j coprime to K)."""
-        K = self.K
-        full = [0] * K
-        for i, c in enumerate(self.coeffs):
-            full[i * j % K] += c
-        return _fold(full, K)
+        return from_runs(((i * j, 1, c) for i, c in enumerate(self.coeffs)),
+                         self.K)
 
 
 def _raw(coeffs: tuple, K: int) -> CycInt:
@@ -157,16 +156,26 @@ def _fold(full, K: int) -> CycInt:
     return _raw(tuple([c - top for c in full[:K - 1]]), K)
 
 
-def from_counts(counts: Sequence[int], K: int) -> CycInt:
-    """The element sum_e counts[e] * q^e, from K exponent counts.
+def from_runs(runs, K: int) -> CycInt:
+    """sum of w * (q^s + q^(s+1) + ... + q^(s+m-1)) over (s, m, w).
 
-    Closed-form sums accumulate into one such integer list by index
-    arithmetic (q^e * q^f is slot (e + f) mod K) and build one CycInt.
+    Each run has 0 <= m <= K (MixedModulus otherwise); a single term
+    w * q^s is the run (s, 1, w).  One difference array of 2K slots
+    takes every run unsplit, as s mod K + m < 2K; one prefix sum, the
+    upper K slots folded onto the lower (q^K = 1), and one _fold give
+    the element in O(#runs + K).  A run of K terms is
+    1 + q + ... + q^(K-1) = 0 and needs no special case.
     """
     as_prime(K)
-    if len(counts) != K:
-        raise MixedModulus(f"{len(counts)} exponent counts for K = {K}")
-    return _fold(counts, K)
+    diff = [0] * (2 * K)
+    for s, m, w in runs:
+        if not 0 <= m <= K:
+            raise MixedModulus(f"a run of {m} powers of q for K = {K}")
+        s %= K
+        diff[s] += w
+        diff[s + m] -= w
+    full = list(accumulate(diff))
+    return _fold(list(map(add, full[:K], full[K:])), K)
 
 
 def qpow(n: int, K: int) -> CycInt:
@@ -243,11 +252,8 @@ def gauss_sum(c: int, K: int) -> CycInt:
 
 def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
     """Sum of a^(2m) * q^(p*a^2) over the odd class window."""
-    as_prime(K)
-    full = [0] * K
-    for a in odd_window(K):
-        full[p * a * a % K] += a ** (2 * m)
-    return _fold(full, K)
+    return from_runs(((p * a * a, 1, a ** (2 * m)) for a in odd_window(K)),
+                     K)
 
 
 def divide_exact(a: CycInt, n: int) -> CycInt:
@@ -300,15 +306,10 @@ def sine_quotient(c: int, K: int) -> CycInt:
     """Exact ratio (q^(-2*c) - q^(2*c)) / (q^(-2*) - q^(2*)).
 
     Here 2* is the inverse of 2 mod K and c is reduced to [0, K).  The
-    geometric form sum_{i<c} q^(2*(1-c+2i)) makes the division exact.
+    geometric form sum_{i<c} q^(2*(1-c+2i)) makes the division exact,
+    and as 2 * 2* = 1 mod K it is the run of c powers from q^(2*(1-c)).
     """
-    as_prime(K)
-    t2 = (K + 1) // 2
-    c %= K
-    full = [0] * K
-    for i in range(c):
-        full[t2 * (1 - c + 2 * i) % K] += 1
-    return _fold(full, K)
+    return from_runs([((K + 1) // 2 * (1 - c), c % K, 1)], K)
 
 
 _ROOTS: dict = {}

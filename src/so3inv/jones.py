@@ -4,9 +4,11 @@ Colors are odd integers.  The link tables, the unknot and split
 unlinks, are split links of unknots: the value at colors (a_1..a_N) is
 the product of the quantized integers [a_j], so it is odd under
 negating a color, 2K-periodic, multiplicative over components and 1 on
-the empty link.  Integer surgery on such a link is a connected sum,
-which `surgery.exact_p1` computes one component at a time; the numeric
-oracle evaluates the same values from sines in `cyclotomic.unit_roots`.
+the empty link.  At an odd color [a] is `cyclotomic.sine_quotient(a)`,
+one run of powers of q.  Integer surgery on such a link is a connected
+sum, which `surgery.exact_p1` computes one component at a time, adding
+one such run per color; the numeric oracle evaluates the same values
+from sines in `cyclotomic.unit_roots`.
 expansion_check verifies the structural bounds on the color expansion
 around t = 0 of a one-color evaluation given as a series, such as the
 unknot's sin_quotient_series or the Seifert fiber evaluation
@@ -25,26 +27,18 @@ from .errors import BoundViolation, EvenColor, So3InvError
 from .series import RatSeries, exp_sum_series, s_div
 
 
-def _norm_color(alpha: int, K: int):
-    """Reduce an odd color to (sign, representative in (0, K])."""
-    if alpha % 2 == 0:
-        raise EvenColor(f"color {alpha} is even")
-    r = alpha % (2 * K)
-    if r > K:
-        return -1, 2 * K - r
-    return 1, r
-
-
 def jones_unknot(alpha: int, K: int) -> CycInt:
     """Exact unknot evaluation: the quantized integer [alpha].
 
     Odd under negation, 2K-periodic, [1] = 1, [K] = 0; embeds to
-    sin(pi*alpha/K)/sin(pi/K) under the root-of-unity evaluation.
+    sin(pi*alpha/K)/sin(pi/K) under the root-of-unity evaluation.  The
+    sine quotient's base q^(2*) is -e^(i*pi/K); at an odd color that
+    sign flips its numerator and denominator alike, so the K-periodic
+    sine quotient is already the 2K-periodic [alpha].
     """
-    sgn, r = _norm_color(alpha, K)
-    if r == K:
-        return CycInt.zero(K)
-    return sine_quotient(r, K) * sgn
+    if alpha % 2 == 0:
+        raise EvenColor(f"color {alpha} is even")
+    return sine_quotient(alpha, K)
 
 
 def sin_quotient_series(c: int, cap: int) -> RatSeries:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import prod
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
-from .cyclotomic import (CycInt, divide_by_x, from_counts, odd_window, qpow,
+from .cyclotomic import (CycInt, divide_by_x, from_runs, odd_window, qpow,
                          unit_roots, unit_u)
 from .errors import (
     ChainDegenerate,
@@ -51,7 +51,6 @@ from .errors import (
     NotCoprime,
     NotRHS,
 )
-from .jones import get_table
 from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
@@ -257,34 +256,30 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
 def exact_p1(M: P1Surgery, K) -> CycInt:
     """Exact Z' for an integer-framed presentation, inside Z[q].
 
-    Every link table is a split link, so the surgery is a
+    Every link table is a split link of unknots, so the surgery is a
     connected sum and Z' is the product of one factor per component
-    (`_p1_factor`); the empty surgery gives 1.
+    (`_p1_factor`), whichever table M names; the empty surgery gives 1.
     """
     K = as_prime(K)
     if any(p % K == 0 for p in M.framings):
         raise NotCoprime(f"framing divisible by {K}")
-    table = get_table(M.jones)
-    return prod((_p1_factor(table, p, K) for p in M.framings),
-                start=CycInt.one(K))
+    return prod((_p1_factor(p, K) for p in M.framings), start=CycInt.one(K))
 
 
-def _p1_factor(table, p: int, K: int) -> CycInt:
+def _p1_factor(p: int, K: int) -> CycInt:
     """One component of exact_p1: its odd-color sum S.
 
-    S carries a guaranteed factor x^((K-1)/2); it is divided out by
-    exact division (DivisibilityFailure if violated), and the result is
+    S is the sum over odd colors a of q^(4* p a^2) [a + p*], p* the even
+    inverse of p, and each term is one run of powers of q (the link
+    value [c] at an odd color c is `cyclotomic.sine_quotient(c)`).  S
+    carries a guaranteed factor x^((K-1)/2); it is divided out by exact
+    division (DivisibilityFailure if violated), and the result is
     assembled with the unit u, a +-1 phase, sign(p) and a power of q.
     """
-    t4 = inv_int(4, K)
+    t2, t4 = inv_int(2, K), inv_int(4, K)
     pst = even_inv(p, K)
-    # sum of jv * q^e, as exponent counts: q^e rotates jv by e slots
-    full = [0] * K
-    for a in odd_window(K):
-        e = t4 * p * a * a
-        for i, c in enumerate(table.exact((a + pst,), K).coeffs):
-            full[(i + e) % K] += c
-    w = from_counts(full, K)
+    w = from_runs([(t4 * p * a * a + t2 * (1 - a - pst), (a + pst) % K, 1)
+                   for a in odd_window(K)], K)
     try:
         for _ in range((K - 1) // 2):
             w = divide_by_x(w)

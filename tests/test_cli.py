@@ -248,13 +248,6 @@ def test_verify_one_unverified_manifold_fails_the_run(capsys):
     assert "L(5,2)" in err and "L(3,1)" not in err
 
 
-def test_bad_workers_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SO3INV_WORKERS", "abc")
-    code, _, err = run(capsys, "verify", "--lens", "5,2", "--primes", "7")
-    assert code == 2
-    assert "SO3INV_WORKERS" in err
-
-
 def test_pool_size_clamp():
     assert pool_size(8, 3, 16) == 3
     assert pool_size(8, 100, 2) == 2
@@ -372,7 +365,6 @@ assert "mpmath" not in sys.modules, "run"
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("SO3INV_WORKERS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from so3inv import closedform
 from so3inv.arith import inv_int, odd_primes
 from so3inv.closedform import (_seifert_phase, lens_lambda_series,
                                lens_zprime, seifert_cn, seifert_lambda_series,
                                seifert_zprime)
 from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
-from so3inv.errors import (H1DivisibleByK, NotCoprime, NotRHS,
-                           PDivisibleByK, So3InvError)
+from so3inv.errors import (DiamondMismatch, H1DivisibleByK, NotCoprime,
+                           NotRHS, PDivisibleByK, So3InvError)
 from so3inv.nt import SeifertData, dedekind_sum
 from so3inv.series import RatSeries, at_half_log, q_power, s_div
 from so3inv.surgery import Lens, zprime_numeric
@@ -154,8 +155,14 @@ def _ref_seifert_zprime(S, K):
 
 def test_seifert_accumulation_matches_term_by_term_sum():
     checked = 0
+    # 1-, 2-, 3-, 4- and 5-fiber data, with negative p and q
     for s in SEIFERT_SAMPLE + [SeifertData([(2, 1), (3, 1), (7, 1)]),
-                               SeifertData([(2, 1), (4, 1), (5, 2)])]:
+                               SeifertData([(2, 1), (4, 1), (5, 2)]),
+                               SeifertData([(5, 2)]),
+                               SeifertData([(-3, 2), (7, -3)]),
+                               SeifertData([(2, -1), (3, 1), (5, 1), (-7, 2)]),
+                               SeifertData([(2, 1), (-3, 2), (5, 1), (7, -2),
+                                            (11, 3)])]:
         for K in odd_primes(3, 61):
             try:
                 got = seifert_zprime(s, K)
@@ -163,7 +170,21 @@ def test_seifert_accumulation_matches_term_by_term_sum():
                 continue
             assert got == _ref_seifert_zprime(s, K)
             checked += 1
-    assert checked > 90
+    assert checked > 180
+
+
+@pytest.mark.parametrize("wrong", [lambda ph: ph.times_q(1),
+                                   lambda ph: ph.times_sign(-1)],
+                         ids=["q", "sign"])
+def test_wrong_prefactor_raises_diamond_mismatch(monkeypatch, wrong):
+    # a prefactor off by q or by -1 still reduces into Z[q], so only the
+    # diamond guard can catch it
+    phase = closedform._seifert_phase
+    monkeypatch.setattr(closedform, "_seifert_phase",
+                        lambda S, K: wrong(phase(S, K)))
+    for K in (7, 11, 101):
+        with pytest.raises(DiamondMismatch):
+            seifert_zprime(POINCARE, K)
 
 
 def test_seifert_zprime_ignores_chain_degeneracy():

@@ -14,7 +14,7 @@ from so3inv.cyclotomic import (
     divide_by_x,
     divide_exact,
     eval_complex,
-    from_counts,
+    from_runs,
     gauss_sum,
     odd_gauss_moment,
     odd_window,
@@ -106,8 +106,8 @@ def test_odd_gauss_moment_examples():
             counts = [0] * K
             for a in odd_window(K):
                 counts[p * a * a % K] += 1
-            assert odd_gauss_moment(p, 0, K) == from_counts(counts, K)
-            assert gauss_sum(p, K) == from_counts(counts, K)
+            assert odd_gauss_moment(p, 0, K) == _ref_sum(enumerate(counts), K)
+            assert gauss_sum(p, K) == _ref_sum(enumerate(counts), K)
     # boundary class contributes 3^2 * q^0 at K=3
     assert odd_gauss_moment(1, 1, 3) == CycInt([9, 2], 3)
 
@@ -461,13 +461,20 @@ def test_odd_gauss_moment_matches_qpow_sum():
                 assert odd_gauss_moment(p, m, K) == want
 
 
-def test_from_counts_is_the_qpow_sum():
+def test_from_runs_is_the_qpow_sum():
     rng = random.Random(31)
     for K in PRIMES_TO_61:
-        counts = [rng.randint(-99, 99) for _ in range(K)]
-        assert from_counts(counts, K) == _ref_sum(enumerate(counts), K)
-    with pytest.raises(MixedModulus):
-        from_counts([1, 2, 3, 4], 5)
+        runs = [(rng.randint(-10 * K, 10 * K), rng.randint(0, K),
+                 rng.randint(-99, 99)) for _ in range(20)]
+        # wrap-around, empty and full runs, a negative and a large start
+        runs += [(K - 1, 2, 3), (-K - 1, 3, -4), (5, 0, 7), (2, K, 11),
+                 (10 ** 30 + 1, K - 1, -2)]
+        want = _ref_sum([(s + i, w) for s, m, w in runs for i in range(m)], K)
+        assert from_runs(runs, K) == want
+        assert from_runs([(3, K, 5)], K) == CycInt.zero(K)
+    for m in (6, -1):
+        with pytest.raises(MixedModulus):
+            from_runs([(0, m, 1)], 5)
 
 
 def test_to_xpoly_matches_binomial_expansion():
@@ -501,6 +508,6 @@ def test_cached_prime_check_still_rejects_non_primes():
         CycInt([1], 9)  # again, after the first rejection
     for make in (lambda: qpow(1, 9), lambda: sine_quotient(2, 9),
                  lambda: gauss_sum(1, 9), lambda: odd_gauss_moment(1, 1, 9),
-                 lambda: unit_u(9), lambda: from_counts([0] * 9, 9)):
+                 lambda: unit_u(9), lambda: from_runs([], 9)):
         with pytest.raises(NotAnOddPrime):
             make()

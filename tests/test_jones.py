@@ -3,6 +3,7 @@ from math import factorial, isclose, pi, sin
 
 import pytest
 
+from so3inv.arith import odd_primes
 from so3inv.cyclotomic import CycInt, eval_complex, qpow
 from so3inv.errors import BoundViolation, EvenColor, So3InvError
 from so3inv.jones import (
@@ -44,6 +45,25 @@ def test_unknot_numeric_embedding():
             want = sin(pi * a / K) / sin(pi / K)
             assert isclose(z.real, want, rel_tol=1e-12, abs_tol=1e-12)
             assert abs(z.imag) < 1e-12
+
+
+def _sign_normalized_unknot(alpha, K):
+    """[alpha] via alpha mod 2K: sign -1 past K, 0 at K, and the sum
+    of q^(2*(1-r+2i)) over i < r at the representative r in (0, K)."""
+    r = alpha % (2 * K)
+    sgn = -1 if r > K else 1
+    r = min(r, 2 * K - r)
+    t2 = (K + 1) // 2
+    return sum((qpow(t2 * (1 - r + 2 * i), K) for i in range(r % K)),
+               CycInt.zero(K)) * sgn
+
+
+def test_unknot_is_the_sign_normalized_quotient():
+    # jones_unknot reads no sign or representative off alpha mod 2K; at
+    # every odd alpha over four periods it must agree with that route
+    for K in odd_primes(3, 61):
+        for alpha in range(-4 * K - 1, 4 * K + 2, 2):
+            assert jones_unknot(alpha, K) == _sign_normalized_unknot(alpha, K)
 
 
 def test_unlink_multiplicativity_and_empty():

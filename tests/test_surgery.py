@@ -12,11 +12,11 @@ from so3inv import cyclotomic, surgery
 from so3inv.arith import even_inv, inv_int, kappa_of, odd_primes, sign
 from so3inv.closedform import ExtendedPhase, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
-                               from_counts, odd_window, qpow, unit_u)
+                               odd_window, qpow, unit_u)
 from so3inv.errors import (ChainDegenerate, DivisibilityFailure,
                            NotAnOddPrime, NotCoprime, NotRHS,
                            PhaseNotReducible, ZeroLowerLeft)
-from so3inv.jones import JonesTable, get_table
+from so3inv.jones import get_table
 from so3inv.nt import SeifertData
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
@@ -235,12 +235,8 @@ def test_exact_p1_rejects_framing_divisible_by_k():
 
 
 def test_exact_p1_rejects_indivisible_color_sum(monkeypatch):
-    # a link value at one color only leaves a lone q^e as the color
-    # sum, which x = q - 1 does not divide
-    def one_color(self, colors, K):
-        return CycInt.one(K) if colors[0] % (2 * K) == 1 else CycInt.zero(K)
-
-    monkeypatch.setattr(JonesTable, "exact", one_color)
+    # a lone q^0 as the color sum, which x = q - 1 does not divide
+    monkeypatch.setattr(surgery, "from_runs", lambda runs, K: CycInt.one(K))
     with pytest.raises(DivisibilityFailure):
         exact_p1(P1Surgery("unknot", (3,)), 7)
 
@@ -271,7 +267,8 @@ def _joint_color_sum(M, K):
         e = t4 * sum(p * a * a for p, a in zip(ps, al)) % K
         acc += prod(link[a] for link, a in zip(links, al)) * q_to[e]
     acc %= X ** K - 1
-    w = from_counts([acc >> (64 * e) & (X - 1) for e in range(K)], K)
+    counts = [acc >> (64 * e) & (X - 1) for e in range(K)]
+    w = CycInt([c - counts[K - 1] for c in counts[:K - 1]], K)
     for _ in range(len(ps) * (K - 1) // 2):
         w = divide_by_x(w)
     negatives = sum(p < 0 for p in ps)
