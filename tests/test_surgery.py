@@ -9,7 +9,8 @@ import pytest
 
 import so3inv.nt
 from so3inv import cyclotomic, surgery
-from so3inv.arith import even_inv, inv_int, kappa_of, odd_primes, sign
+from so3inv.arith import (even_inv, inv_int, kappa_of, legendre, odd_primes,
+                          sign)
 from so3inv.closedform import ExtendedPhase, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
                                odd_window, qpow, unit_u)
@@ -17,7 +18,7 @@ from so3inv.errors import (ChainDegenerate, DivisibilityFailure,
                            NotAnOddPrime, NotCoprime, NotRHS,
                            PhaseNotReducible, ZeroLowerLeft)
 from so3inv.jones import get_table
-from so3inv.nt import SeifertData
+from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
                             z_numeric, zprime_numeric)
@@ -288,12 +289,39 @@ def test_exact_p1_matches_joint_color_sum():
                 assert exact_p1(m, K) == _joint_color_sum(m, K), K
 
 
+def _seed_zprime_prefactor(surg, sig, K):
+    """The odd-color prefactor as the oracle first wrote it, factor by
+    factor, with direct mpmath calls: sign, K^(-N/2), the two phases
+    of the signature and the root of order K of the summed chain
+    phases."""
+    t4 = inv_int(4, K)
+    phis = [rademacher_phi(p, q, pow(p, -1, q)) for (p, q) in surg]
+    pref = mpmath.mpc(legendre(abs(prod(q for (p, q) in surg)), K))
+    pref *= prod(sign(q) for (p, q) in surg)
+    pref *= mpmath.mpf(K) ** (mpmath.mpf(-len(surg)) / 2)
+    pref *= mpmath.expjpi(mpmath.mpf(-kappa_of(K) * sig) / 4)
+    pref *= mpmath.expjpi(mpmath.mpf(-3 * (K - 2) * sig) / (4 * K))
+    pref *= mpmath.expjpi(mpmath.mpf(2 * (-t4 * sum(phis) % K)) / K)
+    return pref * (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
+
+
+def _seed_zprime_weights(p, q, K):
+    """The odd-color weights of one component, {a: q^(4* q*(p a^2 + s))
+    * sin(2 pi 2* q* a / K)}, q* = q^-1 mod K, s = p^-1 mod q."""
+    t2, t4, qs = inv_int(2, K), inv_int(4, K), inv_int(q, K)
+    s = pow(p, -1, q)
+    return {a: mpmath.expjpi(mpmath.mpf(2 * (t4 * qs * (p * a * a + s) % K))
+                             / K)
+            * mpmath.sinpi(mpmath.mpf(2 * t2 * qs * a % (2 * K)) / K)
+            for a in odd_window(K)}
+
+
 def _joint_numeric(M, K, full):
     """z_numeric (full) or zprime_numeric of a P1 surgery from the joint
     sum over all color tuples, colors 1..K-1 or the odd window.
 
-    The link value of a tuple is prod sin(pi*a_j/K) / sin(pi/K)^N; the
-    per-component factors and the prefactor are the oracle's own, and
+    The link value of a tuple is prod sin(pi*a_j/K) / sin(pi/K)^N.  The
+    per-component factors and the prefactor are written out here, and
     every transcendental value is a direct mpmath call.
     """
     surg = [(p, 1) for p in M.framings]
@@ -304,17 +332,25 @@ def _joint_numeric(M, K, full):
             return mpmath.sinpi(mpmath.mpf(y) / K)
 
         if full:
-            data, pref = surgery._z_prelude(surg, sig, K)
-            factors = [{a: surgery._chain_element(*d, K, a, 1)
-                        for a in range(1, K)} for d in data]
+            # q = 1: the SL2 completion [[p, -1], [1, 0]], s = 0, and
+            # the matrix element at colors (a, 1) is i / sqrt(2K)
+            # * e^(-i pi phi / 4) * sum_mu mu * e^(i pi (p a^2 - 2 a mu)
+            # / (2K))
+            phis = [rademacher_phi(p, 1, 0) for (p, q) in surg]
+            e = Fraction(K - 2, K) * (sum(phis) - 3 * sig)
+            pref = mpmath.expjpi(mpmath.mpf(e.numerator)
+                                 / (4 * e.denominator))
+            factors = [{a: mpmath.mpc(0, 1) / mpmath.sqrt(2 * K)
+                        * mpmath.expjpi(mpmath.mpf(-phi) / 4)
+                        * sum(mu * mpmath.expjpi(
+                            mpmath.mpf(p * a * a - 2 * a * mu) / (2 * K))
+                            for mu in (1, -1))
+                        for a in range(1, K)}
+                       for (p, q), phi in zip(surg, phis)]
             colors = range(1, K)
         else:
-            data, pref, t4 = surgery._zprime_prelude(surg, sig, K)
-            t2 = inv_int(2, K)
-            factors = [{a: mpmath.expjpi(mpmath.mpf(2 * t4 * qs
-                                                     * (p * a * a + s)) / K)
-                        * sine(2 * t2 * qs * a)
-                        for a in odd_window(K)} for (p, q, qs, s) in data]
+            pref = _seed_zprime_prefactor(surg, sig, K)
+            factors = [_seed_zprime_weights(p, q, K) for (p, q) in surg]
             colors = odd_window(K)
         tot = mpmath.mpc(0)
         for al in itertools.product(colors, repeat=n):
@@ -333,6 +369,47 @@ def test_numeric_oracle_matches_joint_color_sum(full):
         for K in (5, 7, 11, 13):
             want = _joint_numeric(m, K, full)
             assert abs(oracle(m, K) - want) < 1e-12, (m, K)
+
+
+# stars with 1 to 5 fibers and negative p and q
+STARS = [[(-5, 3)], [(3, -2), (5, 1)], [(2, 1), (3, 1), (5, -4)],
+         [(2, -1), (3, 1), (5, 1), (-7, 2)],
+         [(2, 1), (-3, 2), (5, 1), (7, -2), (11, 3)]]
+
+
+def _seed_star(M, K):
+    """zprime_numeric of a Seifert space as the per-fiber mpc sum the
+    oracle first used: at each central color b, the product over the
+    fibers of sum_a sin(pi*b*a/K) * w(a), over sin(pi*b/K)^(N-1)
+    * sin(pi/K), with every transcendental value a direct mpmath call.
+    Only the presentation is the oracle's own.
+    """
+    surg, sig, star = surgery._presentation(
+        surgery._coprime_denominators(M, K))
+    assert star
+    with mpmath.workdps(50 + 2 * K):
+        def sine(y):
+            return mpmath.sinpi(mpmath.mpf(y % (2 * K)) / K)
+
+        central, *fibers = [_seed_zprime_weights(p, q, K) for (p, q) in surg]
+        tot = mpmath.mpc(0)
+        for b, x in central.items():
+            if b % K:
+                folds = prod(sum(sine(b * a) * w for a, w in f.items())
+                             for f in fibers)
+                tot += x * folds / (sine(b) ** (len(fibers) - 1) * sine(1))
+        # the stray -1 of the p = 0 central vertex
+        return complex(-_seed_zprime_prefactor(surg, sig, K) * tot)
+
+
+@pytest.mark.parametrize("fractions", STARS, ids=lambda fr: f"{len(fr)}")
+def test_star_sum_matches_seed_mpc_sum(fractions):
+    m = SeifertData(fractions)
+    for K in (5, 7, 11, 13, 31):
+        if len(fractions) == 1 and fractions[0][1] % K == 0:
+            continue
+        want = _seed_star(m, K)
+        assert abs(zprime_numeric(m, K) - want) < 1e-30, (m, K)
 
 
 def test_kirby_melvin_covers_p1_surgeries():
