@@ -10,9 +10,13 @@ in x = q - 1; powers of x filtered mod K (the x-adic order and the
 diamond truncation) are what connect exact invariants to their
 rational series images.
 
-The module also owns the one table of floating-point values in the
-package, `unit_roots`: the roots of unity (mpmath, imported on first
-use) behind `eval_complex` and the numeric surgery oracle.
+The module also owns the one table of transcendental values in the
+package, `unit_roots`: the roots of unity, filled by mpmath (imported
+on first use) and held also as integers at a scale 2^B that loses no
+bit (`fixed_roots`).  `eval_complex` and the numeric surgery oracle sum
+over those integers, so their rounding enters only through the
+correctly rounded entries, the oracle's shifts and floor divisions,
+and one final conversion.
 
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes
@@ -22,11 +26,12 @@ q^0-type terms; dropping it breaks the completed-square identity.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .arith import as_prime
 from .errors import (
+    BadPrecision,
     IntegralityFailure,
     MixedModulus,
     NotAUnit,
@@ -315,38 +320,65 @@ def sine_quotient(c: int, K: int) -> CycInt:
 _ROOTS: dict = {}
 
 
+def _roots_entry(n: int) -> tuple:
+    """The cache entry of order n at mpmath's working precision:
+    (roots, (B, re, im)), built together once."""
+    import mpmath
+
+    key = (n, mpmath.mp.prec)
+    entry = _ROOTS.get(key)
+    if entry is None:
+        roots = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / n) for e in range(n))
+        B = mpmath.mp.prec + n.bit_length() + 1
+        re = tuple(int(mpmath.ldexp(r.real, B)) for r in roots)
+        im = tuple(int(mpmath.ldexp(r.imag, B)) for r in roots)
+        entry = _ROOTS[key] = (roots, (B, re, im))
+    return entry
+
+
 def unit_roots(n: int) -> tuple:
     """(exp(2*pi*i*e/n) for e in range(n)) at mpmath's working precision.
 
     The one table of transcendental values: eval_complex and the
-    surgery oracle read their roots of unity, sines (Im of roots of
-    order 2K) and color factors (Im of roots of order K) from it.  It
-    is built by expjpi once per (n, mpmath.mp.prec), so a table never
-    serves another precision.
+    surgery oracle read their roots of unity and sines from it, as the
+    integers of `fixed_roots`.  It is built by expjpi once per
+    (n, mpmath.mp.prec), so a table never serves another precision.
     """
-    import mpmath
+    return _roots_entry(n)[0]
 
-    key = (n, mpmath.mp.prec)
-    roots = _ROOTS.get(key)
-    if roots is None:
-        roots = _ROOTS[key] = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / n)
-                                    for e in range(n))
-    return roots
+
+def fixed_roots(n: int) -> tuple:
+    """(B, re, im): the entries of unit_roots(n) as integers at scale 2^B.
+
+    re[e] * 2^-B and im[e] * 2^-B are the real and imaginary parts of
+    entry e exactly.  With B = prec + n.bit_length() + 1 no bit is lost:
+    a nonzero part is at least sin(pi/(2n)) >= 1/n, so the last bit of
+    its prec-bit mantissa lies above 2^-B.  Integer sums of products
+    over these entries are exact, and each shift back to scale 2^B or
+    floor division rounds by at most one unit of 2^-B.
+    """
+    return _roots_entry(n)[1]
 
 
 def eval_complex(a: CycInt, precision: int = 50) -> complex:
     """Embed into C with q = exp(2*pi*i/K), at `precision` digits.
 
-    A component no larger than K * sum|c_i| * 10^(1 - precision), the
-    rounding error the K - 1 products and sums can carry, is returned
-    as 0.0: it is noise, not a digit of the value.
+    The sum of c_i * q^i is taken exactly over the integers of
+    `fixed_roots(K)`, so its only rounding is that of the table entries
+    (correctly rounded by mpmath) and of the one conversion at the end.
+    A component no larger than K * sum|c_i| * 10^(1 - precision) is
+    returned as 0.0: it is noise, not a digit of the value.  A
+    precision below one digit raises BadPrecision.
     """
     import mpmath
 
+    if precision < 1:
+        raise BadPrecision(f"precision {precision} is below one digit")
     with mpmath.workdps(precision):
-        roots = unit_roots(a.K)
-        z = sum(c * roots[i] for i, c in enumerate(a.coeffs) if c)
+        B, re, im = fixed_roots(a.K)
         noise = (a.K * sum(map(abs, a.coeffs))
                  * mpmath.mpf(10) ** (1 - precision))
+        parts = (mpmath.ldexp(sum(map(mul, a.coeffs, tab)), -B)
+                 for tab in (re, im))
         return complex(*(float(v) if abs(v) > noise else 0.0
-                         for v in (z.real, z.imag)))
+                         for v in parts))

@@ -10,6 +10,10 @@ class So3InvError(Exception):
     """Base class for all deliberate failures in this package."""
 
 
+class BadPrecision(So3InvError):
+    """A numeric working precision must be at least one decimal digit."""
+
+
 class NotAnOddPrime(So3InvError):
     """The level parameter must be an odd prime."""
 

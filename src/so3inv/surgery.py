@@ -11,11 +11,11 @@ evaluates the odd-color invariant Z'(M) the same way, summing over the
 odd color window; its weights need q^-1 mod K, so it first re-presents
 the manifold with no surgery denominator divisible by K.  Both build
 one list of color weights per component and share one color sum
-(_color_sum): a split link (the unknot for a lens space, an unlink
-table for a P1 surgery) is one sum per component, its link value a
-product of sines from the same table, not from the Z[q] code; a
-Seifert star is summed fiber by fiber at each color of the central
-vertex.  exact_p1 re-derives Z' for a P1 surgery entirely inside Z[q],
+(_color_sum): a Seifert star is summed fiber by fiber at each color of
+the central vertex, and a split link (the unknot for a lens space, an
+unlink table for a P1 surgery), whose link value is a product of sines
+from the same table, not from the Z[q] code, is the same sum at one
+central color.  exact_p1 re-derives Z' for a P1 surgery entirely inside Z[q],
 one component at a time (every link table is a split link, so the
 surgery is a connected sum), dividing out the guaranteed power of
 x = q - 1 step by step and failing loudly if the divisibility is
@@ -23,27 +23,35 @@ violated.
 
 The numeric paths import mpmath when they run (exact_p1 never loads it)
 and work at a precision that grows with K (50 + 2K digits unless
-overridden); at that precision plain summation is already far more
-accurate than any compensated double-precision scheme, so the 1e-9
-cross-check tolerances hold with a large margin even near K = 100.  The
-sums read every transcendental value from the one roots-of-unity table,
-cyclotomic.unit_roots: the phases as roots of order K, the matrix
-elements as roots of order 2 * den, sin(pi*y/K) as the imaginary part
-of a root of order 2K, and the color factor (q^-e - q^e) * i/2 as
-Im q^e.  Evaluations are pure functions of (manifold, K); callers that
-want parallelism batch independent (manifold, K) tasks across processes
+overridden; BadPrecision below one digit).  mpmath fills the one
+roots-of-unity table, cyclotomic.unit_roots, and makes the final
+conversion to complex; the color sums in between are integer
+fixed-point arithmetic over that table's integers (fixed_roots): sums
+of products, each product shifted back to the table's scale 2^B once
+and each division by the sines one floor division.  Rounding enters
+only through the table entries (correctly rounded by mpmath), one unit
+of 2^-B per shift and one per floor division, so the 1e-9 cross-check
+tolerances hold with a large margin even near K = 100.  The sums read
+the phases as roots of order K (the even entries of the table of order
+2K), the matrix elements as roots of order 2 * den, sin(pi*y/K) as the
+imaginary part of a root of order 2K, and the color factor
+(q^-e - q^e) * i/2 as Im q^e; each invariant's constant phase and
+modulus are one e^(i*pi*m/(4K)) (one expjpi) over one square root.
+Evaluations are pure functions of (manifold, K); callers that want
+parallelism batch independent (manifold, K) tasks across processes
 (see the command-line front end).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
-from .cyclotomic import (CycInt, divide_by_x, from_runs, odd_window, qpow,
-                         unit_roots, unit_u)
+from .cyclotomic import (CycInt, divide_by_x, fixed_roots, from_runs,
+                         odd_window, qpow, unit_u)
 from .errors import (
+    BadPrecision,
     ChainDegenerate,
     DivisibilityFailure,
     IntegralityFailure,
@@ -55,7 +63,11 @@ from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
 def _dps(K: int, precision) -> int:
-    return int(precision) if precision else 50 + 2 * K
+    if precision is None:
+        return 50 + 2 * K
+    if precision < 1:
+        raise BadPrecision(f"precision {precision} is below one digit")
+    return int(precision)
 
 
 def _lens_presentation(p: int, q: int):
@@ -76,31 +88,42 @@ def _chain_data(p: int, q: int):
     return s, rademacher_phi(p, q, s)
 
 
-def _chain_element(p: int, q: int, s: int, phi: int, K: int,
-                   alpha: int, beta: int):
-    """Closed form of the matrix element, q >= 1, color pair (alpha, beta)."""
-    import mpmath
-    pref = (mpmath.mpc(0, 1) / mpmath.sqrt(2 * K * q)
-            * mpmath.expjpi(mpmath.mpf(-phi) / 4))
+def _chain_weights(p: int, q: int, s: int, K: int, B: int):
+    """The matrix elements of the slope p/q, q >= 1, at the color pairs
+    (a, 1), a = 1..K-1, as (re, im) lists at scale 2^B.
+
+    Element a is i / sqrt(2Kq) * e^(-i*pi*phi/4) times the sum over
+    n < q and mu = +-1 of mu * e^(i*pi*m/(2Kq)), m = p a^2 - 2 a w
+    + s w^2 with w = 2Kn + mu; the constant is left to the prefactor
+    (_z_prelude), and e^(i*pi*m/(2Kq)) is root m of order 4Kq.
+    """
     den = 2 * K * q
-    # exp(i*pi*m/den) is root m of order 2*den: mpf(2m)/(2den) rounds
-    # to the same mpf as mpf(m)/den
-    roots = unit_roots(2 * den)
-    tot = mpmath.mpc(0)
-    for n in range(q):
-        for mu in (1, -1):
-            w = 2 * K * n + mu * beta
-            num = p * alpha * alpha - 2 * alpha * w + s * w * w
-            tot += mu * roots[num % (2 * den)]
-    return pref * tot
+    Bq, cos, sin = fixed_roots(2 * den)
+    re, im = [], []
+    for a in range(1, K):
+        x = y = 0
+        for n in range(q):
+            for mu in (1, -1):
+                w = 2 * K * n + mu
+                e = (p * a * a - 2 * a * w + s * w * w) % (2 * den)
+                x += mu * cos[e]
+                y += mu * sin[e]
+        re.append(x >> (Bq - B))
+        im.append(y >> (Bq - B))
+    return re, im
 
 
 def _z_prelude(surg, sig, K):
-    """Per-component (p, q, s, phi) and the full-level prefactor."""
-    import mpmath
+    """Per-component (p, q, s, phi) and the phase m of the full-level
+    prefactor e^(i*pi*m/(4K)) / sqrt(prod 2Kq).
+
+    m gathers e^(i*pi*(K-2)*(sum phi - 3 sig)/(4K)) and every
+    component's constant i * e^(-i*pi*phi/4) (see _chain_weights).
+    """
     data = [(p, q, *_chain_data(p, q)) for (p, q) in surg]
-    e = Fraction(K - 2, K) * (sum(d[3] for d in data) - 3 * sig)
-    return data, mpmath.expjpi(mpmath.mpf(e.numerator) / (4 * e.denominator))
+    phis = sum(d[3] for d in data)
+    m = (K - 2) * (phis - 3 * sig) - K * phis + 2 * K * len(data)
+    return data, m % (8 * K)
 
 
 def _coprime_denominators(M, K: int):
@@ -144,33 +167,49 @@ def _presentation(M):
     raise NotRHS(f"unsupported manifold spec {M!r}")
 
 
-def _color_sum(weights, star: bool, K: int):
-    """The surgery sum over colors, one component at a time.
+def _color_sum(colors, weights, star: bool, K: int):
+    """The surgery sum over colors, one component at a time, in fixed
+    point: (B, re, im), the sum times 2^B, B the scale of the sines.
 
-    weights holds one list of (color a, weight) pairs per component.
-    With S_j(b) = sum_a sin(pi*b*a/K) * w_j[a], a split link, whose
-    link value is prod sin(pi*a_j/K) / sin(pi/K)^N, sums to
-    prod_j (S_j(1) / sin(pi/K)).  A star is summed one fiber at a time
-    at each color b of the central vertex 0: sum_b w_0[b] *
-    prod_j S_j(b) / (sin(pi*b/K)^(N-1) * sin(pi/K)) over the N fibers,
-    skipping the b with sin(pi*b/K) = 0.
+    weights holds one pair of lists (re, im) per component: the
+    weights of `colors` at scale 2^B.  With S_j(b) = sum_a
+    sin(pi*b*a/K) * w_j[a], a star sums at each color b of the
+    central vertex 0 the term w_0[b] * prod_j S_j(b) /
+    (sin(pi*b/K)^(N-1) * sin(pi/K)) over the N fibers, skipping the b
+    with sin(pi*b/K) = 0.  A split link, whose link value is
+    prod sin(pi*a_j/K) / sin(pi/K)^N, is the same sum at the one
+    central color b = 1 of weight 1; the empty one sums to 1.  Each
+    product is shifted back to scale 2^B once, and each term's division
+    by the sines is one floor division.
     """
+    B, _, sines = fixed_roots(2 * K)
+    if star:
+        central, fibers = zip(colors, *weights[0]), weights[1:]
+    else:
+        central, fibers = [(1, 1 << B, 0)], weights
+    n = len(fibers)
+    tot_re = tot_im = 0
+    for b, x, y in central:
+        if b % K == 0:
+            continue
+        ss = [sines[b * a % (2 * K)] for a in colors]
+        for re, im in fibers:
+            u = sum(map(mul, ss, re)) >> B
+            v = sum(map(mul, ss, im)) >> B
+            x, y = (x * u - y * v) >> B, (x * v + y * u) >> B
+        d = sines[b % (2 * K)] ** (n - 1) * sines[1] if n else 1
+        tot_re += (x << n * B) // d
+        tot_im += (y << n * B) // d
+    return B, tot_re, tot_im
+
+
+def _value(fixed, m: int, rad: int, K: int) -> complex:
+    """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im)."""
     import mpmath
-    sines = [r.imag for r in unit_roots(2 * K)]  # sin(pi*y/K)
-
-    def fold(w, b):
-        return sum((sines[b * a % (2 * K)] * x for a, x in w), mpmath.mpc(0))
-
-    if not star:
-        return prod((fold(w, 1) / sines[1] for w in weights),
-                    start=mpmath.mpc(1))
-    central, fibers = weights[0], weights[1:]
-    tot = mpmath.mpc(0)
-    for b, x in central:
-        if b % K:
-            denom = sines[b % (2 * K)] ** (len(fibers) - 1) * sines[1]
-            tot += x * prod(fold(w, b) for w in fibers) / denom
-    return tot
+    B, re, im = fixed
+    z = mpmath.mpc(mpmath.ldexp(re, -B), mpmath.ldexp(im, -B))
+    return complex(mpmath.expjpi(mpmath.mpf(m) / (4 * K))
+                   / mpmath.sqrt(rad) * z)
 
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
@@ -179,10 +218,11 @@ def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
         surg, sig, star = _presentation(M)
-        data, pref = _z_prelude(surg, sig, K)
-        weights = [[(a, _chain_element(p, q, s, phi, K, a, 1))
-                    for a in range(1, K)] for (p, q, s, phi) in data]
-        return complex(pref * _color_sum(weights, star, K))
+        data, m = _z_prelude(surg, sig, K)
+        B = fixed_roots(2 * K)[0]
+        weights = [_chain_weights(p, q, s, K, B) for (p, q, s, _) in data]
+        return _value(_color_sum(range(1, K), weights, star, K), m,
+                      prod(2 * K * q for (p, q) in surg), K)
 
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
@@ -191,47 +231,52 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
         surg, sig, star = _presentation(_coprime_denominators(M, K))
-        data, pref, t4 = _zprime_prelude(surg, sig, K)
-        t2 = inv_int(2, K)
-        roots = unit_roots(K)
-        # roots[e].imag is the color factor (q^-e - q^e) * i/2
-        weights = [[(a, roots[t4 * qs * (p * a * a + s) % K]
-                     * roots[t2 * qs * a % K].imag) for a in odd_window(K)]
-                   for (p, q, qs, s) in data]
-        val = pref * _color_sum(weights, star, K)
-        if star:
-            # the closed matrix-element identity i*sign(q) =
-            # e^(i*pi*sign(p/q)/2)*sign(p) degenerates at the p = 0
-            # central vertex, leaving a universal stray -1
-            val = -val
-        return complex(val)
+        data, m = _zprime_prelude(surg, sig, star, K)
+        B, cos, sin = fixed_roots(2 * K)
+        t2, t4 = inv_int(2, K), inv_int(4, K)
+        colors = odd_window(K)
+        weights = []
+        for (p, qs, s) in data:
+            # root e of order K is entry 2e of the table of order 2K;
+            # the imaginary part of root t2*qs*a is the color factor
+            # (q^-e - q^e) * i/2
+            rows = [(2 * (t4 * qs * (p * a * a + s) % K),
+                     sin[2 * (t2 * qs * a % K)]) for a in colors]
+            weights.append(([cos[e] * f >> B for e, f in rows],
+                            [sin[e] * f >> B for e, f in rows]))
+        return _value(_color_sum(colors, weights, star, K), m,
+                      K ** len(surg), K)
 
 
-def _zprime_prelude(surg, sig, K):
-    """Per-component (p, q, q*, s), the odd-color prefactor, and 4*.
+def _zprime_prelude(surg, sig, star: bool, K: int):
+    """Per-component (p, q*, s) and the phase m of the odd-color
+    prefactor e^(i*pi*m/(4K)) / sqrt(K)^N.
 
-    Only q* = q^-1 mod K can fail: ChainDegenerate when K divides q.
+    m gathers e^(-i*pi*kappa*sig/4), e^(-3i*pi*(K-2)*sig/(4K)), the
+    root of order K of the summed chain phases and every sign, a -1
+    being m + 4K.  Only q* = q^-1 mod K can fail: ChainDegenerate when
+    K divides q.
     """
-    import mpmath
     t4 = inv_int(4, K)
     data = []
-    phis = []
+    phis = 0
     for (p, q) in surg:
         if q % K == 0:
             raise ChainDegenerate(
                 f"surgery denominator {q} is divisible by K = {K}")
         s, phi = _chain_data(p, q)
-        data.append((p, q, inv_int(q, K), s))
-        phis.append(phi)
-    pref = mpmath.mpc(legendre(abs(prod(q for (p, q) in surg)), K))
-    for (p, q) in surg:
-        pref *= sign(q)
-    pref *= mpmath.mpf(K) ** (mpmath.mpf(-len(surg)) / 2)
-    pref *= mpmath.expjpi(mpmath.mpf(-kappa_of(K) * sig) / 4)
-    pref *= mpmath.expjpi(mpmath.mpf(-3 * (K - 2) * sig) / (4 * K))
-    pref *= unit_roots(K)[-t4 * sum(phis) % K]
-    pref *= (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
-    return data, pref, t4
+        data.append((p, inv_int(q, K), s))
+        phis += phi
+    negative = (legendre(abs(prod(q for (p, q) in surg)), K) < 0)
+    negative += sum(q < 0 for (p, q) in surg)
+    negative += sum(sign(p * q) for (p, q) in surg)
+    # the closed matrix-element identity i*sign(q) =
+    # e^(i*pi*sign(p/q)/2)*sign(p) degenerates at the p = 0 central
+    # vertex of a star, leaving a universal stray -1
+    negative += star
+    m = (-kappa_of(K) * sig * K - 3 * (K - 2) * sig
+         + 8 * (-t4 * phis % K) + 4 * K * negative)
+    return data, m % (8 * K)
 
 
 def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,

@@ -14,7 +14,7 @@ from so3inv.arith import (even_inv, inv_int, kappa_of, legendre, odd_primes,
 from so3inv.closedform import ExtendedPhase, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
                                odd_window, qpow, unit_u)
-from so3inv.errors import (ChainDegenerate, DivisibilityFailure,
+from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
                            NotAnOddPrime, NotCoprime, NotRHS,
                            PhaseNotReducible, ZeroLowerLeft)
 from so3inv.jones import get_table
@@ -144,6 +144,15 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                 assert cyclotomic.unit_roots(2 * den) == tuple(
                     mpmath.expjpi(mpmath.mpf(m) / den)
                     for m in range(2 * den))
+                # the integers read back at their scale are those very
+                # calls, bit for bit
+                for n in (K, 2 * K, 2 * den):
+                    B, re, im = cyclotomic.fixed_roots(n)
+                    assert [(mpmath.ldexp(x, -B), mpmath.ldexp(y, -B))
+                            for x, y in zip(re, im)] == [
+                        (r.real, r.imag) for r in (
+                            mpmath.expjpi(mpmath.mpf(2 * e) / n)
+                            for e in range(n))]
         for a in (lens_zprime(-5, 2, 7), lens_zprime(3, 1, 7),
                   seifert_zprime(POINCARE, 13),
                   seifert_zprime(POINCARE, 101)):
@@ -159,6 +168,26 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                     assert abs(g - w) <= bound + abs(w) * 2 ** -52
     # L(-5,2) is real: its imaginary part is rounding noise, printed as 0
     assert eval_complex(lens_zprime(-5, 2, 7)).imag == 0.0
+
+
+@pytest.mark.parametrize("precision", [0, -3])
+def test_eval_complex_rejects_precision_below_one_digit(precision):
+    # 0 digits used to give 0j for L(5,2) at K = 7, whose value is -2.2470
+    with pytest.raises(BadPrecision):
+        eval_complex(lens_zprime(5, 2, 7), precision)
+
+
+@pytest.mark.parametrize("precision", [0, -3])
+def test_zprime_numeric_rejects_precision_below_one_digit(precision):
+    # -3 digits used to give -0.125-0.125j, and 0 the default precision
+    with pytest.raises(BadPrecision):
+        zprime_numeric(Lens(5, 2), 7, precision=precision)
+
+
+@pytest.mark.parametrize("precision", [0, -3])
+def test_z_numeric_rejects_precision_below_one_digit(precision):
+    with pytest.raises(BadPrecision):
+        z_numeric(Lens(5, 2), 7, precision=precision)
 
 
 def test_kirby_melvin_factorization():
