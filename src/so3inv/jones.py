@@ -8,7 +8,8 @@ the empty link.  At an odd color [a] is `cyclotomic.sine_quotient(a)`,
 one run of powers of q.  Integer surgery on such a link is a connected
 sum, which `surgery.exact_p1` computes one component at a time, adding
 one such run per color; the numeric oracle evaluates the same values
-from sines in `cyclotomic.unit_roots`.
+from the sines of the one roots table, as the integers of
+`cyclotomic.fixed_roots`.
 expansion_check verifies the structural bounds on the color expansion
 around t = 0 of a one-color evaluation given as a series, such as the
 unknot's sin_quotient_series or the Seifert fiber evaluation

@@ -114,14 +114,17 @@ def _chain_weights(p: int, q: int, s: int, K: int, B: int):
 
 
 def _z_prelude(surg, sig, K):
-    """Per-component (p, q, s, phi) and the phase m of the full-level
+    """Per-component (p, q, s) and the phase m of the full-level
     prefactor e^(i*pi*m/(4K)) / sqrt(prod 2Kq).
 
     m gathers e^(i*pi*(K-2)*(sum phi - 3 sig)/(4K)) and every
     component's constant i * e^(-i*pi*phi/4) (see _chain_weights).
     """
-    data = [(p, q, *_chain_data(p, q)) for (p, q) in surg]
-    phis = sum(d[3] for d in data)
+    data, phis = [], 0
+    for (p, q) in surg:
+        s, phi = _chain_data(p, q)
+        data.append((p, q, s))
+        phis += phi
     m = (K - 2) * (phis - 3 * sig) - K * phis + 2 * K * len(data)
     return data, m % (8 * K)
 
@@ -220,7 +223,7 @@ def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
         surg, sig, star = _presentation(M)
         data, m = _z_prelude(surg, sig, K)
         B = fixed_roots(2 * K)[0]
-        weights = [_chain_weights(p, q, s, K, B) for (p, q, s, _) in data]
+        weights = [_chain_weights(*d, K, B) for d in data]
         return _value(_color_sum(range(1, K), weights, star, K), m,
                       prod(2 * K * q for (p, q) in surg), K)
 
@@ -258,8 +261,7 @@ def _zprime_prelude(surg, sig, star: bool, K: int):
     K divides q.
     """
     t4 = inv_int(4, K)
-    data = []
-    phis = 0
+    data, phis = [], 0
     for (p, q) in surg:
         if q % K == 0:
             raise ChainDegenerate(
