@@ -318,11 +318,10 @@ def test_exact_p1_matches_joint_color_sum():
                 assert exact_p1(m, K) == _joint_color_sum(m, K), K
 
 
-def _seed_zprime_prefactor(surg, sig, K):
-    """The odd-color prefactor as the oracle first wrote it, factor by
-    factor, with direct mpmath calls: sign, K^(-N/2), the two phases
-    of the signature and the root of order K of the summed chain
-    phases."""
+def _mpc_zprime_prefactor(surg, sig, K):
+    """The odd-color prefactor factor by factor, with direct mpmath
+    calls: signs, K^(-N/2), the two phases of the signature and the
+    root of order K of the summed chain phases."""
     t4 = inv_int(4, K)
     phis = [rademacher_phi(p, q, pow(p, -1, q)) for (p, q) in surg]
     pref = mpmath.mpc(legendre(abs(prod(q for (p, q) in surg)), K))
@@ -334,7 +333,7 @@ def _seed_zprime_prefactor(surg, sig, K):
     return pref * (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
 
 
-def _seed_zprime_weights(p, q, K):
+def _mpc_zprime_weights(p, q, K):
     """The odd-color weights of one component, {a: q^(4* q*(p a^2 + s))
     * sin(2 pi 2* q* a / K)}, q* = q^-1 mod K, s = p^-1 mod q."""
     t2, t4, qs = inv_int(2, K), inv_int(4, K), inv_int(q, K)
@@ -378,8 +377,8 @@ def _joint_numeric(M, K, full):
                        for (p, q), phi in zip(surg, phis)]
             colors = range(1, K)
         else:
-            pref = _seed_zprime_prefactor(surg, sig, K)
-            factors = [_seed_zprime_weights(p, q, K) for (p, q) in surg]
+            pref = _mpc_zprime_prefactor(surg, sig, K)
+            factors = [_mpc_zprime_weights(p, q, K) for (p, q) in surg]
             colors = odd_window(K)
         tot = mpmath.mpc(0)
         for al in itertools.product(colors, repeat=n):
@@ -406,12 +405,12 @@ STARS = [[(-5, 3)], [(3, -2), (5, 1)], [(2, 1), (3, 1), (5, -4)],
          [(2, 1), (-3, 2), (5, 1), (7, -2), (11, 3)]]
 
 
-def _seed_star(M, K):
-    """zprime_numeric of a Seifert space as the per-fiber mpc sum the
-    oracle first used: at each central color b, the product over the
-    fibers of sum_a sin(pi*b*a/K) * w(a), over sin(pi*b/K)^(N-1)
-    * sin(pi/K), with every transcendental value a direct mpmath call.
-    Only the presentation is the oracle's own.
+def _mpc_star(M, K):
+    """zprime_numeric of a Seifert space as a per-fiber mpc sum: at
+    each central color b, the product over the fibers of
+    sum_a sin(pi*b*a/K) * w(a), over sin(pi*b/K)^(N-1) * sin(pi/K),
+    with every transcendental value a direct mpmath call.  Only the
+    presentation is the oracle's own.
     """
     surg, sig, star = surgery._presentation(
         surgery._coprime_denominators(M, K))
@@ -420,7 +419,7 @@ def _seed_star(M, K):
         def sine(y):
             return mpmath.sinpi(mpmath.mpf(y % (2 * K)) / K)
 
-        central, *fibers = [_seed_zprime_weights(p, q, K) for (p, q) in surg]
+        central, *fibers = [_mpc_zprime_weights(p, q, K) for (p, q) in surg]
         tot = mpmath.mpc(0)
         for b, x in central.items():
             if b % K:
@@ -428,16 +427,16 @@ def _seed_star(M, K):
                              for f in fibers)
                 tot += x * folds / (sine(b) ** (len(fibers) - 1) * sine(1))
         # the stray -1 of the p = 0 central vertex
-        return complex(-_seed_zprime_prefactor(surg, sig, K) * tot)
+        return complex(-_mpc_zprime_prefactor(surg, sig, K) * tot)
 
 
 @pytest.mark.parametrize("fractions", STARS, ids=lambda fr: f"{len(fr)}")
-def test_star_sum_matches_seed_mpc_sum(fractions):
+def test_star_sum_matches_mpc_sum(fractions):
     m = SeifertData(fractions)
     for K in (5, 7, 11, 13, 31):
         if len(fractions) == 1 and fractions[0][1] % K == 0:
             continue
-        want = _seed_star(m, K)
+        want = _mpc_star(m, K)
         assert abs(zprime_numeric(m, K) - want) < 1e-30, (m, K)
 
 
