@@ -2,18 +2,15 @@
 
 Lens spaces get a one-line formula in Z[q] and a one-line series; for
 star-shaped (Seifert) rational homology spheres the invariant is a
-short sum over the multiplicity table of the fiber product, with a
-scalar prefactor assembled symbolically in ExtendedPhase from the
-factors the derivation actually produces — no collapsed prefactor is
-hard-coded, and two independent assertions (the phase must reduce into
-Z[q]; its diamond image must match the vee of an explicit q-power)
-guard the assembly.  Everything here is cross-checked against the
-brute-force oracles in `surgery` by the test suite.
-
-ExtendedPhase is that bookkeeping device: products of eighth roots of
-unity, half-integer powers of q, powers of sqrt(K) and rational
-magnitudes accumulate exactly and must collapse into +-q^n at the end
-(PhaseNotReducible otherwise).
+short sum over the multiplicity table of the fiber product times a
+scalar prefactor +-q^n.  No collapsed prefactor is hard-coded: the
+factors the derivation produces are added up as three integers, the
+eighth-root exponent a, the quarter-step-of-q exponent b (mod 4K) and
+a sign, and two independent guards check the assembly.  The phase
+must reduce into Z[q] (PhaseNotReducible otherwise), and its diamond
+image must match the vee of an explicit q-power (DiamondMismatch
+otherwise).  Everything here is cross-checked against the brute-force
+oracles in `surgery` by the test suite.
 
 Orientation convention: L(p, q) with p < 0 denotes the mirror of
 L(-p, -q); closed forms are stated for p > 0, so inputs are normalized
@@ -28,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
-from .cyclotomic import CycInt, diamond, from_runs, qpow
+from .cyclotomic import CycInt, diamond, from_runs, qpow, sine_run
 from .errors import (
     BadNormalization,
     DiamondMismatch,
@@ -65,9 +62,8 @@ def lens_zprime(p: int, q: int, K) -> CycInt:
         raise PDivisibleByK(f"|H1| = {p} is divisible by K = {K}")
     pstar = inv_int(p, K)
     sv = rat_residue(3 * dedekind_sum(q, p), K)
-    # q^sv * sine_quotient(p*): one run of p* powers of q
-    return from_runs([(sv + inv_int(2, K) * (1 - pstar), pstar,
-                       legendre(p, K))], K)
+    # q^sv * [p*]: one run of powers of q
+    return from_runs([sine_run(sv, pstar, legendre(p, K), K)], K)
 
 
 def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
@@ -146,87 +142,6 @@ def seifert_cn(avals) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# symbolic prefactor bookkeeping
-
-
-class ExtendedPhase:
-    """sign * mag * K^(khalf/2) * e^(i pi a/4) * e^(i pi b2/(2K)).
-
-    a lives mod 8 and b2 mod 4K (b2 counts quarter-steps of q, so both
-    half-integer q-powers and single e^(i pi/(2K)) steps stay exact).
-    reduce() collapses the product into +-q^n once the magnitude parts
-    have cancelled; anything that is not a root of unity of the right
-    kind raises PhaseNotReducible.
-    """
-
-    __slots__ = ("K", "a", "b2", "sign", "mag", "khalf")
-
-    def __init__(self, K: int):
-        self.K = as_prime(K)
-        self.a = 0
-        self.b2 = 0
-        self.sign = 1
-        self.mag = Fraction(1)
-        self.khalf = 0
-
-    def times_eighth(self, j: int) -> "ExtendedPhase":
-        """Multiply by e^(i pi j/4)."""
-        self.a = (self.a + j) % 8
-        return self
-
-    def times_i(self) -> "ExtendedPhase":
-        return self.times_eighth(2)
-
-    def times_quarter_q(self, c: int) -> "ExtendedPhase":
-        """Multiply by e^(i pi c/(2K))."""
-        self.b2 = (self.b2 + c) % (4 * self.K)
-        return self
-
-    def times_sqrt_q(self, c: int) -> "ExtendedPhase":
-        """Multiply by q^(c/2)."""
-        return self.times_quarter_q(2 * c)
-
-    def times_q(self, c: int) -> "ExtendedPhase":
-        """Multiply by q^c."""
-        return self.times_quarter_q(4 * c)
-
-    def times_sign(self, s: int) -> "ExtendedPhase":
-        if s not in (1, -1):
-            raise PhaseNotReducible(f"sign factor must be +-1, got {s}")
-        self.sign *= s
-        return self
-
-    def times_magnitude(self, frac, khalf: int = 0) -> "ExtendedPhase":
-        """Multiply by frac * K^(khalf/2), both tracked exactly."""
-        frac = Fraction(frac)
-        if frac <= 0:
-            raise PhaseNotReducible("magnitudes must stay positive; route "
-                                    "signs through times_sign")
-        self.mag *= frac
-        self.khalf += khalf
-        return self
-
-    def reduce(self) -> CycInt:
-        """Collapse into +-q^n in Z[q]; PhaseNotReducible otherwise."""
-        if self.mag != 1 or self.khalf != 0:
-            raise PhaseNotReducible(
-                f"magnitude {self.mag} * K^({self.khalf}/2) left over")
-        K = self.K
-        n = (self.a * K + 2 * self.b2) % (8 * K)
-        if n % 8 == 0:
-            return qpow(n // 8, K) * self.sign
-        if n % 4 == 0:
-            bp = (n // 4) % (2 * K)  # odd here: absorb e^(i pi) into q
-            return qpow(((bp + K) // 2) % K, K) * (-self.sign)
-        raise PhaseNotReducible(
-            f"a genuine eighth root remains (a={self.a}, b2={self.b2})")
-
-    def __repr__(self):
-        return (f"ExtendedPhase(K={self.K}, sign={self.sign}, mag={self.mag},"
-                f" khalf={self.khalf}, a={self.a}, b2={self.b2})")
-
-
-# ---------------------------------------------------------------------------
 # Seifert rational homology spheres
 
 
@@ -243,38 +158,46 @@ def _fiber_dedekind(S: SeifertData) -> Fraction:
     return sum(dedekind_sum(sign(p) * q, abs(p)) for (p, q) in S.fractions)
 
 
-def _seifert_phase(S: SeifertData, K: int) -> ExtendedPhase:
-    """The scalar prefactor, assembled factor by factor.
+def _phase_to_q(a: int, b: int, sgn: int, K: int) -> CycInt:
+    """sgn * e^(i pi a/4) * e^(i pi b/(2K)) as +-q^n in Z[q].
 
-    Every factor below is one produced by resolving the star surgery:
-    the central-vertex Gaussian contributes i, 1/2 and K^(-1/2) with
-    its eighth-root framing phases; the fiber chains contribute the
-    Dedekind/Rademacher q-power; completing the square against the
-    central color contributes the Legendre symbols, the magnitude
-    2 K^(1/2) that cancels the Gaussian one, and the final -1 that
-    reorients the geometric numerator.
+    a counts eighth roots of unity (mod 8) and b quarter-steps of q
+    (mod 4K), so half-integer q-powers stay exact; a phase that is not
+    +-q^n raises PhaseNotReducible.
     """
-    kap = kappa_of(K)
-    s = sign(S.H * S.P)
-    t2, t4 = inv_int(2, K), inv_int(4, K)
+    n = (a * K + 2 * b) % (8 * K)
+    if n % 8 == 0:
+        return qpow(n // 8, K) * sgn
+    if n % 4 == 0:  # n/4 is odd: absorb e^(i pi) into q
+        return qpow((n // 4 + K) // 2, K) * (-sgn)
+    raise PhaseNotReducible(
+        f"a genuine eighth root remains (a={a % 8}, b={b % (4 * K)})")
+
+
+def _seifert_phase(S: SeifertData, K: int) -> CycInt:
+    """The scalar prefactor +-q^n, added up factor by factor.
+
+    Every factor is one produced by resolving the star surgery, and it
+    enters as the eighth-root exponent a, the quarter-step-of-q
+    exponent b or the sign; _phase_to_q reduces the three.  The
+    Gaussian's magnitude (1/2) K^(-1/2) and the completed square's
+    2 K^(1/2) cancel for every input, so no magnitude is carried.
+    """
+    kap, s = kappa_of(K), sign(S.H * S.P)
     pstar = inv_int(S.P, K)
-    sv = rat_residue(3 * _fiber_dedekind(S), K)
-    ph = ExtendedPhase(K)
-    ph.times_i()
-    ph.times_magnitude(Fraction(1, 2), -1)
-    ph.times_eighth(kap * s)
-    ph.times_eighth(3 * s)
-    ph.times_quarter_q(-3 * s)
-    ph.times_sqrt_q(s)
-    ph.times_q(-t2 * s)
-    ph.times_sign(legendre(abs(S.P), K))
-    ph.times_sign(sign(S.P))
-    ph.times_q(t4 * pstar * S.H - sv)
-    ph.times_magnitude(2, 1)
-    ph.times_sign(legendre(pstar * S.H, K))
-    ph.times_eighth(kap - 1)
-    ph.times_sign(-1)
-    return ph
+    # the central-vertex Gaussian: i, its eighth-root framing phases
+    # e^(i pi (kap + 3) s/4) and q^(-3s/4) q^(s/2) q^(-2* s)
+    a = 2 + (kap + 3) * s
+    b = (-3 + 2 - 4 * inv_int(2, K)) * s
+    # the fiber chains: the Dedekind/Rademacher q^(-3 sum_j s(q_j, p_j))
+    b -= 4 * rat_residue(3 * _fiber_dedekind(S), K)
+    # completing the square against the central color: q^(4* P* H),
+    # e^(i pi (kap - 1)/4) and the Legendre symbols
+    a += kap - 1
+    b += 4 * inv_int(4, K) * pstar * S.H
+    sgn = legendre(abs(S.P), K) * sign(S.P) * legendre(pstar * S.H, K)
+    # the final -1 reorients the geometric numerator
+    return _phase_to_q(a, b, -sgn, K)
 
 
 def seifert_zprime(S: SeifertData, K) -> CycInt:
@@ -288,7 +211,7 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     """
     K = as_prime(K)
     _seifert_preconditions(S, K)
-    pref = _seifert_phase(S, K).reduce()
+    pref = _seifert_phase(S, K)
     # the reducibility and diamond assertions pin the assembly down
     r = (Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P)
          - 3 * _fiber_dedekind(S))
@@ -296,15 +219,12 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     if diamond(bare) != vee(q_power(r, (K - 1) // 2), K):
         raise DiamondMismatch(
             f"assembled prefactor disagrees with q^({r}) mod K = {K}")
-    t2, t4 = inv_int(2, K), inv_int(4, K)
-    hstar = inv_int(S.H, K)
-    phs = S.P * hstar
-    # sum_n c * q^e * sine_quotient(m), one run of m powers of q per C_n
-    runs = []
-    for n, c in seifert_cn([inv_int(p, K) for (p, q) in S.fractions]).items():
-        m = (phs * n) % K
-        runs.append((t4 * phs * (n * n + 1) + t2 * (1 - m), m, c))
-    return pref * from_runs(runs, K)
+    t4 = inv_int(4, K)
+    phs = S.P * inv_int(S.H, K)
+    cn = seifert_cn([inv_int(p, K) for (p, q) in S.fractions])
+    # sum_n c * q^e * [phs n], one run of powers of q per C_n
+    return pref * from_runs([sine_run(t4 * phs * (n * n + 1), phs * n, c, K)
+                             for n, c in cn.items()], K)
 
 
 def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:

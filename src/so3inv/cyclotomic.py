@@ -3,20 +3,19 @@
 Elements are stored on the power basis {1, q, ..., q^(K-2)} with the
 relation 1 + q + ... + q^(K-1) = 0 folding the top power down.  Sums
 of q-power terms are given as runs w * (q^s + ... + q^(s+m-1)) and
-accumulated once by `from_runs`; a quantized integer [c] is one run,
-since its terms step the exponent by 2* and 2 * 2* = 1 mod K.  The
-parallel XPoly view rewrites the same element as an integer polynomial
-in x = q - 1; powers of x filtered mod K (the x-adic order and the
-diamond truncation) are what connect exact invariants to their
-rational series images.
+accumulated once by `from_runs`; a quantized integer [c] is one run
+(`sine_run`), since its terms step the exponent by 2* and 2 * 2* = 1
+mod K.  The parallel XPoly view rewrites the same element as an
+integer polynomial in x = q - 1; powers of x filtered mod K (the
+x-adic order and the diamond truncation) are what connect exact
+invariants to their rational series images.
 
 The module also owns the one table of transcendental values in the
-package, `unit_roots`: the roots of unity, filled by mpmath (imported
-on first use) and held also as integers at a scale 2^B that loses no
-bit (`fixed_roots`).  `eval_complex` and the numeric surgery oracle sum
-over those integers, so their rounding enters only through the
-correctly rounded entries, the oracle's shifts and floor divisions,
-and one final conversion.
+package, `fixed_roots`: the roots of unity, filled by mpmath (imported
+on first use) and held as integers at a scale 2^B that loses no bit.
+`eval_complex` and the numeric surgery oracle sum over those integers,
+so their rounding enters only through the correctly rounded entries,
+the oracle's shifts and floor divisions, and one final conversion.
 
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes
@@ -299,57 +298,44 @@ def unit_u(K: int) -> CycInt:
     K = as_prime(K)
     if K not in _UNITS:
         g1 = gauss_sum(1, K)
-        xq = qpow(1, K) - 1
-        u = divide_exact(xq ** ((K - 1) // 2) * gauss_sum(-1, K), K)
-        if u * g1 != xq ** ((K - 1) // 2):
+        xd = (qpow(1, K) - 1) ** ((K - 1) // 2)
+        u = divide_exact(xd * gauss_sum(-1, K), K)
+        if u * g1 != xd:
             raise IntegralityFailure("unit normalization check failed")
         _UNITS[K] = u
     return _UNITS[K]
 
 
-def sine_quotient(c: int, K: int) -> CycInt:
-    """Exact ratio (q^(-2*c) - q^(2*c)) / (q^(-2*) - q^(2*)).
+def sine_run(e: int, c: int, w: int, K: int) -> tuple:
+    """The run (s, m, w) of w * q^e * [c], for `from_runs`.
 
-    Here 2* is the inverse of 2 mod K and c is reduced to [0, K).  The
-    geometric form sum_{i<c} q^(2*(1-c+2i)) makes the division exact,
-    and as 2 * 2* = 1 mod K it is the run of c powers from q^(2*(1-c)).
+    [c] = (q^(-2*c) - q^(2*c)) / (q^(-2*) - q^(2*)), 2* the inverse of
+    2 mod K, is the geometric sum over i < c of q^(2*(1-c+2i)); as
+    2 * 2* = 1 mod K it is the run of c mod K powers from q^(2*(1-c)).
     """
-    return from_runs([((K + 1) // 2 * (1 - c), c % K, 1)], K)
+    return e + (K + 1) // 2 * (1 - c), c % K, w
+
+
+def sine_quotient(c: int, K: int) -> CycInt:
+    """Exact ratio [c] = (q^(-2*c) - q^(2*c)) / (q^(-2*) - q^(2*)).
+
+    c is read mod K; the division is exact, as [c] is one run of powers
+    of q (`sine_run`).
+    """
+    return from_runs([sine_run(0, c, 1, K)], K)
 
 
 _ROOTS: dict = {}
 
 
-def _roots_entry(n: int) -> tuple:
-    """The cache entry of order n at mpmath's working precision:
-    (roots, (B, re, im)), built together once."""
-    import mpmath
-
-    key = (n, mpmath.mp.prec)
-    entry = _ROOTS.get(key)
-    if entry is None:
-        roots = tuple(mpmath.expjpi(mpmath.mpf(2 * e) / n) for e in range(n))
-        B = mpmath.mp.prec + n.bit_length() + 1
-        re = tuple(int(mpmath.ldexp(r.real, B)) for r in roots)
-        im = tuple(int(mpmath.ldexp(r.imag, B)) for r in roots)
-        entry = _ROOTS[key] = (roots, (B, re, im))
-    return entry
-
-
-def unit_roots(n: int) -> tuple:
-    """(exp(2*pi*i*e/n) for e in range(n)) at mpmath's working precision.
+def fixed_roots(n: int) -> tuple:
+    """(B, re, im): the roots exp(2*pi*i*e/n), e in range(n), at mpmath's
+    working precision, as integers at scale 2^B.
 
     The one table of transcendental values: eval_complex and the
-    surgery oracle read their roots of unity and sines from it, as the
-    integers of `fixed_roots`.  It is built by expjpi once per
-    (n, mpmath.mp.prec), so a table never serves another precision.
-    """
-    return _roots_entry(n)[0]
-
-
-def fixed_roots(n: int) -> tuple:
-    """(B, re, im): the entries of unit_roots(n) as integers at scale 2^B.
-
+    surgery oracle read their roots of unity and sines from it.  Each
+    entry is one correctly rounded expjpi, built once per (n,
+    mpmath.mp.prec), so a table never serves another precision.
     re[e] * 2^-B and im[e] * 2^-B are the real and imaginary parts of
     entry e exactly.  With B = prec + n.bit_length() + 1 no bit is lost:
     a nonzero part is at least sin(pi/(2n)) >= 1/n, so the last bit of
@@ -357,7 +343,17 @@ def fixed_roots(n: int) -> tuple:
     over these entries are exact, and each shift back to scale 2^B or
     floor division rounds by at most one unit of 2^-B.
     """
-    return _roots_entry(n)[1]
+    import mpmath
+
+    key = (n, mpmath.mp.prec)
+    entry = _ROOTS.get(key)
+    if entry is None:
+        roots = [mpmath.expjpi(mpmath.mpf(2 * e) / n) for e in range(n)]
+        B = mpmath.mp.prec + n.bit_length() + 1
+        entry = _ROOTS[key] = (
+            B, tuple(int(mpmath.ldexp(r.real, B)) for r in roots),
+            tuple(int(mpmath.ldexp(r.imag, B)) for r in roots))
+    return entry
 
 
 def eval_complex(a: CycInt, precision: int = 50) -> complex:

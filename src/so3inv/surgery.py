@@ -24,11 +24,11 @@ violated.
 The numeric paths import mpmath when they run (exact_p1 never loads it)
 and work at a precision that grows with K (50 + 2K digits unless
 overridden; BadPrecision below one digit).  mpmath fills the one
-roots-of-unity table, cyclotomic.unit_roots, and makes the final
+roots-of-unity table, cyclotomic.fixed_roots, and makes the final
 conversion to complex; the color sums in between are integer
-fixed-point arithmetic over that table's integers (fixed_roots): sums
-of products, each product shifted back to the table's scale 2^B once
-and each division by the sines one floor division.  Rounding enters
+fixed-point arithmetic over that table's integers: sums of products,
+each product shifted back to the table's scale 2^B once and each
+division by the sines one floor division.  Rounding enters
 only through the table entries (correctly rounded by mpmath), one unit
 of 2^-B per shift and one per floor division, so the 1e-9 cross-check
 tolerances hold with a large margin even near K = 100.  The sums read
@@ -49,7 +49,7 @@ from operator import mul
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
 from .cyclotomic import (CycInt, divide_by_x, fixed_roots, from_runs,
-                         odd_window, qpow, unit_u)
+                         odd_window, qpow, sine_run, unit_u)
 from .errors import (
     BadPrecision,
     ChainDegenerate,
@@ -234,7 +234,7 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     K = as_prime(K)
     with mpmath.workdps(_dps(K, precision)):
         surg, sig, star = _presentation(_coprime_denominators(M, K))
-        data, m = _zprime_prelude(surg, sig, star, K)
+        data, m = _zprime_prelude(surg, sig, K)
         B, cos, sin = fixed_roots(2 * K)
         t2, t4 = inv_int(2, K), inv_int(4, K)
         colors = odd_window(K)
@@ -251,14 +251,24 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
                       K ** len(surg), K)
 
 
-def _zprime_prelude(surg, sig, star: bool, K: int):
+def _zprime_prelude(surg, sig, K: int):
     """Per-component (p, q*, s) and the phase m of the odd-color
     prefactor e^(i*pi*m/(4K)) / sqrt(K)^N.
 
     m gathers e^(-i*pi*kappa*sig/4), e^(-3i*pi*(K-2)*sig/(4K)), the
     root of order K of the summed chain phases and every sign, a -1
-    being m + 4K.  Only q* = q^-1 mod K can fail: ChainDegenerate when
-    K divides q.
+    being m + 4K, so only the parity of the count of -1s enters.  The
+    signs are the Legendre symbol of |prod q|, sign(q) per component,
+    and one -1 per component.  Read through the matrix-element identity
+    i*sign(q) = e^(i*pi*sign(p/q)/2)*sign(p), that -1 is
+    (-1)^sign(p*q), which is -1 at every p != 0.  At the central
+    (0, 1) vertex of a star the identity's right side vanishes, but
+    the element does not: the vertex is T^0 S = S, whose element
+    i/sqrt(2K) * sum_mu mu*e^(-i*pi*a*b*mu/K) = sqrt(2/K)*sin(pi*a*b/K)
+    (Jeffrey, Comm. Math. Phys. 147 (1992)) is the closed formula at
+    (p, q, s) = (0, 1, 0), with the same -1.  So every component gives
+    one: len(surg) of them.  Only q* = q^-1 mod K can fail:
+    ChainDegenerate when K divides q.
     """
     t4 = inv_int(4, K)
     data, phis = [], 0
@@ -271,11 +281,7 @@ def _zprime_prelude(surg, sig, star: bool, K: int):
         phis += phi
     negative = (legendre(abs(prod(q for (p, q) in surg)), K) < 0)
     negative += sum(q < 0 for (p, q) in surg)
-    negative += sum(sign(p * q) for (p, q) in surg)
-    # the closed matrix-element identity i*sign(q) =
-    # e^(i*pi*sign(p/q)/2)*sign(p) degenerates at the p = 0 central
-    # vertex of a star, leaving a universal stray -1
-    negative += star
+    negative += len(surg)
     m = (-kappa_of(K) * sig * K - 3 * (K - 2) * sig
          + 8 * (-t4 * phis % K) + 4 * K * negative)
     return data, m % (8 * K)
@@ -317,15 +323,15 @@ def _p1_factor(p: int, K: int) -> CycInt:
     """One component of exact_p1: its odd-color sum S.
 
     S is the sum over odd colors a of q^(4* p a^2) [a + p*], p* the even
-    inverse of p, and each term is one run of powers of q (the link
-    value [c] at an odd color c is `cyclotomic.sine_quotient(c)`).  S
-    carries a guaranteed factor x^((K-1)/2); it is divided out by exact
-    division (DivisibilityFailure if violated), and the result is
-    assembled with the unit u, a +-1 phase, sign(p) and a power of q.
+    inverse of p, and each term is one run of powers of q
+    (`cyclotomic.sine_run`).  S carries a guaranteed factor
+    x^((K-1)/2); it is divided out by exact division
+    (DivisibilityFailure if violated), and the result is assembled with
+    the unit u, a +-1 phase, sign(p) and a power of q.
     """
-    t2, t4 = inv_int(2, K), inv_int(4, K)
+    t4 = inv_int(4, K)
     pst = even_inv(p, K)
-    w = from_runs([(t4 * p * a * a + t2 * (1 - a - pst), (a + pst) % K, 1)
+    w = from_runs([sine_run(t4 * p * a * a, a + pst, 1, K)
                    for a in odd_window(K)], K)
     try:
         for _ in range((K - 1) // 2):

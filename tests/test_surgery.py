@@ -11,7 +11,7 @@ import so3inv.nt
 from so3inv import cyclotomic, surgery
 from so3inv.arith import (even_inv, inv_int, kappa_of, legendre, odd_primes,
                           sign)
-from so3inv.closedform import ExtendedPhase, lens_zprime, seifert_zprime
+from so3inv.closedform import _phase_to_q, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
                                odd_window, qpow, unit_u)
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
@@ -82,8 +82,8 @@ def test_denominator_divisible_by_k_is_re_presented():
 
 
 # two-fiber stars and the lens spaces they are: X(p1/q1, p2/q2) is
-# L(p1*q2 + p2*q1, .), so the stray -1 of the star meets an
-# independent lens presentation with more than one fiber
+# L(p1*q2 + p2*q1, .), so the -1 of the star's central vertex meets
+# an independent lens presentation with more than one fiber
 TWO_FIBER_LENS = [([(2, 1), (3, 1)], (5, 4)), ([(3, 1), (5, 2)], (11, 5)),
                   ([(3, 2), (7, 3)], (23, 7)), ([(4, 1), (5, 3)], (17, 11))]
 
@@ -131,28 +131,27 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
     # every table entry is the very mpmath call it replaces, at the
     # precision in force: a table shared across precisions fails here
     monkeypatch.setattr(cyclotomic, "_ROOTS", {})
+
+    def read_back(n):
+        B, re, im = cyclotomic.fixed_roots(n)
+        return [(mpmath.ldexp(x, -B), mpmath.ldexp(y, -B))
+                for x, y in zip(re, im)]
+
     for dps in order:
         with mpmath.workdps(dps):
             for K in (5, 7, 13, 101):
-                assert cyclotomic.unit_roots(K) == tuple(
-                    mpmath.expjpi(mpmath.mpf(2 * e) / K) for e in range(K))
-                # the oracle's sines are Im of the roots of order 2K
-                assert [r.imag for r in cyclotomic.unit_roots(2 * K)] == [
-                    mpmath.sinpi(mpmath.mpf(y) / K) for y in range(2 * K)]
-                # the chain elements read roots of order 2 * den
-                den = 2 * K * 3
-                assert cyclotomic.unit_roots(2 * den) == tuple(
-                    mpmath.expjpi(mpmath.mpf(m) / den)
-                    for m in range(2 * den))
                 # the integers read back at their scale are those very
-                # calls, bit for bit
+                # calls, bit for bit: roots of order K, of order 2K and
+                # of order 2 * den, which the chain elements read
+                den = 2 * K * 3
                 for n in (K, 2 * K, 2 * den):
-                    B, re, im = cyclotomic.fixed_roots(n)
-                    assert [(mpmath.ldexp(x, -B), mpmath.ldexp(y, -B))
-                            for x, y in zip(re, im)] == [
+                    assert read_back(n) == [
                         (r.real, r.imag) for r in (
                             mpmath.expjpi(mpmath.mpf(2 * e) / n)
                             for e in range(n))]
+                # the oracle's sines are Im of the roots of order 2K
+                assert [y for _, y in read_back(2 * K)] == [
+                    mpmath.sinpi(mpmath.mpf(y) / K) for y in range(2 * K)]
         for a in (lens_zprime(-5, 2, 7), lens_zprime(3, 1, 7),
                   seifert_zprime(POINCARE, 13),
                   seifert_zprime(POINCARE, 101)):
@@ -426,7 +425,8 @@ def _mpc_star(M, K):
                 folds = prod(sum(sine(b * a) * w for a, w in f.items())
                              for f in fibers)
                 tot += x * folds / (sine(b) ** (len(fibers) - 1) * sine(1))
-        # the stray -1 of the p = 0 central vertex
+        # the -1 of the p = 0 central vertex, which the prefactor's
+        # (-1)^sign(p*q) does not count
         return complex(-_mpc_zprime_prefactor(surg, sig, K) * tot)
 
 
@@ -458,32 +458,18 @@ def test_kirby_melvin_covers_p1_surgeries():
 def test_phase_sqrt_q_times_inverse_half_is_minus_one():
     # q^(1/2) * q^(-inv(2,K)) collapses to -1 for every odd prime
     for K in (5, 7, 11, 13):
-        ph = ExtendedPhase(K)
-        ph.times_sqrt_q(1)
-        ph.times_q(-inv_int(2, K))
-        assert ph.reduce() == CycInt.one(K) * (-1)
+        assert _phase_to_q(0, 2 - 4 * inv_int(2, K), 1, K) == -CycInt.one(K)
 
 
 def test_phase_i_squared():
-    ph = ExtendedPhase(7)
-    ph.times_i()
-    ph.times_i()
-    assert ph.reduce() == CycInt.one(7) * (-1)
+    assert _phase_to_q(2 + 2, 0, 1, 7) == -CycInt.one(7)
 
 
 def test_phase_eighth_roots_cancel():
-    ph = ExtendedPhase(5)
-    ph.times_eighth(8)
-    ph.times_q(3)
-    assert ph.reduce() == qpow(3, 5)
+    # e^(2 pi i) * q^3
+    assert _phase_to_q(8, 4 * 3, 1, 5) == qpow(3, 5)
 
 
 def test_phase_irreducible_leftovers():
-    ph = ExtendedPhase(5)
-    ph.times_eighth(1)
     with pytest.raises(PhaseNotReducible):
-        ph.reduce()
-    ph2 = ExtendedPhase(5)
-    ph2.times_magnitude(Fraction(1, 2), 0)
-    with pytest.raises(PhaseNotReducible):
-        ph2.reduce()
+        _phase_to_q(1, 0, 1, 5)
