@@ -39,12 +39,13 @@ import sys
 from math import gcd
 
 from .arith import as_prime, odd_primes
-from .cyclotomic import diamond, eval_complex, gauss_sum, to_xpoly, x_order
+from .cyclotomic import eval_complex, gauss_sum, to_xpoly, x_order
 from .errors import So3InvError
 from .nt import Lens, P1Surgery, SeifertData
 from .ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
                       h1_order, manifold_label, reconstruct_lambda,
                       verify_identity)
+from .series import TruncPoly
 
 
 class UsageError(Exception):
@@ -224,8 +225,8 @@ def _invariant_task(task):
     num = eval_complex(zp, precision)
     return (manifold_label(m), K,
             ",".join(str(c) for c in zp.coeffs),
-            _poly_str(xp.coeffs, "x"),
-            ",".join(str(c) for c in diamond(xp).coeffs),
+            _poly_str(xp, "x"),
+            ",".join(str(c) for c in TruncPoly(xp, K).coeffs),
             f"{num.real:.12e}{num.imag:+.12e}j"), None
 
 
@@ -255,11 +256,12 @@ def _gauss_task(task):
     g = gauss_sum(1, K)
     sq = g * g
     want = (-1) ** ((K - 1) // 2) * K
+    order = x_order(g)
     ok = (sq.coeffs[0] == want and not any(sq.coeffs[1:])
-          and x_order(g) == (K - 1) // 2)
+          and order == (K - 1) // 2)
     return ("gauss", "gauss-sum", K, "pass" if ok else "FAIL",
             f"square={sq.coeffs[0] if not any(sq.coeffs[1:]) else 'nonconst'}"
-            f",x_order={x_order(g)}")
+            f",x_order={order}")
 
 
 def _identity_task(task):

@@ -5,7 +5,7 @@ relation 1 + q + ... + q^(K-1) = 0 folding the top power down.  Sums
 of q-power terms are given as runs w * (q^s + ... + q^(s+m-1)) and
 accumulated once by `from_runs`; a quantized integer [c] is one run
 (`sine_run`), since its terms step the exponent by 2* and 2 * 2* = 1
-mod K.  The parallel XPoly view rewrites the same element as an
+mod K.  `to_xpoly` rewrites an element as the coefficient tuple of an
 integer polynomial in x = q - 1; powers of x filtered mod K (the
 x-adic order and the diamond truncation) are what connect exact
 invariants to their rational series images.
@@ -193,32 +193,9 @@ def qpow(n: int, K: int) -> CycInt:
     return _raw(tuple(coeffs), K)
 
 
-class XPoly:
-    """The same ring element written as an integer polynomial in x = q - 1."""
-
-    __slots__ = ("K", "coeffs")
-
-    def __init__(self, coeffs: Sequence[int], K: int):
-        as_prime(K)
-        cs = [int(c) for c in coeffs[:K - 1]]
-        cs.extend([0] * (K - 1 - len(cs)))
-        self.K = K
-        self.coeffs = tuple(cs)
-
-    def __eq__(self, other):
-        return (isinstance(other, XPoly) and other.K == self.K
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash(("x", self.K, self.coeffs))
-
-    def __repr__(self):
-        terms = [f"{c}*x^{n}" for n, c in enumerate(self.coeffs) if c]
-        return "XPoly(" + (" + ".join(terms) or "0") + f"; K={self.K})"
-
-
-def to_xpoly(a: CycInt) -> XPoly:
-    """Rewrite on the x-basis via q^i = (1+x)^i."""
+def to_xpoly(a: CycInt) -> tuple:
+    """The K - 1 coefficients of `a` as an integer polynomial in
+    x = q - 1, via q^i = (1+x)^i."""
     K = a.K
     out = [0] * (K - 1)
     row = [1]  # the binomial row of (1+x)^i, degree i <= K-2
@@ -227,26 +204,21 @@ def to_xpoly(a: CycInt) -> XPoly:
             for d, r in enumerate(row):
                 out[d] += c * r
         row = [1, *map(add, row, row[1:]), 1]  # Pascal step
-    return XPoly(out, K)
+    return tuple(out)
 
 
 def x_order(a: CycInt) -> int:
     """First power of x whose coefficient is nonzero mod K (capped at K-1)."""
     xp = to_xpoly(a)
     n = 0
-    while n < a.K - 1 and xp.coeffs[n] % a.K == 0:
+    while n < a.K - 1 and xp[n] % a.K == 0:
         n += 1
     return n
 
 
-def diamond(a) -> TruncPoly:
-    """The mod-K series shadow: x-coefficients up to degree (K-1)/2.
-
-    `a` is a CycInt or its already computed XPoly expansion.
-    """
-    xp = a if isinstance(a, XPoly) else to_xpoly(a)
-    d = (a.K - 1) // 2
-    return TruncPoly([xp.coeffs[n] % a.K for n in range(d + 1)], a.K)
+def diamond(a: CycInt) -> TruncPoly:
+    """The mod-K series shadow: x-coefficients up to degree (K-1)/2."""
+    return TruncPoly(to_xpoly(a), a.K)
 
 
 def gauss_sum(c: int, K: int) -> CycInt:
@@ -265,45 +237,6 @@ def divide_exact(a: CycInt, n: int) -> CycInt:
     if any(c % n for c in a.coeffs):
         raise IntegralityFailure(f"coefficients not divisible by {n}")
     return _raw(tuple([c // n for c in a.coeffs]), a.K)
-
-
-def divide_by_x(a: CycInt) -> CycInt:
-    """a / (q - 1), exactly; IntegralityFailure unless q - 1 divides a.
-
-    q - 1 divides a exactly when K divides a(1), the coefficient sum.
-    Then a - t * Phi_K with t = a(1)/K is the same element and vanishes
-    at q = 1, so synthetic division by q - 1 is exact over Z, in O(K).
-    """
-    K = a.K
-    t, r = divmod(sum(a.coeffs), K)
-    if r:
-        raise IntegralityFailure(
-            f"q - 1 does not divide: coefficient sum is {r} mod {K}")
-    d = [0] * (K - 1)
-    d[K - 2] = -t  # the q^(K-1) coefficient of a - t * Phi_K
-    for i in range(K - 2, 0, -1):
-        d[i - 1] = a.coeffs[i] - t + d[i]
-    return _raw(tuple(d), K)
-
-
-_UNITS: dict = {}
-
-
-def unit_u(K: int) -> CycInt:
-    """The unit u with u * gauss_sum(1) = x^((K-1)/2), built once per K.
-
-    Since gauss_sum(1) * gauss_sum(1).galois(-1) = K, the quotient is
-    x^((K-1)/2) * gauss_sum(-1) / K, and the division must be exact.
-    """
-    K = as_prime(K)
-    if K not in _UNITS:
-        g1 = gauss_sum(1, K)
-        xd = (qpow(1, K) - 1) ** ((K - 1) // 2)
-        u = divide_exact(xd * gauss_sum(-1, K), K)
-        if u * g1 != xd:
-            raise IntegralityFailure("unit normalization check failed")
-        _UNITS[K] = u
-    return _UNITS[K]
 
 
 def sine_run(e: int, c: int, w: int, K: int) -> tuple:

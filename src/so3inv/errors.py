@@ -87,10 +87,6 @@ class DivisibilityFailure(So3InvError):
     """Exact division left a remainder that should have vanished."""
 
 
-class NonIntegralAssembly(So3InvError):
-    """Assembled invariant has non-integer coordinates."""
-
-
 class PDivisibleByK(So3InvError):
     """Surgery coefficient numerator is divisible by the prime."""
 

@@ -17,9 +17,9 @@ unlink table for a P1 surgery), whose link value is a product of sines
 from the same table, not from the Z[q] code, is the same sum at one
 central color.  exact_p1 re-derives Z' for a P1 surgery entirely inside Z[q],
 one component at a time (every link table is a split link, so the
-surgery is a connected sum), dividing out the guaranteed power of
-x = q - 1 step by step and failing loudly if the divisibility is
-violated.
+surgery is a connected sum), dividing each component's color sum by the
+Gauss sum with one exact division by K, which fails loudly unless the
+sum carries the guaranteed power x^((K-1)/2) of x = q - 1.
 
 The numeric paths import mpmath when they run (exact_p1 never loads it)
 and work at a precision that grows with K (50 + 2K digits unless
@@ -48,14 +48,13 @@ from math import prod
 from operator import mul
 
 from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
-from .cyclotomic import (CycInt, divide_by_x, fixed_roots, from_runs,
-                         odd_window, qpow, sine_run, unit_u)
+from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
+                         gauss_sum, odd_window, qpow, sine_run)
 from .errors import (
     BadPrecision,
     ChainDegenerate,
     DivisibilityFailure,
     IntegralityFailure,
-    NonIntegralAssembly,
     NotCoprime,
     NotRHS,
 )
@@ -257,13 +256,14 @@ def _zprime_prelude(surg, sig, K: int):
 
     m gathers e^(-i*pi*kappa*sig/4), e^(-3i*pi*(K-2)*sig/(4K)), the
     root of order K of the summed chain phases and every sign, a -1
-    being m + 4K, so only the parity of the count of -1s enters.  The
-    signs are the Legendre symbol of |prod q|, sign(q) per component,
-    and one -1 per component.  Read through the matrix-element identity
-    i*sign(q) = e^(i*pi*sign(p/q)/2)*sign(p), that -1 is
-    (-1)^sign(p*q), which is -1 at every p != 0.  At the central
-    (0, 1) vertex of a star the identity's right side vanishes, but
-    the element does not: the vertex is T^0 S = S, whose element
+    being m + 4K, so only the parity of the count of -1s enters.  Every
+    q is at least 1 (`_presentation` makes q >= 0, and q = 0 is
+    divisible by K), so the signs are the Legendre symbol of prod q and
+    one -1 per component.  Read through the matrix-element identity
+    i = e^(i*pi*sign(p)/2)*sign(p), that -1 is (-1)^sign(p), which is
+    -1 at every p != 0.  At the central (0, 1) vertex of a star the
+    identity's right side vanishes, but the element does not: the
+    vertex is T^0 S = S, whose element
     i/sqrt(2K) * sum_mu mu*e^(-i*pi*a*b*mu/K) = sqrt(2/K)*sin(pi*a*b/K)
     (Jeffrey, Comm. Math. Phys. 147 (1992)) is the closed formula at
     (p, q, s) = (0, 1, 0), with the same -1.  So every component gives
@@ -279,9 +279,7 @@ def _zprime_prelude(surg, sig, K: int):
         s, phi = _chain_data(p, q)
         data.append((p, inv_int(q, K), s))
         phis += phi
-    negative = (legendre(abs(prod(q for (p, q) in surg)), K) < 0)
-    negative += sum(q < 0 for (p, q) in surg)
-    negative += len(surg)
+    negative = (legendre(prod(q for (p, q) in surg), K) < 0) + len(surg)
     m = (-kappa_of(K) * sig * K - 3 * (K - 2) * sig
          + 8 * (-t4 * phis % K) + 4 * K * negative)
     return data, m % (8 * K)
@@ -320,27 +318,28 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
 
 
 def _p1_factor(p: int, K: int) -> CycInt:
-    """One component of exact_p1: its odd-color sum S.
+    """One component of exact_p1: its odd-color sum S over the Gauss
+    sum G(1), times sign(p), a +-1 phase and a power of q.
 
     S is the sum over odd colors a of q^(4* p a^2) [a + p*], p* the even
     inverse of p, and each term is one run of powers of q
-    (`cyclotomic.sine_run`).  S carries a guaranteed factor
-    x^((K-1)/2); it is divided out by exact division
-    (DivisibilityFailure if violated), and the result is assembled with
-    the unit u, a +-1 phase, sign(p) and a power of q.
+    (`cyclotomic.sine_run`).  G(c) = gauss_sum(c, K), and G(-1) is the
+    complex conjugate of G(1), so G(1) * G(-1) = |G(1)|^2 = K and
+    S / G(1) = S * G(-1) / K: one exact division by K.  K divides every
+    coordinate of S * G(-1) exactly when x^((K-1)/2), x = q - 1,
+    divides S (DivisibilityFailure otherwise).  For K = prod_(0<j<K)
+    (1 - q^j) is x^(K-1) times a unit, each 1 - q^j being x times one,
+    and G(-1) is x^((K-1)/2) times a unit, as G(-1)^2 = +-K and (x) is
+    a prime ideal; so S * G(-1) / K is a unit times S / x^((K-1)/2).
     """
     t4 = inv_int(4, K)
     pst = even_inv(p, K)
-    w = from_runs([sine_run(t4 * p * a * a, a + pst, 1, K)
+    s = from_runs([sine_run(t4 * p * a * a, a + pst, 1, K)
                    for a in odd_window(K)], K)
     try:
-        for _ in range((K - 1) // 2):
-            w = divide_by_x(w)
+        w = divide_exact(s * gauss_sum(-1, K), K)
     except IntegralityFailure as exc:
         raise DivisibilityFailure(str(exc)) from exc
-    num = (kappa_of(K) - 1) * (sign(p) - 1)
-    if num % 4:
-        raise NonIntegralAssembly("phase exponent is not an integer")
-    phase = -1 if (num // 4) % 2 else 1
+    phase = -1 if K % 4 == 3 and p < 0 else 1
     e2 = t4 * (3 * sign(p) - p - pst)
-    return w * unit_u(K) * qpow(e2, K) * (phase * sign(p))
+    return w * qpow(e2, K) * (phase * sign(p))

@@ -12,8 +12,7 @@ from so3inv import cyclotomic, surgery
 from so3inv.arith import (even_inv, inv_int, kappa_of, legendre, odd_primes,
                           sign)
 from so3inv.closedform import _phase_to_q, lens_zprime, seifert_zprime
-from so3inv.cyclotomic import (CycInt, divide_by_x, eval_complex,
-                               odd_window, qpow, unit_u)
+from so3inv.cyclotomic import CycInt, eval_complex, odd_window, qpow
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
                            NotAnOddPrime, NotCoprime, NotRHS,
                            PhaseNotReducible, ZeroLowerLeft)
@@ -22,6 +21,7 @@ from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
                             z_numeric, zprime_numeric)
+from zq_reference import divide_by_x, unit_u
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -308,10 +308,12 @@ def _joint_color_sum(M, K):
 
 
 def test_exact_p1_matches_joint_color_sum():
-    # exact_p1 sums the colors of one component at a time; the joint
-    # sum over all K^N color tuples must give the same element
-    for framings, top in (((-2, 5), 61), ((2, -3, 4), 29)):
-        m = P1Surgery("unlink", framings)
+    # exact_p1 sums the colors of one component at a time and divides
+    # by the Gauss sum once; the joint sum over all K^N color tuples,
+    # divided by x one step at a time, must give the same element
+    for framings, top in (((3,), 101), ((-2,), 101), ((-7,), 101),
+                          ((-2, 5), 61), ((2, -3, 4), 29)):
+        m = P1Surgery("unknot" if len(framings) == 1 else "unlink", framings)
         for K in odd_primes(3, top):
             if all(p % K for p in framings):
                 assert exact_p1(m, K) == _joint_color_sum(m, K), K
