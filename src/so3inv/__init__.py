@@ -2,9 +2,9 @@
 
 Subpackages are layered: arith (residues at an odd prime), series
 (truncated rational power series), cyclotomic (the ring Z[q] at a
-prime root of unity and its x-adic shadow), nt (Dedekind sums, the
-Rademacher phase, the three manifold presentations), jones (the split
-link tables, whose values are products of quantized integers),
+prime root of unity and its x-adic shadow), jones (the split link
+tables, whose values are products of quantized integers), nt (Dedekind
+sums, the Rademacher phase, the three manifold presentations),
 surgery (numeric and exact surgery-formula evaluators), closedform
 (residue formulas for lens and Seifert spaces and their lambda
 series), ohtsuki (the diamond/vee identity and rational

@@ -123,13 +123,11 @@ def _from_schema(obj) -> object:
     try:
         kind = obj["type"]
         if kind == "lens":
-            return Lens(int(obj["p"]), int(obj["q"]))
+            return Lens(obj["p"], obj["q"])
         if kind == "seifert":
-            return SeifertData([(int(p), int(q))
-                                for p, q in obj["fractions"]])
+            return SeifertData(obj["fractions"])
         if kind == "p1":
-            return P1Surgery(str(obj["jones"]),
-                             tuple(int(f) for f in obj["framings"]))
+            return P1Surgery(obj["jones"], obj["framings"])
     except (KeyError, TypeError, ValueError, So3InvError) as e:
         raise UsageError(f"bad manifold object {obj!r}: {e}") from None
     raise UsageError(f"unknown manifold type {obj!r}")

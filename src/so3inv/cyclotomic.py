@@ -223,13 +223,7 @@ def diamond(a: CycInt) -> TruncPoly:
 
 def gauss_sum(c: int, K: int) -> CycInt:
     """Sum of q^(c*a^2) over the K odd classes a mod 2K."""
-    return odd_gauss_moment(c, 0, K)
-
-
-def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
-    """Sum of a^(2m) * q^(p*a^2) over the odd class window."""
-    return from_runs(((p * a * a, 1, a ** (2 * m)) for a in odd_window(K)),
-                     K)
+    return from_runs(((c * a * a, 1, 1) for a in odd_window(K)), K)
 
 
 def divide_exact(a: CycInt, n: int) -> CycInt:

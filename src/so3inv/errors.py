@@ -46,10 +46,6 @@ class NonzeroConstantInExp(So3InvError):
     """Series composition requires an inner constant term of zero."""
 
 
-class FactorialNotInvertible(So3InvError):
-    """A factorial in a denominator is divisible by the prime."""
-
-
 class BadNormalization(So3InvError):
     """A series whose leading coefficient must equal one does not."""
 

@@ -4,7 +4,8 @@ A surgery slope p/q is completed to any SL2 matrix with first column
 (p, q); Dedekind sums and the Rademacher matrix phase carry its framing
 anomaly.  The three manifold presentations live here too: Lens,
 SeifertData (star-shaped) and P1Surgery (integer framings on a known
-link table), each validated on construction.
+link table), each validated on construction; like `arith.as_prime`
+they take exact ints only, and never convert 5.5, True or "5".
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ def rademacher_phi(p: int, q: int, s: int) -> int:
     return int(val)
 
 
+def _ints(values, what: str, n: int = None) -> tuple:
+    """`values` as a tuple of exact ints, n of them if n is given."""
+    try:
+        vals = tuple(values)
+    except TypeError:
+        vals = (None,)
+    if n not in (None, len(vals)) or any(type(v) is not int for v in vals):
+        raise IntegralityFailure(
+            f"{what} must be {n or 'a sequence of'} ints, got {values!r}")
+    return vals
+
+
 class SeifertData:
     """A star-shaped presentation: exceptional fibers p_j / q_j.
 
@@ -73,7 +86,7 @@ class SeifertData:
     __slots__ = ("fractions", "P", "H")
 
     def __init__(self, fractions: Sequence[Tuple[int, int]]):
-        fr = tuple((int(p), int(q)) for p, q in fractions)
+        fr = tuple(_ints(f, "a fiber", 2) for f in fractions)
         if not fr:
             raise NotRHS("need at least one exceptional fiber")
         for p, q in fr:
@@ -110,6 +123,7 @@ class Lens:
     q: int
 
     def __post_init__(self):
+        _ints((self.p, self.q), "L(p, q)", 2)
         if self.p == 0:
             raise NotRHS("L(0, q) is not a rational homology sphere")
         if gcd(self.p, self.q) != 1:
@@ -125,7 +139,7 @@ class P1Surgery:
 
     def __post_init__(self):
         object.__setattr__(self, "framings",
-                           tuple(int(p) for p in self.framings))
+                           _ints(self.framings, "framings"))
         if any(p == 0 for p in self.framings):
             raise NotRHS("zero framing breaks the rational homology sphere "
                          "condition for split links")

@@ -8,8 +8,8 @@ well-defined polynomial trace (see cyclotomic.diamond).
 The module also hosts the closed-form series the invariant formulas
 produce: (1+x)^r for rational r, finite exponential sums sum_k c_k e^(kw)
 and their quotients (sinh quotients in u) for re-expansion at
-T = (1/2)log(1+x), and Gaussian-moment images, one route each: e^(cT)
-is (1+x)^(c/2) at T = (1/2)log(1+x), so `q_power` gives it directly.
+T = (1/2)log(1+x), one route each: e^(cT) is (1+x)^(c/2) there, so
+`q_power` gives it directly.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
-from .arith import as_prime, inv_int, legendre, rat_residue
+from .arith import as_prime, rat_residue
 from .errors import (
     DenominatorDivisibleByK,
-    FactorialNotInvertible,
     InsufficientTerms,
     NonUnitDivisor,
     NonzeroConstantInExp,
@@ -271,33 +270,3 @@ def vee(s: RatSeries, K: int) -> TruncPoly:
                 f"coefficient of x^{n} = {c} has denominator divisible by {K}")
         out.append(rat_residue(c, K))
     return TruncPoly(out, K)
-
-
-def x_over_log_pow(m: int, K: int) -> TruncPoly:
-    """[x / log(1+x)]^m reduced mod K."""
-    d = (K - 1) // 2
-    ratio = s_div(RatSeries.const(1, d),
-                  RatSeries([Fraction((-1) ** n, n + 1)
-                             for n in range(d + 1)], d))
-    return vee(ratio ** m, K)
-
-
-def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
-    """Series image of the m-th odd Gaussian moment at exponent p/q.
-
-    Returns the mod-K truncated series whose low-degree coefficients
-    (degrees below (K+1)/2 - m) match the reduction of the exact
-    cyclotomic moment normalized by the inverse quadratic sum.
-    """
-    as_prime(K)
-    if m >= K:
-        raise FactorialNotInvertible(f"{m}! is divisible by {K}")
-    qs = inv_int(q, K)
-    ps = inv_int(p, K)
-    leg = legendre(p * qs, K)
-    scalar = (-1) ** m * leg
-    scalar *= pow(ps * q % K, m, K)
-    scalar *= pow(inv_int(2, K), 2 * m, K)
-    scalar = scalar * (factorial(2 * m) % K) % K
-    scalar = scalar * inv_int(factorial(m) % K, K) % K
-    return TruncPoly([c * scalar for c in x_over_log_pow(m, K).coeffs], K)

@@ -15,18 +15,17 @@ from math import gcd
 
 from so3inv.arith import inv_int, legendre, odd_primes
 from so3inv.cyclotomic import (CycInt, diamond, eval_complex, gauss_sum,
-                               odd_gauss_moment, odd_window, qpow, x_order)
+                               odd_window, qpow, x_order)
 from so3inv.errors import H1DivisibleByK, PDivisibleByK, So3InvError
 from so3inv.closedform import lens_lambda_series, lens_zprime, seifert_zprime
-from so3inv.jones import (expansion_check, seifert_beta_series,
-                          sin_quotient_series)
 from so3inv.nt import SeifertData
 from so3inv.ohtsuki import (closed_lambda_series, diamond_side,
                             reconstruct_lambda, vee_side)
-from so3inv.series import gauss_moment_diamond
 from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
                             zprime_numeric)
-from zq_reference import unit_u
+from zq_reference import (expansion_check, gauss_moment_diamond,
+                          odd_gauss_moment, seifert_beta_series,
+                          sin_quotient_series, unit_u)
 
 
 SEIFERT_SAMPLE = (

@@ -146,7 +146,13 @@ def test_invariant_prints_every_computable_row(capsys):
 @pytest.mark.parametrize("spec", [
     ("--lens", "4,2"), ("--lens", "0,1"), ("--seifert", "2/0"),
     ("--seifert", "2/1,2/-1"), ("--p1", "figure8:3"), ("--p1", "unknot:0"),
-    ("--manifolds", [{"type": "lens", "p": 4, "q": 2}])])
+    ("--manifolds", [{"type": "lens", "p": 4, "q": 2}]),
+    # JSON values are never coerced: each of these once printed rows
+    ("--manifolds", [{"type": "lens", "p": 5.5, "q": 2}]),
+    ("--manifolds", [{"type": "lens", "p": True, "q": 2}]),
+    ("--manifolds", [{"type": "lens", "p": "5", "q": 2}]),
+    ("--manifolds", [{"type": "p1", "jones": "unlink", "framings": "23"}]),
+    ("--manifolds", [{"type": "seifert", "fractions": [[2, 1.9], [3, 1]]}])])
 def test_invalid_manifold_spec_is_usage_error(capsys, tmp_path, spec):
     flag, value = spec
     if flag == "--manifolds":

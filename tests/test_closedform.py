@@ -1,5 +1,6 @@
 """Closed forms against the numeric oracle and their series anchors."""
 
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -225,6 +226,21 @@ def test_lens_lambda1_is_casson_walker():
         assert lens_lambda_series(p, q, 1)[1] == 3 * dedekind_sum(q, p), (p, q)
 
 
+def test_brieskorn_lambda1_is_six_casson():
+    # Sigma(2,3,6k-1) and Sigma(2,3,6k+1) as X(2/1,3/1,r/q), |H| = 1:
+    # H = 5r + 6q, so q = 1 - 5k gives H = 1 and q = -5k - 1 gives H = -1.
+    # Orientation: H = 1 is that of the link of the singularity
+    # x^2 + y^3 + z^r = 0, whose Casson invariant is -k (Fintushel & Stern
+    # 1990; -1 for the Poincare sphere X(2/1,3/1,5/-4)), and H = -1 is the
+    # reverse, with Casson invariant +k.  As lambda_1 is 6 times Casson's
+    # invariant (Murakami 1995), lambda_1 = -6k * H.
+    for k in range(1, 6):
+        for r, q in ((6 * k - 1, 1 - 5 * k), (6 * k + 1, -5 * k - 1)):
+            S = SeifertData([(2, 1), (3, 1), (r, q)])
+            assert abs(S.H) == 1
+            assert seifert_lambda_series(S, 1)[1] == -6 * k * S.H, (r, q)
+
+
 def test_s3_series_is_trivial():
     lam = lens_lambda_series(1, 0, 6)
     assert lam[0] == 1
@@ -437,3 +453,36 @@ def test_two_fiber_seifert_is_lens(fractions, lens):
         assert got == want, K
         checked += 1
     assert checked >= 14
+
+
+def _two_fiber_partner(p1, q1, p2, q2):
+    """X(p1/q1, p2/q2) = L(p1 q2 + p2 q1, p1 s2 + q1 r2), p2 s2 - q2 r2 = 1."""
+    s2 = pow(p2, -1, q2)
+    r2 = (p2 * s2 - 1) // q2
+    return p1 * q2 + p2 * q1, p1 * s2 + q1 * r2
+
+
+def test_two_fiber_seifert_is_lens_by_formula():
+    # every reduced pair with 2 <= |p1| <= 7, 1 <= |q1| <= 7,
+    # 2 <= p2 <= 7, 1 <= q2 <= 7 and H != 0
+    cases = [((p1, q1), (p2, q2))
+             for p1 in [*range(-7, -1), *range(2, 8)]
+             for q1 in [*range(-7, 0), *range(1, 8)]
+             for p2 in range(2, 8) for q2 in range(1, 8)
+             if gcd(p1, q1) == gcd(p2, q2) == 1 and p1 * q2 + p2 * q1]
+    assert len(cases) == 3080
+    for f1, f2 in cases:
+        lens = _two_fiber_partner(*f1, *f2)
+        assert (seifert_lambda_series(SeifertData([f1, f2]), 8).values
+                == lens_lambda_series(*lens, 8).values), (f1, f2, lens)
+    checked = 0
+    for f1, f2 in random.Random(6).sample(cases, 150):
+        S, lens = SeifertData([f1, f2]), _two_fiber_partner(*f1, *f2)
+        for K in odd_primes(3, 31):
+            try:
+                want, got = lens_zprime(*lens, K), seifert_zprime(S, K)
+            except So3InvError:
+                continue
+            assert got == want, (f1, f2, K)
+            checked += 1
+    assert checked >= 1000

@@ -14,7 +14,6 @@ from so3inv.cyclotomic import (
     eval_complex,
     from_runs,
     gauss_sum,
-    odd_gauss_moment,
     odd_window,
     qpow,
     sine_quotient,
@@ -24,7 +23,8 @@ from so3inv.cyclotomic import (
 from so3inv.errors import (IntegralityFailure, MixedModulus, NotAnOddPrime,
                            NotAUnit)
 from so3inv.series import TruncPoly, q_power, vee
-from zq_reference import divide_by_x, unit_u
+from zq_reference import (divide_by_x, gauss_moment_diamond, odd_gauss_moment,
+                          unit_u)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -321,8 +321,6 @@ def test_moment_extraction_by_interpolation():
     # Vandermonde system, reproduce the even moment images; the odd
     # slots vanish and the even ones match both the exact moments and
     # the closed-form series in its guaranteed degree range.
-    from so3inv.series import gauss_moment_diamond
-
     for K, pairs in ((5, [(1, 1), (2, 1), (3, 2)]),
                      (7, [(1, 1), (2, 1), (3, 2), (5, 3)])):
         d = (K - 1) // 2

@@ -197,6 +197,11 @@ def test_seifert_data():
         SeifertData([])
     with pytest.raises(HZero):
         SeifertData([(2, 1), (2, -1)])
+    # only exact ints, in pairs: nothing is converted
+    for bad in ([(2, 1.9), (3, 1)], [(2, True), (3, 1)], [("2", 1), (3, 1)],
+                [(2, 1, 1), (3, 1)], [(2,), (3, 1)], [2, 3]):
+        with pytest.raises(IntegralityFailure):
+            SeifertData(bad)
 
 
 def test_h1_order():
@@ -212,3 +217,9 @@ def test_h1_order():
         h1_order(P1Surgery("unlink", (2, 0)))
     with pytest.raises(NotRHS):
         h1_order(object())
+    for p, q in ((5.5, 2), (5, 2.0), (True, 2), ("5", 2)):
+        with pytest.raises(IntegralityFailure):
+            Lens(p, q)
+    for framings in ("23", (2.7, -3), (True,), 5):
+        with pytest.raises(IntegralityFailure):
+            P1Surgery("unlink", framings)

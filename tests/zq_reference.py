@@ -1,15 +1,37 @@
-"""Reference division by x = q - 1 in Z[q], for the tests only.
+"""Reference routes and the paper's lemma checks, for the tests only.
 
-`exact_p1` divides a color sum by the Gauss sum with one exact division
-by K.  These helpers keep the older route, which strips the guaranteed
-power x^((K-1)/2) one synthetic division at a time and multiplies by
-the unit u = x^((K-1)/2) / gauss_sum(1), so the tests can check the
-exact route and the moment identities against an independent method.
+Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
+Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
+keep the older route, which strips the guaranteed power x^((K-1)/2) one
+synthetic division at a time and multiplies by the unit
+u = x^((K-1)/2) / gauss_sum(1), so the tests can check the exact route
+and the moment identities against an independent method.
+
+The Gaussian-moment lemma.  `odd_gauss_moment` is the exact moment sum
+in Z[q]; `gauss_moment_diamond` is its closed-form series image mod K,
+built from the powers of x / log(1+x) (`x_over_log_pow`).
+
+The color-expansion lemma.  `expansion_check` verifies the structural
+bounds on the color expansion around t = 0 of a one-color evaluation
+given as a series, such as the unknot's `sin_quotient_series` or the
+Seifert fiber evaluation `seifert_beta_series`.
 """
 
-from so3inv.arith import as_prime
-from so3inv.cyclotomic import CycInt, _raw, divide_exact, gauss_sum, qpow
-from so3inv.errors import IntegralityFailure
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, prod
+from typing import Callable, Sequence
+
+from so3inv.arith import as_prime, inv_int, legendre, sign
+from so3inv.cyclotomic import (CycInt, _raw, divide_exact, from_runs,
+                               gauss_sum, odd_window, qpow)
+from so3inv.errors import BoundViolation, IntegralityFailure, So3InvError
+from so3inv.series import RatSeries, TruncPoly, exp_sum_series, s_div, vee
+
+
+class FactorialNotInvertible(So3InvError):
+    """A factorial in a denominator is divisible by the prime."""
 
 
 def divide_by_x(a: CycInt) -> CycInt:
@@ -49,3 +71,111 @@ def unit_u(K: int) -> CycInt:
             raise IntegralityFailure("unit normalization check failed")
         _UNITS[K] = u
     return _UNITS[K]
+
+
+def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
+    """Sum of a^(2m) * q^(p*a^2) over the odd class window."""
+    return from_runs(((p * a * a, 1, a ** (2 * m)) for a in odd_window(K)),
+                     K)
+
+
+def x_over_log_pow(m: int, K: int) -> TruncPoly:
+    """[x / log(1+x)]^m reduced mod K."""
+    d = (K - 1) // 2
+    ratio = s_div(RatSeries.const(1, d),
+                  RatSeries([Fraction((-1) ** n, n + 1)
+                             for n in range(d + 1)], d))
+    return vee(ratio ** m, K)
+
+
+def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
+    """Series image of the m-th odd Gaussian moment at exponent p/q.
+
+    Returns the mod-K truncated series whose low-degree coefficients
+    (degrees below (K+1)/2 - m) match the reduction of the exact
+    cyclotomic moment normalized by the inverse quadratic sum.
+    """
+    as_prime(K)
+    if m >= K:
+        raise FactorialNotInvertible(f"{m}! is divisible by {K}")
+    qs = inv_int(q, K)
+    ps = inv_int(p, K)
+    leg = legendre(p * qs, K)
+    scalar = (-1) ** m * leg
+    scalar *= pow(ps * q % K, m, K)
+    scalar *= pow(inv_int(2, K), 2 * m, K)
+    scalar = scalar * (factorial(2 * m) % K) % K
+    scalar = scalar * inv_int(factorial(m) % K, K) % K
+    return TruncPoly([c * scalar for c in x_over_log_pow(m, K).coeffs], K)
+
+
+def sin_quotient_series(c: int, cap: int) -> RatSeries:
+    """sin(c*t)/sin(t) for an integer c, as an exact series in t: the sum
+    sign(c) sum_{j<|c|} e^((|c|-1-2j)w), an even function, at w = it."""
+    base = exp_sum_series({k: sign(c) for k in range(1 - abs(c), abs(c), 2)},
+                          cap)
+    return RatSeries([v * (-1) ** (n // 2) for n, v in enumerate(base.coeffs)],
+                     cap)
+
+
+def seifert_beta_series(alphas: Sequence[int], beta: int,
+                        cap: int) -> RatSeries:
+    """The fiber evaluation prod_j [beta*a_j] / [beta]^(N-1) as a series
+    in t, each [c] read as sin(c*t)/sin(t)."""
+    acc = prod((sin_quotient_series(beta * a, cap) for a in alphas),
+               start=RatSeries.const(1, cap))
+    if len(alphas) >= 2:
+        return s_div(acc, sin_quotient_series(beta, cap) ** (len(alphas) - 1))
+    return acc
+
+
+def _interp_coeffs(values, nodes):
+    """Solve a Vandermonde system over Q: values[i] = sum_j c_j nodes[i]^j."""
+    n = len(nodes)
+    mat = [[Fraction(nodes[i]) ** j for j in range(n)] for i in range(n)]
+    vec = list(values)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if mat[r][col] != 0)
+        mat[col], mat[piv] = mat[piv], mat[col]
+        vec[col], vec[piv] = vec[piv], vec[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        vec[col] = vec[col] * inv
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+                vec[r] = vec[r] - f * vec[col]
+    return vec
+
+
+def expansion_check(series: Callable[[int, int], RatSeries], n_max: int,
+                    name: str) -> dict:
+    """Verify the structural bounds of a one-color expansion.
+
+    Writing series(c, n_max) / c as the sum over n of t^n times a
+    polynomial in the color c, the polynomial must be even in c and
+    each of its terms c^(2m) must satisfy m <= (3/4) n and m <= n - m.
+    Returns the nonzero coefficients as {(n, m): Fraction}; raises
+    BoundViolation naming `name`.
+    """
+    nodes = list(range(1, n_max + 3))
+    rows = [[x / c for x in series(c, n_max).coeffs] for c in nodes]
+    coeffs = {}
+    for n in range(n_max + 1):
+        for power, x in enumerate(_interp_coeffs([r[n] for r in rows],
+                                                 nodes)):
+            if x == 0:
+                continue
+            if power % 2:
+                raise BoundViolation(
+                    f"odd color power {power} at order {n} in {name}")
+            m = power // 2
+            if 4 * m > 3 * n:
+                raise BoundViolation(
+                    f"color degree {m} exceeds (3/4)*{n} in {name}")
+            if m > n - m:
+                raise BoundViolation(
+                    f"color degree {m} exceeds {n - m} in {name}")
+            coeffs[(n, m)] = x
+    return coeffs
