@@ -8,9 +8,9 @@ factors the derivation produces are added up as three integers, the
 eighth-root exponent a, the quarter-step-of-q exponent b (mod 4K) and
 a sign, and two independent guards check the assembly.  The phase
 must reduce into Z[q] (PhaseNotReducible otherwise), and its diamond
-image must match the vee of an explicit q-power (DiamondMismatch
-otherwise).  Everything here is cross-checked against the brute-force
-oracles in `surgery` by the test suite.
+image must match the vee of an explicit q-power, one comparison in
+Z[q] (DiamondMismatch otherwise).  Everything here is cross-checked
+against the brute-force oracles in `surgery` by the test suite.
 
 Orientation convention: L(p, q) with p < 0 denotes the mirror of
 L(-p, -q); closed forms are stated for p > 0, so inputs are normalized
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
-from .cyclotomic import CycInt, diamond, from_runs, qpow, sine_run
+from .cyclotomic import CycInt, from_runs, qpow, sine_run
 from .errors import (
     BadNormalization,
     DiamondMismatch,
@@ -36,8 +36,8 @@ from .errors import (
     So3InvError,
 )
 from .nt import Lens, SeifertData, dedekind_sum, manifold_label
-from .series import (LambdaSeries, RatSeries, at_half_log, exp_sum_series,
-                     q_power, vee)
+from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
+                     exp_sum_series, q_power)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +77,12 @@ def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
     label = manifold_label(Lens(p, q))
     p, q = _lens_normal(p, q)
     r = 3 * dedekind_sum(q, p) + Fraction(1, 2)
-    hi = q_power(r + Fraction(1, 2 * p), n_max + 1).coeffs
-    lo = q_power(r - Fraction(1, 2 * p), n_max + 1).coeffs
-    values = tuple(p * (a - b) for a, b in zip(hi[1:], lo[1:]))
+    b = lcm(r.denominator, 2 * p)  # r+- = (a +- h) / b
+    a, h = r.numerator * (b // r.denominator), b // (2 * p)
+    (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
+                          binomial_terms(a - h, b, n_max + 1))
+    values = tuple(Fraction(p * (u - v), d)
+                   for u, v, d in zip(hi[1:], lo[1:], den[1:]))
     if values[0] != 1:
         raise BadNormalization(f"lambda_0 = {values[0]} for {label}")
     return LambdaSeries(label, n_max, values, "closed-form")
@@ -204,19 +207,21 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     """Exact Z' of a star-shaped rational homology sphere.
 
     The prefactor phase must collapse into Z[q] (PhaseNotReducible
-    otherwise) and its diamond image must match the vee image of
-    q^((1/4)(H/P) - (3/4)sign(H/P) - 3 sum_j s(q_j, p_j))
-    (DiamondMismatch otherwise); both failures would falsify the
-    assembly rather than the input.
+    otherwise) and its diamond image must match the vee image of q^r,
+    r = (1/4)(H/P) - (3/4)sign(H/P) - 3 sum_j s(q_j, p_j) (DiamondMismatch
+    otherwise); both failures would falsify the assembly, not the input.
+    The second is one comparison in Z[q], bare == q^(r mod K): bare is
+    +-q^n, diamond is injective on +-q^n, 0 <= n < K (constant term +-1,
+    x coefficient n mod K), and vee((1+x)^r) = diamond(q^(r mod K)), as
+    C(r, j) mod K depends only on r mod K for j < K.
     """
     K = as_prime(K)
     _seifert_preconditions(S, K)
     pref = _seifert_phase(S, K)
-    # the reducibility and diamond assertions pin the assembly down
     r = (Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P)
          - 3 * _fiber_dedekind(S))
     bare = pref * (legendre(abs(S.H), K) * sign(S.H))
-    if diamond(bare) != vee(q_power(r, (K - 1) // 2), K):
+    if bare != qpow(rat_residue(r, K), K):
         raise DiamondMismatch(
             f"assembled prefactor disagrees with q^({r}) mod K = {K}")
     t4 = inv_int(4, K)

@@ -195,15 +195,13 @@ def qpow(n: int, K: int) -> CycInt:
 
 def to_xpoly(a: CycInt) -> tuple:
     """The K - 1 coefficients of `a` as an integer polynomial in
-    x = q - 1, via q^i = (1+x)^i."""
-    K = a.K
-    out = [0] * (K - 1)
-    row = [1]  # the binomial row of (1+x)^i, degree i <= K-2
-    for c in a.coeffs:
-        if c:
-            for d, r in enumerate(row):
-                out[d] += c * r
-        row = [1, *map(add, row, row[1:]), 1]  # Pascal step
+    x = q - 1, via q^i = (1+x)^i: [x^d] = sum_i c_i C(i, d), and as
+    C(i, d) = sum_{m=d..i} C(m-1, d-1), pass d + 1 of prefix sums over
+    the reversed c_i ends in it; each of the K - 1 passes pops that end."""
+    r, out = a.coeffs[::-1], []
+    while r:
+        r = list(accumulate(r))
+        out.append(r.pop())
     return tuple(out)
 
 

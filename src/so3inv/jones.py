@@ -60,6 +60,6 @@ _TABLES = {t.id: t for t in (JonesTable("unknot", 1),
 
 
 def get_table(table_id: str) -> JonesTable:
-    if table_id not in _TABLES:
+    if type(table_id) is not str or table_id not in _TABLES:
         raise So3InvError(f"unknown link table {table_id!r}")
     return _TABLES[table_id]

@@ -86,7 +86,11 @@ class SeifertData:
     __slots__ = ("fractions", "P", "H")
 
     def __init__(self, fractions: Sequence[Tuple[int, int]]):
-        fr = tuple(_ints(f, "a fiber", 2) for f in fractions)
+        try:
+            fr = tuple(_ints(f, "a fiber", 2) for f in fractions)
+        except TypeError:
+            raise IntegralityFailure(f"fibers must be a sequence of (p, q) "
+                                     f"pairs, got {fractions!r}") from None
         if not fr:
             raise NotRHS("need at least one exceptional fiber")
         for p, q in fr:

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
-from .arith import as_prime, rat_residue
+from .arith import as_prime, inv_int
 from .errors import (
     DenominatorDivisibleByK,
     InsufficientTerms,
@@ -31,6 +33,12 @@ from .errors import (
 
 def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _over_lcm(coeffs) -> tuple:
+    """The Fractions `coeffs` as (integer numerators, lcm denominator)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class RatSeries:
@@ -80,15 +88,11 @@ class RatSeries:
         if o is NotImplemented:
             return o
         cap = min(self.cap, o.cap)
-        out = [Fraction(0)] * (cap + 1)
-        for i, a in enumerate(self.coeffs[:cap + 1]):
-            if not a:
-                continue
-            for j in range(cap + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RatSeries(out, cap)
+        a, da = _over_lcm(self.coeffs[:cap + 1])
+        b, db = _over_lcm(o.coeffs[:cap + 1])
+        den = da * db
+        return RatSeries([Fraction(sum(map(mul, a[:n + 1], b[n::-1])), den)
+                          for n in range(cap + 1)], cap)
 
     __rmul__ = __mul__
 
@@ -132,8 +136,6 @@ class RatSeries:
 
 def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
     """Series quotient; divisor must have nonzero constant term."""
-    if isinstance(b, (int, Fraction)):
-        b = RatSeries.const(b, a.cap)
     if b.coeffs[0] == 0:
         raise NonUnitDivisor("division by a series with zero constant term")
     cap = min(a.cap, b.cap)
@@ -147,13 +149,18 @@ def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
     return RatSeries(out, cap)
 
 
+def binomial_terms(a: int, b: int, cap: int) -> tuple:
+    """prod_{i<n} (a - i*b) and b^n n!, n = 0..cap, as running products."""
+    return (list(accumulate((a - i * b for i in range(cap)), mul, initial=1)),
+            list(accumulate(range(b, b * cap + 1, b), mul, initial=1)))
+
+
 def q_power(r, cap: int) -> RatSeries:
-    """(1+x)^r for rational r, via the binomial series."""
+    """(1+x)^r for rational r = a/b, the binomial series with C(r, n) =
+    prod_{i<n} (a - i*b) / (b^n n!) over the integers of `binomial_terms`."""
     r = _frac(r)
-    cs = [Fraction(1)]
-    for n in range(1, cap + 1):
-        cs.append(cs[-1] * (r - (n - 1)) / n)
-    return RatSeries(cs, cap)
+    return RatSeries(list(map(Fraction, *binomial_terms(
+        r.numerator, r.denominator, cap))), cap)
 
 
 @lru_cache(maxsize=32)
@@ -182,8 +189,7 @@ def at_half_log(s: RatSeries) -> RatSeries:
     matrix-vector product against the cached powers of T, over the
     common denominator of the coefficients of s.
     """
-    den = lcm(*(c.denominator for c in s.coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in s.coeffs]
+    nums, den = _over_lcm(s.coeffs)
     return RatSeries(
         [Fraction(sum(a * b for a, b in zip(nums, w)), den * d)
          for w, d in _half_log_powers(s.cap)], s.cap)
@@ -257,16 +263,18 @@ class LambdaSeries:
 
 
 def vee(s: RatSeries, K: int) -> TruncPoly:
-    """Reduce a rational series mod K and truncate at degree (K-1)/2."""
-    d = (K - 1) // 2
+    """Reduce a rational series mod K and truncate at degree (K-1)/2,
+    over the lcm D of the reduced denominators read: K divides D exactly
+    when it divides one of them, so one test and one inverse of D do."""
+    d = (as_prime(K) - 1) // 2
     if s.cap < d:
         raise InsufficientTerms(
             f"series capped at {s.cap}, need degree {d} for K={K}")
-    out = []
-    for n in range(d + 1):
-        c = s.coeffs[n]
-        if c.denominator % K == 0:
-            raise DenominatorDivisibleByK(
-                f"coefficient of x^{n} = {c} has denominator divisible by {K}")
-        out.append(rat_residue(c, K))
-    return TruncPoly(out, K)
+    nums, den = _over_lcm(s.coeffs[:d + 1])
+    if den % K == 0:
+        n, c = next((n, c) for n, c in enumerate(s.coeffs)
+                    if c.denominator % K == 0)
+        raise DenominatorDivisibleByK(
+            f"coefficient of x^{n} = {c} has denominator divisible by {K}")
+    inv = inv_int(den, K)
+    return TruncPoly([c * inv for c in nums], K)

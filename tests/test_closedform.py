@@ -433,6 +433,33 @@ def test_flipping_a_fiber_keeps_lambda_and_zprime(S):
     assert checked
 
 
+def test_orientation_reversal_conjugates_seifert_zprime():
+    # -M negates every q_j, and Z'(-M) is Z'(M) under q -> q^-1; this
+    # checks the prefactor guard's phase against an independent route
+    rng = random.Random(61)
+    cells = 0
+    while cells < 150:
+        fibers = []
+        for _ in range(rng.randint(1, 4)):
+            p, q = 0, 0
+            while gcd(p, q) != 1:
+                p, q = rng.randint(1, 9), rng.randint(-9, 9)
+            fibers.append((rng.choice((1, -1)) * p, q))
+        S = _seifert_or_none(fibers)
+        if S is None:
+            continue
+        mirror = SeifertData([(p, -q) for p, q in fibers])
+        for K in odd_primes(3, 23):
+            try:
+                want = seifert_zprime(S, K).galois(-1)
+            except (PDivisibleByK, H1DivisibleByK) as e:
+                with pytest.raises(type(e)):
+                    seifert_zprime(mirror, K)
+                continue
+            assert seifert_zprime(mirror, K) == want, (S, K)
+            cells += 1
+
+
 # two-fiber Seifert spaces that are lens spaces
 _TWO_FIBER_LENS = [
     ([(2, 1), (3, 1)], (5, 4)), ([(3, 1), (5, 2)], (11, 5)),

@@ -24,7 +24,7 @@ from so3inv.errors import (IntegralityFailure, MixedModulus, NotAnOddPrime,
                            NotAUnit)
 from so3inv.series import TruncPoly, q_power, vee
 from zq_reference import (divide_by_x, gauss_moment_diamond, odd_gauss_moment,
-                          unit_u)
+                          to_xpoly_pascal, unit_u)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -480,6 +480,19 @@ def test_to_xpoly_matches_binomial_expansion():
         want = [sum(c * comb(i, d) for i, c in enumerate(a.coeffs))
                 for d in range(K - 1)]
         assert to_xpoly(a) == tuple(want)
+
+
+def test_to_xpoly_matches_pascal_route():
+    # the prefix-sum passes against the Pascal-row loop: dense 200-bit
+    # elements, sparse +-q^n and the all-(-1) element q^(K-1)
+    rng = random.Random(43)
+    for K in (101, 211):
+        dense = [CycInt([rng.getrandbits(200) - 2 ** 199
+                         for _ in range(K - 1)], K) for _ in range(3)]
+        sparse = [qpow(n, K) * s for n in (0, 1, 2, K // 2, K - 2)
+                  for s in (1, -1)]
+        for a in dense + sparse + [qpow(K - 1, K)]:
+            assert to_xpoly(a) == to_xpoly_pascal(a)
 
 
 def test_diamond_reads_a_ready_expansion():

@@ -11,6 +11,7 @@ from so3inv.errors import (
     IntegralityFailure,
     NotCoprime,
     NotRHS,
+    So3InvError,
     ZeroLowerLeft,
 )
 from so3inv.nt import (
@@ -223,3 +224,13 @@ def test_h1_order():
     for framings in ("23", (2.7, -3), (True,), 5):
         with pytest.raises(IntegralityFailure):
             P1Surgery("unlink", framings)
+
+
+def test_non_iterable_or_unhashable_fields_raise_named_errors():
+    # a named error naming the field, never a bare TypeError
+    for bad in (7, None, 2.5):
+        with pytest.raises(IntegralityFailure, match="fibers"):
+            SeifertData(bad)
+    for bad in (["unlink"], None, 3, {"unlink": 1}):
+        with pytest.raises(So3InvError, match="link table"):
+            P1Surgery(bad, (2, 3))

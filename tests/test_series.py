@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from so3inv.arith import odd_primes
+from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (
     DenominatorDivisibleByK,
     InsufficientTerms,
     NonUnitDivisor,
     NonzeroConstantInExp,
+    So3InvError,
 )
 from so3inv.series import (
     RatSeries,
@@ -22,7 +26,8 @@ from so3inv.series import (
     vee,
 )
 from zq_reference import (FactorialNotInvertible, gauss_moment_diamond,
-                          x_over_log_pow)
+                          q_power_recurrence, schoolbook_mul,
+                          vee_per_coefficient, x_over_log_pow)
 
 
 def _log1p(cap):
@@ -185,6 +190,64 @@ def test_vee_denominator_failure_names_degree():
 def test_vee_insufficient_cap():
     with pytest.raises(InsufficientTerms):
         vee(RatSeries([1], cap=2), 11)
+
+
+def _vee_outcome(reduce, s, K):
+    try:
+        return reduce(s, K)
+    except So3InvError as e:
+        return type(e), str(e)
+
+
+def test_vee_matches_per_coefficient_route():
+    # every lens space with 1 <= |p| <= 12 at the primes 5..61, as
+    # vee_side reads it (cap (K-1)/2) and as the whole series to cap 30,
+    # whose terms past (K-1)/2 vee must not read: equal TruncPolys, or
+    # the same error class and message
+    grid = [(p, q) for a in range(1, 13) for p in (a, -a)
+            for q in range(1, a) if gcd(a, q) == 1] + [(1, 1), (-1, 1)]
+    raised = 0
+    for p, q in grid:
+        lam = lens_lambda_series(p, q, 30).values
+        for K in odd_primes(5, 61):
+            d = (K - 1) // 2
+            for s in (RatSeries(lam[:d + 1], d), RatSeries(lam, 30)):
+                got = _vee_outcome(vee, s, K)
+                assert got == _vee_outcome(vee_per_coefficient, s, K)
+                raised += not isinstance(got, TruncPoly)
+    assert len(grid) == 92 and raised
+
+
+def _seeded_series(rng, cap):
+    dens = (1, 2, 3, 7, 60, 2 ** 40, 3 ** 25 * 11)
+    return RatSeries([Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                               rng.choice(dens)) * rng.randint(0, 1)
+                      for _ in range(rng.randint(0, cap + 1))], cap)
+
+
+def test_mul_matches_schoolbook_route():
+    # seeded series with mixed denominators, zero terms and mixed caps
+    rng = random.Random(53)
+    for _ in range(60):
+        a = _seeded_series(rng, rng.randint(0, 40))
+        b = _seeded_series(rng, rng.randint(0, 40))
+        c = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        assert (a * b).coeffs == schoolbook_mul(a, b).coeffs
+        assert (a * b).cap == schoolbook_mul(a, b).cap
+        assert (a * c).coeffs == (c * a).coeffs == schoolbook_mul(a, c).coeffs
+        assert (a * 5).coeffs == (5 * a).coeffs == schoolbook_mul(a, 5).coeffs
+    a, b = q_power(Fraction(-71, 60), 105), q_power(Fraction(13, 7), 105)
+    assert (a * b).coeffs == schoolbook_mul(a, b).coeffs
+
+
+def test_q_power_matches_recurrence_route():
+    rng = random.Random(59)
+    rs = [0, 1, -1, 5, Fraction(1, 2), Fraction(-71, 60), Fraction(13, 7)]
+    rs += [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+           for _ in range(20)]
+    for r in rs:
+        for cap in (0, 1, 7, 40):
+            assert q_power(r, cap).coeffs == q_power_recurrence(r, cap).coeffs
 
 
 def test_x_over_log_pow():

@@ -1,5 +1,12 @@
 """Reference routes and the paper's lemma checks, for the tests only.
 
+The older routes of the identity's two sides.  `to_xpoly_pascal`
+expands q^i = (1+x)^i one Pascal row at a time; `vee_per_coefficient`
+reduces each coefficient with its own inverse; `q_power_recurrence`
+steps the binomial series with three Fraction operations per term;
+`schoolbook_mul` is the Fraction double loop of a series product.  The
+tests check the integer passes of `so3inv` against them.
+
 Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
 Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
 keep the older route, which strips the guaranteed power x^((K-1)/2) one
@@ -21,13 +28,72 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from operator import add
 from typing import Callable, Sequence
 
-from so3inv.arith import as_prime, inv_int, legendre, sign
+from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
 from so3inv.cyclotomic import (CycInt, _raw, divide_exact, from_runs,
                                gauss_sum, odd_window, qpow)
-from so3inv.errors import BoundViolation, IntegralityFailure, So3InvError
-from so3inv.series import RatSeries, TruncPoly, exp_sum_series, s_div, vee
+from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
+                           InsufficientTerms, IntegralityFailure, So3InvError)
+from so3inv.series import (RatSeries, TruncPoly, _frac, exp_sum_series, s_div,
+                           vee)
+
+
+def to_xpoly_pascal(a: CycInt) -> tuple:
+    """The K - 1 coefficients of `a` as an integer polynomial in
+    x = q - 1, via q^i = (1+x)^i."""
+    K = a.K
+    out = [0] * (K - 1)
+    row = [1]  # the binomial row of (1+x)^i, degree i <= K-2
+    for c in a.coeffs:
+        if c:
+            for d, r in enumerate(row):
+                out[d] += c * r
+        row = [1, *map(add, row, row[1:]), 1]  # Pascal step
+    return tuple(out)
+
+
+def vee_per_coefficient(s: RatSeries, K: int) -> TruncPoly:
+    """Reduce a rational series mod K and truncate at degree (K-1)/2."""
+    d = (K - 1) // 2
+    if s.cap < d:
+        raise InsufficientTerms(
+            f"series capped at {s.cap}, need degree {d} for K={K}")
+    out = []
+    for n in range(d + 1):
+        c = s.coeffs[n]
+        if c.denominator % K == 0:
+            raise DenominatorDivisibleByK(
+                f"coefficient of x^{n} = {c} has denominator divisible by {K}")
+        out.append(rat_residue(c, K))
+    return TruncPoly(out, K)
+
+
+def q_power_recurrence(r, cap: int) -> RatSeries:
+    """(1+x)^r for rational r, via the binomial series."""
+    r = _frac(r)
+    cs = [Fraction(1)]
+    for n in range(1, cap + 1):
+        cs.append(cs[-1] * (r - (n - 1)) / n)
+    return RatSeries(cs, cap)
+
+
+def schoolbook_mul(self: RatSeries, other) -> RatSeries:
+    """The product self * other, one Fraction product per term pair."""
+    o = self._coerce(other)
+    if o is NotImplemented:
+        return o
+    cap = min(self.cap, o.cap)
+    out = [Fraction(0)] * (cap + 1)
+    for i, a in enumerate(self.coeffs[:cap + 1]):
+        if not a:
+            continue
+        for j in range(cap + 1 - i):
+            b = o.coeffs[j]
+            if b:
+                out[i + j] += a * b
+    return RatSeries(out, cap)
 
 
 class FactorialNotInvertible(So3InvError):
