@@ -22,7 +22,9 @@ p_j < 0 is oriented the same way: its Dedekind sum is s(-q_j, -p_j).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
+from operator import sub
 
 from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
 from .cyclotomic import CycInt, from_runs, qpow, sine_run
@@ -89,28 +91,17 @@ def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
 
 
 # ---------------------------------------------------------------------------
-# the multiplicity table
+# the fiber product and its multiplicity table
 
 
-def _laurent_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _div_z_step(f: dict) -> dict:
-    """g with g * (z^-1 - z) = f; IntegralityFailure if inexact."""
-    if not f:
-        return {}
-    g = {}
-    for m in range(min(f), max(f) + 1):
-        g[m + 1] = f.get(m, 0) + g.get(m - 1, 0)
-    g = {e: c for e, c in g.items() if c}
-    if _laurent_mul(g, {-1: 1, 1: -1}) != f:
-        raise IntegralityFailure("Laurent division left a remainder")
-    return g
+def _sinh_product(ms) -> list:
+    """prod_j (z^m_j - z^-m_j), m_j >= 0, dense: entry i of 2M + 1 is the
+    coefficient of z^(i - M), M = sum_j m_j; one shifted subtraction each."""
+    f = [1]
+    for m in ms:
+        pad = [0] * (2 * m)
+        f = list(map(sub, pad + f, f + pad))
+    return f
 
 
 def seifert_cn(avals) -> dict:
@@ -118,30 +109,24 @@ def seifert_cn(avals) -> dict:
 
     For positive exponents a_1..a_N the C_n are the integers, on a
     finite set of positive n, with the exact Laurent identity
-        prod_j (z^-a_j - z^a_j)
-            = (z^-1 - z)^(N-1) * sum_n C_n (z^-n - z^n),
-    re-verified by multiplication after construction.
+      prod_j (z^-a_j - z^a_j) = (z^-1 - z)^(N-1) sum_n C_n (z^-n - z^n).
+    The left side is `_sinh_product` reversed, and f = g (z^-1 - z) is
+    f_i = g_i - g_(i-2): each of the N - 1 divisions is the running sums
+    of each parity class, and a zero remainder (its last two sums;
+    IntegralityFailure otherwise) proves the identity exactly.
     """
     avals = tuple(int(a) for a in avals)
     if not avals or any(a < 1 for a in avals):
         raise So3InvError(f"exponents must be positive integers: {avals}")
-    f = {-avals[0]: 1, avals[0]: -1}
-    for a in avals[1:]:
-        f = _laurent_mul(f, {-a: 1, a: -1})
-    n = len(avals)
-    g = f
-    for _ in range(n - 1):
-        g = _div_z_step(g)
-    entries = {-e: c for e, c in g.items() if e < 0}
-    # antisymmetry and the defining identity, re-verified from scratch
-    if {e: -c for e, c in entries.items()} != {e: g.get(e, 0) for e in entries}:
+    g = _sinh_product(avals)[::-1]
+    for _ in range(len(avals) - 1):
+        g[0::2], g[1::2] = accumulate(g[0::2]), accumulate(g[1::2])
+        if any(g[-2:]):
+            raise IntegralityFailure("Laurent division left a remainder")
+        del g[-2:]
+    if g != [-c for c in reversed(g)]:
         raise IntegralityFailure("multiplicity table is not antisymmetric")
-    back = {e: c for e, c in g.items()}
-    for _ in range(n - 1):
-        back = _laurent_mul(back, {-1: 1, 1: -1})
-    if back != f:
-        raise IntegralityFailure("multiplicity table failed re-verification")
-    return entries
+    return {n: c for n, c in zip(range(len(g) // 2, 0, -1), g) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +222,10 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
 
     The fiber prefactor prod_j sinh(u/p_j) / sinh(u)^(N-2), at u = L*w
     with L = lcm |p_j|, is the exponential-sum quotient of prod_j
-    (e^(wL/p_j) - e^(-wL/p_j)) by 4 (e^(Lw) - e^(-Lw))^(N-2).  Each u^(2m)
-    is integrated against the Gaussian by the (2m-1)!! moment rule,
-    contributing (P/H)^m t^m; the result over sinh(t) at t = T =
+    (e^(wL/p_j) - e^(-wL/p_j)) by 4 (e^(Lw) - e^(-Lw))^(N-2).  Both sums
+    stay sparse, at most 2^N and N - 1 terms whatever the size of L.
+    Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
+    rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
     (1/2) log(1+x) is multiplied by exp(theta*T), theta the Dedekind/
     framing exponent.  As e^T = (1+x)^(1/2), 1/sinh(T) = 2(1+x)^(1/2)/x.
     """
@@ -248,7 +234,11 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     L = lcm(*(abs(p) for p, _ in S.fractions))
     num = {0: 1}  # for N = 1, sinh(u)^(2-N) = sinh(u) joins the numerator
     for m in [L // p for p, _ in S.fractions] + [L] * (n == 1):
-        num = _laurent_mul(num, {m: 1, -m: -1})
+        step = {}  # num * (e^(mw) - e^(-mw))
+        for k, c in num.items():
+            step[k + m] = step.get(k + m, 0) + c
+            step[k - m] = step.get(k - m, 0) - c
+        num = step
     den = ({(n - 2 - 2 * i) * L: (-1) ** i * comb(n - 2, i)
             for i in range(n - 1)} if n > 2 else None)
     fib = exp_sum_series(num, 2 * cap + 2, den)

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import factorial, gcd, isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .arith import as_prime, inv_int, legendre, odd_primes
@@ -70,12 +72,10 @@ def closed_lambda_series(m, n_max: int) -> LambdaSeries:
     if isinstance(m, SeifertData):
         return seifert_lambda_series(m, n_max)
     if isinstance(m, P1Surgery):
-        acc = RatSeries.const(1, n_max)
-        for p in m.framings:
-            acc = acc * RatSeries(lens_lambda_series(-p, 1, n_max).values,
-                                  n_max)
-        return LambdaSeries(manifold_label(m), n_max, acc.coeffs,
-                            "closed-form")
+        factors = [RatSeries(lens_lambda_series(-p, 1, n_max).values, n_max)
+                   for p in m.framings] or [RatSeries.const(1, n_max)]
+        return LambdaSeries(manifold_label(m), n_max,
+                            reduce(mul, factors).coeffs, "closed-form")
     raise NoClosedForm(f"no closed-form series for {m!r}")
 
 

@@ -84,6 +84,8 @@ class RatSeries:
     __radd__ = __add__
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a scalar scales, in O(cap)
+            return RatSeries([c * other for c in self.coeffs], self.cap)
         o = self._coerce(other)
         if o is NotImplemented:
             return o

@@ -14,11 +14,13 @@ from so3inv.closedform import (_seifert_phase, lens_lambda_series,
                                lens_zprime, seifert_cn, seifert_lambda_series,
                                seifert_zprime)
 from so3inv.cyclotomic import CycInt, eval_complex, qpow, sine_quotient
-from so3inv.errors import (DiamondMismatch, H1DivisibleByK, NotCoprime,
+from so3inv.errors import (DiamondMismatch, H1DivisibleByK,
+                           IntegralityFailure, NotCoprime,
                            NotRHS, PDivisibleByK, So3InvError)
 from so3inv.nt import SeifertData, dedekind_sum
 from so3inv.series import RatSeries, at_half_log, q_power, s_div
 from so3inv.surgery import Lens, zprime_numeric
+from zq_reference import seifert_cn_laurent
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -56,6 +58,26 @@ def test_cn_support_is_positive_and_bounded():
 def test_cn_rejects_bad_exponents():
     with pytest.raises(Exception):
         seifert_cn([0, 2])
+
+
+def test_cn_matches_laurent_route():
+    rng = random.Random(71)
+    for _ in range(200):
+        avals = [rng.randint(1, 250) for _ in range(rng.randint(1, 5))]
+        got, want = seifert_cn(avals), seifert_cn_laurent(avals)
+        assert list(got.items()) == list(want.items()), avals
+
+
+@pytest.mark.parametrize("dense, avals, match", [
+    ([1, 0, 0, 1, 0], [1, 1], "remainder"),
+    ([1, 0, 0], [1], "antisymmetric")])
+def test_cn_guards_raise_integrality_failure(monkeypatch, dense, avals,
+                                             match):
+    # a product that (z^-1 - z) does not divide, and one that is not
+    # antisymmetric, each put in place of the fiber product
+    monkeypatch.setattr(closedform, "_sinh_product", lambda ms: dense)
+    with pytest.raises(IntegralityFailure, match=match):
+        seifert_cn(avals)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +381,13 @@ def _seifert_series_through_sinh_division(S, n_max):
 @pytest.mark.parametrize("fractions", [
     [(7, 3)], [(2, 1), (3, 1)], [(2, 1), (3, 1), (5, -4)],
     [(3, 1), (4, 1), (5, 1)], [(-2, 1), (3, 2), (5, 1)],
-    [(2, 1), (4, 1), (5, 2), (3, 1)]])
+    [(2, 1), (4, 1), (5, 2), (3, 1)],
+    [(2, 1), (3, 1), (5, 1), (7, -2), (-11, 3)],
+    [(2, 1), (3, -1), (5, 2), (7, 1), (9, -4), (-4, 3)],
+    # L = lcm |p_j| about 1e8 and 1e9: the cost must not grow with L
+    [(97, 1), (101, 1), (103, 1), (107, 1)],
+    [(-97, 1), (101, 2), (103, -1), (107, 3)],
+    [(1009, 1), (1013, 1), (1019, 1)]])
 def test_seifert_series_matches_exp_route(fractions):
     S = SeifertData(fractions)
     for n_max in (0, 1, 6, 30):
@@ -433,22 +461,27 @@ def test_flipping_a_fiber_keeps_lambda_and_zprime(S):
     assert checked
 
 
+def _seeded_seifert(rng, lo, hi):
+    """lo..hi fibers with 1 <= |p| <= 9, |q| <= 9, or None when H = 0."""
+    fibers = []
+    for _ in range(rng.randint(lo, hi)):
+        p, q = 0, 0
+        while gcd(p, q) != 1:
+            p, q = rng.randint(1, 9), rng.randint(-9, 9)
+        fibers.append((rng.choice((1, -1)) * p, q))
+    return _seifert_or_none(fibers)
+
+
 def test_orientation_reversal_conjugates_seifert_zprime():
     # -M negates every q_j, and Z'(-M) is Z'(M) under q -> q^-1; this
     # checks the prefactor guard's phase against an independent route
     rng = random.Random(61)
     cells = 0
     while cells < 150:
-        fibers = []
-        for _ in range(rng.randint(1, 4)):
-            p, q = 0, 0
-            while gcd(p, q) != 1:
-                p, q = rng.randint(1, 9), rng.randint(-9, 9)
-            fibers.append((rng.choice((1, -1)) * p, q))
-        S = _seifert_or_none(fibers)
+        S = _seeded_seifert(rng, 1, 4)
         if S is None:
             continue
-        mirror = SeifertData([(p, -q) for p, q in fibers])
+        mirror = SeifertData([(p, -q) for p, q in S.fractions])
         for K in odd_primes(3, 23):
             try:
                 want = seifert_zprime(S, K).galois(-1)
@@ -458,6 +491,65 @@ def test_orientation_reversal_conjugates_seifert_zprime():
                 continue
             assert seifert_zprime(mirror, K) == want, (S, K)
             cells += 1
+
+
+def _same_zprime_or_error(S, T, K):
+    try:
+        want = seifert_zprime(S, K)
+    except So3InvError as e:
+        with pytest.raises(type(e)):
+            seifert_zprime(T, K)
+        return
+    assert seifert_zprime(T, K) == want, (S, T, K)
+
+
+def test_seifert_moves_keep_lambda_and_zprime():
+    # (p, q) -> (p, q + kp) with a new fiber (1, -k), and q_i + k p_i
+    # traded for q_j - k p_j, re-present the same manifold
+    rng = random.Random(67)
+    data = 0
+    while data < 150:
+        S = _seeded_seifert(rng, 1, 4)
+        if S is None:
+            continue
+        data += 1
+        fr, k = list(S.fractions), rng.choice((1, -1, 2, -2))
+        j = rng.randrange(len(fr))
+        (p, q), moves = fr[j], []
+        moves.append(fr[:j] + [(p, q + k * p)] + fr[j + 1:] + [(1, -k)])
+        if len(fr) > 1:
+            i, j = rng.sample(range(len(fr)), 2)
+            traded = list(fr)
+            traded[i] = (fr[i][0], fr[i][1] + k * fr[i][0])
+            traded[j] = (fr[j][0], fr[j][1] - k * fr[j][0])
+            moves.append(traded)
+        lam = seifert_lambda_series(S, 6).values
+        for T in map(SeifertData, moves):
+            assert seifert_lambda_series(T, 6).values == lam, (S, T)
+            for K in odd_primes(3, 31):
+                _same_zprime_or_error(S, T, K)
+
+
+def test_seifert_lambda1_is_three_casson_walker():
+    # Lescop, Ann. of Math. Studies 140, Prop. 6.1.1, in Walker's
+    # normalization with the fibers oriented to p_j > 0 and e = H/P:
+    # lambda_W = sign(e)/(12|e|) (2 - N + sum 1/p_j^2) + e/12 - sign(e)/4
+    #            - sum_j s(q_j, p_j), and lambda_1 = 3 lambda_W
+    rng = random.Random(79)
+    data = 0
+    while data < 150:
+        S = _seeded_seifert(rng, 1, 4)
+        if S is None:
+            continue
+        data += 1
+        fr = [(abs(p), q if p > 0 else -q) for p, q in S.fractions]
+        e = Fraction(S.H, S.P)
+        sgn = 1 if e > 0 else -1
+        walker = (sgn / (12 * abs(e))
+                  * (2 - len(fr) + sum(Fraction(1, p * p) for p, _ in fr))
+                  + e / 12 - Fraction(sgn, 4)
+                  - sum(dedekind_sum(q, p) for p, q in fr))
+        assert seifert_lambda_series(S, 1)[1] == 3 * walker, S
 
 
 # two-fiber Seifert spaces that are lens spaces

@@ -205,11 +205,14 @@ def test_reconstruction_seifert_x_2_4_5():
 
 @pytest.mark.parametrize("m", [
     P1Surgery("unknot", (p,)) for p in (3, -3, 5, -2)] + [
-    P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3), (-3, 4))])
+    P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3), (-3, 4), ())])
 def test_p1_closed_series_matches_reconstruction(m):
     # split-link surgery is a connected sum of the L(-p_j, 1), and the
-    # series is the product of theirs; exact_p1 at each prime agrees
+    # series is the product of theirs; exact_p1 at each prime agrees.
+    # The empty surgery is S^3: the empty product, 1, 0, 0, ...
     lam = closed_lambda_series(m, 8)
+    if not m.framings:
+        assert lam.values == (1,) + (0,) * 8
     assert lam.provenance == "closed-form"
     assert lam.manifold == manifold_label(m)
     rec = reconstruct_lambda(m, odd_primes(7, 23), 8)

@@ -4,8 +4,11 @@ The older routes of the identity's two sides.  `to_xpoly_pascal`
 expands q^i = (1+x)^i one Pascal row at a time; `vee_per_coefficient`
 reduces each coefficient with its own inverse; `q_power_recurrence`
 steps the binomial series with three Fraction operations per term;
-`schoolbook_mul` is the Fraction double loop of a series product.  The
-tests check the integer passes of `so3inv` against them.
+`schoolbook_mul` is the Fraction double loop of a series product;
+`seifert_cn_laurent` builds the Seifert multiplicity table in dict
+Laurent algebra (`_laurent_mul`, and `_div_z_step`, which re-multiplies
+to check each division).  The tests check the integer passes of
+`so3inv` against them.
 
 Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
 Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
@@ -94,6 +97,58 @@ def schoolbook_mul(self: RatSeries, other) -> RatSeries:
             if b:
                 out[i + j] += a * b
     return RatSeries(out, cap)
+
+
+def _laurent_mul(f: dict, g: dict) -> dict:
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _div_z_step(f: dict) -> dict:
+    """g with g * (z^-1 - z) = f; IntegralityFailure if inexact."""
+    if not f:
+        return {}
+    g = {}
+    for m in range(min(f), max(f) + 1):
+        g[m + 1] = f.get(m, 0) + g.get(m - 1, 0)
+    g = {e: c for e, c in g.items() if c}
+    if _laurent_mul(g, {-1: 1, 1: -1}) != f:
+        raise IntegralityFailure("Laurent division left a remainder")
+    return g
+
+
+def seifert_cn_laurent(avals) -> dict:
+    """Multiplicities {n: C_n} of an antisymmetrized fiber product.
+
+    For positive exponents a_1..a_N the C_n are the integers, on a
+    finite set of positive n, with the exact Laurent identity
+        prod_j (z^-a_j - z^a_j)
+            = (z^-1 - z)^(N-1) * sum_n C_n (z^-n - z^n),
+    re-verified by multiplication after construction.
+    """
+    avals = tuple(int(a) for a in avals)
+    if not avals or any(a < 1 for a in avals):
+        raise So3InvError(f"exponents must be positive integers: {avals}")
+    f = {-avals[0]: 1, avals[0]: -1}
+    for a in avals[1:]:
+        f = _laurent_mul(f, {-a: 1, a: -1})
+    n = len(avals)
+    g = f
+    for _ in range(n - 1):
+        g = _div_z_step(g)
+    entries = {-e: c for e, c in g.items() if e < 0}
+    # antisymmetry and the defining identity, re-verified from scratch
+    if {e: -c for e, c in entries.items()} != {e: g.get(e, 0) for e in entries}:
+        raise IntegralityFailure("multiplicity table is not antisymmetric")
+    back = {e: c for e, c in g.items()}
+    for _ in range(n - 1):
+        back = _laurent_mul(back, {-1: 1, 1: -1})
+    if back != f:
+        raise IntegralityFailure("multiplicity table failed re-verification")
+    return entries
 
 
 class FactorialNotInvertible(So3InvError):
