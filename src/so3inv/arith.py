@@ -99,9 +99,3 @@ def rat_residue(f: Fraction, K: int) -> int:
         raise DenominatorDivisibleByK(
             f"{f.numerator}/{f.denominator} has no reduction mod {K}")
     return f.numerator * inv_int(f.denominator, K) % K
-
-
-def kappa_of(K: int) -> int:
-    """+1 when K = 1 (mod 4), else -1; equals legendre(-1, K)."""
-    as_prime(K)
-    return 1 if K % 4 == 1 else -1

@@ -90,7 +90,7 @@ def parse_p1(text: str) -> P1Surgery:
     if not sep or not table:
         raise UsageError(f"--p1: expected TABLE:F1,F2,..., got {text!r}")
     try:
-        framings = tuple(int(s) for s in rest.split(","))
+        framings = tuple(int(s) for s in rest.split(",")) if rest else ()
     except ValueError:
         raise UsageError(f"--p1: non-integer framing in {rest!r}") from None
     return P1Surgery(table, framings)

@@ -7,10 +7,11 @@ scalar prefactor +-q^n.  No collapsed prefactor is hard-coded: the
 factors the derivation produces are added up as three integers, the
 eighth-root exponent a, the quarter-step-of-q exponent b (mod 4K) and
 a sign, and two independent guards check the assembly.  The phase
-must reduce into Z[q] (PhaseNotReducible otherwise), and its diamond
-image must match the vee of an explicit q-power, one comparison in
-Z[q] (DiamondMismatch otherwise).  Everything here is cross-checked
-against the brute-force oracles in `surgery` by the test suite.
+must reduce to +-q^n (PhaseNotReducible otherwise), and its diamond
+image must match the vee of an explicit q-power, one integer comparison
+of (n, sign) pairs (DiamondMismatch otherwise).  Everything here is
+cross-checked against the numeric oracle in `surgery` by the test
+suite.
 
 Orientation convention: L(p, q) with p < 0 denotes the mirror of
 L(-p, -q); closed forms are stated for p > 0, so inputs are normalized
@@ -26,8 +27,8 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import sub
 
-from .arith import as_prime, inv_int, kappa_of, legendre, rat_residue, sign
-from .cyclotomic import CycInt, from_runs, qpow, sine_run
+from .arith import as_prime, inv_int, legendre, rat_residue, sign
+from .cyclotomic import CycInt, from_runs, sine_run
 from .errors import (
     BadNormalization,
     DiamondMismatch,
@@ -146,8 +147,16 @@ def _fiber_dedekind(S: SeifertData) -> Fraction:
     return sum(dedekind_sum(sign(p) * q, abs(p)) for (p, q) in S.fractions)
 
 
-def _phase_to_q(a: int, b: int, sgn: int, K: int) -> CycInt:
-    """sgn * e^(i pi a/4) * e^(i pi b/(2K)) as +-q^n in Z[q].
+def _seifert_r(S: SeifertData, dd: Fraction) -> Fraction:
+    """The q-power r = (1/4)(H/P) - (3/4)sign(H/P) - 3 dd of both closed
+    forms, dd = _fiber_dedekind(S): Z' is guarded by q^r, and lambda
+    carries (1+x)^(r + 1/2), its framing exponent theta being 2r."""
+    return Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P) - 3 * dd
+
+
+def _phase_to_q(a: int, b: int, sgn: int, K: int) -> tuple:
+    """sgn * e^(i pi a/4) * e^(i pi b/(2K)) as +-q^n in Z[q]: (n, s),
+    0 <= n < K and s = +-1.
 
     a counts eighth roots of unity (mod 8) and b quarter-steps of q
     (mod 4K), so half-integer q-powers stay exact; a phase that is not
@@ -155,30 +164,31 @@ def _phase_to_q(a: int, b: int, sgn: int, K: int) -> CycInt:
     """
     n = (a * K + 2 * b) % (8 * K)
     if n % 8 == 0:
-        return qpow(n // 8, K) * sgn
+        return n // 8, sgn
     if n % 4 == 0:  # n/4 is odd: absorb e^(i pi) into q
-        return qpow((n // 4 + K) // 2, K) * (-sgn)
+        return (n // 4 + K) // 2 % K, -sgn
     raise PhaseNotReducible(
         f"a genuine eighth root remains (a={a % 8}, b={b % (4 * K)})")
 
 
-def _seifert_phase(S: SeifertData, K: int) -> CycInt:
-    """The scalar prefactor +-q^n, added up factor by factor.
+def _seifert_phase(S: SeifertData, K: int, dd: Fraction) -> tuple:
+    """The scalar prefactor +-q^n as (n, s), added up factor by factor.
 
     Every factor is one produced by resolving the star surgery, and it
     enters as the eighth-root exponent a, the quarter-step-of-q
-    exponent b or the sign; _phase_to_q reduces the three.  The
-    Gaussian's magnitude (1/2) K^(-1/2) and the completed square's
-    2 K^(1/2) cancel for every input, so no magnitude is carried.
+    exponent b or the sign; _phase_to_q reduces the three.  dd is
+    _fiber_dedekind(S).  The Gaussian's magnitude (1/2) K^(-1/2) and
+    the completed square's 2 K^(1/2) cancel for every input, so no
+    magnitude is carried.
     """
-    kap, s = kappa_of(K), sign(S.H * S.P)
+    kap, s = legendre(-1, K), sign(S.H * S.P)
     pstar = inv_int(S.P, K)
     # the central-vertex Gaussian: i, its eighth-root framing phases
     # e^(i pi (kap + 3) s/4) and q^(-3s/4) q^(s/2) q^(-2* s)
     a = 2 + (kap + 3) * s
     b = (-3 + 2 - 4 * inv_int(2, K)) * s
     # the fiber chains: the Dedekind/Rademacher q^(-3 sum_j s(q_j, p_j))
-    b -= 4 * rat_residue(3 * _fiber_dedekind(S), K)
+    b -= 4 * rat_residue(3 * dd, K)
     # completing the square against the central color: q^(4* P* H),
     # e^(i pi (kap - 1)/4) and the Legendre symbols
     a += kap - 1
@@ -191,30 +201,33 @@ def _seifert_phase(S: SeifertData, K: int) -> CycInt:
 def seifert_zprime(S: SeifertData, K) -> CycInt:
     """Exact Z' of a star-shaped rational homology sphere.
 
-    The prefactor phase must collapse into Z[q] (PhaseNotReducible
-    otherwise) and its diamond image must match the vee image of q^r,
-    r = (1/4)(H/P) - (3/4)sign(H/P) - 3 sum_j s(q_j, p_j) (DiamondMismatch
-    otherwise); both failures would falsify the assembly, not the input.
-    The second is one comparison in Z[q], bare == q^(r mod K): bare is
-    +-q^n, diamond is injective on +-q^n, 0 <= n < K (constant term +-1,
-    x coefficient n mod K), and vee((1+x)^r) = diamond(q^(r mod K)), as
-    C(r, j) mod K depends only on r mod K for j < K.
+    The prefactor phase must collapse to +-q^e (PhaseNotReducible
+    otherwise), and bare = +-q^e * legendre(|H|, K) * sign(H) must be
+    q^(r mod K), r = `_seifert_r` (DiamondMismatch otherwise); both
+    failures would falsify the assembly, not the input.  The second is
+    the diamond check: diamond is injective on +-q^n, 0 <= n < K
+    (constant term +-1, x coefficient n mod K), and vee((1+x)^r) =
+    diamond(q^(r mod K)), as C(r, j) mod K depends only on r mod K for
+    j < K.  It compares (e, sign) pairs, as the 2K elements +-q^n,
+    0 <= n < K, are pairwise distinct in Z[q]: q^n for n < K - 1 is a
+    basis element, and q^(K-1) = -(1 + q + ... + q^(K-2)) has K - 1 > 1
+    nonzero coordinates.  e then shifts every run start and the sign
+    multiplies every weight, so Z' is one `from_runs`.
     """
     K = as_prime(K)
     _seifert_preconditions(S, K)
-    pref = _seifert_phase(S, K)
-    r = (Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P)
-         - 3 * _fiber_dedekind(S))
-    bare = pref * (legendre(abs(S.H), K) * sign(S.H))
-    if bare != qpow(rat_residue(r, K), K):
+    dd = _fiber_dedekind(S)
+    r = _seifert_r(S, dd)
+    e, s = _seifert_phase(S, K, dd)
+    if (e, s * legendre(abs(S.H), K) * sign(S.H)) != (rat_residue(r, K), 1):
         raise DiamondMismatch(
             f"assembled prefactor disagrees with q^({r}) mod K = {K}")
     t4 = inv_int(4, K)
     phs = S.P * inv_int(S.H, K)
     cn = seifert_cn([inv_int(p, K) for (p, q) in S.fractions])
-    # sum_n c * q^e * [phs n], one run of powers of q per C_n
-    return pref * from_runs([sine_run(t4 * phs * (n * n + 1), phs * n, c, K)
-                             for n, c in cn.items()], K)
+    # sum_n s * c * q^(e + 4* phs (n^2 + 1)) * [phs n], one run per C_n
+    return from_runs([sine_run(e + t4 * phs * (n * n + 1), phs * n, s * c, K)
+                      for n, c in cn.items()], K)
 
 
 def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
@@ -226,8 +239,9 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     stay sparse, at most 2^N and N - 1 terms whatever the size of L.
     Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
     rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
-    (1/2) log(1+x) is multiplied by exp(theta*T), theta the Dedekind/
-    framing exponent.  As e^T = (1+x)^(1/2), 1/sinh(T) = 2(1+x)^(1/2)/x.
+    (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
+    Dedekind/framing exponent (`_seifert_r`).  As e^T = (1+x)^(1/2),
+    1/sinh(T) = 2(1+x)^(1/2)/x, and the two q-powers make (1+x)^(r+1/2).
     """
     cap = n_max
     n = len(S.fractions)
@@ -248,10 +262,9 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     for m in range(1, cap + 2):
         dbl *= 2 * m - 1  # (2m-1)!!
         mom[m] = fib.coeff(2 * m) * dbl * ratio ** m
-    theta = (Fraction(S.H, 2 * S.P) - Fraction(3, 2) * sign(S.H * S.P)
-             - 6 * _fiber_dedekind(S))
+    r = _seifert_r(S, _fiber_dedekind(S))
     over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
-    ser = over_x * q_power((theta + 1) / 2, cap) * Fraction(S.H, 2)
+    ser = over_x * q_power(r + Fraction(1, 2), cap) * Fraction(S.H, 2)
     label = manifold_label(S)
     if ser.coeff(0) != 1:
         raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")

@@ -24,7 +24,7 @@ q^0-type terms; dropping it breaks the completed-square identity.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul, neg, sub
 from typing import Sequence
 
@@ -193,30 +193,34 @@ def qpow(n: int, K: int) -> CycInt:
     return _raw(tuple(coeffs), K)
 
 
-def to_xpoly(a: CycInt) -> tuple:
-    """The K - 1 coefficients of `a` as an integer polynomial in
-    x = q - 1, via q^i = (1+x)^i: [x^d] = sum_i c_i C(i, d), and as
-    C(i, d) = sum_{m=d..i} C(m-1, d-1), pass d + 1 of prefix sums over
-    the reversed c_i ends in it; each of the K - 1 passes pops that end."""
-    r, out = a.coeffs[::-1], []
+def _xpoly_passes(a: CycInt):
+    """The x-coefficients of `a`, x = q - 1, one prefix-sum pass each:
+    via q^i = (1+x)^i, [x^d] = sum_i c_i C(i, d), and as C(i, d) =
+    sum_{m=d..i} C(m-1, d-1), pass d + 1 of prefix sums over the
+    reversed c_i ends in it; each pass pops that end."""
+    r = a.coeffs[::-1]
     while r:
         r = list(accumulate(r))
-        out.append(r.pop())
-    return tuple(out)
+        yield r.pop()
+
+
+def to_xpoly(a: CycInt) -> tuple:
+    """The K - 1 coefficients of `a` as an integer polynomial in
+    x = q - 1 (all K - 1 passes of `_xpoly_passes`)."""
+    return tuple(_xpoly_passes(a))
 
 
 def x_order(a: CycInt) -> int:
-    """First power of x whose coefficient is nonzero mod K (capped at K-1)."""
-    xp = to_xpoly(a)
-    n = 0
-    while n < a.K - 1 and xp[n] % a.K == 0:
-        n += 1
-    return n
+    """First power of x whose coefficient is nonzero mod K (capped at K-1);
+    the passes stop there."""
+    return next((n for n, c in enumerate(_xpoly_passes(a)) if c % a.K),
+                a.K - 1)
 
 
 def diamond(a: CycInt) -> TruncPoly:
-    """The mod-K series shadow: x-coefficients up to degree (K-1)/2."""
-    return TruncPoly(to_xpoly(a), a.K)
+    """The mod-K series shadow: x-coefficients up to degree (K-1)/2,
+    from the first (K+1)/2 passes of `_xpoly_passes` only."""
+    return TruncPoly(tuple(islice(_xpoly_passes(a), (a.K + 1) // 2)), a.K)
 
 
 def gauss_sum(c: int, K: int) -> CycInt:

@@ -100,12 +100,9 @@ class SeifertData:
                 raise NotCoprime(f"fiber {p}/{q} not reduced")
         self.fractions = fr
         self.P = prod(p for p, _ in fr)
-        h = sum(Fraction(q, p) for p, q in fr) * self.P
-        if h.denominator != 1:
-            raise IntegralityFailure("homology order is not an integer")
-        if h == 0:
+        self.H = sum(q * (self.P // p) for p, q in fr)  # p divides P
+        if self.H == 0:
             raise HZero("first homology is infinite")
-        self.H = int(h)
 
     def __repr__(self):
         inner = ",".join(f"{p}/{q}" for p, q in self.fractions)

@@ -1,28 +1,27 @@
-"""Brute-force numeric oracles for surgery presentations, plus the
-all-exact route for integer framings.
+"""The numeric oracle for surgery presentations, plus the all-exact
+route for integer framings.
 
-z_numeric evaluates the normalized invariant Z(M)/Z(S^3) at an odd
-prime K by direct summation over colors 1..K-1 per surgery component.
-Each slope p/q is completed to one SL2 matrix [[p, r], [q, s]] with
-s = p^-1 mod q, and its matrix element is read in closed form (Jeffrey,
-Comm. Math. Phys. 147 (1992)); any completion gives the same value,
-since the Rademacher phase absorbs the choice.  zprime_numeric
-evaluates the odd-color invariant Z'(M) the same way, summing over the
-odd color window; its weights need q^-1 mod K, so it first re-presents
-the manifold with no surgery denominator divisible by K.  Both build
-one list of color weights per component and share one color sum
-(_color_sum): a Seifert star is summed fiber by fiber at each color of
-the central vertex, and a split link (the unknot for a lens space, an
-unlink table for a P1 surgery), whose link value is a product of sines
-from the same table, not from the Z[q] code, is the same sum at one
-central color.  exact_p1 re-derives Z' for a P1 surgery entirely inside Z[q],
-one component at a time (every link table is a split link, so the
-surgery is a connected sum), dividing each component's color sum by the
-Gauss sum with one exact division by K, which fails loudly unless the
-sum carries the guaranteed power x^((K-1)/2) of x = q - 1.
+zprime_numeric evaluates the odd-color invariant Z'(M) at an odd prime
+K by direct summation over the odd color window, per surgery
+component.  Each slope p/q is completed to one SL2 matrix
+[[p, r], [q, s]] with s = p^-1 mod q, and its matrix element is read in
+closed form (Jeffrey, Comm. Math. Phys. 147 (1992)); any completion
+gives the same value, since the Rademacher phase absorbs the choice.
+The weights need q^-1 mod K, so the manifold is first re-presented with
+no surgery denominator divisible by K.  The color sum (_color_sum)
+takes one list of color weights per component: a Seifert star is
+summed fiber by fiber at each color of the central vertex, and a split
+link (the unknot for a lens space, an unlink table for a P1 surgery),
+whose link value is a product of sines from the same table, not from
+the Z[q] code, is the same sum at one central color.  exact_p1
+re-derives Z' for a P1 surgery entirely inside Z[q], one component at
+a time (every link table is a split link, so the surgery is a connected
+sum), dividing each component's color sum by the Gauss sum with one
+exact division by K, which fails loudly unless the sum carries the
+guaranteed power x^((K-1)/2) of x = q - 1.
 
-The numeric paths import mpmath when they run (exact_p1 never loads it)
-and work at a precision that grows with K (50 + 2K digits unless
+The numeric path imports mpmath when it runs (exact_p1 never loads it)
+and works at a precision that grows with K (50 + 2K digits unless
 overridden; BadPrecision below one digit).  mpmath fills the one
 roots-of-unity table, cyclotomic.fixed_roots, and makes the final
 conversion to complex; the color sums in between are integer
@@ -33,12 +32,11 @@ only through the table entries (correctly rounded by mpmath), one unit
 of 2^-B per shift and one per floor division, so the 1e-9 cross-check
 tolerances hold with a large margin even near K = 100.  The sums read
 the phases as roots of order K (the even entries of the table of order
-2K), the matrix elements as roots of order 2 * den, sin(pi*y/K) as the
-imaginary part of a root of order 2K, and the color factor
-(q^-e - q^e) * i/2 as Im q^e; each invariant's constant phase and
-modulus are one e^(i*pi*m/(4K)) (one expjpi) over one square root.
-Evaluations are pure functions of (manifold, K); callers that want
-parallelism batch independent (manifold, K) tasks across processes
+2K), sin(pi*y/K) as the imaginary part of a root of order 2K, and the
+color factor (q^-e - q^e) * i/2 as Im q^e; the invariant's constant
+phase and modulus are one e^(i*pi*m/(4K)) (one expjpi) over one square
+root.  Evaluations are pure functions of (manifold, K); callers that
+want parallelism batch independent (manifold, K) tasks across processes
 (see the command-line front end).
 """
 
@@ -47,9 +45,9 @@ from __future__ import annotations
 from math import prod
 from operator import mul
 
-from .arith import as_prime, even_inv, inv_int, kappa_of, legendre, sign
+from .arith import as_prime, even_inv, inv_int, legendre, sign
 from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
-                         gauss_sum, odd_window, qpow, sine_run)
+                         gauss_sum, odd_window, sine_run)
 from .errors import (
     BadPrecision,
     ChainDegenerate,
@@ -85,47 +83,6 @@ def _chain_data(p: int, q: int):
     slope p/q, q >= 1, and its phase (s = 0 and T^p S for q = 1)."""
     s = pow(p, -1, q) if q else 0  # rademacher_phi rejects q = 0
     return s, rademacher_phi(p, q, s)
-
-
-def _chain_weights(p: int, q: int, s: int, K: int, B: int):
-    """The matrix elements of the slope p/q, q >= 1, at the color pairs
-    (a, 1), a = 1..K-1, as (re, im) lists at scale 2^B.
-
-    Element a is i / sqrt(2Kq) * e^(-i*pi*phi/4) times the sum over
-    n < q and mu = +-1 of mu * e^(i*pi*m/(2Kq)), m = p a^2 - 2 a w
-    + s w^2 with w = 2Kn + mu; the constant is left to the prefactor
-    (_z_prelude), and e^(i*pi*m/(2Kq)) is root m of order 4Kq.
-    """
-    den = 2 * K * q
-    Bq, cos, sin = fixed_roots(2 * den)
-    re, im = [], []
-    for a in range(1, K):
-        x = y = 0
-        for n in range(q):
-            for mu in (1, -1):
-                w = 2 * K * n + mu
-                e = (p * a * a - 2 * a * w + s * w * w) % (2 * den)
-                x += mu * cos[e]
-                y += mu * sin[e]
-        re.append(x >> (Bq - B))
-        im.append(y >> (Bq - B))
-    return re, im
-
-
-def _z_prelude(surg, sig, K):
-    """Per-component (p, q, s) and the phase m of the full-level
-    prefactor e^(i*pi*m/(4K)) / sqrt(prod 2Kq).
-
-    m gathers e^(i*pi*(K-2)*(sum phi - 3 sig)/(4K)) and every
-    component's constant i * e^(-i*pi*phi/4) (see _chain_weights).
-    """
-    data, phis = [], 0
-    for (p, q) in surg:
-        s, phi = _chain_data(p, q)
-        data.append((p, q, s))
-        phis += phi
-    m = (K - 2) * (phis - 3 * sig) - K * phis + 2 * K * len(data)
-    return data, m % (8 * K)
 
 
 def _coprime_denominators(M, K: int):
@@ -214,19 +171,6 @@ def _value(fixed, m: int, rad: int, K: int) -> complex:
                    / mpmath.sqrt(rad) * z)
 
 
-def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
-    """Z(M)/Z(S^3) at level k = K - 2 by direct color summation."""
-    import mpmath
-    K = as_prime(K)
-    with mpmath.workdps(_dps(K, precision)):
-        surg, sig, star = _presentation(M)
-        data, m = _z_prelude(surg, sig, K)
-        B = fixed_roots(2 * K)[0]
-        weights = [_chain_weights(*d, K, B) for d in data]
-        return _value(_color_sum(range(1, K), weights, star, K), m,
-                      prod(2 * K * q for (p, q) in surg), K)
-
-
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z'(M) at odd prime K by direct summation over odd colors."""
     import mpmath
@@ -254,12 +198,13 @@ def _zprime_prelude(surg, sig, K: int):
     """Per-component (p, q*, s) and the phase m of the odd-color
     prefactor e^(i*pi*m/(4K)) / sqrt(K)^N.
 
-    m gathers e^(-i*pi*kappa*sig/4), e^(-3i*pi*(K-2)*sig/(4K)), the
-    root of order K of the summed chain phases and every sign, a -1
-    being m + 4K, so only the parity of the count of -1s enters.  Every
-    q is at least 1 (`_presentation` makes q >= 0, and q = 0 is
-    divisible by K), so the signs are the Legendre symbol of prod q and
-    one -1 per component.  Read through the matrix-element identity
+    m gathers e^(-i*pi*kappa*sig/4), kappa = legendre(-1, K),
+    e^(-3i*pi*(K-2)*sig/(4K)), the root of order K of the summed chain
+    phases and every sign, a -1 being m + 4K, so only the parity of the
+    count of -1s enters.  Every q is at least 1 (`_presentation` makes
+    q >= 0, and q = 0 is divisible by K), so the signs are the Legendre
+    symbol of prod q and one -1 per component.  Read through the
+    matrix-element identity
     i = e^(i*pi*sign(p)/2)*sign(p), that -1 is (-1)^sign(p), which is
     -1 at every p != 0.  At the central (0, 1) vertex of a star the
     identity's right side vanishes, but the element does not: the
@@ -280,24 +225,9 @@ def _zprime_prelude(surg, sig, K: int):
         data.append((p, inv_int(q, K), s))
         phis += phi
     negative = (legendre(prod(q for (p, q) in surg), K) < 0) + len(surg)
-    m = (-kappa_of(K) * sig * K - 3 * (K - 2) * sig
+    m = (-legendre(-1, K) * sig * K - 3 * (K - 2) * sig
          + 8 * (-t4 * phis % K) + 4 * K * negative)
     return data, m % (8 * K)
-
-
-def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
-                       precision=None) -> bool:
-    """Proportionality of the full and odd-color invariants at odd K.
-
-    The right factor is the level-one invariant Z(M;1)/Z(S^3;1),
-    computed numerically at K = 3 and conjugated iff K = 1 mod 4.
-    """
-    K = as_prime(K)
-    z = z_numeric(M, K, precision)
-    zp = zprime_numeric(M, K, precision)
-    b = z_numeric(M, 3, precision)
-    factor = b.conjugate() if K % 4 == 1 else b
-    return abs(z - zp * factor) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +249,28 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
 
 def _p1_factor(p: int, K: int) -> CycInt:
     """One component of exact_p1: its odd-color sum S over the Gauss
-    sum G(1), times sign(p), a +-1 phase and a power of q.
+    sum G(1), times sign(p), a +-1 phase and a power q^e2 of q.
 
     S is the sum over odd colors a of q^(4* p a^2) [a + p*], p* the even
     inverse of p, and each term is one run of powers of q
-    (`cyclotomic.sine_run`).  G(c) = gauss_sum(c, K), and G(-1) is the
-    complex conjugate of G(1), so G(1) * G(-1) = |G(1)|^2 = K and
-    S / G(1) = S * G(-1) / K: one exact division by K.  K divides every
-    coordinate of S * G(-1) exactly when x^((K-1)/2), x = q - 1,
-    divides S (DivisibilityFailure otherwise).  For K = prod_(0<j<K)
-    (1 - q^j) is x^(K-1) times a unit, each 1 - q^j being x times one,
-    and G(-1) is x^((K-1)/2) times a unit, as G(-1)^2 = +-K and (x) is
-    a prime ideal; so S * G(-1) / K is a unit times S / x^((K-1)/2).
+    (`cyclotomic.sine_run`); the prefactor +-q^e2 enters the same runs,
+    as a shift of every start and a sign on every weight.  G(c) =
+    gauss_sum(c, K), and G(-1) is the complex conjugate of G(1), so
+    G(1) * G(-1) = |G(1)|^2 = K and S / G(1) = S * G(-1) / K: one exact
+    division by K.  K divides every coordinate of +-q^e2 * S * G(-1)
+    exactly when x^((K-1)/2), x = q - 1, divides S (DivisibilityFailure
+    otherwise), as q^e2 is a unit.  For K = prod_(0<j<K) (1 - q^j) is
+    x^(K-1) times a unit, each 1 - q^j being x times one, and G(-1) is
+    x^((K-1)/2) times a unit, as G(-1)^2 = +-K and (x) is a prime
+    ideal; so S * G(-1) / K is a unit times S / x^((K-1)/2).
     """
     t4 = inv_int(4, K)
     pst = even_inv(p, K)
-    s = from_runs([sine_run(t4 * p * a * a, a + pst, 1, K)
-                   for a in odd_window(K)], K)
-    try:
-        w = divide_exact(s * gauss_sum(-1, K), K)
-    except IntegralityFailure as exc:
-        raise DivisibilityFailure(str(exc)) from exc
     phase = -1 if K % 4 == 3 and p < 0 else 1
     e2 = t4 * (3 * sign(p) - p - pst)
-    return w * qpow(e2, K) * (phase * sign(p))
+    s = from_runs([sine_run(e2 + t4 * p * a * a, a + pst, phase * sign(p), K)
+                   for a in odd_window(K)], K)
+    try:
+        return divide_exact(s * gauss_sum(-1, K), K)
+    except IntegralityFailure as exc:
+        raise DivisibilityFailure(str(exc)) from exc

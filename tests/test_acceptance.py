@@ -21,11 +21,10 @@ from so3inv.closedform import lens_lambda_series, lens_zprime, seifert_zprime
 from so3inv.nt import SeifertData
 from so3inv.ohtsuki import (closed_lambda_series, diamond_side,
                             reconstruct_lambda, vee_side)
-from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
-                            zprime_numeric)
+from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
 from zq_reference import (expansion_check, gauss_moment_diamond,
-                          odd_gauss_moment, seifert_beta_series,
-                          sin_quotient_series, unit_u)
+                          kirby_melvin_check, odd_gauss_moment,
+                          seifert_beta_series, sin_quotient_series, unit_u)
 
 
 SEIFERT_SAMPLE = (

@@ -6,7 +6,6 @@ from so3inv.arith import (
     as_prime,
     even_inv,
     inv_int,
-    kappa_of,
     legendre,
     odd_primes,
     rat_residue,
@@ -62,23 +61,12 @@ def test_primek_rejects_non_odd_primes(bad):
         as_prime(bad)
 
 
-def test_kappa_values():
-    assert kappa_of(7) == -1
-    assert kappa_of(5) == 1
-    assert kappa_of(13) == 1
-    assert kappa_of(3) == -1
-
-
-def test_kappa_is_legendre_of_minus_one():
-    for K in PRIMES_TO_101:
-        assert kappa_of(K) == legendre(-1, K)
-
-
 def test_quarter_inverse_centered_identity():
-    # (1 - kappa*K)/4 is an integer and is the centered representative
-    # of the inverse of 4; this pins the kappa sign convention.
+    # with kappa = legendre(-1, K), (1 - kappa*K)/4 is an integer and is
+    # the centered representative of the inverse of 4; this pins the
+    # kappa sign convention.
     for K in PRIMES_TO_101:
-        kap = kappa_of(K)
+        kap = legendre(-1, K)
         assert (1 - kap * K) % 4 == 0
         v = inv_int(4, K)
         centered = v - K if 2 * v > K else v

@@ -11,6 +11,7 @@ import pytest
 
 from so3inv.cli import (UsageError, main, parse_p1, parse_primes,
                         parse_seifert, pool_size)
+from so3inv.errors import NotRHS
 
 
 def run(capsys, *argv):
@@ -45,6 +46,13 @@ def test_parse_p1():
     assert M.jones == "unlink" and M.framings == (-2, 5)
     with pytest.raises(UsageError):
         parse_p1("unknot")
+    # an empty framing list is the empty surgery, and still has to fit
+    # the table's arity; an empty framing between commas is no integer
+    assert parse_p1("unlink:").framings == ()
+    with pytest.raises(NotRHS, match="expects 1 components, got 0"):
+        parse_p1("unknot:")
+    with pytest.raises(UsageError, match="non-integer framing in ','"):
+        parse_p1("unlink:,")
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,13 @@ def test_invariant_s3_is_one(capsys):
                                     "diamond", "numeric"]
     row = lines[1].split("\t")
     assert row[:4] == ["L(1,0)", "5", "1,0,0,0", "1"]
+
+
+def test_invariant_empty_p1_is_one(capsys):
+    code, out, _ = run(capsys, "invariant", "--p1", "unlink:", "--k", "7")
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[:3] == ["S[unlink;]", "7",
+                                                   "1,0,0,0,0,0"]
 
 
 def test_invariant_seifert(capsys):
@@ -152,7 +167,8 @@ def test_invariant_prints_every_computable_row(capsys):
     ("--manifolds", [{"type": "lens", "p": True, "q": 2}]),
     ("--manifolds", [{"type": "lens", "p": "5", "q": 2}]),
     ("--manifolds", [{"type": "p1", "jones": "unlink", "framings": "23"}]),
-    ("--manifolds", [{"type": "seifert", "fractions": [[2, 1.9], [3, 1]]}])])
+    ("--manifolds", [{"type": "seifert", "fractions": [[2, 1.9], [3, 1]]}]),
+    ("--p1", "unknot:"), ("--p1", "unlink:,")])
 def test_invalid_manifold_spec_is_usage_error(capsys, tmp_path, spec):
     flag, value = spec
     if flag == "--manifolds":

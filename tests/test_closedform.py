@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from so3inv import closedform
 from so3inv.arith import inv_int, odd_primes
-from so3inv.closedform import (_seifert_phase, lens_lambda_series,
-                               lens_zprime, seifert_cn, seifert_lambda_series,
-                               seifert_zprime)
-from so3inv.cyclotomic import CycInt, eval_complex, qpow, sine_quotient
+from so3inv.closedform import (_fiber_dedekind, _seifert_phase,
+                               lens_lambda_series, lens_zprime, seifert_cn,
+                               seifert_lambda_series, seifert_zprime)
+from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
 from so3inv.errors import (DiamondMismatch, H1DivisibleByK,
                            IntegralityFailure, NotCoprime,
                            NotRHS, PDivisibleByK, So3InvError)
@@ -173,7 +173,8 @@ def _ref_seifert_zprime(S, K):
         m = (phs * n) % K
         sq = _ref_qsum([(t2 * (1 - m + 2 * i), 1) for i in range(m)], K)
         tot = tot + _ref_qsum([(t4 * phs * (n * n + 1), 1)], K) * sq * c
-    return _seifert_phase(S, K) * tot
+    e, s = _seifert_phase(S, K, _fiber_dedekind(S))
+    return _ref_qsum([(e, s)], K) * tot
 
 
 def test_seifert_accumulation_matches_term_by_term_sum():
@@ -196,15 +197,15 @@ def test_seifert_accumulation_matches_term_by_term_sum():
     assert checked > 180
 
 
-@pytest.mark.parametrize("wrong", [lambda ph: ph * qpow(1, ph.K),
-                                   lambda ph: -ph],
+@pytest.mark.parametrize("wrong", [lambda n, s, K: ((n + 1) % K, s),
+                                   lambda n, s, K: (n, -s)],
                          ids=["q", "sign"])
 def test_wrong_prefactor_raises_diamond_mismatch(monkeypatch, wrong):
     # a prefactor off by q or by -1 still reduces into Z[q], so only the
     # diamond guard can catch it
     phase = closedform._seifert_phase
     monkeypatch.setattr(closedform, "_seifert_phase",
-                        lambda S, K: wrong(phase(S, K)))
+                        lambda S, K, dd: wrong(*phase(S, K, dd), K))
     for K in (7, 11, 101):
         with pytest.raises(DiamondMismatch):
             seifert_zprime(POINCARE, K)

@@ -496,10 +496,19 @@ def test_to_xpoly_matches_pascal_route():
 
 
 def test_diamond_reads_a_ready_expansion():
+    # diamond reads only the first (K+1)/2 prefix-sum passes and x_order
+    # stops at the first coefficient nonzero mod K; both must agree with
+    # the full expansion, also at high x-order
     rng = random.Random(37)
-    for K in (5, 13, 61):
-        a = CycInt([rng.randint(-99, 99) for _ in range(K - 1)], K)
-        assert TruncPoly(to_xpoly(a), K) == diamond(a)
+    for K in (3, 5, 13, 37, 61, 211):
+        xq = qpow(1, K) - 1
+        for m in {0, 1, (K - 1) // 2, K - 2}:
+            a = xq ** m * CycInt([rng.randint(-99, 99)
+                                  for _ in range(K - 1)], K)
+            full = to_xpoly(a)
+            assert TruncPoly(full, K) == diamond(a)
+            assert x_order(a) == next(
+                (n for n, c in enumerate(full) if c % K), K - 1)
 
 
 def test_cached_prime_check_still_rejects_non_primes():

@@ -9,8 +9,7 @@ import pytest
 
 import so3inv.nt
 from so3inv import cyclotomic, surgery
-from so3inv.arith import (even_inv, inv_int, kappa_of, legendre, odd_primes,
-                          sign)
+from so3inv.arith import even_inv, inv_int, legendre, odd_primes, sign
 from so3inv.closedform import _phase_to_q, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import CycInt, eval_complex, odd_window, qpow
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
@@ -19,9 +18,8 @@ from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
 from so3inv.jones import get_table
 from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
-from so3inv.surgery import (Lens, P1Surgery, exact_p1, kirby_melvin_check,
-                            z_numeric, zprime_numeric)
-from zq_reference import divide_by_x, unit_u
+from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
+from zq_reference import divide_by_x, kirby_melvin_check, unit_u, z_numeric
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -301,7 +299,7 @@ def _joint_color_sum(M, K):
     for _ in range(len(ps) * (K - 1) // 2):
         w = divide_by_x(w)
     negatives = sum(p < 0 for p in ps)
-    phase = (-1) ** ((1 - kappa_of(K)) * negatives // 2)
+    phase = (-1) ** ((1 - legendre(-1, K)) * negatives // 2)
     e2 = t4 * sum(3 * sign(p) - p - pst for p, pst in zip(ps, pstars))
     return (w * unit_u(K) ** len(ps) * qpow(e2, K)
             * (phase * (-1) ** negatives))
@@ -328,7 +326,7 @@ def _mpc_zprime_prefactor(surg, sig, K):
     pref = mpmath.mpc(legendre(abs(prod(q for (p, q) in surg)), K))
     pref *= prod(sign(q) for (p, q) in surg)
     pref *= mpmath.mpf(K) ** (mpmath.mpf(-len(surg)) / 2)
-    pref *= mpmath.expjpi(mpmath.mpf(-kappa_of(K) * sig) / 4)
+    pref *= mpmath.expjpi(mpmath.mpf(-legendre(-1, K) * sig) / 4)
     pref *= mpmath.expjpi(mpmath.mpf(-3 * (K - 2) * sig) / (4 * K))
     pref *= mpmath.expjpi(mpmath.mpf(2 * (-t4 * sum(phis) % K)) / K)
     return pref * (-1) ** (sum(sign(p * q) for (p, q) in surg) % 2)
@@ -460,16 +458,16 @@ def test_kirby_melvin_covers_p1_surgeries():
 def test_phase_sqrt_q_times_inverse_half_is_minus_one():
     # q^(1/2) * q^(-inv(2,K)) collapses to -1 for every odd prime
     for K in (5, 7, 11, 13):
-        assert _phase_to_q(0, 2 - 4 * inv_int(2, K), 1, K) == -CycInt.one(K)
+        assert _phase_to_q(0, 2 - 4 * inv_int(2, K), 1, K) == (0, -1)
 
 
 def test_phase_i_squared():
-    assert _phase_to_q(2 + 2, 0, 1, 7) == -CycInt.one(7)
+    assert _phase_to_q(2 + 2, 0, 1, 7) == (0, -1)
 
 
 def test_phase_eighth_roots_cancel():
     # e^(2 pi i) * q^3
-    assert _phase_to_q(8, 4 * 3, 1, 5) == qpow(3, 5)
+    assert _phase_to_q(8, 4 * 3, 1, 5) == (3, 1)
 
 
 def test_phase_irreducible_leftovers():

@@ -21,6 +21,14 @@ The Gaussian-moment lemma.  `odd_gauss_moment` is the exact moment sum
 in Z[q]; `gauss_moment_diamond` is its closed-form series image mod K,
 built from the powers of x / log(1+x) (`x_over_log_pow`).
 
+The full-level oracle.  `z_numeric` evaluates the normalized invariant
+Z(M)/Z(S^3) at an odd prime K by direct summation over colors 1..K-1
+per surgery component, through the same presentation and color sum
+(`surgery._color_sum`) as `zprime_numeric`, with the full-level chain
+weights (`_chain_weights`) and prefactor (`_z_prelude`).
+`kirby_melvin_check` tests the Kirby-Melvin proportionality of the full
+and odd-color invariants (Invent. Math. 105 (1991)).
+
 The color-expansion lemma.  `expansion_check` verifies the structural
 bounds on the color expansion around t = 0 of a one-color evaluation
 given as a series, such as the unknot's `sin_quotient_series` or the
@@ -35,12 +43,15 @@ from operator import add
 from typing import Callable, Sequence
 
 from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
-from so3inv.cyclotomic import (CycInt, _raw, divide_exact, from_runs,
-                               gauss_sum, odd_window, qpow)
+from so3inv.cyclotomic import (CycInt, _raw, divide_exact, fixed_roots,
+                               from_runs, gauss_sum, odd_window, qpow)
 from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
                            InsufficientTerms, IntegralityFailure, So3InvError)
+from so3inv.nt import ManifoldSpec
 from so3inv.series import (RatSeries, TruncPoly, _frac, exp_sum_series, s_div,
                            vee)
+from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
+                            _value, zprime_numeric)
 
 
 def to_xpoly_pascal(a: CycInt) -> tuple:
@@ -228,6 +239,75 @@ def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
     scalar = scalar * (factorial(2 * m) % K) % K
     scalar = scalar * inv_int(factorial(m) % K, K) % K
     return TruncPoly([c * scalar for c in x_over_log_pow(m, K).coeffs], K)
+
+
+def _chain_weights(p: int, q: int, s: int, K: int, B: int):
+    """The matrix elements of the slope p/q, q >= 1, at the color pairs
+    (a, 1), a = 1..K-1, as (re, im) lists at scale 2^B.
+
+    Element a is i / sqrt(2Kq) * e^(-i*pi*phi/4) times the sum over
+    n < q and mu = +-1 of mu * e^(i*pi*m/(2Kq)), m = p a^2 - 2 a w
+    + s w^2 with w = 2Kn + mu; the constant is left to the prefactor
+    (_z_prelude), and e^(i*pi*m/(2Kq)) is root m of order 4Kq.
+    """
+    den = 2 * K * q
+    Bq, cos, sin = fixed_roots(2 * den)
+    re, im = [], []
+    for a in range(1, K):
+        x = y = 0
+        for n in range(q):
+            for mu in (1, -1):
+                w = 2 * K * n + mu
+                e = (p * a * a - 2 * a * w + s * w * w) % (2 * den)
+                x += mu * cos[e]
+                y += mu * sin[e]
+        re.append(x >> (Bq - B))
+        im.append(y >> (Bq - B))
+    return re, im
+
+
+def _z_prelude(surg, sig, K):
+    """Per-component (p, q, s) and the phase m of the full-level
+    prefactor e^(i*pi*m/(4K)) / sqrt(prod 2Kq).
+
+    m gathers e^(i*pi*(K-2)*(sum phi - 3 sig)/(4K)) and every
+    component's constant i * e^(-i*pi*phi/4) (see _chain_weights).
+    """
+    data, phis = [], 0
+    for (p, q) in surg:
+        s, phi = _chain_data(p, q)
+        data.append((p, q, s))
+        phis += phi
+    m = (K - 2) * (phis - 3 * sig) - K * phis + 2 * K * len(data)
+    return data, m % (8 * K)
+
+
+def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
+    """Z(M)/Z(S^3) at level k = K - 2 by direct color summation."""
+    import mpmath
+    K = as_prime(K)
+    with mpmath.workdps(_dps(K, precision)):
+        surg, sig, star = _presentation(M)
+        data, m = _z_prelude(surg, sig, K)
+        B = fixed_roots(2 * K)[0]
+        weights = [_chain_weights(*d, K, B) for d in data]
+        return _value(_color_sum(range(1, K), weights, star, K), m,
+                      prod(2 * K * q for (p, q) in surg), K)
+
+
+def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
+                       precision=None) -> bool:
+    """Proportionality of the full and odd-color invariants at odd K.
+
+    The right factor is the level-one invariant Z(M;1)/Z(S^3;1),
+    computed numerically at K = 3 and conjugated iff K = 1 mod 4.
+    """
+    K = as_prime(K)
+    z = z_numeric(M, K, precision)
+    zp = zprime_numeric(M, K, precision)
+    b = z_numeric(M, 3, precision)
+    factor = b.conjugate() if K % 4 == 1 else b
+    return abs(z - zp * factor) <= tol
 
 
 def sin_quotient_series(c: int, cap: int) -> RatSeries:
