@@ -12,3 +12,39 @@ reconstruction), cli (command-line front end).
 """
 
 __version__ = "0.1.0"
+
+
+class _Record:
+    """A frozen record over __slots__, as a frozen dataclass is: equal
+    only within one class over every field, hashed as the field tuple,
+    shown as Name(field=value, ...), pickled through its constructor.
+    A subclass hands its field values, in slot order, to __init__."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__

@@ -33,7 +33,6 @@ prints every row it can compute and names each failed pair on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import gcd
@@ -97,25 +96,26 @@ def parse_p1(text: str) -> P1Surgery:
 
 
 def parse_primes(text: str):
-    """A prime list: '7,11,13' or a range '5..31' (primes within)."""
+    """A prime list: '7,11,13' or a range '5..31' (primes within); its
+    UsageError names no flag, as `main` adds the flag it parsed."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
             lo, hi = int(lo), int(hi)
         except ValueError:
-            raise UsageError(f"--primes: bad range {text!r}") from None
+            raise UsageError(f"bad range {text!r}") from None
         ks = odd_primes(lo, hi)
     else:
         try:
             ks = [int(s) for s in text.split(",")]
         except ValueError:
-            raise UsageError(f"--primes: bad list {text!r}") from None
+            raise UsageError(f"bad list {text!r}") from None
     try:
         ks = [as_prime(k) for k in ks]
     except So3InvError as e:
-        raise UsageError(f"--primes: {e}") from None
+        raise UsageError(str(e)) from None
     if not ks:
-        raise UsageError(f"--primes: empty after filtering: {text!r}")
+        raise UsageError(f"empty after filtering: {text!r}")
     return tuple(sorted(set(ks)))
 
 
@@ -145,6 +145,8 @@ def gather_manifolds(args) -> list:
                 raise UsageError(f"--{flag} {text}: {type(e).__name__}: "
                                  f"{e}") from None
     if args.manifolds:
+        import json
+
         try:
             with open(args.manifolds) as fh:
                 data = json.load(fh)
@@ -195,14 +197,19 @@ def _poly_str(coeffs, var: str) -> str:
 
 def _emit(rows, columns, args):
     if args.format == "json":
+        import json
+
         text = json.dumps([dict(zip(columns, r)) for r in rows], indent=2)
     else:
         lines = ["\t".join(columns)]
         lines.extend("\t".join(str(v) for v in r) for r in rows)
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"--out {args.out}: {e}") from None
     else:
         print(text)
 
@@ -405,10 +412,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if hasattr(args, "k"):
-            args.k = parse_primes(args.k)
-        if hasattr(args, "primes") and isinstance(args.primes, str):
-            args.primes = parse_primes(args.primes)
+        for flag in ("k", "primes"):
+            text = getattr(args, flag, None)
+            if isinstance(text, str):
+                try:
+                    setattr(args, flag, parse_primes(text))
+                except UsageError as e:
+                    raise UsageError(f"--{flag}: {e}") from None
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

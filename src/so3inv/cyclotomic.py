@@ -182,17 +182,6 @@ def from_runs(runs, K: int) -> CycInt:
     return _fold(list(map(add, full[:K], full[K:])), K)
 
 
-def qpow(n: int, K: int) -> CycInt:
-    """q^n as a basis element (top power folded down)."""
-    as_prime(K)
-    n %= K
-    if n == K - 1:
-        return _raw((-1,) * (K - 1), K)
-    coeffs = [0] * (K - 1)
-    coeffs[n] = 1
-    return _raw(tuple(coeffs), K)
-
-
 def _xpoly_passes(a: CycInt):
     """The x-coefficients of `a`, x = q - 1, one prefix-sum pass each:
     via q^i = (1+x)^i, [x^d] = sum_i c_i C(i, d), and as C(i, d) =

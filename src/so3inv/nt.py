@@ -10,11 +10,11 @@ they take exact ints only, and never convert 5.5, True or "5".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence, Tuple
 
+from . import _Record
 from .arith import sign
 from .errors import (
     HZero,
@@ -116,39 +116,36 @@ class SeifertData:
         return hash(self.fractions)
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(_Record):
     """The lens space L(p, q) with gcd(p, q) = 1 and p != 0."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        _ints((self.p, self.q), "L(p, q)", 2)
-        if self.p == 0:
+    def __init__(self, p: int, q: int):
+        _ints((p, q), "L(p, q)", 2)
+        if p == 0:
             raise NotRHS("L(0, q) is not a rational homology sphere")
-        if gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"L({self.p},{self.q}) needs coprime p, q")
+        if gcd(p, q) != 1:
+            raise NotCoprime(f"L({p},{q}) needs coprime p, q")
+        super().__init__(p, q)
 
 
-@dataclass(frozen=True)
-class P1Surgery:
+class P1Surgery(_Record):
     """Integer (p_j, 1)-framed surgery on a link with a known table."""
 
-    jones: str
-    framings: tuple
+    __slots__ = ("jones", "framings")
 
-    def __post_init__(self):
-        object.__setattr__(self, "framings",
-                           _ints(self.framings, "framings"))
-        if any(p == 0 for p in self.framings):
+    def __init__(self, jones: str, framings: tuple):
+        framings = _ints(framings, "framings")
+        if any(p == 0 for p in framings):
             raise NotRHS("zero framing breaks the rational homology sphere "
                          "condition for split links")
-        table = get_table(self.jones)
-        if table.arity is not None and table.arity != len(self.framings):
+        table = get_table(jones)
+        if table.arity is not None and table.arity != len(framings):
             raise NotRHS(
-                f"table {self.jones!r} expects {table.arity} components, "
-                f"got {len(self.framings)} framings")
+                f"table {jones!r} expects {table.arity} components, "
+                f"got {len(framings)} framings")
+        super().__init__(jones, framings)
 
 
 # the three manifold presentations

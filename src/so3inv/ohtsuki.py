@@ -20,7 +20,6 @@ denominator bounds of `check_bounds`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -28,7 +27,8 @@ from math import factorial, gcd, isqrt
 from operator import mul
 from typing import Optional, Sequence
 
-from .arith import as_prime, inv_int, legendre, odd_primes
+from . import _Record
+from .arith import _is_prime, as_prime, inv_int, legendre
 from .cyclotomic import CycInt, diamond
 from .errors import (
     BoundViolation,
@@ -98,15 +98,19 @@ def vee_side(lam: LambdaSeries, K) -> TruncPoly:
     return vee(RatSeries([lam[n] for n in range(d + 1)], d), K)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    manifold: str
-    K: int
-    lhs: Optional[TruncPoly]
-    rhs: Optional[TruncPoly]
-    verdict: str  # "equal" | "unequal" | "skipped"
-    first_mismatch: Optional[int] = None
-    error: Optional[str] = None
+class IdentityReport(_Record):
+    """One prime of `verify_identity`: verdict "equal", "unequal" or
+    "skipped"."""
+
+    __slots__ = ("manifold", "K", "lhs", "rhs", "verdict", "first_mismatch",
+                 "error")
+
+    def __init__(self, manifold: str, K: int, lhs: Optional[TruncPoly],
+                 rhs: Optional[TruncPoly], verdict: str,
+                 first_mismatch: Optional[int] = None,
+                 error: Optional[str] = None):
+        super().__init__(manifold, K, lhs, rhs, verdict, first_mismatch,
+                         error)
 
 
 def verify_identity(m, primes: Sequence[int]):
@@ -203,7 +207,15 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
         raise So3InvError("need at least one seed prime")
     if len(seeds) != len(primes):
         raise So3InvError(f"primes must be pairwise distinct: {primes}")
-    candidates = seeds + list(odd_primes(seeds[-1] + 1, prime_ceiling))
+    # the seeds, then the odd primes above them, each tested on first read
+    found = list(seeds)
+    later = filter(_is_prime, range(seeds[-1] + 2, prime_ceiling + 1, 2))
+
+    def candidates():
+        yield from found
+        for K in later:
+            found.append(K)
+            yield K
 
     coeff_cache = {}
     skipped = []
@@ -219,7 +231,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
 
     values, moduli, used_all = [], [], set()
     for n in range(n_max + 1):
-        stream = (K for K in candidates
+        stream = (K for K in candidates()
                   if (K - 1) // 2 >= n and residues(K) is not None)
         r, M, used = 0, 1, []
         prev, accepted = None, None

@@ -14,7 +14,6 @@ T = (1/2)log(1+x), one route each: e^(cT) is (1+x)^(c/2) there, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -22,6 +21,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
+from . import _Record
 from .arith import as_prime, inv_int
 from .errors import (
     DenominatorDivisibleByK,
@@ -239,26 +239,25 @@ class TruncPoly:
         return f"TruncPoly({list(self.coeffs)}, mod {self.K})"
 
 
-@dataclass(frozen=True)
-class LambdaSeries:
+class LambdaSeries(_Record):
     """An Ohtsuki-type series: lambda_0 .. lambda_{n_max} for a manifold.
 
     Reconstruction also records the per-n CRT modulus, the primes used
     and the primes skipped, as (K, error class name) pairs; a closed
     form leaves them empty."""
 
-    manifold: str
-    n_max: int
-    values: tuple
-    provenance: str  # "closed-form" or "reconstruction"
-    moduli: tuple = ()
-    primes_used: tuple = ()
-    skipped: tuple = ()
+    __slots__ = ("manifold", "n_max", "values", "provenance", "moduli",
+                 "primes_used", "skipped")
 
-    def __post_init__(self):
-        if len(self.values) != self.n_max + 1:
+    def __init__(self, manifold: str, n_max: int, values: tuple,
+                 provenance: str,  # "closed-form" or "reconstruction"
+                 moduli: tuple = (), primes_used: tuple = (),
+                 skipped: tuple = ()):
+        if len(values) != n_max + 1:
             raise InsufficientTerms(
-                f"need {self.n_max + 1} values, got {len(self.values)}")
+                f"need {n_max + 1} values, got {len(values)}")
+        super().__init__(manifold, n_max, values, provenance, moduli,
+                         primes_used, skipped)
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]

@@ -15,7 +15,7 @@ from math import gcd
 
 from so3inv.arith import inv_int, legendre, odd_primes
 from so3inv.cyclotomic import (CycInt, diamond, eval_complex, gauss_sum,
-                               odd_window, qpow, x_order)
+                               odd_window, x_order)
 from so3inv.errors import H1DivisibleByK, PDivisibleByK, So3InvError
 from so3inv.closedform import lens_lambda_series, lens_zprime, seifert_zprime
 from so3inv.nt import SeifertData
@@ -23,7 +23,7 @@ from so3inv.ohtsuki import (closed_lambda_series, diamond_side,
                             reconstruct_lambda, vee_side)
 from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
 from zq_reference import (expansion_check, gauss_moment_diamond,
-                          kirby_melvin_check, odd_gauss_moment,
+                          kirby_melvin_check, odd_gauss_moment, qpow,
                           seifert_beta_series, sin_quotient_series, unit_u)
 
 

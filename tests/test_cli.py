@@ -34,6 +34,17 @@ def test_parse_primes_rejects_composites():
         parse_primes("4,5")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("invariant", "--lens", "5,2", "--k", "9"), "--k"),
+    (("verify", "--lens", "5,2", "--primes", "9"), "--primes"),
+    (("lambda", "--lens", "5,2", "--reconstruct", "--primes", "9"),
+     "--primes")])
+def test_prime_list_error_names_the_flag_given(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {flag}: K must be an odd prime, got 9\n"
+
+
 def test_parse_seifert():
     S = parse_seifert("2/1,3/1,5/-4")
     assert S.fractions == ((2, 1), (3, 1), (5, -4))
@@ -197,6 +208,18 @@ def test_manifolds_file_and_out(tmp_path, capsys):
     assert names == ["L(3,1)", "S[unknot;-2]", "X(2/1,3/1,5/-4)"]
 
 
+@pytest.mark.parametrize("dest", ["missing/rows.tsv", "."])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, dest):
+    # a missing directory or a directory used to end in a traceback
+    dest = str(tmp_path / dest)
+    for argv in (("invariant", "--lens", "5,2", "--k", "7"),
+                 ("verify", "--lens", "5,2", "--primes", "7"),
+                 ("lambda", "--lens", "5,2")):
+        code, out, err = run(capsys, *argv, "--out", dest)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: --out {dest}: [Errno ")
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -330,6 +353,16 @@ def test_lambda_negative_nmax_is_usage_error(capsys, nmax):
     assert "--nmax" in err
 
 
+def test_lambda_reconstruct_deterministic_across_workers(capsys):
+    argv = ("lambda", "--lens", "12,5", "--seifert", "2/1,3/1,5/-4",
+            "--p1", "unlink:-2,5", "--nmax", "4", "--reconstruct")
+    code, seq, _ = run(capsys, *argv, "--workers", "1")
+    _, par, _ = run(capsys, *argv, "--workers", "2")
+    assert code == 0 and seq == par
+    rows = [l.split("\t") for l in seq.splitlines()[1:]]
+    assert len(rows) == 3 * 2 * 5
+
+
 def test_lambda_s3_trivial(capsys):
     code, out, _ = run(capsys, "lambda", "--lens", "1,0", "--nmax", "3")
     assert code == 0
@@ -367,6 +400,13 @@ def test_lambda_large_lens_reconstructs_quickly(capsys):
     assert rec == closed
 
 
+def _fresh_process(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_exact_commands_never_import_mpmath():
     # mpmath serves only the numeric column and the surgery oracle
     script = """
@@ -385,8 +425,43 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert codes == (0, 0, 0, 0), codes
 assert "mpmath" not in sys.modules, "run"
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_process(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_json():
+    # these modules cost about 20 ms of every process's start-up
+    proc = _fresh_process("""
+import contextlib, io, sys
+heavy = {"dataclasses", "inspect", "json"}
+before = set(sys.modules)
+import so3inv.cli
+assert not heavy & (set(sys.modules) - before), "import"
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (so3inv.cli.main(["verify", "--lens", "5,2", "--primes", "7..13"]),
+             so3inv.cli.main(["lambda", "--seifert", "2/1,3/1,5/-4",
+                              "--nmax", "3", "--reconstruct"]))
+assert codes == (0, 0), codes
+assert not heavy & (set(sys.modules) - before), sorted(heavy & set(sys.modules))
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_json_flags_in_a_fresh_process(tmp_path):
+    # json is imported only by --manifolds and --format json
+    mf = tmp_path / "manifolds.json"
+    mf.write_text(json.dumps([
+        {"type": "lens", "p": 5, "q": 2},
+        {"type": "seifert", "fractions": [[2, 1], [3, 1], [5, -4]]},
+        {"type": "p1", "jones": "unlink", "framings": [-2, 5]}]))
+    proc = _fresh_process(f"""
+import sys
+import so3inv.cli
+sys.exit(so3inv.cli.main(["verify", "--manifolds", {str(mf)!r},
+                          "--primes", "7..13", "--format", "json"]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert {r["manifold"] for r in rows} == {
+        "L(5,2)", "X(2/1,3/1,5/-4)", "S[unlink;-2,5]"}
+    assert [r["verdict"] for r in rows] == ["equal"] * 9

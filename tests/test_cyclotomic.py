@@ -15,7 +15,6 @@ from so3inv.cyclotomic import (
     from_runs,
     gauss_sum,
     odd_window,
-    qpow,
     sine_quotient,
     to_xpoly,
     x_order,
@@ -24,7 +23,7 @@ from so3inv.errors import (IntegralityFailure, MixedModulus, NotAnOddPrime,
                            NotAUnit)
 from so3inv.series import TruncPoly, q_power, vee
 from zq_reference import (divide_by_x, gauss_moment_diamond, odd_gauss_moment,
-                          to_xpoly_pascal, unit_u)
+                          qpow, to_xpoly_pascal, unit_u)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

@@ -1,19 +1,22 @@
 """The central identity, both directions: verification and recovery."""
 
+import copy
+import hashlib
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from so3inv.arith import odd_primes
+from so3inv.arith import _is_prime, odd_primes
 from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (BoundViolation, InsufficientModulus,
                            InsufficientTerms, NoClosedForm, So3InvError)
 from so3inv import ohtsuki
 from so3inv.nt import P1Surgery, SeifertData, h1_order, manifold_label
-from so3inv.ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
-                            diamond_side, reconstruct_lambda, vee_side,
-                            verify_identity)
+from so3inv.ohtsuki import (IdentityReport, check_bounds,
+                            closed_lambda_series, closed_zprime, diamond_side,
+                            reconstruct_lambda, vee_side, verify_identity)
 from so3inv.series import LambdaSeries, TruncPoly
 from so3inv.surgery import Lens
 
@@ -226,3 +229,101 @@ def test_closed_forms_reject_unsupported_spec(spec):
     with pytest.raises(NoClosedForm):
         closed_zprime(spec, 7)
 
+
+# reconstruction reads its candidate primes lazily: the seeds, then the
+# odd primes above them, each tested once, when a stream first reads
+# past those found so far.  The digests are of repr(result), or of
+# "Class: message" on failure, as the eager candidate list
+# seeds + odd_primes(seeds[-1] + 1, prime_ceiling) gave them.
+RECONSTRUCT_SAMPLE = [
+    (Lens(5, 2), odd_primes(7, 23), 6, 2000, "50886581a7b55bf8"),
+    (Lens(12, 5), odd_primes(7, 23), 6, 2000, "65523cafeea13dc1"),
+    (POINCARE, odd_primes(7, 23), 6, 2000, "f1990cf23ee6bd7a"),
+    (SeifertData([(2, 1), (-3, 1), (5, 1)]), odd_primes(7, 23), 2, 2000,
+     "3e468d2d299cb6a4"),
+    (P1Surgery("unlink", (-2, 5)), odd_primes(7, 23), 6, 2000,
+     "e9bf237b1c8c131d"),
+    (Lens(9, 1), (7, 11, 13, 17, 19), 6, 2000, "7a50802cd25fb0ea"),
+    (Lens(12, 5), odd_primes(7, 23), 6, 50, "87f4f9d0951b2ed7"),
+    (Lens(5, 2), (1999,), 6, 2000, "bd17a0bef3c7fd2e"),
+]
+
+
+@pytest.mark.parametrize("m, seeds, n_max, ceiling, digest",
+                         RECONSTRUCT_SAMPLE)
+def test_reconstruction_reads_candidate_primes_lazily(
+        monkeypatch, m, seeds, n_max, ceiling, digest):
+    tested = []
+    monkeypatch.setattr(ohtsuki, "_is_prime",
+                        lambda n: tested.append(n) or _is_prime(n))
+    try:
+        out = repr(reconstruct_lambda(m, seeds, n_max,
+                                      prime_ceiling=ceiling))
+    except So3InvError as e:
+        out = f"{type(e).__name__}: {e}"
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
+    assert tested == sorted(set(tested)) and len(tested) < 60
+    if seeds == (1999,):
+        assert tested == [] and out == (
+            "InsufficientModulus: lambda_0 of L(5,2): no fraction both "
+            "stable and confirmed by two held-out primes, from 1 primes "
+            "up to 2000 (modulus 1999)")
+
+
+# the four records: the fields in order, sample values, and the repr
+RECORDS = [
+    (Lens, ("p", "q"), (5, 2), "Lens(p=5, q=2)"),
+    (P1Surgery, ("jones", "framings"), ("unlink", (-2, 5)),
+     "P1Surgery(jones='unlink', framings=(-2, 5))"),
+    (IdentityReport,
+     ("manifold", "K", "lhs", "rhs", "verdict", "first_mismatch", "error"),
+     ("L(5,2)", 7, TruncPoly([1, 0, 5, 2], 7), TruncPoly([1, 0, 5, 3], 7),
+      "unequal", 3, None),
+     "IdentityReport(manifold='L(5,2)', K=7, lhs=TruncPoly([1, 0, 5, 2], "
+     "mod 7), rhs=TruncPoly([1, 0, 5, 3], mod 7), verdict='unequal', "
+     "first_mismatch=3, error=None)"),
+    (LambdaSeries,
+     ("manifold", "n_max", "values", "provenance", "moduli", "primes_used",
+      "skipped"),
+     ("L(5,2)", 1, (Fraction(1), Fraction(-1, 5)), "reconstruction",
+      (7, 77), (7, 11), ((5, "H1DivisibleByK"),)),
+     "LambdaSeries(manifold='L(5,2)', n_max=1, values=(Fraction(1, 1), "
+     "Fraction(-1, 5)), provenance='reconstruction', moduli=(7, 77), "
+     "primes_used=(7, 11), skipped=((5, 'H1DivisibleByK'),))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values, text", RECORDS)
+def test_records_are_frozen_values(cls, fields, values, text):
+    r = cls(*values)
+    assert r == cls(**dict(zip(fields, values)))
+    assert tuple(getattr(r, f) for f in fields) == values
+    assert repr(r) == text
+    assert hash(r) == hash(values)
+    # equal only within one class, and only when every field is
+    assert r != values and r != SeifertData([(2, 1)])
+    last = {Lens: 3, P1Surgery: (-2, 7)}.get(cls, "other")
+    assert r != cls(*values[:-1], last)
+    for back in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert type(back) is cls and back == r and repr(back) == text
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(r, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, f)
+    with pytest.raises(AttributeError):
+        r.extra = 0
+    assert tuple(getattr(r, f) for f in fields) == values
+
+
+def test_record_defaults_and_validation():
+    rep = IdentityReport("L(5,2)", 5, None, None, "skipped", error="E: e")
+    assert rep.first_mismatch is None and rep.error == "E: e"
+    lam = LambdaSeries("m", 0, (1,), "closed-form")
+    assert (lam.moduli, lam.primes_used, lam.skipped) == ((), (), ())
+    assert lam[0] == 1
+    with pytest.raises(InsufficientTerms, match="need 3 values, got 1"):
+        LambdaSeries("m", 2, (1,), "closed-form")
+    assert P1Surgery("unlink", [-2, 5]).framings == (-2, 5)
+    assert {Lens(5, 2), Lens(p=5, q=2), Lens(5, 3)} == {Lens(5, 2),
+                                                         Lens(5, 3)}

@@ -11,7 +11,7 @@ import so3inv.nt
 from so3inv import cyclotomic, surgery
 from so3inv.arith import even_inv, inv_int, legendre, odd_primes, sign
 from so3inv.closedform import _phase_to_q, lens_zprime, seifert_zprime
-from so3inv.cyclotomic import CycInt, eval_complex, odd_window, qpow
+from so3inv.cyclotomic import CycInt, eval_complex, odd_window
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
                            NotAnOddPrime, NotCoprime, NotRHS,
                            PhaseNotReducible, ZeroLowerLeft)
@@ -19,7 +19,8 @@ from so3inv.jones import get_table
 from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
-from zq_reference import divide_by_x, kirby_melvin_check, unit_u, z_numeric
+from zq_reference import (divide_by_x, kirby_melvin_check, qpow, unit_u,
+                          z_numeric)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 

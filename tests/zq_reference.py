@@ -10,6 +10,9 @@ Laurent algebra (`_laurent_mul`, and `_div_z_step`, which re-multiplies
 to check each division).  The tests check the integer passes of
 `so3inv` against them.
 
+Single powers of q.  `qpow` builds q^n as one basis element; the
+library sums q-powers as runs (`cyclotomic.from_runs`) instead.
+
 Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
 Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
 keep the older route, which strips the guaranteed power x^((K-1)/2) one
@@ -44,7 +47,7 @@ from typing import Callable, Sequence
 
 from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
 from so3inv.cyclotomic import (CycInt, _raw, divide_exact, fixed_roots,
-                               from_runs, gauss_sum, odd_window, qpow)
+                               from_runs, gauss_sum, odd_window)
 from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
                            InsufficientTerms, IntegralityFailure, So3InvError)
 from so3inv.nt import ManifoldSpec
@@ -164,6 +167,17 @@ def seifert_cn_laurent(avals) -> dict:
 
 class FactorialNotInvertible(So3InvError):
     """A factorial in a denominator is divisible by the prime."""
+
+
+def qpow(n: int, K: int) -> CycInt:
+    """q^n as a basis element (top power folded down)."""
+    as_prime(K)
+    n %= K
+    if n == K - 1:
+        return _raw((-1,) * (K - 1), K)
+    coeffs = [0] * (K - 1)
+    coeffs[n] = 1
+    return _raw(tuple(coeffs), K)
 
 
 def divide_by_x(a: CycInt) -> CycInt:
