@@ -309,37 +309,55 @@ def cmd_verify(args) -> int:
     return 3 if failed or unverified else 0
 
 
+def _lambda_task(task):
+    """(rows, stderr lines, exit status) of one manifold, or the
+    So3InvError that stops the command at it."""
+    m, nmax, primes = task
+    label, notes, rows, status = manifold_label(m), [], [], 0
+    try:
+        h1 = h1_order(m)
+        series = [closed_lambda_series(m, nmax)]
+        if primes:
+            series.append(reconstruct_lambda(m, primes, nmax))
+    except So3InvError as e:
+        return e
+    for rec in series[1:]:
+        notes.extend(f"{rec.manifold}: reconstruction skipped K = {K}: {why}"
+                     for K, why in rec.skipped)
+        if any(series[0][n] != rec[n] for n in range(nmax + 1)):
+            notes.append(f"cross-path mismatch for {label}")
+            status = 3
+    for s in series:
+        for n in range(nmax + 1):
+            try:
+                check_bounds(label, n, h1, s[n])
+                bounds = "ok"
+            except So3InvError as e:
+                bounds = f"violated: {e}"
+                status = 3
+            rows.append((label, n, str(s[n]), s.provenance,
+                         s.moduli[n] if s.moduli else "", bounds))
+    return rows, notes, status
+
+
 def cmd_lambda(args) -> int:
     manifolds = gather_manifolds(args)
     if not manifolds:
         raise UsageError("no manifolds given")
     if args.nmax < 0:
         raise UsageError(f"--nmax: need at least 0, got {args.nmax}")
+    primes = args.primes if args.reconstruct else None
     rows = []
     status = 0
-    for m in sorted(manifolds, key=manifold_label):
-        h1 = h1_order(m)
-        series = [closed_lambda_series(m, args.nmax)]
-        if args.reconstruct:
-            rec = reconstruct_lambda(m, args.primes, args.nmax)
-            series.append(rec)
-            for K, why in rec.skipped:
-                print(f"{rec.manifold}: reconstruction skipped K = {K}: "
-                      f"{why}", file=sys.stderr)
-            if any(series[0][n] != rec[n] for n in range(args.nmax + 1)):
-                print(f"cross-path mismatch for {manifold_label(m)}",
-                      file=sys.stderr)
-                status = 3
-        for s in series:
-            for n in range(args.nmax + 1):
-                try:
-                    check_bounds(manifold_label(m), n, h1, s[n])
-                    bounds = "ok"
-                except So3InvError as e:
-                    bounds = f"violated: {e}"
-                    status = 3
-                rows.append((manifold_label(m), n, str(s[n]), s.provenance,
-                             s.moduli[n] if s.moduli else "", bounds))
+    for result in _pool(_lambda_task, [(m, args.nmax, primes)
+                                       for m in manifolds], args.workers):
+        if isinstance(result, So3InvError):
+            raise result
+        part, notes, code = result
+        for note in notes:
+            print(note, file=sys.stderr)
+        rows.extend(part)
+        status = max(status, code)
     _emit(rows, ("manifold", "n", "value", "provenance", "modulus", "bounds"),
           args)
     return status

@@ -11,11 +11,12 @@ x-adic order and the diamond truncation) are what connect exact
 invariants to their rational series images.
 
 The module also owns the one table of transcendental values in the
-package, `fixed_roots`: the roots of unity, filled by mpmath (imported
-on first use) and held as integers at a scale 2^B that loses no bit.
-`eval_complex` and the numeric surgery oracle sum over those integers,
-so their rounding enters only through the correctly rounded entries,
-the oracle's shifts and floor divisions, and one final conversion.
+package, `fixed_roots`: the roots of unity as integers at a scale 2^B,
+the powers of one root from mpmath (imported on first use), each the
+integer nearest 2^B times its root up to one unit.  `eval_complex` and
+the numeric surgery oracle sum over those integers, so their rounding
+enters only through the table entries, the oracle's shifts and floor
+divisions, and one final conversion.
 
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes
@@ -251,26 +252,43 @@ def fixed_roots(n: int) -> tuple:
     working precision, as integers at scale 2^B.
 
     The one table of transcendental values: eval_complex and the
-    surgery oracle read their roots of unity and sines from it.  Each
-    entry is one correctly rounded expjpi, built once per (n,
-    mpmath.mp.prec), so a table never serves another precision.
-    re[e] * 2^-B and im[e] * 2^-B are the real and imaginary parts of
-    entry e exactly.  With B = prec + n.bit_length() + 1 no bit is lost:
-    a nonzero part is at least sin(pi/(2n)) >= 1/n, so the last bit of
-    its prec-bit mantissa lies above 2^-B.  Integer sums of products
-    over these entries are exact, and each shift back to scale 2^B or
-    floor division rounds by at most one unit of 2^-B.
+    surgery oracle read their roots of unity and sines from it.  It is
+    built once per (n, mpmath.mp.prec), so a table never serves another
+    precision, with B = prec + n.bit_length() + 1.  One expjpi gives
+    zeta = exp(2*pi*i/n) at G + 16 bits, G = B + 64 + n.bit_length(),
+    rounded to nearest at scale 2^G; the table is its powers zeta^e, by
+    n - 1 integer complex products at scale 2^G, each rounded to
+    nearest, and each power rounded to nearest at scale 2^B.
+
+    Error bound: the rounded zeta is within 2^-G of the root, so each
+    product moves the power at most 2^-G from the root's own power and
+    rounds it by at most 2^-G more; power e lies within 2e * 2^-G <
+    2^-63 * 2^-B of exp(2*pi*i*e/n).  So re[e] and im[e] are the
+    integers nearest 2^B cos(2*pi*e/n) and 2^B sin(2*pi*e/n) unless
+    one of those lies within 2^-63 of a half-integer, and within one
+    unit of it always; entries on the axes are exact.  Integer sums of
+    products over these entries are exact, and each shift back to
+    scale 2^B or floor division rounds by at most one unit of 2^-B.
     """
     import mpmath
 
     key = (n, mpmath.mp.prec)
     entry = _ROOTS.get(key)
     if entry is None:
-        roots = [mpmath.expjpi(mpmath.mpf(2 * e) / n) for e in range(n)]
         B = mpmath.mp.prec + n.bit_length() + 1
-        entry = _ROOTS[key] = (
-            B, tuple(int(mpmath.ldexp(r.real, B)) for r in roots),
-            tuple(int(mpmath.ldexp(r.imag, B)) for r in roots))
+        G = B + 64 + n.bit_length()
+        with mpmath.workprec(G + 16):
+            zeta = mpmath.expjpi(mpmath.mpf(2) / n)
+            zr, zi = (int(mpmath.nint(mpmath.ldexp(c, G)))
+                      for c in (zeta.real, zeta.imag))
+        half, down = 1 << (G - 1), 1 << (G - B - 1)
+        x, y = 1 << G, 0
+        re, im = [1 << B], [0]
+        for _ in range(n - 1):
+            x, y = (x * zr - y * zi + half) >> G, (x * zi + y * zr + half) >> G
+            re.append((x + down) >> (G - B))
+            im.append((y + down) >> (G - B))
+        entry = _ROOTS[key] = (B, tuple(re), tuple(im))
     return entry
 
 
@@ -279,7 +297,8 @@ def eval_complex(a: CycInt, precision: int = 50) -> complex:
 
     The sum of c_i * q^i is taken exactly over the integers of
     `fixed_roots(K)`, so its only rounding is that of the table entries
-    (correctly rounded by mpmath) and of the one conversion at the end.
+    (each within one unit of 2^-B of its root) and of the one
+    conversion at the end.
     A component no larger than K * sum|c_i| * 10^(1 - precision) is
     returned as 0.0: it is noise, not a digit of the value.  A
     precision below one digit raises BadPrecision.

@@ -8,8 +8,8 @@ the empty link.  At an odd color [a] is `cyclotomic.sine_quotient(a)`,
 one run of powers of q.  Integer surgery on such a link is a connected
 sum, which `surgery.exact_p1` computes one component at a time, adding
 one such run per color; the numeric oracle evaluates the same values
-from the sines of the one roots table, as the integers of
-`cyclotomic.fixed_roots`.
+from the sines of the one roots table, `cyclotomic.fixed_roots`: the
+integers nearest 2^B sin(pi*a/K), up to one unit.
 """
 
 from __future__ import annotations

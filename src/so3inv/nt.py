@@ -76,11 +76,12 @@ def _ints(values, what: str, n: int = None) -> tuple:
     return vals
 
 
-class SeifertData:
+class SeifertData(_Record):
     """A star-shaped presentation: exceptional fibers p_j / q_j.
 
     P is the product of the p_j; H = P * sum(q_j/p_j) is the order of
-    the first homology up to sign and must not vanish.
+    the first homology up to sign and must not vanish.  Both follow
+    from the fibers, which alone are hashed and pickled.
     """
 
     __slots__ = ("fractions", "P", "H")
@@ -98,22 +99,21 @@ class SeifertData:
                 raise NotRHS(f"fiber {p}/{q} has zero order")
             if gcd(p, q) != 1:
                 raise NotCoprime(f"fiber {p}/{q} not reduced")
-        self.fractions = fr
-        self.P = prod(p for p, _ in fr)
-        self.H = sum(q * (self.P // p) for p, q in fr)  # p divides P
-        if self.H == 0:
+        P = prod(p for p, _ in fr)
+        H = sum(q * (P // p) for p, q in fr)  # p divides P
+        if H == 0:
             raise HZero("first homology is infinite")
+        super().__init__(fr, P, H)
 
     def __repr__(self):
         inner = ",".join(f"{p}/{q}" for p, q in self.fractions)
         return f"SeifertData({inner})"
 
-    def __eq__(self, other):
-        return (isinstance(other, SeifertData)
-                and other.fractions == self.fractions)
-
     def __hash__(self):
         return hash(self.fractions)
+
+    def __reduce__(self):
+        return SeifertData, (self.fractions,)
 
 
 class Lens(_Record):

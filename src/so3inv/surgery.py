@@ -22,15 +22,17 @@ guaranteed power x^((K-1)/2) of x = q - 1.
 
 The numeric path imports mpmath when it runs (exact_p1 never loads it)
 and works at a precision that grows with K (50 + 2K digits unless
-overridden; BadPrecision below one digit).  mpmath fills the one
-roots-of-unity table, cyclotomic.fixed_roots, and makes the final
-conversion to complex; the color sums in between are integer
-fixed-point arithmetic over that table's integers: sums of products,
-each product shifted back to the table's scale 2^B once and each
-division by the sines one floor division.  Rounding enters
-only through the table entries (correctly rounded by mpmath), one unit
-of 2^-B per shift and one per floor division, so the 1e-9 cross-check
-tolerances hold with a large margin even near K = 100.  The sums read
+overridden; BadPrecision below one digit).  mpmath gives the one root
+from which the roots-of-unity table, cyclotomic.fixed_roots, is
+powered in integers, and makes the final conversion to complex; the
+color sums in between are integer fixed-point arithmetic over that
+table's integers: sums of products, each product shifted back to the
+table's scale 2^B once and each division by the sines one floor
+division.  Rounding enters only through the table entries (each within
+one unit of 2^-B of its root, and the nearest integer but for roots
+within 2^-63 units of a half-integer), one unit of 2^-B per shift and
+one per floor division, so the 1e-9 cross-check tolerances hold with
+a large margin even near K = 100.  The sums read
 the phases as roots of order K (the even entries of the table of order
 2K), sin(pi*y/K) as the imaginary part of a root of order 2K, and the
 color factor (q^-e - q^e) * i/2 as Im q^e; the invariant's constant

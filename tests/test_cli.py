@@ -353,14 +353,51 @@ def test_lambda_negative_nmax_is_usage_error(capsys, nmax):
     assert "--nmax" in err
 
 
-def test_lambda_reconstruct_deterministic_across_workers(capsys):
+def test_lambda_reconstruct_deterministic_across_workers(capsys,
+                                                         monkeypatch):
+    # --workers 2 runs one task per manifold in worker processes; stdout,
+    # stderr and the exit code are those of the sequential run
+    import concurrent.futures
+    import multiprocessing
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def map(self, *args, **kw):
+            results = list(super().map(*args, **kw))
+            started.extend(p.pid for p in multiprocessing.active_children())
+            return results
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     argv = ("lambda", "--lens", "12,5", "--seifert", "2/1,3/1,5/-4",
-            "--p1", "unlink:-2,5", "--nmax", "4", "--reconstruct")
-    code, seq, _ = run(capsys, *argv, "--workers", "1")
-    _, par, _ = run(capsys, *argv, "--workers", "2")
-    assert code == 0 and seq == par
-    rows = [l.split("\t") for l in seq.splitlines()[1:]]
-    assert len(rows) == 3 * 2 * 5
+            "--seifert", "2/1,-3/1,5/1", "--p1", "unlink:-2,5",
+            "--nmax", "4", "--reconstruct")
+    seq = run(capsys, *argv, "--workers", "1")
+    assert not started
+    assert run(capsys, *argv, "--workers", "2") == seq
+    assert started
+    code, out, err = seq
+    assert code == 0
+    assert err == ("X(2/1,-3/1,5/1): reconstruction skipped K = 11: "
+                   "H1DivisibleByK\n")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert len(rows) == 4 * 2 * 5
+    # a manifold that fails stops the command where it sorts, after the
+    # stderr lines of the manifolds before it
+    argv = ("lambda", "--p1", "unlink:5,7,11,13,17,1999", "--lens",
+            "5997,2", "--nmax", "0", "--reconstruct", "--primes",
+            "3,5,7,11,13,17,1999")
+    seq = run(capsys, *argv, "--workers", "1")
+    assert run(capsys, *argv, "--workers", "2") == seq
+    code, out, err = seq
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "L(5997,2): reconstruction skipped K = 3: H1DivisibleByK",
+        "computation failed: InsufficientModulus: lambda_0 of "
+        "S[unlink;5,7,11,13,17,1999]: no fraction both stable and "
+        "confirmed by two held-out primes, from 1 primes up to 2000 "
+        "(modulus 3)"]
 
 
 def test_lambda_s3_trivial(capsys):

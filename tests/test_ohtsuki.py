@@ -316,6 +316,27 @@ def test_records_are_frozen_values(cls, fields, values, text):
     assert tuple(getattr(r, f) for f in fields) == values
 
 
+def test_seifert_data_is_frozen():
+    # P and H follow from the fibers; none of the three can be reassigned
+    s = SeifertData([(2, 1), (3, 1), (5, -4)])
+    fibers = ((2, 1), (3, 1), (5, -4))
+    assert (s.fractions, s.P, s.H) == (fibers, 30, 1)
+    assert repr(s) == "SeifertData(2/1,3/1,5/-4)"
+    assert s == SeifertData(fibers) and hash(s) == hash(fibers)
+    assert s != SeifertData([(2, 1), (3, 1), (5, 1)]) and s != fibers
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert type(back) is SeifertData and back == s
+        assert (back.P, back.H) == (30, 1)
+    for f in ("fractions", "P", "H"):
+        with pytest.raises(AttributeError):
+            setattr(s, f, ((7, 1),))
+        with pytest.raises(AttributeError):
+            delattr(s, f)
+    with pytest.raises(AttributeError):
+        s.extra = 0
+    assert (s.fractions, s.P, s.H) == (fibers, 30, 1)
+
+
 def test_record_defaults_and_validation():
     rep = IdentityReport("L(5,2)", 5, None, None, "skipped", error="E: e")
     assert rep.first_mismatch is None and rep.error == "E: e"

@@ -125,35 +125,45 @@ def test_seifert_oracle_at_k101():
     assert abs(got - zprime_numeric(POINCARE, 101)) < 1e-9
 
 
+def _nearest(x, B):
+    """The integer nearest 2^B * x."""
+    return int(mpmath.nint(mpmath.ldexp(x, B)))
+
+
 @pytest.mark.parametrize("order", [(20, 60), (60, 20)])
 def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
-    # every table entry is the very mpmath call it replaces, at the
-    # precision in force: a table shared across precisions fails here
+    # every table entry is the integer nearest 2^B times the exact root,
+    # at the precision in force: a table shared across precisions fails
+    # here, and so do entries taken from one rounded expjpi(2e/n) each,
+    # which carry the rounding of their argument
     monkeypatch.setattr(cyclotomic, "_ROOTS", {})
-
-    def read_back(n):
-        B, re, im = cyclotomic.fixed_roots(n)
-        return [(mpmath.ldexp(x, -B), mpmath.ldexp(y, -B))
-                for x, y in zip(re, im)]
 
     for dps in order:
         with mpmath.workdps(dps):
             for K in (5, 7, 13, 101):
-                # the integers read back at their scale are those very
-                # calls, bit for bit: roots of order K, of order 2K and
-                # of order 2 * den, which the chain elements read
+                # roots of order K, of order 2K and of order 2 * den,
+                # which the chain elements read
                 den = 2 * K * 3
                 for n in (K, 2 * K, 2 * den):
-                    assert read_back(n) == [
-                        (r.real, r.imag) for r in (
-                            mpmath.expjpi(mpmath.mpf(2 * e) / n)
-                            for e in range(n))]
+                    B, re, im = cyclotomic.fixed_roots(n)
+                    assert B == mpmath.mp.prec + n.bit_length() + 1
+                    with mpmath.workprec(2 * B + 64):
+                        roots = [mpmath.expjpi(mpmath.mpf(2 * e) / n)
+                                 for e in range(n)]
+                        assert re == tuple(_nearest(r.real, B)
+                                           for r in roots)
+                        assert im == tuple(_nearest(r.imag, B)
+                                           for r in roots)
                 # the oracle's sines are Im of the roots of order 2K
-                assert [y for _, y in read_back(2 * K)] == [
-                    mpmath.sinpi(mpmath.mpf(y) / K) for y in range(2 * K)]
+                B, _, sines = cyclotomic.fixed_roots(2 * K)
+                with mpmath.workprec(2 * B + 64):
+                    assert sines == tuple(
+                        _nearest(mpmath.sinpi(mpmath.mpf(y) / K), B)
+                        for y in range(2 * K))
         for a in (lens_zprime(-5, 2, 7), lens_zprime(3, 1, 7),
                   seifert_zprime(POINCARE, 13),
-                  seifert_zprime(POINCARE, 101)):
+                  seifert_zprime(POINCARE, 101),
+                  seifert_zprime(POINCARE, 211)):
             K = a.K
             got = eval_complex(a, dps)
             with mpmath.workdps(dps):
@@ -166,6 +176,23 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                     assert abs(g - w) <= bound + abs(w) * 2 ** -52
     # L(-5,2) is real: its imaginary part is rounding noise, printed as 0
     assert eval_complex(lens_zprime(-5, 2, 7)).imag == 0.0
+
+
+def test_one_expjpi_call_per_table(monkeypatch):
+    # a table is the powers of one root from mpmath, built once per
+    # (order, precision)
+    monkeypatch.setattr(cyclotomic, "_ROOTS", {})
+    calls = []
+    expjpi = mpmath.expjpi
+    monkeypatch.setattr(mpmath, "expjpi",
+                        lambda x: calls.append(x) or expjpi(x))
+    for dps in (15, 50):
+        with mpmath.workdps(dps):
+            for n in (7, 14, 1212):
+                for _ in range(2):
+                    cyclotomic.fixed_roots(n)
+                assert len(calls) == len(cyclotomic._ROOTS)
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("precision", [0, -3])
