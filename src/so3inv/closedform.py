@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import lcm
 from operator import sub
 
 from .arith import as_prime, inv_int, legendre, rat_residue, sign
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .nt import Lens, SeifertData, dedekind_sum, manifold_label
 from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
-                     exp_sum_series, q_power)
+                     q_power, sinh_over_u, u_over_sinh)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,10 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
 def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     """Trivial-connection series of a star-shaped RHS, lambda_0 = 1.
 
-    The fiber prefactor prod_j sinh(u/p_j) / sinh(u)^(N-2), at u = L*w
-    with L = lcm |p_j|, is the exponential-sum quotient of prod_j
-    (e^(wL/p_j) - e^(-wL/p_j)) by 4 (e^(Lw) - e^(-Lw))^(N-2).  Both sums
-    stay sparse, at most 2^N and N - 1 terms whatever the size of L.
+    With t = u^2 and sinh(u/p) = (u/p) S(t/p^2), S = `sinh_over_u`, the
+    fiber prefactor 4 prod_j sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t),
+    G = prod_j S(t/p_j^2) (u/sinh u)^(N-2), or S(t) prod_j S(t/p_j^2) for
+    N = 1: no division, as u/sinh(u) (`u_over_sinh`) is cached per cap.
     Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
     rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
     (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
@@ -245,23 +245,14 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     """
     cap = n_max
     n = len(S.fractions)
-    L = lcm(*(abs(p) for p, _ in S.fractions))
-    num = {0: 1}  # for N = 1, sinh(u)^(2-N) = sinh(u) joins the numerator
-    for m in [L // p for p, _ in S.fractions] + [L] * (n == 1):
-        step = {}  # num * (e^(mw) - e^(-mw))
-        for k, c in num.items():
-            step[k + m] = step.get(k + m, 0) + c
-            step[k - m] = step.get(k - m, 0) - c
-        num = step
-    den = ({(n - 2 - 2 * i) * L: (-1) ** i * comb(n - 2, i)
-            for i in range(n - 1)} if n > 2 else None)
-    fib = exp_sum_series(num, 2 * cap + 2, den)
-    dbl = 1
-    mom = [Fraction(0)] * (cap + 2)
-    ratio = Fraction(S.P, S.H * L * L)  # P/H per u^2, u^2 = L^2 w^2
-    for m in range(1, cap + 2):
-        dbl *= 2 * m - 1  # (2m-1)!!
-        mom[m] = fib.coeff(2 * m) * dbl * ratio ** m
+    g = sinh_over_u(1, cap) if n == 1 else u_over_sinh(cap) ** (n - 2)
+    for p, _ in S.fractions:
+        g = g * sinh_over_u(Fraction(1, p * p), cap)
+    mom, w = [0], Fraction(4, S.P)
+    ratio = Fraction(S.P, S.H)  # P/H per t = u^2
+    for m, c in enumerate(g.coeffs, 1):
+        w *= (2 * m - 1) * ratio  # (4/P) (2m-1)!! (P/H)^m
+        mom.append(c * w)
     r = _seifert_r(S, _fiber_dedekind(S))
     over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
     ser = over_x * q_power(r + Fraction(1, 2), cap) * Fraction(S.H, 2)

@@ -6,10 +6,10 @@ TruncPoly is its shadow mod an odd prime K, truncated at degree
 well-defined polynomial trace (see cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
-produce: (1+x)^r for rational r, finite exponential sums sum_k c_k e^(kw)
-and their quotients (sinh quotients in u) for re-expansion at
-T = (1/2)log(1+x), one route each: e^(cT) is (1+x)^(c/2) there, so
-`q_power` gives it directly.
+produce, one route each: (1+x)^r for rational r, and sinh(u)/u and its
+reciprocal u/sinh(u) as series in t = u^2, from which the Seifert fiber
+products are built before re-expansion at T = (1/2)log(1+x); e^(cT) is
+(1+x)^(c/2) there, so `q_power` gives it directly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
@@ -106,8 +106,9 @@ class RatSeries:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -197,21 +198,25 @@ def at_half_log(s: RatSeries) -> RatSeries:
          for w, d in _half_log_powers(s.cap)], s.cap)
 
 
-def exp_sum_series(num: dict, cap: int, den: dict = None) -> RatSeries:
-    """sum_k c_k e^(kw), num = {k: c_k} with integer k, as a series in w:
-    [w^n] = sum_k c_k k^n / n!.  Given den, the quotient num / den, the
-    zero of den at w = 0 divided out of both before one s_div."""
-    top = cap + 1 + len(den or ())  # a nonzero den has d < len(den)
+def sinh_over_u(a, cap: int) -> RatSeries:
+    """sinh(u)/u at u^2 = a*t as a series in t: [t^n] = a^n / (2n+1)!."""
+    a = _frac(a)
+    facts = accumulate((2 * n * (2 * n + 1) for n in range(1, cap + 1)), mul,
+                       initial=1)
+    return RatSeries([a ** n / f for n, f in enumerate(facts)], cap)
 
-    def expand(terms):
-        return [Fraction(sum(c * k ** n for k, c in terms.items()),
-                         factorial(n)) for n in range(top)]
-    a, b = expand(num), expand(den or {0: 1})
-    d = next((n for n, v in enumerate(b) if v), 0)
-    if any(a[:d]):
-        raise NonUnitDivisor(f"numerator does not vanish to order {d}")
-    a, b = RatSeries(a[d:], cap), RatSeries(b[d:], cap)
-    return a if den is None else s_div(a, b)
+
+@lru_cache(maxsize=32)
+def u_over_sinh(cap: int) -> RatSeries:
+    """u/sinh(u) as a series in t = u^2, [t^n] = g_n / (2n)!: as the
+    reciprocal of sinh_over_u(1, cap), sum_{j<=n} C(2n+1, 2j) g_j = [n = 0]
+    ((2n+1)! [t^n] of the product), so g_n = (2 - 2^(2n)) B_2n."""
+    g = [Fraction(1)]
+    for n in range(1, cap + 1):
+        nums, den = _over_lcm(g)
+        g.append(Fraction(-sum(comb(2 * n + 1, 2 * j) * c
+                               for j, c in enumerate(nums)), den * (2 * n + 1)))
+    return RatSeries([c / factorial(2 * n) for n, c in enumerate(g)], cap)
 
 
 class TruncPoly:

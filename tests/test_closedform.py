@@ -385,7 +385,8 @@ def _seifert_series_through_sinh_division(S, n_max):
     [(2, 1), (4, 1), (5, 2), (3, 1)],
     [(2, 1), (3, 1), (5, 1), (7, -2), (-11, 3)],
     [(2, 1), (3, -1), (5, 2), (7, 1), (9, -4), (-4, 3)],
-    # L = lcm |p_j| about 1e8 and 1e9: the cost must not grow with L
+    # large coprime fibers, P about 1e8 and 1e9: the cost must not
+    # grow with the fiber orders
     [(97, 1), (101, 1), (103, 1), (107, 1)],
     [(-97, 1), (101, 2), (103, -1), (107, 3)],
     [(1009, 1), (1013, 1), (1019, 1)]])
@@ -492,6 +493,24 @@ def test_orientation_reversal_conjugates_seifert_zprime():
                 continue
             assert seifert_zprime(mirror, K) == want, (S, K)
             cells += 1
+
+
+def test_orientation_reversal_conjugates_seifert_lambda():
+    # -M negates every q_j; q -> q^-1 is 1+x -> 1/(1+x), so
+    # lambda(-M)(x) = lambda(M)(-x/(1+x)), through the Horner compose
+    n_max = 8
+    inner = RatSeries([0] + [(-1) ** n for n in range(1, n_max + 1)], n_max)
+    rng = random.Random(67)
+    cells = 0
+    while cells < 120:
+        S = _seeded_seifert(rng, 1, 5)
+        if S is None:
+            continue
+        mirror = SeifertData([(p, -q) for p, q in S.fractions])
+        lam = RatSeries(seifert_lambda_series(S, n_max).values, n_max)
+        assert (seifert_lambda_series(mirror, n_max).values
+                == lam.compose(inner).coeffs), S
+        cells += 1
 
 
 def _same_zprime_or_error(S, T, K):

@@ -20,14 +20,15 @@ from so3inv.series import (
     TruncPoly,
     LambdaSeries,
     at_half_log,
-    exp_sum_series,
     q_power,
     s_div,
+    sinh_over_u,
+    u_over_sinh,
     vee,
 )
-from zq_reference import (FactorialNotInvertible, gauss_moment_diamond,
-                          q_power_recurrence, schoolbook_mul,
-                          vee_per_coefficient, x_over_log_pow)
+from zq_reference import (FactorialNotInvertible, exp_sum_series,
+                          gauss_moment_diamond, q_power_recurrence,
+                          schoolbook_mul, vee_per_coefficient, x_over_log_pow)
 
 
 def _log1p(cap):
@@ -163,6 +164,31 @@ def test_exp_sum_series_quotient_divides_out_the_zero():
         exp_sum_series({0: 1}, 4, {1: 1, -1: -1})
     with pytest.raises(NonUnitDivisor):
         exp_sum_series({0: 1}, 4, {2: 0})
+
+
+# B_0, B_2, ..., B_20: the even-index Bernoulli numbers
+_BERNOULLI_EVEN = [Fraction(1), Fraction(1, 6), Fraction(-1, 30),
+                   Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+                   Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+                   Fraction(43867, 798), Fraction(-174611, 330)]
+
+
+def test_sinh_over_u_coefficients():
+    assert sinh_over_u(1, 0) == RatSeries.const(1, 0)
+    for a in (1, -3, Fraction(1, 4), Fraction(-2, 9)):
+        assert sinh_over_u(a, 12) == RatSeries(
+            [Fraction(a) ** n / factorial(2 * n + 1) for n in range(13)], 12)
+
+
+def test_u_over_sinh_is_the_bernoulli_series():
+    # u/sinh(u) = sum_n (2 - 2^(2n)) B_2n u^(2n) / (2n)!
+    s = u_over_sinh(len(_BERNOULLI_EVEN) - 1)
+    assert s.coeffs == tuple((2 - 2 ** (2 * n)) * b / factorial(2 * n)
+                             for n, b in enumerate(_BERNOULLI_EVEN))
+    for c in (0, 1, 40, 105):
+        assert u_over_sinh(c) * sinh_over_u(1, c) == RatSeries.const(1, c)
+    assert u_over_sinh(40) == s_div(RatSeries.const(1, 40),
+                                    sinh_over_u(1, 40))
 
 
 def test_truncpoly_basics():

@@ -36,6 +36,11 @@ The color-expansion lemma.  `expansion_check` verifies the structural
 bounds on the color expansion around t = 0 of a one-color evaluation
 given as a series, such as the unknot's `sin_quotient_series` or the
 Seifert fiber evaluation `seifert_beta_series`.
+
+Finite exponential sums.  `exp_sum_series` expands sum_k c_k e^(kw) as a
+series in w, or the quotient of two such sums, the divisor's zero at
+w = 0 divided out, by one `s_div`; `sin_quotient_series` builds each [c]
+from it.
 """
 
 from __future__ import annotations
@@ -49,10 +54,10 @@ from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
 from so3inv.cyclotomic import (CycInt, _raw, divide_exact, fixed_roots,
                                from_runs, gauss_sum, odd_window)
 from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
-                           InsufficientTerms, IntegralityFailure, So3InvError)
+                           InsufficientTerms, IntegralityFailure,
+                           NonUnitDivisor, So3InvError)
 from so3inv.nt import ManifoldSpec
-from so3inv.series import (RatSeries, TruncPoly, _frac, exp_sum_series, s_div,
-                           vee)
+from so3inv.series import RatSeries, TruncPoly, _frac, s_div, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
                             _value, zprime_numeric)
 
@@ -322,6 +327,23 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
     b = z_numeric(M, 3, precision)
     factor = b.conjugate() if K % 4 == 1 else b
     return abs(z - zp * factor) <= tol
+
+
+def exp_sum_series(num: dict, cap: int, den: dict = None) -> RatSeries:
+    """sum_k c_k e^(kw), num = {k: c_k} with integer k, as a series in w:
+    [w^n] = sum_k c_k k^n / n!.  Given den, the quotient num / den, the
+    zero of den at w = 0 divided out of both before one s_div."""
+    top = cap + 1 + len(den or ())  # a nonzero den has d < len(den)
+
+    def expand(terms):
+        return [Fraction(sum(c * k ** n for k, c in terms.items()),
+                         factorial(n)) for n in range(top)]
+    a, b = expand(num), expand(den or {0: 1})
+    d = next((n for n, v in enumerate(b) if v), 0)
+    if any(a[:d]):
+        raise NonUnitDivisor(f"numerator does not vanish to order {d}")
+    a, b = RatSeries(a[d:], cap), RatSeries(b[d:], cap)
+    return a if den is None else s_div(a, b)
 
 
 def sin_quotient_series(c: int, cap: int) -> RatSeries:
