@@ -13,11 +13,12 @@ of (n, sign) pairs (DiamondMismatch otherwise).  Everything here is
 cross-checked against the numeric oracle in `surgery` by the test
 suite.
 
-Orientation convention: L(p, q) with p < 0 denotes the mirror of
-L(-p, -q); closed forms are stated for p > 0, so inputs are normalized
-first (the literal absolute-denominator Dedekind sums would otherwise
-collapse mirror pairs, which is wrong).  A Seifert fiber p_j/q_j with
-p_j < 0 is oriented the same way: its Dedekind sum is s(-q_j, -p_j).
+Orientation convention, one rule for every slope p/q, a lens space
+L(p, q) or a Seifert fiber p_j/q_j: the slope is read as -p/-q when
+p < 0, so its Dedekind sum is s(sign(p) q, |p|) (`_slope_dedekind`),
+and every other factor reads |p|.  L(p, q) with p < 0 is thus the
+mirror of L(-p, -q); the literal s(q, |p|) would collapse mirror pairs,
+which is wrong.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .cyclotomic import CycInt, from_runs, sine_run
 from .errors import (
     BadNormalization,
     DiamondMismatch,
+    DivisibilityFailure,
     H1DivisibleByK,
     IntegralityFailure,
     PDivisibleByK,
@@ -47,39 +49,36 @@ from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
 # lens spaces
 
 
-def _lens_normal(p: int, q: int):
-    """Orientation-normalized lens parameters: p > 0, and (1,0) -> (1,1)."""
-    if p < 0:
-        p, q = -p, -q
-    if q == 0:
-        q = p  # L(1,0) only; same manifold as L(1,1)
-    return p, q
+def _slope_dedekind(p: int, q: int) -> Fraction:
+    """s(sign(p) q, |p|): the Dedekind sum of the slope p/q read with
+    p > 0, the one orientation rule of the module docstring."""
+    return dedekind_sum(sign(p) * q, abs(p))
 
 
 def lens_zprime(p: int, q: int, K) -> CycInt:
     """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1."""
     K = as_prime(K)
     Lens(p, q)  # validates p != 0 and gcd(p, q) = 1
-    p, q = _lens_normal(p, q)
     if p % K == 0:
-        raise PDivisibleByK(f"|H1| = {p} is divisible by K = {K}")
-    pstar = inv_int(p, K)
-    sv = rat_residue(3 * dedekind_sum(q, p), K)
+        raise PDivisibleByK(f"|H1| = {abs(p)} is divisible by K = {K}")
+    sv = rat_residue(3 * _slope_dedekind(p, q), K)
+    p = abs(p)
     # q^sv * [p*]: one run of powers of q
-    return from_runs([sine_run(sv, pstar, legendre(p, K), K)], K)
+    return from_runs([sine_run(sv, inv_int(p, K), legendre(p, K), K)], K)
 
 
 def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
     """Trivial-connection series of L(p, q), normalized so lambda_0 = 1.
 
-    The series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
+    For p > 0 (the orientation rule of the module docstring), the
+    series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
     As e^T = (1+x)^(1/2), that is p * [(1+x)^(r+) - (1+x)^(r-)] / x with
     r+- = 3 s(q,p) + (1 +- 1/p)/2, so lambda_n = p * [C(r+, n+1) -
     C(r-, n+1)]; the leading coefficient is checked, not forced.
     """
     label = manifold_label(Lens(p, q))
-    p, q = _lens_normal(p, q)
-    r = 3 * dedekind_sum(q, p) + Fraction(1, 2)
+    r = 3 * _slope_dedekind(p, q) + Fraction(1, 2)
+    p = abs(p)
     b = lcm(r.denominator, 2 * p)  # r+- = (a +- h) / b
     a, h = r.numerator * (b // r.denominator), b // (2 * p)
     (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
@@ -114,7 +113,7 @@ def seifert_cn(avals) -> dict:
     The left side is `_sinh_product` reversed, and f = g (z^-1 - z) is
     f_i = g_i - g_(i-2): each of the N - 1 divisions is the running sums
     of each parity class, and a zero remainder (its last two sums;
-    IntegralityFailure otherwise) proves the identity exactly.
+    DivisibilityFailure otherwise) proves the identity exactly.
     """
     avals = tuple(int(a) for a in avals)
     if not avals or any(a < 1 for a in avals):
@@ -123,7 +122,7 @@ def seifert_cn(avals) -> dict:
     for _ in range(len(avals) - 1):
         g[0::2], g[1::2] = accumulate(g[0::2]), accumulate(g[1::2])
         if any(g[-2:]):
-            raise IntegralityFailure("Laurent division left a remainder")
+            raise DivisibilityFailure("Laurent division left a remainder")
         del g[-2:]
     if g != [-c for c in reversed(g)]:
         raise IntegralityFailure("multiplicity table is not antisymmetric")
@@ -144,7 +143,7 @@ def _seifert_preconditions(S: SeifertData, K: int):
 
 def _fiber_dedekind(S: SeifertData) -> Fraction:
     """sum_j s(q_j, p_j) over the fibers oriented to p_j > 0."""
-    return sum(dedekind_sum(sign(p) * q, abs(p)) for (p, q) in S.fractions)
+    return sum(_slope_dedekind(p, q) for (p, q) in S.fractions)
 
 
 def _seifert_r(S: SeifertData, dd: Fraction) -> Fraction:

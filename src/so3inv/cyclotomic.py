@@ -32,7 +32,7 @@ from typing import Sequence
 from .arith import as_prime
 from .errors import (
     BadPrecision,
-    IntegralityFailure,
+    DivisibilityFailure,
     MixedModulus,
     NotAUnit,
 )
@@ -89,9 +89,6 @@ class CycInt:
         if o is NotImplemented:
             return o
         return _raw(tuple(map(sub, self.coeffs, o.coeffs)), self.K)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -219,9 +216,10 @@ def gauss_sum(c: int, K: int) -> CycInt:
 
 
 def divide_exact(a: CycInt, n: int) -> CycInt:
-    """a / n for an integer n that divides every coefficient of a."""
+    """a / n for an integer n that divides every coefficient of a
+    (DivisibilityFailure otherwise)."""
     if any(c % n for c in a.coeffs):
-        raise IntegralityFailure(f"coefficients not divisible by {n}")
+        raise DivisibilityFailure(f"coefficients not divisible by {n}")
     return _raw(tuple([c // n for c in a.coeffs]), a.K)
 
 

@@ -79,7 +79,7 @@ class ChainDegenerate(So3InvError):
     re-presentation of the manifold avoids it."""
 
 
-class DivisibilityFailure(So3InvError):
+class DivisibilityFailure(IntegralityFailure):
     """Exact division left a remainder that should have vanished."""
 
 

@@ -26,8 +26,8 @@ from .arith import as_prime, inv_int
 from .errors import (
     DenominatorDivisibleByK,
     InsufficientTerms,
-    NonUnitDivisor,
     NonzeroConstantInExp,
+    NotAUnit,
 )
 
 
@@ -100,7 +100,7 @@ class RatSeries:
 
     def __pow__(self, n: int) -> "RatSeries":
         if n < 0:
-            return s_div(RatSeries.const(1, self.cap), self) ** (-n)
+            raise NotAUnit(f"RatSeries ** {n}: inverses are not computed")
         result = RatSeries.const(1, self.cap)
         base = self
         while n:
@@ -135,21 +135,6 @@ class RatSeries:
         for n in range(cap - 1, -1, -1):
             result = result * inner + self.coeffs[n]
         return result
-
-
-def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
-    """Series quotient; divisor must have nonzero constant term."""
-    if b.coeffs[0] == 0:
-        raise NonUnitDivisor("division by a series with zero constant term")
-    cap = min(a.cap, b.cap)
-    inv0 = 1 / b.coeffs[0]
-    out = [Fraction(0)] * (cap + 1)
-    for n in range(cap + 1):
-        acc = a.coeffs[n]
-        for j in range(1, n + 1):
-            acc -= b.coeffs[j] * out[n - j]
-        out[n] = acc * inv0
-    return RatSeries(out, cap)
 
 
 def binomial_terms(a: int, b: int, cap: int) -> tuple:

@@ -3,7 +3,9 @@ route for integer framings.
 
 zprime_numeric evaluates the odd-color invariant Z'(M) at an odd prime
 K by direct summation over the odd color window, per surgery
-component.  Each slope p/q is completed to one SL2 matrix
+component.  Every slope is read with q > 0, as -p/-q if need be: one
+rule for the lens slope -p/q of L(p, q), the framings and the Seifert
+fibers.  Each slope p/q is completed to one SL2 matrix
 [[p, r], [q, s]] with s = p^-1 mod q, and its matrix element is read in
 closed form (Jeffrey, Comm. Math. Phys. 147 (1992)); any completion
 gives the same value, since the Rademacher phase absorbs the choice.
@@ -50,14 +52,7 @@ from operator import mul
 from .arith import as_prime, even_inv, inv_int, legendre, sign
 from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
                          gauss_sum, odd_window, sine_run)
-from .errors import (
-    BadPrecision,
-    ChainDegenerate,
-    DivisibilityFailure,
-    IntegralityFailure,
-    NotCoprime,
-    NotRHS,
-)
+from .errors import BadPrecision, ChainDegenerate, NotCoprime, NotRHS
 from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
@@ -67,17 +62,6 @@ def _dps(K: int, precision) -> int:
     if precision < 1:
         raise BadPrecision(f"precision {precision} is below one digit")
     return int(precision)
-
-
-def _lens_presentation(p: int, q: int):
-    """Surgery coefficients and linking-matrix signature for L(p, q)."""
-    pp, qq = -p, q
-    if qq == 0:
-        # only L(+-1, 0); re-present with the homeomorphic slope q + p
-        qq = abs(pp)
-    if qq < 0:
-        pp, qq = -pp, -qq
-    return [(pp, qq)], sign(pp)
 
 
 def _chain_data(p: int, q: int):
@@ -112,20 +96,25 @@ def _coprime_denominators(M, K: int):
 def _presentation(M):
     """(surgery coefficients, signature, is_star) of a manifold.
 
-    A lens space or a P1 surgery is surgery on a split link: the unknot
-    or a split unlink.  A Seifert space is the star: the
-    central (0, 1) vertex, then the fibers with q made positive.
+    A lens space L(p, q) or a P1 surgery is surgery on a split link:
+    the unknot with slope -p/q or a split unlink with slopes p/1.  A
+    Seifert space is the star: the central (0, 1) vertex, then one
+    slope per fiber.  Every slope gets q > 0 and adds sign(p q) to the
+    signature, in one pass; a star adds -sign(H P) for its vertex.
     """
     if isinstance(M, Lens):
-        return (*_lens_presentation(M.p, M.q), False)
-    if isinstance(M, P1Surgery):
-        return ([(p, 1) for p in M.framings],
-                sum(sign(p) for p in M.framings), False)
-    if isinstance(M, SeifertData):
-        fibers = [(p, q) if q > 0 else (-p, -q) for (p, q) in M.fractions]
-        sig = -sign(M.H * M.P) + sum(sign(p * q) for (p, q) in fibers)
-        return [(0, 1)] + fibers, sig, True
-    raise NotRHS(f"unsupported manifold spec {M!r}")
+        slopes, star = [(-M.p, M.q)], False
+    elif isinstance(M, P1Surgery):
+        slopes, star = [(p, 1) for p in M.framings], False
+    elif isinstance(M, SeifertData):
+        slopes, star = M.fractions, True
+    else:
+        raise NotRHS(f"unsupported manifold spec {M!r}")
+    surg = [(p, q) if q > 0 else (-p, -q) for (p, q) in slopes]
+    sig = sum(sign(p * q) for (p, q) in slopes)
+    if star:
+        return [(0, 1)] + surg, sig - sign(M.H * M.P), True
+    return surg, sig, False
 
 
 def _color_sum(colors, weights, star: bool, K: int):
@@ -272,7 +261,4 @@ def _p1_factor(p: int, K: int) -> CycInt:
     e2 = t4 * (3 * sign(p) - p - pst)
     s = from_runs([sine_run(e2 + t4 * p * a * a, a + pst, phase * sign(p), K)
                    for a in odd_window(K)], K)
-    try:
-        return divide_exact(s * gauss_sum(-1, K), K)
-    except IntegralityFailure as exc:
-        raise DivisibilityFailure(str(exc)) from exc
+    return divide_exact(s * gauss_sum(-1, K), K)

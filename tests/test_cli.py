@@ -192,6 +192,43 @@ def test_invalid_manifold_spec_is_usage_error(capsys, tmp_path, spec):
         assert code == 2 and err.startswith("usage error") and out == ""
 
 
+MF = ("--manifolds", "{path}")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("invariant", "--lens", "5,x", "--k", "7"), None,
+     "--lens: non-integer in '5,x'"),
+    (("invariant", "--seifert", "2/x", "--k", "7"), None,
+     "--seifert: non-integer in '2/x'"),
+    (("verify", "--lens", "5,2", "--primes", "5..x"), None,
+     "--primes: bad range '5..x'"),
+    (("verify", "--lens", "5,2", "--primes", "5,x"), None,
+     "--primes: bad list '5,x'"),
+    (("verify", "--lens", "5,2", "--primes", "24..28"), None,
+     "--primes: empty after filtering: '24..28'"),
+    (("invariant", *MF, "--k", "7"), '{"type": "lens"}',
+     "--manifolds: top level must be a JSON list"),
+    (("invariant", *MF, "--k", "7"), '[{"type": "torus", "p": 1}]',
+     "unknown manifold type {{'type': 'torus', 'p': 1}}"),
+    (("invariant", *MF, "--k", "7"), '[{"type":\n',
+     "--manifolds {path}: Expecting value: line 2 column 1 (char 10)"),
+    (("invariant", *MF, "--k", "7"), None,
+     "--manifolds {path}: [Errno 2] No such file or directory: '{path}'"),
+    (("invariant", *MF, "--k", "7"), "[]", "no manifolds given"),
+    (("lambda", *MF), "[]", "no manifolds given")],
+    ids=["lens", "seifert", "range", "list", "no-primes", "not-a-list",
+         "unknown-type", "bad-json", "missing-file", "empty-invariant",
+         "empty-lambda"])
+def test_usage_error_messages(capsys, tmp_path, argv, text, message):
+    # a manifolds file is written only when the case gives its text
+    path = str(tmp_path / "manifolds.json")
+    if text is not None:
+        Path(path).write_text(text)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "usage error: " + message.format(path=path) + "\n"
+
+
 def test_manifolds_file_and_out(tmp_path, capsys):
     spec = [{"type": "lens", "p": 3, "q": 1},
             {"type": "seifert", "fractions": [[2, 1], [3, 1], [5, -4]]},

@@ -18,9 +18,9 @@ from so3inv.errors import (DiamondMismatch, H1DivisibleByK,
                            IntegralityFailure, NotCoprime,
                            NotRHS, PDivisibleByK, So3InvError)
 from so3inv.nt import SeifertData, dedekind_sum
-from so3inv.series import RatSeries, at_half_log, q_power, s_div
+from so3inv.series import RatSeries, at_half_log, q_power
 from so3inv.surgery import Lens, zprime_numeric
-from zq_reference import seifert_cn_laurent
+from zq_reference import s_div, seifert_cn_laurent
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -111,6 +111,29 @@ def test_lens_matches_oracle_small_grid():
                 assert abs(got - oracle) < 1e-9
                 checked += 1
     assert checked > 40
+
+
+# slopes the grid above never gives: q < 0 at either sign of p, and
+# q = 0; L(+-1, 0) is S^3, and q -> q + |p| keeps the manifold
+LENS_ORIENTATIONS = [(5, -2), (-7, -3), (-5, -2), (1, 0), (-1, 0)]
+
+
+@pytest.mark.parametrize("p, q", LENS_ORIENTATIONS)
+def test_lens_orientation_matches_oracle(p, q):
+    for K in (5, 7, 11, 13):
+        if p % K:
+            got = eval_complex(lens_zprime(p, q, K))
+            assert abs(got - zprime_numeric(Lens(p, q), K)) < 1e-9, K
+
+
+@pytest.mark.parametrize("p, q", LENS_ORIENTATIONS)
+def test_lens_closed_forms_are_periodic_in_q(p, q):
+    shifted = q + abs(p)
+    for K in (5, 7, 11, 13):
+        if p % K:
+            assert lens_zprime(p, q, K) == lens_zprime(p, shifted, K), K
+    assert (lens_lambda_series(p, q, 8).values
+            == lens_lambda_series(p, shifted, 8).values)
 
 
 def test_lens_preconditions():

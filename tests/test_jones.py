@@ -7,8 +7,8 @@ from so3inv.arith import odd_primes
 from so3inv.cyclotomic import CycInt, eval_complex
 from so3inv.errors import BoundViolation, EvenColor, So3InvError
 from so3inv.jones import get_table, jones_unknot
-from so3inv.series import RatSeries, s_div
-from zq_reference import (expansion_check, qpow, seifert_beta_series,
+from so3inv.series import RatSeries
+from zq_reference import (expansion_check, qpow, s_div, seifert_beta_series,
                           sin_quotient_series)
 
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

@@ -13,6 +13,7 @@ from so3inv.errors import (
     InsufficientTerms,
     NonUnitDivisor,
     NonzeroConstantInExp,
+    NotAUnit,
     So3InvError,
 )
 from so3inv.series import (
@@ -21,13 +22,12 @@ from so3inv.series import (
     LambdaSeries,
     at_half_log,
     q_power,
-    s_div,
     sinh_over_u,
     u_over_sinh,
     vee,
 )
 from zq_reference import (FactorialNotInvertible, exp_sum_series,
-                          gauss_moment_diamond, q_power_recurrence,
+                          gauss_moment_diamond, q_power_recurrence, s_div,
                           schoolbook_mul, vee_per_coefficient, x_over_log_pow)
 
 
@@ -53,6 +53,9 @@ def test_mul_and_pow():
     s = (1 + x) ** 3
     assert [int(c) for c in s.coeffs[:4]] == [1, 3, 3, 1]
     assert s.coeffs[4] == 0
+    # as for CycInt, a negative power asks for an inverse: none is taken
+    with pytest.raises(NotAUnit, match=r"\*\* -1"):
+        (1 + x) ** -1
 
 
 def test_s_div_inverts():

@@ -37,6 +37,11 @@ bounds on the color expansion around t = 0 of a one-color evaluation
 given as a series, such as the unknot's `sin_quotient_series` or the
 Seifert fiber evaluation `seifert_beta_series`.
 
+Series division.  `s_div` is the quotient of two series by the
+term-by-term Fraction recurrence; the library builds every series
+without one (u/sinh(u) has a recurrence of its own, `u_over_sinh`),
+so only the references here and the tests divide.
+
 Finite exponential sums.  `exp_sum_series` expands sum_k c_k e^(kw) as a
 series in w, or the quotient of two such sums, the divisor's zero at
 w = 0 divided out, by one `s_div`; `sin_quotient_series` builds each [c]
@@ -57,7 +62,7 @@ from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
                            InsufficientTerms, IntegralityFailure,
                            NonUnitDivisor, So3InvError)
 from so3inv.nt import ManifoldSpec
-from so3inv.series import RatSeries, TruncPoly, _frac, s_div, vee
+from so3inv.series import RatSeries, TruncPoly, _frac, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
                             _value, zprime_numeric)
 
@@ -327,6 +332,21 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
     b = z_numeric(M, 3, precision)
     factor = b.conjugate() if K % 4 == 1 else b
     return abs(z - zp * factor) <= tol
+
+
+def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
+    """Series quotient; divisor must have nonzero constant term."""
+    if b.coeffs[0] == 0:
+        raise NonUnitDivisor("division by a series with zero constant term")
+    cap = min(a.cap, b.cap)
+    inv0 = 1 / b.coeffs[0]
+    out = [Fraction(0)] * (cap + 1)
+    for n in range(cap + 1):
+        acc = a.coeffs[n]
+        for j in range(1, n + 1):
+            acc -= b.coeffs[j] * out[n - j]
+        out[n] = acc * inv0
+    return RatSeries(out, cap)
 
 
 def exp_sum_series(num: dict, cap: int, den: dict = None) -> RatSeries:
