@@ -34,13 +34,12 @@ from .errors import (
     BadNormalization,
     DiamondMismatch,
     DivisibilityFailure,
-    H1DivisibleByK,
     IntegralityFailure,
     PDivisibleByK,
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import Lens, SeifertData, dedekind_sum, manifold_label
+from .nt import Lens, SeifertData, check_h1, dedekind_sum, manifold_label
 from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
                      q_power, sinh_over_u, u_over_sinh)
 
@@ -58,9 +57,7 @@ def _slope_dedekind(p: int, q: int) -> Fraction:
 def lens_zprime(p: int, q: int, K) -> CycInt:
     """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1."""
     K = as_prime(K)
-    Lens(p, q)  # validates p != 0 and gcd(p, q) = 1
-    if p % K == 0:
-        raise PDivisibleByK(f"|H1| = {abs(p)} is divisible by K = {K}")
+    check_h1(Lens(p, q), K)  # Lens validates p != 0 and gcd(p, q) = 1
     sv = rat_residue(3 * _slope_dedekind(p, q), K)
     p = abs(p)
     # q^sv * [p*]: one run of powers of q
@@ -134,8 +131,7 @@ def seifert_cn(avals) -> dict:
 
 
 def _seifert_preconditions(S: SeifertData, K: int):
-    if S.H % K == 0:
-        raise H1DivisibleByK(f"|H1| = {abs(S.H)} is divisible by K = {K}")
+    check_h1(S, K)
     for p, _ in S.fractions:
         if p % K == 0:
             raise PDivisibleByK(f"fiber order {p} is divisible by K = {K}")

@@ -26,16 +26,11 @@ q^0-type terms; dropping it breaks the completed-square identity.
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from operator import add, mul, neg, sub
+from operator import add, mul
 from typing import Sequence
 
 from .arith import as_prime
-from .errors import (
-    BadPrecision,
-    DivisibilityFailure,
-    MixedModulus,
-    NotAUnit,
-)
+from .errors import BadPrecision, DivisibilityFailure, MixedModulus
 from .series import TruncPoly
 
 
@@ -45,7 +40,8 @@ def odd_window(K: int) -> range:
 
 
 class CycInt:
-    """An element of Z[q] on the basis {1, q, ..., q^(K-2)}."""
+    """An element of Z[q] on the basis {1, q, ..., q^(K-2)}: sums,
+    products (by an int or an element) and the Galois action."""
 
     __slots__ = ("K", "coeffs")
 
@@ -55,10 +51,6 @@ class CycInt:
         cs.extend([0] * (K - 1 - len(cs)))
         self.K = K
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def zero(K: int) -> "CycInt":
-        return CycInt([], K)
 
     @staticmethod
     def one(K: int) -> "CycInt":
@@ -81,15 +73,6 @@ class CycInt:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _raw(tuple(map(neg, self.coeffs)), self.K)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return _raw(tuple(map(sub, self.coeffs, o.coeffs)), self.K)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return _raw(tuple([c * other for c in self.coeffs]), self.K)
@@ -108,18 +91,6 @@ class CycInt:
         return _fold(full, K)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CycInt":
-        if n < 0:
-            raise NotAUnit(f"CycInt ** {n}: inverses are not computed")
-        result = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -231,15 +202,6 @@ def sine_run(e: int, c: int, w: int, K: int) -> tuple:
     2 * 2* = 1 mod K it is the run of c mod K powers from q^(2*(1-c)).
     """
     return e + (K + 1) // 2 * (1 - c), c % K, w
-
-
-def sine_quotient(c: int, K: int) -> CycInt:
-    """Exact ratio [c] = (q^(-2*c) - q^(2*c)) / (q^(-2*) - q^(2*)).
-
-    c is read mod K; the division is exact, as [c] is one run of powers
-    of q (`sine_run`).
-    """
-    return from_runs([sine_run(0, c, 1, K)], K)
 
 
 _ROOTS: dict = {}

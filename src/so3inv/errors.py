@@ -38,10 +38,6 @@ class IntegralityFailure(So3InvError):
     """A quantity that must be an integer (or integral vector) is not."""
 
 
-class NonUnitDivisor(So3InvError):
-    """Series division requires an invertible constant term."""
-
-
 class NonzeroConstantInExp(So3InvError):
     """Series composition requires an inner constant term of zero."""
 
@@ -84,7 +80,7 @@ class DivisibilityFailure(IntegralityFailure):
 
 
 class PDivisibleByK(So3InvError):
-    """Surgery coefficient numerator is divisible by the prime."""
+    """A Seifert fiber order is divisible by the prime."""
 
 
 class H1DivisibleByK(So3InvError):
@@ -99,7 +95,7 @@ class DiamondMismatch(So3InvError):
     """Reduction of an exact prefactor disagrees with its series image."""
 
 
-class HZero(So3InvError):
+class HZero(NotRHS):
     """Euler-number-like invariant vanishes; manifold is not a RHS."""
 
 

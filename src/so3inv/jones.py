@@ -4,8 +4,8 @@ Colors are odd integers.  The link tables, the unknot and split
 unlinks, are split links of unknots: the value at colors (a_1..a_N) is
 the product of the quantized integers [a_j], so it is odd under
 negating a color, 2K-periodic, multiplicative over components and 1 on
-the empty link.  At an odd color [a] is `cyclotomic.sine_quotient(a)`,
-one run of powers of q.  Integer surgery on such a link is a connected
+the empty link.  At an odd color [a] is one run of powers of q,
+`cyclotomic.sine_run`.  Integer surgery on such a link is a connected
 sum, which `surgery.exact_p1` computes one component at a time, adding
 one such run per color; the numeric oracle evaluates the same values
 from the sines of the one roots table, `cyclotomic.fixed_roots`: the
@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import prod
 from typing import Optional, Sequence
 
-from .cyclotomic import CycInt, sine_quotient
+from .cyclotomic import CycInt, from_runs, sine_run
 from .errors import EvenColor, So3InvError
 
 
@@ -26,13 +26,14 @@ def jones_unknot(alpha: int, K: int) -> CycInt:
 
     Odd under negation, 2K-periodic, [1] = 1, [K] = 0; embeds to
     sin(pi*alpha/K)/sin(pi/K) under the root-of-unity evaluation.  The
-    sine quotient's base q^(2*) is -e^(i*pi/K); at an odd color that
-    sign flips its numerator and denominator alike, so the K-periodic
-    sine quotient is already the 2K-periodic [alpha].
+    base q^(2*) of the sine quotient that `sine_run` writes as one run
+    is -e^(i*pi/K); at an odd color that sign flips its numerator and
+    denominator alike, so the K-periodic run is already the 2K-periodic
+    [alpha].
     """
     if alpha % 2 == 0:
         raise EvenColor(f"color {alpha} is even")
-    return sine_quotient(alpha, K)
+    return from_runs([sine_run(0, alpha, 1, K)], K)
 
 
 class JonesTable:

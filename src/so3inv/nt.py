@@ -17,6 +17,7 @@ from typing import Sequence, Tuple
 from . import _Record
 from .arith import sign
 from .errors import (
+    H1DivisibleByK,
     HZero,
     IntegralityFailure,
     NonIntegerPhi,
@@ -172,3 +173,11 @@ def h1_order(m: ManifoldSpec) -> int:
     if isinstance(m, P1Surgery):
         return abs(prod(m.framings))
     raise NotRHS(f"unrecognized manifold spec {m!r}")
+
+
+def check_h1(m: ManifoldSpec, K: int) -> None:
+    """The one gate of the exact routes: H1DivisibleByK when the prime K
+    divides |H1|, where the identity is not defined."""
+    h1 = h1_order(m)
+    if h1 % K == 0:
+        raise H1DivisibleByK(f"|H1| = {h1} is divisible by K = {K}")

@@ -32,7 +32,6 @@ from .arith import _is_prime, as_prime, inv_int, legendre
 from .cyclotomic import CycInt, diamond
 from .errors import (
     BoundViolation,
-    H1DivisibleByK,
     InsufficientModulus,
     InsufficientTerms,
     NoClosedForm,
@@ -80,11 +79,10 @@ def closed_lambda_series(m, n_max: int) -> LambdaSeries:
 
 
 def diamond_side(m, K) -> TruncPoly:
-    """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly."""
+    """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly; the closed
+    form raises H1DivisibleByK when K divides |H1|."""
     K = as_prime(K)
     h1 = h1_order(m)
-    if h1 % K == 0:
-        raise H1DivisibleByK(f"|H1| = {h1} is divisible by K = {K}")
     return diamond(closed_zprime(m, K) * (h1 * legendre(h1, K)))
 
 
@@ -186,8 +184,10 @@ def _agrees(value: Fraction, residue: int, K: int) -> bool:
     return d % K != 0 and value.numerator * inv_int(d, K) % K == residue
 
 
-def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
-                       prime_ceiling: int = 2000) -> LambdaSeries:
+PRIME_CEILING = 2000  # no prime above it joins a reconstruction
+
+
+def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
     """Recover lambda_0..lambda_n_max from residues at many primes.
 
     The prime at K pins lambda_n mod K only for n <= (K-1)/2, so each
@@ -209,7 +209,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
         raise So3InvError(f"primes must be pairwise distinct: {primes}")
     # the seeds, then the odd primes above them, each tested on first read
     found = list(seeds)
-    later = filter(_is_prime, range(seeds[-1] + 2, prime_ceiling + 1, 2))
+    later = filter(_is_prime, range(seeds[-1] + 2, PRIME_CEILING + 1, 2))
 
     def candidates():
         yield from found
@@ -253,7 +253,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int, *,
             raise InsufficientModulus(
                 f"lambda_{n} of {label}: no fraction both stable and "
                 f"confirmed by two held-out primes, from {len(used)} "
-                f"primes up to {prime_ceiling} (modulus {M})")
+                f"primes up to {PRIME_CEILING} (modulus {M})")
         check_bounds(label, n, h1, accepted)
         values.append(accepted)
         moduli.append(M)

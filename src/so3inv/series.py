@@ -81,8 +81,6 @@ class RatSeries:
         return RatSeries(
             [self.coeffs[n] + o.coeffs[n] for n in range(cap + 1)], cap)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # a scalar scales, in O(cap)
             return RatSeries([c * other for c in self.coeffs], self.cap)

@@ -52,8 +52,9 @@ from operator import mul
 from .arith import as_prime, even_inv, inv_int, legendre, sign
 from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
                          gauss_sum, odd_window, sine_run)
-from .errors import BadPrecision, ChainDegenerate, NotCoprime, NotRHS
-from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
+from .errors import BadPrecision, ChainDegenerate, NotRHS
+from .nt import (Lens, ManifoldSpec, P1Surgery, SeifertData, check_h1,
+                 rademacher_phi)
 
 
 def _dps(K: int, precision) -> int:
@@ -233,8 +234,7 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
     (`_p1_factor`), whichever table M names; the empty surgery gives 1.
     """
     K = as_prime(K)
-    if any(p % K == 0 for p in M.framings):
-        raise NotCoprime(f"framing divisible by {K}")
+    check_h1(M, K)
     return prod((_p1_factor(p, K) for p in M.framings), start=CycInt.one(K))
 
 

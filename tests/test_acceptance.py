@@ -72,7 +72,7 @@ def test_criterion_1_quadratic_sum_exactness():
 
 
 def _square_completes(c: int, n: int, K: int) -> bool:
-    lhs = CycInt.zero(K)
+    lhs = CycInt([], K)
     for a in odd_window(K):
         lhs = lhs + qpow(c * a * a + 2 * n * a, K)
     rhs = gauss_sum(1, K) * legendre(c, K) * qpow(-inv_int(c, K) * n * n, K)

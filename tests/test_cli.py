@@ -5,13 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import so3inv.cli
 from so3inv.cli import (UsageError, main, parse_p1, parse_primes,
                         parse_seifert, pool_size)
+from so3inv import ohtsuki
 from so3inv.errors import NotRHS
+from so3inv.series import LambdaSeries
 
 
 def run(capsys, *argv):
@@ -155,15 +159,15 @@ def test_invariant_computation_error(capsys):
 
 
 def test_invariant_prints_every_computable_row(capsys):
-    # L(3,1) at K = 3 fails a precondition; the other three pairs used
-    # to be dropped with it
+    # L(3,1) at K = 3 fails a precondition (K divides |H1|); the other
+    # three pairs used to be dropped with it
     argv = ("invariant", "--lens", "5,2", "--lens", "3,1", "--k", "3,7")
     code, seq, err = run(capsys, *argv, "--workers", "1")
     assert code == 3
     keys = [tuple(l.split("\t")[:2]) for l in seq.splitlines()[1:]]
     assert keys == [("L(3,1)", "7"), ("L(5,2)", "3"), ("L(5,2)", "7")]
     assert err.splitlines() == [
-        "computation failed for L(3,1) at K = 3: PDivisibleByK: "
+        "computation failed for L(3,1) at K = 3: H1DivisibleByK: "
         "|H1| = 3 is divisible by K = 3"]
     code, par, _ = run(capsys, *argv, "--workers", "2")
     assert code == 3 and par == seq
@@ -328,6 +332,75 @@ def test_verify_one_unverified_manifold_fails_the_run(capsys):
                        "--primes", "5")
     assert code == 3
     assert "L(5,2)" in err and "L(3,1)" not in err
+
+
+def _bent_series(real, n, delta):
+    """closed_lambda_series with delta added to lambda_n."""
+    def bent(m, n_max):
+        lam = real(m, n_max)
+        values = list(lam.values)
+        values[n] += delta
+        return LambdaSeries(lam.manifold, n_max, tuple(values),
+                            lam.provenance)
+    return bent
+
+
+def test_verify_unequal_row_fails_the_run(capsys, monkeypatch):
+    # lambda_4 off by one: K = 7 reads through x^3 only, K = 11 differs
+    # at x^4; one unequal row fails the run although a prime verified
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", _bent_series(
+        ohtsuki.closed_lambda_series, 4, 1))
+    code, out, err = run(capsys, "verify", "--lens", "5,2",
+                         "--primes", "7,11", "--workers", "1")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert rows == [["identity", "L(5,2)", "7", "equal", ""],
+                    ["identity", "L(5,2)", "11", "unequal",
+                     "first_mismatch=x^4"]]
+    assert err == "1 of 2 checks failed\n"
+    assert code == 3
+
+
+def test_lambda_cross_path_mismatch_fails_the_run(capsys, monkeypatch):
+    # lambda_1 off by an integer keeps every bound, so only the
+    # comparison with the reconstruction can fail the run
+    monkeypatch.setattr(so3inv.cli, "closed_lambda_series", _bent_series(
+        so3inv.cli.closed_lambda_series, 1, 1))
+    code, out, err = run(capsys, "lambda", "--lens", "5,2", "--nmax", "2",
+                         "--reconstruct", "--workers", "1")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert [r[5] for r in rows] == ["ok"] * 6
+    assert err == "cross-path mismatch for L(5,2)\n"
+    assert code == 3
+
+
+def test_lambda_bounds_violation_fails_the_run(capsys, monkeypatch):
+    # a denominator 2^13 at n = 1 breaks the integrality bound
+    monkeypatch.setattr(so3inv.cli, "closed_lambda_series", _bent_series(
+        so3inv.cli.closed_lambda_series, 1, Fraction(1, 2 ** 13)))
+    code, out, err = run(capsys, "lambda", "--lens", "5,2", "--nmax", "2",
+                         "--workers", "1")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert [r[5].split(":")[0] for r in rows] == ["ok", "violated", "ok"]
+    assert "integrality bound" in rows[1][5]
+    assert err == ""
+    assert code == 3
+
+
+@pytest.mark.parametrize("flag, spec, K, h1", [
+    ("--lens", "3,1", 3, 3), ("--seifert", "2/1,3/1,5/1", 31, 31),
+    ("--p1", "unlink:-2,5", 5, 10)])
+def test_h1_divisible_by_k_has_one_name(capsys, flag, spec, K, h1):
+    # invariant, verify and lambda --reconstruct name the one condition
+    # "K divides |H1|" alike, for every presentation
+    why = f"H1DivisibleByK: |H1| = {h1} is divisible by K = {K}"
+    code, out, err = run(capsys, "invariant", flag, spec, "--k", str(K))
+    assert code == 3 and err.endswith(f" at K = {K}: {why}\n")
+    code, out, _ = run(capsys, "verify", flag, spec, "--primes", str(K))
+    assert code == 3 and out.splitlines()[1].endswith(f"\tskipped\t{why}")
+    code, _, err = run(capsys, "lambda", flag, spec, "--nmax", "1",
+                       "--reconstruct", "--primes", str(K))
+    assert code == 0
+    assert f"reconstruction skipped K = {K}: H1DivisibleByK\n" in err
 
 
 def test_pool_size_clamp():

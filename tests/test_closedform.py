@@ -13,14 +13,14 @@ from so3inv.arith import inv_int, odd_primes
 from so3inv.closedform import (_fiber_dedekind, _seifert_phase,
                                lens_lambda_series, lens_zprime, seifert_cn,
                                seifert_lambda_series, seifert_zprime)
-from so3inv.cyclotomic import CycInt, eval_complex, sine_quotient
-from so3inv.errors import (DiamondMismatch, H1DivisibleByK,
-                           IntegralityFailure, NotCoprime,
+from so3inv.cyclotomic import CycInt, eval_complex
+from so3inv.errors import (BadNormalization, DiamondMismatch,
+                           H1DivisibleByK, IntegralityFailure, NotCoprime,
                            NotRHS, PDivisibleByK, So3InvError)
 from so3inv.nt import SeifertData, dedekind_sum
-from so3inv.series import RatSeries, at_half_log, q_power
+from so3inv.series import RatSeries, at_half_log, binomial_terms, q_power
 from so3inv.surgery import Lens, zprime_numeric
-from zq_reference import s_div, seifert_cn_laurent
+from zq_reference import s_div, seifert_cn_laurent, sine_quotient
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -141,7 +141,8 @@ def test_lens_preconditions():
         lens_zprime(0, 1, 5)
     with pytest.raises(NotCoprime):
         lens_zprime(4, 2, 5)
-    with pytest.raises(PDivisibleByK):
+    with pytest.raises(H1DivisibleByK,
+                       match=r"^\|H1\| = 10 is divisible by K = 5$"):
         lens_zprime(10, 3, 5)
 
 
@@ -179,7 +180,7 @@ def test_seifert_preconditions():
 
 def _ref_qsum(terms, K):
     """sum of c * q^e over (e, c), one public CycInt per term."""
-    acc = CycInt.zero(K)
+    acc = CycInt([], K)
     for e, c in terms:
         e %= K
         term = CycInt([-1] * (K - 1) if e == K - 1 else [0] * e + [1], K)
@@ -191,7 +192,7 @@ def _ref_seifert_zprime(S, K):
     """The C_n sum as q^e * sine_quotient(m) * c, term by term."""
     t2, t4 = inv_int(2, K), inv_int(4, K)
     phs = S.P * inv_int(S.H, K)
-    tot = CycInt.zero(K)
+    tot = CycInt([], K)
     for n, c in seifert_cn([inv_int(p, K) for (p, q) in S.fractions]).items():
         m = (phs * n) % K
         sq = _ref_qsum([(t2 * (1 - m + 2 * i), 1) for i in range(m)], K)
@@ -260,6 +261,22 @@ def test_lens_series_anchor():
     assert [lam[n] for n in range(4)] == [
         Fraction(1), Fraction(0), Fraction(-1, 32), Fraction(1, 32)]
     assert lam.provenance == "closed-form"
+
+
+def test_lambda_0_is_checked_not_forced(monkeypatch):
+    # an assembly that doubles the series raises; it is not rescaled
+    def doubled(a, b, cap):
+        num, den = binomial_terms(a, b, cap)
+        return [2 * u for u in num], den
+    monkeypatch.setattr(closedform, "binomial_terms", doubled)
+    with pytest.raises(BadNormalization,
+                       match=r"^lambda_0 = 2 for L\(5,2\)$"):
+        lens_lambda_series(5, 2, 3)
+    monkeypatch.setattr(closedform, "q_power",
+                        lambda r, cap: q_power(r, cap) * 2)
+    with pytest.raises(BadNormalization,
+                       match=r"^lambda_0 = 2 for X\(2/1,3/1,5/-4\)$"):
+        seifert_lambda_series(POINCARE, 3)
 
 
 def test_lens_lambda1_is_casson_walker():

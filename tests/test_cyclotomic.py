@@ -15,15 +15,15 @@ from so3inv.cyclotomic import (
     from_runs,
     gauss_sum,
     odd_window,
-    sine_quotient,
     to_xpoly,
     x_order,
 )
 from so3inv.errors import (IntegralityFailure, MixedModulus, NotAnOddPrime,
                            NotAUnit)
 from so3inv.series import TruncPoly, q_power, vee
-from zq_reference import (divide_by_x, gauss_moment_diamond, odd_gauss_moment,
-                          qpow, to_xpoly_pascal, unit_u)
+from zq_reference import (cyc_pow, divide_by_x, gauss_moment_diamond,
+                          odd_gauss_moment, qpow, sine_quotient,
+                          to_xpoly_pascal, unit_u)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -36,10 +36,10 @@ def test_qpow_wraps():
 
 
 def test_root_of_unity_relation():
-    total = CycInt.zero(5)
+    total = CycInt([], 5)
     for i in range(5):
         total = total + qpow(i, 5)
-    assert total == CycInt.zero(5)
+    assert total == CycInt([], 5)
 
 
 def test_mixed_modulus():
@@ -57,26 +57,26 @@ def test_pascal_bijection_roundtrip():
     # substitute x = q - 1 back into the x-expansion, in Z[q]
     rng = random.Random(11)
     for K in SMALL_PRIMES:
-        xq = qpow(1, K) - 1
+        xq = qpow(1, K) + -1
         for _ in range(10):
             a = CycInt([rng.randint(-9, 9) for _ in range(K - 1)], K)
-            back = CycInt.zero(K)
+            back = CycInt([], K)
             for n, c in enumerate(to_xpoly(a)):
-                back = back + xq ** n * c
+                back = back + cyc_pow(xq, n) * c
             assert back == a
 
 
 def test_x_order_examples():
-    assert x_order(CycInt.zero(5)) == 4
+    assert x_order(CycInt([], 5)) == 4
     assert x_order(CycInt([5], 5)) == 4
     assert x_order(CycInt.one(5)) == 0
     assert x_order(gauss_sum(1, 5)) == 2
-    assert x_order(qpow(1, 5) - 1) == 1
+    assert x_order(qpow(1, 5) + -1) == 1
 
 
 def test_gauss_sum_values():
     assert gauss_sum(0, 5) == CycInt([5], 5)
-    assert gauss_sum(2, 5) == -gauss_sum(1, 5)
+    assert gauss_sum(2, 5) == gauss_sum(1, 5) * -1
     assert gauss_sum(1, 3) == CycInt([1, 2], 3)
 
 
@@ -132,7 +132,7 @@ def test_negative_power_is_not_a_unit():
     # inverses are not computed, and n < 0 must not loop forever
     for n in (-1, -2, -7):
         with pytest.raises(NotAUnit):
-            qpow(1, 5) ** n
+            cyc_pow(qpow(1, 5), n)
 
 
 def _norm_cofactor_divide(a):
@@ -141,15 +141,15 @@ def _norm_cofactor_divide(a):
     K = a.K
     z = CycInt.one(K)
     for j in range(2, K):
-        z = z * (qpow(j, K) - 1)
-    assert (qpow(1, K) - 1) * z == CycInt([K], K)
+        z = z * (qpow(j, K) + -1)
+    assert (qpow(1, K) + -1) * z == CycInt([K], K)
     return divide_exact(a * z, K)
 
 
 def test_divide_by_x_matches_norm_cofactor_path():
     rng = random.Random(61)
     for K in odd_primes(3, 61):
-        xq = qpow(1, K) - 1
+        xq = qpow(1, K) + -1
         for _ in range(3):
             b = CycInt([rng.randint(-50, 50) for _ in range(K - 1)], K)
             a = b * xq
@@ -160,7 +160,7 @@ def test_divide_by_x_matches_norm_cofactor_path():
                     divide_by_x(bad)
                 with pytest.raises(IntegralityFailure):
                     _norm_cofactor_divide(bad)
-        assert divide_by_x(CycInt.zero(K)) == CycInt.zero(K)
+        assert divide_by_x(CycInt([], K)) == CycInt([], K)
         assert divide_by_x(CycInt([K], K)) * xq == CycInt([K], K)
 
 
@@ -168,20 +168,20 @@ def test_unit_u_examples():
     assert unit_u(3) == CycInt([1, 1], 3)  # -q^2 at K=3
     for K in (5, 7, 11, 13):
         u = unit_u(K)
-        xq = qpow(1, K) - 1
-        assert u * gauss_sum(1, K) == xq ** ((K - 1) // 2)
+        xq = qpow(1, K) + -1
+        assert u * gauss_sum(1, K) == cyc_pow(xq, (K - 1) // 2)
         # a genuine unit: its norm, the product of all K - 1
         # conjugates, is +-1
         norm = CycInt.one(K)
         for j in range(1, K):
             norm = norm * u.galois(j)
-        assert norm in (CycInt.one(K), -CycInt.one(K))
+        assert norm in (CycInt.one(K), CycInt([-1], K))
 
 
 def test_unit_u_magnitude():
     for K in (5, 7, 11):
         u = eval_complex(unit_u(K), 30)
-        x = eval_complex(qpow(1, K) - 1, 30)
+        x = eval_complex(qpow(1, K) + -1, 30)
         assert isclose(abs(u) / abs(x) ** ((K - 1) // 2),
                        1 / sqrt(K), rel_tol=1e-12)
 
@@ -195,10 +195,10 @@ def test_eval_complex_gauss_magnitude():
 def test_sine_quotient_exact_and_numeric():
     for K in (5, 7, 11):
         t2 = (K + 1) // 2
-        base = qpow(-t2, K) - qpow(t2, K)
+        base = qpow(-t2, K) + qpow(t2, K) * -1
         for c in range(K):
             lhs = sine_quotient(c, K) * base
-            assert lhs == qpow(-t2 * c, K) - qpow(t2 * c, K)
+            assert lhs == qpow(-t2 * c, K) + qpow(t2 * c, K) * -1
         for c in range(1, K):
             got = eval_complex(sine_quotient(c, K), 30)
             want = (-1) ** (c + 1) * sin(pi * c / K) / sin(pi / K)
@@ -207,7 +207,7 @@ def test_sine_quotient_exact_and_numeric():
 
 
 def _completed_square_holds(c: int, n: int, K: int) -> bool:
-    lhs = CycInt.zero(K)
+    lhs = CycInt([], K)
     for a in odd_window(K):
         lhs = lhs + qpow(c * a * a + 2 * n * a, K)
     cs = inv_int(c, K)
@@ -240,7 +240,7 @@ def test_dual_square_form():
         gm = gauss_sum(-1, K)
         for c in range(1, K):
             for n in range(K):
-                lhs = CycInt.zero(K)
+                lhs = CycInt([], K)
                 for b in odd_window(K):
                     lhs = lhs + qpow(-t4 * c * b * b - t2 * n * b, K)
                 rhs = gm * legendre(c, K) * qpow(t4 * inv_int(c, K) * n * n, K)
@@ -275,7 +275,7 @@ def test_moment_order_bound():
             pp = 2 * rng.randrange(0, K)  # even shift
             m = rng.randrange(0, K)
             coeffs = _binom_poly_coeffs(m)
-            acc = CycInt.zero(K)
+            acc = CycInt([], K)
             for a in odd_window(K):
                 y = (a + pp - 1) // 2
                 w = sum(c * y ** d for d, c in enumerate(coeffs))
@@ -329,7 +329,7 @@ def test_moment_extraction_by_interpolation():
             c = p * inv_int(q, K) % K
             samples = []
             for n in range(d + 1):
-                acc = CycInt.zero(K)
+                acc = CycInt([], K)
                 for a in odd_window(K):
                     acc = acc + qpow(c * a * a + 2 * n * a, K)
                 samples.append(list(diamond(acc * u).coeffs))
@@ -384,7 +384,7 @@ def _ref_qpow(n: int, K: int) -> CycInt:
 
 def _ref_sum(terms, K: int) -> CycInt:
     """sum of c * q^e over (e, c): one CycInt per term, added one by one."""
-    acc = CycInt.zero(K)
+    acc = CycInt([], K)
     for e, c in terms:
         acc = acc + _ref_qpow(e, K) * c
     return acc
@@ -415,12 +415,10 @@ def test_ring_ops_match_coefficient_reference(a, data):
     b = CycInt(cs, K)
     n = data.draw(st.integers(-10 ** 30, 10 ** 30))
     assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, cs))
-    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, cs))
-    assert (-a).coeffs == tuple(-x for x in a.coeffs)
     assert (a * b).coeffs == tuple(_ref_mul(a, b))
     assert (a * n).coeffs == (n * a).coeffs == tuple(x * n for x in a.coeffs)
     assert (a * n).coeffs == tuple(_ref_mul(a, CycInt([n], K)))
-    assert a + n == a + CycInt([n], K) and a - n == a - CycInt([n], K)
+    assert a + n == a + CycInt([n], K)
 
 
 def test_qpow_matches_public_constructor():
@@ -466,7 +464,7 @@ def test_from_runs_is_the_qpow_sum():
                  (10 ** 30 + 1, K - 1, -2)]
         want = _ref_sum([(s + i, w) for s, m, w in runs for i in range(m)], K)
         assert from_runs(runs, K) == want
-        assert from_runs([(3, K, 5)], K) == CycInt.zero(K)
+        assert from_runs([(3, K, 5)], K) == CycInt([], K)
     for m in (6, -1):
         with pytest.raises(MixedModulus):
             from_runs([(0, m, 1)], 5)
@@ -500,9 +498,9 @@ def test_diamond_reads_a_ready_expansion():
     # the full expansion, also at high x-order
     rng = random.Random(37)
     for K in (3, 5, 13, 37, 61, 211):
-        xq = qpow(1, K) - 1
+        xq = qpow(1, K) + -1
         for m in {0, 1, (K - 1) // 2, K - 2}:
-            a = xq ** m * CycInt([rng.randint(-99, 99)
+            a = cyc_pow(xq, m) * CycInt([rng.randint(-99, 99)
                                   for _ in range(K - 1)], K)
             full = to_xpoly(a)
             assert TruncPoly(full, K) == diamond(a)

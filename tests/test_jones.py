@@ -16,8 +16,8 @@ PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 def test_unknot_basic_values():
     assert jones_unknot(1, 5) == CycInt.one(5)
-    assert jones_unknot(-1, 5) == -CycInt.one(5)
-    assert jones_unknot(5, 5) == CycInt.zero(5)
+    assert jones_unknot(-1, 5) == CycInt([-1], 5)
+    assert jones_unknot(5, 5) == CycInt([], 5)
     assert jones_unknot(3, 5) == qpow(4, 5) + qpow(0, 5) + qpow(1, 5)
 
 
@@ -29,7 +29,7 @@ def test_unknot_rejects_even():
 def test_unknot_symmetries():
     for K in (5, 7, 11):
         for a in range(-K + 2, K, 2):
-            assert jones_unknot(-a, K) == -jones_unknot(a, K)
+            assert jones_unknot(-a, K) == jones_unknot(a, K) * -1
             assert jones_unknot(a + 2 * K, K) == jones_unknot(a, K)
             assert jones_unknot(a - 2 * K, K) == jones_unknot(a, K)
 
@@ -51,7 +51,7 @@ def _sign_normalized_unknot(alpha, K):
     r = min(r, 2 * K - r)
     t2 = (K + 1) // 2
     return sum((qpow(t2 * (1 - r + 2 * i), K) for i in range(r % K)),
-               CycInt.zero(K)) * sgn
+               CycInt([], K)) * sgn
 
 
 def test_unknot_is_the_sign_normalized_quotient():

@@ -138,14 +138,20 @@ def test_reconstruction_skips_bad_primes():
     assert rec[2] == Fraction(-1, 25)
 
 
-def test_reconstruction_insufficient_modulus():
+def test_reconstruction_insufficient_modulus(monkeypatch):
+    monkeypatch.setattr(ohtsuki, "PRIME_CEILING", 14)
     with pytest.raises(InsufficientModulus):
-        reconstruct_lambda(Lens(3, 1), [11, 13], 4, prime_ceiling=14)
+        reconstruct_lambda(Lens(3, 1), [11, 13], 4)
 
 
 def test_reconstruction_rejects_duplicates():
     with pytest.raises(So3InvError):
         reconstruct_lambda(Lens(3, 1), [7, 7, 11], 1)
+
+
+def test_reconstruction_needs_a_seed_prime():
+    with pytest.raises(So3InvError, match="need at least one seed prime"):
+        reconstruct_lambda(Lens(5, 2), [], 2)
 
 
 def test_denominator_bound_checks():
@@ -155,6 +161,13 @@ def test_denominator_bound_checks():
         check_bounds("x", 1, 1, Fraction(1, 3))  # 3 > 2n with h1 = 1
     with pytest.raises(BoundViolation):
         check_bounds("x", 7, 1, Fraction(1, 17))  # 17 > 2n = 14
+    # at n = 1 the integrality bound is 2^4 1! 2! 9!, which holds 2^12
+    # but not 11; 2^13 has no prime above 2n, so only it sees 2^13
+    check_bounds("m", 1, 1, Fraction(1, 2 ** 12))
+    for value in (Fraction(1, 11), Fraction(1, 2 ** 13)):
+        with pytest.raises(BoundViolation,
+                           match=f"= {value} breaks the integrality bound"):
+            check_bounds("m", 1, 1, value)
 
 
 def test_closed_forms_pass_bounds_through_n20():
@@ -234,7 +247,8 @@ def test_closed_forms_reject_unsupported_spec(spec):
 # odd primes above them, each tested once, when a stream first reads
 # past those found so far.  The digests are of repr(result), or of
 # "Class: message" on failure, as the eager candidate list
-# seeds + odd_primes(seeds[-1] + 1, prime_ceiling) gave them.
+# seeds + odd_primes(seeds[-1] + 1, ceiling) gave them, ceiling the
+# value of ohtsuki.PRIME_CEILING.
 RECONSTRUCT_SAMPLE = [
     (Lens(5, 2), odd_primes(7, 23), 6, 2000, "50886581a7b55bf8"),
     (Lens(12, 5), odd_primes(7, 23), 6, 2000, "65523cafeea13dc1"),
@@ -256,9 +270,9 @@ def test_reconstruction_reads_candidate_primes_lazily(
     tested = []
     monkeypatch.setattr(ohtsuki, "_is_prime",
                         lambda n: tested.append(n) or _is_prime(n))
+    monkeypatch.setattr(ohtsuki, "PRIME_CEILING", ceiling)
     try:
-        out = repr(reconstruct_lambda(m, seeds, n_max,
-                                      prime_ceiling=ceiling))
+        out = repr(reconstruct_lambda(m, seeds, n_max))
     except So3InvError as e:
         out = f"{type(e).__name__}: {e}"
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out

@@ -13,14 +13,14 @@ from so3inv.arith import even_inv, inv_int, legendre, odd_primes, sign
 from so3inv.closedform import _phase_to_q, lens_zprime, seifert_zprime
 from so3inv.cyclotomic import CycInt, eval_complex, odd_window
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
-                           NotAnOddPrime, NotCoprime, NotRHS,
+                           H1DivisibleByK, NotAnOddPrime, NotRHS,
                            PhaseNotReducible, ZeroLowerLeft)
 from so3inv.jones import get_table
 from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
-from zq_reference import (divide_by_x, kirby_melvin_check, qpow, unit_u,
-                          z_numeric)
+from zq_reference import (cyc_pow, divide_by_x, kirby_melvin_check, qpow,
+                          unit_u, z_numeric)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -283,9 +283,11 @@ def test_exact_p1_two_components():
 
 
 def test_exact_p1_rejects_framing_divisible_by_k():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(H1DivisibleByK,
+                       match=r"^\|H1\| = 7 is divisible by K = 7$"):
         exact_p1(P1Surgery("unknot", (7,)), 7)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(H1DivisibleByK,
+                       match=r"^\|H1\| = 10 is divisible by K = 5$"):
         exact_p1(P1Surgery("unlink", (-2, 5)), 5)
 
 
@@ -329,7 +331,7 @@ def _joint_color_sum(M, K):
     negatives = sum(p < 0 for p in ps)
     phase = (-1) ** ((1 - legendre(-1, K)) * negatives // 2)
     e2 = t4 * sum(3 * sign(p) - p - pst for p, pst in zip(ps, pstars))
-    return (w * unit_u(K) ** len(ps) * qpow(e2, K)
+    return (w * cyc_pow(unit_u(K), len(ps)) * qpow(e2, K)
             * (phase * (-1) ** negatives))
 
 

@@ -12,6 +12,11 @@ to check each division).  The tests check the integer passes of
 
 Single powers of q.  `qpow` builds q^n as one basis element; the
 library sums q-powers as runs (`cyclotomic.from_runs`) instead.
+`sine_quotient` is the quantized integer [c], the one run `sine_run`
+gives.
+
+Powers in Z[q].  `cyc_pow` raises a `CycInt` element, its first
+argument, to a power; the library adds and multiplies only.
 
 Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
 Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
@@ -40,7 +45,8 @@ Seifert fiber evaluation `seifert_beta_series`.
 Series division.  `s_div` is the quotient of two series by the
 term-by-term Fraction recurrence; the library builds every series
 without one (u/sinh(u) has a recurrence of its own, `u_over_sinh`),
-so only the references here and the tests divide.
+so only the references here and the tests divide, and only they raise
+`NonUnitDivisor`.
 
 Finite exponential sums.  `exp_sum_series` expands sum_k c_k e^(kw) as a
 series in w, or the quotient of two such sums, the divisor's zero at
@@ -57,10 +63,11 @@ from typing import Callable, Sequence
 
 from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
 from so3inv.cyclotomic import (CycInt, _raw, divide_exact, fixed_roots,
-                               from_runs, gauss_sum, odd_window)
+                               from_runs, gauss_sum, odd_window,
+                               sine_run)
 from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
-                           InsufficientTerms, IntegralityFailure,
-                           NonUnitDivisor, So3InvError)
+                           InsufficientTerms, IntegralityFailure, NotAUnit,
+                           So3InvError)
 from so3inv.nt import ManifoldSpec
 from so3inv.series import RatSeries, TruncPoly, _frac, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
@@ -190,6 +197,28 @@ def qpow(n: int, K: int) -> CycInt:
     return _raw(tuple(coeffs), K)
 
 
+def sine_quotient(c: int, K: int) -> CycInt:
+    """Exact ratio [c] = (q^(-2*c) - q^(2*c)) / (q^(-2*) - q^(2*)).
+
+    c is read mod K; the division is exact, as [c] is one run of powers
+    of q (`sine_run`).
+    """
+    return from_runs([sine_run(0, c, 1, K)], K)
+
+
+def cyc_pow(self: CycInt, n: int) -> CycInt:
+    if n < 0:
+        raise NotAUnit(f"CycInt ** {n}: inverses are not computed")
+    result = self._coerce(1)
+    base = self
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 def divide_by_x(a: CycInt) -> CycInt:
     """a / (q - 1), exactly; IntegralityFailure unless q - 1 divides a.
 
@@ -221,7 +250,7 @@ def unit_u(K: int) -> CycInt:
     K = as_prime(K)
     if K not in _UNITS:
         g1 = gauss_sum(1, K)
-        xd = (qpow(1, K) - 1) ** ((K - 1) // 2)
+        xd = cyc_pow(qpow(1, K) + -1, (K - 1) // 2)
         u = divide_exact(xd * gauss_sum(-1, K), K)
         if u * g1 != xd:
             raise IntegralityFailure("unit normalization check failed")
@@ -332,6 +361,10 @@ def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
     b = z_numeric(M, 3, precision)
     factor = b.conjugate() if K % 4 == 1 else b
     return abs(z - zp * factor) <= tol
+
+
+class NonUnitDivisor(So3InvError):
+    """Series division requires an invertible constant term."""
 
 
 def s_div(a: RatSeries, b: RatSeries) -> RatSeries:
