@@ -15,7 +15,8 @@ suite.
 
 Orientation convention, one rule for every slope p/q, a lens space
 L(p, q) or a Seifert fiber p_j/q_j: the slope is read as -p/-q when
-p < 0, so its Dedekind sum is s(sign(p) q, |p|) (`_slope_dedekind`),
+p < 0, so its Dedekind sum is s(sign(p) q, |p|) (`nt._slope_dedekind`,
+read through `nt.ClosedForm`),
 and every other factor reads |p|.  L(p, q) with p < 0 is thus the
 mirror of L(-p, -q); the literal s(q, |p|) would collapse mirror pairs,
 which is wrong.
@@ -39,7 +40,7 @@ from .errors import (
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import Lens, SeifertData, check_h1, dedekind_sum, manifold_label
+from .nt import ClosedForm, SeifertData, check_h1, manifold_label
 from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
                      q_power, sinh_over_u, u_over_sinh)
 
@@ -48,24 +49,18 @@ from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
 # lens spaces
 
 
-def _slope_dedekind(p: int, q: int) -> Fraction:
-    """s(sign(p) q, |p|): the Dedekind sum of the slope p/q read with
-    p > 0, the one orientation rule of the module docstring."""
-    return dedekind_sum(sign(p) * q, abs(p))
-
-
-def lens_zprime(p: int, q: int, K) -> CycInt:
-    """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1."""
+def lens_zprime(f: ClosedForm, K) -> CycInt:
+    """Exact Z' of L(p, q) = f.manifold at an odd prime K with
+    gcd(p, K) = 1: q^r * [p*], one run of powers of q."""
     K = as_prime(K)
-    check_h1(Lens(p, q), K)  # Lens validates p != 0 and gcd(p, q) = 1
-    sv = rat_residue(3 * _slope_dedekind(p, q), K)
-    p = abs(p)
-    # q^sv * [p*]: one run of powers of q
-    return from_runs([sine_run(sv, inv_int(p, K), legendre(p, K), K)], K)
+    check_h1(f.h1, K)
+    p = abs(f.manifold.p)
+    return from_runs([sine_run(rat_residue(f.r, K), inv_int(p, K),
+                               legendre(p, K), K)], K)
 
 
-def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
-    """Trivial-connection series of L(p, q), normalized so lambda_0 = 1.
+def lens_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
+    """Trivial-connection series of the lens space f.manifold, lambda_0 = 1.
 
     For p > 0 (the orientation rule of the module docstring), the
     series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
@@ -73,15 +68,15 @@ def lens_lambda_series(p: int, q: int, n_max: int) -> LambdaSeries:
     r+- = 3 s(q,p) + (1 +- 1/p)/2, so lambda_n = p * [C(r+, n+1) -
     C(r-, n+1)]; the leading coefficient is checked, not forced.
     """
-    label = manifold_label(Lens(p, q))
-    r = 3 * _slope_dedekind(p, q) + Fraction(1, 2)
-    p = abs(p)
+    r = f.r + Fraction(1, 2)
+    p = abs(f.manifold.p)
     b = lcm(r.denominator, 2 * p)  # r+- = (a +- h) / b
     a, h = r.numerator * (b // r.denominator), b // (2 * p)
     (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
                           binomial_terms(a - h, b, n_max + 1))
     values = tuple(Fraction(p * (u - v), d)
                    for u, v, d in zip(hi[1:], lo[1:], den[1:]))
+    label = manifold_label(f.manifold)
     if values[0] != 1:
         raise BadNormalization(f"lambda_0 = {values[0]} for {label}")
     return LambdaSeries(label, n_max, values, "closed-form")
@@ -130,25 +125,6 @@ def seifert_cn(avals) -> dict:
 # Seifert rational homology spheres
 
 
-def _seifert_preconditions(S: SeifertData, K: int):
-    check_h1(S, K)
-    for p, _ in S.fractions:
-        if p % K == 0:
-            raise PDivisibleByK(f"fiber order {p} is divisible by K = {K}")
-
-
-def _fiber_dedekind(S: SeifertData) -> Fraction:
-    """sum_j s(q_j, p_j) over the fibers oriented to p_j > 0."""
-    return sum(_slope_dedekind(p, q) for (p, q) in S.fractions)
-
-
-def _seifert_r(S: SeifertData, dd: Fraction) -> Fraction:
-    """The q-power r = (1/4)(H/P) - (3/4)sign(H/P) - 3 dd of both closed
-    forms, dd = _fiber_dedekind(S): Z' is guarded by q^r, and lambda
-    carries (1+x)^(r + 1/2), its framing exponent theta being 2r."""
-    return Fraction(S.H, 4 * S.P) - Fraction(3, 4) * sign(S.H * S.P) - 3 * dd
-
-
 def _phase_to_q(a: int, b: int, sgn: int, K: int) -> tuple:
     """sgn * e^(i pi a/4) * e^(i pi b/(2K)) as +-q^n in Z[q]: (n, s),
     0 <= n < K and s = +-1.
@@ -193,12 +169,12 @@ def _seifert_phase(S: SeifertData, K: int, dd: Fraction) -> tuple:
     return _phase_to_q(a, b, -sgn, K)
 
 
-def seifert_zprime(S: SeifertData, K) -> CycInt:
-    """Exact Z' of a star-shaped rational homology sphere.
+def seifert_zprime(f: ClosedForm, K) -> CycInt:
+    """Exact Z' of a star-shaped rational homology sphere f.manifold.
 
     The prefactor phase must collapse to +-q^e (PhaseNotReducible
     otherwise), and bare = +-q^e * legendre(|H|, K) * sign(H) must be
-    q^(r mod K), r = `_seifert_r` (DiamondMismatch otherwise); both
+    q^(r mod K), r = f.r (DiamondMismatch otherwise); both
     failures would falsify the assembly, not the input.  The second is
     the diamond check: diamond is injective on +-q^n, 0 <= n < K
     (constant term +-1, x coefficient n mod K), and vee((1+x)^r) =
@@ -210,9 +186,11 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     multiplies every weight, so Z' is one `from_runs`.
     """
     K = as_prime(K)
-    _seifert_preconditions(S, K)
-    dd = _fiber_dedekind(S)
-    r = _seifert_r(S, dd)
+    check_h1(f.h1, K)
+    S, dd, r = f.manifold, f.dd, f.r
+    for p, _ in S.fractions:
+        if p % K == 0:
+            raise PDivisibleByK(f"fiber order {p} is divisible by K = {K}")
     e, s = _seifert_phase(S, K, dd)
     if (e, s * legendre(abs(S.H), K) * sign(S.H)) != (rat_residue(r, K), 1):
         raise DiamondMismatch(
@@ -225,8 +203,8 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
                       for n, c in cn.items()], K)
 
 
-def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
-    """Trivial-connection series of a star-shaped RHS, lambda_0 = 1.
+def seifert_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
+    """Trivial-connection series of the star f.manifold, lambda_0 = 1.
 
     With t = u^2 and sinh(u/p) = (u/p) S(t/p^2), S = `sinh_over_u`, the
     fiber prefactor 4 prod_j sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t),
@@ -235,10 +213,10 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
     rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
     (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
-    Dedekind/framing exponent (`_seifert_r`).  As e^T = (1+x)^(1/2),
+    Dedekind/framing exponent (f.r).  As e^T = (1+x)^(1/2),
     1/sinh(T) = 2(1+x)^(1/2)/x, and the two q-powers make (1+x)^(r+1/2).
     """
-    cap = n_max
+    S, cap = f.manifold, n_max
     n = len(S.fractions)
     g = sinh_over_u(1, cap) if n == 1 else u_over_sinh(cap) ** (n - 2)
     for p, _ in S.fractions:
@@ -248,9 +226,8 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
     for m, c in enumerate(g.coeffs, 1):
         w *= (2 * m - 1) * ratio  # (4/P) (2m-1)!! (P/H)^m
         mom.append(c * w)
-    r = _seifert_r(S, _fiber_dedekind(S))
     over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
-    ser = over_x * q_power(r + Fraction(1, 2), cap) * Fraction(S.H, 2)
+    ser = over_x * q_power(f.r + Fraction(1, 2), cap) * Fraction(S.H, 2)
     label = manifold_label(S)
     if ser.coeff(0) != 1:
         raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")

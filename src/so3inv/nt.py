@@ -6,6 +6,8 @@ anomaly.  The three manifold presentations live here too: Lens,
 SeifertData (star-shaped) and P1Surgery (integer framings on a known
 link table), each validated on construction; like `arith.as_prime`
 they take exact ints only, and never convert 5.5, True or "5".
+`ClosedForm` holds what the closed forms read of one presentation, its
+|H1| and Dedekind data, computed once per manifold.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     H1DivisibleByK,
     HZero,
     IntegralityFailure,
+    NoClosedForm,
     NonIntegerPhi,
     NotCoprime,
     NotRHS,
@@ -175,9 +178,49 @@ def h1_order(m: ManifoldSpec) -> int:
     raise NotRHS(f"unrecognized manifold spec {m!r}")
 
 
-def check_h1(m: ManifoldSpec, K: int) -> None:
+def check_h1(h1: int, K: int) -> None:
     """The one gate of the exact routes: H1DivisibleByK when the prime K
-    divides |H1|, where the identity is not defined."""
-    h1 = h1_order(m)
+    divides h1 = |H1|, where the identity is not defined."""
     if h1 % K == 0:
         raise H1DivisibleByK(f"|H1| = {h1} is divisible by K = {K}")
+
+
+def _slope_dedekind(p: int, q: int) -> Fraction:
+    """s(sign(p) q, |p|): the Dedekind sum of the slope p/q read with
+    p > 0, the one orientation rule of the closed forms (`closedform`)."""
+    return dedekind_sum(sign(p) * q, abs(p))
+
+
+def _fiber_dedekind(S: SeifertData) -> Fraction:
+    """sum_j s(q_j, p_j) over the fibers oriented to p_j > 0."""
+    return sum(_slope_dedekind(p, q) for (p, q) in S.fractions)
+
+
+class ClosedForm(_Record):
+    """What every closed form of one manifold reads, computed once, so
+    that each prime or cap does only its own work: the presentation,
+    |H1|, the Dedekind sum dd of its slopes and the exponent r of the
+    q-power both sides carry, r = 3 dd for L(p, q) and (1/4)(H/P) -
+    (3/4)sign(H/P) - 3 dd for a Seifert space (Z' is guarded by q^r, and
+    lambda carries (1+x)^(r + 1/2)).  A P1 surgery has neither."""
+
+    __slots__ = ("manifold", "h1", "dd", "r")
+
+    @classmethod
+    def of(cls, m) -> ClosedForm:
+        """The record of a presentation, or m itself when it is a record,
+        so that one serves many primes; NoClosedForm for anything else."""
+        if isinstance(m, cls):
+            return m
+        if isinstance(m, Lens):
+            dd = _slope_dedekind(m.p, m.q)
+            r = 3 * dd
+        elif isinstance(m, SeifertData):
+            dd = _fiber_dedekind(m)
+            r = (Fraction(m.H, 4 * m.P) - Fraction(3, 4) * sign(m.H * m.P)
+                 - 3 * dd)
+        elif isinstance(m, P1Surgery):
+            dd = r = None
+        else:
+            raise NoClosedForm(f"no closed form for {m!r}")
+        return cls(m, h1_order(m), dd, r)

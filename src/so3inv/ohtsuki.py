@@ -34,10 +34,9 @@ from .errors import (
     BoundViolation,
     InsufficientModulus,
     InsufficientTerms,
-    NoClosedForm,
     So3InvError,
 )
-from .nt import Lens, P1Surgery, SeifertData, h1_order, manifold_label
+from .nt import ClosedForm, Lens, SeifertData, manifold_label
 from .series import LambdaSeries, RatSeries, TruncPoly, vee
 
 
@@ -46,18 +45,17 @@ from .series import LambdaSeries, RatSeries, TruncPoly, vee
 
 
 def closed_zprime(m, K) -> CycInt:
-    """Exact Z' via the closed form appropriate to the presentation."""
+    """Exact Z' of a presentation or its ClosedForm, by its closed form."""
     from .closedform import lens_zprime, seifert_zprime
 
-    if isinstance(m, Lens):
-        return lens_zprime(m.p, m.q, K)
-    if isinstance(m, SeifertData):
-        return seifert_zprime(m, K)
-    if isinstance(m, P1Surgery):
-        from .surgery import exact_p1
+    f = ClosedForm.of(m)
+    if isinstance(f.manifold, Lens):
+        return lens_zprime(f, K)
+    if isinstance(f.manifold, SeifertData):
+        return seifert_zprime(f, K)
+    from .surgery import exact_p1
 
-        return exact_p1(m, K)
-    raise NoClosedForm(f"no exact evaluation for {m!r}")
+    return exact_p1(f.manifold, K)
 
 
 def closed_lambda_series(m, n_max: int) -> LambdaSeries:
@@ -66,34 +64,33 @@ def closed_lambda_series(m, n_max: int) -> LambdaSeries:
     under connected sum (Kirby-Melvin, Invent. Math. 105 (1991))."""
     from .closedform import lens_lambda_series, seifert_lambda_series
 
-    if isinstance(m, Lens):
-        return lens_lambda_series(m.p, m.q, n_max)
-    if isinstance(m, SeifertData):
-        return seifert_lambda_series(m, n_max)
-    if isinstance(m, P1Surgery):
-        factors = [RatSeries(lens_lambda_series(-p, 1, n_max).values, n_max)
-                   for p in m.framings] or [RatSeries.const(1, n_max)]
-        return LambdaSeries(manifold_label(m), n_max,
-                            reduce(mul, factors).coeffs, "closed-form")
-    raise NoClosedForm(f"no closed-form series for {m!r}")
+    f = ClosedForm.of(m)
+    if isinstance(f.manifold, Lens):
+        return lens_lambda_series(f, n_max)
+    if isinstance(f.manifold, SeifertData):
+        return seifert_lambda_series(f, n_max)
+    factors = [lens_lambda_series(ClosedForm.of(Lens(-p, 1)), n_max).series()
+               for p in f.manifold.framings] or [RatSeries.const(1, n_max)]
+    return LambdaSeries(manifold_label(f.manifold), n_max,
+                        reduce(mul, factors).coeffs, "closed-form")
 
 
 def diamond_side(m, K) -> TruncPoly:
     """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly; the closed
     form raises H1DivisibleByK when K divides |H1|."""
-    K = as_prime(K)
-    h1 = h1_order(m)
-    return diamond(closed_zprime(m, K) * (h1 * legendre(h1, K)))
+    f = ClosedForm.of(m)
+    return diamond(closed_zprime(f, K) * (f.h1 * legendre(f.h1, K)))
 
 
-def vee_side(lam: LambdaSeries, K) -> TruncPoly:
-    """Mod-K reduction of the series, truncated at degree (K-1)/2."""
+def vee_side(lam: RatSeries, K) -> TruncPoly:
+    """Mod-K reduction of the series lam = `LambdaSeries.series()`,
+    truncated at degree (K-1)/2."""
     K = as_prime(K)
     d = (K - 1) // 2
-    if lam.n_max < d:
+    if lam.cap < d:
         raise InsufficientTerms(
-            f"need lambda_n through n = {d}, have n_max = {lam.n_max}")
-    return vee(RatSeries([lam[n] for n in range(d + 1)], d), K)
+            f"need lambda_n through n = {d}, have n_max = {lam.cap}")
+    return vee(lam, K)
 
 
 class IdentityReport(_Record):
@@ -114,20 +111,21 @@ class IdentityReport(_Record):
 def verify_identity(m, primes: Sequence[int]):
     """One IdentityReport per prime; per-prime failures are recorded.
 
-    The closed-form series is built once, at the largest
-    n_max = (K-1)/2 over the primes, and each prime reads its prefix;
-    a failure to build it skips every prime.
+    One ClosedForm serves every prime, and the closed-form series is
+    built once, at the largest n_max = (K-1)/2 over the primes, as one
+    RatSeries; a failure to build it skips every prime.
     """
-    label = manifold_label(m)
+    f = ClosedForm.of(m)
+    label = manifold_label(f.manifold)
     n_max = max(((K - 1) // 2 for K in primes), default=0)
     try:
-        lam, why = closed_lambda_series(m, n_max), None
+        lam, why = closed_lambda_series(f, n_max).series(), None
     except So3InvError as e:
         lam, why = None, e
     reports = []
     for K in primes:
         try:
-            lhs = diamond_side(m, K)
+            lhs = diamond_side(f, K)
             if why is not None:
                 raise why
             rhs = vee_side(lam, K)
@@ -200,8 +198,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
     result is a LambdaSeries with provenance "reconstruction" and its
     moduli, primes used and skips.
     """
-    h1 = h1_order(m)
-    label = manifold_label(m)
+    f = ClosedForm.of(m)
+    h1, label = f.h1, manifold_label(f.manifold)
     seeds = sorted({as_prime(K) for K in primes})
     if not seeds:
         raise So3InvError("need at least one seed prime")
@@ -223,7 +221,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
     def residues(K):
         if K not in coeff_cache:
             try:
-                coeff_cache[K] = diamond_side(m, K).coeffs
+                coeff_cache[K] = diamond_side(f, K).coeffs
             except So3InvError as e:
                 coeff_cache[K] = None
                 skipped.append((K, type(e).__name__))

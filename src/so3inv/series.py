@@ -48,13 +48,14 @@ class RatSeries:
     silently exceeds what both operands know.
     """
 
-    __slots__ = ("coeffs", "cap")
+    __slots__ = ("coeffs", "cap", "_over")
 
     def __init__(self, coeffs: Sequence, cap: int):
         cs = [_frac(c) for c in coeffs[:cap + 1]]
         cs.extend([Fraction(0)] * (cap + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.cap = cap
+        self._over = None  # _over_lcm(coeffs), once vee has asked
 
     @staticmethod
     def const(v, cap: int) -> "RatSeries":
@@ -250,20 +251,30 @@ class LambdaSeries(_Record):
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
 
+    def series(self) -> RatSeries:
+        """lambda_0..lambda_n_max as one RatSeries, capped at n_max."""
+        return RatSeries(self.values, self.n_max)
+
 
 def vee(s: RatSeries, K: int) -> TruncPoly:
     """Reduce a rational series mod K and truncate at degree (K-1)/2,
-    over the lcm D of the reduced denominators read: K divides D exactly
-    when it divides one of them, so one test and one inverse of D do."""
+    over an lcm D of denominators: K divides D exactly when it divides
+    one of them, so one test and one inverse of D do.  D is the whole
+    series' lcm, kept with it across primes, unless K divides it; then
+    the prefix read gets its own."""
     d = (as_prime(K) - 1) // 2
     if s.cap < d:
         raise InsufficientTerms(
             f"series capped at {s.cap}, need degree {d} for K={K}")
-    nums, den = _over_lcm(s.coeffs[:d + 1])
+    if s._over is None:
+        s._over = _over_lcm(s.coeffs)
+    nums, den = s._over
+    if den % K == 0:  # the whole series' guard: K divides a denominator
+        nums, den = _over_lcm(s.coeffs[:d + 1])
     if den % K == 0:
         n, c = next((n, c) for n, c in enumerate(s.coeffs)
                     if c.denominator % K == 0)
         raise DenominatorDivisibleByK(
             f"coefficient of x^{n} = {c} has denominator divisible by {K}")
     inv = inv_int(den, K)
-    return TruncPoly([c * inv for c in nums], K)
+    return TruncPoly([c * inv for c in nums[:d + 1]], K)

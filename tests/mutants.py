@@ -43,6 +43,9 @@ MUTANTS = [
     ("vee DenominatorDivisibleByK", "series.py",
      "    if den % K == 0:\n",
      "    if False:\n"),
+    ("vee whole-series guard", "series.py",
+     "    if den % K == 0:  # the whole series' guard",
+     "    if False:  # the whole series' guard"),
     ("seifert_cn remainder", "closedform.py",
      "        if any(g[-2:]):\n",
      "        if False:\n"),

@@ -17,10 +17,9 @@ from so3inv.arith import inv_int, legendre, odd_primes
 from so3inv.cyclotomic import (CycInt, diamond, eval_complex, gauss_sum,
                                odd_window, x_order)
 from so3inv.errors import H1DivisibleByK, PDivisibleByK, So3InvError
-from so3inv.closedform import lens_lambda_series, lens_zprime, seifert_zprime
 from so3inv.nt import SeifertData
-from so3inv.ohtsuki import (closed_lambda_series, diamond_side,
-                            reconstruct_lambda, vee_side)
+from so3inv.ohtsuki import (closed_lambda_series, closed_zprime,
+                            diamond_side, reconstruct_lambda, vee_side)
 from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
 from zq_reference import (expansion_check, gauss_moment_diamond,
                           kirby_melvin_check, odd_gauss_moment, qpow,
@@ -145,7 +144,7 @@ def test_criterion_4_integer_framing_divisibility():
                 if p == 0 or p % K == 0:
                     continue
                 got = exact_p1(P1Surgery("unknot", (p,)), K)
-                assert got == lens_zprime(-p, 1, K)
+                assert got == closed_zprime(Lens(-p, 1), K)
                 checked += 1
         box["detail"] = f"{checked} framings, quotients all integral"
 
@@ -158,14 +157,14 @@ def test_criterion_5_closed_forms_match_oracle():
             for p, q in _lens_family(12):
                 if abs(p) % K == 0:
                     continue
-                val = eval_complex(lens_zprime(p, q, K))
+                val = eval_complex(closed_zprime(Lens(p, q), K))
                 num = zprime_numeric(Lens(p, q), K)
                 assert abs(val - num) < 1e-9, (p, q, K)
                 lens_n += 1
         for K in odd_primes(7, 19):
             for S in SEIFERT_SAMPLE:
                 try:
-                    val = eval_complex(seifert_zprime(S, K))
+                    val = eval_complex(closed_zprime(S, K))
                 except (H1DivisibleByK, PDivisibleByK):
                     skipped += 1
                     continue
@@ -182,7 +181,8 @@ def test_criterion_6_flagship_identity():
         lens_n = seif_n = skipped = 0
         lens_primes = odd_primes(5, 31)
         for p, q in _lens_family(12):
-            lam = lens_lambda_series(p, q, (lens_primes[-1] - 1) // 2)
+            lam = closed_lambda_series(
+                Lens(p, q), (lens_primes[-1] - 1) // 2).series()
             for K in lens_primes:
                 if abs(p) % K == 0:
                     skipped += 1
@@ -192,7 +192,8 @@ def test_criterion_6_flagship_identity():
                 lens_n += 1
         seif_primes = odd_primes(7, 23)
         for S in SEIFERT_SAMPLE:
-            lam = closed_lambda_series(S, (seif_primes[-1] - 1) // 2)
+            lam = closed_lambda_series(
+                S, (seif_primes[-1] - 1) // 2).series()
             for K in seif_primes:
                 try:
                     lhs = diamond_side(S, K)
@@ -211,7 +212,7 @@ def test_criterion_7_lambda_values_and_reconstruction():
                   Lens(12, 5)) + SEIFERT_SAMPLE[:2]
         for m in tested:
             assert closed_lambda_series(m, 1).values[0] == 1
-        l21 = lens_lambda_series(2, 1, 2)
+        l21 = closed_lambda_series(Lens(2, 1), 2)
         assert l21[1] == 0 and l21[2] == Fraction(-1, 32)
         for m in (Lens(3, 1), Lens(5, 2)):
             rec = reconstruct_lambda(m, (7, 11, 13, 17, 19), 5)

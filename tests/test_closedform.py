@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from so3inv import closedform
 from so3inv.arith import inv_int, odd_primes
-from so3inv.closedform import (_fiber_dedekind, _seifert_phase,
-                               lens_lambda_series, lens_zprime, seifert_cn,
-                               seifert_lambda_series, seifert_zprime)
+from so3inv.closedform import _seifert_phase, seifert_cn
 from so3inv.cyclotomic import CycInt, eval_complex
 from so3inv.errors import (BadNormalization, DiamondMismatch,
                            H1DivisibleByK, IntegralityFailure, NotCoprime,
                            NotRHS, PDivisibleByK, So3InvError)
-from so3inv.nt import SeifertData, dedekind_sum
+from so3inv.nt import SeifertData, _fiber_dedekind, dedekind_sum
+from so3inv.ohtsuki import closed_lambda_series, closed_zprime
 from so3inv.series import RatSeries, at_half_log, binomial_terms, q_power
 from so3inv.surgery import Lens, zprime_numeric
 from zq_reference import s_div, seifert_cn_laurent, sine_quotient
@@ -85,16 +84,16 @@ def test_cn_guards_raise_integrality_failure(monkeypatch, dense, avals,
 
 
 def test_lens_s3_is_one():
-    assert lens_zprime(1, 0, 7) == CycInt.one(7)
-    assert lens_zprime(1, 1, 11) == CycInt.one(11)
-    assert lens_zprime(-1, 1, 5) == CycInt.one(5)
+    assert closed_zprime(Lens(1, 0), 7) == CycInt.one(7)
+    assert closed_zprime(Lens(1, 1), 11) == CycInt.one(11)
+    assert closed_zprime(Lens(-1, 1), 5) == CycInt.one(5)
 
 
 def test_lens_regression_coefficients():
-    assert lens_zprime(2, 1, 5).coeffs == (0, 0, 1, 1)
-    assert lens_zprime(3, 1, 7).coeffs == (0, 0, 1, 1, 0, 0)
+    assert closed_zprime(Lens(2, 1), 5).coeffs == (0, 0, 1, 1)
+    assert closed_zprime(Lens(3, 1), 7).coeffs == (0, 0, 1, 1, 0, 0)
     # the mirror conjugates the exponents
-    assert lens_zprime(-3, 1, 7).coeffs == (0, 0, 0, 0, 1, 1)
+    assert closed_zprime(Lens(-3, 1), 7).coeffs == (0, 0, 0, 0, 1, 1)
 
 
 def test_lens_matches_oracle_small_grid():
@@ -107,7 +106,7 @@ def test_lens_matches_oracle_small_grid():
                 if gcd(p, q) != 1:
                     continue
                 oracle = zprime_numeric(Lens(p, q), K)
-                got = eval_complex(lens_zprime(p, q, K))
+                got = eval_complex(closed_zprime(Lens(p, q), K))
                 assert abs(got - oracle) < 1e-9
                 checked += 1
     assert checked > 40
@@ -122,7 +121,7 @@ LENS_ORIENTATIONS = [(5, -2), (-7, -3), (-5, -2), (1, 0), (-1, 0)]
 def test_lens_orientation_matches_oracle(p, q):
     for K in (5, 7, 11, 13):
         if p % K:
-            got = eval_complex(lens_zprime(p, q, K))
+            got = eval_complex(closed_zprime(Lens(p, q), K))
             assert abs(got - zprime_numeric(Lens(p, q), K)) < 1e-9, K
 
 
@@ -131,19 +130,20 @@ def test_lens_closed_forms_are_periodic_in_q(p, q):
     shifted = q + abs(p)
     for K in (5, 7, 11, 13):
         if p % K:
-            assert lens_zprime(p, q, K) == lens_zprime(p, shifted, K), K
-    assert (lens_lambda_series(p, q, 8).values
-            == lens_lambda_series(p, shifted, 8).values)
+            assert (closed_zprime(Lens(p, q), K)
+                    == closed_zprime(Lens(p, shifted), K)), K
+    assert (closed_lambda_series(Lens(p, q), 8).values
+            == closed_lambda_series(Lens(p, shifted), 8).values)
 
 
 def test_lens_preconditions():
     with pytest.raises(NotRHS):
-        lens_zprime(0, 1, 5)
+        closed_zprime(Lens(0, 1), 5)
     with pytest.raises(NotCoprime):
-        lens_zprime(4, 2, 5)
+        closed_zprime(Lens(4, 2), 5)
     with pytest.raises(H1DivisibleByK,
                        match=r"^\|H1\| = 10 is divisible by K = 5$"):
-        lens_zprime(10, 3, 5)
+        closed_zprime(Lens(10, 3), 5)
 
 
 def test_sine_quotient_representative_independence():
@@ -157,15 +157,15 @@ def test_sine_quotient_representative_independence():
 
 
 def test_seifert_regression_coefficients():
-    assert seifert_zprime(POINCARE, 7).coeffs == (-1, -1, 1, 1, 1, 0)
-    assert seifert_zprime(SEIFERT_SAMPLE[1], 7).coeffs == (1, 1, 1, 0, 0, 1)
+    assert closed_zprime(POINCARE, 7).coeffs == (-1, -1, 1, 1, 1, 0)
+    assert closed_zprime(SEIFERT_SAMPLE[1], 7).coeffs == (1, 1, 1, 0, 0, 1)
 
 
 def test_seifert_matches_oracle():
     for s in SEIFERT_SAMPLE:
         for K in (7, 11, 13):
             try:
-                got = eval_complex(seifert_zprime(s, K))
+                got = eval_complex(closed_zprime(s, K))
             except (PDivisibleByK, H1DivisibleByK):
                 continue
             assert abs(got - zprime_numeric(s, K)) < 1e-9
@@ -173,9 +173,9 @@ def test_seifert_matches_oracle():
 
 def test_seifert_preconditions():
     with pytest.raises(PDivisibleByK):
-        seifert_zprime(SeifertData([(3, 1), (4, 1), (5, 1)]), 5)
+        closed_zprime(SeifertData([(3, 1), (4, 1), (5, 1)]), 5)
     with pytest.raises(H1DivisibleByK):
-        seifert_zprime(SeifertData([(2, 1), (3, 1)]), 5)  # |H1| = 5
+        closed_zprime(SeifertData([(2, 1), (3, 1)]), 5)  # |H1| = 5
 
 
 def _ref_qsum(terms, K):
@@ -213,7 +213,7 @@ def test_seifert_accumulation_matches_term_by_term_sum():
                                             (11, 3)])]:
         for K in odd_primes(3, 61):
             try:
-                got = seifert_zprime(s, K)
+                got = closed_zprime(s, K)
             except (PDivisibleByK, H1DivisibleByK):
                 continue
             assert got == _ref_seifert_zprime(s, K)
@@ -232,7 +232,7 @@ def test_wrong_prefactor_raises_diamond_mismatch(monkeypatch, wrong):
                         lambda S, K, dd: wrong(*phase(S, K, dd), K))
     for K in (7, 11, 101):
         with pytest.raises(DiamondMismatch):
-            seifert_zprime(POINCARE, K)
+            closed_zprime(POINCARE, K)
 
 
 def test_seifert_zprime_ignores_chain_degeneracy():
@@ -240,16 +240,16 @@ def test_seifert_zprime_ignores_chain_degeneracy():
     # odd-color weights care about; q_j -> q_j + k_j p_j with sum k_j = 0
     # re-presents the same manifold without it
     shifted = SeifertData([(-11, 29), (2, 3), (3, 4)])
-    want = seifert_zprime(shifted, 7)
+    want = closed_zprime(shifted, 7)
     for fiber in ((-11, 7), (11, -7)):
-        assert seifert_zprime(SeifertData([fiber, (2, 1), (3, 1)]), 7) == want
+        assert closed_zprime(SeifertData([fiber, (2, 1), (3, 1)]), 7) == want
     assert abs(eval_complex(want) - zprime_numeric(shifted, 7)) < 1e-9
 
 
 def test_single_fiber_degenerates_to_lens():
     for (p, q), K in [((5, 2), 7), ((7, 3), 11), ((5, -4), 7)]:
-        star = seifert_zprime(SeifertData([(p, q)]), K)
-        assert star == lens_zprime(q, p, K)
+        star = closed_zprime(SeifertData([(p, q)]), K)
+        assert star == closed_zprime(Lens(q, p), K)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def test_single_fiber_degenerates_to_lens():
 
 
 def test_lens_series_anchor():
-    lam = lens_lambda_series(2, 1, 4)
+    lam = closed_lambda_series(Lens(2, 1), 4)
     assert [lam[n] for n in range(4)] == [
         Fraction(1), Fraction(0), Fraction(-1, 32), Fraction(1, 32)]
     assert lam.provenance == "closed-form"
@@ -271,12 +271,12 @@ def test_lambda_0_is_checked_not_forced(monkeypatch):
     monkeypatch.setattr(closedform, "binomial_terms", doubled)
     with pytest.raises(BadNormalization,
                        match=r"^lambda_0 = 2 for L\(5,2\)$"):
-        lens_lambda_series(5, 2, 3)
+        closed_lambda_series(Lens(5, 2), 3)
     monkeypatch.setattr(closedform, "q_power",
                         lambda r, cap: q_power(r, cap) * 2)
     with pytest.raises(BadNormalization,
                        match=r"^lambda_0 = 2 for X\(2/1,3/1,5/-4\)$"):
-        seifert_lambda_series(POINCARE, 3)
+        closed_lambda_series(POINCARE, 3)
 
 
 def test_lens_lambda1_is_casson_walker():
@@ -286,7 +286,8 @@ def test_lens_lambda1_is_casson_walker():
              if gcd(p, q) == 1]
     assert len(cases) == 811
     for p, q in cases:
-        assert lens_lambda_series(p, q, 1)[1] == 3 * dedekind_sum(q, p), (p, q)
+        assert (closed_lambda_series(Lens(p, q), 1)[1]
+                == 3 * dedekind_sum(q, p)), (p, q)
 
 
 def test_brieskorn_lambda1_is_six_casson():
@@ -301,32 +302,32 @@ def test_brieskorn_lambda1_is_six_casson():
         for r, q in ((6 * k - 1, 1 - 5 * k), (6 * k + 1, -5 * k - 1)):
             S = SeifertData([(2, 1), (3, 1), (r, q)])
             assert abs(S.H) == 1
-            assert seifert_lambda_series(S, 1)[1] == -6 * k * S.H, (r, q)
+            assert closed_lambda_series(S, 1)[1] == -6 * k * S.H, (r, q)
 
 
 def test_s3_series_is_trivial():
-    lam = lens_lambda_series(1, 0, 6)
+    lam = closed_lambda_series(Lens(1, 0), 6)
     assert lam[0] == 1
     assert all(lam[n] == 0 for n in range(1, 7))
 
 
 def test_poincare_series_is_integral():
-    lam = seifert_lambda_series(POINCARE, 4)
+    lam = closed_lambda_series(POINCARE, 4)
     assert [lam[n] for n in range(5)] == [1, -6, 45, -464, 6224]
 
 
 def test_single_fiber_series_degenerates_to_lens():
     for (p, q) in [(3, 1), (5, 2), (5, -4)]:
-        a = seifert_lambda_series(SeifertData([(p, q)]), 6)
-        b = lens_lambda_series(q, p, 6)
+        a = closed_lambda_series(SeifertData([(p, q)]), 6)
+        b = closed_lambda_series(Lens(q, p), 6)
         assert all(a[n] == b[n] for n in range(7))
 
 
 def test_series_leading_term_always_one():
     for (p, q) in [(2, 1), (-3, 1), (5, 2), (12, 7), (-9, 4)]:
-        assert lens_lambda_series(p, q, 2)[0] == 1
+        assert closed_lambda_series(Lens(p, q), 2)[0] == 1
     for s in SEIFERT_SAMPLE:
-        assert seifert_lambda_series(s, 2)[0] == 1
+        assert closed_lambda_series(s, 2)[0] == 1
 
 
 def _sinh_over_t(a, cap):
@@ -356,7 +357,7 @@ def test_lens_series_matches_half_log_route():
               for sp in (1, -1)]
     assert len(family) == 92
     for p, q in family:
-        assert (lens_lambda_series(p, q, 30).values
+        assert (closed_lambda_series(Lens(p, q), 30).values
                 == _lens_series_through_half_log(p, q, 30)), (p, q)
 
 
@@ -368,7 +369,7 @@ def test_lens_series_matches_half_log_route():
                          st.integers(min_value=0, max_value=25))))
 def test_lens_series_matches_half_log_route_random(pqc):
     p, q, cap = pqc
-    assert (lens_lambda_series(p, q, cap).values
+    assert (closed_lambda_series(Lens(p, q), cap).values
             == _lens_series_through_half_log(p, q, cap))
 
 
@@ -433,7 +434,7 @@ def _seifert_series_through_sinh_division(S, n_max):
 def test_seifert_series_matches_exp_route(fractions):
     S = SeifertData(fractions)
     for n_max in (0, 1, 6, 30):
-        assert (seifert_lambda_series(S, n_max).values
+        assert (closed_lambda_series(S, n_max).values
                 == _seifert_series_through_exp(S, n_max))
 
 
@@ -455,7 +456,7 @@ def _seifert_or_none(fractions):
        .filter(lambda S: S is not None),
        st.integers(min_value=0, max_value=30))
 def test_seifert_series_matches_sinh_division_route(S, n_max):
-    assert (seifert_lambda_series(S, n_max).values
+    assert (closed_lambda_series(S, n_max).values
             == _seifert_series_through_sinh_division(S, n_max))
 
 
@@ -470,11 +471,11 @@ def test_seifert_zprime_is_a_manifold_invariant(S, K, k1, k2):
         return
     shifted = SeifertData([(p, q + k * p) for (p, q), k
                            in zip(S.fractions, (k1, k2, -k1 - k2))])
-    assert seifert_zprime(shifted, K) == seifert_zprime(S, K)
+    assert closed_zprime(shifted, K) == closed_zprime(S, K)
 
 
 def test_poincare_series_matches_sinh_division_route_at_105():
-    assert (seifert_lambda_series(POINCARE, 105).values
+    assert (closed_lambda_series(POINCARE, 105).values
             == _seifert_series_through_sinh_division(POINCARE, 105))
 
 
@@ -488,14 +489,14 @@ def _flipped(S, j):
 @pytest.mark.parametrize("S", SEIFERT_SAMPLE + [
     SeifertData([(2, 1), (3, 1), (7, 2), (-5, 3)])])
 def test_flipping_a_fiber_keeps_lambda_and_zprime(S):
-    lam = seifert_lambda_series(S, 10).values
+    lam = closed_lambda_series(S, 10).values
     checked = 0
     for j in range(len(S.fractions)):
         T = _flipped(S, j)
-        assert seifert_lambda_series(T, 10).values == lam
+        assert closed_lambda_series(T, 10).values == lam
         for K in odd_primes(3, 31):
             try:
-                want, got = seifert_zprime(S, K), seifert_zprime(T, K)
+                want, got = closed_zprime(S, K), closed_zprime(T, K)
             except So3InvError:
                 continue
             assert got == want, (T, K)
@@ -526,12 +527,12 @@ def test_orientation_reversal_conjugates_seifert_zprime():
         mirror = SeifertData([(p, -q) for p, q in S.fractions])
         for K in odd_primes(3, 23):
             try:
-                want = seifert_zprime(S, K).galois(-1)
+                want = closed_zprime(S, K).galois(-1)
             except (PDivisibleByK, H1DivisibleByK) as e:
                 with pytest.raises(type(e)):
-                    seifert_zprime(mirror, K)
+                    closed_zprime(mirror, K)
                 continue
-            assert seifert_zprime(mirror, K) == want, (S, K)
+            assert closed_zprime(mirror, K) == want, (S, K)
             cells += 1
 
 
@@ -547,20 +548,20 @@ def test_orientation_reversal_conjugates_seifert_lambda():
         if S is None:
             continue
         mirror = SeifertData([(p, -q) for p, q in S.fractions])
-        lam = RatSeries(seifert_lambda_series(S, n_max).values, n_max)
-        assert (seifert_lambda_series(mirror, n_max).values
+        lam = RatSeries(closed_lambda_series(S, n_max).values, n_max)
+        assert (closed_lambda_series(mirror, n_max).values
                 == lam.compose(inner).coeffs), S
         cells += 1
 
 
 def _same_zprime_or_error(S, T, K):
     try:
-        want = seifert_zprime(S, K)
+        want = closed_zprime(S, K)
     except So3InvError as e:
         with pytest.raises(type(e)):
-            seifert_zprime(T, K)
+            closed_zprime(T, K)
         return
-    assert seifert_zprime(T, K) == want, (S, T, K)
+    assert closed_zprime(T, K) == want, (S, T, K)
 
 
 def test_seifert_moves_keep_lambda_and_zprime():
@@ -583,9 +584,9 @@ def test_seifert_moves_keep_lambda_and_zprime():
             traded[i] = (fr[i][0], fr[i][1] + k * fr[i][0])
             traded[j] = (fr[j][0], fr[j][1] - k * fr[j][0])
             moves.append(traded)
-        lam = seifert_lambda_series(S, 6).values
+        lam = closed_lambda_series(S, 6).values
         for T in map(SeifertData, moves):
-            assert seifert_lambda_series(T, 6).values == lam, (S, T)
+            assert closed_lambda_series(T, 6).values == lam, (S, T)
             for K in odd_primes(3, 31):
                 _same_zprime_or_error(S, T, K)
 
@@ -609,7 +610,7 @@ def test_seifert_lambda1_is_three_casson_walker():
                   * (2 - len(fr) + sum(Fraction(1, p * p) for p, _ in fr))
                   + e / 12 - Fraction(sgn, 4)
                   - sum(dedekind_sum(q, p) for p, q in fr))
-        assert seifert_lambda_series(S, 1)[1] == 3 * walker, S
+        assert closed_lambda_series(S, 1)[1] == 3 * walker, S
 
 
 # two-fiber Seifert spaces that are lens spaces
@@ -621,12 +622,12 @@ _TWO_FIBER_LENS = [
 @pytest.mark.parametrize("fractions, lens", _TWO_FIBER_LENS)
 def test_two_fiber_seifert_is_lens(fractions, lens):
     S = SeifertData(fractions)
-    assert (seifert_lambda_series(S, 20).values
-            == lens_lambda_series(*lens, 20).values)
+    assert (closed_lambda_series(S, 20).values
+            == closed_lambda_series(Lens(*lens), 20).values)
     checked = 0
     for K in odd_primes(3, 61):
         try:
-            want, got = lens_zprime(*lens, K), seifert_zprime(S, K)
+            want, got = closed_zprime(Lens(*lens), K), closed_zprime(S, K)
         except So3InvError:
             continue
         assert got == want, K
@@ -652,14 +653,14 @@ def test_two_fiber_seifert_is_lens_by_formula():
     assert len(cases) == 3080
     for f1, f2 in cases:
         lens = _two_fiber_partner(*f1, *f2)
-        assert (seifert_lambda_series(SeifertData([f1, f2]), 8).values
-                == lens_lambda_series(*lens, 8).values), (f1, f2, lens)
+        assert (closed_lambda_series(SeifertData([f1, f2]), 8).values
+                == closed_lambda_series(Lens(*lens), 8).values), (f1, f2, lens)
     checked = 0
     for f1, f2 in random.Random(6).sample(cases, 150):
         S, lens = SeifertData([f1, f2]), _two_fiber_partner(*f1, *f2)
         for K in odd_primes(3, 31):
             try:
-                want, got = lens_zprime(*lens, K), seifert_zprime(S, K)
+                want, got = closed_zprime(Lens(*lens), K), closed_zprime(S, K)
             except So3InvError:
                 continue
             assert got == want, (f1, f2, K)

@@ -3,22 +3,25 @@
 import copy
 import hashlib
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
 from so3inv.arith import _is_prime, odd_primes
-from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (BoundViolation, InsufficientModulus,
                            InsufficientTerms, NoClosedForm, So3InvError)
-from so3inv import ohtsuki
+from so3inv import nt, ohtsuki, series
 from so3inv.nt import P1Surgery, SeifertData, h1_order, manifold_label
 from so3inv.ohtsuki import (IdentityReport, check_bounds,
                             closed_lambda_series, closed_zprime, diamond_side,
                             reconstruct_lambda, vee_side, verify_identity)
 from so3inv.series import LambdaSeries, TruncPoly
 from so3inv.surgery import Lens
+
+from zq_reference import identity_reference
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -29,22 +32,22 @@ def test_diamond_side_s3_is_constant_one():
 
 
 def test_identity_single_prime_by_hand():
-    lam = lens_lambda_series(2, 1, 2)
-    assert diamond_side(Lens(2, 1), 5) == vee_side(lam, 5)
+    lam = closed_lambda_series(Lens(2, 1), 2)
+    assert diamond_side(Lens(2, 1), 5) == vee_side(lam.series(), 5)
 
 
 def test_vee_side_ignores_terms_beyond_truncation():
-    base = lens_lambda_series(3, 1, 5)
+    base = closed_lambda_series(Lens(3, 1), 5)
     junk = LambdaSeries("junk", 5,
                         base.values[:4] + (Fraction(9), Fraction(9)),
                         "closed-form")
-    assert vee_side(base, 7) == vee_side(junk, 7)
+    assert vee_side(base.series(), 7) == vee_side(junk.series(), 7)
 
 
 def test_vee_side_needs_enough_terms():
-    lam = lens_lambda_series(3, 1, 2)
+    lam = closed_lambda_series(Lens(3, 1), 2)
     with pytest.raises(InsufficientTerms):
-        vee_side(lam, 11)
+        vee_side(lam.series(), 11)
 
 
 def test_verify_identity_lens_sample():
@@ -362,3 +365,123 @@ def test_record_defaults_and_validation():
     assert P1Surgery("unlink", [-2, 5]).framings == (-2, 5)
     assert {Lens(5, 2), Lens(p=5, q=2), Lens(5, 3)} == {Lens(5, 2),
                                                          Lens(5, 3)}
+
+
+# ---------------------------------------------------------------------------
+# one closed-form record per manifold, against a route that shares nothing
+
+
+def _seeded_identity_manifolds(rng):
+    out = rng.sample(list(_lens_family(12)), 24) + [
+        Lens(7, 3), Lens(-7, 3), Lens(12, 5)]
+    while len(out) < 44:
+        fibers = []
+        for _ in range(rng.randint(1, 4)):
+            p = rng.choice([-1, 1]) * rng.randint(1, 9)
+            q = rng.choice([q for q in range(-9, 10) if gcd(p, q) == 1])
+            fibers.append((p, q))
+        if sum(q * (prod(p for p, _ in fibers) // p) for p, q in fibers):
+            out.append(SeifertData(fibers))
+    for k in range(4):
+        out.append(P1Surgery("unlink", tuple(
+            rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(k))))
+    return out
+
+
+def _rows(m, primes):
+    reports = verify_identity(m, primes)
+    assert [r.K for r in reports] == list(primes)
+    assert {r.manifold for r in reports} == {manifold_label(m)}
+    return [(r.lhs, r.rhs, r.verdict, r.first_mismatch, r.error)
+            for r in reports]
+
+
+def test_verify_identity_matches_route_sharing_nothing():
+    # a genuine lambda_n has only 2 and the primes of |H1| in its
+    # denominator, so every prime verified here reads the whole series'
+    # one denominator; the edge cases below reach the prefix fallback
+    primes = odd_primes(3, 61)
+    verdicts = Counter()
+    for m in _seeded_identity_manifolds(random.Random(29)):
+        rows = _rows(m, primes)
+        assert rows == identity_reference(m, primes), m
+        verdicts.update(r[2] if r[2] != "skipped" else r[4].split(":")[0]
+                        for r in rows)
+    assert verdicts["equal"] > 500 and not verdicts["unequal"]
+    assert verdicts["H1DivisibleByK"] and verdicts["PDivisibleByK"]
+
+
+def _patched_series(monkeypatch, change):
+    real = ohtsuki.closed_lambda_series
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series",
+                        lambda m, n_max: change(real(m, n_max)))
+
+
+def _with_values(lam, values):
+    return LambdaSeries(lam.manifold, len(values) - 1, tuple(values),
+                        lam.provenance)
+
+
+@pytest.mark.parametrize("change, primes, errors", [
+    # lambda_4 = 1/7, past the prefix at K = 7 only: the fallback
+    (lambda lam: _with_values(lam, lam.values[:4] + (Fraction(1, 7),)
+                              + lam.values[5:]), (7, 11, 13), {}),
+    # lambda_1 = 1/7 in every prefix: K = 7 cannot reduce the series
+    (lambda lam: _with_values(lam, lam.values[:1] + (Fraction(1, 7),)
+                              + lam.values[2:]), (7, 11, 13),
+     {7: "DenominatorDivisibleByK: coefficient of x^1 = 1/7 has "
+         "denominator divisible by 7"}),
+    # a series too short for K = 11 and 13
+    (lambda lam: _with_values(lam, lam.values[:4]), (7, 11, 13),
+     {11: "InsufficientTerms: need lambda_n through n = 5, have n_max = 3",
+      13: "InsufficientTerms: need lambda_n through n = 6, have n_max = 3"}),
+], ids=["past-prefix", "in-prefix", "short"])
+def test_verify_identity_series_edges_match_reference(monkeypatch, change,
+                                                      primes, errors):
+    _patched_series(monkeypatch, change)
+    for m in (Lens(5, 2), SeifertData([(2, 1), (3, 1), (5, 1)])):
+        rows = _rows(m, primes)
+        assert rows == identity_reference(m, primes), m
+        assert {K: r[4] for K, r in zip(primes, rows) if r[4]} == errors
+
+
+def test_verify_identity_skips_on_h1_and_series_failure(monkeypatch):
+    primes = odd_primes(3, 23)
+    for m in (Lens(7, 3), P1Surgery("unlink", (5, -3))):
+        assert _rows(m, primes) == identity_reference(m, primes)
+
+    def broken(m, n_max):
+        raise So3InvError("no series")
+
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", broken)
+    for m in (Lens(7, 3), P1Surgery("unlink", (5, -3))):
+        rows = _rows(m, primes)
+        assert rows == identity_reference(m, primes)
+        assert {r[4].split(":")[0] for r in rows} == {
+            "So3InvError", "H1DivisibleByK"}
+
+
+def test_one_dedekind_sum_and_one_denominator_per_manifold(monkeypatch):
+    sums, whole = [], []
+    real_sum, real_over = nt.dedekind_sum, series._over_lcm
+
+    def counting_sum(q, p):
+        sums.append((q, p))
+        return real_sum(q, p)
+
+    def counting_over(coeffs):
+        whole.append(len(coeffs))
+        return real_over(coeffs)
+
+    monkeypatch.setattr(nt, "dedekind_sum", counting_sum)
+    monkeypatch.setattr(series, "_over_lcm", counting_over)
+    reports = verify_identity(Lens(7, 3), odd_primes(5, 37))
+    assert [r.verdict for r in reports] == ["equal"] + ["skipped"] + [
+        "equal"] * 8
+    # lambda_0..lambda_18 over one denominator once, a power of 14 that
+    # no prime of the sweep divides: no prefix needs its own lcm
+    assert sums == [(3, 7)] and whole == [19]
+    sums.clear()
+    whole.clear()
+    reconstruct_lambda(Lens(7, 3), odd_primes(7, 23), 6)
+    assert sums == [(3, 7)] and whole == []

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3inv.arith import odd_primes
-from so3inv.closedform import lens_lambda_series
 from so3inv.errors import (
     DenominatorDivisibleByK,
     InsufficientTerms,
@@ -25,6 +24,8 @@ from so3inv.series import (
     u_over_sinh,
     vee,
 )
+from so3inv.nt import Lens
+from so3inv.ohtsuki import closed_lambda_series
 from zq_reference import (FactorialNotInvertible, NonUnitDivisor,
                           exp_sum_series, gauss_moment_diamond,
                           q_power_recurrence, s_div, schoolbook_mul,
@@ -237,7 +238,7 @@ def test_vee_matches_per_coefficient_route():
             for q in range(1, a) if gcd(a, q) == 1] + [(1, 1), (-1, 1)]
     raised = 0
     for p, q in grid:
-        lam = lens_lambda_series(p, q, 30).values
+        lam = closed_lambda_series(Lens(p, q), 30).values
         for K in odd_primes(5, 61):
             d = (K - 1) // 2
             for s in (RatSeries(lam[:d + 1], d), RatSeries(lam, 30)):

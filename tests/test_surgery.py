@@ -10,7 +10,7 @@ import pytest
 import so3inv.nt
 from so3inv import cyclotomic, surgery
 from so3inv.arith import even_inv, inv_int, legendre, odd_primes, sign
-from so3inv.closedform import _phase_to_q, lens_zprime, seifert_zprime
+from so3inv.closedform import _phase_to_q
 from so3inv.cyclotomic import CycInt, eval_complex, odd_window
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
                            H1DivisibleByK, NotAnOddPrime, NotRHS,
@@ -121,7 +121,7 @@ def test_seifert_star_full_invariant_matches_chain_presentation():
 
 
 def test_seifert_oracle_at_k101():
-    got = eval_complex(seifert_zprime(POINCARE, 101))
+    got = eval_complex(closed_zprime(POINCARE, 101))
     assert abs(got - zprime_numeric(POINCARE, 101)) < 1e-9
 
 
@@ -160,10 +160,10 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                     assert sines == tuple(
                         _nearest(mpmath.sinpi(mpmath.mpf(y) / K), B)
                         for y in range(2 * K))
-        for a in (lens_zprime(-5, 2, 7), lens_zprime(3, 1, 7),
-                  seifert_zprime(POINCARE, 13),
-                  seifert_zprime(POINCARE, 101),
-                  seifert_zprime(POINCARE, 211)):
+        for a in (closed_zprime(Lens(-5, 2), 7), closed_zprime(Lens(3, 1), 7),
+                  closed_zprime(POINCARE, 13),
+                  closed_zprime(POINCARE, 101),
+                  closed_zprime(POINCARE, 211)):
             K = a.K
             got = eval_complex(a, dps)
             with mpmath.workdps(dps):
@@ -175,7 +175,7 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                     # the bound, plus the rounding to a double
                     assert abs(g - w) <= bound + abs(w) * 2 ** -52
     # L(-5,2) is real: its imaginary part is rounding noise, printed as 0
-    assert eval_complex(lens_zprime(-5, 2, 7)).imag == 0.0
+    assert eval_complex(closed_zprime(Lens(-5, 2), 7)).imag == 0.0
 
 
 def test_one_expjpi_call_per_table(monkeypatch):
@@ -199,7 +199,7 @@ def test_one_expjpi_call_per_table(monkeypatch):
 def test_eval_complex_rejects_precision_below_one_digit(precision):
     # 0 digits used to give 0j for L(5,2) at K = 7, whose value is -2.2470
     with pytest.raises(BadPrecision):
-        eval_complex(lens_zprime(5, 2, 7), precision)
+        eval_complex(closed_zprime(Lens(5, 2), 7), precision)
 
 
 @pytest.mark.parametrize("precision", [0, -3])
@@ -267,12 +267,10 @@ def test_exact_p1_matches_numeric_oracle():
 
 def test_exact_p1_is_mirror_lens():
     # framing p on the unknot builds the mirror of L(p,1)
-    from so3inv.closedform import lens_zprime
-
     for K in (5, 11):
         for p in (2, -3, 4, 7):
             got = exact_p1(P1Surgery("unknot", (p,)), K)
-            assert got == lens_zprime(-p, 1, K)
+            assert got == closed_zprime(Lens(-p, 1), K)
 
 
 def test_exact_p1_two_components():

@@ -5,6 +5,9 @@ expands q^i = (1+x)^i one Pascal row at a time; `vee_per_coefficient`
 reduces each coefficient with its own inverse; `q_power_recurrence`
 steps the binomial series with three Fraction operations per term;
 `schoolbook_mul` is the Fraction double loop of a series product;
+`identity_reference` is `ohtsuki.verify_identity` with nothing shared
+across primes: `closed_zprime` afresh at every prime and each lambda_n
+reduced on its own (`vee_per_coefficient`);
 `seifert_cn_laurent` builds the Seifert multiplicity table in dict
 Laurent algebra (`_laurent_mul`, and `_div_z_step`, which re-multiplies
 to check each division).  The tests check the integer passes of
@@ -61,14 +64,15 @@ from math import factorial, prod
 from operator import add
 from typing import Callable, Sequence
 
+from so3inv import ohtsuki
 from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
-from so3inv.cyclotomic import (CycInt, _raw, divide_exact, fixed_roots,
-                               from_runs, gauss_sum, odd_window,
+from so3inv.cyclotomic import (CycInt, _raw, diamond, divide_exact,
+                               fixed_roots, from_runs, gauss_sum, odd_window,
                                sine_run)
 from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
                            InsufficientTerms, IntegralityFailure, NotAUnit,
                            So3InvError)
-from so3inv.nt import ManifoldSpec
+from so3inv.nt import ManifoldSpec, h1_order
 from so3inv.series import RatSeries, TruncPoly, _frac, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
                             _value, zprime_numeric)
@@ -102,6 +106,40 @@ def vee_per_coefficient(s: RatSeries, K: int) -> TruncPoly:
                 f"coefficient of x^{n} = {c} has denominator divisible by {K}")
         out.append(rat_residue(c, K))
     return TruncPoly(out, K)
+
+
+def identity_reference(m, primes) -> list:
+    """(lhs, rhs, verdict, first_mismatch, error) of each prime, as
+    `verify_identity` reports them.  The series is read from
+    `ohtsuki.closed_lambda_series` at call time, so a monkeypatch of it
+    reaches both routes."""
+    n_max = max(((K - 1) // 2 for K in primes), default=0)
+    try:
+        lam, why = ohtsuki.closed_lambda_series(m, n_max), None
+    except So3InvError as e:
+        lam, why = None, e
+    rows = []
+    for K in primes:
+        try:
+            K = as_prime(K)
+            h1 = h1_order(m)
+            lhs = diamond(ohtsuki.closed_zprime(m, K) * (h1 * legendre(h1, K)))
+            if why is not None:
+                raise why
+            d = (K - 1) // 2
+            if lam.n_max < d:
+                raise InsufficientTerms(f"need lambda_n through n = {d}, "
+                                        f"have n_max = {lam.n_max}")
+            rhs = vee_per_coefficient(lam.series(), K)
+        except So3InvError as e:
+            rows.append((None, None, "skipped", None,
+                         f"{type(e).__name__}: {e}"))
+            continue
+        first = next((n for n, (a, b) in
+                      enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
+        rows.append((lhs, rhs, "equal" if first is None else "unequal",
+                     first, None))
+    return rows
 
 
 def q_power_recurrence(r, cap: int) -> RatSeries:
