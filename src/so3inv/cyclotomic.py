@@ -13,10 +13,11 @@ invariants to their rational series images.
 The module also owns the one table of transcendental values in the
 package, `fixed_roots`: the roots of unity as integers at a scale 2^B,
 the powers of one root from mpmath (imported on first use), each the
-integer nearest 2^B times its root up to one unit.  `eval_complex` and
-the numeric surgery oracle sum over those integers, so their rounding
-enters only through the table entries, the oracle's shifts and floor
-divisions, and one final conversion.
+integer nearest 2^B times its root up to one unit.  mpmath only builds
+tables: `eval_complex` and the numeric surgery oracle work in integers
+over them, so their rounding enters only through the table entries,
+the oracle's shifts and floor divisions, and one int / int per
+component.
 
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes
@@ -255,13 +256,12 @@ def fixed_roots(n: int) -> tuple:
 def eval_complex(a: CycInt, precision: int = 50) -> complex:
     """Embed into C with q = exp(2*pi*i/K), at `precision` digits.
 
-    The sum of c_i * q^i is taken exactly over the integers of
+    The sum S of c_i * q^i is taken exactly over the integers of
     `fixed_roots(K)`, so its only rounding is that of the table entries
-    (each within one unit of 2^-B of its root) and of the one
-    conversion at the end.
-    A component no larger than K * sum|c_i| * 10^(1 - precision) is
-    returned as 0.0: it is noise, not a digit of the value.  A
-    precision below one digit raises BadPrecision.
+    (each within one unit of 2^-B of its root) and of the one int / int
+    S / 2^B per component.  A component with |S| * 10^(precision - 1)
+    <= K * sum|c_i| * 2^B is returned as 0.0: it is noise, not a digit
+    of the value.  A precision below one digit raises BadPrecision.
     """
     import mpmath
 
@@ -269,9 +269,7 @@ def eval_complex(a: CycInt, precision: int = 50) -> complex:
         raise BadPrecision(f"precision {precision} is below one digit")
     with mpmath.workdps(precision):
         B, re, im = fixed_roots(a.K)
-        noise = (a.K * sum(map(abs, a.coeffs))
-                 * mpmath.mpf(10) ** (1 - precision))
-        parts = (mpmath.ldexp(sum(map(mul, a.coeffs, tab)), -B)
-                 for tab in (re, im))
-        return complex(*(float(v) if abs(v) > noise else 0.0
-                         for v in parts))
+    noise = a.K * sum(map(abs, a.coeffs)) << B
+    sums = (sum(map(mul, a.coeffs, tab)) for tab in (re, im))
+    return complex(*(s / (1 << B) if abs(s) * 10 ** (precision - 1) > noise
+                     else 0.0 for s in sums))

@@ -24,29 +24,28 @@ guaranteed power x^((K-1)/2) of x = q - 1.
 
 The numeric path imports mpmath when it runs (exact_p1 never loads it)
 and works at a precision that grows with K (50 + 2K digits unless
-overridden; BadPrecision below one digit).  mpmath gives the one root
-from which the roots-of-unity table, cyclotomic.fixed_roots, is
-powered in integers, and makes the final conversion to complex; the
-color sums in between are integer fixed-point arithmetic over that
-table's integers: sums of products, each product shifted back to the
-table's scale 2^B once and each division by the sines one floor
-division.  Rounding enters only through the table entries (each within
-one unit of 2^-B of its root, and the nearest integer but for roots
-within 2^-63 units of a half-integer), one unit of 2^-B per shift and
-one per floor division, so the 1e-9 cross-check tolerances hold with
-a large margin even near K = 100.  The sums read
-the phases as roots of order K (the even entries of the table of order
-2K), sin(pi*y/K) as the imaginary part of a root of order 2K, and the
-color factor (q^-e - q^e) * i/2 as Im q^e; the invariant's constant
-phase and modulus are one e^(i*pi*m/(4K)) (one expjpi) over one square
-root.  Evaluations are pure functions of (manifold, K); callers that
-want parallelism batch independent (manifold, K) tasks across processes
-(see the command-line front end).
+overridden; BadPrecision below one digit).  mpmath gives only the one
+root from which each roots-of-unity table, cyclotomic.fixed_roots, is
+powered in integers, once per (order, precision); every evaluation is
+integer fixed-point arithmetic over the tables' integers: sums of
+products, each product shifted back to the table's scale 2^B once and
+each division by the sines one floor division.  Rounding enters only
+through the table entries (each within one unit of 2^-B of its root,
+and the nearest integer but for roots within 2^-63 units of a
+half-integer), one unit of 2^-B per shift and one per floor division,
+and one int / int per component, so the 1e-9 cross-check tolerances
+hold with a large margin even near K = 100.  The sums read the phases
+as roots of order K (the even entries of the table of order 2K),
+sin(pi*y/K) as Im of a root of order 2K and the color factor
+(q^-e - q^e) * i/2 as Im q^e; the constant phase and modulus are root m
+of order 8K, e^(i*pi*m/(4K)), over sqrt(K)^N, one isqrt.  Evaluations
+are pure functions of (manifold, K); callers that want parallelism
+batch them across processes (see the command-line front end).
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import isqrt, prod
 from operator import mul
 
 from .arith import as_prime, even_inv, inv_int, legendre, sign
@@ -155,12 +154,15 @@ def _color_sum(colors, weights, star: bool, K: int):
 
 
 def _value(fixed, m: int, rad: int, K: int) -> complex:
-    """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im)."""
-    import mpmath
+    """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im),
+    0 <= m < 8K: root m of the table of order 8K, scale 2^C, times
+    (re, im) exactly, over sqrt(rad) as one isqrt at scale 2^(B+C);
+    each component is one correctly rounded int / int."""
     B, re, im = fixed
-    z = mpmath.mpc(mpmath.ldexp(re, -B), mpmath.ldexp(im, -B))
-    return complex(mpmath.expjpi(mpmath.mpf(m) / (4 * K))
-                   / mpmath.sqrt(rad) * z)
+    C, cos, sin = fixed_roots(8 * K)
+    r = isqrt(rad << 2 * (B + C))
+    return complex((cos[m] * re - sin[m] * im) / r,
+                   (cos[m] * im + sin[m] * re) / r)
 
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:

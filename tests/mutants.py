@@ -2,19 +2,22 @@
 without it.
 
 Each entry of MUTANTS is (name, file, snippet, replacement).  The
-snippet must occur exactly once in its file, so a refactor that moves a
-guard has to update this list on purpose.  For each entry the tree's
+snippet must occur exactly once in its file at the start of a line,
+indentation included, so a refactor that moves a guard, or nests it
+deeper, has to update this list on purpose.  For each entry the tree's
 `src`, `tests` and `pyproject.toml` are copied to a temporary
 directory, the replacement is applied, and tier-1 runs there with
-`-x`.  The mutant is killed only when a test fails: pytest exits 1
-and its first failure is a FAILED line.  A timeout, an ERROR line (a
-collection or setup error, such as a SyntaxError from a mistyped
-replacement) or any other exit status is an error of the check, not a
-kill.  The unmutated copy is run first and must pass.
+`-x`, less the test that runs `check_snippets` (it fails on every
+mutated copy, whose snippet is gone).  The mutant is killed only when
+a test fails: pytest exits 1 and its first failure is a FAILED line.
+A timeout, an ERROR line (a collection or setup error, such as a
+SyntaxError from a mistyped replacement) or any other exit status is
+an error of the check, not a kill.  The unmutated copy is run first
+and must pass.
 
 Exit status 0 when every mutant is killed; 1 when a snippet does not
-match exactly once, the unmutated tree fails, a mutant survives or a
-run ends in an error.  pytest does not collect this file.  Run from
+start exactly one line, the unmutated tree fails, a mutant survives or
+a run ends in an error.  pytest does not collect this file.  Run from
 anywhere:
 
   python3 tests/mutants.py
@@ -37,6 +40,11 @@ MUTANTS = [
     ("divide_exact remainder", "cyclotomic.py",
      "    if any(c % n for c in a.coeffs):\n",
      "    if False:\n"),
+    ("eval_complex noise rule", "cyclotomic.py",
+     "    return complex(*(s / (1 << B) if abs(s) * 10 ** (precision - 1)"
+     " > noise\n",
+     "    return complex(*(s / (1 << B) if abs(s) * 10 ** (precision - 1)"
+     " > 0\n"),
     ("from_runs run length", "cyclotomic.py",
      "        if not 0 <= m <= K:\n",
      "        if False:\n"),
@@ -69,8 +77,10 @@ MUTANTS = [
      "    if h1 % K == 0:\n",
      "    if False:\n"),
     ("oracle -1 count", "surgery.py",
-     "K) < 0) + len(surg)\n",
-     "K) < 0) + len(surg) + 1\n"),
+     "    negative = (legendre(prod(q for (p, q) in surg), K) < 0)"
+     " + len(surg)\n",
+     "    negative = (legendre(prod(q for (p, q) in surg), K) < 0)"
+     " + len(surg) + 1\n"),
     ("held-out primes", "ohtsuki.py",
      "            if len(batch) == 2 and all(",
      "            if len(batch) == 2 or all("),
@@ -102,13 +112,21 @@ MUTANTS = [
 ]
 
 TIMEOUT_S = 900
+SNIPPET_TEST = ("tests/test_mutants.py::"
+                "test_every_snippet_starts_exactly_one_line")
+
+
+def _lines(path: Path) -> str:
+    """The file's text after a newline: a snippet found after a newline
+    in it starts a line."""
+    return "\n" + path.read_text()
 
 
 def check_snippets() -> list:
-    """The entries whose snippet does not occur exactly once."""
+    """The entries whose snippet does not start exactly one line."""
     bad = []
     for name, fname, snippet, _ in MUTANTS:
-        n = (ROOT / "src" / "so3inv" / fname).read_text().count(snippet)
+        n = _lines(ROOT / "src" / "so3inv" / fname).count("\n" + snippet)
         if n != 1:
             bad.append(f"{name}: snippet found {n} times in {fname}")
     return bad
@@ -127,14 +145,18 @@ def run_tier1(mutant=None):
         if mutant is not None:
             _, fname, snippet, replacement = mutant
             path = tmp / "src" / "so3inv" / fname
-            path.write_text(path.read_text().replace(snippet, replacement))
+            path.write_text(_lines(path).replace(
+                "\n" + snippet, "\n" + replacement)[1:])
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         t0 = time.perf_counter()
         try:
+            # the snippet test fails on every mutated copy, whose
+            # snippet is gone, so it would kill every mutant
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x",
-                 "-p", "no:cacheprovider", "tests"],
+                 "-p", "no:cacheprovider", "--deselect", SNIPPET_TEST,
+                 "tests"],
                 cwd=tmp, env=env, capture_output=True, text=True,
                 timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:

@@ -192,6 +192,15 @@ def test_eval_complex_gauss_magnitude():
                        sqrt(K), rel_tol=1e-12)
 
 
+def test_eval_complex_returns_noise_as_zero():
+    # G(1) = i*sqrt(K) for K = 3 mod 4; the rounded roots leave a few
+    # units of 2^-B in its real part (at K = 7, 23, 31 and 43 with 50
+    # digits), which is noise, not a digit, and comes back as 0.0
+    for K in (3, 7, 11, 19, 23, 31, 43):
+        z = eval_complex(gauss_sum(1, K))
+        assert z.real == 0.0 and isclose(z.imag, sqrt(K), rel_tol=1e-15)
+
+
 def test_sine_quotient_exact_and_numeric():
     for K in (5, 7, 11):
         t2 = (K + 1) // 2

@@ -1,8 +1,9 @@
 """Oracle behavior: numeric surgery sums, exact integer-framing path."""
 
 import itertools
+import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import mpmath
 import pytest
@@ -14,13 +15,14 @@ from so3inv.closedform import _phase_to_q
 from so3inv.cyclotomic import CycInt, eval_complex, odd_window
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
                            H1DivisibleByK, NotAnOddPrime, NotRHS,
-                           PhaseNotReducible, ZeroLowerLeft)
+                           PDivisibleByK, PhaseNotReducible, ZeroLowerLeft)
 from so3inv.jones import get_table
 from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
-from zq_reference import (cyc_pow, divide_by_x, kirby_melvin_check, qpow,
-                          unit_u, z_numeric)
+from zq_reference import (cyc_pow, divide_by_x, eval_complex_mpmath,
+                          kirby_melvin_check, qpow, unit_u, value_mpmath,
+                          z_numeric)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -141,10 +143,11 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
     for dps in order:
         with mpmath.workdps(dps):
             for K in (5, 7, 13, 101):
-                # roots of order K, of order 2K and of order 2 * den,
-                # which the chain elements read
+                # roots of order K, of order 2K, of order 8K, which the
+                # prefactor's phase reads, and of order 2 * den, which
+                # the chain elements read
                 den = 2 * K * 3
-                for n in (K, 2 * K, 2 * den):
+                for n in (K, 2 * K, 8 * K, 2 * den):
                     B, re, im = cyclotomic.fixed_roots(n)
                     assert B == mpmath.mp.prec + n.bit_length() + 1
                     with mpmath.workprec(2 * B + 64):
@@ -178,14 +181,21 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
     assert eval_complex(closed_zprime(Lens(-5, 2), 7)).imag == 0.0
 
 
-def test_one_expjpi_call_per_table(monkeypatch):
-    # a table is the powers of one root from mpmath, built once per
-    # (order, precision)
+@pytest.fixture
+def expjpi_calls(monkeypatch):
+    """The arguments of every mpmath.expjpi call, from empty tables."""
     monkeypatch.setattr(cyclotomic, "_ROOTS", {})
     calls = []
     expjpi = mpmath.expjpi
     monkeypatch.setattr(mpmath, "expjpi",
                         lambda x: calls.append(x) or expjpi(x))
+    return calls
+
+
+def test_one_expjpi_call_per_table(expjpi_calls):
+    # a table is the powers of one root from mpmath, built once per
+    # (order, precision)
+    calls = expjpi_calls
     for dps in (15, 50):
         with mpmath.workdps(dps):
             for n in (7, 14, 1212):
@@ -193,6 +203,68 @@ def test_one_expjpi_call_per_table(monkeypatch):
                     cyclotomic.fixed_roots(n)
                 assert len(calls) == len(cyclotomic._ROOTS)
     assert len(calls) == 6
+
+
+def test_oracle_calls_expjpi_only_to_build_tables(expjpi_calls):
+    # the color sums and the prefactor read the tables of order 2K and
+    # 8K, so a batch at one K builds each once and a repeat builds none
+    calls = expjpi_calls
+    K = 13
+    batch = [Lens(5, 2), Lens(-7, 3), POINCARE, P1Surgery("unlink", (-2, 5))]
+    first = [zprime_numeric(m, K) for m in batch]
+    assert len(calls) == len(cyclotomic._ROOTS) == 2
+    assert {n for n, _ in cyclotomic._ROOTS} == {2 * K, 8 * K}
+    assert [zprime_numeric(m, K) for m in batch] == first
+    assert len(calls) == 2
+
+
+def test_eval_complex_equals_mpmath_body():
+    # the integer noise rule and the one int / int conversion give the
+    # doubles of the mpf route, noise zeros included; the lens spaces
+    # are those of `verify --family lens --pmax 12`
+    manifolds = [Lens(p, q) for p in range(-12, 13) if p
+                 for q in [q for q in range(1, abs(p)) if gcd(p, q) == 1]
+                 or [1]]
+    manifolds += map(SeifertData, STARS)
+    manifolds += (P1Surgery("unlink", fr)
+                  for fr in ((-2, 5), (2, -3, 4), (3, 3), (-1, 2, 7)))
+    n = 0
+    for K in (5, 7, 11, 29, 53, 101, 157, 211):
+        for m in manifolds:
+            try:
+                a = closed_zprime(m, K)
+            except (H1DivisibleByK, PDivisibleByK):
+                continue
+            for precision in (15, 30, 50, 120):
+                got = eval_complex(a, precision)
+                assert got == eval_complex_mpmath(a, precision), (m, K)
+                n += 1
+    assert n == 2992
+
+
+def test_value_equals_mpmath_body():
+    # the prefactor in integers against one expjpi over one mpmath
+    # square root: equal as doubles, but a component of a value on an
+    # axis may differ while it is below 2^(-prec/2) on both sides
+    rng = random.Random(5)
+    for K in (5, 7, 13, 31):
+        with mpmath.workdps(surgery._dps(K, None)):
+            B, cos, sin = cyclotomic.fixed_roots(2 * K)
+            tiny = mpmath.ldexp(1, -mpmath.mp.prec // 2)
+            fixed = [(B, 1 << B, 0), (B, 3 * cos[1], -5 * sin[3]),
+                     (B, rng.getrandbits(B + 40) - (1 << B + 39),
+                      rng.getrandbits(B + 40) - (1 << B + 39))]
+            rads = [K ** N for N in range(1, 6)]
+            rads.append(prod(2 * K * q for q in (1, 3, 4)))
+            for m in range(8 * K):
+                for rad in rads:
+                    for z in fixed:
+                        got = surgery._value(z, m, rad, K)
+                        want = value_mpmath(z, m, rad, K)
+                        for g, w in ((got.real, want.real),
+                                     (got.imag, want.imag)):
+                            assert g == w or (abs(g) < tiny
+                                              and abs(w) < tiny), (K, m)
 
 
 @pytest.mark.parametrize("precision", [0, -3])

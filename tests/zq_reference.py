@@ -40,6 +40,12 @@ weights (`_chain_weights`) and prefactor (`_z_prelude`).
 `kirby_melvin_check` tests the Kirby-Melvin proportionality of the full
 and odd-color invariants (Invent. Math. 105 (1991)).
 
+The mpmath conversions.  `value_mpmath` and `eval_complex_mpmath` are
+the older bodies of `surgery._value` and `cyclotomic.eval_complex`: the
+prefactor as one `expjpi` over one mpmath square root times an `mpc`,
+and the embedding converted through `mpf`.  The library computes both
+in integers over `fixed_roots`; the tests check it against these.
+
 The color-expansion lemma.  `expansion_check` verifies the structural
 bounds on the color expansion around t = 0 of a one-color evaluation
 given as a series, such as the unknot's `sin_quotient_series` or the
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from operator import add
+from operator import add, mul
 from typing import Callable, Sequence
 
 from so3inv import ohtsuki
@@ -69,9 +75,9 @@ from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
 from so3inv.cyclotomic import (CycInt, _raw, diamond, divide_exact,
                                fixed_roots, from_runs, gauss_sum, odd_window,
                                sine_run)
-from so3inv.errors import (BoundViolation, DenominatorDivisibleByK,
-                           InsufficientTerms, IntegralityFailure, NotAUnit,
-                           So3InvError)
+from so3inv.errors import (BadPrecision, BoundViolation,
+                           DenominatorDivisibleByK, InsufficientTerms,
+                           IntegralityFailure, NotAUnit, So3InvError)
 from so3inv.nt import ManifoldSpec, h1_order
 from so3inv.series import RatSeries, TruncPoly, _frac, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
@@ -371,6 +377,40 @@ def _z_prelude(surg, sig, K):
         phis += phi
     m = (K - 2) * (phis - 3 * sig) - K * phis + 2 * K * len(data)
     return data, m % (8 * K)
+
+
+def value_mpmath(fixed, m: int, rad: int, K: int) -> complex:
+    """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im)."""
+    import mpmath
+    B, re, im = fixed
+    z = mpmath.mpc(mpmath.ldexp(re, -B), mpmath.ldexp(im, -B))
+    return complex(mpmath.expjpi(mpmath.mpf(m) / (4 * K))
+                   / mpmath.sqrt(rad) * z)
+
+
+def eval_complex_mpmath(a: CycInt, precision: int = 50) -> complex:
+    """Embed into C with q = exp(2*pi*i/K), at `precision` digits.
+
+    The sum of c_i * q^i is taken exactly over the integers of
+    `fixed_roots(K)`, so its only rounding is that of the table entries
+    (each within one unit of 2^-B of its root) and of the one
+    conversion at the end.
+    A component no larger than K * sum|c_i| * 10^(1 - precision) is
+    returned as 0.0: it is noise, not a digit of the value.  A
+    precision below one digit raises BadPrecision.
+    """
+    import mpmath
+
+    if precision < 1:
+        raise BadPrecision(f"precision {precision} is below one digit")
+    with mpmath.workdps(precision):
+        B, re, im = fixed_roots(a.K)
+        noise = (a.K * sum(map(abs, a.coeffs))
+                 * mpmath.mpf(10) ** (1 - precision))
+        parts = (mpmath.ldexp(sum(map(mul, a.coeffs, tab)), -B)
+                 for tab in (re, im))
+        return complex(*(float(v) if abs(v) > noise else 0.0
+                         for v in parts))
 
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
