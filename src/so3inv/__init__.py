@@ -18,16 +18,22 @@ class _Record:
     """A frozen record over __slots__, as a frozen dataclass is: equal
     only within one class over every field, hashed as the field tuple,
     shown as Name(field=value, ...), pickled through its constructor.
-    A subclass hands its field values, in slot order, to __init__."""
+    A subclass hands its slot values, in slot order, to __init__; the
+    last `_derived` slots hold what its constructor derives from the
+    fields, frozen like them but never compared, hashed or shown."""
 
     __slots__ = ()
+    _derived = 0
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    def _fields(self) -> tuple:
+        return self.__slots__[:len(self.__slots__) - self._derived]
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -38,7 +44,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._values())
+        fields = map("{}={!r}".format, self._fields(), self._values())
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):

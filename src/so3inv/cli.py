@@ -40,7 +40,7 @@ from math import gcd
 from .arith import as_prime, odd_primes
 from .cyclotomic import eval_complex, gauss_sum, to_xpoly, x_order
 from .errors import So3InvError
-from .nt import ClosedForm, Lens, P1Surgery, SeifertData
+from .nt import Lens, P1Surgery, SeifertData
 from .ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
                       manifold_label, reconstruct_lambda, verify_identity)
 from .series import TruncPoly
@@ -310,15 +310,14 @@ def cmd_verify(args) -> int:
 
 def _lambda_task(task):
     """(rows, stderr lines, exit status) of one manifold, or the
-    So3InvError that stops the command at it; one ClosedForm serves the
-    closed series and every prime of the reconstruction."""
+    So3InvError that stops the command at it; the closed series and
+    every prime read the |H1| and Dedekind data m was built with."""
     m, nmax, primes = task
     label, notes, rows, status = manifold_label(m), [], [], 0
     try:
-        f = ClosedForm.of(m)
-        series = [closed_lambda_series(f, nmax)]
+        series = [closed_lambda_series(m, nmax)]
         if primes:
-            series.append(reconstruct_lambda(f, primes, nmax))
+            series.append(reconstruct_lambda(m, primes, nmax))
     except So3InvError as e:
         return e
     for rec in series[1:]:
@@ -330,7 +329,7 @@ def _lambda_task(task):
     for s in series:
         for n in range(nmax + 1):
             try:
-                check_bounds(label, n, f.h1, s[n])
+                check_bounds(label, n, m.h1, s[n])
                 bounds = "ok"
             except So3InvError as e:
                 bounds = f"violated: {e}"

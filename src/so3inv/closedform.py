@@ -16,10 +16,9 @@ suite.
 Orientation convention, one rule for every slope p/q, a lens space
 L(p, q) or a Seifert fiber p_j/q_j: the slope is read as -p/-q when
 p < 0, so its Dedekind sum is s(sign(p) q, |p|) (`nt._slope_dedekind`,
-read through `nt.ClosedForm`),
-and every other factor reads |p|.  L(p, q) with p < 0 is thus the
-mirror of L(-p, -q); the literal s(q, |p|) would collapse mirror pairs,
-which is wrong.
+read once, when the presentation is built), and every other factor
+reads |p|.  L(p, q) with p < 0 is thus the mirror of L(-p, -q); the
+literal s(q, |p|) would collapse mirror pairs, which is wrong.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .errors import (
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import ClosedForm, SeifertData, check_h1, manifold_label
+from .nt import Lens, SeifertData, check_h1, manifold_label
 from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
                      q_power, sinh_over_u, u_over_sinh)
 
@@ -49,18 +48,17 @@ from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
 # lens spaces
 
 
-def lens_zprime(f: ClosedForm, K) -> CycInt:
-    """Exact Z' of L(p, q) = f.manifold at an odd prime K with
-    gcd(p, K) = 1: q^r * [p*], one run of powers of q."""
+def lens_zprime(L: Lens, K) -> CycInt:
+    """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1:
+    q^r * [p*], one run of powers of q."""
     K = as_prime(K)
-    check_h1(f.h1, K)
-    p = abs(f.manifold.p)
-    return from_runs([sine_run(rat_residue(f.r, K), inv_int(p, K),
-                               legendre(p, K), K)], K)
+    check_h1(L.h1, K)
+    return from_runs([sine_run(rat_residue(L.r, K), inv_int(L.h1, K),
+                               legendre(L.h1, K), K)], K)
 
 
-def lens_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
-    """Trivial-connection series of the lens space f.manifold, lambda_0 = 1.
+def lens_lambda_series(L: Lens, n_max: int) -> LambdaSeries:
+    """Trivial-connection series of the lens space L, lambda_0 = 1.
 
     For p > 0 (the orientation rule of the module docstring), the
     series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
@@ -68,15 +66,15 @@ def lens_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
     r+- = 3 s(q,p) + (1 +- 1/p)/2, so lambda_n = p * [C(r+, n+1) -
     C(r-, n+1)]; the leading coefficient is checked, not forced.
     """
-    r = f.r + Fraction(1, 2)
-    p = abs(f.manifold.p)
+    r = L.r + Fraction(1, 2)
+    p = L.h1
     b = lcm(r.denominator, 2 * p)  # r+- = (a +- h) / b
     a, h = r.numerator * (b // r.denominator), b // (2 * p)
     (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
                           binomial_terms(a - h, b, n_max + 1))
     values = tuple(Fraction(p * (u - v), d)
                    for u, v, d in zip(hi[1:], lo[1:], den[1:]))
-    label = manifold_label(f.manifold)
+    label = manifold_label(L)
     if values[0] != 1:
         raise BadNormalization(f"lambda_0 = {values[0]} for {label}")
     return LambdaSeries(label, n_max, values, "closed-form")
@@ -142,15 +140,14 @@ def _phase_to_q(a: int, b: int, sgn: int, K: int) -> tuple:
         f"a genuine eighth root remains (a={a % 8}, b={b % (4 * K)})")
 
 
-def _seifert_phase(S: SeifertData, K: int, dd: Fraction) -> tuple:
+def _seifert_phase(S: SeifertData, K: int) -> tuple:
     """The scalar prefactor +-q^n as (n, s), added up factor by factor.
 
     Every factor is one produced by resolving the star surgery, and it
     enters as the eighth-root exponent a, the quarter-step-of-q
-    exponent b or the sign; _phase_to_q reduces the three.  dd is
-    _fiber_dedekind(S).  The Gaussian's magnitude (1/2) K^(-1/2) and
-    the completed square's 2 K^(1/2) cancel for every input, so no
-    magnitude is carried.
+    exponent b or the sign; _phase_to_q reduces the three.  The
+    Gaussian's magnitude (1/2) K^(-1/2) and the completed square's
+    2 K^(1/2) cancel for every input, so no magnitude is carried.
     """
     kap, s = legendre(-1, K), sign(S.H * S.P)
     pstar = inv_int(S.P, K)
@@ -159,7 +156,7 @@ def _seifert_phase(S: SeifertData, K: int, dd: Fraction) -> tuple:
     a = 2 + (kap + 3) * s
     b = (-3 + 2 - 4 * inv_int(2, K)) * s
     # the fiber chains: the Dedekind/Rademacher q^(-3 sum_j s(q_j, p_j))
-    b -= 4 * rat_residue(3 * dd, K)
+    b -= 4 * rat_residue(3 * S.dd, K)
     # completing the square against the central color: q^(4* P* H),
     # e^(i pi (kap - 1)/4) and the Legendre symbols
     a += kap - 1
@@ -169,12 +166,12 @@ def _seifert_phase(S: SeifertData, K: int, dd: Fraction) -> tuple:
     return _phase_to_q(a, b, -sgn, K)
 
 
-def seifert_zprime(f: ClosedForm, K) -> CycInt:
-    """Exact Z' of a star-shaped rational homology sphere f.manifold.
+def seifert_zprime(S: SeifertData, K) -> CycInt:
+    """Exact Z' of a star-shaped rational homology sphere S.
 
     The prefactor phase must collapse to +-q^e (PhaseNotReducible
     otherwise), and bare = +-q^e * legendre(|H|, K) * sign(H) must be
-    q^(r mod K), r = f.r (DiamondMismatch otherwise); both
+    q^(r mod K), r = S.r (DiamondMismatch otherwise); both
     failures would falsify the assembly, not the input.  The second is
     the diamond check: diamond is injective on +-q^n, 0 <= n < K
     (constant term +-1, x coefficient n mod K), and vee((1+x)^r) =
@@ -186,12 +183,12 @@ def seifert_zprime(f: ClosedForm, K) -> CycInt:
     multiplies every weight, so Z' is one `from_runs`.
     """
     K = as_prime(K)
-    check_h1(f.h1, K)
-    S, dd, r = f.manifold, f.dd, f.r
+    check_h1(S.h1, K)
+    r = S.r
     for p, _ in S.fractions:
         if p % K == 0:
             raise PDivisibleByK(f"fiber order {p} is divisible by K = {K}")
-    e, s = _seifert_phase(S, K, dd)
+    e, s = _seifert_phase(S, K)
     if (e, s * legendre(abs(S.H), K) * sign(S.H)) != (rat_residue(r, K), 1):
         raise DiamondMismatch(
             f"assembled prefactor disagrees with q^({r}) mod K = {K}")
@@ -203,8 +200,8 @@ def seifert_zprime(f: ClosedForm, K) -> CycInt:
                       for n, c in cn.items()], K)
 
 
-def seifert_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
-    """Trivial-connection series of the star f.manifold, lambda_0 = 1.
+def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
+    """Trivial-connection series of the star S, lambda_0 = 1.
 
     With t = u^2 and sinh(u/p) = (u/p) S(t/p^2), S = `sinh_over_u`, the
     fiber prefactor 4 prod_j sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t),
@@ -213,10 +210,10 @@ def seifert_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
     Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
     rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
     (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
-    Dedekind/framing exponent (f.r).  As e^T = (1+x)^(1/2),
+    Dedekind/framing exponent (S.r).  As e^T = (1+x)^(1/2),
     1/sinh(T) = 2(1+x)^(1/2)/x, and the two q-powers make (1+x)^(r+1/2).
     """
-    S, cap = f.manifold, n_max
+    cap = n_max
     n = len(S.fractions)
     g = sinh_over_u(1, cap) if n == 1 else u_over_sinh(cap) ** (n - 2)
     for p, _ in S.fractions:
@@ -227,7 +224,7 @@ def seifert_lambda_series(f: ClosedForm, n_max: int) -> LambdaSeries:
         w *= (2 * m - 1) * ratio  # (4/P) (2m-1)!! (P/H)^m
         mom.append(c * w)
     over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
-    ser = over_x * q_power(f.r + Fraction(1, 2), cap) * Fraction(S.H, 2)
+    ser = over_x * q_power(S.r + Fraction(1, 2), cap) * Fraction(S.H, 2)
     label = manifold_label(S)
     if ser.coeff(0) != 1:
         raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")

@@ -5,9 +5,9 @@ A surgery slope p/q is completed to any SL2 matrix with first column
 anomaly.  The three manifold presentations live here too: Lens,
 SeifertData (star-shaped) and P1Surgery (integer framings on a known
 link table), each validated on construction; like `arith.as_prime`
-they take exact ints only, and never convert 5.5, True or "5".
-`ClosedForm` holds what the closed forms read of one presentation, its
-|H1| and Dedekind data, computed once per manifold.
+they take exact ints only, and never convert 5.5, True or "5".  Each
+keeps, computed once, what every exact route reads of it: h1 = |H1|
+and, for lens and Seifert spaces, the Dedekind data of the slopes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     H1DivisibleByK,
     HZero,
     IntegralityFailure,
-    NoClosedForm,
     NonIntegerPhi,
     NotCoprime,
     NotRHS,
@@ -48,6 +47,12 @@ def dedekind_sum(q: int, p: int) -> Fraction:
         sgn = -sgn
         h, k = k % h, h
     return total
+
+
+def _slope_dedekind(p: int, q: int) -> Fraction:
+    """s(sign(p) q, |p|): the Dedekind sum of the slope p/q read with
+    p > 0, the one orientation rule of the closed forms (`closedform`)."""
+    return dedekind_sum(sign(p) * q, abs(p))
 
 
 def rademacher_phi(p: int, q: int, s: int) -> int:
@@ -84,11 +89,16 @@ class SeifertData(_Record):
     """A star-shaped presentation: exceptional fibers p_j / q_j.
 
     P is the product of the p_j; H = P * sum(q_j/p_j) is the order of
-    the first homology up to sign and must not vanish.  Both follow
-    from the fibers, which alone are hashed and pickled.
+    the first homology up to sign and must not vanish, and h1 = |H|.
+    dd = sum_j s(q_j, p_j) over the fibers oriented to p_j > 0, and r =
+    (1/4)(H/P) - (3/4)sign(H/P) - 3 dd is the exponent of the q-power
+    both sides carry (Z' is guarded by q^r, and lambda carries
+    (1+x)^(r + 1/2)).  All follow from the fibers, which alone are
+    compared, hashed and pickled.
     """
 
-    __slots__ = ("fractions", "P", "H")
+    __slots__ = ("fractions", "P", "H", "h1", "dd", "r")
+    _derived = 5
 
     def __init__(self, fractions: Sequence[Tuple[int, int]]):
         try:
@@ -107,7 +117,9 @@ class SeifertData(_Record):
         H = sum(q * (P // p) for p, q in fr)  # p divides P
         if H == 0:
             raise HZero("first homology is infinite")
-        super().__init__(fr, P, H)
+        dd = sum(_slope_dedekind(p, q) for p, q in fr)
+        r = Fraction(H, 4 * P) - Fraction(3, 4) * sign(H * P) - 3 * dd
+        super().__init__(fr, P, H, abs(H), dd, r)
 
     def __repr__(self):
         inner = ",".join(f"{p}/{q}" for p, q in self.fractions)
@@ -116,14 +128,13 @@ class SeifertData(_Record):
     def __hash__(self):
         return hash(self.fractions)
 
-    def __reduce__(self):
-        return SeifertData, (self.fractions,)
-
 
 class Lens(_Record):
-    """The lens space L(p, q) with gcd(p, q) = 1 and p != 0."""
+    """The lens space L(p, q) with gcd(p, q) = 1 and p != 0; h1 = |p|,
+    and r = 3 s(q, p) (the slope read with p > 0) as in SeifertData."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "h1", "r")
+    _derived = 2
 
     def __init__(self, p: int, q: int):
         _ints((p, q), "L(p, q)", 2)
@@ -131,13 +142,15 @@ class Lens(_Record):
             raise NotRHS("L(0, q) is not a rational homology sphere")
         if gcd(p, q) != 1:
             raise NotCoprime(f"L({p},{q}) needs coprime p, q")
-        super().__init__(p, q)
+        super().__init__(p, q, abs(p), 3 * _slope_dedekind(p, q))
 
 
 class P1Surgery(_Record):
-    """Integer (p_j, 1)-framed surgery on a link with a known table."""
+    """Integer (p_j, 1)-framed surgery on a link with a known table;
+    h1 = |prod_j p_j|."""
 
-    __slots__ = ("jones", "framings")
+    __slots__ = ("jones", "framings", "h1")
+    _derived = 1
 
     def __init__(self, jones: str, framings: tuple):
         framings = _ints(framings, "framings")
@@ -149,7 +162,7 @@ class P1Surgery(_Record):
             raise NotRHS(
                 f"table {jones!r} expects {table.arity} components, "
                 f"got {len(framings)} framings")
-        super().__init__(jones, framings)
+        super().__init__(jones, framings, abs(prod(framings)))
 
 
 # the three manifold presentations
@@ -167,60 +180,8 @@ def manifold_label(m: ManifoldSpec) -> str:
     return repr(m)
 
 
-def h1_order(m: ManifoldSpec) -> int:
-    """Order of the first homology of a manifold presentation."""
-    if isinstance(m, Lens):
-        return abs(m.p)
-    if isinstance(m, SeifertData):
-        return abs(m.H)
-    if isinstance(m, P1Surgery):
-        return abs(prod(m.framings))
-    raise NotRHS(f"unrecognized manifold spec {m!r}")
-
-
 def check_h1(h1: int, K: int) -> None:
     """The one gate of the exact routes: H1DivisibleByK when the prime K
     divides h1 = |H1|, where the identity is not defined."""
     if h1 % K == 0:
         raise H1DivisibleByK(f"|H1| = {h1} is divisible by K = {K}")
-
-
-def _slope_dedekind(p: int, q: int) -> Fraction:
-    """s(sign(p) q, |p|): the Dedekind sum of the slope p/q read with
-    p > 0, the one orientation rule of the closed forms (`closedform`)."""
-    return dedekind_sum(sign(p) * q, abs(p))
-
-
-def _fiber_dedekind(S: SeifertData) -> Fraction:
-    """sum_j s(q_j, p_j) over the fibers oriented to p_j > 0."""
-    return sum(_slope_dedekind(p, q) for (p, q) in S.fractions)
-
-
-class ClosedForm(_Record):
-    """What every closed form of one manifold reads, computed once, so
-    that each prime or cap does only its own work: the presentation,
-    |H1|, the Dedekind sum dd of its slopes and the exponent r of the
-    q-power both sides carry, r = 3 dd for L(p, q) and (1/4)(H/P) -
-    (3/4)sign(H/P) - 3 dd for a Seifert space (Z' is guarded by q^r, and
-    lambda carries (1+x)^(r + 1/2)).  A P1 surgery has neither."""
-
-    __slots__ = ("manifold", "h1", "dd", "r")
-
-    @classmethod
-    def of(cls, m) -> ClosedForm:
-        """The record of a presentation, or m itself when it is a record,
-        so that one serves many primes; NoClosedForm for anything else."""
-        if isinstance(m, cls):
-            return m
-        if isinstance(m, Lens):
-            dd = _slope_dedekind(m.p, m.q)
-            r = 3 * dd
-        elif isinstance(m, SeifertData):
-            dd = _fiber_dedekind(m)
-            r = (Fraction(m.H, 4 * m.P) - Fraction(3, 4) * sign(m.H * m.P)
-                 - 3 * dd)
-        elif isinstance(m, P1Surgery):
-            dd = r = None
-        else:
-            raise NoClosedForm(f"no closed form for {m!r}")
-        return cls(m, h1_order(m), dd, r)

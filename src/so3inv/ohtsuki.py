@@ -5,7 +5,9 @@ the mod-K x-expansion of |H1| * legendre(|H1|, K) * Z'(M; K) equals the
 mod-K reduction of the universal rational series sum(lambda_n x^n).
 `verify_identity` machine-checks that statement coefficient by
 coefficient; `reconstruct_lambda` runs it backwards, recovering the
-exact rational lambda_n from their residues at many primes.
+exact rational lambda_n from their residues at many primes.  Every
+entry takes a presentation of `nt`, which carries |H1| and its
+Dedekind data, and raises NoClosedForm for anything else (`_spec`).
 
 Reconstruction never trusts a single modulus.  The supplied primes are
 a seed; further primes are folded into the CRT modulus M until Wang's
@@ -33,10 +35,10 @@ from .cyclotomic import CycInt, diamond
 from .errors import (
     BoundViolation,
     InsufficientModulus,
-    InsufficientTerms,
+    NoClosedForm,
     So3InvError,
 )
-from .nt import ClosedForm, Lens, SeifertData, manifold_label
+from .nt import Lens, ManifoldSpec, SeifertData, manifold_label
 from .series import LambdaSeries, RatSeries, TruncPoly, vee
 
 
@@ -44,53 +46,47 @@ from .series import LambdaSeries, RatSeries, TruncPoly, vee
 # the two sides of the identity
 
 
-def closed_zprime(m, K) -> CycInt:
-    """Exact Z' of a presentation or its ClosedForm, by its closed form."""
+def _spec(m) -> ManifoldSpec:
+    """m when it is one of the three presentations, NoClosedForm
+    otherwise: the one input check of every exact entry."""
+    if not isinstance(m, ManifoldSpec):
+        raise NoClosedForm(f"no closed form for {m!r}")
+    return m
+
+
+def closed_zprime(m: ManifoldSpec, K) -> CycInt:
+    """Exact Z' of a presentation, by its closed form."""
     from .closedform import lens_zprime, seifert_zprime
 
-    f = ClosedForm.of(m)
-    if isinstance(f.manifold, Lens):
-        return lens_zprime(f, K)
-    if isinstance(f.manifold, SeifertData):
-        return seifert_zprime(f, K)
+    if isinstance(_spec(m), Lens):
+        return lens_zprime(m, K)
+    if isinstance(m, SeifertData):
+        return seifert_zprime(m, K)
     from .surgery import exact_p1
 
-    return exact_p1(f.manifold, K)
+    return exact_p1(m, K)
 
 
-def closed_lambda_series(m, n_max: int) -> LambdaSeries:
+def closed_lambda_series(m: ManifoldSpec, n_max: int) -> LambdaSeries:
     """The closed-form series; a P1 surgery on a split link is the
     connected sum of the L(-p_j, 1), and the series is multiplicative
     under connected sum (Kirby-Melvin, Invent. Math. 105 (1991))."""
     from .closedform import lens_lambda_series, seifert_lambda_series
 
-    f = ClosedForm.of(m)
-    if isinstance(f.manifold, Lens):
-        return lens_lambda_series(f, n_max)
-    if isinstance(f.manifold, SeifertData):
-        return seifert_lambda_series(f, n_max)
-    factors = [lens_lambda_series(ClosedForm.of(Lens(-p, 1)), n_max).series()
-               for p in f.manifold.framings] or [RatSeries.const(1, n_max)]
-    return LambdaSeries(manifold_label(f.manifold), n_max,
+    if isinstance(_spec(m), Lens):
+        return lens_lambda_series(m, n_max)
+    if isinstance(m, SeifertData):
+        return seifert_lambda_series(m, n_max)
+    factors = [lens_lambda_series(Lens(-p, 1), n_max).series()
+               for p in m.framings] or [RatSeries.const(1, n_max)]
+    return LambdaSeries(manifold_label(m), n_max,
                         reduce(mul, factors).coeffs, "closed-form")
 
 
-def diamond_side(m, K) -> TruncPoly:
+def diamond_side(m: ManifoldSpec, K) -> TruncPoly:
     """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly; the closed
     form raises H1DivisibleByK when K divides |H1|."""
-    f = ClosedForm.of(m)
-    return diamond(closed_zprime(f, K) * (f.h1 * legendre(f.h1, K)))
-
-
-def vee_side(lam: RatSeries, K) -> TruncPoly:
-    """Mod-K reduction of the series lam = `LambdaSeries.series()`,
-    truncated at degree (K-1)/2."""
-    K = as_prime(K)
-    d = (K - 1) // 2
-    if lam.cap < d:
-        raise InsufficientTerms(
-            f"need lambda_n through n = {d}, have n_max = {lam.cap}")
-    return vee(lam, K)
+    return diamond(closed_zprime(m, K) * (m.h1 * legendre(m.h1, K)))
 
 
 class IdentityReport(_Record):
@@ -108,27 +104,26 @@ class IdentityReport(_Record):
                          error)
 
 
-def verify_identity(m, primes: Sequence[int]):
+def verify_identity(m: ManifoldSpec, primes: Sequence[int]):
     """One IdentityReport per prime; per-prime failures are recorded.
 
-    One ClosedForm serves every prime, and the closed-form series is
-    built once, at the largest n_max = (K-1)/2 over the primes, as one
-    RatSeries; a failure to build it skips every prime.
+    The closed-form series is built once, at the largest n_max =
+    (K-1)/2 over the primes, as one RatSeries; a failure to build it
+    skips every prime.
     """
-    f = ClosedForm.of(m)
-    label = manifold_label(f.manifold)
+    label = manifold_label(_spec(m))
     n_max = max(((K - 1) // 2 for K in primes), default=0)
     try:
-        lam, why = closed_lambda_series(f, n_max).series(), None
+        lam, why = closed_lambda_series(m, n_max).series(), None
     except So3InvError as e:
         lam, why = None, e
     reports = []
     for K in primes:
         try:
-            lhs = diamond_side(f, K)
+            lhs = diamond_side(m, K)
             if why is not None:
                 raise why
-            rhs = vee_side(lam, K)
+            rhs = vee(lam, K)
         except So3InvError as e:
             reports.append(IdentityReport(
                 label, K, None, None, "skipped",
@@ -198,8 +193,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
     result is a LambdaSeries with provenance "reconstruction" and its
     moduli, primes used and skips.
     """
-    f = ClosedForm.of(m)
-    h1, label = f.h1, manifold_label(f.manifold)
+    h1, label = _spec(m).h1, manifold_label(m)
     seeds = sorted({as_prime(K) for K in primes})
     if not seeds:
         raise So3InvError("need at least one seed prime")
@@ -221,7 +215,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
     def residues(K):
         if K not in coeff_cache:
             try:
-                coeff_cache[K] = diamond_side(f, K).coeffs
+                coeff_cache[K] = diamond_side(m, K).coeffs
             except So3InvError as e:
                 coeff_cache[K] = None
                 skipped.append((K, type(e).__name__))

@@ -265,7 +265,7 @@ def vee(s: RatSeries, K: int) -> TruncPoly:
     d = (as_prime(K) - 1) // 2
     if s.cap < d:
         raise InsufficientTerms(
-            f"series capped at {s.cap}, need degree {d} for K={K}")
+            f"need lambda_n through n = {d}, have n_max = {s.cap}")
     if s._over is None:
         s._over = _over_lcm(s.coeffs)
     nums, den = s._over

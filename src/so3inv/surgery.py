@@ -53,7 +53,7 @@ from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
                          gauss_sum, odd_window, sine_run)
 from .errors import BadPrecision, ChainDegenerate, NotRHS
 from .nt import (Lens, ManifoldSpec, P1Surgery, SeifertData, check_h1,
-                 h1_order, rademacher_phi)
+                 rademacher_phi)
 
 
 def _dps(K: int, precision) -> int:
@@ -236,7 +236,7 @@ def exact_p1(M: P1Surgery, K) -> CycInt:
     (`_p1_factor`), whichever table M names; the empty surgery gives 1.
     """
     K = as_prime(K)
-    check_h1(h1_order(M), K)
+    check_h1(M.h1, K)
     return prod((_p1_factor(p, K) for p in M.framings), start=CycInt.one(K))
 
 

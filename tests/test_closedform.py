@@ -15,7 +15,7 @@ from so3inv.cyclotomic import CycInt, eval_complex
 from so3inv.errors import (BadNormalization, DiamondMismatch,
                            H1DivisibleByK, IntegralityFailure, NotCoprime,
                            NotRHS, PDivisibleByK, So3InvError)
-from so3inv.nt import SeifertData, _fiber_dedekind, dedekind_sum
+from so3inv.nt import SeifertData, dedekind_sum
 from so3inv.ohtsuki import closed_lambda_series, closed_zprime
 from so3inv.series import RatSeries, at_half_log, binomial_terms, q_power
 from so3inv.surgery import Lens, zprime_numeric
@@ -197,7 +197,7 @@ def _ref_seifert_zprime(S, K):
         m = (phs * n) % K
         sq = _ref_qsum([(t2 * (1 - m + 2 * i), 1) for i in range(m)], K)
         tot = tot + _ref_qsum([(t4 * phs * (n * n + 1), 1)], K) * sq * c
-    e, s = _seifert_phase(S, K, _fiber_dedekind(S))
+    e, s = _seifert_phase(S, K)
     return _ref_qsum([(e, s)], K) * tot
 
 
@@ -229,7 +229,7 @@ def test_wrong_prefactor_raises_diamond_mismatch(monkeypatch, wrong):
     # diamond guard can catch it
     phase = closedform._seifert_phase
     monkeypatch.setattr(closedform, "_seifert_phase",
-                        lambda S, K, dd: wrong(*phase(S, K, dd), K))
+                        lambda S, K: wrong(*phase(S, K), K))
     for K in (7, 11, 101):
         with pytest.raises(DiamondMismatch):
             closed_zprime(POINCARE, K)

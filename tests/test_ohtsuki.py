@@ -13,12 +13,12 @@ import pytest
 from so3inv.arith import _is_prime, odd_primes
 from so3inv.errors import (BoundViolation, InsufficientModulus,
                            InsufficientTerms, NoClosedForm, So3InvError)
-from so3inv import nt, ohtsuki, series
-from so3inv.nt import P1Surgery, SeifertData, h1_order, manifold_label
+from so3inv import cli, nt, ohtsuki, series
+from so3inv.nt import P1Surgery, SeifertData, manifold_label
 from so3inv.ohtsuki import (IdentityReport, check_bounds,
                             closed_lambda_series, closed_zprime, diamond_side,
-                            reconstruct_lambda, vee_side, verify_identity)
-from so3inv.series import LambdaSeries, TruncPoly
+                            reconstruct_lambda, verify_identity)
+from so3inv.series import LambdaSeries, TruncPoly, vee
 from so3inv.surgery import Lens
 
 from zq_reference import identity_reference
@@ -33,7 +33,7 @@ def test_diamond_side_s3_is_constant_one():
 
 def test_identity_single_prime_by_hand():
     lam = closed_lambda_series(Lens(2, 1), 2)
-    assert diamond_side(Lens(2, 1), 5) == vee_side(lam.series(), 5)
+    assert diamond_side(Lens(2, 1), 5) == vee(lam.series(), 5)
 
 
 def test_vee_side_ignores_terms_beyond_truncation():
@@ -41,13 +41,13 @@ def test_vee_side_ignores_terms_beyond_truncation():
     junk = LambdaSeries("junk", 5,
                         base.values[:4] + (Fraction(9), Fraction(9)),
                         "closed-form")
-    assert vee_side(base.series(), 7) == vee_side(junk.series(), 7)
+    assert vee(base.series(), 7) == vee(junk.series(), 7)
 
 
 def test_vee_side_needs_enough_terms():
     lam = closed_lambda_series(Lens(3, 1), 2)
     with pytest.raises(InsufficientTerms):
-        vee_side(lam.series(), 11)
+        vee(lam.series(), 11)
 
 
 def test_verify_identity_lens_sample():
@@ -182,7 +182,7 @@ def test_closed_forms_pass_bounds_through_n20():
     for m in family:
         lam = closed_lambda_series(m, 20)
         for n in range(21):
-            check_bounds(lam.manifold, n, h1_order(m), lam[n])
+            check_bounds(lam.manifold, n, m.h1, lam[n])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,12 @@ def test_closed_forms_reject_unsupported_spec(spec):
         closed_lambda_series(spec, 4)
     with pytest.raises(NoClosedForm):
         closed_zprime(spec, 7)
+    with pytest.raises(NoClosedForm):
+        diamond_side(spec, 7)
+    with pytest.raises(NoClosedForm):
+        verify_identity(spec, [7, 11])
+    with pytest.raises(NoClosedForm):
+        reconstruct_lambda(spec, [7, 11], 2)
 
 
 # reconstruction reads its candidate primes lazily: the seeds, then the
@@ -308,6 +314,25 @@ RECORDS = [
      "Fraction(-1, 5)), provenance='reconstruction', moduli=(7, 77), "
      "primes_used=(7, 11), skipped=((5, 'H1DivisibleByK'),))"),
 ]
+# the slots each record derives from its fields, at the sample values
+DERIVED = {Lens: {"h1": 5, "r": 0}, P1Surgery: {"h1": 10}}
+
+
+def _derived_slots_are_frozen_values(r, derived):
+    """The derived slots hold their values through pickle and deepcopy,
+    cannot be set or deleted, and enter none of eq, hash and repr."""
+    assert {f: getattr(r, f) for f in derived} == derived
+    for back in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert {f: getattr(back, f) for f in derived} == derived
+    for f in derived:
+        with pytest.raises(AttributeError):
+            setattr(r, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, f)
+    other = copy.deepcopy(r)
+    for f in derived:
+        object.__setattr__(other, f, "other")
+    assert other == r and hash(other) == hash(r) and repr(other) == repr(r)
 
 
 @pytest.mark.parametrize("cls, fields, values, text", RECORDS)
@@ -331,10 +356,11 @@ def test_records_are_frozen_values(cls, fields, values, text):
     with pytest.raises(AttributeError):
         r.extra = 0
     assert tuple(getattr(r, f) for f in fields) == values
+    _derived_slots_are_frozen_values(r, DERIVED.get(cls, {}))
 
 
 def test_seifert_data_is_frozen():
-    # P and H follow from the fibers; none of the three can be reassigned
+    # P, H, h1, dd and r follow from the fibers; none can be reassigned
     s = SeifertData([(2, 1), (3, 1), (5, -4)])
     fibers = ((2, 1), (3, 1), (5, -4))
     assert (s.fractions, s.P, s.H) == (fibers, 30, 1)
@@ -352,6 +378,9 @@ def test_seifert_data_is_frozen():
     with pytest.raises(AttributeError):
         s.extra = 0
     assert (s.fractions, s.P, s.H) == (fibers, 30, 1)
+    _derived_slots_are_frozen_values(s, {
+        "P": 30, "H": 1, "h1": 1, "dd": Fraction(23, 90),
+        "r": Fraction(-181, 120)})
 
 
 def test_record_defaults_and_validation():
@@ -485,3 +514,9 @@ def test_one_dedekind_sum_and_one_denominator_per_manifold(monkeypatch):
     whole.clear()
     reconstruct_lambda(Lens(7, 3), odd_primes(7, 23), 6)
     assert sums == [(3, 7)] and whole == []
+    # the lambda command: the closed series and the reconstruction, from
+    # one presentation
+    sums.clear()
+    rows, notes, status = cli._lambda_task((Lens(7, 3), 6, odd_primes(7, 23)))
+    assert sums == [(3, 7)] and status == 0 and len(rows) == 14
+    assert [r[3] for r in rows] == ["closed-form"] * 7 + ["reconstruction"] * 7

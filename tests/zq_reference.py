@@ -11,7 +11,8 @@ reduced on its own (`vee_per_coefficient`);
 `seifert_cn_laurent` builds the Seifert multiplicity table in dict
 Laurent algebra (`_laurent_mul`, and `_div_z_step`, which re-multiplies
 to check each division).  The tests check the integer passes of
-`so3inv` against them.
+`so3inv` against them.  `h1_order` reads |H1| from a presentation's
+fields alone, where the library keeps the `h1` its constructor derived.
 
 Single powers of q.  `qpow` builds q^n as one basis element; the
 library sums q-powers as runs (`cyclotomic.from_runs`) instead.
@@ -77,8 +78,9 @@ from so3inv.cyclotomic import (CycInt, _raw, diamond, divide_exact,
                                sine_run)
 from so3inv.errors import (BadPrecision, BoundViolation,
                            DenominatorDivisibleByK, InsufficientTerms,
-                           IntegralityFailure, NotAUnit, So3InvError)
-from so3inv.nt import ManifoldSpec, h1_order
+                           IntegralityFailure, NotAUnit, NotRHS,
+                           So3InvError)
+from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
 from so3inv.series import RatSeries, TruncPoly, _frac, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
                             _value, zprime_numeric)
@@ -103,7 +105,7 @@ def vee_per_coefficient(s: RatSeries, K: int) -> TruncPoly:
     d = (K - 1) // 2
     if s.cap < d:
         raise InsufficientTerms(
-            f"series capped at {s.cap}, need degree {d} for K={K}")
+            f"need lambda_n through n = {d}, have n_max = {s.cap}")
     out = []
     for n in range(d + 1):
         c = s.coeffs[n]
@@ -112,6 +114,20 @@ def vee_per_coefficient(s: RatSeries, K: int) -> TruncPoly:
                 f"coefficient of x^{n} = {c} has denominator divisible by {K}")
         out.append(rat_residue(c, K))
     return TruncPoly(out, K)
+
+
+def h1_order(m: ManifoldSpec) -> int:
+    """Order of the first homology of a manifold presentation: |p| for
+    L(p, q), |P sum_j q_j/p_j| over the fibers, |prod_j p_j| for a P1
+    surgery."""
+    if isinstance(m, Lens):
+        return abs(m.p)
+    if isinstance(m, SeifertData):
+        P = prod(p for p, _ in m.fractions)
+        return abs(int(P * sum(Fraction(q, p) for p, q in m.fractions)))
+    if isinstance(m, P1Surgery):
+        return abs(prod(m.framings))
+    raise NotRHS(f"unrecognized manifold spec {m!r}")
 
 
 def identity_reference(m, primes) -> list:
@@ -132,10 +148,6 @@ def identity_reference(m, primes) -> list:
             lhs = diamond(ohtsuki.closed_zprime(m, K) * (h1 * legendre(h1, K)))
             if why is not None:
                 raise why
-            d = (K - 1) // 2
-            if lam.n_max < d:
-                raise InsufficientTerms(f"need lambda_n through n = {d}, "
-                                        f"have n_max = {lam.n_max}")
             rhs = vee_per_coefficient(lam.series(), K)
         except So3InvError as e:
             rows.append((None, None, "skipped", None,
