@@ -11,7 +11,7 @@ must reduce to +-q^n (PhaseNotReducible otherwise), and its diamond
 image must match the vee of an explicit q-power, one integer comparison
 of (n, sign) pairs (DiamondMismatch otherwise).  Everything here is
 cross-checked against the numeric oracle in `surgery` by the test
-suite.
+suite; the prime, |H1| and lambda_0 are checked in `ohtsuki`, not here.
 
 Orientation convention, one rule for every slope p/q, a lens space
 L(p, q) or a Seifert fiber p_j/q_j: the slope is read as -p/-q when
@@ -28,10 +28,9 @@ from itertools import accumulate
 from math import lcm
 from operator import sub
 
-from .arith import as_prime, inv_int, legendre, rat_residue, sign
+from .arith import inv_int, legendre, rat_residue, sign
 from .cyclotomic import CycInt, from_runs, sine_run
 from .errors import (
-    BadNormalization,
     DiamondMismatch,
     DivisibilityFailure,
     IntegralityFailure,
@@ -39,32 +38,31 @@ from .errors import (
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import Lens, SeifertData, check_h1, manifold_label
-from .series import (LambdaSeries, RatSeries, at_half_log, binomial_terms,
-                     q_power, sinh_over_u, u_over_sinh)
+from .nt import Lens, SeifertData
+from .series import (RatSeries, at_half_log, binomial_terms, q_power,
+                     sinh_over_u, u_over_sinh)
 
 
 # ---------------------------------------------------------------------------
 # lens spaces
 
 
-def lens_zprime(L: Lens, K) -> CycInt:
-    """Exact Z' of L(p, q) at an odd prime K with gcd(p, K) = 1:
-    q^r * [p*], one run of powers of q."""
-    K = as_prime(K)
-    check_h1(L.h1, K)
+def lens_zprime(L: Lens, K: int) -> CycInt:
+    """Exact Z' of L(p, q) at an odd prime K not dividing p, checked by
+    `ohtsuki.closed_zprime`: q^r * [p*], one run of powers of q."""
     return from_runs([sine_run(rat_residue(L.r, K), inv_int(L.h1, K),
                                legendre(L.h1, K), K)], K)
 
 
-def lens_lambda_series(L: Lens, n_max: int) -> LambdaSeries:
-    """Trivial-connection series of the lens space L, lambda_0 = 1.
+def lens_lambda_series(L: Lens, n_max: int) -> RatSeries:
+    """Trivial-connection series of the lens space L, capped at n_max,
+    for `ohtsuki.closed_lambda_series`, which has checked L's type.
 
     For p > 0 (the orientation rule of the module docstring), the
     series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
     As e^T = (1+x)^(1/2), that is p * [(1+x)^(r+) - (1+x)^(r-)] / x with
     r+- = 3 s(q,p) + (1 +- 1/p)/2, so lambda_n = p * [C(r+, n+1) -
-    C(r-, n+1)]; the leading coefficient is checked, not forced.
+    C(r-, n+1)]; the leading coefficient is checked there, not forced.
     """
     r = L.r + Fraction(1, 2)
     p = L.h1
@@ -72,12 +70,8 @@ def lens_lambda_series(L: Lens, n_max: int) -> LambdaSeries:
     a, h = r.numerator * (b // r.denominator), b // (2 * p)
     (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
                           binomial_terms(a - h, b, n_max + 1))
-    values = tuple(Fraction(p * (u - v), d)
-                   for u, v, d in zip(hi[1:], lo[1:], den[1:]))
-    label = manifold_label(L)
-    if values[0] != 1:
-        raise BadNormalization(f"lambda_0 = {values[0]} for {label}")
-    return LambdaSeries(label, n_max, values, "closed-form")
+    return RatSeries([Fraction(p * (u - v), d)
+                      for u, v, d in zip(hi[1:], lo[1:], den[1:])], n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +160,9 @@ def _seifert_phase(S: SeifertData, K: int) -> tuple:
     return _phase_to_q(a, b, -sgn, K)
 
 
-def seifert_zprime(S: SeifertData, K) -> CycInt:
-    """Exact Z' of a star-shaped rational homology sphere S.
+def seifert_zprime(S: SeifertData, K: int) -> CycInt:
+    """Exact Z' of the star S at an odd prime K not dividing |H1|, as
+    `ohtsuki.closed_zprime` has checked (PDivisibleByK if K | p_j).
 
     The prefactor phase must collapse to +-q^e (PhaseNotReducible
     otherwise), and bare = +-q^e * legendre(|H|, K) * sign(H) must be
@@ -182,8 +177,6 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
     nonzero coordinates.  e then shifts every run start and the sign
     multiplies every weight, so Z' is one `from_runs`.
     """
-    K = as_prime(K)
-    check_h1(S.h1, K)
     r = S.r
     for p, _ in S.fractions:
         if p % K == 0:
@@ -200,8 +193,9 @@ def seifert_zprime(S: SeifertData, K) -> CycInt:
                       for n, c in cn.items()], K)
 
 
-def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
-    """Trivial-connection series of the star S, lambda_0 = 1.
+def seifert_lambda_series(S: SeifertData, n_max: int) -> RatSeries:
+    """Trivial-connection series of the star S, capped at n_max, for
+    `ohtsuki.closed_lambda_series`, which checks S's type and lambda_0.
 
     With t = u^2 and sinh(u/p) = (u/p) S(t/p^2), S = `sinh_over_u`, the
     fiber prefactor 4 prod_j sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t),
@@ -224,10 +218,4 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> LambdaSeries:
         w *= (2 * m - 1) * ratio  # (4/P) (2m-1)!! (P/H)^m
         mom.append(c * w)
     over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
-    ser = over_x * q_power(S.r + Fraction(1, 2), cap) * Fraction(S.H, 2)
-    label = manifold_label(S)
-    if ser.coeff(0) != 1:
-        raise BadNormalization(f"lambda_0 = {ser.coeff(0)} for {label}")
-    return LambdaSeries(label, n_max,
-                        tuple(ser.coeff(i) for i in range(n_max + 1)),
-                        "closed-form")
+    return over_x * q_power(S.r + Fraction(1, 2), cap) * Fraction(S.H, 2)

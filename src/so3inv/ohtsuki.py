@@ -7,7 +7,9 @@ mod-K reduction of the universal rational series sum(lambda_n x^n).
 coefficient; `reconstruct_lambda` runs it backwards, recovering the
 exact rational lambda_n from their residues at many primes.  Every
 entry takes a presentation of `nt`, which carries |H1| and its
-Dedekind data, and raises NoClosedForm for anything else (`_spec`).
+Dedekind data, and raises NoClosedForm for anything else (`_spec`);
+`closed_zprime` and `closed_lambda_series` also hold the checks every
+closed form shares: the odd prime, the |H1| gate and lambda_0 = 1.
 
 Reconstruction never trusts a single modulus.  The supplied primes are
 a seed; further primes are folded into the CRT modulus M until Wang's
@@ -30,15 +32,16 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import _Record
-from .arith import _is_prime, as_prime, inv_int, legendre
+from .arith import _is_prime, as_prime, inv_int, legendre, rat_residue
 from .cyclotomic import CycInt, diamond
 from .errors import (
+    BadNormalization,
     BoundViolation,
     InsufficientModulus,
     NoClosedForm,
     So3InvError,
 )
-from .nt import Lens, ManifoldSpec, SeifertData, manifold_label
+from .nt import Lens, ManifoldSpec, SeifertData, check_h1, manifold_label
 from .series import LambdaSeries, RatSeries, TruncPoly, vee
 
 
@@ -55,10 +58,13 @@ def _spec(m) -> ManifoldSpec:
 
 
 def closed_zprime(m: ManifoldSpec, K) -> CycInt:
-    """Exact Z' of a presentation, by its closed form."""
+    """Exact Z' of a presentation by its closed form, after the checks all
+    three share: `_spec`, then NotAnOddPrime, then H1DivisibleByK."""
     from .closedform import lens_zprime, seifert_zprime
 
-    if isinstance(_spec(m), Lens):
+    h1, K = _spec(m).h1, as_prime(K)
+    check_h1(h1, K)
+    if isinstance(m, Lens):
         return lens_zprime(m, K)
     if isinstance(m, SeifertData):
         return seifert_zprime(m, K)
@@ -68,24 +74,28 @@ def closed_zprime(m: ManifoldSpec, K) -> CycInt:
 
 
 def closed_lambda_series(m: ManifoldSpec, n_max: int) -> LambdaSeries:
-    """The closed-form series; a P1 surgery on a split link is the
+    """The closed-form series, its lambda_0 = 1 checked, not forced
+    (BadNormalization otherwise); a P1 surgery on a split link is the
     connected sum of the L(-p_j, 1), and the series is multiplicative
     under connected sum (Kirby-Melvin, Invent. Math. 105 (1991))."""
     from .closedform import lens_lambda_series, seifert_lambda_series
 
     if isinstance(_spec(m), Lens):
-        return lens_lambda_series(m, n_max)
-    if isinstance(m, SeifertData):
-        return seifert_lambda_series(m, n_max)
-    factors = [lens_lambda_series(Lens(-p, 1), n_max).series()
-               for p in m.framings] or [RatSeries.const(1, n_max)]
-    return LambdaSeries(manifold_label(m), n_max,
-                        reduce(mul, factors).coeffs, "closed-form")
+        lam = lens_lambda_series(m, n_max)
+    elif isinstance(m, SeifertData):
+        lam = seifert_lambda_series(m, n_max)
+    else:
+        lam = reduce(mul, [lens_lambda_series(Lens(-p, 1), n_max)
+                           for p in m.framings] or [RatSeries.const(1, n_max)])
+    label = manifold_label(m)
+    if lam.coeff(0) != 1:
+        raise BadNormalization(f"lambda_0 = {lam.coeff(0)} for {label}")
+    return LambdaSeries(label, n_max, lam.coeffs, "closed-form")
 
 
 def diamond_side(m: ManifoldSpec, K) -> TruncPoly:
-    """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly; the closed
-    form raises H1DivisibleByK when K divides |H1|."""
+    """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly;
+    `closed_zprime` raises H1DivisibleByK when K divides |H1|."""
     return diamond(closed_zprime(m, K) * (m.h1 * legendre(m.h1, K)))
 
 
@@ -173,8 +183,7 @@ def _best_fraction(r: int, M: int) -> Optional[Fraction]:
 
 
 def _agrees(value: Fraction, residue: int, K: int) -> bool:
-    d = value.denominator
-    return d % K != 0 and value.numerator * inv_int(d, K) % K == residue
+    return value.denominator % K != 0 and rat_residue(value, K) == residue
 
 
 PRIME_CEILING = 2000  # no prime above it joins a reconstruction

@@ -20,7 +20,8 @@ re-derives Z' for a P1 surgery entirely inside Z[q], one component at
 a time (every link table is a split link, so the surgery is a connected
 sum), dividing each component's color sum by the Gauss sum with one
 exact division by K, which fails loudly unless the sum carries the
-guaranteed power x^((K-1)/2) of x = q - 1.
+guaranteed power x^((K-1)/2) of x = q - 1; `ohtsuki.closed_zprime`,
+its one caller, checks the presentation, the prime and |H1| first.
 
 The numeric path imports mpmath when it runs (exact_p1 never loads it)
 and works at a precision that grows with K (50 + 2K digits unless
@@ -52,8 +53,7 @@ from .arith import as_prime, even_inv, inv_int, legendre, sign
 from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
                          gauss_sum, odd_window, sine_run)
 from .errors import BadPrecision, ChainDegenerate, NotRHS
-from .nt import (Lens, ManifoldSpec, P1Surgery, SeifertData, check_h1,
-                 rademacher_phi)
+from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
 def _dps(K: int, precision) -> int:
@@ -228,15 +228,14 @@ def _zprime_prelude(surg, sig, K: int):
 # the exact integer-framing route
 
 
-def exact_p1(M: P1Surgery, K) -> CycInt:
-    """Exact Z' for an integer-framed presentation, inside Z[q].
+def exact_p1(M: P1Surgery, K: int) -> CycInt:
+    """Exact Z' of the P1Surgery M inside Z[q], at an odd prime K not
+    dividing |H1|, as `ohtsuki.closed_zprime` has checked.
 
     Every link table is a split link of unknots, so the surgery is a
     connected sum and Z' is the product of one factor per component
     (`_p1_factor`), whichever table M names; the empty surgery gives 1.
     """
-    K = as_prime(K)
-    check_h1(M.h1, K)
     return prod((_p1_factor(p, K) for p in M.framings), start=CycInt.one(K))
 
 

@@ -67,12 +67,6 @@ MUTANTS = [
      "    if (e, s * legendre(abs(S.H), K) * sign(S.H)) != "
      "(rat_residue(r, K), 1):\n",
      "    if False:\n"),
-    ("lens lambda_0 check", "closedform.py",
-     "    if values[0] != 1:\n",
-     "    if False:\n"),
-    ("Seifert lambda_0 check", "closedform.py",
-     "    if ser.coeff(0) != 1:\n",
-     "    if False:\n"),
     ("H1 gate", "nt.py",
      "    if h1 % K == 0:\n",
      "    if False:\n"),
@@ -81,6 +75,12 @@ MUTANTS = [
      " + len(surg)\n",
      "    negative = (legendre(prod(q for (p, q) in surg), K) < 0)"
      " + len(surg) + 1\n"),
+    ("lambda_0 check", "ohtsuki.py",
+     "    if lam.coeff(0) != 1:\n",
+     "    if False:\n"),
+    ("dispatcher H1 gate call", "ohtsuki.py",
+     "    check_h1(h1, K)\n",
+     "    pass\n"),
     ("held-out primes", "ohtsuki.py",
      "            if len(batch) == 2 and all(",
      "            if len(batch) == 2 or all("),

@@ -11,9 +11,10 @@ from math import gcd, lcm, prod
 import pytest
 
 from so3inv.arith import _is_prime, odd_primes
-from so3inv.errors import (BoundViolation, InsufficientModulus,
-                           InsufficientTerms, NoClosedForm, So3InvError)
-from so3inv import cli, nt, ohtsuki, series
+from so3inv.errors import (BadNormalization, BoundViolation, H1DivisibleByK,
+                           InsufficientModulus, InsufficientTerms,
+                           NoClosedForm, NotAnOddPrime, So3InvError)
+from so3inv import cli, closedform, nt, ohtsuki, series
 from so3inv.nt import P1Surgery, SeifertData, manifold_label
 from so3inv.ohtsuki import (IdentityReport, check_bounds,
                             closed_lambda_series, closed_zprime, diamond_side,
@@ -36,7 +37,7 @@ def test_identity_single_prime_by_hand():
     assert diamond_side(Lens(2, 1), 5) == vee(lam.series(), 5)
 
 
-def test_vee_side_ignores_terms_beyond_truncation():
+def test_vee_ignores_terms_beyond_truncation():
     base = closed_lambda_series(Lens(3, 1), 5)
     junk = LambdaSeries("junk", 5,
                         base.values[:4] + (Fraction(9), Fraction(9)),
@@ -44,7 +45,7 @@ def test_vee_side_ignores_terms_beyond_truncation():
     assert vee(base.series(), 7) == vee(junk.series(), 7)
 
 
-def test_vee_side_needs_enough_terms():
+def test_vee_needs_enough_terms():
     lam = closed_lambda_series(Lens(3, 1), 2)
     with pytest.raises(InsufficientTerms):
         vee(lam.series(), 11)
@@ -250,6 +251,28 @@ def test_closed_forms_reject_unsupported_spec(spec):
         verify_identity(spec, [7, 11])
     with pytest.raises(NoClosedForm):
         reconstruct_lambda(spec, [7, 11], 2)
+
+
+def test_exact_routes_share_one_door(monkeypatch):
+    # |H1| = 9 for all three, so K = 9 would also trip the |H1| gate:
+    # the presentation is checked first, then the prime, then |H1|
+    for m in (Lens(9, 2), SeifertData([(2, 1), (5, 1), (7, -4)]),
+              P1Surgery("unlink", (3, -3))):
+        assert m.h1 == 9
+        with pytest.raises(NoClosedForm):
+            closed_zprime(repr(m), 9)
+        with pytest.raises(NotAnOddPrime):
+            closed_zprime(m, 9)
+        with pytest.raises(H1DivisibleByK,
+                           match=r"^\|H1\| = 9 is divisible by K = 3$"):
+            closed_zprime(m, 3)
+    # lambda_0 is checked once, on the P1 product, not on each factor
+    real = closedform.lens_lambda_series
+    monkeypatch.setattr(closedform, "lens_lambda_series",
+                        lambda L, n_max: real(L, n_max) * 2)
+    with pytest.raises(BadNormalization,
+                       match=r"^lambda_0 = 4 for S\[unlink;-2,5\]$"):
+        closed_lambda_series(P1Surgery("unlink", (-2, 5)), 3)
 
 
 # reconstruction reads its candidate primes lazily: the seeds, then the

@@ -353,12 +353,13 @@ def test_exact_p1_two_components():
 
 
 def test_exact_p1_rejects_framing_divisible_by_k():
+    # the gate is closed_zprime's, the one door to exact_p1
     with pytest.raises(H1DivisibleByK,
                        match=r"^\|H1\| = 7 is divisible by K = 7$"):
-        exact_p1(P1Surgery("unknot", (7,)), 7)
+        closed_zprime(P1Surgery("unknot", (7,)), 7)
     with pytest.raises(H1DivisibleByK,
                        match=r"^\|H1\| = 10 is divisible by K = 5$"):
-        exact_p1(P1Surgery("unlink", (-2, 5)), 5)
+        closed_zprime(P1Surgery("unlink", (-2, 5)), 5)
 
 
 def test_exact_p1_rejects_indivisible_color_sum(monkeypatch):
