@@ -24,7 +24,8 @@ identical configs produce byte-identical reports.  The worker count,
 --workers (default 1), is clamped to the CPU count and to the number
 of tasks.
 
-Exit codes: 0 all good, 2 usage error or invalid manifold spec, 3
+Exit codes: 0 all good, 2 usage error, invalid manifold spec or a
+report that cannot be written (--out unwritable, stdout closed early), 3
 computation failure (identity mismatch, a manifold that verify verified
 at no prime, failed reconstruction, precondition error; invariant still
 prints every row it can compute and names each failed pair on stderr).
@@ -311,31 +312,32 @@ def cmd_verify(args) -> int:
 def _lambda_task(task):
     """(rows, stderr lines, exit status) of one manifold, or the
     So3InvError that stops the command at it; the closed series and
-    every prime read the |H1| and Dedekind data m was built with."""
+    every prime read the |H1| and Dedekind data m was built with.  Only
+    the closed series is bounds-checked here: `reconstruct_lambda`
+    checks every value it accepts."""
     m, nmax, primes = task
     label, notes, rows, status = manifold_label(m), [], [], 0
     try:
-        series = [closed_lambda_series(m, nmax)]
-        if primes:
-            series.append(reconstruct_lambda(m, primes, nmax))
+        lam = closed_lambda_series(m, nmax)
+        rec = reconstruct_lambda(m, primes, nmax) if primes else None
     except So3InvError as e:
         return e
-    for rec in series[1:]:
-        notes.extend(f"{rec.manifold}: reconstruction skipped K = {K}: {why}"
+    for n in range(nmax + 1):
+        try:
+            check_bounds(label, n, m.h1, lam[n])
+            bounds = "ok"
+        except So3InvError as e:
+            bounds = f"violated: {e}"
+            status = 3
+        rows.append((label, n, str(lam[n]), "closed-form", "", bounds))
+    if primes:
+        notes.extend(f"{label}: reconstruction skipped K = {K}: {why}"
                      for K, why in rec.skipped)
-        if any(series[0][n] != rec[n] for n in range(nmax + 1)):
+        if rec.values != lam.coeffs:
             notes.append(f"cross-path mismatch for {label}")
             status = 3
-    for s in series:
-        for n in range(nmax + 1):
-            try:
-                check_bounds(label, n, m.h1, s[n])
-                bounds = "ok"
-            except So3InvError as e:
-                bounds = f"violated: {e}"
-                status = 3
-            rows.append((label, n, str(s[n]), s.provenance,
-                         s.moduli[n] if s.moduli else "", bounds))
+        rows.extend((label, n, str(v), "reconstruction", M, "ok")
+                    for n, (v, M) in enumerate(zip(rec.values, rec.moduli)))
     return rows, notes, status
 
 
@@ -436,13 +438,20 @@ def main(argv=None) -> int:
                     setattr(args, flag, parse_primes(text))
                 except UsageError as e:
                     raise UsageError(f"--{flag}: {e}") from None
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except So3InvError as e:
         print(f"computation failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early; with stdout on os.devnull the
+        # interpreter's last flush is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,9 @@ entry takes a presentation of `nt`, which carries |H1| and its
 Dedekind data, and raises NoClosedForm for anything else (`_spec`);
 `closed_zprime` and `closed_lambda_series` also hold the checks every
 closed form shares: the odd prime, the |H1| gate and lambda_0 = 1.
+The series is one RatSeries, read as lam[n]; a Reconstruction holds
+the recovered values with what only recovery knows: the modulus of
+each, the primes used and the primes skipped.
 
 Reconstruction never trusts a single modulus.  The supplied primes are
 a seed; further primes are folded into the CRT modulus M until Wang's
@@ -42,7 +45,7 @@ from .errors import (
     So3InvError,
 )
 from .nt import Lens, ManifoldSpec, SeifertData, check_h1, manifold_label
-from .series import LambdaSeries, RatSeries, TruncPoly, vee
+from .series import RatSeries, TruncPoly, vee
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def closed_zprime(m: ManifoldSpec, K) -> CycInt:
     return exact_p1(m, K)
 
 
-def closed_lambda_series(m: ManifoldSpec, n_max: int) -> LambdaSeries:
+def closed_lambda_series(m: ManifoldSpec, n_max: int) -> RatSeries:
     """The closed-form series, its lambda_0 = 1 checked, not forced
     (BadNormalization otherwise); a P1 surgery on a split link is the
     connected sum of the L(-p_j, 1), and the series is multiplicative
@@ -87,10 +90,9 @@ def closed_lambda_series(m: ManifoldSpec, n_max: int) -> LambdaSeries:
     else:
         lam = reduce(mul, [lens_lambda_series(Lens(-p, 1), n_max)
                            for p in m.framings] or [RatSeries.const(1, n_max)])
-    label = manifold_label(m)
-    if lam.coeff(0) != 1:
-        raise BadNormalization(f"lambda_0 = {lam.coeff(0)} for {label}")
-    return LambdaSeries(label, n_max, lam.coeffs, "closed-form")
+    if lam[0] != 1:
+        raise BadNormalization(f"lambda_0 = {lam[0]} for {manifold_label(m)}")
+    return lam
 
 
 def diamond_side(m: ManifoldSpec, K) -> TruncPoly:
@@ -118,13 +120,12 @@ def verify_identity(m: ManifoldSpec, primes: Sequence[int]):
     """One IdentityReport per prime; per-prime failures are recorded.
 
     The closed-form series is built once, at the largest n_max =
-    (K-1)/2 over the primes, as one RatSeries; a failure to build it
-    skips every prime.
+    (K-1)/2 over the primes; a failure to build it skips every prime.
     """
     label = manifold_label(_spec(m))
     n_max = max(((K - 1) // 2 for K in primes), default=0)
     try:
-        lam, why = closed_lambda_series(m, n_max).series(), None
+        lam, why = closed_lambda_series(m, n_max), None
     except So3InvError as e:
         lam, why = None, e
     reports = []
@@ -189,7 +190,19 @@ def _agrees(value: Fraction, residue: int, K: int) -> bool:
 PRIME_CEILING = 2000  # no prime above it joins a reconstruction
 
 
-def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
+class Reconstruction(_Record):
+    """lambda_0..lambda_n_max as `reconstruct_lambda` recovered them,
+    with the CRT modulus of each, the primes used and the primes
+    skipped, as (K, error class name) pairs."""
+
+    __slots__ = ("values", "moduli", "primes_used", "skipped")
+
+    def __init__(self, values: tuple, moduli: tuple, primes_used: tuple,
+                 skipped: tuple):
+        super().__init__(values, moduli, primes_used, skipped)
+
+
+def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> Reconstruction:
     """Recover lambda_0..lambda_n_max from residues at many primes.
 
     The prime at K pins lambda_n mod K only for n <= (K-1)/2, so each
@@ -198,9 +211,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
     skipped and recorded as (K, error class name) pairs.  Acceptance
     requires the same fraction from two consecutive prefixes plus
     agreement at the next two primes, held out of the CRT; when either
-    disagrees, both join the modulus and the search goes on.  The
-    result is a LambdaSeries with provenance "reconstruction" and its
-    moduli, primes used and skips.
+    disagrees, both join the modulus and the search goes on.  Every
+    accepted value passes `check_bounds` (BoundViolation otherwise).
     """
     h1, label = _spec(m).h1, manifold_label(m)
     seeds = sorted({as_prime(K) for K in primes})
@@ -259,8 +271,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> LambdaSeries:
         values.append(accepted)
         moduli.append(M)
         used_all.update(used)
-    return LambdaSeries(label, n_max, tuple(values), "reconstruction",
-                        tuple(moduli), tuple(sorted(used_all)), tuple(skipped))
+    return Reconstruction(tuple(values), tuple(moduli),
+                          tuple(sorted(used_all)), tuple(skipped))
 
 
 def check_bounds(label: str, n: int, h1: int, value: Fraction):

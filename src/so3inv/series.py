@@ -1,6 +1,8 @@
 """Truncated power series over Q and their reductions mod K.
 
-RatSeries is a dense truncated series in x with Fraction coefficients.
+RatSeries is a dense truncated series in x with Fraction coefficients;
+s[n] reads the coefficient of x^n, InsufficientTerms past the cap.  The
+lambda series of a manifold is one RatSeries, capped at n_max.
 TruncPoly is its shadow mod an odd prime K, truncated at degree
 (K-1)/2: the largest window in which cyclotomic integers leave a
 well-defined polynomial trace (see cyclotomic.diamond).
@@ -21,7 +23,6 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from . import _Record
 from .arith import as_prime, inv_int
 from .errors import (
     DenominatorDivisibleByK,
@@ -61,7 +62,7 @@ class RatSeries:
     def const(v, cap: int) -> "RatSeries":
         return RatSeries([v], cap)
 
-    def coeff(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Fraction:
         if n > self.cap:
             raise InsufficientTerms(
                 f"series capped at degree {self.cap}, asked for {n}")
@@ -226,34 +227,6 @@ class TruncPoly:
 
     def __repr__(self):
         return f"TruncPoly({list(self.coeffs)}, mod {self.K})"
-
-
-class LambdaSeries(_Record):
-    """An Ohtsuki-type series: lambda_0 .. lambda_{n_max} for a manifold.
-
-    Reconstruction also records the per-n CRT modulus, the primes used
-    and the primes skipped, as (K, error class name) pairs; a closed
-    form leaves them empty."""
-
-    __slots__ = ("manifold", "n_max", "values", "provenance", "moduli",
-                 "primes_used", "skipped")
-
-    def __init__(self, manifold: str, n_max: int, values: tuple,
-                 provenance: str,  # "closed-form" or "reconstruction"
-                 moduli: tuple = (), primes_used: tuple = (),
-                 skipped: tuple = ()):
-        if len(values) != n_max + 1:
-            raise InsufficientTerms(
-                f"need {n_max + 1} values, got {len(values)}")
-        super().__init__(manifold, n_max, values, provenance, moduli,
-                         primes_used, skipped)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def series(self) -> RatSeries:
-        """lambda_0..lambda_n_max as one RatSeries, capped at n_max."""
-        return RatSeries(self.values, self.n_max)
 
 
 def vee(s: RatSeries, K: int) -> TruncPoly:

@@ -5,15 +5,15 @@ Each entry of MUTANTS is (name, file, snippet, replacement).  The
 snippet must occur exactly once in its file at the start of a line,
 indentation included, so a refactor that moves a guard, or nests it
 deeper, has to update this list on purpose.  For each entry the tree's
-`src`, `tests` and `pyproject.toml` are copied to a temporary
-directory, the replacement is applied, and tier-1 runs there with
-`-x`, less the test that runs `check_snippets` (it fails on every
-mutated copy, whose snippet is gone).  The mutant is killed only when
-a test fails: pytest exits 1 and its first failure is a FAILED line.
-A timeout, an ERROR line (a collection or setup error, such as a
-SyntaxError from a mistyped replacement) or any other exit status is
-an error of the check, not a kill.  The unmutated copy is run first
-and must pass.
+`src`, `tests`, `perfbench` (a test reads its recorder) and
+`pyproject.toml` are copied to a temporary directory, the replacement
+is applied, and tier-1 runs there with `-x`, less the test that runs
+`check_snippets` (it fails on every mutated copy, whose snippet is
+gone).  The mutant is killed only when a test fails: pytest exits 1
+and its first failure is a FAILED line.  A timeout, an ERROR line (a
+collection or setup error, such as a SyntaxError from a mistyped
+replacement) or any other exit status is an error of the check, not a
+kill.  The unmutated copy is run first and must pass.
 
 Exit status 0 when every mutant is killed; 1 when a snippet does not
 start exactly one line, the unmutated tree fails, a mutant survives or
@@ -76,7 +76,7 @@ MUTANTS = [
      "    negative = (legendre(prod(q for (p, q) in surg), K) < 0)"
      " + len(surg) + 1\n"),
     ("lambda_0 check", "ohtsuki.py",
-     "    if lam.coeff(0) != 1:\n",
+     "    if lam[0] != 1:\n",
      "    if False:\n"),
     ("dispatcher H1 gate call", "ohtsuki.py",
      "    check_h1(h1, K)\n",
@@ -84,6 +84,9 @@ MUTANTS = [
     ("held-out primes", "ohtsuki.py",
      "            if len(batch) == 2 and all(",
      "            if len(batch) == 2 or all("),
+    ("reconstruction bounds call", "ohtsuki.py",
+     "        check_bounds(label, n, h1, accepted)\n",
+     "        pass\n"),
     ("reconstruction safety margin", "ohtsuki.py",
      "_SAFETY = 16 ",
      "_SAFETY = 1 "),
@@ -105,10 +108,10 @@ MUTANTS = [
      '            notes.append(f"cross-path mismatch for {label}")\n'
      "            status = 0\n"),
     ("lambda exits 3 on a bounds violation", "cli.py",
-     '                bounds = f"violated: {e}"\n'
-     "                status = 3\n",
-     '                bounds = f"violated: {e}"\n'
-     "                status = 0\n"),
+     '            bounds = f"violated: {e}"\n'
+     "            status = 3\n",
+     '            bounds = f"violated: {e}"\n'
+     "            status = 0\n"),
 ]
 
 TIMEOUT_S = 900
@@ -139,7 +142,7 @@ def run_tier1(mutant=None):
     with tempfile.TemporaryDirectory(prefix="so3inv-mutant-") as tmp:
         tmp = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         if mutant is not None:

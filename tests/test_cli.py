@@ -14,8 +14,10 @@ import so3inv.cli
 from so3inv.cli import (UsageError, main, parse_p1, parse_primes,
                         parse_seifert, pool_size)
 from so3inv import ohtsuki
-from so3inv.errors import NotRHS
-from so3inv.series import LambdaSeries
+from so3inv.arith import odd_primes, rat_residue
+from so3inv.errors import BoundViolation, NotRHS
+from so3inv.nt import Lens
+from so3inv.series import RatSeries, TruncPoly
 
 
 def run(capsys, *argv):
@@ -337,11 +339,9 @@ def test_verify_one_unverified_manifold_fails_the_run(capsys):
 def _bent_series(real, n, delta):
     """closed_lambda_series with delta added to lambda_n."""
     def bent(m, n_max):
-        lam = real(m, n_max)
-        values = list(lam.values)
+        values = list(real(m, n_max).coeffs)
         values[n] += delta
-        return LambdaSeries(lam.manifold, n_max, tuple(values),
-                            lam.provenance)
+        return RatSeries(values, n_max)
     return bent
 
 
@@ -384,6 +384,28 @@ def test_lambda_bounds_violation_fails_the_run(capsys, monkeypatch):
     assert "integrality bound" in rows[1][5]
     assert err == ""
     assert code == 3
+
+
+def test_reconstruction_bounds_violation_fails_the_run(capsys, monkeypatch):
+    # residues of lambda_1 + 1/2^13 at every prime: reconstruction
+    # recovers that value, and its own bounds check is the only one
+    # that sees it
+    real = ohtsuki.diamond_side
+
+    def shifted(m, K):
+        coeffs = list(real(m, K).coeffs)
+        coeffs[1] += rat_residue(Fraction(1, 2 ** 13), K)
+        return TruncPoly(coeffs, K)
+
+    monkeypatch.setattr(ohtsuki, "diamond_side", shifted)
+    with pytest.raises(BoundViolation, match="integrality bound"):
+        ohtsuki.reconstruct_lambda(Lens(5, 2), odd_primes(7, 23), 2)
+    code, out, err = run(capsys, "lambda", "--lens", "5,2", "--nmax", "2",
+                         "--reconstruct", "--workers", "1")
+    assert err.startswith("computation failed: BoundViolation: lambda_1 of "
+                          "L(5,2) = ")
+    assert "integrality bound" in err
+    assert out == "" and code == 3
 
 
 @pytest.mark.parametrize("flag, spec, K, h1", [
@@ -552,6 +574,25 @@ def _fresh_process(script: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--lens", "5,2", "--primes", "7..13"),
+    ("verify", "--family", "lens", "--pmax", "12", "--primes", "5..61")],
+    ids=["buffered", "large"])
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # the reader is gone before the report is written; with stdout
+    # buffered, a short report fails at the last flush, a long one
+    # inside print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "so3inv.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == ""
 
 
 def test_exact_commands_never_import_mpmath():

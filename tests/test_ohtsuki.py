@@ -2,11 +2,13 @@
 
 import copy
 import hashlib
+import json
 import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,10 @@ from so3inv.errors import (BadNormalization, BoundViolation, H1DivisibleByK,
                            NoClosedForm, NotAnOddPrime, So3InvError)
 from so3inv import cli, closedform, nt, ohtsuki, series
 from so3inv.nt import P1Surgery, SeifertData, manifold_label
-from so3inv.ohtsuki import (IdentityReport, check_bounds,
+from so3inv.ohtsuki import (IdentityReport, Reconstruction, check_bounds,
                             closed_lambda_series, closed_zprime, diamond_side,
                             reconstruct_lambda, verify_identity)
-from so3inv.series import LambdaSeries, TruncPoly, vee
+from so3inv.series import RatSeries, TruncPoly, vee
 from so3inv.surgery import Lens
 
 from zq_reference import identity_reference
@@ -34,21 +36,19 @@ def test_diamond_side_s3_is_constant_one():
 
 def test_identity_single_prime_by_hand():
     lam = closed_lambda_series(Lens(2, 1), 2)
-    assert diamond_side(Lens(2, 1), 5) == vee(lam.series(), 5)
+    assert diamond_side(Lens(2, 1), 5) == vee(lam, 5)
 
 
 def test_vee_ignores_terms_beyond_truncation():
     base = closed_lambda_series(Lens(3, 1), 5)
-    junk = LambdaSeries("junk", 5,
-                        base.values[:4] + (Fraction(9), Fraction(9)),
-                        "closed-form")
-    assert vee(base.series(), 7) == vee(junk.series(), 7)
+    junk = RatSeries(base.coeffs[:4] + (Fraction(9), Fraction(9)), 5)
+    assert vee(base, 7) == vee(junk, 7)
 
 
 def test_vee_needs_enough_terms():
     lam = closed_lambda_series(Lens(3, 1), 2)
     with pytest.raises(InsufficientTerms):
-        vee(lam.series(), 11)
+        vee(lam, 11)
 
 
 def test_verify_identity_lens_sample():
@@ -97,14 +97,14 @@ def test_verify_identity_series_failure_skips_every_prime(monkeypatch):
                                POINCARE, SeifertData([(3, 1), (4, 1), (5, 1)]),
                                SeifertData([(2, 1), (4, 1), (5, 2)])])
 def test_closed_lambda_series_prefix(m):
-    big = closed_lambda_series(m, 12).values
+    big = closed_lambda_series(m, 12).coeffs
     for n in (0, 1, 4, 11):
-        assert big[:n + 1] == closed_lambda_series(m, n).values
+        assert big[:n + 1] == closed_lambda_series(m, n).coeffs
 
 
 def test_verify_identity_flags_wrong_series(monkeypatch):
-    wrong = LambdaSeries("wrong", 3, (Fraction(1), Fraction(1), Fraction(1),
-                                      Fraction(1)), "closed-form")
+    wrong = RatSeries((Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
+                      3)
     monkeypatch.setattr(ohtsuki, "closed_lambda_series", lambda m, n: wrong)
     reports = verify_identity(Lens(2, 1), [7])
     assert reports[0].verdict == "unequal"
@@ -119,7 +119,7 @@ def test_reconstruction_matches_closed_form():
     for m in (Lens(3, 1), Lens(5, 2)):
         rec = reconstruct_lambda(m, [7, 11, 13, 17, 19], 5)
         closed = closed_lambda_series(m, 5)
-        assert all(rec[n] == closed[n] for n in range(6))
+        assert all(rec.values[n] == closed[n] for n in range(6))
         assert rec.values[0] == 1
 
 
@@ -139,7 +139,7 @@ def test_reconstruction_skips_bad_primes():
     # a skip is recorded by error class, and is no Python warning
     rec = reconstruct_lambda(Lens(5, 2), [5, 7, 11, 13], 2)
     assert (5, "H1DivisibleByK") in rec.skipped
-    assert rec[2] == Fraction(-1, 25)
+    assert rec.values[2] == Fraction(-1, 25)
 
 
 def test_reconstruction_insufficient_modulus(monkeypatch):
@@ -183,7 +183,7 @@ def test_closed_forms_pass_bounds_through_n20():
     for m in family:
         lam = closed_lambda_series(m, 20)
         for n in range(21):
-            check_bounds(lam.manifold, n, m.h1, lam[n])
+            check_bounds(manifold_label(m), n, m.h1, lam[n])
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +205,33 @@ def test_reconstruction_lens_family_matches_closed_form():
     assert len(family) == 92
     for m in family:
         rec = reconstruct_lambda(m, seeds, 6)
-        assert rec.values == closed_lambda_series(m, 6).values, m
+        assert rec.values == closed_lambda_series(m, 6).coeffs, m
 
 
 def test_reconstruction_survives_held_out_refutation():
     # lambda_6 of L(9,1) = 41990/4782969 is 0 mod 13, 17 and 19, so the
     # first stable candidate is 0, and the held-out prime 23 refutes it
     rec = reconstruct_lambda(Lens(9, 1), [7, 11, 13, 17, 19], 6)
-    assert rec[6] == Fraction(41990, 4782969)
-    assert rec.values == closed_lambda_series(Lens(9, 1), 6).values
+    assert rec.values[6] == Fraction(41990, 4782969)
+    assert rec.values == closed_lambda_series(Lens(9, 1), 6).coeffs
     assert 23 in rec.primes_used
 
 
 def test_reconstruction_seifert_x_2_4_5():
     S = SeifertData([(2, 1), (4, 1), (5, 2)])
     rec = reconstruct_lambda(S, [7, 11, 13, 17, 19, 23], 4)
-    assert rec.values == closed_lambda_series(S, 4).values
+    assert rec.values == closed_lambda_series(S, 4).coeffs
+
+
+def test_benchmark_recorder_reads_the_lambda_api(monkeypatch):
+    # perfbench/record.py, imported as the benchmark imports it, reads
+    # reconstruct_lambda(...).values and closed_lambda_series(...)[n]
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import record
+
+    expected = json.loads((bench / "expected.json").read_text())
+    assert record.reconstruct_values() == expected["reconstruct"]
 
 
 @pytest.mark.parametrize("m", [
@@ -232,11 +243,9 @@ def test_p1_closed_series_matches_reconstruction(m):
     # The empty surgery is S^3: the empty product, 1, 0, 0, ...
     lam = closed_lambda_series(m, 8)
     if not m.framings:
-        assert lam.values == (1,) + (0,) * 8
-    assert lam.provenance == "closed-form"
-    assert lam.manifold == manifold_label(m)
+        assert lam.coeffs == (1,) + (0,) * 8
     rec = reconstruct_lambda(m, odd_primes(7, 23), 8)
-    assert rec.values == lam.values
+    assert rec.values == lam.coeffs
 
 
 @pytest.mark.parametrize("spec", ["L(5,2)", (5, 2), None])
@@ -277,8 +286,10 @@ def test_exact_routes_share_one_door(monkeypatch):
 
 # reconstruction reads its candidate primes lazily: the seeds, then the
 # odd primes above them, each tested once, when a stream first reads
-# past those found so far.  The digests are of repr(result), or of
-# "Class: message" on failure, as the eager candidate list
+# past those found so far.  The digests are of the text
+# LambdaSeries(manifold=.., n_max=.., values=.., provenance='reconstruction',
+# moduli=.., primes_used=.., skipped=..) built from the result's fields,
+# or of "Class: message" on failure, as the eager candidate list
 # seeds + odd_primes(seeds[-1] + 1, ceiling) gave them, ceiling the
 # value of ohtsuki.PRIME_CEILING.
 RECONSTRUCT_SAMPLE = [
@@ -304,7 +315,11 @@ def test_reconstruction_reads_candidate_primes_lazily(
                         lambda n: tested.append(n) or _is_prime(n))
     monkeypatch.setattr(ohtsuki, "PRIME_CEILING", ceiling)
     try:
-        out = repr(reconstruct_lambda(m, seeds, n_max))
+        r = reconstruct_lambda(m, seeds, n_max)
+        out = (f"LambdaSeries(manifold={manifold_label(m)!r}, "
+               f"n_max={n_max}, values={r.values!r}, "
+               f"provenance='reconstruction', moduli={r.moduli!r}, "
+               f"primes_used={r.primes_used!r}, skipped={r.skipped!r})")
     except So3InvError as e:
         out = f"{type(e).__name__}: {e}"
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
@@ -328,14 +343,12 @@ RECORDS = [
      "IdentityReport(manifold='L(5,2)', K=7, lhs=TruncPoly([1, 0, 5, 2], "
      "mod 7), rhs=TruncPoly([1, 0, 5, 3], mod 7), verdict='unequal', "
      "first_mismatch=3, error=None)"),
-    (LambdaSeries,
-     ("manifold", "n_max", "values", "provenance", "moduli", "primes_used",
-      "skipped"),
-     ("L(5,2)", 1, (Fraction(1), Fraction(-1, 5)), "reconstruction",
-      (7, 77), (7, 11), ((5, "H1DivisibleByK"),)),
-     "LambdaSeries(manifold='L(5,2)', n_max=1, values=(Fraction(1, 1), "
-     "Fraction(-1, 5)), provenance='reconstruction', moduli=(7, 77), "
-     "primes_used=(7, 11), skipped=((5, 'H1DivisibleByK'),))"),
+    (Reconstruction, ("values", "moduli", "primes_used", "skipped"),
+     ((Fraction(1), Fraction(-1, 5)), (7, 77), (7, 11),
+      ((5, "H1DivisibleByK"),)),
+     "Reconstruction(values=(Fraction(1, 1), Fraction(-1, 5)), "
+     "moduli=(7, 77), primes_used=(7, 11), "
+     "skipped=((5, 'H1DivisibleByK'),))"),
 ]
 # the slots each record derives from its fields, at the sample values
 DERIVED = {Lens: {"h1": 5, "r": 0}, P1Surgery: {"h1": 10}}
@@ -409,11 +422,6 @@ def test_seifert_data_is_frozen():
 def test_record_defaults_and_validation():
     rep = IdentityReport("L(5,2)", 5, None, None, "skipped", error="E: e")
     assert rep.first_mismatch is None and rep.error == "E: e"
-    lam = LambdaSeries("m", 0, (1,), "closed-form")
-    assert (lam.moduli, lam.primes_used, lam.skipped) == ((), (), ())
-    assert lam[0] == 1
-    with pytest.raises(InsufficientTerms, match="need 3 values, got 1"):
-        LambdaSeries("m", 2, (1,), "closed-form")
     assert P1Surgery("unlink", [-2, 5]).framings == (-2, 5)
     assert {Lens(5, 2), Lens(p=5, q=2), Lens(5, 3)} == {Lens(5, 2),
                                                          Lens(5, 3)}
@@ -469,22 +477,21 @@ def _patched_series(monkeypatch, change):
                         lambda m, n_max: change(real(m, n_max)))
 
 
-def _with_values(lam, values):
-    return LambdaSeries(lam.manifold, len(values) - 1, tuple(values),
-                        lam.provenance)
+def _with_values(values):
+    return RatSeries(values, len(values) - 1)
 
 
 @pytest.mark.parametrize("change, primes, errors", [
     # lambda_4 = 1/7, past the prefix at K = 7 only: the fallback
-    (lambda lam: _with_values(lam, lam.values[:4] + (Fraction(1, 7),)
-                              + lam.values[5:]), (7, 11, 13), {}),
+    (lambda lam: _with_values(lam.coeffs[:4] + (Fraction(1, 7),)
+                              + lam.coeffs[5:]), (7, 11, 13), {}),
     # lambda_1 = 1/7 in every prefix: K = 7 cannot reduce the series
-    (lambda lam: _with_values(lam, lam.values[:1] + (Fraction(1, 7),)
-                              + lam.values[2:]), (7, 11, 13),
+    (lambda lam: _with_values(lam.coeffs[:1] + (Fraction(1, 7),)
+                              + lam.coeffs[2:]), (7, 11, 13),
      {7: "DenominatorDivisibleByK: coefficient of x^1 = 1/7 has "
          "denominator divisible by 7"}),
     # a series too short for K = 11 and 13
-    (lambda lam: _with_values(lam, lam.values[:4]), (7, 11, 13),
+    (lambda lam: _with_values(lam.coeffs[:4]), (7, 11, 13),
      {11: "InsufficientTerms: need lambda_n through n = 5, have n_max = 3",
       13: "InsufficientTerms: need lambda_n through n = 6, have n_max = 3"}),
 ], ids=["past-prefix", "in-prefix", "short"])

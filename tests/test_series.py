@@ -17,7 +17,6 @@ from so3inv.errors import (
 from so3inv.series import (
     RatSeries,
     TruncPoly,
-    LambdaSeries,
     at_half_log,
     q_power,
     sinh_over_u,
@@ -238,7 +237,7 @@ def test_vee_matches_per_coefficient_route():
             for q in range(1, a) if gcd(a, q) == 1] + [(1, 1), (-1, 1)]
     raised = 0
     for p, q in grid:
-        lam = closed_lambda_series(Lens(p, q), 30).values
+        lam = closed_lambda_series(Lens(p, q), 30).coeffs
         for K in odd_primes(5, 61):
             d = (K - 1) // 2
             for s in (RatSeries(lam[:d + 1], d), RatSeries(lam, 30)):
@@ -294,9 +293,9 @@ def test_gauss_moment_diamond_anchor():
 
 
 def test_lambda_series_container():
-    ls = LambdaSeries("lens(2,1)", 3,
-                      (Fraction(1), Fraction(0), Fraction(-1, 32),
-                       Fraction(1, 32)), "closed-form")
+    ls = RatSeries((Fraction(1), Fraction(0), Fraction(-1, 32),
+                    Fraction(1, 32)), 3)
     assert ls[2] == Fraction(-1, 32)
-    with pytest.raises(InsufficientTerms):
-        LambdaSeries("x", 2, (Fraction(1),), "closed-form")
+    with pytest.raises(InsufficientTerms,
+                       match="series capped at degree 3, asked for 4"):
+        ls[4]

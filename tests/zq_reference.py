@@ -148,7 +148,7 @@ def identity_reference(m, primes) -> list:
             lhs = diamond(ohtsuki.closed_zprime(m, K) * (h1 * legendre(h1, K)))
             if why is not None:
                 raise why
-            rhs = vee_per_coefficient(lam.series(), K)
+            rhs = vee_per_coefficient(lam, K)
         except So3InvError as e:
             rows.append((None, None, "skipped", None,
                          f"{type(e).__name__}: {e}"))
