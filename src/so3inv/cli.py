@@ -27,8 +27,14 @@ of tasks.
 Exit codes: 0 all good, 2 usage error, invalid manifold spec or a
 report that cannot be written (--out unwritable, stdout closed early), 3
 computation failure (identity mismatch, a manifold that verify verified
-at no prime, failed reconstruction, precondition error; invariant still
-prints every row it can compute and names each failed pair on stderr).
+at no prime, failed reconstruction, precondition error; invariant and
+lambda still print every row they can compute and name each failed
+pair or manifold on stderr).
+
+The library loads after the arguments parse: each function imports the
+layers it uses where it uses them, so `--help` and a usage error that
+argparse reports compile only this module and `errors`, and a run
+compiles only the layers it reaches.
 """
 
 from __future__ import annotations
@@ -38,13 +44,7 @@ import os
 import sys
 from math import gcd
 
-from .arith import as_prime, odd_primes
-from .cyclotomic import eval_complex, gauss_sum, to_xpoly, x_order
 from .errors import So3InvError
-from .nt import Lens, P1Surgery, SeifertData
-from .ohtsuki import (check_bounds, closed_lambda_series, closed_zprime,
-                      manifold_label, reconstruct_lambda, verify_identity)
-from .series import TruncPoly
 
 
 class UsageError(Exception):
@@ -66,12 +66,16 @@ def _parse_ints(text, n, what):
         raise UsageError(f"{what}: non-integer in {text!r}") from None
 
 
-def parse_lens(text: str) -> Lens:
+def parse_lens(text: str):
+    from .nt import Lens
+
     p, q = _parse_ints(text, 2, "--lens")
     return Lens(p, q)
 
 
-def parse_seifert(text: str) -> SeifertData:
+def parse_seifert(text: str):
+    from .nt import SeifertData
+
     fractions = []
     for part in text.split(","):
         bits = part.split("/")
@@ -84,7 +88,9 @@ def parse_seifert(text: str) -> SeifertData:
     return SeifertData(fractions)
 
 
-def parse_p1(text: str) -> P1Surgery:
+def parse_p1(text: str):
+    from .nt import P1Surgery
+
     table, sep, rest = text.partition(":")
     if not sep or not table:
         raise UsageError(f"--p1: expected TABLE:F1,F2,..., got {text!r}")
@@ -98,6 +104,8 @@ def parse_p1(text: str) -> P1Surgery:
 def parse_primes(text: str):
     """A prime list: '7,11,13' or a range '5..31' (primes within); its
     UsageError names no flag, as `main` adds the flag it parsed."""
+    from .arith import as_prime, odd_primes
+
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -120,6 +128,8 @@ def parse_primes(text: str):
 
 
 def _from_schema(obj) -> object:
+    from .nt import Lens, P1Surgery, SeifertData
+
     try:
         kind = obj["type"]
         if kind == "lens":
@@ -135,6 +145,8 @@ def _from_schema(obj) -> object:
 
 def gather_manifolds(args) -> list:
     """The manifolds named by the flags; an invalid one is a UsageError."""
+    from .nt import Lens
+
     out = []
     for flag, parse in (("lens", parse_lens), ("seifert", parse_seifert),
                         ("p1", parse_p1)):
@@ -168,6 +180,8 @@ def pool_size(requested: int, n_tasks: int, cpus) -> int:
 
 
 def _pool(fn, tasks, workers):
+    from .nt import manifold_label
+
     tasks = sorted(tasks, key=lambda t: (manifold_label(t[0]), t[1:]))
     workers = pool_size(workers, len(tasks), os.cpu_count())
     if workers == 1:
@@ -220,6 +234,11 @@ def _emit(rows, columns, args):
 
 def _invariant_task(task):
     """(row, None), or (None, why) when this (manifold, K) pair fails."""
+    from .cyclotomic import eval_complex, to_xpoly
+    from .nt import manifold_label
+    from .ohtsuki import closed_zprime
+    from .series import TruncPoly
+
     m, K, precision = task
     try:
         zp = closed_zprime(m, K)
@@ -257,6 +276,8 @@ def cmd_invariant(args) -> int:
 
 
 def _gauss_task(task):
+    from .cyclotomic import gauss_sum, x_order
+
     _, K = task
     g = gauss_sum(1, K)
     sq = g * g
@@ -270,6 +291,8 @@ def _gauss_task(task):
 
 
 def _identity_task(task):
+    from .ohtsuki import verify_identity
+
     m, primes = task
     rows = []
     for rep in verify_identity(m, primes):
@@ -310,18 +333,22 @@ def cmd_verify(args) -> int:
 
 
 def _lambda_task(task):
-    """(rows, stderr lines, exit status) of one manifold, or the
-    So3InvError that stops the command at it; the closed series and
-    every prime read the |H1| and Dedekind data m was built with.  Only
-    the closed series is bounds-checked here: `reconstruct_lambda`
+    """(rows, stderr lines, exit status) of one manifold; a So3InvError
+    that stops it leaves no rows, its `computation failed` line and
+    status 3, and the other manifolds still print.  The closed series
+    and every prime read the |H1| and Dedekind data m was built with.
+    Only the closed series is bounds-checked here: `reconstruct_lambda`
     checks every value it accepts."""
+    from .nt import manifold_label
+    from .ohtsuki import check_bounds, closed_lambda_series, reconstruct_lambda
+
     m, nmax, primes = task
     label, notes, rows, status = manifold_label(m), [], [], 0
     try:
         lam = closed_lambda_series(m, nmax)
         rec = reconstruct_lambda(m, primes, nmax) if primes else None
     except So3InvError as e:
-        return e
+        return [], [f"computation failed: {type(e).__name__}: {e}"], 3
     for n in range(nmax + 1):
         try:
             check_bounds(label, n, m.h1, lam[n])
@@ -348,13 +375,10 @@ def cmd_lambda(args) -> int:
     if args.nmax < 0:
         raise UsageError(f"--nmax: need at least 0, got {args.nmax}")
     primes = args.primes if args.reconstruct else None
+    tasks = [(m, args.nmax, primes) for m in manifolds]
     rows = []
     status = 0
-    for result in _pool(_lambda_task, [(m, args.nmax, primes)
-                                       for m in manifolds], args.workers):
-        if isinstance(result, So3InvError):
-            raise result
-        part, notes, code = result
+    for part, notes, code in _pool(_lambda_task, tasks, args.workers):
         for note in notes:
             print(note, file=sys.stderr)
         rows.extend(part)

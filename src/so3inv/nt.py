@@ -8,6 +8,8 @@ link table), each validated on construction; like `arith.as_prime`
 they take exact ints only, and never convert 5.5, True or "5".  Each
 keeps, computed once, what every exact route reads of it: h1 = |H1|
 and, for lens and Seifert spaces, the Dedekind data of the slopes.
+Only P1Surgery reads a link table, and it imports `jones` when one is
+built, so lens and Seifert runs never load that layer.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     NotRHS,
     ZeroLowerLeft,
 )
-from .jones import get_table
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
@@ -153,6 +154,8 @@ class P1Surgery(_Record):
     _derived = 1
 
     def __init__(self, jones: str, framings: tuple):
+        from .jones import get_table
+
         framings = _ints(framings, "framings")
         if any(p == 0 for p in framings):
             raise NotRHS("zero framing breaks the rational homology sphere "

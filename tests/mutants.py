@@ -112,6 +112,11 @@ MUTANTS = [
      "            status = 3\n",
      '            bounds = f"violated: {e}"\n'
      "            status = 0\n"),
+    ("lambda exits 3 on a manifold that fails", "cli.py",
+     '        return [], [f"computation failed: {type(e).__name__}: {e}"],'
+     " 3\n",
+     '        return [], [f"computation failed: {type(e).__name__}: {e}"],'
+     " 0\n"),
 ]
 
 TIMEOUT_S = 900

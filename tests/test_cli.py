@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import so3inv.cli
 from so3inv.cli import (UsageError, main, parse_p1, parse_primes,
                         parse_seifert, pool_size)
 from so3inv import ohtsuki
@@ -363,8 +362,8 @@ def test_verify_unequal_row_fails_the_run(capsys, monkeypatch):
 def test_lambda_cross_path_mismatch_fails_the_run(capsys, monkeypatch):
     # lambda_1 off by an integer keeps every bound, so only the
     # comparison with the reconstruction can fail the run
-    monkeypatch.setattr(so3inv.cli, "closed_lambda_series", _bent_series(
-        so3inv.cli.closed_lambda_series, 1, 1))
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", _bent_series(
+        ohtsuki.closed_lambda_series, 1, 1))
     code, out, err = run(capsys, "lambda", "--lens", "5,2", "--nmax", "2",
                          "--reconstruct", "--workers", "1")
     rows = [l.split("\t") for l in out.splitlines()[1:]]
@@ -375,8 +374,8 @@ def test_lambda_cross_path_mismatch_fails_the_run(capsys, monkeypatch):
 
 def test_lambda_bounds_violation_fails_the_run(capsys, monkeypatch):
     # a denominator 2^13 at n = 1 breaks the integrality bound
-    monkeypatch.setattr(so3inv.cli, "closed_lambda_series", _bent_series(
-        so3inv.cli.closed_lambda_series, 1, Fraction(1, 2 ** 13)))
+    monkeypatch.setattr(ohtsuki, "closed_lambda_series", _bent_series(
+        ohtsuki.closed_lambda_series, 1, Fraction(1, 2 ** 13)))
     code, out, err = run(capsys, "lambda", "--lens", "5,2", "--nmax", "2",
                          "--workers", "1")
     rows = [l.split("\t") for l in out.splitlines()[1:]]
@@ -405,7 +404,27 @@ def test_reconstruction_bounds_violation_fails_the_run(capsys, monkeypatch):
     assert err.startswith("computation failed: BoundViolation: lambda_1 of "
                           "L(5,2) = ")
     assert "integrality bound" in err
-    assert out == "" and code == 3
+    assert out == "manifold\tn\tvalue\tprovenance\tmodulus\tbounds\n"
+    assert code == 3
+
+
+def test_lambda_prints_every_manifold_it_computed(capsys):
+    # |H1| = 1987 * 1993 * 1997 takes three of the five seed primes, so
+    # L(7908301727,1) cannot reconstruct; L(5,2) still prints its rows
+    code, out, err = run(capsys, "lambda", "--lens", "5,2", "--lens",
+                         "7908301727,1", "--nmax", "2", "--reconstruct",
+                         "--primes", "1979..1999", "--workers", "1")
+    rows = [l.split("\t") for l in out.splitlines()[1:]]
+    assert rows == [
+        ["L(5,2)", str(n), v, "closed-form", "", "ok"]
+        for n, v in enumerate(("1", "0", "-1/25"))] + [
+        ["L(5,2)", str(n), v, "reconstruction", "3932273", "ok"]
+        for n, v in enumerate(("1", "0", "-1/25"))]
+    assert err == (
+        "computation failed: InsufficientModulus: lambda_0 of "
+        "L(7908301727,1): no fraction both stable and confirmed by two "
+        "held-out primes, from 2 primes up to 2000 (modulus 3956021)\n")
+    assert code == 3
 
 
 @pytest.mark.parametrize("flag, spec, K, h1", [
@@ -515,15 +534,17 @@ def test_lambda_reconstruct_deterministic_across_workers(capsys,
                    "H1DivisibleByK\n")
     rows = [l.split("\t") for l in out.splitlines()[1:]]
     assert len(rows) == 4 * 2 * 5
-    # a manifold that fails stops the command where it sorts, after the
-    # stderr lines of the manifolds before it
+    # a manifold that fails names itself on stderr where it sorts, and
+    # every other manifold still prints its rows
     argv = ("lambda", "--p1", "unlink:5,7,11,13,17,1999", "--lens",
             "5997,2", "--nmax", "0", "--reconstruct", "--primes",
             "3,5,7,11,13,17,1999")
     seq = run(capsys, *argv, "--workers", "1")
     assert run(capsys, *argv, "--workers", "2") == seq
     code, out, err = seq
-    assert code == 3 and out == ""
+    assert code == 3
+    assert out.splitlines()[1:] == ["L(5997,2)\t0\t1\tclosed-form\t\tok",
+                                    "L(5997,2)\t0\t1\treconstruction\t385\tok"]
     assert err.splitlines() == [
         "L(5997,2): reconstruction skipped K = 3: H1DivisibleByK",
         "computation failed: InsufficientModulus: lambda_0 of "
@@ -653,3 +674,33 @@ sys.exit(so3inv.cli.main(["verify", "--manifolds", {str(mf)!r},
     assert {r["manifold"] for r in rows} == {
         "L(5,2)", "X(2/1,3/1,5/-4)", "S[unlink;-2,5]"}
     assert [r["verdict"] for r in rows] == ["equal"] * 9
+
+
+def test_help_and_usage_errors_load_no_library():
+    # the library loads after argument parsing: --help and an argparse
+    # usage error compile only cli and errors, and a lens run never
+    # reaches the link tables or the surgery formulas
+    proc = _fresh_process("""
+import contextlib, io, sys
+import so3inv.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("so3inv"))
+
+bare = ["so3inv", "so3inv.cli", "so3inv.errors"]
+assert loaded() == bare and "fractions" not in sys.modules, loaded()
+for argv in (["--help"], ["verify", "--no-such-flag"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            so3inv.cli.main(argv)
+        except SystemExit:
+            pass
+        else:
+            raise AssertionError(argv)
+    assert loaded() == bare and "fractions" not in sys.modules, loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert so3inv.cli.main(["verify", "--lens", "5,2"]) == 0
+assert not {"so3inv.jones", "so3inv.surgery"} & set(loaded()), loaded()
+""")
+    assert proc.returncode == 0, proc.stderr
