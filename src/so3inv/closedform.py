@@ -24,9 +24,10 @@ literal s(q, |p|) would collapse mirror pairs, which is wrong.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
 from .arith import inv_int, legendre, rat_residue, sign
 from .cyclotomic import CycInt, from_runs, sine_run
@@ -199,8 +200,10 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> RatSeries:
 
     With t = u^2 and sinh(u/p) = (u/p) S(t/p^2), S = `sinh_over_u`, the
     fiber prefactor 4 prod_j sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t),
-    G = prod_j S(t/p_j^2) (u/sinh u)^(N-2), or S(t) prod_j S(t/p_j^2) for
-    N = 1: no division, as u/sinh(u) (`u_over_sinh`) is cached per cap.
+    G = (u/sinh u)^(N-2) prod_j S(t/p_j^2), or S(t) prod_j S(t/p_j^2) for
+    N = 1: one product of its factors, N - 2 copies of u/sinh(u)
+    (`u_over_sinh`, cached per cap) or S(t), then one S(t/p_j^2) per
+    fiber, with no division and no product by the constant series 1.
     Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
     rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
     (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
@@ -209,9 +212,9 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> RatSeries:
     """
     cap = n_max
     n = len(S.fractions)
-    g = sinh_over_u(1, cap) if n == 1 else u_over_sinh(cap) ** (n - 2)
-    for p, _ in S.fractions:
-        g = g * sinh_over_u(Fraction(1, p * p), cap)
+    head = [sinh_over_u(1, cap)] if n == 1 else [u_over_sinh(cap)] * (n - 2)
+    g = reduce(mul, head + [sinh_over_u(Fraction(1, p * p), cap)
+                            for p, _ in S.fractions])
     mom, w = [0], Fraction(4, S.P)
     ratio = Fraction(S.P, S.H)  # P/H per t = u^2
     for m, c in enumerate(g.coeffs, 1):

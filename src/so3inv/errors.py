@@ -30,10 +30,6 @@ class MixedModulus(So3InvError):
     """Ring operation between elements living at different primes."""
 
 
-class NotAUnit(So3InvError):
-    """Element has no multiplicative inverse in the ring."""
-
-
 class IntegralityFailure(So3InvError):
     """A quantity that must be an integer (or integral vector) is not."""
 

@@ -15,9 +15,10 @@ the recovered values with what only recovery knows: the modulus of
 each, the primes used and the primes skipped.
 
 Reconstruction never trusts a single modulus.  The supplied primes are
-a seed; further primes are folded into the CRT modulus M until Wang's
-balanced extended-Euclid recovery (Wang, Guy & Davenport 1982) yields
-the same fraction a/d from two consecutive prefixes, with
+a seed; further primes, the odd primes above the largest seed and at
+most PRIMES_PAST_SEEDS of them, are folded into the CRT modulus M until
+Wang's balanced extended-Euclid recovery (Wang, Guy & Davenport 1982)
+yields the same fraction a/d from two consecutive prefixes, with
 2 * 16 * |a| * d <= M as a safety margin.  The fraction must then
 agree with the residues at the next two primes, which are held out of
 M.  A held-out disagreement is not fatal: both held-out primes join M
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import count, islice
 from math import factorial, gcd, isqrt
 from operator import mul
 from typing import Optional, Sequence
@@ -187,7 +188,9 @@ def _agrees(value: Fraction, residue: int, K: int) -> bool:
     return value.denominator % K != 0 and rat_residue(value, K) == residue
 
 
-PRIME_CEILING = 2000  # no prime above it joins a reconstruction
+# at most this many primes above the largest seed join a reconstruction:
+# seeds 7..23 read the primes up to 2000
+PRIMES_PAST_SEEDS = 294
 
 
 class Reconstruction(_Record):
@@ -222,7 +225,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> Reconstruction:
         raise So3InvError(f"primes must be pairwise distinct: {primes}")
     # the seeds, then the odd primes above them, each tested on first read
     found = list(seeds)
-    later = filter(_is_prime, range(seeds[-1] + 2, PRIME_CEILING + 1, 2))
+    later = islice(filter(_is_prime, count(seeds[-1] + 2, 2)),
+                   PRIMES_PAST_SEEDS)
 
     def candidates():
         yield from found
@@ -266,7 +270,8 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> Reconstruction:
             raise InsufficientModulus(
                 f"lambda_{n} of {label}: no fraction both stable and "
                 f"confirmed by two held-out primes, from {len(used)} "
-                f"primes up to {PRIME_CEILING} (modulus {M})")
+                f"primes, the seeds and at most {PRIMES_PAST_SEEDS} primes "
+                f"above them (modulus {M})")
         check_bounds(label, n, h1, accepted)
         values.append(accepted)
         moduli.append(M)
@@ -286,12 +291,10 @@ def check_bounds(label: str, n: int, h1: int, value: Fraction):
     if (value * big * h1 ** n).denominator != 1:
         raise BoundViolation(
             f"lambda_{n} of {label} = {value} breaks the integrality bound")
-    d = (value * h1 ** n).denominator
-    for p in range(2, d + 1):
-        if p > max(2 * n, 1):
-            raise BoundViolation(
-                f"lambda_{n} of {label}: denominator prime {p} > {2 * n}")
-        while d % p == 0:
-            d //= p
-        if d == 1:
-            break
+    d, small = (value * h1 ** n).denominator, factorial(2 * n)
+    while (g := gcd(d, small)) > 1:  # divide out every prime <= 2n
+        d //= g
+    if d > 1:  # its smallest divisor > 1 is a prime above 2n
+        p = next(p for p in range(2, d + 1) if d % p == 0)
+        raise BoundViolation(
+            f"lambda_{n} of {label}: denominator prime {p} > {2 * n}")

@@ -28,7 +28,6 @@ from .errors import (
     DenominatorDivisibleByK,
     InsufficientTerms,
     NonzeroConstantInExp,
-    NotAUnit,
 )
 
 
@@ -97,19 +96,6 @@ class RatSeries:
                           for n in range(cap + 1)], cap)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RatSeries":
-        if n < 0:
-            raise NotAUnit(f"RatSeries ** {n}: inverses are not computed")
-        result = RatSeries.const(1, self.cap)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square past the top bit
-                base = base * base
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)

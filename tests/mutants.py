@@ -94,8 +94,8 @@ MUTANTS = [
      "    if (value * big * h1 ** n).denominator != 1:\n",
      "    if False:\n"),
     ("check_bounds prime bound", "ohtsuki.py",
-     "        if p > max(2 * n, 1):\n",
-     "        if p > max(2 * n + 1, 1):\n"),
+     "    d, small = (value * h1 ** n).denominator, factorial(2 * n)\n",
+     "    d, small = (value * h1 ** n).denominator, factorial(2 * n + 1)\n"),
     ("trial division bound", "arith.py",
      "    while d * d <= n:\n",
      "    while d * d < n:\n"),

@@ -408,9 +408,11 @@ def test_reconstruction_bounds_violation_fails_the_run(capsys, monkeypatch):
     assert code == 3
 
 
-def test_lambda_prints_every_manifold_it_computed(capsys):
-    # |H1| = 1987 * 1993 * 1997 takes three of the five seed primes, so
-    # L(7908301727,1) cannot reconstruct; L(5,2) still prints its rows
+def test_lambda_prints_every_manifold_it_computed(capsys, monkeypatch):
+    # with no prime read past the seeds, |H1| = 1987 * 1993 * 1997 takes
+    # three of the five seed primes, so L(7908301727,1) cannot
+    # reconstruct; L(5,2) still prints its rows
+    monkeypatch.setattr(ohtsuki, "PRIMES_PAST_SEEDS", 0)
     code, out, err = run(capsys, "lambda", "--lens", "5,2", "--lens",
                          "7908301727,1", "--nmax", "2", "--reconstruct",
                          "--primes", "1979..1999", "--workers", "1")
@@ -423,8 +425,24 @@ def test_lambda_prints_every_manifold_it_computed(capsys):
     assert err == (
         "computation failed: InsufficientModulus: lambda_0 of "
         "L(7908301727,1): no fraction both stable and confirmed by two "
-        "held-out primes, from 2 primes up to 2000 (modulus 3956021)\n")
+        "held-out primes, from 2 primes, the seeds and at most 0 primes "
+        "above them (modulus 3956021)\n")
     assert code == 3
+
+
+def test_lambda_reconstructs_from_seeds_near_2000(capsys):
+    # the stream reads primes past a seed of 1999 too: the same values
+    # as from seeds 7..23, only the moduli differ
+    def values(primes):
+        code, out, err = run(capsys, "lambda", "--p1", "unlink:-2,5",
+                             "--nmax", "2", "--reconstruct", "--primes",
+                             primes)
+        assert code == 0 and err == ""
+        return [l.split("\t")[:3] for l in out.splitlines()]
+
+    rows = values("1979..1999")
+    assert rows == values("7..23")
+    assert [v for _, _, v in rows[1:]] == ["1", "-3/5", "327/800"] * 2
 
 
 @pytest.mark.parametrize("flag, spec, K, h1", [
@@ -535,7 +553,10 @@ def test_lambda_reconstruct_deterministic_across_workers(capsys,
     rows = [l.split("\t") for l in out.splitlines()[1:]]
     assert len(rows) == 4 * 2 * 5
     # a manifold that fails names itself on stderr where it sorts, and
-    # every other manifold still prints its rows
+    # every other manifold still prints its rows; with no prime read past
+    # the seeds (the forked workers inherit the bound), |H1| leaves the
+    # unlink surgery one prime
+    monkeypatch.setattr(ohtsuki, "PRIMES_PAST_SEEDS", 0)
     argv = ("lambda", "--p1", "unlink:5,7,11,13,17,1999", "--lens",
             "5997,2", "--nmax", "0", "--reconstruct", "--primes",
             "3,5,7,11,13,17,1999")
@@ -549,8 +570,8 @@ def test_lambda_reconstruct_deterministic_across_workers(capsys,
         "L(5997,2): reconstruction skipped K = 3: H1DivisibleByK",
         "computation failed: InsufficientModulus: lambda_0 of "
         "S[unlink;5,7,11,13,17,1999]: no fraction both stable and "
-        "confirmed by two held-out primes, from 1 primes up to 2000 "
-        "(modulus 3)"]
+        "confirmed by two held-out primes, from 1 primes, the seeds and "
+        "at most 0 primes above them (modulus 3)"]
 
 
 def test_lambda_s3_trivial(capsys):

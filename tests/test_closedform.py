@@ -19,7 +19,7 @@ from so3inv.nt import SeifertData, dedekind_sum
 from so3inv.ohtsuki import closed_lambda_series, closed_zprime
 from so3inv.series import RatSeries, at_half_log, binomial_terms, q_power
 from so3inv.surgery import Lens, zprime_numeric
-from zq_reference import s_div, seifert_cn_laurent, sine_quotient
+from zq_reference import s_div, seifert_cn_laurent, ser_pow, sine_quotient
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -379,7 +379,7 @@ def _seifert_moments_over_t(S, cap):
     fib = RatSeries.const(1, ucap)
     for (p, q) in S.fractions:
         fib = fib * _sinh_quotient_u(Fraction(1, p), ucap)
-    fib = fib * (RatSeries([0, 1], ucap) * _sinh_over_t(1, ucap)) ** 2
+    fib = fib * ser_pow(RatSeries([0, 1], ucap) * _sinh_over_t(1, ucap), 2)
     ratio = Fraction(S.P, S.H)
     return RatSeries([fib.coeffs[2 * m] * ratio ** m
                       * (factorial(2 * m) // (2 ** m * factorial(m)))
@@ -610,6 +610,28 @@ def test_seifert_lambda1_is_three_casson_walker():
                   + e / 12 - Fraction(sgn, 4)
                   - sum(dedekind_sum(q, p) for p, q in fr))
         assert closed_lambda_series(S, 1)[1] == 3 * walker, S
+
+
+def test_seifert_lambda_multiplies_no_unit_series(monkeypatch):
+    # G is the product of its factors alone, from the first of them: no
+    # product of the series has the constant series 1 as an operand
+    operands = []
+
+    def spy(a, b):
+        operands.extend((a, b))
+        return real(a, b)
+
+    def one(s):
+        return isinstance(s, RatSeries) and s.coeffs == (1,) + (0,) * s.cap
+
+    real = RatSeries.__mul__
+    monkeypatch.setattr(RatSeries, "__mul__", spy)
+    monkeypatch.setattr(RatSeries, "__rmul__", spy)
+    fibers = [(2, 1), (-3, 2), (5, 1), (7, -2), (11, 3)]
+    for n in range(1, 6):
+        operands.clear()
+        lam = closedform.seifert_lambda_series(SeifertData(fibers[:n]), 6)
+        assert lam[0] == 1 and operands and not any(map(one, operands)), n
 
 
 # two-fiber Seifert spaces that are lens spaces

@@ -18,10 +18,9 @@ from so3inv.cyclotomic import (
     to_xpoly,
     x_order,
 )
-from so3inv.errors import (IntegralityFailure, MixedModulus, NotAnOddPrime,
-                           NotAUnit)
+from so3inv.errors import IntegralityFailure, MixedModulus, NotAnOddPrime
 from so3inv.series import TruncPoly, q_power, vee
-from zq_reference import (cyc_pow, divide_by_x, gauss_moment_diamond,
+from zq_reference import (NotAUnit, cyc_pow, divide_by_x, gauss_moment_diamond,
                           odd_gauss_moment, qpow, sine_quotient,
                           to_xpoly_pascal, unit_u)
 

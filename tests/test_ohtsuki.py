@@ -143,8 +143,9 @@ def test_reconstruction_skips_bad_primes():
 
 
 def test_reconstruction_insufficient_modulus(monkeypatch):
-    monkeypatch.setattr(ohtsuki, "PRIME_CEILING", 14)
-    with pytest.raises(InsufficientModulus):
+    monkeypatch.setattr(ohtsuki, "PRIMES_PAST_SEEDS", 0)
+    with pytest.raises(InsufficientModulus,
+                       match="the seeds and at most 0 primes above them"):
         reconstruct_lambda(Lens(3, 1), [11, 13], 4)
 
 
@@ -172,6 +173,16 @@ def test_denominator_bound_checks():
         with pytest.raises(BoundViolation,
                            match=f"= {value} breaks the integrality bound"):
             check_bounds("m", 1, 1, value)
+
+
+def test_denominator_bound_names_a_prime_of_the_denominator():
+    # the primes <= 2n are divided out; the least prime left is named
+    for n, value, p in ((1, Fraction(1, 5), 5), (2, Fraction(1, 63), 7),
+                        (3, Fraction(1, 11), 11)):
+        with pytest.raises(BoundViolation) as e:
+            check_bounds("X", n, 1, value)
+        assert str(e.value) == (
+            f"lambda_{n} of X: denominator prime {p} > {2 * n}")
 
 
 def test_closed_forms_pass_bounds_through_n20():
@@ -290,8 +301,10 @@ def test_exact_routes_share_one_door(monkeypatch):
 # LambdaSeries(manifold=.., n_max=.., values=.., provenance='reconstruction',
 # moduli=.., primes_used=.., skipped=..) built from the result's fields,
 # or of "Class: message" on failure, as the eager candidate list
-# seeds + odd_primes(seeds[-1] + 1, ceiling) gave them, ceiling the
-# value of ohtsuki.PRIME_CEILING.
+# seeds + odd_primes(seeds[-1] + 1, ceiling) gave them: the bound
+# ohtsuki.PRIMES_PAST_SEEDS is set to the length of that prime list.
+# It is the module's own bound at seeds 7..23 with ceiling 2000, and
+# at seed 1999 with ceiling 4373.
 RECONSTRUCT_SAMPLE = [
     (Lens(5, 2), odd_primes(7, 23), 6, 2000, "50886581a7b55bf8"),
     (Lens(12, 5), odd_primes(7, 23), 6, 2000, "65523cafeea13dc1"),
@@ -301,8 +314,8 @@ RECONSTRUCT_SAMPLE = [
     (P1Surgery("unlink", (-2, 5)), odd_primes(7, 23), 6, 2000,
      "e9bf237b1c8c131d"),
     (Lens(9, 1), (7, 11, 13, 17, 19), 6, 2000, "7a50802cd25fb0ea"),
-    (Lens(12, 5), odd_primes(7, 23), 6, 50, "87f4f9d0951b2ed7"),
-    (Lens(5, 2), (1999,), 6, 2000, "bd17a0bef3c7fd2e"),
+    (Lens(12, 5), odd_primes(7, 23), 6, 50, "268bf392b280a2b6"),
+    (Lens(5, 2), (1999,), 6, 4373, "d23b4dfb7943cfc2"),
 ]
 
 
@@ -313,7 +326,8 @@ def test_reconstruction_reads_candidate_primes_lazily(
     tested = []
     monkeypatch.setattr(ohtsuki, "_is_prime",
                         lambda n: tested.append(n) or _is_prime(n))
-    monkeypatch.setattr(ohtsuki, "PRIME_CEILING", ceiling)
+    monkeypatch.setattr(ohtsuki, "PRIMES_PAST_SEEDS",
+                        len(odd_primes(seeds[-1] + 1, ceiling)))
     try:
         r = reconstruct_lambda(m, seeds, n_max)
         out = (f"LambdaSeries(manifold={manifold_label(m)!r}, "
@@ -325,10 +339,17 @@ def test_reconstruction_reads_candidate_primes_lazily(
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
     assert tested == sorted(set(tested)) and len(tested) < 60
     if seeds == (1999,):
-        assert tested == [] and out == (
-            "InsufficientModulus: lambda_0 of L(5,2): no fraction both "
-            "stable and confirmed by two held-out primes, from 1 primes "
-            "up to 2000 (modulus 1999)")
+        # a seed near 2000 still reads primes above it
+        assert tested[0] == 2001 and out.startswith(
+            f"LambdaSeries(manifold='L(5,2)', n_max=6, "
+            f"values={closed_lambda_series(m, 6).coeffs!r}, ")
+
+
+def test_default_bound_reads_the_primes_up_to_2000():
+    # seeds 7..23 read the primes up to 2000, and seed 1999 those up
+    # to 4373: the two ceilings of RECONSTRUCT_SAMPLE's default rows
+    assert (len(odd_primes(24, 2000)) == len(odd_primes(2000, 4373))
+            == ohtsuki.PRIMES_PAST_SEEDS)
 
 
 # the four records: the fields in order, sample values, and the repr

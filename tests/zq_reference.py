@@ -19,8 +19,9 @@ library sums q-powers as runs (`cyclotomic.from_runs`) instead.
 `sine_quotient` is the quantized integer [c], the one run `sine_run`
 gives.
 
-Powers in Z[q].  `cyc_pow` raises a `CycInt` element, its first
-argument, to a power; the library adds and multiplies only.
+Powers.  `cyc_pow` raises a `CycInt` element, and `ser_pow` a
+`RatSeries`, its first argument, to a nonnegative power; the library
+multiplies factor by factor, so only these two raise `NotAUnit`.
 
 Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
 Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
@@ -78,7 +79,7 @@ from so3inv.cyclotomic import (CycInt, _raw, diamond, divide_exact,
                                sine_run)
 from so3inv.errors import (BadPrecision, BoundViolation,
                            DenominatorDivisibleByK, InsufficientTerms,
-                           IntegralityFailure, NotAUnit, NotRHS,
+                           IntegralityFailure, NotRHS,
                            So3InvError)
 from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
 from so3inv.series import RatSeries, TruncPoly, _frac, vee
@@ -262,6 +263,10 @@ def sine_quotient(c: int, K: int) -> CycInt:
     return from_runs([sine_run(0, c, 1, K)], K)
 
 
+class NotAUnit(So3InvError):
+    """Element has no multiplicative inverse in the ring."""
+
+
 def cyc_pow(self: CycInt, n: int) -> CycInt:
     if n < 0:
         raise NotAUnit(f"CycInt ** {n}: inverses are not computed")
@@ -272,6 +277,20 @@ def cyc_pow(self: CycInt, n: int) -> CycInt:
             result = result * base
         base = base * base
         n >>= 1
+    return result
+
+
+def ser_pow(self: RatSeries, n: int) -> RatSeries:
+    if n < 0:
+        raise NotAUnit(f"RatSeries ** {n}: inverses are not computed")
+    result = RatSeries.const(1, self.cap)
+    base = self
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:  # no square past the top bit
+            base = base * base
     return result
 
 
@@ -326,7 +345,7 @@ def x_over_log_pow(m: int, K: int) -> TruncPoly:
     ratio = s_div(RatSeries.const(1, d),
                   RatSeries([Fraction((-1) ** n, n + 1)
                              for n in range(d + 1)], d))
-    return vee(ratio ** m, K)
+    return vee(ser_pow(ratio, m), K)
 
 
 def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
@@ -505,7 +524,8 @@ def seifert_beta_series(alphas: Sequence[int], beta: int,
     acc = prod((sin_quotient_series(beta * a, cap) for a in alphas),
                start=RatSeries.const(1, cap))
     if len(alphas) >= 2:
-        return s_div(acc, sin_quotient_series(beta, cap) ** (len(alphas) - 1))
+        return s_div(acc, ser_pow(sin_quotient_series(beta, cap),
+                                  len(alphas) - 1))
     return acc
 
 
