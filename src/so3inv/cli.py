@@ -237,7 +237,7 @@ def _invariant_task(task):
     from .cyclotomic import eval_complex, to_xpoly
     from .nt import manifold_label
     from .ohtsuki import closed_zprime
-    from .series import TruncPoly
+    from .series import shadow
 
     m, K, precision = task
     try:
@@ -250,7 +250,7 @@ def _invariant_task(task):
     return (manifold_label(m), K,
             ",".join(str(c) for c in zp.coeffs),
             _poly_str(xp, "x"),
-            ",".join(str(c) for c in TruncPoly(xp, K).coeffs),
+            ",".join(map(str, shadow(xp, K))),
             f"{num.real:.12e}{num.imag:+.12e}j"), None
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .arith import as_prime
 from .errors import BadPrecision, DivisibilityFailure, MixedModulus
-from .series import TruncPoly
+from .series import shadow
 
 
 def odd_window(K: int) -> range:
@@ -176,10 +176,11 @@ def x_order(a: CycInt) -> int:
                 a.K - 1)
 
 
-def diamond(a: CycInt) -> TruncPoly:
-    """The mod-K series shadow: x-coefficients up to degree (K-1)/2,
-    from the first (K+1)/2 passes of `_xpoly_passes` only."""
-    return TruncPoly(tuple(islice(_xpoly_passes(a), (a.K + 1) // 2)), a.K)
+def diamond(a: CycInt) -> tuple:
+    """The mod-K series shadow: the x-coefficients up to degree (K-1)/2
+    as a (K+1)/2-tuple of residues in [0, K), from the first (K+1)/2
+    passes of `_xpoly_passes` only."""
+    return shadow(tuple(islice(_xpoly_passes(a), (a.K + 1) // 2)), a.K)
 
 
 def gauss_sum(c: int, K: int) -> CycInt:

@@ -46,7 +46,7 @@ from .errors import (
     So3InvError,
 )
 from .nt import Lens, ManifoldSpec, SeifertData, check_h1, manifold_label
-from .series import RatSeries, TruncPoly, vee
+from .series import RatSeries, vee
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def closed_lambda_series(m: ManifoldSpec, n_max: int) -> RatSeries:
     return lam
 
 
-def diamond_side(m: ManifoldSpec, K) -> TruncPoly:
+def diamond_side(m: ManifoldSpec, K) -> tuple:
     """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly;
     `closed_zprime` raises H1DivisibleByK when K divides |H1|."""
     return diamond(closed_zprime(m, K) * (m.h1 * legendre(m.h1, K)))
@@ -104,13 +104,14 @@ def diamond_side(m: ManifoldSpec, K) -> TruncPoly:
 
 class IdentityReport(_Record):
     """One prime of `verify_identity`: verdict "equal", "unequal" or
-    "skipped"."""
+    "skipped"; lhs (`diamond_side`) and rhs (`vee`) are (K+1)/2-tuples
+    of residues in [0, K), None when skipped."""
 
     __slots__ = ("manifold", "K", "lhs", "rhs", "verdict", "first_mismatch",
                  "error")
 
-    def __init__(self, manifold: str, K: int, lhs: Optional[TruncPoly],
-                 rhs: Optional[TruncPoly], verdict: str,
+    def __init__(self, manifold: str, K: int, lhs: Optional[tuple],
+                 rhs: Optional[tuple], verdict: str,
                  first_mismatch: Optional[int] = None,
                  error: Optional[str] = None):
         super().__init__(manifold, K, lhs, rhs, verdict, first_mismatch,
@@ -142,7 +143,7 @@ def verify_identity(m: ManifoldSpec, primes: Sequence[int]):
                 error=f"{type(e).__name__}: {e}"))
             continue
         first = next((n for n, (a, b) in
-                      enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
+                      enumerate(zip(lhs, rhs)) if a != b), None)
         reports.append(IdentityReport(
             label, K, lhs, rhs,
             "equal" if first is None else "unequal", first))
@@ -240,7 +241,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> Reconstruction:
     def residues(K):
         if K not in coeff_cache:
             try:
-                coeff_cache[K] = diamond_side(m, K).coeffs
+                coeff_cache[K] = diamond_side(m, K)
             except So3InvError as e:
                 coeff_cache[K] = None
                 skipped.append((K, type(e).__name__))

@@ -3,9 +3,10 @@
 RatSeries is a dense truncated series in x with Fraction coefficients;
 s[n] reads the coefficient of x^n, InsufficientTerms past the cap.  The
 lambda series of a manifold is one RatSeries, capped at n_max.
-TruncPoly is its shadow mod an odd prime K, truncated at degree
-(K-1)/2: the largest window in which cyclotomic integers leave a
-well-defined polynomial trace (see cyclotomic.diamond).
+Its shadow mod an odd prime K (`shadow`, `vee`) is a plain tuple of
+the (K+1)/2 residues through degree (K-1)/2: the largest window in
+which cyclotomic integers leave a well-defined polynomial trace (see
+cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
 produce, one route each: (1+x)^r for rational r, and sinh(u)/u and its
@@ -190,37 +191,23 @@ def u_over_sinh(cap: int) -> RatSeries:
     return RatSeries([c / factorial(2 * n) for n, c in enumerate(g)], cap)
 
 
-class TruncPoly:
-    """A polynomial mod K truncated above degree (K-1)/2."""
-
-    __slots__ = ("K", "coeffs")
-
-    def __init__(self, coeffs: Sequence[int], K: int):
-        as_prime(K)
-        d = (K - 1) // 2
-        cs = [int(c) % K for c in coeffs[:d + 1]]
-        cs.extend([0] * (d + 1 - len(cs)))
-        self.K = K
-        self.coeffs = tuple(cs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.K == other.K and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.K, self.coeffs))
-
-    def __repr__(self):
-        return f"TruncPoly({list(self.coeffs)}, mod {self.K})"
+def shadow(coeffs: Sequence[int], K: int) -> tuple:
+    """The mod-K window of a coefficient sequence: its (K+1)/2 entries
+    through degree (K-1)/2, each a residue in [0, K), zero-padded."""
+    as_prime(K)
+    d = (K - 1) // 2
+    cs = [int(c) % K for c in coeffs[:d + 1]]
+    cs.extend([0] * (d + 1 - len(cs)))
+    return tuple(cs)
 
 
-def vee(s: RatSeries, K: int) -> TruncPoly:
-    """Reduce a rational series mod K and truncate at degree (K-1)/2,
-    over an lcm D of denominators: K divides D exactly when it divides
-    one of them, so one test and one inverse of D do.  D is the whole
-    series' lcm, kept with it across primes, unless K divides it; then
-    the prefix read gets its own."""
+def vee(s: RatSeries, K: int) -> tuple:
+    """The `shadow` of a rational series: a (K+1)/2-tuple of residues
+    in [0, K), lambda_n mod K for n <= (K-1)/2, computed over an lcm D
+    of denominators: K divides D exactly when it divides one of them,
+    so one test and one inverse of D do.  D is the whole series' lcm,
+    kept with it across primes, unless K divides it; then the prefix
+    read gets its own."""
     d = (as_prime(K) - 1) // 2
     if s.cap < d:
         raise InsufficientTerms(
@@ -236,4 +223,4 @@ def vee(s: RatSeries, K: int) -> TruncPoly:
         raise DenominatorDivisibleByK(
             f"coefficient of x^{n} = {c} has denominator divisible by {K}")
     inv = inv_int(den, K)
-    return TruncPoly([c * inv for c in nums[:d + 1]], K)
+    return shadow([c * inv for c in nums[:d + 1]], K)

@@ -48,6 +48,12 @@ MUTANTS = [
     ("from_runs run length", "cyclotomic.py",
      "        if not 0 <= m <= K:\n",
      "        if False:\n"),
+    ("shadow reduces mod K", "series.py",
+     "    cs = [int(c) % K for c in coeffs[:d + 1]]\n",
+     "    cs = [int(c) for c in coeffs[:d + 1]]\n"),
+    ("shadow window (K+1)/2", "series.py",
+     "    d = (K - 1) // 2\n",
+     "    d = (K + 1) // 2\n"),
     ("vee DenominatorDivisibleByK", "series.py",
      "    if den % K == 0:\n",
      "    if False:\n"),

@@ -104,13 +104,13 @@ def _moment_window_agrees(p: int, q: int, m: int, K: int) -> bool:
     c = p * inv_int(q, K) % K
     exact = diamond(odd_gauss_moment(c, m, K) * unit_u(K))
     closed = gauss_moment_diamond(p, q, m, K)
-    if any(exact.coeffs[a] for a in range(d - m)):
+    if any(exact[a] for a in range(d - m)):
         return False
     for rel in range(d + 1 - m):
         a = d - m + rel
         if a > d:
             break
-        if exact.coeffs[a] != closed.coeffs[rel]:
+        if exact[a] != closed[rel]:
             return False
     return True
 

@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from so3inv.cli import (UsageError, main, parse_p1, parse_primes,
-                        parse_seifert, pool_size)
+from so3inv.cli import (UsageError, main, parse_lens, parse_p1,
+                        parse_primes, parse_seifert, pool_size)
 from so3inv import ohtsuki
 from so3inv.arith import odd_primes, rat_residue
+from so3inv.cyclotomic import diamond
 from so3inv.errors import BoundViolation, NotRHS
 from so3inv.nt import Lens
-from so3inv.series import RatSeries, TruncPoly
+from so3inv.ohtsuki import closed_zprime
+from so3inv.series import RatSeries, shadow
 
 
 def run(capsys, *argv):
@@ -103,6 +105,25 @@ def test_invariant_p1(capsys):
     code, out, _ = run(capsys, "invariant", "--p1", "unlink:-2,5", "--k", "7")
     assert code == 0
     assert out.splitlines()[1].split("\t")[2] == "-1,-2,-2,-1,0,1"
+
+
+@pytest.mark.parametrize("flag, spec, parse", [
+    ("--lens", "-8,3", parse_lens),
+    ("--seifert", "2/1,3/1,-4/3", parse_seifert),
+    ("--p1", "unlink:2,-3,4", parse_p1)])
+def test_invariant_diamond_column_is_diamond_of_zprime(capsys, flag, spec,
+                                                      parse):
+    # the diamond column, at every prime of the range, is the mod-K
+    # window of Z' written as comma-separated residues
+    code, out, err = run(capsys, "invariant", f"{flag}={spec}",
+                         "--k", "5..31")
+    assert code == 0 and err == ""
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == list(odd_primes(5, 31))
+    m = parse(spec)
+    for r in rows:
+        K = int(r[1])
+        assert r[4] == ",".join(map(str, diamond(closed_zprime(m, K)))), K
 
 
 def test_invariant_json_output(capsys):
@@ -392,9 +413,9 @@ def test_reconstruction_bounds_violation_fails_the_run(capsys, monkeypatch):
     real = ohtsuki.diamond_side
 
     def shifted(m, K):
-        coeffs = list(real(m, K).coeffs)
+        coeffs = list(real(m, K))
         coeffs[1] += rat_residue(Fraction(1, 2 ** 13), K)
-        return TruncPoly(coeffs, K)
+        return shadow(coeffs, K)
 
     monkeypatch.setattr(ohtsuki, "diamond_side", shifted)
     with pytest.raises(BoundViolation, match="integrality bound"):

@@ -19,7 +19,7 @@ from so3inv.cyclotomic import (
     x_order,
 )
 from so3inv.errors import IntegralityFailure, MixedModulus, NotAnOddPrime
-from so3inv.series import TruncPoly, q_power, vee
+from so3inv.series import q_power, shadow, vee
 from zq_reference import (NotAUnit, cyc_pow, divide_by_x, gauss_moment_diamond,
                           odd_gauss_moment, qpow, sine_quotient,
                           to_xpoly_pascal, unit_u)
@@ -114,17 +114,17 @@ def test_diamond_is_ring_hom():
         for _ in range(4):
             a = CycInt([rng.randint(-20, 20) for _ in range(K - 1)], K)
             b = CycInt([rng.randint(-20, 20) for _ in range(K - 1)], K)
-            da, db = diamond(a).coeffs, diamond(b).coeffs
+            da, db = diamond(a), diamond(b)
             d = len(da)
             add = [x + y for x, y in zip(da, db)]
             conv = [sum(da[i] * db[n - i] for i in range(n + 1))
                     for n in range(d)]  # truncated at degree (K-1)/2
-            assert diamond(a + b) == TruncPoly(add, K)
-            assert diamond(a * b) == TruncPoly(conv, K)
+            assert diamond(a + b) == shadow(add, K)
+            assert diamond(a * b) == shadow(conv, K)
 
 
 def test_diamond_of_constant():
-    assert diamond(CycInt([7], 5)) == TruncPoly([2], 5)
+    assert diamond(CycInt([7], 5)) == shadow([2], 5)
 
 
 def test_negative_power_is_not_a_unit():
@@ -340,7 +340,7 @@ def test_moment_extraction_by_interpolation():
                 acc = CycInt([], K)
                 for a in odd_window(K):
                     acc = acc + qpow(c * a * a + 2 * n * a, K)
-                samples.append(list(diamond(acc * u).coeffs))
+                samples.append(list(diamond(acc * u)))
             vand = [[pow(2 * n, j, K) for j in range(d + 1)]
                     for n in range(d + 1)]
             g = _solve_mod(vand, samples, K)
@@ -361,11 +361,11 @@ def test_moment_extraction_by_interpolation():
                     continue
                 m = j // 2
                 exact = diamond(odd_gauss_moment(c, m, K) * u)
-                assert dj[:d - j + 1] == list(exact.coeffs)[:d - j + 1]
+                assert dj[:d - j + 1] == list(exact)[:d - j + 1]
                 # the closed form sits above a zero block of width d-m;
                 # agreement is guaranteed through absolute degree 2(d-m)
                 closed = gauss_moment_diamond(p, q, m, K)
-                shifted = [0] * (d - m) + list(closed.coeffs)
+                shifted = [0] * (d - m) + list(closed)
                 for a in range(min(d - 2 * m, 2 * (d - m)) + 1):
                     assert dj[a] == shifted[a]
 
@@ -511,7 +511,7 @@ def test_diamond_reads_a_ready_expansion():
             a = cyc_pow(xq, m) * CycInt([rng.randint(-99, 99)
                                   for _ in range(K - 1)], K)
             full = to_xpoly(a)
-            assert TruncPoly(full, K) == diamond(a)
+            assert shadow(full, K) == diamond(a)
             assert x_order(a) == next(
                 (n for n, c in enumerate(full) if c % K), K - 1)
 

@@ -15,9 +15,9 @@ from so3inv.errors import (
 )
 from so3inv.series import (
     RatSeries,
-    TruncPoly,
     at_half_log,
     q_power,
+    shadow,
     sinh_over_u,
     u_over_sinh,
     vee,
@@ -193,19 +193,17 @@ def test_u_over_sinh_is_the_bernoulli_series():
                                     sinh_over_u(1, 40))
 
 
-def test_truncpoly_basics():
-    p = TruncPoly([1, 2, 3], 5)
-    assert p.coeffs == (1, 2, 3)
+def test_shadow_basics():
+    p = shadow([1, 2, 3], 5)
+    assert p == (1, 2, 3)
     # reduced mod K and cut at degree (K-1)/2 = 2
-    assert TruncPoly([6, 7, -2, 4], 5) == p
-    assert hash(TruncPoly([6, 7, -2, 4], 5)) == hash(p)
-    assert TruncPoly([4], 5).coeffs == (4, 0, 0)
-    assert TruncPoly([1], 5) != TruncPoly([1], 7)
-    assert TruncPoly([1], 5) != 1
+    assert shadow([6, 7, -2, 4], 5) == p
+    assert shadow([4], 5) == (4, 0, 0)
+    assert shadow([1], 5) != shadow([1], 7)
 
 
 def test_vee_log_example():
-    assert vee(_log1p(2), 5) == TruncPoly([0, 1, 2], 5)
+    assert vee(_log1p(2), 5) == shadow([0, 1, 2], 5)
 
 
 def test_vee_denominator_failure_names_degree():
@@ -230,7 +228,7 @@ def _vee_outcome(reduce, s, K):
 def test_vee_matches_per_coefficient_route():
     # every lens space with 1 <= |p| <= 12 at the primes 5..61, as
     # vee_side reads it (cap (K-1)/2) and as the whole series to cap 30,
-    # whose terms past (K-1)/2 vee must not read: equal TruncPolys, or
+    # whose terms past (K-1)/2 vee must not read: equal shadows, or
     # the same error class and message
     grid = [(p, q) for a in range(1, 13) for p in (a, -a)
             for q in range(1, a) if gcd(a, q) == 1] + [(1, 1), (-1, 1)]
@@ -242,7 +240,7 @@ def test_vee_matches_per_coefficient_route():
             for s in (RatSeries(lam[:d + 1], d), RatSeries(lam, 30)):
                 got = _vee_outcome(vee, s, K)
                 assert got == _vee_outcome(vee_per_coefficient, s, K)
-                raised += not isinstance(got, TruncPoly)
+                raised += isinstance(got[0], type)
     assert len(grid) == 92 and raised
 
 
@@ -279,13 +277,13 @@ def test_q_power_matches_recurrence_route():
 
 
 def test_x_over_log_pow():
-    assert x_over_log_pow(1, 5) == TruncPoly([1, 3, 2], 5)
-    assert x_over_log_pow(0, 5) == TruncPoly([1], 5)
-    assert x_over_log_pow(2, 5) == TruncPoly([1, 1, 3], 5)
+    assert x_over_log_pow(1, 5) == shadow([1, 3, 2], 5)
+    assert x_over_log_pow(0, 5) == shadow([1], 5)
+    assert x_over_log_pow(2, 5) == shadow([1, 1, 3], 5)
 
 
 def test_gauss_moment_diamond_anchor():
-    assert gauss_moment_diamond(2, 1, 1, 5) == TruncPoly([4, 2, 3], 5)
+    assert gauss_moment_diamond(2, 1, 1, 5) == shadow([4, 2, 3], 5)
     for K in (5, 7, 11):
         with pytest.raises(FactorialNotInvertible):
             gauss_moment_diamond(1, 1, K, K)

@@ -82,7 +82,7 @@ from so3inv.errors import (BadPrecision, BoundViolation,
                            IntegralityFailure, NotRHS,
                            So3InvError)
 from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
-from so3inv.series import RatSeries, TruncPoly, _frac, vee
+from so3inv.series import RatSeries, _frac, shadow, vee
 from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
                             _value, zprime_numeric)
 
@@ -101,7 +101,7 @@ def to_xpoly_pascal(a: CycInt) -> tuple:
     return tuple(out)
 
 
-def vee_per_coefficient(s: RatSeries, K: int) -> TruncPoly:
+def vee_per_coefficient(s: RatSeries, K: int) -> tuple:
     """Reduce a rational series mod K and truncate at degree (K-1)/2."""
     d = (K - 1) // 2
     if s.cap < d:
@@ -114,7 +114,7 @@ def vee_per_coefficient(s: RatSeries, K: int) -> TruncPoly:
             raise DenominatorDivisibleByK(
                 f"coefficient of x^{n} = {c} has denominator divisible by {K}")
         out.append(rat_residue(c, K))
-    return TruncPoly(out, K)
+    return shadow(out, K)
 
 
 def h1_order(m: ManifoldSpec) -> int:
@@ -155,7 +155,7 @@ def identity_reference(m, primes) -> list:
                          f"{type(e).__name__}: {e}"))
             continue
         first = next((n for n, (a, b) in
-                      enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
+                      enumerate(zip(lhs, rhs)) if a != b), None)
         rows.append((lhs, rhs, "equal" if first is None else "unequal",
                      first, None))
     return rows
@@ -339,7 +339,7 @@ def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
                      K)
 
 
-def x_over_log_pow(m: int, K: int) -> TruncPoly:
+def x_over_log_pow(m: int, K: int) -> tuple:
     """[x / log(1+x)]^m reduced mod K."""
     d = (K - 1) // 2
     ratio = s_div(RatSeries.const(1, d),
@@ -348,7 +348,7 @@ def x_over_log_pow(m: int, K: int) -> TruncPoly:
     return vee(ser_pow(ratio, m), K)
 
 
-def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
+def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> tuple:
     """Series image of the m-th odd Gaussian moment at exponent p/q.
 
     Returns the mod-K truncated series whose low-degree coefficients
@@ -366,7 +366,7 @@ def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> TruncPoly:
     scalar *= pow(inv_int(2, K), 2 * m, K)
     scalar = scalar * (factorial(2 * m) % K) % K
     scalar = scalar * inv_int(factorial(m) % K, K) % K
-    return TruncPoly([c * scalar for c in x_over_log_pow(m, K).coeffs], K)
+    return shadow([c * scalar for c in x_over_log_pow(m, K)], K)
 
 
 def _chain_weights(p: int, q: int, s: int, K: int, B: int):
