@@ -19,10 +19,11 @@ Output is TSV (default) or JSON with fixed columns:
   verify:    kind manifold K verdict detail
   lambda:    manifold n value provenance modulus bounds
 
-Rows are sorted by (manifold, K, n) no matter how many workers run, so
-identical configs produce byte-identical reports.  The worker count,
---workers (default 1), is clamped to the CPU count and to the number
-of tasks.
+Rows are sorted by (manifold, K, n) no matter how many workers run
+(--workers, default 1, clamped to the CPU count and the task count).
+Every task returns (rows, stderr lines, status) and one collector
+writes them: all rows first, then each task's stderr lines in manifold
+order, then verify's summary; the run exits with the worst status.
 
 Exit codes: 0 all good, 2 usage error, invalid manifold spec or a
 report that cannot be written (--out unwritable, stdout closed early), 3
@@ -228,12 +229,28 @@ def _emit(rows, columns, args):
         print(text)
 
 
+def _collect(jobs, columns, args):
+    """Run each (task function, tasks) pair through `_pool`; every task
+    returns (rows, stderr lines, status).  Emit all rows, then print the
+    stderr lines in task order.  Returns the rows and the worst status."""
+    rows, notes, status = [], [], 0
+    for fn, tasks in jobs:
+        for part, lines, code in _pool(fn, tasks, args.workers):
+            rows.extend(part)
+            notes.extend(lines)
+            status = max(status, code)
+    _emit(rows, columns, args)
+    for line in notes:
+        print(line, file=sys.stderr)
+    return rows, status
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _invariant_task(task):
-    """(row, None), or (None, why) when this (manifold, K) pair fails."""
+    """The row of one (manifold, K) pair, or the line naming its error."""
     from .cyclotomic import eval_complex, to_xpoly
     from .nt import manifold_label
     from .ohtsuki import closed_zprime
@@ -243,15 +260,15 @@ def _invariant_task(task):
     try:
         zp = closed_zprime(m, K)
     except So3InvError as e:
-        return None, (f"computation failed for {manifold_label(m)} at "
-                      f"K = {K}: {type(e).__name__}: {e}")
+        return [], [f"computation failed for {manifold_label(m)} at "
+                    f"K = {K}: {type(e).__name__}: {e}"], 3
     xp = to_xpoly(zp)
     num = eval_complex(zp, precision)
-    return (manifold_label(m), K,
-            ",".join(str(c) for c in zp.coeffs),
-            _poly_str(xp, "x"),
-            ",".join(map(str, shadow(xp, K))),
-            f"{num.real:.12e}{num.imag:+.12e}j"), None
+    return [(manifold_label(m), K,
+             ",".join(str(c) for c in zp.coeffs),
+             _poly_str(xp, "x"),
+             ",".join(map(str, shadow(xp, K))),
+             f"{num.real:.12e}{num.imag:+.12e}j")], [], 0
 
 
 # the numeric column prints 13 significant digits; two more guard them
@@ -266,13 +283,8 @@ def cmd_invariant(args) -> int:
     if not manifolds:
         raise UsageError("no manifolds given")
     tasks = [(m, K, args.precision) for m in manifolds for K in args.k]
-    results = _pool(_invariant_task, tasks, args.workers)
-    _emit([row for row, _ in results if row],
-          ("manifold", "K", "coeffs", "xpoly", "diamond", "numeric"), args)
-    failures = [why for _, why in results if why]
-    for why in failures:
-        print(why, file=sys.stderr)
-    return 3 if failures else 0
+    columns = ("manifold", "K", "coeffs", "xpoly", "diamond", "numeric")
+    return _collect([(_invariant_task, tasks)], columns, args)[1]
 
 
 def _gauss_task(task):
@@ -285,57 +297,50 @@ def _gauss_task(task):
     order = x_order(g)
     ok = (sq.coeffs[0] == want and not any(sq.coeffs[1:])
           and order == (K - 1) // 2)
-    return ("gauss", "gauss-sum", K, "pass" if ok else "FAIL",
-            f"square={sq.coeffs[0] if not any(sq.coeffs[1:]) else 'nonconst'}"
-            f",x_order={order}")
+    return [("gauss", "gauss-sum", K, "pass" if ok else "FAIL",
+             f"square={sq.coeffs[0] if not any(sq.coeffs[1:]) else 'nonconst'}"
+             f",x_order={order}")], [], 0 if ok else 3
 
 
 def _identity_task(task):
     from .ohtsuki import verify_identity
 
     m, primes = task
-    rows = []
+    rows, status = [], 0
     for rep in verify_identity(m, primes):
         if rep.verdict == "equal":
             detail = ""
         elif rep.verdict == "unequal":
             detail = f"first_mismatch=x^{rep.first_mismatch}"
+            status = 3
         else:
             detail = rep.error
         rows.append(("identity", rep.manifold, rep.K, rep.verdict, detail))
-    return rows
+    return rows, [], status
 
 
 def cmd_verify(args) -> int:
     manifolds = gather_manifolds(args)
     if not manifolds and not args.gauss:
         raise UsageError("nothing to verify: give manifolds or --gauss")
-    rows = []
-    if args.gauss:
-        rows.extend(_pool(_gauss_task, [(None, K) for K in args.primes],
-                          args.workers))
-    if manifolds:
-        tasks = [(m, args.primes) for m in manifolds]
-        per_manifold = _pool(_identity_task, tasks, args.workers)
-        rows.extend(sorted((r for rs in per_manifold for r in rs),
-                           key=lambda r: (r[1], r[2])))
-    failed = [r for r in rows if r[3] in ("FAIL", "unequal")]
-    verified = {r[1] for r in rows if r[3] == "equal"}
-    unverified = sorted({r[1] for r in rows
-                         if r[0] == "identity" and r[1] not in verified})
-    _emit(rows, ("kind", "manifold", "K", "verdict", "detail"), args)
+    jobs = [(_gauss_task, [(None, K) for K in args.primes if args.gauss]),
+            (_identity_task, [(m, args.primes) for m in manifolds])]
+    columns = ("kind", "manifold", "K", "verdict", "detail")
+    rows, status = _collect(jobs, columns, args)
+    failed = sum(r[3] in ("FAIL", "unequal") for r in rows)
     if failed:
-        print(f"{len(failed)} of {len(rows)} checks failed", file=sys.stderr)
+        print(f"{failed} of {len(rows)} checks failed", file=sys.stderr)
+    verified = {r[1] for r in rows if r[3] == "equal"}
+    unverified = sorted({r[1] for r in rows if r[0] == "identity"} - verified)
     for label in unverified:
         print(f"nothing verified for {label}: no prime gave an equal row",
               file=sys.stderr)
-    return 3 if failed or unverified else 0
+    return 3 if unverified else status
 
 
 def _lambda_task(task):
-    """(rows, stderr lines, exit status) of one manifold; a So3InvError
-    that stops it leaves no rows, its `computation failed` line and
-    status 3, and the other manifolds still print.  The closed series
+    """The rows of one manifold; a So3InvError that stops it leaves no
+    rows, its `computation failed` line and status 3.  The closed series
     and every prime read the |H1| and Dedekind data m was built with.
     Only the closed series is bounds-checked here: `reconstruct_lambda`
     checks every value it accepts."""
@@ -376,16 +381,8 @@ def cmd_lambda(args) -> int:
         raise UsageError(f"--nmax: need at least 0, got {args.nmax}")
     primes = args.primes if args.reconstruct else None
     tasks = [(m, args.nmax, primes) for m in manifolds]
-    rows = []
-    status = 0
-    for part, notes, code in _pool(_lambda_task, tasks, args.workers):
-        for note in notes:
-            print(note, file=sys.stderr)
-        rows.extend(part)
-        status = max(status, code)
-    _emit(rows, ("manifold", "n", "value", "provenance", "modulus", "bounds"),
-          args)
-    return status
+    columns = ("manifold", "n", "value", "provenance", "modulus", "bounds")
+    return _collect([(_lambda_task, tasks)], columns, args)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,12 @@ def x_order(a: CycInt) -> int:
                 a.K - 1)
 
 
-def diamond(a: CycInt) -> tuple:
+def diamond(a: CycInt, terms=None) -> tuple:
     """The mod-K series shadow: the x-coefficients up to degree (K-1)/2
-    as a (K+1)/2-tuple of residues in [0, K), from the first (K+1)/2
-    passes of `_xpoly_passes` only."""
-    return shadow(tuple(islice(_xpoly_passes(a), (a.K + 1) // 2)), a.K)
+    as a (K+1)/2-tuple of residues in [0, K), or only its first `terms`,
+    each from one pass of `_xpoly_passes`."""
+    n = (a.K + 1) // 2 if terms is None else min(terms, (a.K + 1) // 2)
+    return shadow(tuple(islice(_xpoly_passes(a), n)), a.K)[:n]
 
 
 def gauss_sum(c: int, K: int) -> CycInt:

@@ -96,10 +96,10 @@ def closed_lambda_series(m: ManifoldSpec, n_max: int) -> RatSeries:
     return lam
 
 
-def diamond_side(m: ManifoldSpec, K) -> tuple:
-    """diamond(|H1| * legendre(|H1|, K) * Z'(M; K)), exactly;
+def diamond_side(m: ManifoldSpec, K, terms=None) -> tuple:
+    """diamond(|H1| * legendre(|H1|, K) * Z'(M; K), terms), exactly;
     `closed_zprime` raises H1DivisibleByK when K divides |H1|."""
-    return diamond(closed_zprime(m, K) * (m.h1 * legendre(m.h1, K)))
+    return diamond(closed_zprime(m, K) * (m.h1 * legendre(m.h1, K)), terms)
 
 
 class IdentityReport(_Record):
@@ -210,13 +210,14 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> Reconstruction:
     """Recover lambda_0..lambda_n_max from residues at many primes.
 
     The prime at K pins lambda_n mod K only for n <= (K-1)/2, so each
-    coefficient filters the stream accordingly; primes dividing |H1|
-    (or failing another precondition of the exact evaluation) are
-    skipped and recorded as (K, error class name) pairs.  Acceptance
-    requires the same fraction from two consecutive prefixes plus
-    agreement at the next two primes, held out of the CRT; when either
-    disagrees, both join the modulus and the search goes on.  Every
-    accepted value passes `check_bounds` (BoundViolation otherwise).
+    coefficient filters the stream accordingly, and each prime's diamond
+    is cut at the n_max + 1 terms read; primes dividing |H1| (or failing
+    another precondition of the exact evaluation) are skipped and
+    recorded as (K, error class name) pairs.  Acceptance requires the
+    same fraction from two consecutive prefixes plus agreement at the
+    next two primes, held out of the CRT; when either disagrees, both
+    join the modulus and the search goes on.  Every accepted value
+    passes `check_bounds` (BoundViolation otherwise).
     """
     h1, label = _spec(m).h1, manifold_label(m)
     seeds = sorted({as_prime(K) for K in primes})
@@ -241,7 +242,7 @@ def reconstruct_lambda(m, primes: Sequence[int], n_max: int) -> Reconstruction:
     def residues(K):
         if K not in coeff_cache:
             try:
-                coeff_cache[K] = diamond_side(m, K)
+                coeff_cache[K] = diamond_side(m, K, n_max + 1)
             except So3InvError as e:
                 coeff_cache[K] = None
                 skipped.append((K, type(e).__name__))

@@ -90,6 +90,9 @@ MUTANTS = [
     ("held-out primes", "ohtsuki.py",
      "            if len(batch) == 2 and all(",
      "            if len(batch) == 2 or all("),
+    ("reconstruction reads n_max + 1 diamond terms", "ohtsuki.py",
+     "                coeff_cache[K] = diamond_side(m, K, n_max + 1)\n",
+     "                coeff_cache[K] = diamond_side(m, K, n_max)\n"),
     ("reconstruction bounds call", "ohtsuki.py",
      "        check_bounds(label, n, h1, accepted)\n",
      "        pass\n"),
@@ -106,8 +109,13 @@ MUTANTS = [
      "    while d * d <= n:\n",
      "    while d * d < n:\n"),
     ("verify exits 3 on an unequal row", "cli.py",
-     "    return 3 if failed or unverified else 0\n",
-     "    return 3 if unverified else 0\n"),
+     '            detail = f"first_mismatch=x^{rep.first_mismatch}"\n'
+     "            status = 3\n",
+     '            detail = f"first_mismatch=x^{rep.first_mismatch}"\n'
+     "            status = 0\n"),
+    ("collector keeps the worst status", "cli.py",
+     "            status = max(status, code)\n",
+     "            status = 0\n"),
     ("lambda exits 3 on a cross-path mismatch", "cli.py",
      '            notes.append(f"cross-path mismatch for {label}")\n'
      "            status = 3\n",

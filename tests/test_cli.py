@@ -195,6 +195,19 @@ def test_invariant_prints_every_computable_row(capsys):
     assert code == 3 and par == seq
 
 
+def test_invariant_stderr_deterministic_across_workers(capsys):
+    # the failed pair's line is printed by the collector, after the
+    # rows, whichever process computed it
+    argv = ("invariant", "--lens", "5,2", "--lens", "3,1", "--k", "3,7")
+    seq = run(capsys, *argv, "--workers", "1")
+    assert run(capsys, *argv, "--workers", "2") == seq
+    code, _, err = seq
+    assert code == 3
+    assert err.splitlines() == [
+        "computation failed for L(3,1) at K = 3: H1DivisibleByK: "
+        "|H1| = 3 is divisible by K = 3"]
+
+
 @pytest.mark.parametrize("spec", [
     ("--lens", "4,2"), ("--lens", "0,1"), ("--seifert", "2/0"),
     ("--seifert", "2/1,2/-1"), ("--p1", "figure8:3"), ("--p1", "unknot:0"),
@@ -277,7 +290,9 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, dest):
     dest = str(tmp_path / dest)
     for argv in (("invariant", "--lens", "5,2", "--k", "7"),
                  ("verify", "--lens", "5,2", "--primes", "7"),
-                 ("lambda", "--lens", "5,2")):
+                 ("lambda", "--lens", "5,2"),
+                 ("lambda", "--seifert", "2/1,-3/1,5/1", "--nmax", "2",
+                  "--reconstruct")):
         code, out, err = run(capsys, *argv, "--out", dest)
         assert code == 2 and out == ""
         assert err.startswith(f"usage error: --out {dest}: [Errno ")
@@ -331,6 +346,25 @@ def test_verify_nothing_verified_fails(capsys):
     assert [r[3] for r in rows] == ["skipped"] * 2
     assert code == 3
     assert "L(15,2)" in err
+
+
+def test_verify_stderr_deterministic_across_workers(capsys):
+    # Gauss rows, then identity rows; L(15,2) is skipped at both primes
+    argv = ("verify", "--gauss", "--lens", "15,2", "--lens", "5,2",
+            "--primes", "3,5")
+    seq = run(capsys, *argv, "--workers", "1")
+    assert run(capsys, *argv, "--workers", "2") == seq
+    code, out, err = seq
+    assert code == 3
+    assert [l.split("\t")[:4] for l in out.splitlines()[1:]] == [
+        ["gauss", "gauss-sum", "3", "pass"],
+        ["gauss", "gauss-sum", "5", "pass"],
+        ["identity", "L(15,2)", "3", "skipped"],
+        ["identity", "L(15,2)", "5", "skipped"],
+        ["identity", "L(5,2)", "3", "equal"],
+        ["identity", "L(5,2)", "5", "skipped"]]
+    assert err == ("nothing verified for L(15,2): no prime gave an equal "
+                   "row\n")
 
 
 def test_verify_skip_detail_names_error_class(capsys):
@@ -412,8 +446,8 @@ def test_reconstruction_bounds_violation_fails_the_run(capsys, monkeypatch):
     # that sees it
     real = ohtsuki.diamond_side
 
-    def shifted(m, K):
-        coeffs = list(real(m, K))
+    def shifted(m, K, terms=None):
+        coeffs = list(real(m, K, terms))
         coeffs[1] += rat_residue(Fraction(1, 2 ** 13), K)
         return shadow(coeffs, K)
 

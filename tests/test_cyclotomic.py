@@ -516,6 +516,17 @@ def test_diamond_reads_a_ready_expansion():
                 (n for n, c in enumerate(full) if c % K), K - 1)
 
 
+def test_diamond_term_count_reads_only_that_prefix():
+    # a term count cuts the window and pads nothing: the first
+    # min(terms, (K+1)/2) residues of the full expansion
+    rng = random.Random(41)
+    for K in (3, 5, 13, 61):
+        a = CycInt([rng.randint(-99, 99) for _ in range(K - 1)], K)
+        window = shadow(to_xpoly(a), K)
+        for terms in (0, 1, 2, (K + 1) // 2, K + 5):
+            assert diamond(a, terms) == window[:terms]
+
+
 def test_cached_prime_check_still_rejects_non_primes():
     as_prime(5)
     CycInt([1], 7)
