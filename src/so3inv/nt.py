@@ -31,23 +31,36 @@ from .errors import (
 )
 
 
+def _twelve_k_s(h: int, k: int) -> int:
+    """T(h, k) = 12 k s(h, k), an integer, for coprime h and k >= 1.
+
+    Reciprocity s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4 for coprime
+    h, k >= 1 (Rademacher & Grosswald, Dedekind Sums, 1972), times 12hk,
+    is h T(h, k) + k T(k mod h, h) = h^2 + k^2 + 1 - 3hk.  Euclid's
+    algorithm runs down to T(0, 1) = 0, and each step back up is one
+    exact division by h.
+    """
+    steps = []
+    h %= k
+    while h:
+        steps.append((h, k))
+        h, k = k % h, h
+    t = 0
+    for h, k in reversed(steps):
+        t = (h * h + k * k + 1 - 3 * h * k - k * t) // h
+    return t
+
+
 def dedekind_sum(q: int, p: int) -> Fraction:
     """The classical sum s(q, p) of sawtooth products, with s(q,-p)=s(q,p).
 
-    O(log p) exact steps: s(q, p) = s(q mod p, p), and the reciprocity
-    law s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4 for coprime h, k >= 1
-    (Rademacher & Grosswald, Dedekind Sums, 1972) runs Euclid's algorithm.
+    O(log p) integer steps: s(q, p) = T(q, |p|) / (12 |p|), with T the
+    integer of `_twelve_k_s`.
     """
     p = abs(p)
     if p == 0 or gcd(q, p) != 1:
         raise NotCoprime(f"dedekind sum needs coprime q, p; got ({q}, {p})")
-    total, sgn = Fraction(0), 1
-    h, k = q % p, p
-    while h:
-        total += sgn * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
-        sgn = -sgn
-        h, k = k % h, h
-    return total
+    return Fraction(_twelve_k_s(q, p), 12 * p)
 
 
 def _slope_dedekind(p: int, q: int) -> Fraction:
@@ -61,6 +74,8 @@ def rademacher_phi(p: int, q: int, s: int) -> int:
 
     Phi = (p + s)/q - 12 sign(q) s(p, q) reads only these three
     entries; r exists (the determinant is one) iff p*s = 1 (mod q).
+    As 12 sign(q) s(p, q) = T(p, |q|) / q, Phi is the one exact
+    division (p + s - T) / q.
     """
     if q == 0:
         raise ZeroLowerLeft(f"phase undefined for lower-left entry 0, p = {p}")
@@ -68,10 +83,11 @@ def rademacher_phi(p: int, q: int, s: int) -> int:
         raise IntegralityFailure(
             f"no SL2 matrix has first column ({p}, {q}) and "
             f"lower-right entry {s}")
-    val = Fraction(p + s, q) - 12 * sign(q) * dedekind_sum(p, q)
-    if val.denominator != 1:
-        raise NonIntegerPhi(f"phase of ({p}, {q}, {s}) is {val}")
-    return int(val)
+    num = p + s - _twelve_k_s(p, abs(q))
+    if num % q:
+        raise NonIntegerPhi(
+            f"phase of ({p}, {q}, {s}) is {Fraction(num, q)}")
+    return num // q
 
 
 def _ints(values, what: str, n: int = None) -> tuple:

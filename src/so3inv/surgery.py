@@ -23,30 +23,60 @@ exact division by K, which fails loudly unless the sum carries the
 guaranteed power x^((K-1)/2) of x = q - 1; `ohtsuki.closed_zprime`,
 its one caller, checks the presentation, the prime and |H1| first.
 
-The numeric path imports mpmath when it runs (exact_p1 never loads it)
-and works at a precision that grows with K (50 + 2K digits unless
-overridden; BadPrecision below one digit).  mpmath gives only the one
-root from which each roots-of-unity table, cyclotomic.fixed_roots, is
-powered in integers, once per (order, precision); every evaluation is
-integer fixed-point arithmetic over the tables' integers: sums of
-products, each product shifted back to the table's scale 2^B once and
-each division by the sines one floor division.  Rounding enters only
-through the table entries (each within one unit of 2^-B of its root,
-and the nearest integer but for roots within 2^-63 units of a
-half-integer), one unit of 2^-B per shift and one per floor division,
-and one int / int per component, so the 1e-9 cross-check tolerances
-hold with a large margin even near K = 100.  The sums read the phases
-as roots of order K (the even entries of the table of order 2K),
-sin(pi*y/K) as Im of a root of order 2K and the color factor
+The numeric path imports mpmath when it runs (exact_p1 never loads it).
+mpmath gives only the one root from which each roots-of-unity table,
+cyclotomic.fixed_roots, is powered in integers, once per (order,
+precision); every evaluation is integer fixed-point arithmetic over the
+tables' integers: sums of products, each product shifted back to the
+table's scale 2^B once and each division by the sines one floor
+division.  Rounding enters only through the table entries (each within
+one unit of 2^-B of its root, and the nearest integer but for roots
+within 2^-63 units of a half-integer), one unit of 2^-B per shift and
+one per floor division, and one int / int per component.  The sums
+read the phases as roots of order K (the even entries of the table of
+order 2K), sin(pi*y/K) as Im of a root of order 2K and the color factor
 (q^-e - q^e) * i/2 as Im q^e; the constant phase and modulus are root m
 of order 8K, e^(i*pi*m/(4K)), over sqrt(K)^N, one isqrt.  Evaluations
 are pure functions of (manifold, K); callers that want parallelism
 batch them across processes (see the command-line front end).
+
+The fold.  A component's weight at the odd color a is a phase even in
+a times a color factor odd in a, and the sine sin(pi*b*a/K) that pairs
+it with the central color b is odd in a, so every fiber sum is even
+under a -> -a, and its a = K term has sin(pi*b) = 0.  So zprime_numeric
+sums the colors 1, 3, ..., K - 2 with every weight doubled (shifted
+back by B - 1, not B).  A star's central term, w_0(b) times its n
+fiber sums over sin(pi*b/K)^(n - 1) sin(pi/K), is even in b as well
+(n + 1 odd factors over n - 1), and its (0, 1) vertex weighs b like
+any other component, so the doubled weights fold the central color
+too, and `_color_sum` needs no change: a split link does half the
+products and a star a quarter.
+
+The digits.  An explicit `precision` is used as given (BadPrecision
+below one digit); otherwise d = 30 + ceil(1.5 n log10 K) digits, with
+n = max(N, 6) and N the number of surgery components, keep the error
+below 1e-30.  In units of 2^-B, with B = prec + (2K).bit_length() + 1
+bits and prec mpmath's: the table entries are within one unit; one
+shift per product puts each doubled weight (modulus at most 2) within
+5 and each fiber sum, of (K - 1)/2 products, within 3.5K per part; a
+fiber sum has modulus below K, so each grows the product at most
+K-fold, and a product of n of them is within 10(n + 1)K^n.  One floor
+per sine division: the n sines are each at least 2/K and within one
+unit, so the division amplifies by at most (K/2)^n and adds the sines'
+own error, and a central term is within 3(n + 1)K^(n + 1)(K/2)^n.  A
+star sums (K - 1)/2 central terms over n = N - 1 fibers, a split link
+one term over n = N, and the prefactor divides by sqrt(K^N): either
+way the value is within 3(N + 1)K^(3N/2 + 1)/2^N units, which is below
+K^(3N/2) * 10^-d as 2^-B < 10^-d/(28K).  The bound grows with N, so
+n = max(N, 6) serves every N <= 6 at one d per K: every presentation
+of up to six components reads one pair of tables (orders 2K and 8K)
+per K.
 """
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from functools import reduce
+from math import ceil, isqrt, log10, prod
 from operator import mul
 
 from .arith import as_prime, even_inv, inv_int, legendre, sign
@@ -56,9 +86,13 @@ from .errors import BadPrecision, ChainDegenerate, NotRHS
 from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
-def _dps(K: int, precision) -> int:
+def _digits(K: int, N: int, precision) -> int:
+    """Working digits of zprime_numeric for N surgery components: an
+    explicit `precision`, else the d at which the module docstring's
+    error bound K^(3n/2) * 10^-d, n = max(N, 6), is below 1e-30, one d
+    per K for every presentation of up to six components."""
     if precision is None:
-        return 50 + 2 * K
+        return 30 + ceil(1.5 * max(N, 6) * log10(K))
     if precision < 1:
         raise BadPrecision(f"precision {precision} is below one digit")
     return int(precision)
@@ -169,12 +203,14 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z'(M) at odd prime K by direct summation over odd colors."""
     import mpmath
     K = as_prime(K)
-    with mpmath.workdps(_dps(K, precision)):
-        surg, sig, star = _presentation(_coprime_denominators(M, K))
+    surg, sig, star = _presentation(_coprime_denominators(M, K))
+    with mpmath.workdps(_digits(K, len(surg), precision)):
         data, m = _zprime_prelude(surg, sig, K)
         B, cos, sin = fixed_roots(2 * K)
         t2, t4 = inv_int(2, K), inv_int(4, K)
-        colors = odd_window(K)
+        # the sums are even in each color (see the module docstring):
+        # the positive half of the odd window, every weight doubled
+        colors = range(1, K, 2)
         weights = []
         for (p, qs, s) in data:
             # root e of order K is entry 2e of the table of order 2K;
@@ -182,8 +218,8 @@ def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
             # (q^-e - q^e) * i/2
             rows = [(2 * (t4 * qs * (p * a * a + s) % K),
                      sin[2 * (t2 * qs * a % K)]) for a in colors]
-            weights.append(([cos[e] * f >> B for e, f in rows],
-                            [sin[e] * f >> B for e, f in rows]))
+            weights.append(([cos[e] * f >> B - 1 for e, f in rows],
+                            [sin[e] * f >> B - 1 for e, f in rows]))
         return _value(_color_sum(colors, weights, star, K), m,
                       K ** len(surg), K)
 
@@ -236,7 +272,9 @@ def exact_p1(M: P1Surgery, K: int) -> CycInt:
     connected sum and Z' is the product of one factor per component
     (`_p1_factor`), whichever table M names; the empty surgery gives 1.
     """
-    return prod((_p1_factor(p, K) for p in M.framings), start=CycInt.one(K))
+    if not M.framings:
+        return CycInt.one(K)
+    return reduce(mul, [_p1_factor(p, K) for p in M.framings])
 
 
 def _p1_factor(p: int, K: int) -> CycInt:

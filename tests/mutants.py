@@ -81,6 +81,14 @@ MUTANTS = [
      " + len(surg)\n",
      "    negative = (legendre(prod(q for (p, q) in surg), K) < 0)"
      " + len(surg) + 1\n"),
+    ("oracle weights doubled", "surgery.py",
+     "            weights.append(([cos[e] * f >> B - 1 for e, f in rows],\n"
+     "                            [sin[e] * f >> B - 1 for e, f in rows]))\n",
+     "            weights.append(([cos[e] * f >> B for e, f in rows],\n"
+     "                            [sin[e] * f >> B for e, f in rows]))\n"),
+    ("oracle digits grow with log10 K", "surgery.py",
+     "        return 30 + ceil(1.5 * max(N, 6) * log10(K))\n",
+     "        return 30\n"),
     ("lambda_0 check", "ohtsuki.py",
      "    if lam[0] != 1:\n",
      "    if False:\n"),

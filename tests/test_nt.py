@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3inv import surgery
 from so3inv.arith import rat_residue, sign
@@ -21,6 +23,7 @@ from so3inv.nt import (
     dedekind_sum,
     rademacher_phi,
 )
+from zq_reference import dedekind_sum as dedekind_sum_fractions
 from zq_reference import h1_order
 
 
@@ -121,6 +124,30 @@ def test_dedekind_matches_sawtooth_definition():
                                   for i in range(1, p)), 4 * p * p)
             assert dedekind_sum(q, p) == direct, (q, p)
             assert dedekind_sum(q, -p) == direct, (q, -p)
+
+
+def test_dedekind_equals_fraction_steps_on_small_pairs():
+    # the integer steps against the Fraction steps they replace, on
+    # every coprime pair |q|, |p| <= 200 (the reference reads |p| first)
+    for p in range(1, 201):
+        for q in range(-200, 201):
+            if gcd(q, p) == 1:
+                want = dedekind_sum_fractions(q, p)
+                assert dedekind_sum(q, p) == want == dedekind_sum(q, -p)
+    # and both raise NotCoprime on the other pairs
+    for p in range(-50, 51):
+        for q in range(-50, 51):
+            if gcd(q, p) != 1:
+                for f in (dedekind_sum, dedekind_sum_fractions):
+                    with pytest.raises(NotCoprime):
+                        f(q, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+def test_dedekind_equals_fraction_steps_on_large_pairs(q, p):
+    if p and gcd(q, p) == 1:
+        assert dedekind_sum(q, p) == dedekind_sum_fractions(q, p)
 
 
 def test_dedekind_vee():

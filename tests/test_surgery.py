@@ -20,7 +20,7 @@ from so3inv.jones import get_table
 from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
 from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
-from zq_reference import (cyc_pow, divide_by_x, eval_complex_mpmath,
+from zq_reference import (_dps, cyc_pow, divide_by_x, eval_complex_mpmath,
                           kirby_melvin_check, qpow, unit_u, value_mpmath,
                           z_numeric)
 
@@ -248,7 +248,7 @@ def test_value_equals_mpmath_body():
     # axis may differ while it is below 2^(-prec/2) on both sides
     rng = random.Random(5)
     for K in (5, 7, 13, 31):
-        with mpmath.workdps(surgery._dps(K, None)):
+        with mpmath.workdps(_dps(K, None)):
             B, cos, sin = cyclotomic.fixed_roots(2 * K)
             tiny = mpmath.ldexp(1, -mpmath.mp.prec // 2)
             fixed = [(B, 1 << B, 0), (B, 3 * cos[1], -5 * sin[3]),
@@ -539,6 +539,46 @@ def test_star_sum_matches_mpc_sum(fractions):
             continue
         want = _mpc_star(m, K)
         assert abs(zprime_numeric(m, K) - want) < 1e-30, (m, K)
+
+
+def test_default_precision_matches_fifty_plus_2k():
+    # the digits of the error bound against the old default of 50 + 2K
+    # digits, which the full-level oracle keeps
+    cases = [SeifertData(fr) for fr in STARS] + [
+        Lens(7, 3), Lens(-12, 5), P1Surgery("unlink", (-2, 5)),
+        P1Surgery("unlink", (2, -3, 4))]
+    for K in (5, 7, 13, 31, 101, 211):
+        for m in cases:
+            want = zprime_numeric(m, K, precision=50 + 2 * K)
+            assert abs(zprime_numeric(m, K) - want) < 1e-30, (m, K)
+
+
+def test_mirror_pairs_are_real_to_1e_30():
+    # framings p and -p give L(-p, 1) and its mirror, whose Z' are
+    # complex conjugates, so Z' of the unlink below is a product of
+    # |Z'|^2: its imaginary part is the oracle's error alone, which the
+    # default digits keep below 1e-30
+    m = P1Surgery("unlink", (2, -2, 3, -3, 4, -4))
+    for K in (5, 7, 13, 31, 101, 211):
+        z = zprime_numeric(m, K)
+        assert abs(z.imag) < 1e-30 < z.real, K
+
+
+def test_one_pair_of_tables_up_to_six_components(expjpi_calls):
+    # the default digits read K and max(N, 6) alone: a batch of 1 to 6
+    # surgery components at one K builds one table of order 2K and one
+    # of order 8K, and a 7-component unlink builds its own pair
+    K = 11
+    framings = (2, -3, 4, 5, -6, 7, 8)
+    batch = [P1Surgery("unlink", framings[:n]) for n in range(1, 7)]
+    batch += [Lens(7, 3)] + [SeifertData(fr) for fr in STARS]
+    for m in batch:
+        zprime_numeric(m, K)
+    assert len(expjpi_calls) == len(cyclotomic._ROOTS) == 2
+    zprime_numeric(P1Surgery("unlink", framings), K)
+    assert len(expjpi_calls) == len(cyclotomic._ROOTS) == 4
+    assert {n for n, _ in cyclotomic._ROOTS} == {2 * K, 8 * K}
+    assert len({prec for _, prec in cyclotomic._ROOTS}) == 2
 
 
 def test_kirby_melvin_covers_p1_surgeries():

@@ -13,6 +13,8 @@ Laurent algebra (`_laurent_mul`, and `_div_z_step`, which re-multiplies
 to check each division).  The tests check the integer passes of
 `so3inv` against them.  `h1_order` reads |H1| from a presentation's
 fields alone, where the library keeps the `h1` its constructor derived.
+`dedekind_sum` runs Euclid's algorithm over the reciprocity law in
+`Fraction` steps; `nt.dedekind_sum` takes the same steps in integers.
 
 Single powers of q.  `qpow` builds q^n as one basis element; the
 library sums q-powers as runs (`cyclotomic.from_runs`) instead.
@@ -38,7 +40,9 @@ The full-level oracle.  `z_numeric` evaluates the normalized invariant
 Z(M)/Z(S^3) at an odd prime K by direct summation over colors 1..K-1
 per surgery component, through the same presentation and color sum
 (`surgery._color_sum`) as `zprime_numeric`, with the full-level chain
-weights (`_chain_weights`) and prefactor (`_z_prelude`).
+weights (`_chain_weights`) and prefactor (`_z_prelude`), at `_dps`
+digits: 50 + 2K unless given, the rule `zprime_numeric` kept before it
+took its digits from an error bound.
 `kirby_melvin_check` tests the Kirby-Melvin proportionality of the full
 and odd-color invariants (Invent. Math. 105 (1991)).
 
@@ -68,7 +72,7 @@ from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -79,12 +83,31 @@ from so3inv.cyclotomic import (CycInt, _raw, diamond, divide_exact,
                                sine_run)
 from so3inv.errors import (BadPrecision, BoundViolation,
                            DenominatorDivisibleByK, InsufficientTerms,
-                           IntegralityFailure, NotRHS,
+                           IntegralityFailure, NotCoprime, NotRHS,
                            So3InvError)
 from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
 from so3inv.series import RatSeries, _frac, shadow, vee
-from so3inv.surgery import (_chain_data, _color_sum, _dps, _presentation,
-                            _value, zprime_numeric)
+from so3inv.surgery import (_chain_data, _color_sum, _presentation, _value,
+                            zprime_numeric)
+
+
+def dedekind_sum(q: int, p: int) -> Fraction:
+    """The classical sum s(q, p) of sawtooth products, with s(q,-p)=s(q,p).
+
+    O(log p) exact steps: s(q, p) = s(q mod p, p), and the reciprocity
+    law s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4 for coprime h, k >= 1
+    (Rademacher & Grosswald, Dedekind Sums, 1972) runs Euclid's algorithm.
+    """
+    p = abs(p)
+    if p == 0 or gcd(q, p) != 1:
+        raise NotCoprime(f"dedekind sum needs coprime q, p; got ({q}, {p})")
+    total, sgn = Fraction(0), 1
+    h, k = q % p, p
+    while h:
+        total += sgn * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        sgn = -sgn
+        h, k = k % h, h
+    return total
 
 
 def to_xpoly_pascal(a: CycInt) -> tuple:
@@ -442,6 +465,14 @@ def eval_complex_mpmath(a: CycInt, precision: int = 50) -> complex:
                  for tab in (re, im))
         return complex(*(float(v) if abs(v) > noise else 0.0
                          for v in parts))
+
+
+def _dps(K: int, precision) -> int:
+    if precision is None:
+        return 50 + 2 * K
+    if precision < 1:
+        raise BadPrecision(f"precision {precision} is below one digit")
+    return int(precision)
 
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
