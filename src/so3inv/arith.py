@@ -2,10 +2,9 @@
 
 The whole package works at a fixed odd prime K (the shifted level).
 This module provides the prime check and the one primality routine,
-modular inverses in the normalizations the invariant formulas need
-(plain and even-representative), Legendre symbols, and reduction of
-rationals with K-coprime denominator.  Primes and residues are plain
-ints.
+the modular inverse as a residue in [0, K), Legendre symbols, and
+reduction of rationals with K-coprime denominator.  Primes and residues
+are plain ints.
 """
 
 from __future__ import annotations
@@ -57,26 +56,17 @@ def as_prime(K) -> int:
 
 
 def inv_int(a: int, K: int) -> int:
-    """Inverse of a mod K as a plain int in [0, K)."""
+    """Inverse of a mod K as a plain int in [0, K).
+
+    >>> inv_int(3, 7)
+    5
+    >>> inv_int(-3, 7)
+    2
+    """
     a %= K
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {K}")
     return pow(a, -1, K)
-
-
-def even_inv(a: int, K: int) -> int:
-    """The unique even e in (-K, K) with a*e = 1 (mod K).
-
-    Of the two representatives e0 and e0 - K of the inverse, exactly one
-    is even because K is odd.
-
-    >>> even_inv(3, 7)
-    -2
-    >>> even_inv(1, 5)
-    -4
-    """
-    e = inv_int(a, K)
-    return e if e % 2 == 0 else e - K
 
 
 def legendre(a: int, K: int) -> int:

@@ -31,7 +31,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .arith import as_prime
-from .errors import BadPrecision, DivisibilityFailure, MixedModulus
+from .errors import BadPrecision, MixedModulus
 from .series import shadow
 
 
@@ -187,14 +187,6 @@ def diamond(a: CycInt, terms=None) -> tuple:
 def gauss_sum(c: int, K: int) -> CycInt:
     """Sum of q^(c*a^2) over the K odd classes a mod 2K."""
     return from_runs(((c * a * a, 1, 1) for a in odd_window(K)), K)
-
-
-def divide_exact(a: CycInt, n: int) -> CycInt:
-    """a / n for an integer n that divides every coefficient of a
-    (DivisibilityFailure otherwise)."""
-    if any(c % n for c in a.coeffs):
-        raise DivisibilityFailure(f"coefficients not divisible by {n}")
-    return _raw(tuple([c // n for c in a.coeffs]), a.K)
 
 
 def sine_run(e: int, c: int, w: int, K: int) -> tuple:

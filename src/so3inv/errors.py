@@ -11,7 +11,9 @@ class So3InvError(Exception):
 
 
 class BadPrecision(So3InvError):
-    """A numeric working precision must be at least one decimal digit."""
+    """A numeric working precision is too low: below one decimal digit,
+    or, for the surgery oracle, below the digits its error bound needs
+    to keep the value within 1e-9."""
 
 
 class NotAnOddPrime(So3InvError):

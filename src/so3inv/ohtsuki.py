@@ -10,6 +10,11 @@ entry takes a presentation of `nt`, which carries |H1| and its
 Dedekind data, and raises NoClosedForm for anything else (`_spec`);
 `closed_zprime` and `closed_lambda_series` also hold the checks every
 closed form shares: the odd prime, the |H1| gate and lambda_0 = 1.
+A P1 surgery on a split link is the connected sum of the lens spaces
+L(-p_j, 1), and both sides are multiplicative under connected sum
+(Kirby-Melvin, Invent. Math. 105 (1991)): `_summands` holds that rule,
+and both entries take the product over the summands of the lens
+closed forms.
 The series is one RatSeries, read as lam[n]; a Reconstruction holds
 the recovered values with what only recovery knows: the modulus of
 each, the primes used and the primes skipped.
@@ -61,36 +66,40 @@ def _spec(m) -> ManifoldSpec:
     return m
 
 
+def _summands(m) -> list:
+    """The connected summands of a lens space or a P1 surgery, as Lens
+    presentations: a Lens is its own, and a P1 surgery is the L(-p, 1)
+    of its framings p (none for the empty surgery, S^3)."""
+    if isinstance(m, Lens):
+        return [m]
+    return [Lens(-p, 1) for p in m.framings]
+
+
 def closed_zprime(m: ManifoldSpec, K) -> CycInt:
     """Exact Z' of a presentation by its closed form, after the checks all
-    three share: `_spec`, then NotAnOddPrime, then H1DivisibleByK."""
+    three share: `_spec`, then NotAnOddPrime, then H1DivisibleByK; a lens
+    space or P1 surgery is the product over its `_summands`."""
     from .closedform import lens_zprime, seifert_zprime
 
     h1, K = _spec(m).h1, as_prime(K)
     check_h1(h1, K)
-    if isinstance(m, Lens):
-        return lens_zprime(m, K)
     if isinstance(m, SeifertData):
         return seifert_zprime(m, K)
-    from .surgery import exact_p1
-
-    return exact_p1(m, K)
+    return reduce(mul, [lens_zprime(L, K) for L in _summands(m)]
+                  or [CycInt.one(K)])
 
 
 def closed_lambda_series(m: ManifoldSpec, n_max: int) -> RatSeries:
     """The closed-form series, its lambda_0 = 1 checked, not forced
-    (BadNormalization otherwise); a P1 surgery on a split link is the
-    connected sum of the L(-p_j, 1), and the series is multiplicative
-    under connected sum (Kirby-Melvin, Invent. Math. 105 (1991))."""
+    (BadNormalization otherwise); a lens space or P1 surgery is the
+    product over its `_summands`."""
     from .closedform import lens_lambda_series, seifert_lambda_series
 
-    if isinstance(_spec(m), Lens):
-        lam = lens_lambda_series(m, n_max)
-    elif isinstance(m, SeifertData):
+    if isinstance(_spec(m), SeifertData):
         lam = seifert_lambda_series(m, n_max)
     else:
-        lam = reduce(mul, [lens_lambda_series(Lens(-p, 1), n_max)
-                           for p in m.framings] or [RatSeries.const(1, n_max)])
+        lam = reduce(mul, [lens_lambda_series(L, n_max) for L in _summands(m)]
+                     or [RatSeries.const(1, n_max)])
     if lam[0] != 1:
         raise BadNormalization(f"lambda_0 = {lam[0]} for {manifold_label(m)}")
     return lam

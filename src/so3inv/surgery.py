@@ -1,5 +1,4 @@
-"""The numeric oracle for surgery presentations, plus the all-exact
-route for integer framings.
+"""The numeric oracle for surgery presentations.
 
 zprime_numeric evaluates the odd-color invariant Z'(M) at an odd prime
 K by direct summation over the odd color window, per surgery
@@ -15,30 +14,26 @@ takes one list of color weights per component: a Seifert star is
 summed fiber by fiber at each color of the central vertex, and a split
 link (the unknot for a lens space, an unlink table for a P1 surgery),
 whose link value is a product of sines from the same table, not from
-the Z[q] code, is the same sum at one central color.  exact_p1
-re-derives Z' for a P1 surgery entirely inside Z[q], one component at
-a time (every link table is a split link, so the surgery is a connected
-sum), dividing each component's color sum by the Gauss sum with one
-exact division by K, which fails loudly unless the sum carries the
-guaranteed power x^((K-1)/2) of x = q - 1; `ohtsuki.closed_zprime`,
-its one caller, checks the presentation, the prime and |H1| first.
+the Z[q] code, is the same sum at one central color.  The exact Z'
+of every presentation is `ohtsuki.closed_zprime`'s, from the closed
+forms; the command-line front end never loads this module.
 
-The numeric path imports mpmath when it runs (exact_p1 never loads it).
-mpmath gives only the one root from which each roots-of-unity table,
-cyclotomic.fixed_roots, is powered in integers, once per (order,
-precision); every evaluation is integer fixed-point arithmetic over the
-tables' integers: sums of products, each product shifted back to the
-table's scale 2^B once and each division by the sines one floor
-division.  Rounding enters only through the table entries (each within
-one unit of 2^-B of its root, and the nearest integer but for roots
-within 2^-63 units of a half-integer), one unit of 2^-B per shift and
-one per floor division, and one int / int per component.  The sums
-read the phases as roots of order K (the even entries of the table of
-order 2K), sin(pi*y/K) as Im of a root of order 2K and the color factor
-(q^-e - q^e) * i/2 as Im q^e; the constant phase and modulus are root m
-of order 8K, e^(i*pi*m/(4K)), over sqrt(K)^N, one isqrt.  Evaluations
-are pure functions of (manifold, K); callers that want parallelism
-batch them across processes (see the command-line front end).
+The oracle imports mpmath when it runs.  mpmath gives only the one root
+from which each roots-of-unity table, cyclotomic.fixed_roots, is
+powered in integers, once per (order, precision); every evaluation is
+integer fixed-point arithmetic over the tables' integers: sums of
+products, each product shifted back to the table's scale 2^B once and
+each division by the sines one floor division.  Rounding enters only
+through the table entries (each within one unit of 2^-B of its root,
+and the nearest integer but for roots within 2^-63 units of a
+half-integer), one unit of 2^-B per shift and one per floor division,
+and one int / int per component.  The sums read the phases as roots of
+order K (the even entries of the table of order 2K), sin(pi*y/K) as Im
+of a root of order 2K and the color factor (q^-e - q^e) * i/2 as Im
+q^e; the constant phase and modulus are root m of order 8K,
+e^(i*pi*m/(4K)), over sqrt(K)^N, one isqrt.  Evaluations are pure
+functions of (manifold, K); callers that want parallelism batch them
+across processes (see the command-line front end).
 
 The fold.  A component's weight at the odd color a is a phase even in
 a times a color factor odd in a, and the sine sin(pi*b*a/K) that pairs
@@ -52,10 +47,12 @@ any other component, so the doubled weights fold the central color
 too, and `_color_sum` needs no change: a split link does half the
 products and a star a quarter.
 
-The digits.  An explicit `precision` is used as given (BadPrecision
-below one digit); otherwise d = 30 + ceil(1.5 n log10 K) digits, with
-n = max(N, 6) and N the number of surgery components, keep the error
-below 1e-30.  In units of 2^-B, with B = prec + (2K).bit_length() + 1
+The digits.  An explicit `precision` d is used as given when the
+bound below, K^(3N/2) * 10^-d for N surgery components, is at most
+1e-9, the tolerance of every comparison with the oracle (BadPrecision,
+naming the digits needed, otherwise); without one, d = 30 +
+ceil(1.5 n log10 K) digits, with n = max(N, 6), keep the error below
+1e-30.  In units of 2^-B, with B = prec + (2K).bit_length() + 1
 bits and prec mpmath's: the table entries are within one unit; one
 shift per product puts each doubled weight (modulus at most 2) within
 5 and each fiber sum, of (K - 1)/2 products, within 3.5K per part; a
@@ -75,26 +72,27 @@ per K.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import ceil, isqrt, log10, prod
 from operator import mul
 
-from .arith import as_prime, even_inv, inv_int, legendre, sign
-from .cyclotomic import (CycInt, divide_exact, fixed_roots, from_runs,
-                         gauss_sum, odd_window, sine_run)
+from .arith import as_prime, inv_int, legendre, sign
+from .cyclotomic import fixed_roots
 from .errors import BadPrecision, ChainDegenerate, NotRHS
 from .nt import Lens, ManifoldSpec, P1Surgery, SeifertData, rademacher_phi
 
 
 def _digits(K: int, N: int, precision) -> int:
     """Working digits of zprime_numeric for N surgery components: an
-    explicit `precision`, else the d at which the module docstring's
-    error bound K^(3n/2) * 10^-d, n = max(N, 6), is below 1e-30, one d
+    explicit `precision` d at which the module docstring's error bound
+    K^(3N/2) * 10^-d is at most 1e-9 (BadPrecision otherwise), else the
+    d at which K^(3n/2) * 10^-d, n = max(N, 6), is below 1e-30, one d
     per K for every presentation of up to six components."""
     if precision is None:
         return 30 + ceil(1.5 * max(N, 6) * log10(K))
-    if precision < 1:
-        raise BadPrecision(f"precision {precision} is below one digit")
+    need = 9 + ceil(1.5 * N * log10(K))
+    if precision < need:
+        raise BadPrecision(f"precision {precision} is below the {need} "
+                           f"digits that {N} components need at K = {K}")
     return int(precision)
 
 
@@ -258,46 +256,3 @@ def _zprime_prelude(surg, sig, K: int):
     m = (-legendre(-1, K) * sig * K - 3 * (K - 2) * sig
          + 8 * (-t4 * phis % K) + 4 * K * negative)
     return data, m % (8 * K)
-
-
-# ---------------------------------------------------------------------------
-# the exact integer-framing route
-
-
-def exact_p1(M: P1Surgery, K: int) -> CycInt:
-    """Exact Z' of the P1Surgery M inside Z[q], at an odd prime K not
-    dividing |H1|, as `ohtsuki.closed_zprime` has checked.
-
-    Every link table is a split link of unknots, so the surgery is a
-    connected sum and Z' is the product of one factor per component
-    (`_p1_factor`), whichever table M names; the empty surgery gives 1.
-    """
-    if not M.framings:
-        return CycInt.one(K)
-    return reduce(mul, [_p1_factor(p, K) for p in M.framings])
-
-
-def _p1_factor(p: int, K: int) -> CycInt:
-    """One component of exact_p1: its odd-color sum S over the Gauss
-    sum G(1), times sign(p), a +-1 phase and a power q^e2 of q.
-
-    S is the sum over odd colors a of q^(4* p a^2) [a + p*], p* the even
-    inverse of p, and each term is one run of powers of q
-    (`cyclotomic.sine_run`); the prefactor +-q^e2 enters the same runs,
-    as a shift of every start and a sign on every weight.  G(c) =
-    gauss_sum(c, K), and G(-1) is the complex conjugate of G(1), so
-    G(1) * G(-1) = |G(1)|^2 = K and S / G(1) = S * G(-1) / K: one exact
-    division by K.  K divides every coordinate of +-q^e2 * S * G(-1)
-    exactly when x^((K-1)/2), x = q - 1, divides S (DivisibilityFailure
-    otherwise), as q^e2 is a unit.  For K = prod_(0<j<K) (1 - q^j) is
-    x^(K-1) times a unit, each 1 - q^j being x times one, and G(-1) is
-    x^((K-1)/2) times a unit, as G(-1)^2 = +-K and (x) is a prime
-    ideal; so S * G(-1) / K is a unit times S / x^((K-1)/2).
-    """
-    t4 = inv_int(4, K)
-    pst = even_inv(p, K)
-    phase = -1 if K % 4 == 3 and p < 0 else 1
-    e2 = t4 * (3 * sign(p) - p - pst)
-    s = from_runs([sine_run(e2 + t4 * p * a * a, a + pst, phase * sign(p), K)
-                   for a in odd_window(K)], K)
-    return divide_exact(s * gauss_sum(-1, K), K)

@@ -37,9 +37,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file under src/so3inv, exact snippet, replacement)
 MUTANTS = [
-    ("divide_exact remainder", "cyclotomic.py",
-     "    if any(c % n for c in a.coeffs):\n",
-     "    if False:\n"),
     ("eval_complex noise rule", "cyclotomic.py",
      "    return complex(*(s / (1 << B) if abs(s) * 10 ** (precision - 1)"
      " > noise\n",
@@ -89,6 +86,9 @@ MUTANTS = [
     ("oracle digits grow with log10 K", "surgery.py",
      "        return 30 + ceil(1.5 * max(N, 6) * log10(K))\n",
      "        return 30\n"),
+    ("P1 summand orientation", "ohtsuki.py",
+     "    return [Lens(-p, 1) for p in m.framings]\n",
+     "    return [Lens(p, 1) for p in m.framings]\n"),
     ("lambda_0 check", "ohtsuki.py",
      "    if lam[0] != 1:\n",
      "    if False:\n"),

@@ -21,8 +21,8 @@ from so3inv.nt import SeifertData
 from so3inv.ohtsuki import (closed_lambda_series, closed_zprime,
                             diamond_side, reconstruct_lambda)
 from so3inv.series import vee
-from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
-from zq_reference import (expansion_check, gauss_moment_diamond,
+from so3inv.surgery import Lens, P1Surgery, zprime_numeric
+from zq_reference import (exact_p1, expansion_check, gauss_moment_diamond,
                           kirby_melvin_check, odd_gauss_moment, qpow,
                           seifert_beta_series, sin_quotient_series, unit_u)
 

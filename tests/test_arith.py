@@ -4,7 +4,6 @@ import pytest
 
 from so3inv.arith import (
     as_prime,
-    even_inv,
     inv_int,
     legendre,
     odd_primes,
@@ -12,6 +11,7 @@ from so3inv.arith import (
     sign,
 )
 from so3inv.errors import DenominatorDivisibleByK, NotAnOddPrime, ZeroInverse
+from zq_reference import even_inv
 
 PRIMES_TO_101 = [p for p in range(3, 102)
                  if all(p % d for d in range(2, p)) and p > 2]

@@ -754,8 +754,9 @@ sys.exit(so3inv.cli.main(["verify", "--manifolds", {str(mf)!r},
 
 def test_help_and_usage_errors_load_no_library():
     # the library loads after argument parsing: --help and an argparse
-    # usage error compile only cli and errors, and a lens run never
-    # reaches the link tables or the surgery formulas
+    # usage error compile only cli and errors, a lens run never reaches
+    # the link tables or the surgery formulas, and a P1 run, whose Z' is
+    # a product of lens closed forms, never loads the numeric oracle
     proc = _fresh_process("""
 import contextlib, io, sys
 import so3inv.cli
@@ -778,5 +779,11 @@ for argv in (["--help"], ["verify", "--no-such-flag"]):
 with contextlib.redirect_stdout(io.StringIO()):
     assert so3inv.cli.main(["verify", "--lens", "5,2"]) == 0
 assert not {"so3inv.jones", "so3inv.surgery"} & set(loaded()), loaded()
+p1 = ["--p1", "unlink:-2,5", "--workers", "1"]
+for argv in (["verify", "--primes", "7..13"], ["invariant", "--k", "7"],
+             ["lambda", "--nmax", "2", "--reconstruct"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert so3inv.cli.main(argv + p1) == 0, argv
+assert "so3inv.surgery" not in loaded(), loaded()
 """)
     assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ from so3inv.arith import as_prime, inv_int, legendre, odd_primes, rat_residue
 from so3inv.cyclotomic import (
     CycInt,
     diamond,
-    divide_exact,
     eval_complex,
     from_runs,
     gauss_sum,
@@ -20,9 +19,9 @@ from so3inv.cyclotomic import (
 )
 from so3inv.errors import IntegralityFailure, MixedModulus, NotAnOddPrime
 from so3inv.series import q_power, shadow, vee
-from zq_reference import (NotAUnit, cyc_pow, divide_by_x, gauss_moment_diamond,
-                          odd_gauss_moment, qpow, sine_quotient,
-                          to_xpoly_pascal, unit_u)
+from zq_reference import (NotAUnit, cyc_pow, divide_by_x, divide_exact,
+                          gauss_moment_diamond, odd_gauss_moment, qpow,
+                          sine_quotient, to_xpoly_pascal, unit_u)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

@@ -250,7 +250,7 @@ def test_benchmark_recorder_reads_the_lambda_api(monkeypatch):
     P1Surgery("unlink", fr) for fr in ((-2, 5), (2, 3), (-3, 4), ())])
 def test_p1_closed_series_matches_reconstruction(m):
     # split-link surgery is a connected sum of the L(-p_j, 1), and the
-    # series is the product of theirs; exact_p1 at each prime agrees.
+    # series is the product of theirs; Z' at each prime agrees.
     # The empty surgery is S^3: the empty product, 1, 0, 0, ...
     lam = closed_lambda_series(m, 8)
     if not m.framings:

@@ -10,7 +10,7 @@ import pytest
 
 import so3inv.nt
 from so3inv import cyclotomic, surgery
-from so3inv.arith import even_inv, inv_int, legendre, odd_primes, sign
+from so3inv.arith import inv_int, legendre, odd_primes, sign
 from so3inv.closedform import _phase_to_q
 from so3inv.cyclotomic import CycInt, eval_complex, odd_window
 from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
@@ -19,10 +19,11 @@ from so3inv.errors import (BadPrecision, ChainDegenerate, DivisibilityFailure,
 from so3inv.jones import get_table
 from so3inv.nt import SeifertData, rademacher_phi
 from so3inv.ohtsuki import closed_zprime
-from so3inv.surgery import Lens, P1Surgery, exact_p1, zprime_numeric
+from so3inv.surgery import Lens, P1Surgery, zprime_numeric
+import zq_reference
 from zq_reference import (_dps, cyc_pow, divide_by_x, eval_complex_mpmath,
-                          kirby_melvin_check, qpow, unit_u, value_mpmath,
-                          z_numeric)
+                          even_inv, exact_p1, kirby_melvin_check, qpow,
+                          unit_u, value_mpmath, z_numeric)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 
@@ -281,6 +282,20 @@ def test_zprime_numeric_rejects_precision_below_one_digit(precision):
         zprime_numeric(Lens(5, 2), 7, precision=precision)
 
 
+@pytest.mark.parametrize("precision", [1, 5, 10, 15, 22])
+def test_zprime_numeric_rejects_precision_below_its_error_bound(precision):
+    # K^(3N/2) * 10^-d <= 1e-9 needs 23 digits for the four components
+    # of X(2/1,3/1,5/-4) at K = 211; at 1 digit the sum reads
+    # -237.880-93.883i, against -237.771-93.857i
+    with pytest.raises(BadPrecision, match="below the 23 digits"):
+        zprime_numeric(POINCARE, 211, precision=precision)
+
+
+def test_zprime_numeric_at_its_bound_is_within_1e_9():
+    got = zprime_numeric(POINCARE, 211, precision=23)
+    assert abs(got - eval_complex(closed_zprime(POINCARE, 211))) < 1e-9
+
+
 @pytest.mark.parametrize("precision", [0, -3])
 def test_z_numeric_rejects_precision_below_one_digit(precision):
     with pytest.raises(BadPrecision):
@@ -353,7 +368,8 @@ def test_exact_p1_two_components():
 
 
 def test_exact_p1_rejects_framing_divisible_by_k():
-    # the gate is closed_zprime's, the one door to exact_p1
+    # the gate is closed_zprime's, for a P1 surgery as for every
+    # presentation
     with pytest.raises(H1DivisibleByK,
                        match=r"^\|H1\| = 7 is divisible by K = 7$"):
         closed_zprime(P1Surgery("unknot", (7,)), 7)
@@ -364,7 +380,8 @@ def test_exact_p1_rejects_framing_divisible_by_k():
 
 def test_exact_p1_rejects_indivisible_color_sum(monkeypatch):
     # a lone q^0 as the color sum, which x = q - 1 does not divide
-    monkeypatch.setattr(surgery, "from_runs", lambda runs, K: CycInt.one(K))
+    monkeypatch.setattr(zq_reference, "from_runs",
+                        lambda runs, K: CycInt.one(K))
     with pytest.raises(DivisibilityFailure):
         exact_p1(P1Surgery("unknot", (3,)), 7)
 
@@ -415,7 +432,27 @@ def test_exact_p1_matches_joint_color_sum():
         m = P1Surgery("unknot" if len(framings) == 1 else "unlink", framings)
         for K in odd_primes(3, top):
             if all(p % K for p in framings):
-                assert exact_p1(m, K) == _joint_color_sum(m, K), K
+                joint = _joint_color_sum(m, K)
+                assert exact_p1(m, K) == joint, K
+                assert closed_zprime(m, K) == joint, K
+
+
+def test_closed_zprime_matches_exact_p1_reference():
+    # closed_zprime reads a P1 surgery as the connected sum of the
+    # L(-p, 1); the reference route, one color sum per framing divided
+    # by the Gauss sum, must give the same element
+    cases = [(P1Surgery("unknot", (p,)), odd_primes(3, 101))
+             for p in range(-40, 41) if p]
+    cases += [(P1Surgery("unlink", fr), odd_primes(3, 61))
+              for fr in ((-2, 5), (2, -3, 4), (3, 3, -7, 11), (1, -1))]
+    cases.append((P1Surgery("unlink", (-2, 5)), (1009, 1999)))
+    checked = 0
+    for m, primes in cases:
+        for K in primes:
+            if all(p % K for p in m.framings):
+                assert closed_zprime(m, K) == exact_p1(m, K), (m, K)
+                checked += 1
+    assert checked == 1985
 
 
 def _mpc_zprime_prefactor(surg, sig, K):

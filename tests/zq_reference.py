@@ -25,12 +25,17 @@ Powers.  `cyc_pow` raises a `CycInt` element, and `ser_pow` a
 `RatSeries`, its first argument, to a nonnegative power; the library
 multiplies factor by factor, so only these two raise `NotAUnit`.
 
-Division by x = q - 1 in Z[q].  `exact_p1` divides a color sum by the
-Gauss sum with one exact division by K.  `divide_by_x` and `unit_u`
-keep the older route, which strips the guaranteed power x^((K-1)/2) one
-synthetic division at a time and multiplies by the unit
-u = x^((K-1)/2) / gauss_sum(1), so the tests can check the exact route
-and the moment identities against an independent method.
+Division by x = q - 1 in Z[q].  `exact_p1` is the older exact route
+to Z' of a P1 surgery, which the library now reads as the connected sum
+of the lens spaces L(-p_j, 1): one factor per framing p (`_p1_factor`),
+its color sum over the even inverse p* of p (`even_inv`) divided by the
+Gauss sum with one exact division by K (`divide_exact`), which fails
+with DivisibilityFailure unless the sum carries the guaranteed power
+x^((K-1)/2).  `divide_by_x` and `unit_u` keep an older route still,
+which strips that power one synthetic division at a time and
+multiplies by the unit u = x^((K-1)/2) / gauss_sum(1), so the tests can
+check the closed forms, the exact route and the moment identities
+against independent methods.
 
 The Gaussian-moment lemma.  `odd_gauss_moment` is the exact moment sum
 in Z[q]; `gauss_moment_diamond` is its closed-form series image mod K,
@@ -72,19 +77,19 @@ from it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
 from so3inv import ohtsuki
 from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
-from so3inv.cyclotomic import (CycInt, _raw, diamond, divide_exact,
-                               fixed_roots, from_runs, gauss_sum, odd_window,
-                               sine_run)
+from so3inv.cyclotomic import (CycInt, _raw, diamond, fixed_roots, from_runs,
+                               gauss_sum, odd_window, sine_run)
 from so3inv.errors import (BadPrecision, BoundViolation,
-                           DenominatorDivisibleByK, InsufficientTerms,
-                           IntegralityFailure, NotCoprime, NotRHS,
-                           So3InvError)
+                           DenominatorDivisibleByK, DivisibilityFailure,
+                           InsufficientTerms, IntegralityFailure, NotCoprime,
+                           NotRHS, So3InvError)
 from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
 from so3inv.series import RatSeries, _frac, shadow, vee
 from so3inv.surgery import (_chain_data, _color_sum, _presentation, _value,
@@ -317,6 +322,14 @@ def ser_pow(self: RatSeries, n: int) -> RatSeries:
     return result
 
 
+def divide_exact(a: CycInt, n: int) -> CycInt:
+    """a / n for an integer n that divides every coefficient of a
+    (DivisibilityFailure otherwise)."""
+    if any(c % n for c in a.coeffs):
+        raise DivisibilityFailure(f"coefficients not divisible by {n}")
+    return _raw(tuple([c // n for c in a.coeffs]), a.K)
+
+
 def divide_by_x(a: CycInt) -> CycInt:
     """a / (q - 1), exactly; IntegralityFailure unless q - 1 divides a.
 
@@ -354,6 +367,60 @@ def unit_u(K: int) -> CycInt:
             raise IntegralityFailure("unit normalization check failed")
         _UNITS[K] = u
     return _UNITS[K]
+
+
+def even_inv(a: int, K: int) -> int:
+    """The unique even e in (-K, K) with a*e = 1 (mod K).
+
+    Of the two representatives e0 and e0 - K of the inverse, exactly one
+    is even because K is odd.
+
+    >>> even_inv(3, 7)
+    -2
+    >>> even_inv(1, 5)
+    -4
+    """
+    e = inv_int(a, K)
+    return e if e % 2 == 0 else e - K
+
+
+def exact_p1(M: P1Surgery, K: int) -> CycInt:
+    """Exact Z' of the P1Surgery M inside Z[q], at an odd prime K not
+    dividing |H1|, as `ohtsuki.closed_zprime` has checked.
+
+    Every link table is a split link of unknots, so the surgery is a
+    connected sum and Z' is the product of one factor per component
+    (`_p1_factor`), whichever table M names; the empty surgery gives 1.
+    """
+    if not M.framings:
+        return CycInt.one(K)
+    return reduce(mul, [_p1_factor(p, K) for p in M.framings])
+
+
+def _p1_factor(p: int, K: int) -> CycInt:
+    """One component of exact_p1: its odd-color sum S over the Gauss
+    sum G(1), times sign(p), a +-1 phase and a power q^e2 of q.
+
+    S is the sum over odd colors a of q^(4* p a^2) [a + p*], p* the even
+    inverse of p, and each term is one run of powers of q
+    (`cyclotomic.sine_run`); the prefactor +-q^e2 enters the same runs,
+    as a shift of every start and a sign on every weight.  G(c) =
+    gauss_sum(c, K), and G(-1) is the complex conjugate of G(1), so
+    G(1) * G(-1) = |G(1)|^2 = K and S / G(1) = S * G(-1) / K: one exact
+    division by K.  K divides every coordinate of +-q^e2 * S * G(-1)
+    exactly when x^((K-1)/2), x = q - 1, divides S (DivisibilityFailure
+    otherwise), as q^e2 is a unit.  For K = prod_(0<j<K) (1 - q^j) is
+    x^(K-1) times a unit, each 1 - q^j being x times one, and G(-1) is
+    x^((K-1)/2) times a unit, as G(-1)^2 = +-K and (x) is a prime
+    ideal; so S * G(-1) / K is a unit times S / x^((K-1)/2).
+    """
+    t4 = inv_int(4, K)
+    pst = even_inv(p, K)
+    phase = -1 if K % 4 == 3 and p < 0 else 1
+    e2 = t4 * (3 * sign(p) - p - pst)
+    s = from_runs([sine_run(e2 + t4 * p * a * a, a + pst, phase * sign(p), K)
+                   for a in odd_window(K)], K)
+    return divide_exact(s * gauss_sum(-1, K), K)
 
 
 def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
