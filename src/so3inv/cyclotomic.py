@@ -12,12 +12,12 @@ invariants to their rational series images.
 
 The module also owns the one table of transcendental values in the
 package, `fixed_roots`: the roots of unity as integers at a scale 2^B,
-the powers of one root from mpmath (imported on first use), each the
-integer nearest 2^B times its root up to one unit.  mpmath only builds
-tables: `eval_complex` and the numeric surgery oracle work in integers
-over them, so their rounding enters only through the table entries,
-the oracle's shifts and floor divisions, and one int / int per
-component.
+the powers of one root (`_root`, from Machin's pi and the series of
+e^(it) in integers), each the integer nearest 2^B times its root up to
+one unit.  No floating-point library is involved: `eval_complex` and
+the numeric surgery oracle work in integers over the tables, so their
+rounding enters only through the table entries, the oracle's shifts
+and floor divisions, and one int / int per component.
 
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes
@@ -202,40 +202,88 @@ def sine_run(e: int, c: int, w: int, K: int) -> tuple:
 _ROOTS: dict = {}
 
 
-def fixed_roots(n: int) -> tuple:
-    """(B, re, im): the roots exp(2*pi*i*e/n), e in range(n), at mpmath's
-    working precision, as integers at scale 2^B.
+def _prec(digits: int) -> int:
+    """The bits that carry `digits` decimal digits: mpmath's rule
+    (mpmath.libmp.dps_to_prec), so B and every table are those of a
+    table built at mpmath's working precision of `digits` digits."""
+    return max(1, round((digits + 1) * 3.3219280948873626))
+
+
+def _atan_inv(x: int, W: int) -> int:
+    """2^W * arctan(1/x), x >= 2, by its alternating series, each term
+    floored: within 2 units per term, and the terms stop below 1."""
+    p, x2 = (1 << W) // x, x * x
+    total, k = 0, 1
+    while p:
+        total += p // k if k & 2 == 0 else -(p // k)
+        p //= x2
+        k += 2
+    return total
+
+
+def _root(n: int, G: int) -> tuple:
+    """The integers nearest 2^G cos(2*pi/n) and 2^G sin(2*pi/n), n >= 2.
+
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) and the series of
+    e^(it), t = 2*pi/n, in fixed point at W = G + 32 bits, each term
+    t^k/k! from the last by one product and one floor division (Brent,
+    "Fast multiple-precision evaluation of elementary functions",
+    J. ACM 23 (1976)); each part is then rounded to scale 2^G.
+    """
+    W = G + 32
+    t = (32 * _atan_inv(5, W) - 8 * _atan_inv(239, W)) // n
+    parts, term, k = [0, 0], 1 << W, 0
+    while term:
+        parts[k & 1] += term if k & 2 == 0 else -term
+        k += 1
+        term = (term * t >> W) // k
+    half = 1 << 31
+    return tuple((c + half) >> 32 for c in parts)
+
+
+def fixed_roots(n: int, digits: int) -> tuple:
+    """(B, re, im): the roots exp(2*pi*i*e/n), e in range(n), at
+    `digits` decimal digits, as integers at scale 2^B.
 
     The one table of transcendental values: eval_complex and the
     surgery oracle read their roots of unity and sines from it.  It is
-    built once per (n, mpmath.mp.prec), so a table never serves another
-    precision, with B = prec + n.bit_length() + 1.  One expjpi gives
-    zeta = exp(2*pi*i/n) at G + 16 bits, G = B + 64 + n.bit_length(),
-    rounded to nearest at scale 2^G; the table is its powers zeta^e, by
+    built once per (n, prec), prec = `_prec(digits)` bits, so a table
+    never serves another precision, with B = prec + n.bit_length() + 1.
+    `_root` gives zeta = exp(2*pi*i/n) rounded to nearest at scale 2^G,
+    G = B + 64 + n.bit_length(); the table is its powers zeta^e, by
     n - 1 integer complex products at scale 2^G, each rounded to
     nearest, and each power rounded to nearest at scale 2^B.
 
-    Error bound: the rounded zeta is within 2^-G of the root, so each
-    product moves the power at most 2^-G from the root's own power and
-    rounds it by at most 2^-G more; power e lies within 2e * 2^-G <
-    2^-63 * 2^-B of exp(2*pi*i*e/n).  So re[e] and im[e] are the
-    integers nearest 2^B cos(2*pi*e/n) and 2^B sin(2*pi*e/n) unless
-    one of those lies within 2^-63 of a half-integer, and within one
-    unit of it always; entries on the axes are exact.  Integer sums of
-    products over these entries are exact, and each shift back to
-    scale 2^B or floor division rounds by at most one unit of 2^-B.
-    """
-    import mpmath
+    Error bound of the root (n >= 2, so t = 2*pi/n <= pi): at W = G + 32
+    bits, arctan(1/5) sums at most W/4.6 + 1 terms and arctan(1/239)
+    at most W/15.8 + 1, each within 2 units of 2^-W, so 2*pi is within
+    16W units and t within 8W + 1.  The partial sums of e^(is) have
+    modulus at most 1 + 2^-W, so that error of t moves each part by at
+    most 8W + 2 units; the N < 0.42W floored terms add at most
+    2N e^t < 47N and the tail under 100, so each part is within 32W
+    units before rounding.  Rounded to scale 2^G, each part is the
+    integer nearest 2^G cos(2*pi/n) or 2^G sin(2*pi/n) unless that lies
+    within W * 2^-27 of a half-integer, and within 1/2 + W * 2^-27
+    units of it always, so the rounded zeta is within 2^-G of the root
+    for every G below 2^24.
 
-    key = (n, mpmath.mp.prec)
+    Error bound of the table: each product moves the power at most
+    2^-G from the root's own power and rounds it by at most 2^-G more;
+    power e lies within 2e * 2^-G < 2^-63 * 2^-B of exp(2*pi*i*e/n).
+    So re[e] and im[e] are the integers nearest 2^B cos(2*pi*e/n) and
+    2^B sin(2*pi*e/n) unless one of those lies within 2^-63 of a
+    half-integer, and within one unit of it always; entries on the
+    axes are exact.  Integer sums of products over these entries are
+    exact, and each shift back to scale 2^B or floor division rounds
+    by at most one unit of 2^-B.
+    """
+    prec = _prec(digits)
+    key = (n, prec)
     entry = _ROOTS.get(key)
     if entry is None:
-        B = mpmath.mp.prec + n.bit_length() + 1
+        B = prec + n.bit_length() + 1
         G = B + 64 + n.bit_length()
-        with mpmath.workprec(G + 16):
-            zeta = mpmath.expjpi(mpmath.mpf(2) / n)
-            zr, zi = (int(mpmath.nint(mpmath.ldexp(c, G)))
-                      for c in (zeta.real, zeta.imag))
+        zr, zi = _root(n, G)
         half, down = 1 << (G - 1), 1 << (G - B - 1)
         x, y = 1 << G, 0
         re, im = [1 << B], [0]
@@ -251,18 +299,16 @@ def eval_complex(a: CycInt, precision: int = 50) -> complex:
     """Embed into C with q = exp(2*pi*i/K), at `precision` digits.
 
     The sum S of c_i * q^i is taken exactly over the integers of
-    `fixed_roots(K)`, so its only rounding is that of the table entries
-    (each within one unit of 2^-B of its root) and of the one int / int
-    S / 2^B per component.  A component with |S| * 10^(precision - 1)
-    <= K * sum|c_i| * 2^B is returned as 0.0: it is noise, not a digit
-    of the value.  A precision below one digit raises BadPrecision.
+    `fixed_roots(K, precision)`, so its only rounding is that of the
+    table entries (each within one unit of 2^-B of its root) and of the
+    one int / int S / 2^B per component.  A component with
+    |S| * 10^(precision - 1) <= K * sum|c_i| * 2^B is returned as 0.0:
+    it is noise, not a digit of the value.  A precision below one digit
+    raises BadPrecision.
     """
-    import mpmath
-
     if precision < 1:
         raise BadPrecision(f"precision {precision} is below one digit")
-    with mpmath.workdps(precision):
-        B, re, im = fixed_roots(a.K)
+    B, re, im = fixed_roots(a.K, precision)
     noise = a.K * sum(map(abs, a.coeffs)) << B
     sums = (sum(map(mul, a.coeffs, tab)) for tab in (re, im))
     return complex(*(s / (1 << B) if abs(s) * 10 ** (precision - 1) > noise

@@ -18,22 +18,22 @@ the Z[q] code, is the same sum at one central color.  The exact Z'
 of every presentation is `ohtsuki.closed_zprime`'s, from the closed
 forms; the command-line front end never loads this module.
 
-The oracle imports mpmath when it runs.  mpmath gives only the one root
-from which each roots-of-unity table, cyclotomic.fixed_roots, is
-powered in integers, once per (order, precision); every evaluation is
-integer fixed-point arithmetic over the tables' integers: sums of
-products, each product shifted back to the table's scale 2^B once and
-each division by the sines one floor division.  Rounding enters only
-through the table entries (each within one unit of 2^-B of its root,
-and the nearest integer but for roots within 2^-63 units of a
-half-integer), one unit of 2^-B per shift and one per floor division,
-and one int / int per component.  The sums read the phases as roots of
-order K (the even entries of the table of order 2K), sin(pi*y/K) as Im
-of a root of order 2K and the color factor (q^-e - q^e) * i/2 as Im
-q^e; the constant phase and modulus are root m of order 8K,
-e^(i*pi*m/(4K)), over sqrt(K)^N, one isqrt.  Evaluations are pure
-functions of (manifold, K); callers that want parallelism batch them
-across processes (see the command-line front end).
+The oracle is integer fixed-point arithmetic over the roots-of-unity
+tables of cyclotomic.fixed_roots, each the integer powers of one root
+computed in integers (Machin's pi and the series of e^(it)), once per
+(order, digits): sums of products, each product shifted back to the
+table's scale 2^B once and each division by the sines one floor
+division.  Rounding enters only through the table entries (each
+within one unit of 2^-B of its root, and the nearest integer but for
+roots within 2^-63 units of a half-integer), one unit of 2^-B per
+shift and one per floor division, and one int / int per component.
+The sums read the phases as roots of order K (the even entries of the
+table of order 2K), sin(pi*y/K) as Im of a root of order 2K and the
+color factor (q^-e - q^e) * i/2 as Im q^e; the constant phase and
+modulus are root m of order 8K, e^(i*pi*m/(4K)), over sqrt(K)^N, one
+isqrt.  Evaluations are pure functions of (manifold, K); callers that
+want parallelism batch them across processes (see the command-line
+front end).
 
 The fold.  A component's weight at the odd color a is a phase even in
 a times a color factor odd in a, and the sine sin(pi*b*a/K) that pairs
@@ -53,7 +53,8 @@ bound below, K^(3N/2) * 10^-d for N surgery components, is at most
 naming the digits needed, otherwise); without one, d = 30 +
 ceil(1.5 n log10 K) digits, with n = max(N, 6), keep the error below
 1e-30.  In units of 2^-B, with B = prec + (2K).bit_length() + 1
-bits and prec mpmath's: the table entries are within one unit; one
+bits and prec the bits of d digits (cyclotomic._prec, mpmath's rule
+round((d + 1) log2 10)): the table entries are within one unit; one
 shift per product puts each doubled weight (modulus at most 2) within
 5 and each fiber sum, of (K - 1)/2 products, within 3.5K per part; a
 fiber sum has modulus below K, so each grows the product at most
@@ -149,9 +150,10 @@ def _presentation(M):
     return surg, sig, False
 
 
-def _color_sum(colors, weights, star: bool, K: int):
+def _color_sum(colors, weights, star: bool, K: int, digits: int):
     """The surgery sum over colors, one component at a time, in fixed
-    point: (B, re, im), the sum times 2^B, B the scale of the sines.
+    point: (B, re, im), the sum times 2^B, B the scale of the sines,
+    the table of order 2K at `digits` digits.
 
     weights holds one pair of lists (re, im) per component: the
     weights of `colors` at scale 2^B.  With S_j(b) = sum_a
@@ -164,7 +166,7 @@ def _color_sum(colors, weights, star: bool, K: int):
     product is shifted back to scale 2^B once, and each term's division
     by the sines is one floor division.
     """
-    B, _, sines = fixed_roots(2 * K)
+    B, _, sines = fixed_roots(2 * K, digits)
     if star:
         central, fibers = zip(colors, *weights[0]), weights[1:]
     else:
@@ -185,13 +187,13 @@ def _color_sum(colors, weights, star: bool, K: int):
     return B, tot_re, tot_im
 
 
-def _value(fixed, m: int, rad: int, K: int) -> complex:
+def _value(fixed, m: int, rad: int, K: int, digits: int) -> complex:
     """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im),
-    0 <= m < 8K: root m of the table of order 8K, scale 2^C, times
-    (re, im) exactly, over sqrt(rad) as one isqrt at scale 2^(B+C);
-    each component is one correctly rounded int / int."""
+    0 <= m < 8K: root m of the table of order 8K at `digits` digits,
+    scale 2^C, times (re, im) exactly, over sqrt(rad) as one isqrt at
+    scale 2^(B+C); each component is one correctly rounded int / int."""
     B, re, im = fixed
-    C, cos, sin = fixed_roots(8 * K)
+    C, cos, sin = fixed_roots(8 * K, digits)
     r = isqrt(rad << 2 * (B + C))
     return complex((cos[m] * re - sin[m] * im) / r,
                    (cos[m] * im + sin[m] * re) / r)
@@ -199,27 +201,26 @@ def _value(fixed, m: int, rad: int, K: int) -> complex:
 
 def zprime_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z'(M) at odd prime K by direct summation over odd colors."""
-    import mpmath
     K = as_prime(K)
     surg, sig, star = _presentation(_coprime_denominators(M, K))
-    with mpmath.workdps(_digits(K, len(surg), precision)):
-        data, m = _zprime_prelude(surg, sig, K)
-        B, cos, sin = fixed_roots(2 * K)
-        t2, t4 = inv_int(2, K), inv_int(4, K)
-        # the sums are even in each color (see the module docstring):
-        # the positive half of the odd window, every weight doubled
-        colors = range(1, K, 2)
-        weights = []
-        for (p, qs, s) in data:
-            # root e of order K is entry 2e of the table of order 2K;
-            # the imaginary part of root t2*qs*a is the color factor
-            # (q^-e - q^e) * i/2
-            rows = [(2 * (t4 * qs * (p * a * a + s) % K),
-                     sin[2 * (t2 * qs * a % K)]) for a in colors]
-            weights.append(([cos[e] * f >> B - 1 for e, f in rows],
-                            [sin[e] * f >> B - 1 for e, f in rows]))
-        return _value(_color_sum(colors, weights, star, K), m,
-                      K ** len(surg), K)
+    digits = _digits(K, len(surg), precision)
+    data, m = _zprime_prelude(surg, sig, K)
+    B, cos, sin = fixed_roots(2 * K, digits)
+    t2, t4 = inv_int(2, K), inv_int(4, K)
+    # the sums are even in each color (see the module docstring):
+    # the positive half of the odd window, every weight doubled
+    colors = range(1, K, 2)
+    weights = []
+    for (p, qs, s) in data:
+        # root e of order K is entry 2e of the table of order 2K;
+        # the imaginary part of root t2*qs*a is the color factor
+        # (q^-e - q^e) * i/2
+        rows = [(2 * (t4 * qs * (p * a * a + s) % K),
+                 sin[2 * (t2 * qs * a % K)]) for a in colors]
+        weights.append(([cos[e] * f >> B - 1 for e, f in rows],
+                        [sin[e] * f >> B - 1 for e, f in rows]))
+    return _value(_color_sum(colors, weights, star, K, digits), m,
+                  K ** len(surg), K, digits)
 
 
 def _zprime_prelude(surg, sig, K: int):

@@ -42,6 +42,9 @@ MUTANTS = [
      " > noise\n",
      "    return complex(*(s / (1 << B) if abs(s) * 10 ** (precision - 1)"
      " > 0\n"),
+    ("Machin's pi in the root", "cyclotomic.py",
+     "    t = (32 * _atan_inv(5, W) - 8 * _atan_inv(239, W)) // n\n",
+     "    t = (32 * _atan_inv(5, W) - 8 * _atan_inv(238, W)) // n\n"),
     ("from_runs run length", "cyclotomic.py",
      "        if not 0 <= m <= K:\n",
      "        if False:\n"),
@@ -79,10 +82,10 @@ MUTANTS = [
      "    negative = (legendre(prod(q for (p, q) in surg), K) < 0)"
      " + len(surg) + 1\n"),
     ("oracle weights doubled", "surgery.py",
-     "            weights.append(([cos[e] * f >> B - 1 for e, f in rows],\n"
-     "                            [sin[e] * f >> B - 1 for e, f in rows]))\n",
-     "            weights.append(([cos[e] * f >> B for e, f in rows],\n"
-     "                            [sin[e] * f >> B for e, f in rows]))\n"),
+     "        weights.append(([cos[e] * f >> B - 1 for e, f in rows],\n"
+     "                        [sin[e] * f >> B - 1 for e, f in rows]))\n",
+     "        weights.append(([cos[e] * f >> B for e, f in rows],\n"
+     "                        [sin[e] * f >> B for e, f in rows]))\n"),
     ("oracle digits grow with log10 K", "surgery.py",
      "        return 30 + ceil(1.5 * max(N, 6) * log10(K))\n",
      "        return 30\n"),

@@ -693,7 +693,9 @@ def test_closed_stdout_exits_2_without_traceback(argv):
 
 
 def test_exact_commands_never_import_mpmath():
-    # mpmath serves only the numeric column and the surgery oracle
+    # the roots tables behind the numeric column and the surgery oracle
+    # are computed in integers, so no command and not the oracle loads
+    # mpmath
     script = """
 import contextlib, io, sys
 import so3inv.cli
@@ -706,9 +708,22 @@ with contextlib.redirect_stdout(io.StringIO()):
                               "--workers", "1"]),
              so3inv.cli.main(["verify", "--p1", "unlink:-2,5"]),
              so3inv.cli.main(["lambda", "--p1", "unknot:3",
-                              "--reconstruct"]))
-assert codes == (0, 0, 0, 0), codes
+                              "--reconstruct"]),
+             so3inv.cli.main(["invariant", "--seifert", "2/1,3/1,5/-4",
+                              "--k", "101..113", "--workers", "1"]),
+             so3inv.cli.main(["invariant", "--seifert", "2/1,3/1,5/-4",
+                              "--k", "101..113", "--precision", "120",
+                              "--workers", "1"]))
+assert codes == (0, 0, 0, 0, 0, 0), codes
 assert "mpmath" not in sys.modules, "run"
+from so3inv.cyclotomic import eval_complex
+from so3inv.nt import SeifertData
+from so3inv.ohtsuki import closed_zprime
+from so3inv.surgery import zprime_numeric
+m = SeifertData([(2, 1), (3, 1), (5, -4)])
+z = zprime_numeric(m, 211)
+assert abs(z - eval_complex(closed_zprime(m, 211))) < 1e-9, z
+assert "mpmath" not in sys.modules, "oracle"
 """
     proc = _fresh_process(script)
     assert proc.returncode == 0, proc.stderr

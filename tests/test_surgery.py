@@ -133,6 +133,42 @@ def _nearest(x, B):
     return int(mpmath.nint(mpmath.ldexp(x, B)))
 
 
+def _mpmath_root(n, G):
+    """The integers nearest 2^G times the parts of exp(2*pi*i/n), from
+    one expjpi at G + 16 bits."""
+    with mpmath.workprec(G + 16):
+        zeta = mpmath.expjpi(mpmath.mpf(2) / n)
+        return _nearest(zeta.real, G), _nearest(zeta.imag, G)
+
+
+def test_root_equals_mpmath_rounded_root():
+    # at the G of fixed_roots, over the orders and digits the callers
+    # use: eval_complex reads order K at --precision digits (15, 50 by
+    # default, 120), the oracle orders 2K and 8K at its own digits for
+    # 1 to 7 components, and z_numeric order 4Kq at 50 + 2K digits
+    def G(n, d):
+        return cyclotomic._prec(d) + 2 * n.bit_length() + 65
+
+    pairs = set()
+    for K in odd_primes(3, 2003)[::2] + (2003,):
+        digits = {15, 50, 120, surgery._digits(K, 1, None),
+                  surgery._digits(K, 7, None)}
+        pairs.update((n, G(n, d)) for n in (K, 2 * K, 8 * K) for d in digits)
+        if K < 60:
+            pairs.update((n, G(n, _dps(K, None))) for n in (4 * K, 12 * K))
+    # and every small order at a spread of digits
+    pairs.update((n, G(n, d)) for n in range(2, 400)
+                 for d in (1, 7, 15, 50, 120, 300)[n % 2::2])
+    assert len(pairs) > 3000
+    for n, g in sorted(pairs):
+        assert cyclotomic._root(n, g) == _mpmath_root(n, g), (n, g)
+
+
+def test_digits_to_bits_is_mpmaths_rule():
+    for d in range(1, 1001):
+        assert cyclotomic._prec(d) == mpmath.libmp.dps_to_prec(d), d
+
+
 @pytest.mark.parametrize("order", [(20, 60), (60, 20)])
 def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
     # every table entry is the integer nearest 2^B times the exact root,
@@ -149,7 +185,7 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                 # the chain elements read
                 den = 2 * K * 3
                 for n in (K, 2 * K, 8 * K, 2 * den):
-                    B, re, im = cyclotomic.fixed_roots(n)
+                    B, re, im = cyclotomic.fixed_roots(n, dps)
                     assert B == mpmath.mp.prec + n.bit_length() + 1
                     with mpmath.workprec(2 * B + 64):
                         roots = [mpmath.expjpi(mpmath.mpf(2 * e) / n)
@@ -159,7 +195,7 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
                         assert im == tuple(_nearest(r.imag, B)
                                            for r in roots)
                 # the oracle's sines are Im of the roots of order 2K
-                B, _, sines = cyclotomic.fixed_roots(2 * K)
+                B, _, sines = cyclotomic.fixed_roots(2 * K, dps)
                 with mpmath.workprec(2 * B + 64):
                     assert sines == tuple(
                         _nearest(mpmath.sinpi(mpmath.mpf(y) / K), B)
@@ -183,33 +219,32 @@ def test_tables_equal_direct_mpmath_calls(monkeypatch, order):
 
 
 @pytest.fixture
-def expjpi_calls(monkeypatch):
-    """The arguments of every mpmath.expjpi call, from empty tables."""
+def root_calls(monkeypatch):
+    """The arguments of every cyclotomic._root call, from empty tables."""
     monkeypatch.setattr(cyclotomic, "_ROOTS", {})
     calls = []
-    expjpi = mpmath.expjpi
-    monkeypatch.setattr(mpmath, "expjpi",
-                        lambda x: calls.append(x) or expjpi(x))
+    root = cyclotomic._root
+    monkeypatch.setattr(cyclotomic, "_root",
+                        lambda n, G: calls.append((n, G)) or root(n, G))
     return calls
 
 
-def test_one_expjpi_call_per_table(expjpi_calls):
-    # a table is the powers of one root from mpmath, built once per
-    # (order, precision)
-    calls = expjpi_calls
+def test_one_root_per_table(root_calls):
+    # a table is the powers of one root, built once per (order,
+    # precision)
+    calls = root_calls
     for dps in (15, 50):
-        with mpmath.workdps(dps):
-            for n in (7, 14, 1212):
-                for _ in range(2):
-                    cyclotomic.fixed_roots(n)
-                assert len(calls) == len(cyclotomic._ROOTS)
+        for n in (7, 14, 1212):
+            for _ in range(2):
+                cyclotomic.fixed_roots(n, dps)
+            assert len(calls) == len(cyclotomic._ROOTS)
     assert len(calls) == 6
 
 
-def test_oracle_calls_expjpi_only_to_build_tables(expjpi_calls):
+def test_oracle_computes_roots_only_to_build_tables(root_calls):
     # the color sums and the prefactor read the tables of order 2K and
     # 8K, so a batch at one K builds each once and a repeat builds none
-    calls = expjpi_calls
+    calls = root_calls
     K = 13
     batch = [Lens(5, 2), Lens(-7, 3), POINCARE, P1Surgery("unlink", (-2, 5))]
     first = [zprime_numeric(m, K) for m in batch]
@@ -249,8 +284,9 @@ def test_value_equals_mpmath_body():
     # axis may differ while it is below 2^(-prec/2) on both sides
     rng = random.Random(5)
     for K in (5, 7, 13, 31):
-        with mpmath.workdps(_dps(K, None)):
-            B, cos, sin = cyclotomic.fixed_roots(2 * K)
+        dps = _dps(K, None)
+        with mpmath.workdps(dps):
+            B, cos, sin = cyclotomic.fixed_roots(2 * K, dps)
             tiny = mpmath.ldexp(1, -mpmath.mp.prec // 2)
             fixed = [(B, 1 << B, 0), (B, 3 * cos[1], -5 * sin[3]),
                      (B, rng.getrandbits(B + 40) - (1 << B + 39),
@@ -260,8 +296,8 @@ def test_value_equals_mpmath_body():
             for m in range(8 * K):
                 for rad in rads:
                     for z in fixed:
-                        got = surgery._value(z, m, rad, K)
-                        want = value_mpmath(z, m, rad, K)
+                        got = surgery._value(z, m, rad, K, dps)
+                        want = value_mpmath(z, m, rad, K, dps)
                         for g, w in ((got.real, want.real),
                                      (got.imag, want.imag)):
                             assert g == w or (abs(g) < tiny
@@ -601,7 +637,7 @@ def test_mirror_pairs_are_real_to_1e_30():
         assert abs(z.imag) < 1e-30 < z.real, K
 
 
-def test_one_pair_of_tables_up_to_six_components(expjpi_calls):
+def test_one_pair_of_tables_up_to_six_components(root_calls):
     # the default digits read K and max(N, 6) alone: a batch of 1 to 6
     # surgery components at one K builds one table of order 2K and one
     # of order 8K, and a 7-component unlink builds its own pair
@@ -611,9 +647,9 @@ def test_one_pair_of_tables_up_to_six_components(expjpi_calls):
     batch += [Lens(7, 3)] + [SeifertData(fr) for fr in STARS]
     for m in batch:
         zprime_numeric(m, K)
-    assert len(expjpi_calls) == len(cyclotomic._ROOTS) == 2
+    assert len(root_calls) == len(cyclotomic._ROOTS) == 2
     zprime_numeric(P1Surgery("unlink", framings), K)
-    assert len(expjpi_calls) == len(cyclotomic._ROOTS) == 4
+    assert len(root_calls) == len(cyclotomic._ROOTS) == 4
     assert {n for n, _ in cyclotomic._ROOTS} == {2 * K, 8 * K}
     assert len({prec for _, prec in cyclotomic._ROOTS}) == 2
 

@@ -459,9 +459,10 @@ def gauss_moment_diamond(p: int, q: int, m: int, K: int) -> tuple:
     return shadow([c * scalar for c in x_over_log_pow(m, K)], K)
 
 
-def _chain_weights(p: int, q: int, s: int, K: int, B: int):
+def _chain_weights(p: int, q: int, s: int, K: int, B: int, digits: int):
     """The matrix elements of the slope p/q, q >= 1, at the color pairs
-    (a, 1), a = 1..K-1, as (re, im) lists at scale 2^B.
+    (a, 1), a = 1..K-1, as (re, im) lists at scale 2^B, from the roots
+    table of order 4Kq at `digits` digits.
 
     Element a is i / sqrt(2Kq) * e^(-i*pi*phi/4) times the sum over
     n < q and mu = +-1 of mu * e^(i*pi*m/(2Kq)), m = p a^2 - 2 a w
@@ -469,7 +470,7 @@ def _chain_weights(p: int, q: int, s: int, K: int, B: int):
     (_z_prelude), and e^(i*pi*m/(2Kq)) is root m of order 4Kq.
     """
     den = 2 * K * q
-    Bq, cos, sin = fixed_roots(2 * den)
+    Bq, cos, sin = fixed_roots(2 * den, digits)
     re, im = [], []
     for a in range(1, K):
         x = y = 0
@@ -500,21 +501,23 @@ def _z_prelude(surg, sig, K):
     return data, m % (8 * K)
 
 
-def value_mpmath(fixed, m: int, rad: int, K: int) -> complex:
-    """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im)."""
+def value_mpmath(fixed, m: int, rad: int, K: int, digits: int) -> complex:
+    """e^(i*pi*m/(4K)) / sqrt(rad) times a fixed-point (B, re, im), at
+    `digits` digits."""
     import mpmath
     B, re, im = fixed
-    z = mpmath.mpc(mpmath.ldexp(re, -B), mpmath.ldexp(im, -B))
-    return complex(mpmath.expjpi(mpmath.mpf(m) / (4 * K))
-                   / mpmath.sqrt(rad) * z)
+    with mpmath.workdps(digits):
+        z = mpmath.mpc(mpmath.ldexp(re, -B), mpmath.ldexp(im, -B))
+        return complex(mpmath.expjpi(mpmath.mpf(m) / (4 * K))
+                       / mpmath.sqrt(rad) * z)
 
 
 def eval_complex_mpmath(a: CycInt, precision: int = 50) -> complex:
     """Embed into C with q = exp(2*pi*i/K), at `precision` digits.
 
     The sum of c_i * q^i is taken exactly over the integers of
-    `fixed_roots(K)`, so its only rounding is that of the table entries
-    (each within one unit of 2^-B of its root) and of the one
+    `fixed_roots(K, precision)`, so its only rounding is that of the table
+    entries (each within one unit of 2^-B of its root) and of the one
     conversion at the end.
     A component no larger than K * sum|c_i| * 10^(1 - precision) is
     returned as 0.0: it is noise, not a digit of the value.  A
@@ -525,7 +528,7 @@ def eval_complex_mpmath(a: CycInt, precision: int = 50) -> complex:
     if precision < 1:
         raise BadPrecision(f"precision {precision} is below one digit")
     with mpmath.workdps(precision):
-        B, re, im = fixed_roots(a.K)
+        B, re, im = fixed_roots(a.K, precision)
         noise = (a.K * sum(map(abs, a.coeffs))
                  * mpmath.mpf(10) ** (1 - precision))
         parts = (mpmath.ldexp(sum(map(mul, a.coeffs, tab)), -B)
@@ -544,15 +547,14 @@ def _dps(K: int, precision) -> int:
 
 def z_numeric(M: ManifoldSpec, K, precision=None) -> complex:
     """Z(M)/Z(S^3) at level k = K - 2 by direct color summation."""
-    import mpmath
     K = as_prime(K)
-    with mpmath.workdps(_dps(K, precision)):
-        surg, sig, star = _presentation(M)
-        data, m = _z_prelude(surg, sig, K)
-        B = fixed_roots(2 * K)[0]
-        weights = [_chain_weights(*d, K, B) for d in data]
-        return _value(_color_sum(range(1, K), weights, star, K), m,
-                      prod(2 * K * q for (p, q) in surg), K)
+    digits = _dps(K, precision)
+    surg, sig, star = _presentation(M)
+    data, m = _z_prelude(surg, sig, K)
+    B = fixed_roots(2 * K, digits)[0]
+    weights = [_chain_weights(*d, K, B, digits) for d in data]
+    return _value(_color_sum(range(1, K), weights, star, K, digits), m,
+                  prod(2 * K * q for (p, q) in surg), K, digits)
 
 
 def kirby_melvin_check(M: ManifoldSpec, K, tol: float = 1e-9,
