@@ -40,8 +40,8 @@ from .errors import (
     So3InvError,
 )
 from .nt import Lens, SeifertData
-from .series import (RatSeries, at_half_log, binomial_terms, q_power,
-                     sinh_over_u, u_over_sinh)
+from .series import (RatSeries, binomial_terms, half_log_tail, sinh_over_u,
+                     u_over_sinh)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +208,17 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> RatSeries:
     rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
     (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
     Dedekind/framing exponent (S.r).  As e^T = (1+x)^(1/2),
-    1/sinh(T) = 2(1+x)^(1/2)/x, and the two q-powers make (1+x)^(r+1/2).
+    1/sinh(T) = 2 e^T/x, so lambda_n = (H/2) [x^(n+1)] F(T) e^(cT) for the
+    moments F and c = 2r + 1: one `half_log_tail`, with H/2 in F.
     """
     cap = n_max
     n = len(S.fractions)
     head = [sinh_over_u(1, cap)] if n == 1 else [u_over_sinh(cap)] * (n - 2)
     g = reduce(mul, head + [sinh_over_u(Fraction(1, p * p), cap)
                             for p, _ in S.fractions])
-    mom, w = [0], Fraction(4, S.P)
+    mom, w = [0], Fraction(2 * S.H, S.P)
     ratio = Fraction(S.P, S.H)  # P/H per t = u^2
     for m, c in enumerate(g.coeffs, 1):
-        w *= (2 * m - 1) * ratio  # (4/P) (2m-1)!! (P/H)^m
+        w *= (2 * m - 1) * ratio  # (H/2) (4/P) (2m-1)!! (P/H)^m
         mom.append(c * w)
-    over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
-    return over_x * q_power(S.r + Fraction(1, 2), cap) * Fraction(S.H, 2)
+    return half_log_tail(mom, 2 * S.r + 1, cap)

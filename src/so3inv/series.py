@@ -9,10 +9,11 @@ which cyclotomic integers leave a well-defined polynomial trace (see
 cyclotomic.diamond).
 
 The module also hosts the closed-form series the invariant formulas
-produce, one route each: (1+x)^r for rational r, and sinh(u)/u and its
-reciprocal u/sinh(u) as series in t = u^2, from which the Seifert fiber
-products are built before re-expansion at T = (1/2)log(1+x); e^(cT) is
-(1+x)^(c/2) there, so `q_power` gives it directly.
+produce, one route each: the binomial coefficients C(a/b, n) in
+integers (`binomial_terms`), sinh(u)/u and its reciprocal u/sinh(u) as
+series in t = u^2, from which the Seifert fiber products are built, and
+their re-expansion at T = (1/2)log(1+x) times e^(cT) = (1+x)^(c/2),
+shifted down by one degree, as one triangle (`half_log_tail`).
 """
 
 from __future__ import annotations
@@ -130,44 +131,29 @@ def binomial_terms(a: int, b: int, cap: int) -> tuple:
             list(accumulate(range(b, b * cap + 1, b), mul, initial=1)))
 
 
-def q_power(r, cap: int) -> RatSeries:
-    """(1+x)^r for rational r = a/b, the binomial series with C(r, n) =
-    prod_{i<n} (a - i*b) / (b^n n!) over the integers of `binomial_terms`."""
-    r = _frac(r)
-    return RatSeries(list(map(Fraction, *binomial_terms(
-        r.numerator, r.denominator, cap))), cap)
+def half_log_tail(F, c, cap: int) -> RatSeries:
+    """[x^(n+1)] F(T) e^(cT), n = 0..cap, at T = (1/2)log(1+x).
 
+    As e^((c+tau)T) = (1+x)^((c+tau)/2), [x^k] T^m e^(cT) = m! [tau^m]
+    C((c+tau)/2, k), and for c = a/b that binomial is Q_k(tau) /
+    ((2b)^k k!) with the integer polynomials Q_k = prod_{i<k} (a - 2ib
+    + b tau), each from the last in one pass, cut at the degree of F.
+    Coefficient n is then one dot product of Q_(n+1) with m! F_m over
+    the common denominator of F.
 
-@lru_cache(maxsize=32)
-def _half_log_powers(cap: int) -> tuple:
-    """Rows n = 0..cap of the coefficients of T^k, T = (1/2)log(1+x).
-
-    [x^n] T^k = k! s(n,k) / (n! 2^k) with s the signed Stirling numbers
-    of the first kind, so row n is (w(n,0..n), n! 2^n) with the integers
-    w(n,k) = k! s(n,k) 2^(n-k), built by w(n+1,k) = k w(n,k-1) - 2n w(n,k).
+    >>> half_log_tail([1], 1, 2).coeffs
+    (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))
     """
-    rows = [((1,), 1)]
-    for n in range(cap):
-        w, den = rows[-1]
-        nxt = [0] + [k * c for k, c in enumerate(w, 1)]
-        for k, c in enumerate(w):
-            nxt[k] -= 2 * n * c
-        rows.append((tuple(nxt), den * 2 * (n + 1)))
-    return tuple(rows)
-
-
-def at_half_log(s: RatSeries) -> RatSeries:
-    """s(T) re-expanded in x, where T = (1/2)log(1+x); same cap as s.
-
-    Equal to the Horner composition s.compose(T) with T written out as
-    sum_{n>=1} (-1)^(n+1) x^n / (2n), but computed as one triangular
-    matrix-vector product against the cached powers of T, over the
-    common denominator of the coefficients of s.
-    """
-    nums, den = _over_lcm(s.coeffs)
-    return RatSeries(
-        [Fraction(sum(a * b for a, b in zip(nums, w)), den * d)
-         for w, d in _half_log_powers(s.cap)], s.cap)
+    a, b = c.numerator, c.denominator
+    nums, den = _over_lcm(F)
+    f = list(map(mul, nums, accumulate(range(1, len(nums)), mul, initial=1)))
+    q, out = [1], []
+    for k in range(cap + 1):
+        s = a - 2 * k * b
+        q = [s * u + b * v for u, v in zip(q + [0], [0] + q[:len(f) - 1])]
+        den *= 2 * b * (k + 1)
+        out.append(Fraction(sum(map(mul, f, q)), den))
+    return RatSeries(out, cap)
 
 
 def sinh_over_u(a, cap: int) -> RatSeries:

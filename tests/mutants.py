@@ -60,6 +60,11 @@ MUTANTS = [
     ("vee whole-series guard", "series.py",
      "    if den % K == 0:  # the whole series' guard",
      "    if False:  # the whole series' guard"),
+    ("half_log_tail b*tau term", "series.py",
+     "        q = [s * u + b * v for u, v in"
+     " zip(q + [0], [0] + q[:len(f) - 1])]\n",
+     "        q = [s * u for u, v in"
+     " zip(q + [0], [0] + q[:len(f) - 1])]\n"),
     ("seifert_cn remainder", "closedform.py",
      "        if any(g[-2:]):\n",
      "        if False:\n"),

@@ -17,9 +17,10 @@ from so3inv.errors import (BadNormalization, DiamondMismatch,
                            NotRHS, PDivisibleByK, So3InvError)
 from so3inv.nt import SeifertData, dedekind_sum
 from so3inv.ohtsuki import closed_lambda_series, closed_zprime
-from so3inv.series import RatSeries, at_half_log, binomial_terms, q_power
+from so3inv.series import RatSeries, binomial_terms, half_log_tail
 from so3inv.surgery import Lens, zprime_numeric
-from zq_reference import s_div, seifert_cn_laurent, ser_pow, sine_quotient
+from zq_reference import (at_half_log, q_power, s_div, seifert_cn_laurent,
+                          seifert_lambda_half_log, ser_pow, sine_quotient)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -271,8 +272,8 @@ def test_lambda_0_is_checked_not_forced(monkeypatch):
     with pytest.raises(BadNormalization,
                        match=r"^lambda_0 = 2 for L\(5,2\)$"):
         closed_lambda_series(Lens(5, 2), 3)
-    monkeypatch.setattr(closedform, "q_power",
-                        lambda r, cap: q_power(r, cap) * 2)
+    monkeypatch.setattr(closedform, "half_log_tail",
+                        lambda F, c, cap: half_log_tail(F, c, cap) * 2)
     with pytest.raises(BadNormalization,
                        match=r"^lambda_0 = 2 for X\(2/1,3/1,5/-4\)$"):
         closed_lambda_series(POINCARE, 3)
@@ -457,6 +458,25 @@ def _seifert_or_none(fractions):
 def test_seifert_series_matches_sinh_division_route(S, n_max):
     assert (closed_lambda_series(S, n_max).coeffs
             == _seifert_series_through_sinh_division(S, n_max))
+
+
+@pytest.mark.parametrize("fractions", [
+    [(7, 3)], [(2, 1), (-3, 2)], [(2, 1), (3, 1), (5, -4)],
+    [(3, 2), (4, 3), (5, 4), (-7, 2)],
+    [(2, 1), (3, 1), (5, 1), (7, -2), (-11, 3)],
+    [(2, 1), (3, -1), (5, 2), (7, 1), (9, -4), (-4, 3)]])
+def test_seifert_series_matches_half_log_route(fractions):
+    # one shifted triangle against at_half_log, / x and the q_power product
+    S = SeifertData(fractions)
+    for n_max in (0, 1, 6, 30, 105):
+        assert (closed_lambda_series(S, n_max).coeffs
+                == seifert_lambda_half_log(S, n_max).coeffs)
+
+
+def test_seifert_series_matches_half_log_route_at_300():
+    S = SeifertData([(2, 1), (-3, 2)])
+    assert (closed_lambda_series(S, 300).coeffs
+            == seifert_lambda_half_log(S, 300).coeffs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,10 +18,10 @@ from so3inv.cyclotomic import (
     x_order,
 )
 from so3inv.errors import IntegralityFailure, MixedModulus, NotAnOddPrime
-from so3inv.series import q_power, shadow, vee
+from so3inv.series import shadow, vee
 from zq_reference import (NotAUnit, cyc_pow, divide_by_x, divide_exact,
-                          gauss_moment_diamond, odd_gauss_moment, qpow,
-                          sine_quotient, to_xpoly_pascal, unit_u)
+                          gauss_moment_diamond, odd_gauss_moment, q_power,
+                          qpow, sine_quotient, to_xpoly_pascal, unit_u)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

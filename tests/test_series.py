@@ -15,8 +15,7 @@ from so3inv.errors import (
 )
 from so3inv.series import (
     RatSeries,
-    at_half_log,
-    q_power,
+    half_log_tail,
     shadow,
     sinh_over_u,
     u_over_sinh,
@@ -25,8 +24,8 @@ from so3inv.series import (
 from so3inv.nt import Lens
 from so3inv.ohtsuki import closed_lambda_series
 from zq_reference import (FactorialNotInvertible, NonUnitDivisor, NotAUnit,
-                          exp_sum_series, gauss_moment_diamond,
-                          q_power_recurrence, s_div, schoolbook_mul,
+                          at_half_log, exp_sum_series, gauss_moment_diamond,
+                          q_power, q_power_recurrence, s_div, schoolbook_mul,
                           ser_pow, vee_per_coefficient, x_over_log_pow)
 
 
@@ -107,6 +106,29 @@ def test_at_half_log_small_caps():
     # T = x/2 - x^2/4 + x^3/6 - ...
     assert at_half_log(_x(3)).coeffs == (
         0, Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50,
+                             max_denominator=1000), max_size=42),
+       st.fractions(min_value=-20, max_value=20, max_denominator=50),
+       st.integers(min_value=0, max_value=40))
+def test_half_log_tail_matches_shifted_references(F, c, cap):
+    # [x^(n+1)] of (1+x)^(c/2), of F(T) and of F(T) e^(cT) = F(T) (1+x)^(c/2)
+    f = RatSeries(F, cap + 1)
+    assert (half_log_tail([1], c, cap).coeffs
+            == q_power(c / 2, cap + 1).coeffs[1:])
+    assert half_log_tail(F, 0, cap).coeffs == at_half_log(f).coeffs[1:]
+    assert (half_log_tail(F, c, cap).coeffs
+            == (at_half_log(f) * q_power(c / 2, cap + 1)).coeffs[1:])
+
+
+def test_half_log_tail_small_caps():
+    assert half_log_tail([], 3, 2) == RatSeries([], 2)
+    # [x^1] (1+x)^(3/2) and T e^(0 T) = T = x/2 - x^2/4 + x^3/6 - ...
+    assert half_log_tail([5], 3, 0).coeffs == (Fraction(15, 2),)
+    assert half_log_tail([0, 1], 0, 2).coeffs == (
+        Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6))
 
 
 def _sinh_quotient_u(a, cap):

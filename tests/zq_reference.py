@@ -16,6 +16,15 @@ fields alone, where the library keeps the `h1` its constructor derived.
 `dedekind_sum` runs Euclid's algorithm over the reciprocity law in
 `Fraction` steps; `nt.dedekind_sum` takes the same steps in integers.
 
+The re-expansion at T = (1/2)log(1+x).  `at_half_log` substitutes T
+in a series as one triangle of Stirling rows (`_half_log_powers`,
+cached per cap), and `q_power` is (1+x)^r from the integer running
+products of `binomial_terms`.  `seifert_lambda_half_log` is the older
+tail of the Seifert lambda series built from them: the moments
+re-expanded by `at_half_log`, divided by x and multiplied by
+`q_power`.  The library takes that tail as one shifted triangle
+(`series.half_log_tail`); the tests check it against these.
+
 Single powers of q.  `qpow` builds q^n as one basis element; the
 library sums q-powers as runs (`cyclotomic.from_runs`) instead.
 `sine_quotient` is the quantized integer [c], the one run `sine_run`
@@ -77,7 +86,7 @@ from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, gcd, prod
 from operator import add, mul
 from typing import Callable, Sequence
@@ -91,7 +100,8 @@ from so3inv.errors import (BadPrecision, BoundViolation,
                            InsufficientTerms, IntegralityFailure, NotCoprime,
                            NotRHS, So3InvError)
 from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
-from so3inv.series import RatSeries, _frac, shadow, vee
+from so3inv.series import (RatSeries, _frac, _over_lcm, binomial_terms,
+                           shadow, sinh_over_u, u_over_sinh, vee)
 from so3inv.surgery import (_chain_data, _color_sum, _presentation, _value,
                             zprime_numeric)
 
@@ -196,6 +206,64 @@ def q_power_recurrence(r, cap: int) -> RatSeries:
     for n in range(1, cap + 1):
         cs.append(cs[-1] * (r - (n - 1)) / n)
     return RatSeries(cs, cap)
+
+
+def q_power(r, cap: int) -> RatSeries:
+    """(1+x)^r for rational r = a/b, the binomial series with C(r, n) =
+    prod_{i<n} (a - i*b) / (b^n n!) over the integers of `binomial_terms`."""
+    r = _frac(r)
+    return RatSeries(list(map(Fraction, *binomial_terms(
+        r.numerator, r.denominator, cap))), cap)
+
+
+@lru_cache(maxsize=32)
+def _half_log_powers(cap: int) -> tuple:
+    """Rows n = 0..cap of the coefficients of T^k, T = (1/2)log(1+x).
+
+    [x^n] T^k = k! s(n,k) / (n! 2^k) with s the signed Stirling numbers
+    of the first kind, so row n is (w(n,0..n), n! 2^n) with the integers
+    w(n,k) = k! s(n,k) 2^(n-k), built by w(n+1,k) = k w(n,k-1) - 2n w(n,k).
+    """
+    rows = [((1,), 1)]
+    for n in range(cap):
+        w, den = rows[-1]
+        nxt = [0] + [k * c for k, c in enumerate(w, 1)]
+        for k, c in enumerate(w):
+            nxt[k] -= 2 * n * c
+        rows.append((tuple(nxt), den * 2 * (n + 1)))
+    return tuple(rows)
+
+
+def at_half_log(s: RatSeries) -> RatSeries:
+    """s(T) re-expanded in x, where T = (1/2)log(1+x); same cap as s.
+
+    Equal to the Horner composition s.compose(T) with T written out as
+    sum_{n>=1} (-1)^(n+1) x^n / (2n), but computed as one triangular
+    matrix-vector product against the cached powers of T, over the
+    common denominator of the coefficients of s.
+    """
+    nums, den = _over_lcm(s.coeffs)
+    return RatSeries(
+        [Fraction(sum(a * b for a, b in zip(nums, w)), den * d)
+         for w, d in _half_log_powers(s.cap)], s.cap)
+
+
+def seifert_lambda_half_log(S: SeifertData, n_max: int) -> RatSeries:
+    """The Seifert lambda series by the older tail: the same Gaussian
+    moments as `closedform.seifert_lambda_series`, re-expanded by
+    `at_half_log`, divided by x and multiplied by (1+x)^(r+1/2) and H/2."""
+    cap = n_max
+    n = len(S.fractions)
+    head = [sinh_over_u(1, cap)] if n == 1 else [u_over_sinh(cap)] * (n - 2)
+    g = reduce(mul, head + [sinh_over_u(Fraction(1, p * p), cap)
+                            for p, _ in S.fractions])
+    mom, w = [0], Fraction(4, S.P)
+    ratio = Fraction(S.P, S.H)  # P/H per t = u^2
+    for m, c in enumerate(g.coeffs, 1):
+        w *= (2 * m - 1) * ratio  # (4/P) (2m-1)!! (P/H)^m
+        mom.append(c * w)
+    over_x = RatSeries(at_half_log(RatSeries(mom, cap + 1)).coeffs[1:], cap)
+    return over_x * q_power(S.r + Fraction(1, 2), cap) * Fraction(S.H, 2)
 
 
 def schoolbook_mul(self: RatSeries, other) -> RatSeries:
