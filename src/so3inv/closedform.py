@@ -1,15 +1,11 @@
 """Closed-form exact invariants and trivial-connection series.
 
-Lens spaces get a one-line formula in Z[q] and a one-line series; for
-star-shaped (Seifert) rational homology spheres the invariant is a
-short sum over the multiplicity table of the fiber product times a
-scalar prefactor +-q^n.  No collapsed prefactor is hard-coded: the
-factors the derivation produces are added up as three integers, the
-eighth-root exponent a, the quarter-step-of-q exponent b (mod 4K) and
-a sign, and two independent guards check the assembly.  The phase
-must reduce to +-q^n (PhaseNotReducible otherwise), and its diamond
-image must match the vee of an explicit q-power, one integer comparison
-of (n, sign) pairs (DiamondMismatch otherwise).  Everything here is
+A connected sum of lens spaces is one run per summand in Z[q] and one
+signed sum of binomial series.  A star-shaped (Seifert) rational
+homology sphere is a short sum over the multiplicity table of its fiber
+product times a prefactor +-q^n, added up from the factors of the
+derivation as three integers, with no collapsed prefactor hard-coded,
+and checked twice (`seifert_zprime`).  Everything here is
 cross-checked against the numeric oracle in `surgery` by the test
 suite; the prime, |H1| and lambda_0 are checked in `ohtsuki`, not here.
 
@@ -23,14 +19,15 @@ literal s(q, |p|) would collapse mirror pairs, which is wrong.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from operator import mul, sub
 
 from .arith import inv_int, legendre, rat_residue, sign
-from .cyclotomic import CycInt, from_runs, sine_run
+from .cyclotomic import CycInt, _fold, from_runs, sine_run
 from .errors import (
     DiamondMismatch,
     DivisibilityFailure,
@@ -39,7 +36,7 @@ from .errors import (
     PhaseNotReducible,
     So3InvError,
 )
-from .nt import Lens, SeifertData
+from .nt import SeifertData
 from .series import (RatSeries, binomial_terms, half_log_tail, sinh_over_u,
                      u_over_sinh)
 
@@ -48,31 +45,52 @@ from .series import (RatSeries, binomial_terms, half_log_tail, sinh_over_u,
 # lens spaces
 
 
-def lens_zprime(L: Lens, K: int) -> CycInt:
-    """Exact Z' of L(p, q) at an odd prime K not dividing p, checked by
-    `ohtsuki.closed_zprime`: q^r * [p*], one run of powers of q."""
-    return from_runs([sine_run(rat_residue(L.r, K), inv_int(L.h1, K),
-                               legendre(L.h1, K), K)], K)
+def lens_zprime(summands, K: int) -> CycInt:
+    """Exact Z' of the connected sum of the lens spaces `summands` at an
+    odd prime K dividing none of their p: L(p, q) is q^r [p*], one run
+    w q^s (1 + ... + q^(m-1)) (`sine_run`), so the sum is one point times
+    one cyclic window sum of width m per summand, O(K) each, and a `_fold`."""
+    runs = [sine_run(rat_residue(L.r, K), inv_int(L.h1, K),
+                     legendre(L.h1, K), K) for L in summands]
+    f = [0] * K
+    f[sum(s for s, _, _ in runs) % K] = prod(w for _, _, w in runs)
+    for _, m, _ in runs:
+        c = list(accumulate(f + f, initial=0))
+        f = list(map(sub, c[K + 1:], c[K + 1 - m:2 * K + 1 - m]))
+    return _fold(f, K)
 
 
-def lens_lambda_series(L: Lens, n_max: int) -> RatSeries:
-    """Trivial-connection series of the lens space L, capped at n_max,
-    for `ohtsuki.closed_lambda_series`, which has checked L's type.
+def lens_lambda_series(summands, n_max: int) -> RatSeries:
+    """Trivial-connection series of the connected sum of the lens spaces
+    `summands`, capped at n_max.
 
-    For p > 0 (the orientation rule of the module docstring), the
-    series is p * q^(3 s(q,p)) * sinh(T/p)/sinh(T), T = (1/2)log(1+x).
-    As e^T = (1+x)^(1/2), that is p * [(1+x)^(r+) - (1+x)^(r-)] / x with
-    r+- = 3 s(q,p) + (1 +- 1/p)/2, so lambda_n = p * [C(r+, n+1) -
-    C(r-, n+1)]; the leading coefficient is checked there, not forced.
+    L(p, q), p > 0 by the orientation rule of the module docstring, has
+    p * q^(3 s(q,p)) sinh(T/p)/sinh(T) = p * [(1+x)^(r+) - (1+x)^(r-)]/x
+    at T = (1/2)log(1+x), r+- = 3 s(q,p) + (1 +- 1/p)/2 = (a +- h)/b over
+    one b.  N summands give (prod p) sum_E w_E (1+x)^(E/b) / x^N, the
+    weights of the D <= 2^N exponent numerators E in one dict, equal E
+    merged (D <= N + 1 for equal summands, up to 2^N for pairwise
+    distinct framings); each E is one `binomial_terms` to cap n_max + N
+    over one denominator b^k k!, and the N lowest coefficients must
+    cancel (DivisibilityFailure otherwise): O(N D + D cap).
     """
-    r = L.r + Fraction(1, 2)
-    p = L.h1
-    b = lcm(r.denominator, 2 * p)  # r+- = (a +- h) / b
-    a, h = r.numerator * (b // r.denominator), b // (2 * p)
-    (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
-                          binomial_terms(a - h, b, n_max + 1))
-    return RatSeries([Fraction(p * (u - v), d)
-                      for u, v, d in zip(hi[1:], lo[1:], den[1:])], n_max)
+    rs = [(L.r + Fraction(1, 2), L.h1) for L in summands]
+    b = lcm(*(lcm(r.denominator, 2 * p) for r, p in rs))
+    weights = {0: prod(p for _, p in rs)}
+    for r, p in rs:
+        a, h = int(r * b), b // (2 * p)
+        weights, old = Counter(), weights
+        for e, w in old.items():
+            weights[e + a + h] += w
+            weights[e + a - h] -= w
+    N, total = len(rs), [0] * (n_max + len(rs) + 1)
+    for e, w in weights.items():
+        if w:  # not all: they are the coefficients of N nonzero factors
+            num, den = binomial_terms(e, b, n_max + N)
+            total = [t + w * u for t, u in zip(total, num)]
+    if any(total[:N]):
+        raise DivisibilityFailure("the terms below x^N did not cancel")
+    return RatSeries(list(map(Fraction, total[N:], den[N:])), n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,9 @@ x-adic order and the diamond truncation) are what connect exact
 invariants to their rational series images.
 
 The module also owns the one table of transcendental values in the
-package, `fixed_roots`: the roots of unity as integers at a scale 2^B,
-the powers of one root (`_root`, from Machin's pi and the series of
-e^(it) in integers), each the integer nearest 2^B times its root up to
-one unit.  No floating-point library is involved: `eval_complex` and
-the numeric surgery oracle work in integers over the tables, so their
-rounding enters only through the table entries, the oracle's shifts
-and floor divisions, and one int / int per component.
+package, `fixed_roots`, the roots of unity as integers at a scale 2^B;
+`eval_complex` and the numeric surgery oracle work in integers over
+it, with no floating-point library.
 
 Quadratic sums run over the K odd residue classes mod 2K, represented
 by the odd integers in [2-K, K].  The class of K itself contributes

@@ -6,10 +6,9 @@ the product of the quantized integers [a_j], so it is odd under
 negating a color, 2K-periodic, multiplicative over components and 1 on
 the empty link.  At an odd color [a] is one run of powers of q,
 `cyclotomic.sine_run`.  Integer surgery on such a link is a connected
-sum of lens spaces, whose exact Z' `ohtsuki.closed_zprime` takes from
-the lens closed form; the numeric oracle evaluates the link values
-from the sines of the one roots table, `cyclotomic.fixed_roots`: the
-integers nearest 2^B sin(pi*a/K), up to one unit.
+sum of lens spaces, whose exact Z' is one closed form of the whole sum
+(`closedform.lens_zprime`); the numeric oracle reads the link values
+from the sines of the one roots table, `cyclotomic.fixed_roots`.
 """
 
 from __future__ import annotations

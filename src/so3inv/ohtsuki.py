@@ -11,33 +11,24 @@ Dedekind data, and raises NoClosedForm for anything else (`_spec`);
 `closed_zprime` and `closed_lambda_series` also hold the checks every
 closed form shares: the odd prime, the |H1| gate and lambda_0 = 1.
 A P1 surgery on a split link is the connected sum of the lens spaces
-L(-p_j, 1), and both sides are multiplicative under connected sum
-(Kirby-Melvin, Invent. Math. 105 (1991)): `_summands` holds that rule,
-and both entries take the product over the summands of the lens
-closed forms.
-The series is one RatSeries, read as lam[n]; a Reconstruction holds
-the recovered values with what only recovery knows: the modulus of
-each, the primes used and the primes skipped.
+L(-p_j, 1) (`_summands`), and both sides are multiplicative under
+connected sum (Kirby-Melvin, Invent. Math. 105 (1991)), so each entry
+takes one closed form of the whole sum.
 
 Reconstruction never trusts a single modulus.  The supplied primes are
 a seed; further primes, the odd primes above the largest seed and at
-most PRIMES_PAST_SEEDS of them, are folded into the CRT modulus M until
-Wang's balanced extended-Euclid recovery (Wang, Guy & Davenport 1982)
-yields the same fraction a/d from two consecutive prefixes, with
-2 * 16 * |a| * d <= M as a safety margin.  The fraction must then
-agree with the residues at the next two primes, which are held out of
-M.  A held-out disagreement is not fatal: both held-out primes join M
-and the search goes on.  Every accepted value also passes the
-denominator bounds of `check_bounds`.
+most PRIMES_PAST_SEEDS of them, join the CRT modulus M until Wang's
+balanced extended-Euclid recovery (Wang, Guy & Davenport 1982) yields
+the same fraction a/d from two consecutive prefixes, with
+2 * 16 * |a| * d <= M as a safety margin; two held-out primes and
+`check_bounds` must then confirm it (`reconstruct_lambda`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import count, islice
 from math import factorial, gcd, isqrt
-from operator import mul
 from typing import Optional, Sequence
 
 from . import _Record
@@ -78,28 +69,23 @@ def _summands(m) -> list:
 def closed_zprime(m: ManifoldSpec, K) -> CycInt:
     """Exact Z' of a presentation by its closed form, after the checks all
     three share: `_spec`, then NotAnOddPrime, then H1DivisibleByK; a lens
-    space or P1 surgery is the product over its `_summands`."""
+    space or P1 surgery is the connected sum of its `_summands`."""
     from .closedform import lens_zprime, seifert_zprime
 
     h1, K = _spec(m).h1, as_prime(K)
     check_h1(h1, K)
     if isinstance(m, SeifertData):
         return seifert_zprime(m, K)
-    return reduce(mul, [lens_zprime(L, K) for L in _summands(m)]
-                  or [CycInt.one(K)])
+    return lens_zprime(_summands(m), K)
 
 
 def closed_lambda_series(m: ManifoldSpec, n_max: int) -> RatSeries:
     """The closed-form series, its lambda_0 = 1 checked, not forced
-    (BadNormalization otherwise); a lens space or P1 surgery is the
-    product over its `_summands`."""
+    (BadNormalization otherwise), once on a whole connected sum."""
     from .closedform import lens_lambda_series, seifert_lambda_series
 
-    if isinstance(_spec(m), SeifertData):
-        lam = seifert_lambda_series(m, n_max)
-    else:
-        lam = reduce(mul, [lens_lambda_series(L, n_max) for L in _summands(m)]
-                     or [RatSeries.const(1, n_max)])
+    lam = (seifert_lambda_series(m, n_max) if isinstance(_spec(m), SeifertData)
+           else lens_lambda_series(_summands(m), n_max))
     if lam[0] != 1:
         raise BadNormalization(f"lambda_0 = {lam[0]} for {manifold_label(m)}")
     return lam

@@ -65,6 +65,12 @@ MUTANTS = [
      " zip(q + [0], [0] + q[:len(f) - 1])]\n",
      "        q = [s * u for u, v in"
      " zip(q + [0], [0] + q[:len(f) - 1])]\n"),
+    ("connected-sum terms below x^N cancel", "closedform.py",
+     "    if any(total[:N]):\n",
+     "    if False:\n"),
+    ("connected-sum sign of epsilon", "closedform.py",
+     "            weights[e + a - h] -= w\n",
+     "            weights[e + a - h] += w\n"),
     ("seifert_cn remainder", "closedform.py",
      "        if any(g[-2:]):\n",
      "        if False:\n"),

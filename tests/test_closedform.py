@@ -13,14 +13,18 @@ from so3inv.arith import inv_int, odd_primes
 from so3inv.closedform import _seifert_phase, seifert_cn
 from so3inv.cyclotomic import CycInt, eval_complex
 from so3inv.errors import (BadNormalization, DiamondMismatch,
-                           H1DivisibleByK, IntegralityFailure, NotCoprime,
-                           NotRHS, PDivisibleByK, So3InvError)
-from so3inv.nt import SeifertData, dedekind_sum
+                           DivisibilityFailure, H1DivisibleByK,
+                           IntegralityFailure, NotCoprime, NotRHS,
+                           PDivisibleByK, So3InvError)
+from so3inv.nt import P1Surgery, SeifertData, dedekind_sum
 from so3inv.ohtsuki import closed_lambda_series, closed_zprime
 from so3inv.series import RatSeries, binomial_terms, half_log_tail
 from so3inv.surgery import Lens, zprime_numeric
-from zq_reference import (at_half_log, q_power, s_div, seifert_cn_laurent,
-                          seifert_lambda_half_log, ser_pow, sine_quotient)
+import zq_reference
+from zq_reference import (at_half_log, connected_sum_lambda,
+                          connected_sum_zprime, q_power, s_div,
+                          seifert_cn_laurent, seifert_lambda_half_log,
+                          ser_pow, sine_quotient)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -277,6 +281,107 @@ def test_lambda_0_is_checked_not_forced(monkeypatch):
     with pytest.raises(BadNormalization,
                        match=r"^lambda_0 = 2 for X\(2/1,3/1,5/-4\)$"):
         closed_lambda_series(POINCARE, 3)
+
+
+def test_terms_below_x_n_must_cancel(monkeypatch):
+    # an assembly whose terms below x^N do not cancel raises; it is not
+    # shifted past them (each exponent's series times its numerator)
+    def skewed(a, b, cap):
+        num, den = binomial_terms(a, b, cap)
+        return [a * u for u in num], den
+    monkeypatch.setattr(closedform, "binomial_terms", skewed)
+    for m in (Lens(5, 2), P1Surgery("unlink", (-2, 5))):
+        with pytest.raises(DivisibilityFailure,
+                           match=r"^the terms below x\^N did not cancel$"):
+            closed_lambda_series(m, 3)
+
+
+# ---------------------------------------------------------------------------
+# connected sums of lens spaces: one closed form against the product of
+# the summands' (zq_reference)
+
+
+def _unlink_cases(primes):
+    """(K, framings, n): an unlink of 0 to 6 components, framings
+    0 < |p| <= 40 prime to K, and a cap n <= 30."""
+    return st.sampled_from(primes).flatmap(lambda K: st.tuples(
+        st.just(K),
+        st.lists(st.integers(-40, 40).filter(lambda p: p % K), max_size=6),
+        st.integers(0, 30)))
+
+
+def _matches_product_route(case):
+    K, framings, n = case
+    m = P1Surgery("unlink", tuple(framings))
+    assert closed_zprime(m, K) == connected_sum_zprime(m, K)
+    assert (closed_lambda_series(m, n).coeffs
+            == connected_sum_lambda(m, n).coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_unlink_cases(odd_primes(3, 101)))
+def test_connected_sum_matches_product_route(case):
+    _matches_product_route(case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_unlink_cases((1999, 2003)))
+def test_connected_sum_matches_product_route_near_2000(case):
+    _matches_product_route(case)
+
+
+def test_lens_closed_forms_match_reference():
+    # every L(p, q) with |p|, |q| <= 13: lambda to n = 12, Z' at K <= 13
+    family = [Lens(p, q) for p in range(-13, 14) for q in range(-13, 14)
+              if p and gcd(p, q) == 1]
+    assert len(family) == 462
+    for L in family:
+        assert (closed_lambda_series(L, 12).coeffs
+                == zq_reference.lens_lambda_series(L, 12).coeffs), L
+        for K in odd_primes(3, 13):
+            if L.p % K:
+                assert (closed_zprime(L, K)
+                        == zq_reference.lens_zprime(L, K)), (L, K)
+
+
+def test_equal_framings_merge_exponents(monkeypatch):
+    # 24 equal summands give 25 distinct exponents, not 2^24 series
+    calls = []
+
+    def counted(a, b, cap):
+        calls.append(a)
+        return binomial_terms(a, b, cap)
+    monkeypatch.setattr(closedform, "binomial_terms", counted)
+    m = P1Surgery("unlink", (2,) * 24)
+    lam = closed_lambda_series(m, 4)
+    assert len(calls) <= 25
+    assert lam.coeffs == connected_sum_lambda(m, 4).coeffs
+
+
+def test_connected_sums_multiply_no_ring_elements(monkeypatch):
+    # both closed forms of a connected sum scale, but never multiply two
+    # elements of Z[q] or two series
+    cases = [Lens(5, 2), Lens(-7, 3), P1Surgery("unlink", ()),
+             P1Surgery("unknot", (3,)), P1Surgery("unlink", (-2, 5)),
+             P1Surgery("unlink", (2, -3, 4))]
+    want = [(connected_sum_lambda(m, 6), [connected_sum_zprime(m, K)
+                                          for K in (11, 13, 101)])
+            for m in cases]
+
+    def scalar_only(real):
+        def mul(self, other):
+            if isinstance(other, type(self)):
+                raise AssertionError("a product of two ring elements")
+            return real(self, other)
+        return mul
+    for cls in (CycInt, RatSeries):
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, scalar_only(getattr(cls, name)))
+    with pytest.raises(AssertionError, match="two ring elements"):
+        CycInt.one(5) * CycInt.one(5)
+    for m, (lam, zs) in zip(cases, want):
+        assert closed_lambda_series(m, 6).coeffs == lam.coeffs, m
+        assert [closed_zprime(m, K) for K in (11, 13, 101)] == zs, m
 
 
 def test_lens_lambda1_is_casson_walker():

@@ -286,12 +286,13 @@ def test_exact_routes_share_one_door(monkeypatch):
         with pytest.raises(H1DivisibleByK,
                            match=r"^\|H1\| = 9 is divisible by K = 3$"):
             closed_zprime(m, 3)
-    # lambda_0 is checked once, on the P1 product, not on each factor
+    # lambda_0 is checked once, on the whole connected sum, which is one
+    # closed form: doubled once, it reads 2
     real = closedform.lens_lambda_series
     monkeypatch.setattr(closedform, "lens_lambda_series",
-                        lambda L, n_max: real(L, n_max) * 2)
+                        lambda Ls, n_max: real(Ls, n_max) * 2)
     with pytest.raises(BadNormalization,
-                       match=r"^lambda_0 = 4 for S\[unlink;-2,5\]$"):
+                       match=r"^lambda_0 = 2 for S\[unlink;-2,5\]$"):
         closed_lambda_series(P1Surgery("unlink", (-2, 5)), 3)
 
 

@@ -77,6 +77,14 @@ without one (u/sinh(u) has a recurrence of its own, `u_over_sinh`),
 so only the references here and the tests divide, and only they raise
 `NonUnitDivisor`.
 
+Connected sums by products.  `lens_zprime` and `lens_lambda_series`
+are the older closed forms of one lens space, and `connected_sum_zprime`
+and `connected_sum_lambda` the older route for a lens space or a P1
+surgery: the product of its summands' closed forms (`ohtsuki._summands`),
+from the first factor, 1 for the empty surgery.  The library takes the
+whole sum as one closed form per side (`closedform.lens_zprime` and
+`closedform.lens_lambda_series`); the tests check it against these.
+
 Finite exponential sums.  `exp_sum_series` expands sum_k c_k e^(kw) as a
 series in w, or the quotient of two such sums, the divisor's zero at
 w = 0 divided out, by one `s_div`; `sin_quotient_series` builds each [c]
@@ -87,11 +95,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
 from so3inv import ohtsuki
+from so3inv.ohtsuki import _summands
 from so3inv.arith import as_prime, inv_int, legendre, rat_residue, sign
 from so3inv.cyclotomic import (CycInt, _raw, diamond, fixed_roots, from_runs,
                                gauss_sum, odd_window, sine_run)
@@ -489,6 +498,41 @@ def _p1_factor(p: int, K: int) -> CycInt:
     s = from_runs([sine_run(e2 + t4 * p * a * a, a + pst, phase * sign(p), K)
                    for a in odd_window(K)], K)
     return divide_exact(s * gauss_sum(-1, K), K)
+
+
+def lens_zprime(L: Lens, K: int) -> CycInt:
+    """Exact Z' of the lens space L at an odd prime K not dividing p:
+    q^r * [p*], one run of powers of q."""
+    return from_runs([sine_run(rat_residue(L.r, K), inv_int(L.h1, K),
+                               legendre(L.h1, K), K)], K)
+
+
+def lens_lambda_series(L: Lens, n_max: int) -> RatSeries:
+    """Trivial-connection series of the lens space L, capped at n_max:
+    p * [(1+x)^(r+) - (1+x)^(r-)] / x with r+- = 3 s(q,p) + (1 +- 1/p)/2
+    for p > 0, so lambda_n = p * [C(r+, n+1) - C(r-, n+1)]."""
+    r = L.r + Fraction(1, 2)
+    p = L.h1
+    b = lcm(r.denominator, 2 * p)  # r+- = (a +- h) / b
+    a, h = r.numerator * (b // r.denominator), b // (2 * p)
+    (hi, den), (lo, _) = (binomial_terms(a + h, b, n_max + 1),
+                          binomial_terms(a - h, b, n_max + 1))
+    return RatSeries([Fraction(p * (u - v), d)
+                      for u, v, d in zip(hi[1:], lo[1:], den[1:])], n_max)
+
+
+def connected_sum_zprime(m, K: int) -> CycInt:
+    """Z' of a lens space or P1 surgery, at an odd prime K not dividing
+    |H1|, as the product of its summands' `lens_zprime`."""
+    return reduce(mul, [lens_zprime(L, K) for L in _summands(m)]
+                  or [CycInt.one(K)])
+
+
+def connected_sum_lambda(m, n_max: int) -> RatSeries:
+    """The series of a lens space or P1 surgery, capped at n_max, as the
+    product of its summands' `lens_lambda_series`."""
+    return reduce(mul, [lens_lambda_series(L, n_max) for L in _summands(m)]
+                  or [RatSeries.const(1, n_max)])
 
 
 def odd_gauss_moment(p: int, m: int, K: int) -> CycInt:
