@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
-from math import lcm, prod
-from operator import mul, sub
+from itertools import accumulate, product, repeat
+from math import comb, factorial, lcm, prod
+from operator import add, mul, sub
 
 from .arith import inv_int, legendre, rat_residue, sign
 from .cyclotomic import CycInt, _fold, from_runs, sine_run
@@ -37,8 +36,8 @@ from .errors import (
     So3InvError,
 )
 from .nt import SeifertData
-from .series import (RatSeries, binomial_terms, half_log_tail, sinh_over_u,
-                     u_over_sinh)
+from .series import (RatSeries, binomial_terms, half_log_tail,
+                     u_over_sinh_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +215,38 @@ def seifert_lambda_series(S: SeifertData, n_max: int) -> RatSeries:
     """Trivial-connection series of the star S, capped at n_max, for
     `ohtsuki.closed_lambda_series`, which checks S's type and lambda_0.
 
-    With t = u^2 and sinh(u/p) = (u/p) S(t/p^2), S = `sinh_over_u`, the
-    fiber prefactor 4 prod_j sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t),
-    G = (u/sinh u)^(N-2) prod_j S(t/p_j^2), or S(t) prod_j S(t/p_j^2) for
-    N = 1: one product of its factors, N - 2 copies of u/sinh(u)
-    (`u_over_sinh`, cached per cap) or S(t), then one S(t/p_j^2) per
-    fiber, with no division and no product by the constant series 1.
-    Each u^(2m) is integrated against the Gaussian by the (2m-1)!! moment
-    rule, contributing (P/H)^m t^m; the result over sinh(t) at t = T =
-    (1/2) log(1+x) is multiplied by exp(theta*T), theta = 2r the
-    Dedekind/framing exponent (S.r).  As e^T = (1+x)^(1/2),
-    1/sinh(T) = 2 e^T/x, so lambda_n = (H/2) [x^(n+1)] F(T) e^(cT) for the
-    moments F and c = 2r + 1: one `half_log_tail`, with H/2 in F.
+    With t = u^2 and S(t) = sinh(u)/u, the fiber prefactor 4 prod_j
+    sinh(u/p_j) / sinh(u)^(N-2) is (4u^2/P) G(t), G = (u/sinh u)^(f-2)
+    prod_j S(t/p_j^2) over the f fibers |p_j|, a unit fiber first when
+    N = 1, and [t^n] G = x_n / (2^(f-1) Q^(2n+f-1) (2n+f)! d^(f-2)) in
+    integers, Q = prod_j |p_j|: x_n starts as one exponential sum,
+    sum_e (prod_j e_j) s_e^(2n+f), s_e = sum_j e_j Q/|p_j| over the signs
+    e with e_1 = 1, and each u/sinh(u) = sum g_j t^j / (d (2j)!)
+    (`u_over_sinh_terms`) takes it to sum_i C(2n+f, 2i+f) x_i g_(n-i)
+    Q^(2(n-i)).  The Gaussian takes u^(2m) to (2m-1)!! (P/H)^m t^m, and
+    as 1/sinh(T) = 2 e^T/x at T = (1/2) log(1+x), lambda_n is (H/2)
+    [x^(n+1)] F(T) e^(cT) over the moments F, c = 2r + 1 (S.r, the
+    Dedekind/framing exponent): one `half_log_tail`, H/2 in F.
     """
-    cap = n_max
-    n = len(S.fractions)
-    head = [sinh_over_u(1, cap)] if n == 1 else [u_over_sinh(cap)] * (n - 2)
-    g = reduce(mul, head + [sinh_over_u(Fraction(1, p * p), cap)
-                            for p, _ in S.fractions])
+    ps = [1] * (2 - len(S.fractions)) + [abs(p) for p, _ in S.fractions]
+    f, Q = len(ps), prod(ps)
+    x = [0] * (n_max + 1)
+    for signs in product((1, -1), repeat=f - 1):
+        s = sum(e * (Q // p) for e, p in zip((1,) + signs, ps))
+        x = list(map(add, x, accumulate([s * s] * n_max, mul,
+                                        initial=prod(signs) * s ** f)))
+    g, d = u_over_sinh_terms(n_max if f > 2 else 0)
+    h = list(map(mul, g, accumulate([Q * Q] * n_max, mul, initial=1)))
+    for _ in range(f - 2):
+        x = [sum(map(mul, map(mul, x, h[n::-1]), map(
+            comb, repeat(2 * n + f), range(f, 2 * n + f + 1, 2))))
+            for n in range(n_max + 1)]
+    dens = accumulate((Q * Q * (2 * n + f - 1) * (2 * n + f)
+                       for n in range(1, n_max + 1)), mul,
+                      initial=(2 * Q) ** (f - 1) * factorial(f) * d ** (f - 2))
     mom, w = [0], Fraction(2 * S.H, S.P)
     ratio = Fraction(S.P, S.H)  # P/H per t = u^2
-    for m, c in enumerate(g.coeffs, 1):
+    for m, c in enumerate(map(Fraction, x, dens), 1):
         w *= (2 * m - 1) * ratio  # (H/2) (4/P) (2m-1)!! (P/H)^m
         mom.append(c * w)
-    return half_log_tail(mom, 2 * S.r + 1, cap)
+    return half_log_tail(mom, 2 * S.r + 1, n_max)

@@ -8,20 +8,18 @@ the (K+1)/2 residues through degree (K-1)/2: the largest window in
 which cyclotomic integers leave a well-defined polynomial trace (see
 cyclotomic.diamond).
 
-The module also hosts the closed-form series the invariant formulas
-produce, one route each: the binomial coefficients C(a/b, n) in
-integers (`binomial_terms`), sinh(u)/u and its reciprocal u/sinh(u) as
-series in t = u^2, from which the Seifert fiber products are built, and
-their re-expansion at T = (1/2)log(1+x) times e^(cT) = (1+x)^(c/2),
-shifted down by one degree, as one triangle (`half_log_tail`).
+The module also hosts the closed-form series of the invariant formulas,
+one route each, in integers and with no product of two series: C(a/b, n)
+(`binomial_terms`), u/sinh(u) from the tangent numbers
+(`u_over_sinh_terms`), and the re-expansion at T = (1/2)log(1+x) times
+e^(cT), shifted down one degree, as one triangle (`half_log_tail`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -31,10 +29,6 @@ from .errors import (
     InsufficientTerms,
     NonzeroConstantInExp,
 )
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _over_lcm(coeffs) -> tuple:
@@ -53,9 +47,8 @@ class RatSeries:
     __slots__ = ("coeffs", "cap", "_over")
 
     def __init__(self, coeffs: Sequence, cap: int):
-        cs = [_frac(c) for c in coeffs[:cap + 1]]
-        cs.extend([Fraction(0)] * (cap + 1 - len(cs)))
-        self.coeffs = tuple(cs)
+        self.coeffs = (tuple(map(Fraction, coeffs[:cap + 1]))
+                       + (Fraction(0),) * (cap + 1 - len(coeffs)))
         self.cap = cap
         self._over = None  # _over_lcm(coeffs), once vee has asked
 
@@ -156,25 +149,22 @@ def half_log_tail(F, c, cap: int) -> RatSeries:
     return RatSeries(out, cap)
 
 
-def sinh_over_u(a, cap: int) -> RatSeries:
-    """sinh(u)/u at u^2 = a*t as a series in t: [t^n] = a^n / (2n+1)!."""
-    a = _frac(a)
-    facts = accumulate((2 * n * (2 * n + 1) for n in range(1, cap + 1)), mul,
-                       initial=1)
-    return RatSeries([a ** n / f for n, f in enumerate(facts)], cap)
+def u_over_sinh_terms(cap: int) -> tuple:
+    """u/sinh(u) = sum_n g_n t^n / (d (2n)!) at t = u^2, n <= cap, as the
+    integers g_n and d: g_n / d = (2 - 4^n) B_2n = (-1)^n 2n T_n (4^n - 2)
+    / (4^n (4^n - 1)) for n >= 1, over the tangent numbers T_n from the
+    O(cap^2) small-integer recurrence of Brent and Harvey (arXiv:1108.0286).
 
-
-@lru_cache(maxsize=32)
-def u_over_sinh(cap: int) -> RatSeries:
-    """u/sinh(u) as a series in t = u^2, [t^n] = g_n / (2n)!: as the
-    reciprocal of sinh_over_u(1, cap), sum_{j<=n} C(2n+1, 2j) g_j = [n = 0]
-    ((2n+1)! [t^n] of the product), so g_n = (2 - 2^(2n)) B_2n."""
-    g = [Fraction(1)]
-    for n in range(1, cap + 1):
-        nums, den = _over_lcm(g)
-        g.append(Fraction(-sum(comb(2 * n + 1, 2 * j) * c
-                               for j, c in enumerate(nums)), den * (2 * n + 1)))
-    return RatSeries([c / factorial(2 * n) for n, c in enumerate(g)], cap)
+    >>> u_over_sinh_terms(3)
+    ([105, -35, 49, -155], 105)
+    """
+    T = [0] + list(accumulate(range(1, cap), mul, initial=1))  # (n-1)!
+    for k in range(2, cap + 1):
+        for j in range(k, cap + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return _over_lcm([Fraction(1)] + [Fraction(
+        (-1) ** n * 2 * n * t * (4 ** n - 2), 4 ** n * (4 ** n - 1))
+        for n, t in enumerate(T[1:cap + 1], 1)])
 
 
 def shadow(coeffs: Sequence[int], K: int) -> tuple:

@@ -71,6 +71,13 @@ MUTANTS = [
     ("connected-sum sign of epsilon", "closedform.py",
      "            weights[e + a - h] -= w\n",
      "            weights[e + a - h] += w\n"),
+    ("tangent-number recurrence weight", "series.py",
+     "            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]\n",
+     "            T[j] = (j - k) * T[j - 1] + (j - k + 1) * T[j]\n"),
+    ("unit fiber of a one-fiber star", "closedform.py",
+     "    ps = [1] * (2 - len(S.fractions)) + [abs(p) for p, _ in"
+     " S.fractions]\n",
+     "    ps = [abs(p) for p, _ in S.fractions]\n"),
     ("seifert_cn remainder", "closedform.py",
      "        if any(g[-2:]):\n",
      "        if False:\n"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3inv import closedform
+from so3inv import cli, closedform
 from so3inv.arith import inv_int, odd_primes
 from so3inv.closedform import _seifert_phase, seifert_cn
 from so3inv.cyclotomic import CycInt, eval_complex
@@ -24,7 +24,7 @@ import zq_reference
 from zq_reference import (at_half_log, connected_sum_lambda,
                           connected_sum_zprime, q_power, s_div,
                           seifert_cn_laurent, seifert_lambda_half_log,
-                          ser_pow, sine_quotient)
+                          seifert_lambda_product, ser_pow, sine_quotient)
 
 POINCARE = SeifertData([(2, 1), (3, 1), (5, -4)])
 SEIFERT_SAMPLE = [
@@ -585,6 +585,34 @@ def test_seifert_series_matches_half_log_route_at_300():
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.lists(_FIBER, min_size=1, max_size=6).map(_seifert_or_none)
+       .filter(lambda S: S is not None),
+       st.integers(min_value=0, max_value=14))
+def test_seifert_series_matches_product_route(S, n_max):
+    # G from integer sums against the product of its series factors
+    assert (closed_lambda_series(S, n_max).coeffs
+            == seifert_lambda_product(S, n_max).coeffs)
+
+
+@pytest.mark.parametrize("fractions", [
+    [(7, 3)], [(-1, 2)], [(1, 1), (-2, 1)], [(2, 1), (3, 1), (5, -4)],
+    [(2, 1), (-1, 1), (3, 2), (-5, 1)],
+    [(2, 1), (-3, 2), (5, 1), (7, -2), (11, 3)],
+    [(2, 1), (3, -1), (5, 2), (1, 1), (9, -4), (-4, 3)]])
+def test_seifert_series_matches_product_route_on_fixed_stars(fractions):
+    S = SeifertData(fractions)
+    for n_max in (0, 1, 6, 30, 105):
+        assert (closed_lambda_series(S, n_max).coeffs
+                == seifert_lambda_product(S, n_max).coeffs)
+
+
+def test_seifert_series_matches_product_route_at_300():
+    S = SeifertData([(2, 1), (-1, 1), (5, -4)])
+    assert (closed_lambda_series(S, 300).coeffs
+            == seifert_lambda_product(S, 300).coeffs)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(_FIBER, min_size=3, max_size=3).map(_seifert_or_none)
        .filter(lambda S: S is not None),
        st.sampled_from(odd_primes(3, 23)),
@@ -737,26 +765,26 @@ def test_seifert_lambda1_is_three_casson_walker():
         assert closed_lambda_series(S, 1)[1] == 3 * walker, S
 
 
-def test_seifert_lambda_multiplies_no_unit_series(monkeypatch):
-    # G is the product of its factors alone, from the first of them: no
-    # product of the series has the constant series 1 as an operand
-    operands = []
+def test_seifert_lambda_multiplies_no_unit_series(monkeypatch, capsys):
+    # no program path multiplies a series, by the constant series 1 or
+    # any other: verify and lambda --reconstruct run on a lens space, a
+    # P1 surgery and stars of 1 to 6 fibers, p = 1 and -1 among them,
+    # with every RatSeries product raising
+    def refuse(a, b):
+        raise AssertionError(f"RatSeries product of {a!r} and {b!r}")
 
-    def spy(a, b):
-        operands.extend((a, b))
-        return real(a, b)
-
-    def one(s):
-        return isinstance(s, RatSeries) and s.coeffs == (1,) + (0,) * s.cap
-
-    real = RatSeries.__mul__
-    monkeypatch.setattr(RatSeries, "__mul__", spy)
-    monkeypatch.setattr(RatSeries, "__rmul__", spy)
-    fibers = [(2, 1), (-3, 2), (5, 1), (7, -2), (11, 3)]
-    for n in range(1, 6):
-        operands.clear()
-        lam = closedform.seifert_lambda_series(SeifertData(fibers[:n]), 6)
-        assert lam[0] == 1 and operands and not any(map(one, operands)), n
+    monkeypatch.setattr(RatSeries, "__mul__", refuse)
+    monkeypatch.setattr(RatSeries, "__rmul__", refuse)
+    fibers = ["7/2", "-3/2", "5/1", "1/1", "11/3", "-1/1"]
+    specs = ["--lens=5,2", "--p1=unlink:-2,5"] + [
+        "--seifert=" + ",".join(fibers[:n]) for n in range(1, 7)]
+    for argv in (["verify", *specs, "--primes", "5..23"],
+                 ["lambda", *specs, "--nmax", "2", "--reconstruct",
+                  "--primes", "7..23"]):
+        assert cli.main(argv) == 0, argv
+        rows = capsys.readouterr().out.splitlines()[1:]
+        column = 0 if argv[0] == "lambda" else 1  # the manifold's label
+        assert len({r.split("\t")[column] for r in rows}) == len(specs)
 
 
 # two-fiber Seifert spaces that are lens spaces

@@ -17,8 +17,7 @@ from so3inv.series import (
     RatSeries,
     half_log_tail,
     shadow,
-    sinh_over_u,
-    u_over_sinh,
+    u_over_sinh_terms,
     vee,
 )
 from so3inv.nt import Lens
@@ -26,7 +25,8 @@ from so3inv.ohtsuki import closed_lambda_series
 from zq_reference import (FactorialNotInvertible, NonUnitDivisor, NotAUnit,
                           at_half_log, exp_sum_series, gauss_moment_diamond,
                           q_power, q_power_recurrence, s_div, schoolbook_mul,
-                          ser_pow, vee_per_coefficient, x_over_log_pow)
+                          ser_pow, sinh_over_u, u_over_sinh,
+                          vee_per_coefficient, x_over_log_pow)
 
 
 def _log1p(cap):
@@ -213,6 +213,25 @@ def test_u_over_sinh_is_the_bernoulli_series():
         assert u_over_sinh(c) * sinh_over_u(1, c) == RatSeries.const(1, c)
     assert u_over_sinh(40) == s_div(RatSeries.const(1, 40),
                                     sinh_over_u(1, 40))
+
+
+def test_u_over_sinh_terms_are_tangent_numbers():
+    # g_n / d = (2 - 4^n) B_2n = (-1)^n 2n T_n (4^n - 2) / (4^n (4^n - 1)),
+    # tan(u) = u + 2 u^3/3! + 16 u^5/5! + 272 u^7/7! + 7936 u^9/9! + ...
+    assert u_over_sinh_terms(0) == ([1], 1)
+    g, d = u_over_sinh_terms(len(_BERNOULLI_EVEN) - 1)
+    assert [Fraction(c, d) for c in g] == [
+        (2 - 4 ** n) * b for n, b in enumerate(_BERNOULLI_EVEN)]
+    assert [Fraction(c * (-1) ** n * 4 ** n * (4 ** n - 1),
+                     d * 2 * n * (4 ** n - 2))
+            for n, c in enumerate(g[1:6], 1)] == [1, 2, 16, 272, 7936]
+
+
+def test_u_over_sinh_terms_match_the_recurrence():
+    for cap in (0, 1, 2, 40, 100):
+        g, d = u_over_sinh_terms(cap)
+        assert (tuple(Fraction(c, d * factorial(2 * n))
+                      for n, c in enumerate(g)) == u_over_sinh(cap).coeffs)
 
 
 def test_shadow_basics():

@@ -72,10 +72,19 @@ given as a series, such as the unknot's `sin_quotient_series` or the
 Seifert fiber evaluation `seifert_beta_series`.
 
 Series division.  `s_div` is the quotient of two series by the
-term-by-term Fraction recurrence; the library builds every series
-without one (u/sinh(u) has a recurrence of its own, `u_over_sinh`),
-so only the references here and the tests divide, and only they raise
+term-by-term Fraction recurrence.  `u_over_sinh` is the older u/sinh(u),
+the reciprocal of `sinh_over_u` by a recurrence of its own, cached per
+cap.  The library builds every series in integers with neither
+(u/sinh(u) from the tangent numbers, `series.u_over_sinh_terms`), so
+only the references here and the tests divide, and only they raise
 `NonUnitDivisor`.
+
+The Seifert G as a product.  `seifert_lambda_product` is the older
+Seifert lambda series, its G = (u/sinh u)^(N-2) prod_j S(t/p_j^2)
+(S(t) prod_j S(t/p_j^2) for N = 1), S = `sinh_over_u`, one product of
+its series factors from the first of them; the library sums G in
+integers (`closedform.seifert_lambda_series`), and the tests check it
+against this.
 
 Connected sums by products.  `lens_zprime` and `lens_lambda_series`
 are the older closed forms of one lens space, and `connected_sum_zprime`
@@ -95,7 +104,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, gcd, lcm, prod
+from itertools import accumulate
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -109,10 +119,14 @@ from so3inv.errors import (BadPrecision, BoundViolation,
                            InsufficientTerms, IntegralityFailure, NotCoprime,
                            NotRHS, So3InvError)
 from so3inv.nt import Lens, ManifoldSpec, P1Surgery, SeifertData
-from so3inv.series import (RatSeries, _frac, _over_lcm, binomial_terms,
-                           shadow, sinh_over_u, u_over_sinh, vee)
+from so3inv.series import (RatSeries, _over_lcm, binomial_terms,
+                           half_log_tail, shadow, vee)
 from so3inv.surgery import (_chain_data, _color_sum, _presentation, _value,
                             zprime_numeric)
+
+
+def _frac(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
@@ -255,6 +269,45 @@ def at_half_log(s: RatSeries) -> RatSeries:
     return RatSeries(
         [Fraction(sum(a * b for a, b in zip(nums, w)), den * d)
          for w, d in _half_log_powers(s.cap)], s.cap)
+
+
+def sinh_over_u(a, cap: int) -> RatSeries:
+    """sinh(u)/u at u^2 = a*t as a series in t: [t^n] = a^n / (2n+1)!."""
+    a = _frac(a)
+    facts = accumulate((2 * n * (2 * n + 1) for n in range(1, cap + 1)), mul,
+                       initial=1)
+    return RatSeries([a ** n / f for n, f in enumerate(facts)], cap)
+
+
+@lru_cache(maxsize=32)
+def u_over_sinh(cap: int) -> RatSeries:
+    """u/sinh(u) as a series in t = u^2, [t^n] = g_n / (2n)!: as the
+    reciprocal of sinh_over_u(1, cap), sum_{j<=n} C(2n+1, 2j) g_j = [n = 0]
+    ((2n+1)! [t^n] of the product), so g_n = (2 - 2^(2n)) B_2n."""
+    g = [Fraction(1)]
+    for n in range(1, cap + 1):
+        nums, den = _over_lcm(g)
+        g.append(Fraction(-sum(comb(2 * n + 1, 2 * j) * c
+                               for j, c in enumerate(nums)), den * (2 * n + 1)))
+    return RatSeries([c / factorial(2 * n) for n, c in enumerate(g)], cap)
+
+
+def seifert_lambda_product(S: SeifertData, n_max: int) -> RatSeries:
+    """The Seifert lambda series with G built as one product of its
+    factors: N - 2 copies of `u_over_sinh` (S(t) for N = 1), then one
+    `sinh_over_u` at t/p_j^2 per fiber, from the first of them; the
+    moments and `half_log_tail` as in `closedform.seifert_lambda_series`."""
+    cap = n_max
+    n = len(S.fractions)
+    head = [sinh_over_u(1, cap)] if n == 1 else [u_over_sinh(cap)] * (n - 2)
+    g = reduce(mul, head + [sinh_over_u(Fraction(1, p * p), cap)
+                            for p, _ in S.fractions])
+    mom, w = [0], Fraction(2 * S.H, S.P)
+    ratio = Fraction(S.P, S.H)  # P/H per t = u^2
+    for m, c in enumerate(g.coeffs, 1):
+        w *= (2 * m - 1) * ratio  # (H/2) (4/P) (2m-1)!! (P/H)^m
+        mom.append(c * w)
+    return half_log_tail(mom, 2 * S.r + 1, cap)
 
 
 def seifert_lambda_half_log(S: SeifertData, n_max: int) -> RatSeries:
